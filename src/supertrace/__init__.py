@@ -16,10 +16,7 @@ from .exactnum import (
     SeriesValuationError,
     q_bracket,
     q_power,
-    rat,
-    rat_arith,
     rat_str,
-    series_arith,
 )
 from .rootdata import (
     AtypicalWeightError,
@@ -74,12 +71,10 @@ from .repmod import (
     witness_tensor,
 )
 from .mtrace import (
-    BracketResult,
     bracket,
     classical_str_is_zero,
     modified_trace,
     psi_sharp,
-    verify_trace_properties,
 )
 from .invtensor import (
     AdjointData,

@@ -30,9 +30,7 @@ class RunConfig:
     dims: tuple[int, ...]
     weights: list[Weight] = field(default_factory=list)
     order: int = 8
-    max_degree: int = 3
     fmt: str = "table"
-    cache_dir: str | None = None
 
     @property
     def algebra_label(self) -> str:

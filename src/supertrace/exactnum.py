@@ -22,33 +22,10 @@ class SeriesValuationError(ArithmeticError):
     """Series division whose leading-zero structure makes the quotient undefined."""
 
 
-def rat(value, den=None) -> Fraction:
-    """Build a Fraction from ints, strings like '-5/48', or another Fraction."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
-
-
 def rat_str(x: Fraction) -> str:
     """Render a rational as 'p' or 'p/q'."""
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def rat_arith(a, b, op: str) -> Fraction:
-    """Exact rational arithmetic; ``op`` is one of add, sub, mul, div."""
-    a, b = Fraction(a), Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown rational operation {op!r}")
 
 
 @dataclass(frozen=True)
@@ -201,14 +178,3 @@ def q_power(z, order: int) -> HSeries:
 def q_bracket(z, order: int) -> HSeries:
     """q^z - q^(-z), i.e. 2*sinh(z*h/2), truncated at the given order."""
     return q_power(z, order) - q_power(-Fraction(z), order)
-
-
-def series_arith(a: HSeries, b: HSeries, op: str) -> HSeries:
-    """Exact truncated series arithmetic; ``op`` is one of add, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a.divide(b)
-    raise ValueError(f"unknown series operation {op!r}")

@@ -227,33 +227,15 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
         if not _check_g_linear(b, module, dual):
             raise FormConstructionError("form is not invariant")
 
-    # Dense inverse of b (non-degeneracy check included).
-    rows = [[Fraction(0)] * gdim for _ in range(gdim)]
-    for (i, j), v in b_ent.items():
-        rows[i][j] = v
-    inv = [[Fraction(1 if i == j else 0) for j in range(gdim)] for i in range(gdim)]
-    for col in range(gdim):
-        piv = next((i for i in range(col, gdim) if rows[i][col] != 0), None)
-        if piv is None:
-            raise FormConstructionError("form is degenerate")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = rows[col][col]
-        rows[col] = [v / scale for v in rows[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for i in range(gdim):
-            if i != col and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [u - factor * v for u, v in zip(rows[i], rows[col])]
-                inv[i] = [u - factor * v for u, v in zip(inv[i], inv[col])]
+    # Row k of b^-1 expresses the k-th unit vector over the rows of b.
+    reducer = RowReducer()
+    for i in range(gdim):
+        reducer.add({j: gram[j][i] for j in range(gdim) if gram[j][i]})
+    if len(reducer) < gdim:
+        raise FormConstructionError("form is degenerate")
     b_inv = SuperMap(
         sl.dual_space(space), space, 0,
-        {
-            (i, j): inv[i][j]
-            for i in range(gdim)
-            for j in range(gdim)
-            if inv[i][j]
-        },
+        {(k, i): c for k in range(gdim) for i, c in reducer.coords({k: 1}).items()},
     )
     return AdjointData(rs, module, tuple(basis), gram, b, b_inv)
 

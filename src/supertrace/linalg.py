@@ -1,33 +1,114 @@
 """Exact linear algebra over the rationals.
 
-Sparse Gauss-Jordan elimination on integer-cleared rows; all pivoting is
-exact, so kernels and solved coordinates are returned as Fractions with no
-rounding anywhere.  Sized for the weight-blocked systems this library
-produces (hundreds to a few thousand rows, a handful of nonzeros per row).
+Every solve in the library goes through one eliminator, ``RowReducer``: an
+incremental reduced row echelon form over the integers.  Rows are sparse
+{column: int} dicts over non-negative columns, with denominators cleared and
+the content divided out, so nothing is ever rounded.
+
+An incoming row is reduced only against the pivot rows whose pivot columns
+it touches; the stored rows are fully reduced, so one pass clears every pivot
+column.  If anything is left, its pivot is the entry of smallest magnitude
+(ties go to the larger column), and that column is then eliminated from the
+earlier rows that hold it, found through a column -> rows index.
+
+A vector passed to ``add`` carries a tag column -1-k, k being its acceptance
+index.  Row operations act on the tags too, so a reduced row records which
+combination of accepted vectors it is, and ``coords`` reads the combination
+off the tags.  ``nullspace`` inserts its rows untagged, shortest first, and
+reads one kernel vector per free column off the pivot rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def _int_row(row: dict) -> dict[int, int]:
     """Clear denominators and divide by the content, dropping zeros."""
-    items = [(j, Fraction(v)) for j, v in row.items() if v != 0]
-    if not items:
-        return {}
-    lcm = 1
-    for _, v in items:
-        d = v.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = {j: int(v * lcm) for j, v in items}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {j: v // g for j, v in ints.items()}
-    return ints
+    items = {j: Fraction(v) for j, v in row.items() if v}
+    den = lcm(*(v.denominator for v in items.values()))
+    return _primitive({j: v.numerator * (den // v.denominator) for j, v in items.items()})
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    """Clear ``col`` from ``row`` with a multiple of ``pivot_row``."""
+    g = gcd(pivot_row[col], row[col])
+    a, b = pivot_row[col] // g, row[col] // g
+    out = {j: a * v for j, v in row.items()}
+    for j, v in pivot_row.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+class RowReducer:
+    """Incremental exact row reduction with coordinate tracking.
+
+    Vectors are {index: value} dicts (int or Fraction values) over an implicit
+    ambient space.  Each accepted vector extends the span; ``coords``
+    expresses further vectors in terms of the vectors previously accepted (in
+    acceptance order).
+    """
+
+    def __init__(self):
+        self._rows: dict[int, dict[int, int]] = {}  # pivot column -> reduced row
+        self._holders: dict[int, set[int]] = {}  # free column -> pivots of rows holding it
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        for c in [c for c in row if c in self._rows]:
+            row = _eliminate(row, self._rows[c], c)
+        return row
+
+    def _insert(self, row: dict[int, int]) -> bool:
+        row = self._reduce(row)
+        free = [j for j in row if j >= 0]
+        if not free:
+            return False
+        pc = min(free, key=lambda j: (abs(row[j]), -j))
+        for q in self._holders.pop(pc, ()):
+            old = self._rows[q]
+            new = self._rows[q] = _eliminate(old, row, pc)
+            for j in old.keys() - new.keys():
+                if j >= 0 and j != pc:
+                    self._holders[j].discard(q)
+            for j in new.keys() - old.keys():
+                if j >= 0:
+                    self._holders.setdefault(j, set()).add(q)
+        self._rows[pc] = row
+        for j in free:
+            if j != pc:
+                self._holders.setdefault(j, set()).add(pc)
+        return True
+
+    def _tagged(self, vec: dict) -> dict[int, int]:
+        return _int_row({**vec, -1 - len(self): 1})
+
+    def add(self, vec: dict) -> bool:
+        """Add a vector; returns True if it enlarged the span."""
+        return self._insert(self._tagged(vec))
+
+    def contains(self, vec: dict) -> bool:
+        return all(j < 0 for j in self._reduce(_int_row(vec)))
+
+    def coords(self, vec: dict) -> dict[int, Fraction]:
+        """Express ``vec`` over the accepted vectors; raises if out of span."""
+        row = self._reduce(self._tagged(vec))
+        if any(j >= 0 for j in row):
+            raise ValueError("vector is not in the span")
+        den = row.pop(-1 - len(self))
+        return {-1 - j: Fraction(-t, den) for j, t in row.items()}
 
 
 def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
@@ -37,115 +118,16 @@ def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     Returns kernel vectors as {column: Fraction} dicts, one per free column,
     normalized so the free coordinate equals 1.
     """
-    work = [r for r in (_int_row(row) for row in rows) if r]
-    # (pivot_col, row) pairs; rows are fully reduced against each other.
-    pivots: list[tuple[int, dict[int, int]]] = []
-    while work:
-        # Cheapest remaining row, then its smallest-magnitude entry as pivot.
-        ri = min(range(len(work)), key=lambda i: len(work[i]))
-        row = work.pop(ri)
-        pc = min(row, key=lambda j: (abs(row[j]), j))
-        pv = row[pc]
-
-        def eliminate(other: dict[int, int]) -> dict[int, int]:
-            ov = other.get(pc)
-            if not ov:
-                return other
-            new = {}
-            for j, v in other.items():
-                w = v * pv - row.get(j, 0) * ov
-                if w:
-                    new[j] = w
-            for j, v in row.items():
-                if j not in other:
-                    w = -v * ov
-                    if w:
-                        new[j] = w
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
-            return new
-
-        pivots = [(c, eliminate(r)) for c, r in pivots]
-        work = [r for r in (eliminate(r) for r in work) if r]
-        pivots.append((pc, row))
-
-    pivot_cols = {c for c, _ in pivots}
+    reducer = RowReducer()
+    for row in sorted(filter(None, map(_int_row, rows)), key=len):
+        reducer._insert(row)
     basis = []
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in reducer._rows:
             continue
-        vec: dict[int, Fraction] = {free: Fraction(1)}
-        for c, row in pivots:
-            a = row.get(free)
-            if a:
-                vec[c] = Fraction(-a, row[c])
+        vec = {free: Fraction(1)}
+        for p in reducer._holders.get(free, ()):
+            row = reducer._rows[p]
+            vec[p] = Fraction(-row[free], row[p])
         basis.append(vec)
     return basis
-
-
-class RowReducer:
-    """Incremental exact row reduction with coordinate tracking.
-
-    Vectors are {index: Fraction} dicts over an implicit ambient space.  Each
-    accepted vector extends the span; ``coords`` expresses further vectors in
-    terms of the vectors previously accepted (in acceptance order).
-    """
-
-    def __init__(self):
-        self.rows: list[dict[int, Fraction]] = []
-        self.combos: list[dict[int, Fraction]] = []
-        self.pivot_of_row: list[int] = []
-        self._naccepted = 0
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, vec: dict) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-        v = {j: Fraction(x) for j, x in vec.items() if x != 0}
-        combo: dict[int, Fraction] = {}
-        for row, cmb, pc in zip(self.rows, self.combos, self.pivot_of_row):
-            coef = v.get(pc)
-            if not coef:
-                continue
-            factor = coef / row[pc]
-            for j, x in row.items():
-                w = v.get(j, Fraction(0)) - factor * x
-                if w:
-                    v[j] = w
-                else:
-                    v.pop(j, None)
-            for j, x in cmb.items():
-                w = combo.get(j, Fraction(0)) - factor * x
-                if w:
-                    combo[j] = w
-                else:
-                    combo.pop(j, None)
-        return v, combo
-
-    def add(self, vec: dict) -> bool:
-        """Add a vector; returns True if it enlarged the span."""
-        idx = self._naccepted
-        self._naccepted += 1
-        v, combo = self._reduce(vec)
-        if not v:
-            self._naccepted -= 1
-            return False
-        combo[idx] = Fraction(1)
-        self.rows.append(v)
-        self.combos.append(combo)
-        self.pivot_of_row.append(min(v, key=lambda j: (abs(v[j]) != 1, j)))
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        v, _ = self._reduce(vec)
-        return not v
-
-    def coords(self, vec: dict) -> dict[int, Fraction]:
-        """Express ``vec`` over the accepted vectors; raises if out of span."""
-        v, combo = self._reduce(vec)
-        if v:
-            raise ValueError("vector is not in the span")
-        return {j: -x for j, x in combo.items()}

@@ -10,7 +10,6 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import superlin as sl
@@ -22,50 +21,27 @@ class BracketError(AssertionError):
     """ptr(beta . f . alpha) failed to be an exact multiple of the identity."""
 
 
-@dataclass(frozen=True)
-class BracketResult:
-    """The scalar c with ptr(beta . f . alpha) = c Id, plus the residual.
-
-    The residual is the largest absolute deviation of ptr(beta . f . alpha)
-    from c Id; it is exactly zero for every valid input and is carried so
-    reports can show what was checked.
-    """
-
-    scalar: Fraction
-    residual: Fraction
-
-
-def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> BracketResult:
-    """The scalar extracted from f through the witnessed splitting of V."""
+def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
+    """The scalar c with ptr(beta . f . alpha) = c Id, through the witnessed splitting of V."""
     if f.domain != w.V.space or f.codomain != w.V.space:
         raise ValueError("map is not an endomorphism of the witnessed module")
     if check and not _check_g_linear(f, w.V, w.V):
         raise BracketError("bracket input is not g-linear")
     comp = w.beta @ f @ w.alpha
     reduced = sl.partial_supertrace(comp, w.V0.space, w.W.space)
-    if f.parity == sl.ODD:
-        # An odd multiple of the even identity must vanish identically.
-        c = Fraction(0)
-    else:
-        c = reduced.entry(0, 0)
-    residual = Fraction(0)
-    ident = sl.identity(w.V0.space)
-    for i in range(w.V0.dim):
-        for j in range(w.V0.dim):
-            dev = abs(reduced.entry(i, j) - c * ident.entry(i, j))
-            if dev > residual:
-                residual = dev
-    if residual != 0:
+    # An odd multiple of the even identity must vanish identically.
+    c = Fraction(0) if f.parity == sl.ODD else reduced.entry(0, 0)
+    if reduced.entries != {(i, i): c for i in range(w.V0.dim) if c}:
         raise BracketError(
-            f"ptr(beta . f . alpha) is not proportional to the identity "
-            f"(residual {residual}); the input is not g-linear or the witness is invalid"
+            "ptr(beta . f . alpha) is not proportional to the identity; "
+            "the input is not g-linear or the witness is invalid"
         )
-    return BracketResult(c, residual)
+    return c
 
 
 def modified_trace(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
     """mod_sdim(V0) times the bracket scalar; independent of the witness."""
-    return w.V.rs.mod_sdim(w.lambda0) * bracket(f, w, check=check).scalar
+    return w.V.rs.mod_sdim(w.lambda0) * bracket(f, w, check=check)
 
 
 def classical_str_is_zero(w: IdealWitness, f: SuperMap, check: bool = True) -> bool:
@@ -121,21 +97,6 @@ def psi_sharp_apply(
     idvp = sl.identity(Vp.space)
     inner = hsharp @ sl.tensor_map(idvp, g)
     return sl.partial_supertrace_hom(inner, Vp.space, g.domain, Up.space)
-
-
-def verify_trace_properties(
-    max_degree: int = 3, cache_dir: str | None = None, seed: int = 2024
-) -> dict:
-    """Run the full battery of exact trace-property checks and report.
-
-    Convenience wrapper over the suite runner: builds the standard roster of
-    witnessed modules and returns the structured report dict (one entry per
-    named check with expected/actual and a pass flag).
-    """
-    from .suites import run_verification
-
-    return run_verification(["trace"], max_degree=max_degree,
-                            cache_dir=cache_dir, seed=seed)
 
 
 def trace_invariance_sides(

@@ -584,8 +584,19 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
     e = [generator_map("e", i) for i in range(r)]
     f = [generator_map("f", i) for i in range(r)]
     h = [generator_map("h", i) for i in range(r)]
-    name = "K(" + ",".join(rat_str(x) for x in lam.a) + ")"
-    return _make_module(rs, space, e, f, h, weights, name, lam, check)
+    return _make_module(rs, space, e, f, h, weights, _kac_name(lam), lam, check)
+
+
+def _kac_name(lam: Weight) -> str:
+    return "K(" + ",".join(rat_str(x) for x in lam.a) + ")"
+
+
+def _kac_dim(rs: RootSystem, lam: Weight) -> int:
+    """2^(mn) times the dimensions of the gl(m) and gl(n) simple factors."""
+    dim = 1 << (rs.m * rs.n)
+    for amu in (lam.a[: rs.m - 1], lam.a[rs.m :]):
+        dim *= _weyl_dim([int(sum(amu[i:])) for i in range(len(amu) + 1)])
+    return dim
 
 
 # -- morphism spaces -----------------------------------------------------------
@@ -959,7 +970,12 @@ def cached_kac_module(rs: RootSystem, lam: Weight, cache_dir: str | None) -> GMo
         return kac_module(rs, lam)
     path = kac_cache_path(cache_dir, rs, lam)
     if os.path.exists(path):
-        return load_gmodule(rs, path, check=True)
+        mod = load_gmodule(rs, path, check=True)
+        if (mod.name, mod.highest_weight, mod.dim) != (_kac_name(lam), lam, _kac_dim(rs, lam)):
+            raise ModuleIntegrityError(
+                f"{path}: holds {mod.name} of dim {mod.dim}, not the requested {_kac_name(lam)}"
+            )
+        return mod
     mod = kac_module(rs, lam)
     save_gmodule(mod, path)
     return mod

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import HSeries, q_bracket, rat_str
+from .linalg import RowReducer
 
 
 class AtypicalWeightError(ValueError):
@@ -101,6 +102,10 @@ class RootSystem:
     def gram(self, i: int, j: int) -> int:
         return self.cartan.d[i] * self.cartan.a[i][j]
 
+    def _check_weight(self, w: Weight) -> None:
+        if len(w.a) != self.rank:
+            raise RootDataError(f"weight {w} has {len(w.a)} coordinates; rank is {self.rank}")
+
     # -- the bilinear form -------------------------------------------------
 
     def form_rr(self, x, y) -> Fraction:
@@ -116,6 +121,7 @@ class RootSystem:
 
     def form_wr(self, w: Weight, y) -> Fraction:
         """Form of a weight (a-coordinates) with a root-coordinate vector."""
+        self._check_weight(w)
         return sum(
             (Fraction(yj) * self.cartan.d[j] * w.a[j] for j, yj in enumerate(y) if yj),
             Fraction(0),
@@ -146,20 +152,12 @@ class RootSystem:
 
     def weight_to_root_coords(self, w: Weight) -> tuple[Fraction, ...]:
         """Invert root_to_weight (the Gram matrix is invertible for m != n)."""
-        r = self.rank
-        rows = [[Fraction(self.gram(j, i)) for j in range(r)] for i in range(r)]
-        rhs = [self.cartan.d[i] * w.a[i] for i in range(r)]
-        # Dense Gaussian elimination on the r x r Gram system.
-        for col in range(r):
-            piv = next(i for i in range(col, r) if rows[i][col] != 0)
-            rows[col], rows[piv] = rows[piv], rows[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            for i in range(r):
-                if i != col and rows[i][col] != 0:
-                    factor = rows[i][col] / rows[col][col]
-                    rows[i] = [u - factor * v for u, v in zip(rows[i], rows[col])]
-                    rhs[i] -= factor * rhs[col]
-        return tuple(rhs[i] / rows[i][i] for i in range(r))
+        self._check_weight(w)
+        reducer = RowReducer()
+        for j in range(self.rank):
+            reducer.add({i: self.gram(j, i) for i in range(self.rank)})
+        coords = reducer.coords({i: self.cartan.d[i] * w.a[i] for i in range(self.rank)})
+        return tuple(coords.get(j, Fraction(0)) for j in range(self.rank))
 
     # -- typicality and dimensions -----------------------------------------
 
@@ -176,6 +174,7 @@ class RootSystem:
 
     def is_dominant_finite(self, w: Weight) -> bool:
         """True iff a_i is a non-negative integer for every i != s."""
+        self._check_weight(w)
         for i, ai in enumerate(w.a):
             if i == self.s:
                 continue

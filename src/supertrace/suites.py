@@ -188,9 +188,9 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
     idA, idB = sl.identity(A.space), sl.identity(B.space)
 
     out.append(check("trace.bracket-identity", Fraction(1),
-                     mt.bracket(idA, wA).scalar, module=A.name))
+                     mt.bracket(idA, wA), module=A.name))
     out.append(check("trace.bracket-scaling", Fraction(2),
-                     mt.bracket(2 * idA, wA).scalar))
+                     mt.bracket(2 * idA, wA)))
     out.append(check("trace.value-identity", Fraction(1, 2),
                      mt.modified_trace(idA, wA), module=A.name))
     out.append(check("trace.witness-independence",
@@ -209,9 +209,8 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
     for (i, j), v in sig_inv.entries.items():
         ent[(i, j + A.dim)] = v
     f_odd = sl.SuperMap(S.space, S.space, sl.ODD, ent)
-    br = mt.bracket(f_odd, wS)
-    out.append(check("trace.odd-endomorphism-vanishes", (Fraction(0), Fraction(0)),
-                     (br.scalar, br.residual), module=S.name))
+    out.append(check("trace.odd-endomorphism-vanishes", Fraction(0),
+                     mt.bracket(f_odd, wS), module=S.name))
 
     # Cyclicity with an even pair (inclusion/projection) and an odd pair (sigma).
     S2 = rm.direct_sum_module(A, A)
@@ -298,10 +297,12 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
             vanish = vanish and mt.classical_str_is_zero(w, fmap)
     out.append(check_true("trace.supertrace-vanishes", vanish,
                           "str = 0 on End bases of witnessed modules"))
-    control = _random_homogeneous_map(rng, A.space, A.space, 0)
-    out.append(check_true("trace.supertrace-nonzero-control",
-                          sl.supertrace(control) != 0,
-                          f"str of a random non-invariant map = {rat_str(sl.supertrace(control))}"))
+    # Control: the projection onto the (even) highest weight vector is not
+    # g-linear and has supertrace 1.
+    control = sl.SuperMap(A.space, A.space, 0, {(0, 0): Fraction(1)})
+    out.append(check("trace.supertrace-nonzero-control", ("1", False),
+                     (rat_str(sl.supertrace(control)), rm._check_g_linear(control, A, A)),
+                     note="(str, g-linear) of the projection onto basis vector 0"))
     out.append(check("trace.scalar-rule", rs.mod_sdim(weight(1, 1)) * 5,
                      mt.modified_trace(5 * idB, wB2),
                      note="str' of c Id on a typical module is c d(V)"))

@@ -1,12 +1,10 @@
-import random
-from fractions import Fraction
-
 import pytest
 
-from supertrace import superlin as sl
 from supertrace.invtensor import build_adjoint
 from supertrace.rootdata import build_root_system
 from supertrace.suites import Roster, build_roster
+from supertrace.suites import _rand_combination as rand_combination  # noqa: F401
+from supertrace.suites import _random_homogeneous_map as rand_map  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -27,24 +25,3 @@ def roster() -> Roster:
 @pytest.fixture(scope="session")
 def adj(roster):
     return build_adjoint(roster.rs)
-
-
-def rand_frac(rng: random.Random, lo=-6, hi=6) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
-
-
-def rand_map(rng: random.Random, U: sl.SuperSpace, V: sl.SuperSpace, parity: int) -> sl.SuperMap:
-    ent = {}
-    for i in range(V.dim):
-        for j in range(U.dim):
-            if (V.parities[i] + U.parities[j]) % 2 == parity and rng.random() < 0.7:
-                ent[(i, j)] = rand_frac(rng)
-    return sl.SuperMap(U, V, parity, ent)
-
-
-def rand_combination(basis, rng: random.Random):
-    out = None
-    for m in basis:
-        term = rand_frac(rng) * m
-        out = term if out is None else out + term
-    return out

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from supertrace.cli import main
 
 
@@ -115,6 +117,30 @@ class TestVerify:
     def test_unknown_algebra_for_trace_suite(self):
         code, _ = run_cli("verify", "--suite", "trace", "--algebra", "sl31")
         assert code == 2
+
+    @pytest.mark.parametrize("seed", [51, 85])
+    def test_trace_suite_passes_on_seed(self, seed):
+        code, text = run_cli("verify", "--suite", "trace", "--seed", str(seed), "--format", "json")
+        assert code == 0
+        assert json.loads(text.splitlines()[0])["pass"] is True
+
+    def test_swapped_cache_file_fails_with_named_check(self, tmp_path):
+        import shutil
+
+        from supertrace import repmod as rm
+        from supertrace.rootdata import build_root_system, weight
+
+        rs = build_root_system("sl", 2, 1)
+        for lam in (weight(0, 1), weight(1, 1)):
+            rm.cached_kac_module(rs, lam, str(tmp_path))
+        shutil.copy(rm.kac_cache_path(str(tmp_path), rs, weight(1, 1)),
+                    rm.kac_cache_path(str(tmp_path), rs, weight(0, 1)))
+        code, text = run_cli(
+            "verify", "--suite", "trace", "--cache-dir", str(tmp_path), "--format", "json"
+        )
+        assert code == 1
+        checks = {c["check"]: c["pass"] for c in map(json.loads, text.strip().splitlines()[1:])}
+        assert checks == {"roster.cache-integrity": False}
 
     def test_corrupted_cache_fails_with_named_check(self, tmp_path):
         from supertrace import repmod as rm

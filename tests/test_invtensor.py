@@ -279,6 +279,11 @@ def adj31(rs31):
 class TestOtherAlgebra:
     """sl(3|1) at the degree-2 cap: the reachable subspace can be trivial."""
 
+    def test_form_inverse(self, adj31):
+        space = adj31.module.space
+        assert adj31.b_inv @ adj31.b == sl.identity(space)
+        assert adj31.b @ adj31.b_inv == sl.identity(sl.dual_space(space))
+
     def test_invariants_even(self, adj31):
         even, odd = it.invariant_tensors(adj31, 2, cap=2)
         assert odd == [] and len(even) == 1

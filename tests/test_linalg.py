@@ -1,7 +1,140 @@
 import random
 from fractions import Fraction as F
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supertrace.linalg import RowReducer, nullspace
+
+# -- reference oracles --------------------------------------------------------
+#
+# The eliminators the library used before its single integer RREF core: a
+# nullspace that rescans every remaining row at each pivot, and a Fraction row
+# reducer that keeps separate combination rows.
+
+
+def _ref_int_row(row: dict) -> dict[int, int]:
+    items = [(j, F(v)) for j, v in row.items() if v != 0]
+    if not items:
+        return {}
+    lcm = 1
+    for _, v in items:
+        d = v.denominator
+        lcm = lcm // gcd(lcm, d) * d
+    ints = {j: int(v * lcm) for j, v in items}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    if g > 1:
+        ints = {j: v // g for j, v in ints.items()}
+    return ints
+
+
+def reference_nullspace(rows, ncols: int) -> list[dict[int, F]]:
+    work = [r for r in (_ref_int_row(row) for row in rows) if r]
+    # (pivot_col, row) pairs; rows are fully reduced against each other.
+    pivots: list[tuple[int, dict[int, int]]] = []
+    while work:
+        # Cheapest remaining row, then its smallest-magnitude entry as pivot.
+        ri = min(range(len(work)), key=lambda i: len(work[i]))
+        row = work.pop(ri)
+        pc = min(row, key=lambda j: (abs(row[j]), j))
+        pv = row[pc]
+
+        def eliminate(other: dict[int, int]) -> dict[int, int]:
+            ov = other.get(pc)
+            if not ov:
+                return other
+            new = {}
+            for j, v in other.items():
+                w = v * pv - row.get(j, 0) * ov
+                if w:
+                    new[j] = w
+            for j, v in row.items():
+                if j not in other:
+                    w = -v * ov
+                    if w:
+                        new[j] = w
+            g = 0
+            for v in new.values():
+                g = gcd(g, v)
+            if g > 1:
+                new = {j: v // g for j, v in new.items()}
+            return new
+
+        pivots = [(c, eliminate(r)) for c, r in pivots]
+        work = [r for r in (eliminate(r) for r in work) if r]
+        pivots.append((pc, row))
+
+    pivot_cols = {c for c, _ in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec: dict[int, F] = {free: F(1)}
+        for c, row in pivots:
+            a = row.get(free)
+            if a:
+                vec[c] = F(-a, row[c])
+        basis.append(vec)
+    return basis
+
+
+class ReferenceRowReducer:
+    def __init__(self):
+        self.rows: list[dict[int, F]] = []
+        self.combos: list[dict[int, F]] = []
+        self.pivot_of_row: list[int] = []
+        self._naccepted = 0
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec: dict) -> tuple[dict[int, F], dict[int, F]]:
+        v = {j: F(x) for j, x in vec.items() if x != 0}
+        combo: dict[int, F] = {}
+        for row, cmb, pc in zip(self.rows, self.combos, self.pivot_of_row):
+            coef = v.get(pc)
+            if not coef:
+                continue
+            factor = coef / row[pc]
+            for j, x in row.items():
+                w = v.get(j, F(0)) - factor * x
+                if w:
+                    v[j] = w
+                else:
+                    v.pop(j, None)
+            for j, x in cmb.items():
+                w = combo.get(j, F(0)) - factor * x
+                if w:
+                    combo[j] = w
+                else:
+                    combo.pop(j, None)
+        return v, combo
+
+    def add(self, vec: dict) -> bool:
+        idx = self._naccepted
+        self._naccepted += 1
+        v, combo = self._reduce(vec)
+        if not v:
+            self._naccepted -= 1
+            return False
+        combo[idx] = F(1)
+        self.rows.append(v)
+        self.combos.append(combo)
+        self.pivot_of_row.append(min(v, key=lambda j: (abs(v[j]) != 1, j)))
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        v, _ = self._reduce(vec)
+        return not v
+
+    def coords(self, vec: dict) -> dict[int, F]:
+        v, combo = self._reduce(vec)
+        if v:
+            raise ValueError("vector is not in the span")
+        return {j: -x for j, x in combo.items()}
 
 
 def dense_nullity(rows, ncols):
@@ -77,3 +210,63 @@ def test_row_reducer_rejects_dependent_and_detects_outside():
         pass
     else:
         raise AssertionError("coords outside the span must raise")
+
+
+# -- the integer RREF core against the oracles ---------------------------------
+
+NCOLS = 7
+entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, NCOLS - 1), entries, max_size=4), max_size=9
+)
+
+
+@st.composite
+def systems(draw):
+    """Sparse rational rows, with repeated and rescaled rows mixed in."""
+    rows = draw(sparse_rows)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        src = draw(st.sampled_from(rows))
+        c = draw(entries.filter(bool))
+        rows.append({j: c * v for j, v in src.items()})
+    return draw(st.permutations(rows))
+
+
+def same_span(a, b) -> bool:
+    span = ReferenceRowReducer()
+    for v in a:
+        span.add(v)
+    return len(span) == len(a) and all(span.contains(v) for v in b) and len(a) == len(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_nullspace_matches_oracle(rows):
+    basis = nullspace([dict(r) for r in rows], NCOLS)
+    oracle = reference_nullspace([dict(r) for r in rows], NCOLS)
+    assert len(basis) == len(oracle) == dense_nullity(rows, NCOLS)
+    assert same_span(oracle, basis)
+    for vec in basis:
+        assert all(sum(F(r.get(j, 0)) * x for j, x in vec.items()) == 0 for r in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), sparse_rows, st.lists(entries, min_size=9, max_size=9))
+def test_row_reducer_matches_oracle(added, probes, weights):
+    reducer, oracle = RowReducer(), ReferenceRowReducer()
+    accepted = []
+    for v in added:
+        took = reducer.add(dict(v))
+        assert took == oracle.add(dict(v))
+        if took:
+            accepted.append(v)
+    assert len(reducer) == len(oracle) == len(accepted)
+    combo = {}
+    for w, v in zip(weights, accepted):
+        for j, x in v.items():
+            combo[j] = combo.get(j, F(0)) + w * x
+    for vec in probes + [combo]:
+        inside = oracle.contains(vec)
+        assert reducer.contains(vec) == inside
+        if inside:
+            assert reducer.coords(vec) == oracle.coords(vec)

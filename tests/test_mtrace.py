@@ -8,6 +8,7 @@ from supertrace import mtrace as mt
 from supertrace import repmod as rm
 from supertrace import superlin as sl
 from supertrace.rootdata import weight
+from supertrace.suites import run_verification
 
 
 @pytest.fixture(scope="module")
@@ -17,11 +18,10 @@ def shifted(roster):
 
 class TestBracket:
     def test_identity_through_trivial_witness(self, roster):
-        res = mt.bracket(sl.identity(roster.A.space), roster.wA)
-        assert (res.scalar, res.residual) == (1, 0)
+        assert mt.bracket(sl.identity(roster.A.space), roster.wA) == 1
 
     def test_scaling(self, roster):
-        assert mt.bracket(2 * sl.identity(roster.A.space), roster.wA).scalar == 2
+        assert mt.bracket(2 * sl.identity(roster.A.space), roster.wA) == 2
 
     def test_odd_endomorphism_gives_zero(self, roster, shifted):
         D, wD = shifted
@@ -34,8 +34,7 @@ class TestBracket:
         for (i, j), v in rm.sigma_inverse(A).entries.items():
             ent[(i, j + A.dim)] = v
         f_odd = sl.SuperMap(S.space, S.space, sl.ODD, ent)
-        res = mt.bracket(f_odd, wS)
-        assert res.scalar == 0 and res.residual == 0
+        assert mt.bracket(f_odd, wS) == 0
         assert mt.modified_trace(f_odd, wS) == 0
 
     def test_non_g_linear_input_rejected(self, roster):
@@ -148,7 +147,7 @@ class TestConjugationOperators:
 
 
 def test_verify_trace_properties_report():
-    report = mt.verify_trace_properties()
+    report = run_verification(["trace"])
     assert report["pass"] is True
     ids = {c["check"] for c in report["checks"]}
     assert "trace.witness-independence" in ids and "trace.partial-trace-property" in ids

@@ -235,6 +235,17 @@ class TestSerialization:
         with pytest.raises(rm.ModuleIntegrityError):
             rm.load_gmodule(rs21, str(path))
 
+    def test_swapped_cache_file_rejected(self, rs21, tmp_path):
+        import shutil
+
+        for lam in (weight(0, 1), weight(1, 1)):
+            rm.cached_kac_module(rs21, lam, str(tmp_path))
+        shutil.copy(rm.kac_cache_path(str(tmp_path), rs21, weight(1, 1)),
+                    rm.kac_cache_path(str(tmp_path), rs21, weight(0, 1)))
+        with pytest.raises(rm.ModuleIntegrityError, match=r"K\(1,1\)"):
+            rm.cached_kac_module(rs21, weight(0, 1), str(tmp_path))
+        assert rm.cached_kac_module(rs21, weight(1, 1), str(tmp_path)).dim == 8
+
     def test_cache_reuse(self, rs21, tmp_path):
         first = rm.cached_kac_module(rs21, weight(0, 2), str(tmp_path))
         cache_file = rm.kac_cache_path(str(tmp_path), rs21, weight(0, 2))

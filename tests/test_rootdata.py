@@ -92,6 +92,28 @@ class TestForm:
         assert rs21.form(w, w) == rs21.form_rr(rs21.rho, rs21.rho)
 
 
+class TestWeightLength:
+    METHODS = (
+        "mod_sdim", "qmod_sdim", "is_typical", "atypicality_factors",
+        "is_dominant_finite", "weight_to_root_coords",
+    )
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("coords", [(0, 1, 5), (1,), ()])
+    def test_wrong_length_rejected(self, rs21, method, coords):
+        with pytest.raises(RootDataError):
+            getattr(rs21, method)(weight(*coords))
+
+    def test_wrong_length_in_pairings(self, rs21):
+        root = rs21.pos_odd[0]
+        with pytest.raises(RootDataError):
+            rs21.pairing_with_rho_shift(weight(0, 1, 5), root)
+        with pytest.raises(RootDataError):
+            rs21.form(weight(1), root)
+        with pytest.raises(RootDataError):
+            rs21.form(weight(0, 1), weight(0, 1, 0))
+
+
 class TestTypicality:
     def test_sl21_one_parameter_family(self, rs21):
         for a in (F(1), F(2), F(-3), F(1, 2), F(-5, 3)):
@@ -228,3 +250,12 @@ class TestOsp24:
             assert series.coeffs[1] == 0 == series.coeffs[3]
             count += 1
         assert count >= 8
+
+    def test_weight_root_coordinate_roundtrip(self):
+        rs = build_root_system("osp2", 2)
+        rng = random.Random(24)
+        for _ in range(10):
+            coords = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank))
+            assert rs.weight_to_root_coords(rs.root_to_weight(coords)) == coords
+            w = weight(*(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank)))
+            assert rs.root_to_weight(rs.weight_to_root_coords(w)) == w
