@@ -36,32 +36,6 @@ class FormConstructionError(ValueError):
     """The candidate invariant form failed one of its defining axioms."""
 
 
-def _mat_mul(x: dict, y: dict) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (a, b), u in x.items():
-        for (p, q), v in y.items():
-            if b == p:
-                key = (a, q)
-                w = out.get(key, Fraction(0)) + u * v
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def _mat_scomm(x: dict, px: int, y: dict, py: int) -> dict:
-    sign = -1 if (px and py) else 1
-    out = dict(_mat_mul(x, y))
-    for key, v in _mat_mul(y, x).items():
-        w = out.get(key, Fraction(0)) - sign * v
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class AdjointData:
     """The adjoint module of sl(m|n) with its invariant bilinear form.
@@ -85,9 +59,6 @@ class AdjointData:
 
     def parity(self, a: int) -> int:
         return self.module.space.parities[a]
-
-    def b_form(self, x: int, y: int) -> Fraction:
-        return self.gram[x][y]
 
     def power(self, N: int) -> GModule:
         """The N-th tensor power of the adjoint module (memoized)."""
@@ -167,7 +138,7 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
         x, par = std_gen(kind, i)
         ent: dict[tuple[int, int], Fraction] = {}
         for col in range(gdim):
-            image = _mat_scomm(x, par, basis[col], parities[col])
+            image = sl.mat_scomm(x, par, basis[col], parities[col])
             for row, v in expand(image).items():
                 ent[(row, col)] = v
         return SuperMap(space, space, par, ent)
@@ -205,7 +176,7 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
         return sum((sign_eps[p] * v for (p, q), v in mat.items() if p == q), Fraction(0))
 
     gram = tuple(
-        tuple(str_of(_mat_mul(basis[a], basis[b])) for b in range(gdim))
+        tuple(str_of(sl.mat_mul(basis[a], basis[b])) for b in range(gdim))
         for a in range(gdim)
     )
     b_ent = {}
@@ -215,17 +186,9 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
                 b_ent[(i, j)] = gram[j][i]
     b = SuperMap(space, sl.dual_space(space), 0, b_ent)
 
-    if check:
-        for a in range(gdim):
-            for c in range(gdim):
-                if parities[a] != parities[c] and gram[a][c] != 0:
-                    raise FormConstructionError("form is not even")
-                sign = -1 if (parities[a] and parities[c]) else 1
-                if gram[c][a] != sign * gram[a][c]:
-                    raise FormConstructionError("form is not supersymmetric")
-        dual = dual_module(module, check=False)
-        if not _check_g_linear(b, module, dual):
-            raise FormConstructionError("form is not invariant")
+    defect = form_defect(module, gram, b) if check else None
+    if defect:
+        raise FormConstructionError(defect)
 
     # Row k of b^-1 expresses the k-th unit vector over the rows of b.
     reducer = RowReducer()
@@ -238,6 +201,20 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
         {(k, i): c for k in range(gdim) for i, c in reducer.coords({k: 1}).items()},
     )
     return AdjointData(rs, module, tuple(basis), gram, b, b_inv)
+
+
+def form_defect(module: GModule, gram, b: SuperMap) -> str | None:
+    """The first axiom the form fails (even, supersymmetric, invariant), or None."""
+    par = module.space.parities
+    for a in range(module.dim):
+        for c in range(module.dim):
+            if par[a] != par[c] and gram[a][c] != 0:
+                return "form is not even"
+            if gram[c][a] != (-1 if (par[a] and par[c]) else 1) * gram[a][c]:
+                return "form is not supersymmetric"
+    if not _check_g_linear(b, module, dual_module(module, check=False)):
+        return "form is not invariant"
+    return None
 
 
 # -- invariant tensors ---------------------------------------------------------
@@ -285,13 +262,9 @@ def power_action_apply(adj: AdjointData, N: int, gen: SuperMap, coords: dict) ->
                 key = 0
                 for d in new:
                     key = key * gdim + d
-                w = out.get(key, Fraction(0)) + sign * v * c
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + sign * v * c
             lead_parity += par[digits[pos]]
-    return out
+    return sl.nonzero(out)
 
 
 def is_invariant(adj: AdjointData, N: int, coords: dict) -> bool:
@@ -314,39 +287,30 @@ def extended_form(
 
     On pure tensors of equal degree k the value is
     prod_i (-1)^{sum_{j>i} p(x_j) p(x'_i)} b(x_i, x'_i), extended bilinearly.
+    For each term of t1 only the terms of t2 that pair with it factor by
+    factor are looked up, through the nonzero entries of the Gram rows.
     """
     if n1 != n2:
         return Fraction(0)
     gdim = adj.gdim
     par = adj.module.space.parities
-
-    def digits_of(flat: int) -> list[int]:
-        out = []
-        for _ in range(n1):
-            flat, d = divmod(flat, gdim)
-            out.append(d)
-        out.reverse()
-        return out
-
+    partners = [[(c, v) for c, v in enumerate(row) if v] for row in adj.gram]
     total = Fraction(0)
-    items2 = [(digits_of(flat), c) for flat, c in t2.items()]
     for flat1, c1 in t1.items():
-        d1 = digits_of(flat1)
-        tail_parity = [0] * (n1 + 1)
-        for i in range(n1 - 1, -1, -1):
-            tail_parity[i] = tail_parity[i + 1] + par[d1[i]]
-        for d2, c2 in items2:
-            prod = c1 * c2
-            exponent = 0
-            for i in range(n1):
-                v = adj.gram[d1[i]][d2[i]]
-                if v == 0:
-                    prod = Fraction(0)
-                    break
-                prod *= v
-                exponent += tail_parity[i + 1] * par[d2[i]]
-            if prod:
-                total += -prod if exponent % 2 else prod
+        # (index of the partner so far, product, sign exponent), last factor first.
+        terms = [(0, c1, 0)]
+        place = 1
+        tail = 0  # parity of the factors of the t1 term after the current one
+        for _ in range(n1):
+            flat1, d = divmod(flat1, gdim)
+            terms = [(flat + e * place, prod * v, exp + tail * par[e])
+                     for flat, prod, exp in terms for e, v in partners[d]]
+            place *= gdim
+            tail += par[d]
+        for flat, prod, exp in terms:
+            c2 = t2.get(flat)
+            if c2:
+                total += -prod * c2 if exp % 2 else prod * c2
     return total
 
 
@@ -435,8 +399,8 @@ def it_product(
     adj: AdjointData, t_inv: dict, m_deg: int, t1: PresentedTensor
 ) -> PresentedTensor:
     """Present t_inv (x) t1 (t_inv any invariant tensor) through t1's module."""
+    # k (x) D and D share one basis, so the tensor product maps t1.f's domain.
     f = sl.tensor_map(sl.column_map(adj.power(m_deg).space, t_inv), t1.f)
-    f = SuperMap(t1.f.domain, adj.power(m_deg + t1.degree).space, 0, dict(f.entries))
     return presented_tensor(adj, m_deg + t1.degree, t1.witness, f)
 
 
@@ -573,7 +537,6 @@ def sn_action_map(adj: AdjointData, N: int, perm: tuple[int, ...]) -> SuperMap:
                 swap = sl.tensor_many(
                     sl.identity(left), sl.super_permutation(g, g), sl.identity(right)
                 )
-                swap = SuperMap(out.codomain, out.codomain, 0, dict(swap.entries))
                 out = swap @ out
                 current[i], current[i + 1] = current[i + 1], current[i]
                 changed = True

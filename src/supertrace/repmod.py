@@ -291,8 +291,8 @@ def _gl_simple_module(k: int, amu: tuple[int, ...]):
                     if perm[a] > perm[b]:
                         sign = -sign
             for t, c in hw.items():
-                new[t + perm] = new.get(t + perm, Fraction(0)) + sign * c
-        hw = {t: c for t, c in new.items() if c}
+                new[t + perm] = new.get(t + perm, 0) + sign * c
+        hw = sl.nonzero(new)
 
     def unit_apply(a: int, b: int, vec: dict) -> dict:
         out: dict[tuple[int, ...], Fraction] = {}
@@ -300,12 +300,8 @@ def _gl_simple_module(k: int, amu: tuple[int, ...]):
             for pos, digit in enumerate(t):
                 if digit == b:
                     u = t[:pos] + (a,) + t[pos + 1 :]
-                    w = out.get(u, Fraction(0)) + c
-                    if w:
-                        out[u] = w
-                    else:
-                        out.pop(u, None)
-        return out
+                    out[u] = out.get(u, 0) + c
+        return sl.nonzero(out)
 
     def flatten(vec: dict) -> dict[int, Fraction]:
         return {flat(t): c for t, c in vec.items()}
@@ -406,15 +402,6 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
             (v for (p, q), v in mat.items() if p == q and p < m), Fraction(0)
         )
         out: dict[int, Fraction] = {}
-
-        def accumulate(idx: int, v: Fraction):
-            if v:
-                w = out.get(idx, Fraction(0)) + v
-                if w:
-                    out[idx] = w
-                else:
-                    out.pop(idx, None)
-
         diag = trace * c_z / (m * n)  # center character
         diag -= trace * Fraction(deg_m, m) + trace * Fraction(deg_n, n)
         for (p, q), v in mat.items():
@@ -425,12 +412,12 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
                     diag += v * wts_n[jn][p - m]
             elif p < m and q < m:
                 for row, u in units_m_bycol[(p, q)].get(im, ()):
-                    accumulate(row * dn + jn, v * u)
+                    out[row * dn + jn] = out.get(row * dn + jn, 0) + v * u
             elif p >= m and q >= m:
                 for row, u in units_n_bycol[(p - m, q - m)].get(jn, ()):
-                    accumulate(im * dn + row, v * u)
-        accumulate(k, diag)
-        return out
+                    out[im * dn + row] = out.get(im * dn + row, 0) + v * u
+        out[k] = out.get(k, 0) + diag
+        return sl.nonzero(out)
 
     mn = m * n
 
@@ -438,45 +425,16 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
         i, j = divmod(c, n)
         return {(m + j, i): Fraction(1)}
 
-    def mat_scomm(x: dict, px: int, y: dict) -> dict:
-        # [x, y] with y odd: x y - (-1)^{px} y x, as (m+n)-square matrices.
-        out: dict[tuple[int, int], Fraction] = {}
-
-        def accumulate(key, v):
-            if v:
-                w = out.get(key, Fraction(0)) + v
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
-
-        for (a, b), u in x.items():
-            for (p, q), v in y.items():
-                if b == p:
-                    accumulate((a, q), u * v)
-        sign = -1 if px else 1
-        for (p, q), v in y.items():
-            for (a, b), u in x.items():
-                if q == a:
-                    accumulate((p, b), -sign * v * u)
-        return out
-
     ys = [y_matrix(c) for c in range(mn)]
 
     def wedge(c: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        # Distinct basis vectors wedge to distinct ones, so nothing accumulates.
         out: dict[int, Fraction] = {}
         for idx, v in vec.items():
             mask, k = divmod(idx, dim_v0)
-            if mask & (1 << c):
-                continue
-            below = bin(mask & ((1 << c) - 1)).count("1")
-            sign = -1 if below % 2 else 1
-            key = (mask | (1 << c)) * dim_v0 + k
-            w = out.get(key, Fraction(0)) + sign * v
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
+            if not mask & (1 << c):
+                below = bin(mask & ((1 << c) - 1)).count("1")
+                out[(mask | (1 << c)) * dim_v0 + k] = -v if below % 2 else v
         return out
 
     def act(x: dict, px: int, mask: int, k: int) -> dict[int, Fraction]:
@@ -489,32 +447,21 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
                 if p >= m and q < m:  # odd lowering block: wedge on a new factor
                     c = q * n + (p - m)
                     key = (1 << c) * dim_v0 + k
-                    out[key] = out.get(key, Fraction(0)) + v
+                    out[key] = out.get(key, 0) + v
                 elif (p < m) == (q < m):
                     even_part[(p, q)] = v
                 # odd raising block annihilates the vacuum factor
             if even_part:
                 for idx, v in even_apply(even_part, k).items():
-                    w = out.get(idx, Fraction(0)) + v
-                    if w:
-                        out[idx] = w
-                    else:
-                        out.pop(idx, None)
-            return {key: v for key, v in out.items() if v}
+                    out[idx] = out.get(idx, 0) + v
+            return sl.nonzero(out)
         c = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << c)
-        bracket = mat_scomm(x, px, ys[c])
-        out = act(bracket, (px + 1) % 2, rest, k)
-        tail = act(x, px, rest, k)
-        if tail:
-            sign = -1 if px else 1
-            for idx, v in wedge(c, tail).items():
-                w = out.get(idx, Fraction(0)) + sign * v
-                if w:
-                    out[idx] = w
-                else:
-                    out.pop(idx, None)
-        return {key: v for key, v in out.items() if v}
+        out = act(sl.mat_scomm(x, px, ys[c], 1), (px + 1) % 2, rest, k)
+        sign = -1 if px else 1
+        for idx, v in wedge(c, act(x, px, rest, k)).items():
+            out[idx] = out.get(idx, 0) + sign * v
+        return sl.nonzero(out)
 
     dim = (1 << mn) * dim_v0
     parities = tuple(
@@ -629,7 +576,7 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
 
     def put(key, t, val):
         row = equations.setdefault(key, {})
-        row[t] = row.get(t, Fraction(0)) + val
+        row[t] = row.get(t, 0) + val
 
     gens_u = U.e + U.f
     gens_v = V.e + V.f
@@ -764,10 +711,9 @@ def trivial_witness(V: GModule, check: bool = True) -> IdealWitness:
         raise ValueError("module has no recorded highest weight")
     W = trivial_module(V.rs, check=False)
     V0W = tensor_module(V, W, check=False)
+    # V (x) k and V share one basis, so the identity is both alpha and beta.
     ident = sl.identity(V.space)
-    alpha = SuperMap(V0W.space, V.space, 0, dict(ident.entries))
-    beta = SuperMap(V.space, V0W.space, 0, dict(ident.entries))
-    return make_witness(V, V, V.highest_weight, W, V0W, alpha, beta, check=check)
+    return make_witness(V, V, V.highest_weight, W, V0W, ident, ident, check=check)
 
 
 def ideal_witness(V: GModule, V0: GModule, check: bool = True) -> IdealWitness:
@@ -814,11 +760,9 @@ def witness_tensor(w: IdealWitness, U: GModule, check: bool = True) -> IdealWitn
     W2 = tensor_module(w.W, U, check=False)
     V0W2 = tensor_module(w.V0, W2, check=False)
     idu = sl.identity(U.space)
+    # (V0 (x) W) (x) U and V0 (x) (W (x) U) share the same flattened basis.
     alpha = sl.tensor_map(w.alpha, idu)
     beta = sl.tensor_map(w.beta, idu)
-    # (V0 (x) W) (x) U and V0 (x) (W (x) U) share the same flattened basis.
-    alpha = SuperMap(V0W2.space, V2.space, 0, dict(alpha.entries))
-    beta = SuperMap(V2.space, V0W2.space, 0, dict(beta.entries))
     return make_witness(V2, w.V0, w.lambda0, W2, V0W2, alpha, beta, check=check)
 
 
@@ -862,8 +806,6 @@ def witness_parity_shift(w: IdealWitness, check: bool = True) -> IdealWitness:
     id0 = sl.identity(w.V0.space)
     alpha = sig_v @ w.alpha @ sl.tensor_map(id0, sig_w_inv)
     beta = sl.tensor_map(id0, sig_w) @ w.beta @ sig_v_inv
-    alpha = SuperMap(V0W_op.space, V_op.space, 0, dict(alpha.entries))
-    beta = SuperMap(V_op.space, V0W_op.space, 0, dict(beta.entries))
     return make_witness(V_op, w.V0, w.lambda0, W_op, V0W_op, alpha, beta, check=check)
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .exactnum import rat_str
 
 
 @dataclass
@@ -26,11 +29,20 @@ class CheckResult:
         }
 
 
+def render(value) -> str:
+    """Canonical text of a value: rationals as 'p' or 'p/q', tuples elementwise."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, tuple):
+        return "(" + ", ".join(render(v) for v in value) + ")"
+    return str(value)
+
+
 def check(check_id: str, expected, actual, **inputs) -> CheckResult:
-    """Record an exact comparison; expected/actual are rendered as strings."""
+    """Record an exact comparison; expected/actual are rendered canonically."""
     return CheckResult(
-        check_id, expected == actual, str(expected), str(actual),
-        {k: str(v) for k, v in inputs.items()},
+        check_id, expected == actual, render(expected), render(actual),
+        {k: render(v) for k, v in inputs.items()},
     )
 
 

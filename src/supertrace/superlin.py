@@ -13,6 +13,14 @@ expression costs a minus sign.  Concretely,
 All maps are dense-in-principle matrices over the rationals, stored sparsely;
 spaces are ordered parity lists, so tensor products are strictly associative
 and the unit object is literal (no coherence plumbing needed).
+
+This module is the one place that does sparse matrix arithmetic: ``mat_mul``
+and ``mat_scomm`` work on {(row, col): value} dicts, and every accumulation
+adds with ``out.get(k, 0) + v`` and drops the cancelled entries once, through
+``nonzero``.  Maps are validated at the public constructor ``SuperMap(...)``;
+kernel results (compositions, sums, scalar multiples, tensor products,
+transposes, partial traces) are homogeneous by construction and are built
+through the private ``SuperMap._of``, which only drops zeros.
 """
 
 from __future__ import annotations
@@ -59,7 +67,32 @@ def super_space(dim_even: int, dim_odd: int) -> SuperSpace:
 
 
 UNIT = super_space(1, 0)
-UNIT_ODD = super_space(0, 1)
+
+
+def nonzero(d: dict) -> dict:
+    """The entries of an accumulated dict that did not cancel to zero."""
+    return {k: v for k, v in d.items() if v}
+
+
+def mat_mul(x: dict, y: dict) -> dict:
+    """The product x . y of sparse matrices {(row, col): value}."""
+    by_row: dict[int, list] = {}
+    for (k, j), v in y.items():
+        by_row.setdefault(k, []).append((j, v))
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, k), u in x.items():
+        for j, v in by_row.get(k, ()):
+            out[(i, j)] = out.get((i, j), 0) + u * v
+    return nonzero(out)
+
+
+def mat_scomm(x: dict, px: int, y: dict, py: int) -> dict:
+    """The super-commutator x . y - (-1)^{px py} y . x of sparse matrices."""
+    out = mat_mul(x, y)
+    sign = 1 if (px and py) else -1
+    for k, v in mat_mul(y, x).items():
+        out[k] = out.get(k, 0) + sign * v
+    return nonzero(out)
 
 
 @dataclass(frozen=True)
@@ -93,6 +126,15 @@ class SuperMap:
             clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _of(cls, domain, codomain, parity, entries) -> SuperMap:
+        """A kernel result, homogeneous by construction: zeros dropped, no checks."""
+        m = object.__new__(cls)
+        for name, value in (("domain", domain), ("codomain", codomain),
+                            ("parity", parity), ("entries", nonzero(entries))):
+            object.__setattr__(m, name, value)
+        return m
+
     # -- basic algebra ----------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -112,24 +154,16 @@ class SuperMap:
             raise ValueError("cannot add maps of different parity")
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            w = ent.get(k, Fraction(0)) + v
-            if w:
-                ent[k] = w
-            else:
-                ent.pop(k, None)
-        return SuperMap(self.domain, self.codomain, self.parity, ent)
+            ent[k] = ent.get(k, 0) + v
+        return SuperMap._of(self.domain, self.codomain, self.parity, ent)
 
     def __sub__(self, other: SuperMap) -> SuperMap:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> SuperMap:
         c = Fraction(scalar)
-        if c == 0:
-            return SuperMap(self.domain, self.codomain, self.parity, {})
-        return SuperMap(
-            self.domain, self.codomain, self.parity,
-            {k: c * v for k, v in self.entries.items()},
-        )
+        ent = {k: c * v for k, v in self.entries.items()} if c else {}
+        return SuperMap._of(self.domain, self.codomain, self.parity, ent)
 
     def __neg__(self) -> SuperMap:
         return (-1) * self
@@ -138,22 +172,8 @@ class SuperMap:
         """Composition self . other (apply ``other`` first)."""
         if other.codomain != self.domain:
             raise ValueError("composition shape mismatch")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        ent: dict[tuple[int, int], Fraction] = {}
-        for (i, k), u in self.entries.items():
-            cols = by_row.get(k)
-            if not cols:
-                continue
-            for j, v in cols:
-                key = (i, j)
-                w = ent.get(key, Fraction(0)) + u * v
-                if w:
-                    ent[key] = w
-                else:
-                    ent.pop(key, None)
-        return SuperMap(other.domain, self.codomain, (self.parity + other.parity) % 2, ent)
+        return SuperMap._of(other.domain, self.codomain, (self.parity + other.parity) % 2,
+                            mat_mul(self.entries, other.entries))
 
     def apply(self, vec: dict) -> dict[int, Fraction]:
         """Apply to a column vector given as {index: value}."""
@@ -162,21 +182,9 @@ class SuperMap:
         for (i, j), v in self.entries.items():
             by_col.setdefault(j, []).append((i, v))
         for j, x in vec.items():
-            if x == 0:
-                continue
             for i, v in by_col.get(j, ()):
-                w = out.get(i, Fraction(0)) + v * Fraction(x)
-                if w:
-                    out[i] = w
-                else:
-                    out.pop(i, None)
-        return out
-
-    def to_rows(self) -> list[list[Fraction]]:
-        rows = [[Fraction(0)] * self.domain.dim for _ in range(self.codomain.dim)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+                out[i] = out.get(i, 0) + v * x
+        return nonzero(out)
 
     def __repr__(self):
         return (
@@ -191,15 +199,6 @@ def identity(V: SuperSpace) -> SuperMap:
 
 def zero_map(U: SuperSpace, V: SuperSpace, parity: int = EVEN) -> SuperMap:
     return SuperMap(U, V, parity, {})
-
-
-def from_rows(U: SuperSpace, V: SuperSpace, parity: int, rows) -> SuperMap:
-    ent = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                ent[(i, j)] = Fraction(v)
-    return SuperMap(U, V, parity, ent)
 
 
 def column_map(V: SuperSpace, coords: dict, parity: int = EVEN) -> SuperMap:
@@ -232,7 +231,7 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
         sign = -1 if (g.parity and f.domain.parities[fj]) else 1
         for (gi, gj), gv in g.entries.items():
             ent[(fi * cg + gi, fj * dg + gj)] = sign * fv * gv
-    return SuperMap(dom, cod, (f.parity + g.parity) % 2, ent)
+    return SuperMap._of(dom, cod, (f.parity + g.parity) % 2, ent)
 
 
 def tensor_many(*maps: SuperMap) -> SuperMap:
@@ -267,7 +266,7 @@ def super_transpose(f: SuperMap) -> SuperMap:
     for (i, j), v in f.entries.items():
         sign = -1 if (f.parity and f.codomain.parities[i]) else 1
         ent[(j, i)] = sign * v
-    return SuperMap(dual_space(f.codomain), dual_space(f.domain), f.parity, ent)
+    return SuperMap._of(dual_space(f.codomain), dual_space(f.domain), f.parity, ent)
 
 
 def ev(V: SuperSpace) -> SuperMap:
@@ -347,16 +346,9 @@ def partial_supertrace_hom(
     for (r, c), v in h.entries.items():
         i, ci = divmod(r, dc)
         j, cj = divmod(c, dc)
-        if ci != cj:
-            continue
-        w = -v if C.parities[ci] else v
-        key = (i, j)
-        acc = ent.get(key, Fraction(0)) + w
-        if acc:
-            ent[key] = acc
-        else:
-            ent.pop(key, None)
-    return SuperMap(A, B, h.parity, ent)
+        if ci == cj:
+            ent[(i, j)] = ent.get((i, j), 0) + (-v if C.parities[ci] else v)
+    return SuperMap._of(A, B, h.parity, ent)
 
 
 def parity_shift(V: SuperSpace) -> tuple[SuperSpace, SuperMap]:

@@ -157,3 +157,79 @@ class TestVerify:
         assert code == 1
         lines = [json.loads(line) for line in text.strip().splitlines()]
         assert any(c.get("check") == "roster.cache-integrity" and not c["pass"] for c in lines[1:])
+
+
+class TestVerifyFailures:
+    @staticmethod
+    def checks_of(text):
+        lines = [json.loads(line) for line in text.strip().splitlines()]
+        assert lines[0]["record"] == "report"
+        return {c["check"]: c for c in lines[1:]}
+
+    def test_values_render_canonically(self):
+        code, text = run_cli("verify", "--suite", "all", "--format", "json")
+        assert code == 0
+        assert "Fraction(" not in text
+        checks = self.checks_of(text)
+        assert checks["tensors.form-sample"]["actual"] == "(2, 1, 0)"
+        assert checks["trace.supertrace-nonzero-control"]["actual"] == "(1, False)"
+
+    def test_raising_tensor_suite_is_a_named_failure(self, monkeypatch):
+        from supertrace import invtensor as it
+
+        def broken(rs, check=True):
+            raise it.FormConstructionError("form is degenerate")
+
+        monkeypatch.setattr(it, "build_adjoint", broken)
+        code, text = run_cli("verify", "--suite", "tensors", "--format", "json")
+        assert code == 1
+        checks = self.checks_of(text)
+        assert list(checks) == ["tensors.raised"]
+        assert checks["tensors.raised"]["actual"] == "FormConstructionError: form is degenerate"
+        assert checks["tensors.raised"]["inputs"]["at"].endswith("in broken")
+
+    def test_raising_suite_does_not_stop_the_others(self, monkeypatch):
+        from supertrace import mtrace as mt
+
+        def broken(*args):
+            raise mt.BracketError("bracket input is not g-linear")
+
+        monkeypatch.setattr(mt, "trace_invariance_sides", broken)
+        code, text = run_cli("verify", "--suite", "all", "--max-degree", "2", "--format", "json")
+        assert code == 1
+        checks = self.checks_of(text)
+        failed = [name for name, c in checks.items() if not c["pass"]]
+        assert failed == ["trace.raised"]
+        assert checks["trace.raised"]["actual"] == "BracketError: bracket input is not g-linear"
+        assert "superlin.zigzag" in checks and "tensors.kernel-property" in checks
+
+    def test_raising_roster_is_a_named_failure(self, monkeypatch):
+        from supertrace import repmod as rm
+
+        def broken(V, V0, check=True):
+            raise rm.WitnessNotFoundError("no splitting")
+
+        monkeypatch.setattr(rm, "ideal_witness", broken)
+        code, text = run_cli("verify", "--suite", "all", "--format", "json")
+        assert code == 1
+        checks = self.checks_of(text)
+        assert not checks["roster.raised"]["pass"]
+        assert checks["roster.raised"]["actual"] == "WitnessNotFoundError: no splitting"
+        assert all(name.startswith("superlin.") for name in checks if name != "roster.raised")
+
+    def test_form_axioms_are_computed(self, monkeypatch):
+        import dataclasses
+
+        from supertrace import invtensor as it
+
+        build = it.build_adjoint
+
+        def bad_inverse(rs, check=True):
+            adj = build(rs, check)
+            return dataclasses.replace(adj, b_inv=2 * adj.b_inv)
+
+        monkeypatch.setattr(it, "build_adjoint", bad_inverse)
+        code, text = run_cli("verify", "--suite", "tensors", "--max-degree", "2", "--format", "json")
+        assert code == 1
+        checks = self.checks_of(text)
+        assert checks["tensors.form-axioms"]["actual"] == "b_inv . b is not the identity"

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supertrace import invtensor as it
 from supertrace import repmod as rm
@@ -69,7 +71,56 @@ class TestForm:
         assert w == (2, -1)
 
 
+def _extended_form_oracle(adj, t1, n1, t2, n2):
+    """Reference signed product formula: every pair of terms, factor by factor."""
+    if n1 != n2:
+        return F(0)
+    par = adj.module.space.parities
+
+    def digits_of(flat):
+        out = []
+        for _ in range(n1):
+            flat, d = divmod(flat, adj.gdim)
+            out.append(d)
+        return out[::-1]
+
+    total = F(0)
+    for flat1, c1 in t1.items():
+        d1 = digits_of(flat1)
+        for flat2, c2 in t2.items():
+            d2 = digits_of(flat2)
+            prod = c1 * c2
+            exponent = 0
+            for i in range(n1):
+                prod *= adj.gram[d1[i]][d2[i]]
+                exponent += sum(par[d] for d in d1[i + 1:]) * par[d2[i]]
+            total += -prod if exponent % 2 else prod
+    return total
+
+
 class TestExtendedForm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_matches_all_pairs_oracle(self, adj, N, rnd):
+        # t2 mostly holds factorwise partners of t1's terms, so values are nonzero.
+        rng = random.Random(rnd.randint(0, 10**6))
+        partners = [[c for c, v in enumerate(row) if v] for row in adj.gram]
+
+        def flat_of(digits):
+            flat = 0
+            for d in digits:
+                flat = flat * adj.gdim + d
+            return flat
+
+        t1, t2 = {}, {}
+        for _ in range(rng.randint(0, 6)):
+            digits = [rng.randrange(adj.gdim) for _ in range(N)]
+            t1[flat_of(digits)] = F(rng.randint(-3, 3), rng.randint(1, 3))
+            mate = [rng.choice(partners[d]) if rng.random() < 0.8 else rng.randrange(adj.gdim)
+                    for d in digits]
+            t2[flat_of(mate)] = F(rng.randint(-3, 3), rng.randint(1, 3))
+        assert it.extended_form(adj, t1, N, t2, N) == _extended_form_oracle(adj, t1, N, t2, N)
+
     def test_degree_mismatch(self, adj):
         rng = random.Random(20)
         t1 = random_even_tensor(adj, 2, rng)

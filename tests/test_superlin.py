@@ -242,3 +242,108 @@ def test_generalized_partial_trace_matches_duality_route():
             @ sl.tensor_map(sl.identity(A), sl.coev(C))
         )
         assert sl.partial_supertrace_hom(h, A, C, B) == composite
+
+
+# -- the sparse kernel against naive oracles ---------------------------------------
+
+
+def _mat_mul(x: dict, y: dict) -> dict:
+    """Reference product: every entry pair, zeros popped as they appear."""
+    out = {}
+    for (a, b), u in x.items():
+        for (p, q), v in y.items():
+            if b == p:
+                w = out.get((a, q), F(0)) + u * v
+                if w:
+                    out[(a, q)] = w
+                else:
+                    out.pop((a, q), None)
+    return out
+
+
+def _mat_scomm(x: dict, px: int, y: dict, py: int) -> dict:
+    sign = -1 if (px and py) else 1
+    out = dict(_mat_mul(x, y))
+    for key, v in _mat_mul(y, x).items():
+        w = out.get(key, F(0)) - sign * v
+        if w:
+            out[key] = w
+        else:
+            out.pop(key, None)
+    return out
+
+
+# Few indices and values of one magnitude, so products and sums often cancel.
+small_fracs = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2)])
+sparse_mats = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), small_fracs, max_size=10
+)
+
+
+class TestSparseKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_mats, sparse_mats)
+    def test_mat_mul_matches_oracle(self, x, y):
+        out = sl.mat_mul(x, y)
+        assert out == _mat_mul(x, y)
+        assert all(out.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_mats, st.integers(0, 1), sparse_mats, st.integers(0, 1))
+    def test_mat_scomm_matches_oracle(self, x, px, y, py):
+        out = sl.mat_scomm(x, px, y, py)
+        assert out == _mat_scomm(x, px, y, py)
+        assert all(out.values())
+
+    def test_commutator_cancels(self):
+        x = {(0, 1): F(1), (1, 0): F(1)}
+        assert sl.mat_scomm(x, 0, x, 0) == {}
+        assert sl.mat_scomm(x, 1, x, 1) == {(0, 0): F(2), (1, 1): F(2)}
+
+    def test_nonzero(self):
+        assert sl.nonzero({1: F(0), 2: F(3), 3: 0}) == {2: F(3)}
+
+
+def _unit_map(rng, U, V, parity):
+    """A homogeneous map with entries +-1, so sums and products cancel often."""
+    ent = {
+        (i, j): F(rng.choice((-1, 1)))
+        for i in range(V.dim)
+        for j in range(U.dim)
+        if (V.parities[i] + U.parities[j]) % 2 == parity and rng.random() < 0.6
+    }
+    return sl.SuperMap(U, V, parity, ent)
+
+
+def _assert_kernel_result(r):
+    assert r == sl.SuperMap(r.domain, r.codomain, r.parity, dict(r.entries))
+    assert all(r.entries.values())
+    assert all(type(v) is F for v in r.entries.values())
+
+
+class TestKernelResults:
+    @settings(max_examples=60, deadline=None)
+    @given(spaces_strategy(), spaces_strategy(), spaces_strategy(),
+           st.integers(0, 1), st.integers(0, 1), st.randoms(use_true_random=False))
+    def test_results_are_valid_maps(self, U, V, W, p, q, rnd):
+        rng = random.Random(rnd.randint(0, 10**6))
+        f, f2 = _unit_map(rng, U, V, p), _unit_map(rng, U, V, p)
+        g = _unit_map(rng, V, W, q)
+        c = rng.choice((F(0), F(-1), F(2, 3)))
+        results = [g @ f, f + f2, f - f2, f + (-1) * f, c * f, -f,
+                   sl.tensor_map(f, g), sl.super_transpose(f)]
+        h = _unit_map(rng, sl.tensor_space(U, W), sl.tensor_space(V, W), p)
+        results.append(sl.partial_supertrace_hom(h, U, W, V))
+        for r in results:
+            _assert_kernel_result(r)
+        assert (f + (-1) * f).is_zero()
+
+    def test_out_of_range_entry_rejected(self):
+        V = sl.super_space(1, 1)
+        with pytest.raises(ValueError):
+            sl.SuperMap(V, V, 0, {(2, 0): F(1)})
+
+    def test_public_constructor_converts_and_drops_zeros(self):
+        V = sl.super_space(2, 0)
+        m = sl.SuperMap(V, V, 0, {(0, 0): 1, (1, 1): 0})
+        assert m.entries == {(0, 0): F(1)} and type(m.entries[(0, 0)]) is F
