@@ -8,7 +8,9 @@ reachable from witnessed modules (images of coevaluations under g-linear maps
 into tensor powers) carry a second bilinear form built from the modified
 supertrace; elements of those subspaces keep their presentations (module,
 map, witness) so the form can be evaluated and its presentation independence
-checked.
+checked.  Both forms and the symmetric group action work on coordinates; the
+g^(x)N-sized map-composition route (dualizing_map, sn_action_map,
+pairing_as_composite) is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -81,20 +83,11 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
     dim = m + n
     r = rs.rank
 
-    basis: list[dict] = []
-    parities: list[int] = []
-    for p in range(dim):
-        for q in range(dim):
-            if p != q:
-                basis.append({(p, q): Fraction(1)})
-                parities.append(1 if (p < m) != (q < m) else 0)
-    h_mats = []
-    for i in range(r):
-        diag = {(i, i): Fraction(1)}
-        diag[(i + 1, i + 1)] = Fraction(1 if i == rs.s else -1)
-        h_mats.append(diag)
-        basis.append(diag)
-        parities.append(0)
+    offdiag = [(p, q) for p in range(dim) for q in range(dim) if p != q]
+    h_mats = [{(i, i): Fraction(1), (i + 1, i + 1): Fraction(1 if i == rs.s else -1)}
+              for i in range(r)]
+    basis: list[dict] = [{pq: Fraction(1)} for pq in offdiag] + h_mats
+    parities = [1 if (p < m) != (q < m) else 0 for p, q in offdiag] + [0] * r
     gdim = len(basis)
     space = SuperSpace(tuple(parities))
 
@@ -104,22 +97,11 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
     for hm in h_mats:
         diag_reducer.add({p: v for (p, _), v in hm.items()})
     n_offdiag = gdim - r
+    pos = {pq: k for k, pq in enumerate(offdiag)}
 
     def expand(mat: dict) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        diag: dict[int, Fraction] = {}
-        k = 0
-        pos = {}
-        for p in range(dim):
-            for q in range(dim):
-                if p != q:
-                    pos[(p, q)] = k
-                    k += 1
-        for (p, q), v in mat.items():
-            if p == q:
-                diag[p] = v
-            else:
-                out[pos[(p, q)]] = v
+        out = {pos[(p, q)]: v for (p, q), v in mat.items() if p != q}
+        diag = {p: v for (p, q), v in mat.items() if p == q}
         if diag:
             for idx, c in diag_reducer.coords(diag).items():
                 if c:
@@ -143,22 +125,8 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
                 ent[(row, col)] = v
         return SuperMap(space, space, par, ent)
 
-    weights = []
-    h_diag_vec = []
-    for i in range(r):
-        dvec = [Fraction(0)] * dim
-        for (p, _), v in h_mats[i].items():
-            dvec[p] = v
-        h_diag_vec.append(dvec)
-    k = 0
-    for p in range(dim):
-        for q in range(dim):
-            if p != q:
-                weights.append(
-                    tuple(h_diag_vec[i][p] - h_diag_vec[i][q] for i in range(r))
-                )
-                k += 1
-    weights.extend([tuple(Fraction(0) for _ in range(r))] * r)
+    weights = [tuple(h.get((p, p), Fraction(0)) - h.get((q, q), Fraction(0)) for h in h_mats)
+               for p, q in offdiag] + [(Fraction(0),) * r] * r
 
     from .repmod import _make_module
 
@@ -179,11 +147,7 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
         tuple(str_of(sl.mat_mul(basis[a], basis[b])) for b in range(gdim))
         for a in range(gdim)
     )
-    b_ent = {}
-    for j in range(gdim):
-        for i in range(gdim):
-            if gram[j][i]:
-                b_ent[(i, j)] = gram[j][i]
+    b_ent = {(i, j): gram[j][i] for j in range(gdim) for i in range(gdim) if gram[j][i]}
     b = SuperMap(space, sl.dual_space(space), 0, b_ent)
 
     defect = form_defect(module, gram, b) if check else None
@@ -234,6 +198,14 @@ def invariant_tensors(adj: AdjointData, N: int, cap: int = 4):
     return invariant_vectors(power, 0), invariant_vectors(power, 1)
 
 
+def _digits(flat: int, N: int, gdim: int) -> list[int]:
+    """The factor indices of a basis vector of g^(x)N, first factor first."""
+    digits = [0] * N
+    for pos in range(N - 1, -1, -1):
+        flat, digits[pos] = divmod(flat, gdim)
+    return digits
+
+
 def power_action_apply(adj: AdjointData, N: int, gen: SuperMap, coords: dict) -> dict:
     """Apply a generator to a degree-N coordinate vector without building g^N maps.
 
@@ -247,23 +219,14 @@ def power_action_apply(adj: AdjointData, N: int, gen: SuperMap, coords: dict) ->
         by_col.setdefault(j, []).append((i, v))
     out: dict[int, Fraction] = {}
     for flat, c in coords.items():
-        digits = []
-        rest = flat
-        for _ in range(N):
-            rest, d = divmod(rest, gdim)
-            digits.append(d)
-        digits.reverse()
         lead_parity = 0
-        for pos in range(N):
+        for pos, d in enumerate(_digits(flat, N, gdim)):
             sign = -1 if (gen.parity and lead_parity % 2) else 1
-            for i, v in by_col.get(digits[pos], ()):
-                new = list(digits)
-                new[pos] = i
-                key = 0
-                for d in new:
-                    key = key * gdim + d
+            place = gdim ** (N - 1 - pos)
+            for i, v in by_col.get(d, ()):
+                key = flat + (i - d) * place
                 out[key] = out.get(key, 0) + sign * v * c
-            lead_parity += par[digits[pos]]
+            lead_parity += par[d]
     return sl.nonzero(out)
 
 
@@ -280,38 +243,46 @@ def tensor_coords(u: dict, v: dict, vdim: int) -> dict:
 # -- the extended supersymmetric form ------------------------------------------
 
 
+def dual_coords(adj: AdjointData, N: int, coords: dict) -> dict:
+    """The covector b~(t) = iota . b^(x)N (t) of a degree-N tensor, sparsely.
+
+    Each term pairs factor by factor with its Gram partners (b is even, so
+    E_pq meets only E_qp and a Cartan factor only Cartan elements); the iota
+    chain adds the Koszul sign (-1)^{sum_{i<k} p_i p_k}.
+    """
+    gdim = adj.gdim
+    par = adj.module.space.parities
+    partners = [[(c, v) for c, v in enumerate(row) if v] for row in adj.gram]
+    out: dict[int, Fraction] = {}
+    for flat, coeff in coords.items():
+        # (index of the partner so far, product, sign exponent), last factor first.
+        terms = [(0, coeff, 0)]
+        place = 1
+        tail = 0  # parity of the factors after the current one
+        for _ in range(N):
+            flat, d = divmod(flat, gdim)
+            terms = [(r + e * place, prod * v, exp + tail * par[e])
+                     for r, prod, exp in terms for e, v in partners[d]]
+            place *= gdim
+            tail += par[d]
+        for r, prod, exp in terms:
+            out[r] = out.get(r, 0) + (-prod if exp % 2 else prod)
+    return sl.nonzero(out)
+
+
 def extended_form(
     adj: AdjointData, t1: dict, n1: int, t2: dict, n2: int
 ) -> Fraction:
     """The signed product extension of b to tensor degrees (0 across degrees).
 
     On pure tensors of equal degree k the value is
-    prod_i (-1)^{sum_{j>i} p(x_j) p(x'_i)} b(x_i, x'_i), extended bilinearly.
-    For each term of t1 only the terms of t2 that pair with it factor by
-    factor are looked up, through the nonzero entries of the Gram rows.
+    prod_i (-1)^{sum_{j>i} p(x_j) p(x'_i)} b(x_i, x'_i), extended bilinearly:
+    the covector b~(t1) evaluated on t2.
     """
     if n1 != n2:
         return Fraction(0)
-    gdim = adj.gdim
-    par = adj.module.space.parities
-    partners = [[(c, v) for c, v in enumerate(row) if v] for row in adj.gram]
-    total = Fraction(0)
-    for flat1, c1 in t1.items():
-        # (index of the partner so far, product, sign exponent), last factor first.
-        terms = [(0, c1, 0)]
-        place = 1
-        tail = 0  # parity of the factors of the t1 term after the current one
-        for _ in range(n1):
-            flat1, d = divmod(flat1, gdim)
-            terms = [(flat + e * place, prod * v, exp + tail * par[e])
-                     for flat, prod, exp in terms for e, v in partners[d]]
-            place *= gdim
-            tail += par[d]
-        for flat, prod, exp in terms:
-            c2 = t2.get(flat)
-            if c2:
-                total += -prod * c2 if exp % 2 else prod * c2
-    return total
+    phi = dual_coords(adj, n1, t1)
+    return sum((phi[r] * c for r, c in t2.items() if r in phi), Fraction(0))
 
 
 # -- presented invariant tensors (images of coevaluations) ----------------------
@@ -443,23 +414,27 @@ def dualizing_map(adj: AdjointData, N: int) -> SuperMap:
 def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> SuperMap:
     """The endomorphism of t1's module classifying the pairing against t2.
 
-    Composite of f1*, the duality identifications and the evaluation: an
-    element of Hom(k, V1* (x) V1) turned into End(V1); its modified trace
-    gives the value of the modified form.
+    The composite ev_right . (Id (x) (c^-1 . unpack . f1* . b~ . t2)) turns an
+    element of Hom(k, V1* (x) V1) into End(V1); its modified trace gives the
+    value of the modified form.  It is read off coordinates: psi = f1*(b~(t2))
+    in one pass over f1's entries, then endo[j, a] = +-psi[a d + j] with the
+    diagonal signs of unpack, c^-1 and ev_right.
     """
-    V1 = t1.module
-    N = t1.degree
-    t2 = sl.column_map(t1.f.codomain, t2_coords)
-    fstar = sl.super_transpose(t1.f)
-    vspace = V1.space
-    dual_v = sl.dual_space(vspace)
-    iota2 = sl.dual_tensor_iso(vspace, dual_v)
-    unpack = _invert_diag(iota2)  # (V1 (x) V1*)* -> V1* (x) V1**
-    c_inv = _invert_diag(sl.double_dual_iso(vspace))  # V1** -> V1
-    s = sl.tensor_map(sl.identity(dual_v), c_inv) @ unpack @ fstar @ dualizing_map(adj, N) @ t2
-    inner = sl.tensor_map(sl.identity(vspace), s)  # V1 = V1 (x) k -> V1 (x) V1* (x) V1
-    contract = sl.tensor_map(sl.ev_right(vspace), sl.identity(vspace))
-    return contract @ inner
+    sl.column_map(t1.f.codomain, t2_coords)  # t2 must be an even vector of g^(x)N
+    phi = dual_coords(adj, t1.degree, t2_coords)
+    psi: dict[int, Fraction] = {}
+    for (r, c), v in t1.f.entries.items():
+        x = phi.get(r)
+        if x:
+            psi[c] = psi.get(c, 0) + v * x
+    vspace = t1.module.space
+    par = vspace.parities
+    ent = {}
+    for c, v in psi.items():
+        a, j = divmod(c, vspace.dim)
+        # unpack: (-1)^{p_a p_j}; c^-1: (-1)^{p_j}; ev_right: (-1)^{p_a}.
+        ent[(j, a)] = -v if (par[a] * par[j] + par[j] + par[a]) % 2 else v
+    return SuperMap._of(vspace, vspace, 0, ent)
 
 
 def modified_form(
@@ -515,40 +490,69 @@ def pairing_as_composite(
 # -- symmetric group action and functorial adjoints ------------------------------
 
 
+def _adjacent_swaps(N: int, perm: tuple[int, ...]) -> list[int]:
+    """The slots i whose swaps with i + 1, in this order, bubble-sort perm."""
+    if sorted(perm) != list(range(N)):
+        raise ValueError("not a permutation")
+    current, swaps = list(perm), []
+    for end in range(N - 1, 0, -1):
+        for i in range(end):
+            if current[i] > current[i + 1]:
+                current[i], current[i + 1] = current[i + 1], current[i]
+                swaps.append(i)
+    return swaps
+
+
 def sn_action_map(adj: AdjointData, N: int, perm: tuple[int, ...]) -> SuperMap:
     """The signed action of a permutation on the degree-N power.
 
     ``perm[i]`` is the slot the i-th factor moves to; built from adjacent
     super permutations, so all Koszul signs come from the primitive tau.
     """
-    if sorted(perm) != list(range(N)):
-        raise ValueError("not a permutation")
     g = adj.module.space
     out = sl.identity(adj.power(N).space)
-    current = list(perm)
-    # Bubble: repeatedly swap adjacent slots until sorted.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(N - 1):
-            if current[i] > current[i + 1]:
-                left = adj.power(i).space if i else sl.UNIT
-                right = adj.power(N - i - 2).space if N - i - 2 else sl.UNIT
-                swap = sl.tensor_many(
-                    sl.identity(left), sl.super_permutation(g, g), sl.identity(right)
-                )
-                out = swap @ out
-                current[i], current[i + 1] = current[i + 1], current[i]
-                changed = True
+    for i in _adjacent_swaps(N, perm):
+        left = adj.power(i).space if i else sl.UNIT
+        right = adj.power(N - i - 2).space if N - i - 2 else sl.UNIT
+        swap = sl.tensor_many(sl.identity(left), sl.super_permutation(g, g), sl.identity(right))
+        out = swap @ out
     return out
 
 
 def sn_action(
     adj: AdjointData, N: int, perm: tuple[int, ...], t: PresentedTensor
 ) -> PresentedTensor:
-    """Apply a permutation to a presented tensor, keeping a valid presentation."""
-    pmap = sn_action_map(adj, N, perm)
-    return PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
+    """Apply a permutation to a presented tensor, keeping a valid presentation.
+
+    ``sn_action_map`` is a signed permutation of basis indices: each index
+    takes the same adjacent swaps, with the sign (-1)^{p p'} at each.
+    """
+    swaps = _adjacent_swaps(N, perm)
+    gdim = adj.gdim
+    if t.f.codomain.dim != gdim ** N:
+        raise ValueError(f"tensor of degree {t.degree} under a permutation of {N} slots")
+    par = adj.module.space.parities
+    moved: dict[int, tuple[int, int]] = {}
+
+    def move(flat: int) -> tuple[int, int]:
+        if flat not in moved:
+            digits, sign = _digits(flat, N, gdim), 1
+            for i in swaps:
+                x, y = digits[i], digits[i + 1]
+                sign = -sign if par[x] and par[y] else sign
+                digits[i], digits[i + 1] = y, x
+            moved[flat] = (sum(d * gdim ** (N - 1 - k) for k, d in enumerate(digits)), sign)
+        return moved[flat]
+
+    coords, ent = {}, {}
+    for flat, v in t.coords.items():
+        new, sign = move(flat)
+        coords[new] = sign * v
+    for (r, c), v in t.f.entries.items():
+        new, sign = move(r)
+        ent[(new, c)] = sign * v
+    f = SuperMap._of(t.f.domain, t.f.codomain, t.f.parity, ent)
+    return PresentedTensor(N, sl.nonzero(coords), f, t.witness)
 
 
 def adjoint_via_form(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:
@@ -564,21 +568,12 @@ def adjoint_via_form(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> S
 def pairing_map(adj: AdjointData) -> SuperMap:
     """g (x) g -> k given by the form itself (a b-contraction)."""
     g = adj.module.space
-    ent = {}
-    for a in range(adj.gdim):
-        for bb in range(adj.gdim):
-            v = adj.gram[a][bb]
-            if v:
-                ent[(0, a * adj.gdim + bb)] = v
+    ent = {(0, a * adj.gdim + bb): v
+           for a, row in enumerate(adj.gram) for bb, v in enumerate(row) if v}
     return SuperMap(sl.tensor_space(g, g), sl.UNIT, 0, ent)
 
 
 def casimir_coords(adj: AdjointData) -> dict:
     """The form-inverse tensor sum_i x_i (x) x^i in g (x) g coordinates."""
-    ent = {}
-    for a in range(adj.gdim):
-        for bb in range(adj.gdim):
-            v = adj.b_inv.entry(bb, a)
-            if v:
-                ent[a * adj.gdim + bb] = v
-    return ent
+    g, inv = adj.gdim, adj.b_inv.entries
+    return {a * g + bb: inv[(bb, a)] for a in range(g) for bb in range(g) if (bb, a) in inv}

@@ -858,10 +858,10 @@ def save_gmodule(mod: GModule, path: str) -> None:
 
 
 def load_gmodule(rs: RootSystem, path: str, check: bool = True) -> GModule:
-    """Load a module saved by save_gmodule, re-verifying all relations."""
-    with open(path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    """Load and re-verify a module saved by save_gmodule; corruption raises ModuleIntegrityError."""
     try:
+        with open(path) as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
         header = records[0]
         if header["record"] != "module" or header["version"] != CONSTRUCTION_VERSION:
             raise ModuleIntegrityError(f"{path}: unsupported module record")
@@ -893,7 +893,8 @@ def load_gmodule(rs: RootSystem, path: str, check: bool = True) -> GModule:
         return mod
     except ModuleIntegrityError:
         raise
-    except (KeyError, ValueError, IndexError, ModuleRelationError) as exc:
+    except (KeyError, ValueError, IndexError, TypeError, ArithmeticError,
+            ModuleRelationError) as exc:
         raise ModuleIntegrityError(f"{path}: corrupt module record ({exc})") from exc
 
 

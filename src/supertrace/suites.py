@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+import time
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
@@ -328,13 +329,8 @@ def suite_tensors(
                           defect or "even, supersymmetric, invariant, b_inv . b = Id"))
     noff = adj.gdim - roster.rs.rank
     dim = roster.rs.m + roster.rs.n
-    pos = {}
-    k = 0
-    for p in range(dim):
-        for q in range(dim):
-            if p != q:
-                pos[(p, q)] = k
-                k += 1
+    offdiag = ((p, q) for p in range(dim) for q in range(dim) if p != q)
+    pos = {pq: k for k, pq in enumerate(offdiag)}
     out.append(check("tensors.form-sample", (Fraction(2), Fraction(1), Fraction(0)),
                      (adj.gram[noff][noff], adj.gram[pos[(0, 1)]][pos[(1, 0)]],
                       adj.gram[pos[(0, 1)]][pos[(0, 1)]]),
@@ -505,11 +501,7 @@ def suite_tensors(
             continue
         elems = spaces[N].elements
         for perm in permutations(range(N)):
-            pmap = it.sn_action_map(adj, N, perm)
-            moved = [
-                it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
-                for t in elems
-            ]
+            moved = [it.sn_action(adj, N, perm, t) for t in elems]
             gram_after = [[it.modified_form(adj, x, y) for y in moved] for x in moved]
             perm_ok = perm_ok and gram_after == grams[N]
     out.append(check_true("tensors.permutation-orthogonality", perm_ok,
@@ -525,7 +517,7 @@ def suite_tensors(
             pmap = it.sn_action_map(adj, N, perm)
             pstar = it.adjoint_via_form(adj, pmap, N, N)
             for x in elems:
-                moved = it.PresentedTensor(N, pmap.apply(x.coords), pmap @ x.f, x.witness)
+                moved = it.sn_action(adj, N, perm, x)
                 for y in elems:
                     pulled = it.presented_tensor(
                         adj, N, y.witness, pstar @ y.f
@@ -572,12 +564,16 @@ def run_verification(
 
     A suite (or the roster build) that raises is recorded as the failed check
     ``<suite>.raised`` and the other suites still run; the suites that need
-    the roster are skipped when it could not be built.
+    the roster are skipped when it could not be built.  The report's
+    ``timings`` block holds the wall seconds of the roster build and of each
+    suite that ran.
     """
     wanted = list(SUITES) if "all" in suites else [s for s in SUITES if s in suites]
     results: list[CheckResult] = []
+    timings: dict[str, float] = {}
     roster = None
     if "trace" in wanted or "tensors" in wanted:
+        start = time.perf_counter()
         try:
             roster = build_roster(cache_dir)
         except rm.ModuleIntegrityError as exc:
@@ -586,6 +582,7 @@ def run_verification(
             ))
         except Exception as exc:
             results.append(_raised("roster", exc))
+        timings["roster"] = time.perf_counter() - start
     runs = {
         "superlin": lambda: suite_superlin(seed),
         "trace": lambda: suite_trace(roster, seed),
@@ -593,8 +590,10 @@ def run_verification(
     }
     for name in wanted:
         if name == "superlin" or roster is not None:
+            start = time.perf_counter()
             try:
                 results.extend(runs[name]())
             except Exception as exc:
                 results.append(_raised(name, exc))
-    return report_dict("+".join(wanted), algebra, results)
+            timings[name] = time.perf_counter() - start
+    return report_dict("+".join(wanted), algebra, results, timings)

@@ -158,6 +158,34 @@ class TestVerify:
         lines = [json.loads(line) for line in text.strip().splitlines()]
         assert any(c.get("check") == "roster.cache-integrity" and not c["pass"] for c in lines[1:])
 
+    def test_truncated_cache_fails_with_named_check(self, tmp_path):
+        from supertrace import repmod as rm
+        from supertrace.rootdata import build_root_system, weight
+
+        rs = build_root_system("sl", 2, 1)
+        rm.cached_kac_module(rs, weight(0, 1), str(tmp_path))
+        path = rm.kac_cache_path(str(tmp_path), rs, weight(0, 1))
+        text = open(path).read()
+        open(path, "w").write(text[: len(text) - 20])
+        code, text = run_cli(
+            "verify", "--suite", "all", "--cache-dir", str(tmp_path), "--format", "json"
+        )
+        assert code == 1
+        header = json.loads(text.splitlines()[0])
+        assert header["failed_checks"] == ["roster.cache-integrity"]
+
+    def test_timings_round_trip(self, tmp_path):
+        path = tmp_path / "report.json"
+        code, text = run_cli("verify", "--suite", "all", "--max-degree", "2",
+                             "--format", "json", "--report", str(path))
+        assert code == 0
+        timings = json.loads(text.splitlines()[0])["timings"]
+        assert set(timings) == {"roster", "superlin", "trace", "tensors"}
+        assert all(isinstance(s, float) and s >= 0 for s in timings.values())
+        assert json.loads(path.read_text())["timings"] == timings
+        code, text = run_cli("verify", "--suite", "superlin", "--format", "json")
+        assert list(json.loads(text.splitlines()[0])["timings"]) == ["superlin"]
+
 
 class TestVerifyFailures:
     @staticmethod

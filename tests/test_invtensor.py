@@ -255,6 +255,110 @@ class TestModifiedForm:
         assert pairs > 0
 
 
+def _presented_endo_oracle(adj, t1, t2_coords):
+    """Reference presented endomorphism: the composite of g^(x)N-sized maps."""
+    t2 = sl.column_map(t1.f.codomain, t2_coords)
+    vspace = t1.module.space
+    dual_v = sl.dual_space(vspace)
+    unpack = it._invert_diag(sl.dual_tensor_iso(vspace, dual_v))
+    c_inv = it._invert_diag(sl.double_dual_iso(vspace))
+    s = (sl.tensor_map(sl.identity(dual_v), c_inv) @ unpack @ sl.super_transpose(t1.f)
+         @ it.dualizing_map(adj, t1.degree) @ t2)
+    inner = sl.tensor_map(sl.identity(vspace), s)
+    contract = sl.tensor_map(sl.ev_right(vspace), sl.identity(vspace))
+    return contract @ inner
+
+
+def _sn_action_oracle(adj, N, perm, t):
+    """Reference permutation action: compose with the map of adjacent super swaps."""
+    pmap = it.sn_action_map(adj, N, perm)
+    return it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
+
+
+def _column_tensor(adj, N, coords, witness):
+    """A tensor presented by its own column map k -> g^(x)N (any even coords)."""
+    return it.PresentedTensor(N, coords, sl.column_map(adj.power(N).space, coords), witness)
+
+
+@pytest.fixture(scope="module")
+def casimir_products(adj, spaces):
+    cas = it.casimir_coords(adj)
+    return [it.it_product(adj, cas, 2, t) for t in spaces[2].raw if t.coords][:2]
+
+
+class TestCoordinateRoutes:
+    """dual_coords, presented_endo and sn_action against the map-composition routes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_dual_coords_is_the_dualizing_map(self, adj, N, rnd):
+        t = random_even_tensor(adj, N, random.Random(rnd.randint(0, 10**6)))
+        assert it.dual_coords(adj, N, t) == it.dualizing_map(adj, N).apply(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_presented_endo_matches_composite(self, adj, spaces, N, data):
+        t1 = data.draw(st.sampled_from(spaces[N].raw))
+        t2 = random_even_tensor(adj, N, random.Random(data.draw(st.integers(0, 10**6))))
+        assert it.presented_endo(adj, t1, t2) == _presented_endo_oracle(adj, t1, t2)
+
+    def test_presented_endo_on_every_roster_pair(self, adj, spaces):
+        for N, space in spaces.items():
+            for t1 in space.raw:
+                for t2 in space.elements:
+                    assert (it.presented_endo(adj, t1, t2.coords)
+                            == _presented_endo_oracle(adj, t1, t2.coords))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_sn_action_matches_map_route(self, adj, spaces, data):
+        N = data.draw(st.sampled_from([2, 3]))
+        perm = tuple(data.draw(st.permutations(range(N))))
+        t = data.draw(st.sampled_from(spaces[N].raw))
+        moved, expected = it.sn_action(adj, N, perm, t), _sn_action_oracle(adj, N, perm, t)
+        assert moved.coords == expected.coords and moved.f == expected.f
+        assert moved.degree == N and moved.witness is t.witness
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_sn_action_on_random_even_tensors(self, adj, roster, N, data):
+        perm = tuple(data.draw(st.permutations(range(N))))
+        coords = random_even_tensor(adj, N, random.Random(data.draw(st.integers(0, 10**6))))
+        t = _column_tensor(adj, N, coords, roster.wA)
+        moved, expected = it.sn_action(adj, N, perm, t), _sn_action_oracle(adj, N, perm, t)
+        assert moved.coords == expected.coords and moved.f == expected.f
+
+    @pytest.mark.parametrize("perms", [((1, 3, 0, 2), (1, 0, 2, 3)),
+                                       ((2, 0, 3, 1), (0, 1, 2, 3))])
+    def test_degree_four_casimir_products(self, adj, casimir_products, perms):
+        # Casimir (x) t moved so that the two slot pairings differ: a non-zero pairing.
+        x, y = (it.sn_action(adj, 4, p, t) for p, t in zip(perms, casimir_products))
+        for p, t, moved in zip(perms, casimir_products, (x, y)):
+            expected = _sn_action_oracle(adj, 4, p, t)
+            assert moved.coords == expected.coords and moved.f == expected.f
+        endo = it.presented_endo(adj, x, y.coords)
+        assert endo.entries and endo == _presented_endo_oracle(adj, x, y.coords)
+
+    @pytest.mark.parametrize("route", [it.presented_endo, _presented_endo_oracle])
+    def test_presented_endo_rejects_odd_or_out_of_range_t2(self, adj, spaces, route):
+        t1 = spaces[2].elements[0]
+        par = adj.module.space.parities
+        odd = next(a for a in range(adj.gdim) if par[a])
+        with pytest.raises(ValueError):
+            route(adj, t1, {odd * adj.gdim: F(1)})
+        with pytest.raises(ValueError):
+            route(adj, t1, {adj.gdim ** 2: F(1)})
+
+    @pytest.mark.parametrize("route", [it.sn_action, _sn_action_oracle])
+    def test_sn_action_rejects_bad_input(self, adj, spaces, route):
+        t = spaces[2].elements[0]
+        for perm in ((0, 0), (0, 2), (1,)):
+            with pytest.raises(ValueError):
+                route(adj, 2, perm, t)
+        with pytest.raises(ValueError):
+            route(adj, 3, (0, 2, 1), t)
+
+
 class TestSymmetricGroup:
     def test_identity_and_transposition(self, adj, basis_pos):
         ident = it.sn_action_map(adj, 2, (0, 1))
@@ -270,11 +374,7 @@ class TestSymmetricGroup:
             elems = spaces[N].elements
             gram = [[it.modified_form(adj, a, b) for b in elems] for a in elems]
             for perm in permutations(range(N)):
-                pmap = it.sn_action_map(adj, N, perm)
-                moved = [
-                    it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
-                    for t in elems
-                ]
+                moved = [it.sn_action(adj, N, perm, t) for t in elems]
                 after = [[it.modified_form(adj, a, b) for b in moved] for a in moved]
                 assert after == gram
 

@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supertrace import repmod as rm
 from supertrace import superlin as sl
@@ -255,6 +260,90 @@ class TestSerialization:
         second = rm.cached_kac_module(rs21, weight(0, 2), str(tmp_path))
         assert second.basis_weights == first.basis_weights
         assert all(a == b for a, b in zip(second.gens(), first.gens()))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["1/0", "x", "", "module", "generator", "e", "1/2"]) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _leaf_slots(node):
+    """(container, key) for every scalar inside a parsed JSON record."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_slots(value)
+        else:
+            yield node, key
+
+
+@st.composite
+def corrupt_cache_text(draw, lines):
+    """A saved module file after one corruption, and whether it may still load as itself."""
+    kind = draw(st.sampled_from(["truncate", "reorder", "version", "non-object", "field", "leaf"]))
+    if kind == "truncate":
+        text = "\n".join(lines) + "\n"
+        return text[:draw(st.integers(0, len(text) - 1))], True
+    if kind == "reorder":
+        return "\n".join(draw(st.permutations(lines))), True
+    records = [json.loads(line) for line in lines]
+    k = draw(st.integers(0, len(records) - 1))
+    if kind == "version":
+        records[0]["version"] = draw(JSON_VALUES.filter(lambda v: v != rm.CONSTRUCTION_VERSION))
+    elif kind == "non-object":
+        records[k] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "field":
+        records[k][draw(st.sampled_from(sorted(records[k])))] = draw(JSON_VALUES)
+    else:
+        parent, key = draw(st.sampled_from(list(_leaf_slots(records[k]))))
+        parent[key] = draw(JSON_VALUES)
+    return "\n".join(json.dumps(r) for r in records), False
+
+
+class TestLoaderFuzz:
+    """A corrupt cache file raises ModuleIntegrityError and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def saved_lines(self, K01):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "k01.jsonl")
+            rm.save_gmodule(K01, path)
+            with open(path) as fh:
+                return fh.read().splitlines()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_only_integrity_errors(self, rs21, K01, saved_lines, data):
+        text, whole = data.draw(corrupt_cache_text(saved_lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "k01.jsonl")
+            with open(path, "w") as fh:
+                fh.write(text)
+            try:
+                mod = rm.load_gmodule(rs21, path)
+            except rm.ModuleIntegrityError:
+                return
+        if whole:  # a truncation or reordering that kept every record intact
+            assert mod.gens() == K01.gens() and mod.basis_weights == K01.basis_weights
+
+    @pytest.mark.parametrize("line", ["", "[1, 2]", "null", '"module"', "{\"record\": "])
+    def test_bad_header_line(self, rs21, saved_lines, tmp_path, line):
+        path = tmp_path / "k01.jsonl"
+        path.write_text("\n".join([line] + saved_lines[1:]) + "\n")
+        with pytest.raises(rm.ModuleIntegrityError):
+            rm.load_gmodule(rs21, str(path))
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "null", "3", '{"record": "generator"'])
+    def test_bad_generator_line(self, rs21, saved_lines, tmp_path, line):
+        path = tmp_path / "k01.jsonl"
+        path.write_text("\n".join(saved_lines[:-1] + [line]) + "\n")
+        with pytest.raises(rm.ModuleIntegrityError):
+            rm.load_gmodule(rs21, str(path))
 
 
 @pytest.fixture(scope="module")
