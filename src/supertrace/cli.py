@@ -130,6 +130,8 @@ def cmd_mdim(cfg: RunConfig, out) -> int:
 
 
 def cmd_qdim(cfg: RunConfig, out) -> int:
+    if cfg.order < 0:
+        raise UsageError(f"--order must be non-negative, got {cfg.order}")
     rs = _build_system(cfg.family, cfg.dims)
     rows = []
     for w in cfg.weights:
@@ -190,6 +192,8 @@ def cmd_verify(args, out) -> int:
     from .suites import run_verification
 
     family, dims = parse_algebra_spec(args.algebra)
+    if args.max_degree < 2:
+        raise UsageError(f"--max-degree must be at least 2, got {args.max_degree}")
     if (family, dims) != ("sl", (2, 1)) and args.suite in ("trace", "tensors", "all"):
         raise UsageError(
             "the trace and tensors suites run on the sl(2|1) roster; use --algebra sl21"
@@ -212,8 +216,11 @@ def cmd_verify(args, out) -> int:
             out.write(line + "\n")
         out.write(f"{report['total']} checks, {report['failed']} failed\n")
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            raise UsageError(f"cannot write --report {args.report!r}: {exc.strerror}") from exc
     return 0 if report["pass"] else 1
 
 

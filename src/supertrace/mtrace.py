@@ -27,11 +27,22 @@ def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
         raise ValueError("map is not an endomorphism of the witnessed module")
     if check and not _check_g_linear(f, w.V, w.V):
         raise BracketError("bracket input is not g-linear")
-    comp = w.beta @ f @ w.alpha
-    reduced = sl.partial_supertrace(comp, w.V0.space, w.W.space)
+    # ptr_W(beta . f . alpha)_{ij} = sum_u (-1)^{p(u)} beta[(i,u), a] (f . alpha)[a, (j,u)],
+    # contracted over W without forming the V0 (x) W endomorphism.
+    dw, w_par = w.W.dim, w.W.space.parities
+    fa: dict[tuple[int, int], list] = {}
+    for (a, col), v in sl.mat_mul(f.entries, w.alpha.entries).items():
+        j, u = divmod(col, dw)
+        fa.setdefault((a, u), []).append((j, -v if w_par[u] else v))
+    reduced: dict[tuple[int, int], Fraction] = {}
+    for (row, a), b in w.beta.entries.items():
+        i, u = divmod(row, dw)
+        for j, v in fa.get((a, u), ()):
+            reduced[(i, j)] = reduced.get((i, j), 0) + b * v
+    reduced = sl.nonzero(reduced)
     # An odd multiple of the even identity must vanish identically.
-    c = Fraction(0) if f.parity == sl.ODD else reduced.entry(0, 0)
-    if reduced.entries != {(i, i): c for i in range(w.V0.dim) if c}:
+    c = Fraction(0) if f.parity == sl.ODD else reduced.get((0, 0), Fraction(0))
+    if reduced != {(i, i): c for i in range(w.V0.dim) if c}:
         raise BracketError(
             "ptr(beta . f . alpha) is not proportional to the identity; "
             "the input is not g-linear or the witness is invalid"

@@ -7,8 +7,9 @@ vector.  Every constructor verifies the Chevalley relations
     [e_i, f_j] = delta_ij h_i,   [h_i, e_j] = a_ij e_j,
     [h_i, f_j] = -a_ij f_j,      [h_i, h_j] = 0,
 
-as exact matrix identities (super-commutators) and aborts on failure, so a
-module object is always a certified representation of the generator algebra.
+exactly (the [e_i, f_j] relations as super-commutators, the [h_i, x_j] ones as
+weight gaps of the entries of x_j) and aborts on failure, so a module object
+is always a certified representation of the generator algebra.
 
 Kac modules for typical dominant weights are induced from the even part: the
 simple gl(m) x gl(n) module with the matching highest weight is built inside
@@ -88,7 +89,13 @@ def _scomm(x: SuperMap, y: SuperMap) -> SuperMap:
 
 
 def verify_relations(mod: GModule) -> None:
-    """Exact check of all Chevalley relations; raises ModuleRelationError."""
+    """Exact check of all Chevalley relations; raises ModuleRelationError.
+
+    Once every h_i is checked to be diagonal with the basis weights,
+    [h_i, x_j] = +-a_ij x_j says exactly that each nonzero entry (a, b) of
+    e_j (f_j) moves the weight by +a_j (-a_j): (w_a - w_b)_i = +-a_ij.  The
+    diagonal h_i commute with each other.
+    """
     rs = mod.rs
     r = rs.rank
     for i in range(r):
@@ -105,16 +112,19 @@ def verify_relations(mod: GModule) -> None:
                 raise ModuleRelationError(
                     f"{mod.name}: basis weight {a} disagrees with h_{i}"
                 )
+    wts = mod.basis_weights
+    for j in range(r):
+        for x, sign in ((mod.e[j], 1), (mod.f[j], -1)):
+            for a, b in x.entries:
+                for i in range(r):
+                    if wts[a][i] - wts[b][i] != sign * rs.cartan.a[i][j]:
+                        raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
     for i in range(r):
         for j in range(r):
             lhs = _scomm(mod.e[i], mod.f[j])
             rhs = mod.h[i] if i == j else sl.zero_map(mod.space, mod.space)
             if lhs != rhs and not (lhs.is_zero() and rhs.is_zero()):
                 raise ModuleRelationError(f"{mod.name}: [e_{i}, f_{j}] relation failed")
-            he = _scomm(mod.h[i], mod.e[j]) - rs.cartan.a[i][j] * mod.e[j]
-            hf = _scomm(mod.h[i], mod.f[j]) + rs.cartan.a[i][j] * mod.f[j]
-            if not he.is_zero() or not hf.is_zero():
-                raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
 
 
 def _make_module(rs, space, e, f, h, weights, name, hw=None, check=True) -> GModule:
@@ -549,17 +559,143 @@ def _kac_dim(rs: RootSystem, lam: Weight) -> int:
 # -- morphism spaces -----------------------------------------------------------
 
 
+def _columns(x: SuperMap, transpose: bool = False) -> dict[int, list]:
+    """The entries of x, or of its plain transpose, grouped as column -> [(row, value)]."""
+    cols: dict[int, list] = {}
+    for (i, j), v in x.entries.items():
+        if transpose:
+            i, j = j, i
+        cols.setdefault(j, []).append((i, v))
+    return cols
+
+
+def _apply(cols: dict[int, list], vec: dict) -> dict[int, Fraction]:
+    """A column-indexed matrix (see ``_columns``) applied to a sparse column vector."""
+    out: dict[int, Fraction] = {}
+    for j, x in vec.items():
+        for i, v in cols.get(j, ()):
+            out[i] = out.get(i, 0) + v * x
+    return sl.nonzero(out)
+
+
+def _killed(ops: list[dict], support: list[int]) -> list[dict[int, Fraction]]:
+    """A basis of the vectors on the basis indices ``support`` that every column-indexed op kills."""
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for g, cols in enumerate(ops):
+        for t, j in enumerate(support):
+            for i, v in cols.get(j, ()):
+                rows.setdefault((g, i), {})[t] = v
+    return [{support[t]: v for t, v in vec.items()} for vec in nullspace(rows.values(), len(support))]
+
+
+def _kac_vector(U: GModule) -> int | None:
+    """The index of the highest weight vector d when U is certified to be a Kac module.
+
+    The certificate: the recorded highest weight mu is finite-dominant and
+    typical, dim U = dim K(mu), and U's one basis vector d of weight mu is
+    killed by every e_i.  Then d generates a nonzero quotient of the simple
+    module K(mu) (of its parity shift when d is odd) of dimension dim U, so
+    U is that module.  Returns None when any part fails.
+    """
+    rs, mu = U.rs, U.highest_weight
+    if mu is None or rs.family != "sl" or not rs.is_dominant_finite(mu) or not rs.is_typical(mu):
+        return None
+    if U.dim != _kac_dim(rs, mu):
+        return None
+    top = [k for k, wt in enumerate(U.basis_weights) if wt == mu.a]
+    if len(top) != 1 or any(j == top[0] for x in U.e for (_, j) in x.entries):
+        return None
+    return top[0]
+
+
+def _induced_maps(K: GModule, d: int, V: GModule, parity: int, transpose: bool = False):
+    """The g-linear maps K -> V out of the certified Kac module K, as {(row, col): value} dicts.
+
+    Frobenius reciprocity: a map F is fixed by v = F(d), any weight-mu vector
+    of V of parity p(d) + p(F) that every e_i kills, and
+    F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in V the f-words that span K
+    from d.  With ``transpose`` the same core runs on the plain transposes of
+    all generators, which obey the same rule: it returns the transposes of
+    the maps V -> K, rows killed by every f_i and spread by the e_i.
+    """
+    kill, spread_v, spread_k = (V.f, V.e, K.e) if transpose else (V.e, V.f, K.f)
+    cols = lambda xs: [_columns(x, transpose) for x in xs]
+    p_v = (K.space.parities[d] + parity) % 2
+    support = [i for i, w in enumerate(V.basis_weights)
+               if w == K.highest_weight.a and V.space.parities[i] == p_v]
+    singular = _killed(cols(kill), support)
+    if not singular:
+        return []
+    spread_k, spread_v = cols(spread_k), cols(spread_v)
+    reducer = RowReducer()
+    reducer.add({d: Fraction(1)})
+    vecs, words = [{d: Fraction(1)}], [None]
+    frontier = [0]
+    while frontier and len(reducer) < K.dim:
+        nxt = []
+        for k in frontier:
+            for g, x in enumerate(spread_k):
+                image = _apply(x, vecs[k])
+                if image and reducer.add(image):
+                    nxt.append(len(vecs))
+                    vecs.append(image)
+                    words.append((k, g))
+        frontier = nxt
+    if len(reducer) != K.dim:
+        raise ModuleRelationError(
+            f"{K.name}: words from the highest weight vector span {len(reducer)} of {K.dim}"
+        )
+    signs = [-1 if parity and x.parity else 1 for x in K.e]
+    basis = [reducer.coords({j: Fraction(1)}) for j in range(K.dim)]
+    out = []
+    for v in singular:
+        images = [v]
+        for k, g in words[1:]:
+            image = _apply(spread_v[g], images[k])
+            images.append({i: signs[g] * c for i, c in image.items()})
+        ent: dict[tuple[int, int], Fraction] = {}
+        for j, coords in enumerate(basis):
+            for k, c in coords.items():
+                for i, x in images[k].items():
+                    ent[(i, j)] = ent.get((i, j), 0) + c * x
+        out.append(sl.nonzero(ent))
+    return out
+
+
 def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     """A basis of the g-linear maps U -> V of the given parity (None = both).
 
-    Solves F . x_U = (-1)^{p(x) p(F)} x_V . F over all Chevalley generators.
-    The h-generator equations say exactly that F matches basis weights, which
-    cuts the unknowns to weight-matched entry positions before elimination.
+    When U is certified to be a typical Kac module K(mu) (see ``_kac_vector``),
+    Frobenius reciprocity gives Hom(K(mu), V) = {weight-mu vectors of V killed
+    by every e_i}: only that system is solved, and each map is rebuilt from
+    the f-words that span K(mu) from its highest weight vector.  When V is the
+    certified one, the same route runs on row vectors through
+    Hom(U, K) = Hom(K*, U*): the highest weight row of a map is a weight-mu
+    covector of U killed by every f_i acting on the right, and the e_i acting
+    on the right spread it.  Other modules take the generic solve of
+    F . x_U = (-1)^{p(x) p(F)} x_V . F over all Chevalley generators.
     """
     if parity is None:
         return hom_space(U, V, 0) + hom_space(U, V, 1)
     if U.rs != V.rs:
         raise ValueError("morphisms require modules over the same algebra")
+    d = _kac_vector(U)
+    if d is not None:
+        return [SuperMap(U.space, V.space, parity, ent)
+                for ent in _induced_maps(U, d, V, parity)]
+    d = _kac_vector(V)
+    if d is not None:
+        return [SuperMap(U.space, V.space, parity, {(i, j): v for (j, i), v in ent.items()})
+                for ent in _induced_maps(V, d, U, parity, transpose=True)]
+    return _hom_generic(U, V, parity)
+
+
+def _hom_generic(U: GModule, V: GModule, parity: int) -> list[SuperMap]:
+    """Hom(U, V) by elimination over the e- and f-generator equations.
+
+    The h-generator equations say exactly that F matches basis weights, which
+    cuts the unknowns to weight-matched entry positions before elimination.
+    """
     by_weight_v: dict[tuple, list[int]] = {}
     for i in range(V.dim):
         by_weight_v.setdefault(V.basis_weights[i], []).append(i)
@@ -582,12 +718,7 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     gens_v = V.e + V.f
     for gidx, (xu, xv) in enumerate(zip(gens_u, gens_v)):
         sign = -1 if (parity and xu.parity) else 1
-        xu_rows: dict[int, list] = {}
-        for (a, b), v in xu.entries.items():
-            xu_rows.setdefault(a, []).append((b, v))
-        xv_cols: dict[int, list] = {}
-        for (a, b), v in xv.entries.items():
-            xv_cols.setdefault(b, []).append((a, v))
+        xu_rows, xv_cols = _columns(xu, transpose=True), _columns(xv)
         for (i, j), t in index.items():
             for (j2, v) in xu_rows.get(j, ()):
                 put((gidx, i, j2), t, v)
@@ -613,17 +744,8 @@ def singular_vectors(V: GModule) -> list[dict[int, Fraction]]:
     by_weight: dict[tuple, list[int]] = {}
     for i in range(V.dim):
         by_weight.setdefault(V.basis_weights[i], []).append(i)
-    out = []
-    for wt, cols in by_weight.items():
-        rows: dict[tuple, dict[int, Fraction]] = {}
-        for gidx, x in enumerate(V.e):
-            for t, j in enumerate(cols):
-                for (i2, j2), v in x.entries.items():
-                    if j2 == j:
-                        rows.setdefault((gidx, i2), {})[t] = v
-        for vec in nullspace(rows.values(), len(cols)):
-            out.append({cols[t]: v for t, v in vec.items()})
-    return out
+    raising = [_columns(x) for x in V.e]
+    return [vec for cols in by_weight.values() for vec in _killed(raising, cols)]
 
 
 def submodule_dimension(V: GModule, seeds) -> int:
@@ -633,12 +755,12 @@ def submodule_dimension(V: GModule, seeds) -> int:
     for vec in seeds:
         if reducer.add(vec):
             frontier.append(vec)
-    gens = V.gens()
+    gens = [_columns(x) for x in V.gens()]
     while frontier:
         nxt = []
         for vec in frontier:
             for x in gens:
-                image = x.apply(vec)
+                image = _apply(x, vec)
                 if image and reducer.add(image):
                     nxt.append(image)
         frontier = nxt

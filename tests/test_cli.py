@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supertrace.cli import main
 
@@ -261,3 +265,93 @@ class TestVerifyFailures:
         assert code == 1
         checks = self.checks_of(text)
         assert checks["tensors.form-axioms"]["actual"] == "b_inv . b is not the identity"
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ("qdim", "sl", "2", "1", "--weight", "1,1", "--order", "-3"),
+        ("verify", "--suite", "tensors", "--max-degree", "0"),
+        ("verify", "--suite", "tensors", "--max-degree", "1"),
+        ("verify", "--suite", "superlin", "--report", "/nonexistent-dir/report.json"),
+    ])
+    def test_usage_error_exits_2(self, argv, capsys):
+        code, _ = run_cli(*argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+ALGEBRAS = st.sampled_from([
+    ["sl", "2", "1"], ["sl", "3", "1"], ["sl", "1", "2"], ["osp2", "1"], [], ["sl", "2", "2"],
+    ["sl", "2"], ["sl", "x", "1"], ["osp2", "0"], ["osp2", "1", "2"], ["gl", "2", "1"],
+])
+RATIONALS = st.sampled_from(["-3", "-1/2", "0", "1", "1/2", "3", "x", "1/0", ""])
+INTEGERS = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "x", "2.5"])
+VALUES = {
+    "--weight": st.sampled_from(["0,1", "1,1", "0,0", "1/2,1", "1,0,1/2", "-1,2", "x", "", "1/0,1"]),
+    "--order": INTEGERS,
+    "--format": st.sampled_from(["table", "json", "csv"]),
+    "--fixed": st.sampled_from(["0", "1", "0,1", "1/2", "", "x"]),
+    "--start": RATIONALS,
+    "--stop": RATIONALS,
+    "--step": RATIONALS,
+    "--suite": st.sampled_from(["superlin", "trace", "tensors", "all", "none"]),
+    "--algebra": st.sampled_from(["sl21", "sl31", "sl22", "osp21", "gl21", ""]),
+    "--max-degree": INTEGERS,
+    "--seed": INTEGERS,
+    "--report": st.sampled_from(["{tmp}/report.json", "{tmp}/missing/report.json", "{tmp}"]),
+    "--cache-dir": st.sampled_from(["{tmp}/cache", "{tmp}/report.json"]),
+}
+OWN_FLAGS = {
+    "root-data": ["--format"],
+    "mdim": ["--weight", "--weight", "--format"],
+    "qdim": ["--weight", "--order", "--format"],
+    "scan-typical": ["--fixed", "--start", "--stop", "--step", "--format"],
+    "verify": ["--suite", "--algebra", "--max-degree", "--seed", "--report", "--cache-dir",
+               "--format"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with a random subset of its flags, now and then a stray
+    flag of another subcommand, and now and then a flag without its value."""
+    argv = [draw(st.sampled_from(list(OWN_FLAGS) + ["bogus"]))]
+    if argv[0] != "verify":
+        argv += draw(ALGEBRAS)
+    flags = [flag for flag in OWN_FLAGS.get(argv[0], []) if draw(st.booleans())]
+    flags += draw(st.lists(st.sampled_from(sorted(VALUES)), max_size=1))
+    for flag in flags:
+        argv += [flag] if draw(st.integers(0, 19)) == 0 else [flag, draw(VALUES[flag])]
+    return argv
+
+
+class TestParserFuzz:
+    """Any argv exits 0, 1 or 2 and never raises.
+
+    The verify engine is replaced by a canned superlin report: the suites are
+    covered elsewhere, and a real `--suite all --max-degree 3` run takes seconds.
+    """
+
+    @pytest.fixture(scope="class")
+    def canned_engine(self):
+        from supertrace import suites
+
+        report = suites.run_verification(["superlin"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(suites, "run_verification", lambda *args, **kwargs: report)
+            yield
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=cli_argv())
+    def test_exit_codes(self, canned_engine, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [a.replace("{tmp}", tmp) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv, out=out)
+                except SystemExit as exc:  # argparse rejects the argv
+                    code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        if code == 2 and not err.getvalue().startswith("usage:"):
+            assert err.getvalue().startswith("error: "), err.getvalue()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_combination, rand_map
 from supertrace import mtrace as mt
@@ -171,3 +173,43 @@ def test_cyclicity_with_inverse_isomorphisms(roster):
     lhs = mt.modified_trace(P @ P_inv, w_copy)   # Id on the copy
     rhs = mt.modified_trace(P_inv @ P, roster.wA)  # Id on the original
     assert lhs == rhs == F(1, 2)
+
+
+def _bracket_by_composite(f, w):
+    """The composite form of bracket: ptr_W of the V0 (x) W endomorphism beta . f . alpha."""
+    reduced = sl.partial_supertrace(w.beta @ f @ w.alpha, w.V0.space, w.W.space)
+    c = F(0) if f.parity == sl.ODD else reduced.entry(0, 0)
+    if reduced.entries != {(i, i): c for i in range(w.V0.dim) if c}:
+        raise mt.BracketError("not proportional to the identity")
+    return c
+
+
+class TestBracketContraction:
+    @pytest.fixture(scope="class")
+    def witnesses(self, roster, shifted):
+        wS = rm.witness_dsum(roster.wA, shifted[1])
+        return [roster.wA, roster.wB, roster.wB_via_A, roster.wC, roster.wD, wS,
+                rm.witness_tensor(roster.wB_via_A, roster.std)]
+
+    @pytest.fixture(scope="class")
+    def ends(self, witnesses):
+        return {id(w): {p: rm.hom_space(w.V, w.V, p) for p in (0, 1)} for w in witnesses}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_composite(self, witnesses, ends, data):
+        w = data.draw(st.sampled_from(witnesses))
+        parity = data.draw(st.sampled_from([0, 1]))
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        basis = ends[id(w)][parity]
+        if basis and data.draw(st.booleans()):
+            f = rand_combination(basis, rng)
+        else:  # not g-linear: both forms must agree on the scalar or both raise
+            f = rand_map(rng, w.V.space, w.V.space, parity)
+        try:
+            want = _bracket_by_composite(f, w)
+        except mt.BracketError:
+            with pytest.raises(mt.BracketError):
+                mt.bracket(f, w, check=False)
+            return
+        assert mt.bracket(f, w, check=False) == want

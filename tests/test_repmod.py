@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supertrace import repmod as rm
+from supertrace.linalg import RowReducer, nullspace
 from supertrace import superlin as sl
 from supertrace.rootdata import AtypicalWeightError, weight
 
@@ -393,3 +394,239 @@ def test_hom_spaces_match_invariants_of_tensor_with_dual(roster):
             assert len(rm.hom_space(U, V, parity)) == len(
                 rm.invariant_vectors(internal, parity)
             )
+
+
+# -- verify_relations against the commutator form ---------------------------------
+
+
+def _relations_by_commutators(mod):
+    """The commutator form of verify_relations: every [h_i, x_j] as a matrix identity."""
+    r = mod.rs.rank
+    for i in range(r):
+        for (a, b), v in mod.h[i].entries.items():
+            if a != b or v != mod.basis_weights[a][i]:
+                raise rm.ModuleRelationError("h_i is not diagonal with the basis weights")
+        for a, wts in enumerate(mod.basis_weights):
+            if wts[i] != mod.h[i].entry(a, a):
+                raise rm.ModuleRelationError("basis weight disagrees with h_i")
+    for i in range(r):
+        for j in range(r):
+            lhs = rm._scomm(mod.e[i], mod.f[j])
+            rhs = mod.h[i] if i == j else sl.zero_map(mod.space, mod.space)
+            if lhs != rhs and not (lhs.is_zero() and rhs.is_zero()):
+                raise rm.ModuleRelationError("[e_i, f_j] relation failed")
+            a_ij = mod.rs.cartan.a[i][j]
+            he = rm._scomm(mod.h[i], mod.e[j]) - a_ij * mod.e[j]
+            hf = rm._scomm(mod.h[i], mod.f[j]) + a_ij * mod.f[j]
+            if not he.is_zero() or not hf.is_zero():
+                raise rm.ModuleRelationError("[h_i, x_j] relation failed")
+
+
+def _with_generator(mod, series, idx, new):
+    gens = {"e": list(mod.e), "f": list(mod.f), "h": list(mod.h)}
+    gens[series][idx] = new
+    return rm.GModule(mod.rs, mod.space, tuple(gens["e"]), tuple(gens["f"]), tuple(gens["h"]),
+                      mod.basis_weights, mod.name, mod.highest_weight)
+
+
+class TestRelationCheck:
+    @pytest.fixture(scope="class")
+    def modules(self, roster):
+        return [roster.std, roster.A, roster.B, roster.C, roster.D]
+
+    def test_certified_modules_pass_both_forms(self, modules):
+        for mod in modules:
+            rm.verify_relations(mod)
+            _relations_by_commutators(mod)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_wrong_weight_entry_raises_in_both_forms(self, modules, data):
+        mod = data.draw(st.sampled_from(modules))
+        series = data.draw(st.sampled_from(["e", "f"]))
+        j = data.draw(st.integers(0, mod.rs.rank - 1))
+        x = getattr(mod, series)[j]
+        sign = 1 if series == "e" else -1
+        root = [sign * mod.rs.cartan.a[i][j] for i in range(mod.rs.rank)]
+        wts, par = mod.basis_weights, mod.space.parities
+        wrong = [(a, b) for a in range(mod.dim) for b in range(mod.dim)
+                 if par[a] == (par[b] + x.parity) % 2
+                 and [wa - wb for wa, wb in zip(wts[a], wts[b])] != root]
+        a, b = data.draw(st.sampled_from(wrong))
+        value = data.draw(st.sampled_from([F(1), F(-2), F(3, 5)]))
+        ent = dict(x.entries)
+        ent[(a, b)] = ent.get((a, b), 0) + value
+        broken = _with_generator(mod, series, j, sl.SuperMap(mod.space, mod.space, x.parity, ent))
+        with pytest.raises(rm.ModuleRelationError, match=rf"\[h_\d+, x_{j}\] relation failed"):
+            rm.verify_relations(broken)
+        with pytest.raises(rm.ModuleRelationError):
+            _relations_by_commutators(broken)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rescaled_h_raises_in_both_forms(self, modules, data):
+        mod = data.draw(st.sampled_from(modules))
+        i = data.draw(st.integers(0, mod.rs.rank - 1))
+        c = data.draw(st.sampled_from([F(0), F(2), F(-1), F(1, 3)]))
+        if mod.h[i].is_zero():
+            return
+        broken = _with_generator(mod, "h", i, c * mod.h[i])
+        with pytest.raises(rm.ModuleRelationError):
+            rm.verify_relations(broken)
+        with pytest.raises(rm.ModuleRelationError):
+            _relations_by_commutators(broken)
+
+
+# -- Hom spaces by Frobenius reciprocity ----------------------------------------------
+
+
+def _flat_span(maps):
+    reducer = RowReducer()
+    for m in maps:
+        reducer.add({i * m.domain.dim + j: v for (i, j), v in m.entries.items()})
+    return reducer
+
+
+def _same_span(got, want):
+    reducer = _flat_span(want)
+    return len(got) == len(want) == len(reducer) and all(
+        reducer.contains({i * m.domain.dim + j: v for (i, j), v in m.entries.items()})
+        for m in got
+    )
+
+
+_KAC = {}
+
+
+def _kac(m, n, coords):
+    """A cached Kac module of sl(m|n)."""
+    from supertrace.rootdata import build_root_system
+
+    key = (m, n, coords)
+    if key not in _KAC:
+        _KAC[key] = rm.kac_module(build_root_system("sl", m, n), weight(*coords))
+    return _KAC[key]
+
+
+# Typical finite-dominant weights: natural a_i (i != s) and a half-integer a_s.
+SL21_WEIGHTS = st.tuples(st.integers(0, 2), st.sampled_from([F(-3, 2), F(1, 2), F(5, 2)]))
+SL31_WEIGHTS = st.tuples(st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+                         st.sampled_from([F(-5, 2), F(1, 2), F(3, 2)])).map(lambda t: (*t[0], t[1]))
+
+
+@st.composite
+def kac_hom_pair(draw):
+    """(U, V) with a Kac module on at least one side, the other Kac, K (x) std or std."""
+    m = draw(st.sampled_from([2, 3]))
+    weights = SL21_WEIGHTS if m == 2 else SL31_WEIGHTS
+    K = _kac(m, 1, draw(weights))
+    K2 = _kac(m, 1, draw(weights))
+    std = rm.standard_module(K.rs)
+    other = draw(st.sampled_from(["kac", "kac(x)std", "std", "same"]))
+    if other == "same":
+        other = K
+    elif other == "kac":
+        other = K2
+    elif other == "std":
+        other = std
+    else:
+        other = rm.tensor_module(K2, std, check=False)
+    return (K, other) if draw(st.booleans()) else (other, K)
+
+
+class TestReciprocityRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(pair=kac_hom_pair(), parity=st.sampled_from([0, 1, None]))
+    def test_matches_generic_solve(self, pair, parity):
+        U, V = pair
+        assert rm._kac_vector(U) is not None or rm._kac_vector(V) is not None
+        got = rm.hom_space(U, V, parity)
+        want = [m for p in ((0, 1) if parity is None else (parity,))
+                for m in rm._hom_generic(U, V, p)]
+        assert _same_span(got, want)
+        for fmap in got:
+            assert fmap.domain == U.space and fmap.codomain == V.space
+            assert parity is None or fmap.parity == parity
+            assert rm._check_g_linear(fmap, U, V)
+
+    def test_kac_domain_and_codomain_in_a_witness(self, roster):
+        # The alpha maps land in the certified module, the beta maps leave it.
+        B, A = roster.B, roster.A
+        V0W = roster.wB_via_A.V0W
+        for U, V in ((V0W, B), (B, V0W)):
+            assert rm._kac_vector(U if U is B else V) == 0
+            assert _same_span(rm.hom_space(U, V, 0), rm._hom_generic(U, V, 0))
+
+    def test_end_of_kac_module_is_the_identity(self, roster):
+        for K in (roster.A, roster.B, _kac(3, 1, (1, 0, F(1, 2)))):
+            assert rm.hom_space(K, K, 0) == [sl.identity(K.space)]
+            assert rm.hom_space(K, K, 1) == []
+
+    def test_odd_highest_weight_vector(self, roster):
+        # A parity-shifted Kac module with its highest weight recorded is
+        # certified too; d is odd and every map picks up the odd signs.
+        D = roster.D
+        shifted = rm.GModule(D.rs, D.space, D.e, D.f, D.h, D.basis_weights, D.name,
+                             roster.A.highest_weight)
+        assert shifted.space.parities[rm._kac_vector(shifted)] == 1
+        for U, V in ((shifted, roster.A), (roster.A, shifted), (shifted, roster.C),
+                     (roster.C, shifted)):
+            for parity in (0, 1):
+                got = rm.hom_space(U, V, parity)
+                assert _same_span(got, rm._hom_generic(U, V, parity))
+                assert all(rm._check_g_linear(m, U, V) for m in got)
+
+    def test_certificate_negatives_take_the_generic_route(self, roster, monkeypatch):
+        A = roster.A
+        wrong_weight = rm.GModule(A.rs, A.space, A.e, A.f, A.h, A.basis_weights, "K(0,1)?",
+                                  weight(0, 2))
+        negatives = [
+            roster.C,  # recorded weight (1,1) is typical, but dim 12 is not dim K(1,1) = 8
+            roster.D,  # parity shift: no recorded highest weight
+            rm.dual_module(A),
+            wrong_weight,  # no basis vector has the recorded weight
+            rm.trivial_module(A.rs),  # atypical
+        ]
+        assert roster.C.highest_weight == weight(1, 1) and roster.rs.is_typical(weight(1, 1))
+        expected = {id(U): (rm.hom_space(U, U, 0), rm.hom_space(U, roster.std, 1))
+                    for U in negatives}
+
+        def no_route(*args):
+            raise AssertionError("the reciprocity route ran on an uncertified module")
+
+        monkeypatch.setattr(rm, "_induced_maps", no_route)
+        for U in negatives:
+            assert rm._kac_vector(U) is None
+            assert (rm.hom_space(U, U, 0), rm.hom_space(U, roster.std, 1)) == expected[id(U)]
+            assert expected[id(U)][0] == rm._hom_generic(U, U, 0)
+
+    def test_words_that_do_not_span_raise(self, roster):
+        A = roster.A
+        no_f = tuple(sl.zero_map(A.space, A.space, x.parity) for x in A.f)
+        fake = rm.GModule(A.rs, A.space, A.e, no_f, A.h, A.basis_weights, "fake",
+                          A.highest_weight)
+        assert rm._kac_vector(fake) == 0
+        with pytest.raises(rm.ModuleRelationError, match="span 1 of 4"):
+            rm.hom_space(fake, A, 0)
+
+
+def _singular_vectors_by_scan(V):
+    """The entry-scanning form of singular_vectors."""
+    by_weight = {}
+    for i in range(V.dim):
+        by_weight.setdefault(V.basis_weights[i], []).append(i)
+    out = []
+    for cols in by_weight.values():
+        rows = {}
+        for gidx, x in enumerate(V.e):
+            for t, j in enumerate(cols):
+                for (i2, j2), v in x.entries.items():
+                    if j2 == j:
+                        rows.setdefault((gidx, i2), {})[t] = v
+        out += [{cols[t]: v for t, v in vec.items()} for vec in nullspace(rows.values(), len(cols))]
+    return out
+
+
+def test_singular_vectors_match_the_scan(roster):
+    for V in (roster.std, roster.A, roster.B, roster.C, rm.tensor_module(roster.A, roster.A)):
+        assert rm.singular_vectors(V) == _singular_vectors_by_scan(V)
