@@ -74,7 +74,7 @@ def main() -> int:
             [it.extended_form(adj, x.coords, N, y.coords, N) for y in elems]
             for x in elems
         ]
-        modified = [[it.modified_form(adj, x, y) for y in elems] for x in elems]
+        modified = it.modified_gram(adj, elems, elems)
         print(f"  classical Gram: {fmt_gram(classical)}")
         print(f"  modified  Gram: {fmt_gram(modified)}")
 

@@ -82,11 +82,13 @@ from .invtensor import (
     build_adjoint,
     classical_form_vanishes,
     extended_form,
+    form_adjoint,
     invariant_tensors,
     it_space,
     modified_form,
+    modified_gram,
+    permutation_map,
     sn_action,
-    sn_action_map,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

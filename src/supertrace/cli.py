@@ -20,6 +20,8 @@ from .rootdata import AtypicalWeightError, RootDataError, RootSystem, Weight, bu
 
 USAGE_ERROR = 2
 CACHE_ENV = "SUPERTRACE_CACHE_DIR"
+# g^(x)6 of sl(2|1) has dimension 262,144: refuse it before any work starts.
+MAX_DEGREE = 5
 
 
 @dataclass
@@ -192,8 +194,10 @@ def cmd_verify(args, out) -> int:
     from .suites import run_verification
 
     family, dims = parse_algebra_spec(args.algebra)
-    if args.max_degree < 2:
-        raise UsageError(f"--max-degree must be at least 2, got {args.max_degree}")
+    if not 2 <= args.max_degree <= MAX_DEGREE:
+        raise UsageError(
+            f"--max-degree must be between 2 and {MAX_DEGREE}, got {args.max_degree}"
+        )
     if (family, dims) != ("sl", (2, 1)) and args.suite in ("trace", "tensors", "all"):
         raise UsageError(
             "the trace and tensors suites run on the sl(2|1) roster; use --algebra sl21"

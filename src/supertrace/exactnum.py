@@ -22,6 +22,16 @@ class SeriesValuationError(ArithmeticError):
     """Series division whose leading-zero structure makes the quotient undefined."""
 
 
+def int_if_whole(x):
+    """x as an int when it is a whole number, else unchanged.
+
+    Inner loops of exact sparse arithmetic use it on entries that are mostly
+    +-1: ints multiply and add without the gcd work of a Fraction, and the
+    value is the same rational either way.
+    """
+    return x.numerator if x.denominator == 1 else x
+
+
 def rat_str(x: Fraction) -> str:
     """Render a rational as 'p' or 'p/q'."""
     x = Fraction(x)

@@ -3,14 +3,17 @@
 For sl(m|n) the adjoint representation is realized on the supertrace-zero
 matrices; the invariant even supersymmetric form is the supertrace form of
 the defining representation, b(x, y) = str(xy).  Degree-N invariant tensors
-are exact kernels of the generator actions on tensor powers.  The subspaces
-reachable from witnessed modules (images of coevaluations under g-linear maps
-into tensor powers) carry a second bilinear form built from the modified
-supertrace; elements of those subspaces keep their presentations (module,
-map, witness) so the form can be evaluated and its presentation independence
-checked.  Both forms and the symmetric group action work on coordinates; the
-g^(x)N-sized map-composition route (dualizing_map, sn_action_map,
-pairing_as_composite) is kept as an independent oracle.
+are exact kernels of the generator actions on tensor powers, applied factor
+by factor on coordinates.  The subspaces reachable from witnessed modules
+(images of coevaluations under g-linear maps into tensor powers) carry a
+second bilinear form built from the modified supertrace; elements of those
+subspaces keep their presentations (module, map, witness) so the form can be
+evaluated and its presentation independence checked.  The reachable maps
+come from Frobenius reciprocity through the adjunction
+Hom(V (x) V*, g^(x)N) = Hom(V, g^(x)N (x) V); both forms, form adjoints and
+the symmetric group action work on coordinates.  The g^(x)N-sized
+map-composition route (dualizing_map, pairing_as_composite) is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -19,15 +22,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import superlin as sl
+from .exactnum import int_if_whole
 from .linalg import RowReducer
 from .mtrace import modified_trace
-from .repmod import (
+from .repmod import (  # hom_space stays bound here for callers that read invtensor.hom_space
+    FactorwiseAction,
     GModule,
     IdealWitness,
     _check_g_linear,
+    _induced_maps,
+    _kac_vector,
+    _killed,
     dual_module,
-    hom_space,
-    invariant_vectors,
+    hom_space,  # noqa: F401
     tensor_module,
 )
 from .rootdata import RootSystem
@@ -54,6 +61,7 @@ class AdjointData:
     b: SuperMap
     b_inv: SuperMap
     _powers: dict = field(default_factory=dict, repr=False)
+    _spaces: dict = field(default_factory=dict, repr=False)
 
     @property
     def gdim(self) -> int:
@@ -73,6 +81,18 @@ class AdjointData:
                 mod = tensor_module(mod, self.module, check=False)
             self._powers[N] = mod
         return mod
+
+    def power_space(self, N: int) -> SuperSpace:
+        """The super-space of the N-th tensor power (memoized), without its module."""
+        if N < 1:
+            raise ValueError("tensor degree must be at least 1")
+        space = self._spaces.get(N)
+        if space is None:
+            space = self.module.space
+            for _ in range(N - 1):
+                space = sl.tensor_space(space, self.module.space)
+            self._spaces[N] = space
+        return space
 
 
 def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
@@ -188,14 +208,16 @@ def invariant_tensors(adj: AdjointData, N: int, cap: int = 4):
     """Bases of the even and odd invariant tensors of degree N.
 
     Returns (even_basis, odd_basis) as sparse coordinate vectors over the
-    lexicographic basis of the N-th adjoint tensor power.  The odd basis is
-    empty for these algebras; it is computed rather than assumed so the
-    evenness statement is a checked result.
+    lexicographic basis of the N-th adjoint tensor power: the weight-zero
+    vectors that every e_i and f_i kills, acting factor by factor.  The odd
+    basis is empty for these algebras; it is computed rather than assumed so
+    the evenness statement is a checked result.
     """
     if N > cap:
         raise ValueError(f"degree {N} exceeds the configured cap {cap}")
-    power = adj.power(N)
-    return invariant_vectors(power, 0), invariant_vectors(power, 1)
+    action = FactorwiseAction((adj.module,) * N)
+    zero = (0,) * adj.rs.rank
+    return tuple(_killed(action, "ef", action.indices(zero, p)) for p in (0, 1))
 
 
 def _digits(flat: int, N: int, gdim: int) -> list[int]:
@@ -206,33 +228,10 @@ def _digits(flat: int, N: int, gdim: int) -> list[int]:
     return digits
 
 
-def power_action_apply(adj: AdjointData, N: int, gen: SuperMap, coords: dict) -> dict:
-    """Apply a generator to a degree-N coordinate vector without building g^N maps.
-
-    Acts factorwise with the Koszul sign of the generator against the parities
-    of the leading factors.
-    """
-    gdim = adj.gdim
-    par = adj.module.space.parities
-    by_col: dict[int, list] = {}
-    for (i, j), v in gen.entries.items():
-        by_col.setdefault(j, []).append((i, v))
-    out: dict[int, Fraction] = {}
-    for flat, c in coords.items():
-        lead_parity = 0
-        for pos, d in enumerate(_digits(flat, N, gdim)):
-            sign = -1 if (gen.parity and lead_parity % 2) else 1
-            place = gdim ** (N - 1 - pos)
-            for i, v in by_col.get(d, ()):
-                key = flat + (i - d) * place
-                out[key] = out.get(key, 0) + sign * v * c
-            lead_parity += par[d]
-    return sl.nonzero(out)
-
-
 def is_invariant(adj: AdjointData, N: int, coords: dict) -> bool:
-    gens = adj.module.e + adj.module.f + adj.module.h
-    return all(not power_action_apply(adj, N, g, coords) for g in gens)
+    """Whether every generator kills the degree-N tensor ``coords``."""
+    action = FactorwiseAction((adj.module,) * N)
+    return all(not action.apply(kind, i, coords) for kind in "efh" for i in range(adj.rs.rank))
 
 
 def tensor_coords(u: dict, v: dict, vdim: int) -> dict:
@@ -250,13 +249,25 @@ def dual_coords(adj: AdjointData, N: int, coords: dict) -> dict:
     E_pq meets only E_qp and a Cartan factor only Cartan elements); the iota
     chain adds the Koszul sign (-1)^{sum_{i<k} p_i p_k}.
     """
+    return _partner_walk(adj, N, coords, _partners(adj, adj.b))
+
+
+def _partners(adj: AdjointData, form: SuperMap) -> list[list]:
+    """Column d of the even form map (b or b_inv) as [(c, value)], whole values as ints."""
+    partners: list[list] = [[] for _ in range(adj.gdim)]
+    for (c, d), v in form.entries.items():
+        partners[d].append((c, int_if_whole(v)))
+    return partners
+
+
+def _partner_walk(adj: AdjointData, N: int, coords: dict, partners: list[list]) -> dict:
+    """The walk of ``dual_coords`` over precomputed partners."""
     gdim = adj.gdim
     par = adj.module.space.parities
-    partners = [[(c, v) for c, v in enumerate(row) if v] for row in adj.gram]
     out: dict[int, Fraction] = {}
     for flat, coeff in coords.items():
         # (index of the partner so far, product, sign exponent), last factor first.
-        terms = [(0, coeff, 0)]
+        terms = [(0, 1, 0)]
         place = 1
         tail = 0  # parity of the factors after the current one
         for _ in range(N):
@@ -266,7 +277,7 @@ def dual_coords(adj: AdjointData, N: int, coords: dict) -> dict:
             place *= gdim
             tail += par[d]
         for r, prod, exp in terms:
-            out[r] = out.get(r, 0) + (-prod if exp % 2 else prod)
+            out[r] = out.get(r, 0) + (-prod if exp % 2 else prod) * coeff
     return sl.nonzero(out)
 
 
@@ -315,23 +326,42 @@ class ITSubspace:
     raw: tuple[PresentedTensor, ...]       # everything produced, with duplicates
 
 
-def coev_coords(V: GModule) -> dict:
-    return {i * V.dim + i: Fraction(1) for i in range(V.dim)}
-
-
 def presented_tensor(adj: AdjointData, N: int, w: IdealWitness, f: SuperMap) -> PresentedTensor:
-    coords = f.apply(coev_coords(w.V))
-    return PresentedTensor(N, coords, f, w)
+    """f(coev_V(1)): the sum of f's columns i d + i, the multiples of d + 1."""
+    coords: dict[int, Fraction] = {}
+    step = w.V.dim + 1
+    for (r, c), v in f.entries.items():
+        if c % step == 0:
+            coords[r] = coords.get(r, 0) + v
+    return PresentedTensor(N, sl.nonzero(coords), f, w)
 
 
 def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace:
-    """Span the degree-N tensors reachable from the witnessed probe modules."""
-    power = adj.power(N)
+    """Span the degree-N tensors reachable from the witnessed probe modules.
+
+    By adjunction Hom(V (x) V*, g^(x)N) = Hom(V, g^(x)N (x) V): each g-linear
+    g: V -> g^(x)N (x) V presents f = (Id (x) ev_right_V) . (g (x) Id_{V*}),
+    that is f[x, j d + k] = (-1)^{p_k} g[x d + k, j] with d = dim V.  Every
+    probe must be a certified Kac module (ValueError otherwise), so the maps
+    g come from Frobenius reciprocity on the factorwise action of
+    g^(x)N (x) V; neither side is built as a module.
+    """
+    codomain = adj.power_space(N)
     raw: list[PresentedTensor] = []
     for w in probes:
-        vv = tensor_module(w.V, dual_module(w.V, check=False), check=False)
-        for f in hom_space(vv, power, 0):
-            raw.append(presented_tensor(adj, N, w, f))
+        V = w.V
+        d = _kac_vector(V)
+        if d is None:
+            raise ValueError(f"probe {V.name} is not a certified Kac module")
+        domain = sl.tensor_space(V.space, sl.dual_space(V.space))
+        target = FactorwiseAction((adj.module,) * N + (V,))
+        par = V.space.parities
+        for g in _induced_maps(V, d, target, 0):
+            ent = {}
+            for (row, j), v in g.items():
+                x, k = divmod(row, V.dim)
+                ent[(x, j * V.dim + k)] = -v if par[k] else v
+            raw.append(presented_tensor(adj, N, w, SuperMap(domain, codomain, 0, ent)))
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
     return ITSubspace(N, tuple(independent), tuple(raw))
@@ -371,7 +401,7 @@ def it_product(
 ) -> PresentedTensor:
     """Present t_inv (x) t1 (t_inv any invariant tensor) through t1's module."""
     # k (x) D and D share one basis, so the tensor product maps t1.f's domain.
-    f = sl.tensor_map(sl.column_map(adj.power(m_deg).space, t_inv), t1.f)
+    f = sl.tensor_map(sl.column_map(adj.power_space(m_deg), t_inv), t1.f)
     return presented_tensor(adj, m_deg + t1.degree, t1.witness, f)
 
 
@@ -397,31 +427,13 @@ def _iota_chain(adj: AdjointData, N: int) -> SuperMap:
     return out
 
 
-def _invert_diag(m: SuperMap) -> SuperMap:
-    ent = {}
-    for (i, j), v in m.entries.items():
-        if i != j:
-            raise ValueError("not a diagonal map")
-        ent[(i, j)] = 1 / v
-    return SuperMap(m.codomain, m.domain, m.parity, ent)
-
-
 def dualizing_map(adj: AdjointData, N: int) -> SuperMap:
     """b~ = iota . b^(x)N: g^(x)N -> (g^(x)N)*, the form as an isomorphism."""
     return _iota_chain(adj, N) @ _b_power(adj, N)
 
 
-def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> SuperMap:
-    """The endomorphism of t1's module classifying the pairing against t2.
-
-    The composite ev_right . (Id (x) (c^-1 . unpack . f1* . b~ . t2)) turns an
-    element of Hom(k, V1* (x) V1) into End(V1); its modified trace gives the
-    value of the modified form.  It is read off coordinates: psi = f1*(b~(t2))
-    in one pass over f1's entries, then endo[j, a] = +-psi[a d + j] with the
-    diagonal signs of unpack, c^-1 and ev_right.
-    """
-    sl.column_map(t1.f.codomain, t2_coords)  # t2 must be an even vector of g^(x)N
-    phi = dual_coords(adj, t1.degree, t2_coords)
+def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:
+    """The endomorphism of t1's module classifying the pairing against b~^-1(phi)."""
     psi: dict[int, Fraction] = {}
     for (r, c), v in t1.f.entries.items():
         x = phi.get(r)
@@ -437,14 +449,63 @@ def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> Su
     return SuperMap._of(vspace, vspace, 0, ent)
 
 
+def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> SuperMap:
+    """The endomorphism of t1's module classifying the pairing against t2.
+
+    The composite ev_right . (Id (x) (c^-1 . unpack . f1* . b~ . t2)) turns an
+    element of Hom(k, V1* (x) V1) into End(V1); its modified trace gives the
+    value of the modified form.  It is read off coordinates: psi = f1*(b~(t2))
+    in one pass over f1's entries, then endo[j, a] = +-psi[a d + j] with the
+    diagonal signs of unpack, c^-1 and ev_right.
+    """
+    sl.column_map(t1.f.codomain, t2_coords)  # t2 must be an even vector of g^(x)N
+    return _endo_of_covector(t1, dual_coords(adj, t1.degree, t2_coords))
+
+
+def modified_gram(
+    adj: AdjointData, rows: list[PresentedTensor], cols: list[PresentedTensor]
+) -> list[list[Fraction]]:
+    """The modified form on every pair (x, y), x in rows and y in cols.
+
+    Each column tensor is dualized once, not once per pair; pairs of
+    different degree pair to 0.
+    """
+    phis = []
+    for y in cols:
+        sl.column_map(adj.power_space(y.degree), y.coords)  # an even vector of g^(x)N
+        phis.append(dual_coords(adj, y.degree, y.coords))
+    return [[modified_trace(_endo_of_covector(x, phi), x.witness) if x.degree == y.degree
+             else Fraction(0) for y, phi in zip(cols, phis)] for x in rows]
+
+
 def modified_form(
     adj: AdjointData, t1: PresentedTensor, t2: PresentedTensor
 ) -> Fraction:
     """The modified bilinear form on presented invariant tensors."""
-    if t1.degree != t2.degree:
-        return Fraction(0)
-    endo = presented_endo(adj, t1, t2.coords)
-    return modified_trace(endo, t1.witness)
+    return modified_gram(adj, [t1], [t2])[0][0]
+
+
+def classical_gram(
+    adj: AdjointData, rows: list[PresentedTensor], cols: list[dict]
+) -> list[list[tuple[Fraction, Fraction]]]:
+    """The classical pairing of each x in rows against each tensor of cols, by both routes.
+
+    Entry (x, t2) is (extended-form value, supertrace of the presented
+    endomorphism); the two agree, and both vanish when t2 is invariant.  All
+    tensors share one degree, and each is dualized once.
+    """
+    if len({x.degree for x in rows}) > 1:
+        raise ValueError("rows of different degree")
+    N = rows[0].degree if rows else 1
+    row_phis = [dual_coords(adj, N, x.coords) for x in rows]
+    col_phis = []
+    for t2 in cols:
+        sl.column_map(adj.power_space(N), t2)  # t2 must be an even vector of g^(x)N
+        col_phis.append(dual_coords(adj, N, t2))
+    return [[(sum((phi[r] * c for r, c in t2.items() if r in phi), Fraction(0)),
+              sl.supertrace(_endo_of_covector(x, col_phi)))
+             for t2, col_phi in zip(cols, col_phis)]
+            for x, phi in zip(rows, row_phis)]
 
 
 def classical_form_routes(
@@ -455,9 +516,7 @@ def classical_form_routes(
     Returns (extended-form value, supertrace of the presented endomorphism);
     the two agree, and both vanish when t2 is invariant.
     """
-    value_ext = extended_form(adj, t1.coords, t1.degree, t2_coords, t1.degree)
-    value_str = sl.supertrace(presented_endo(adj, t1, t2_coords))
-    return value_ext, value_str
+    return classical_gram(adj, [t1], [t2_coords])[0][0]
 
 
 def classical_form_vanishes(
@@ -480,7 +539,7 @@ def pairing_as_composite(
     adj: AdjointData, t1_coords: dict, t2_coords: dict, N: int
 ) -> Fraction:
     """<t1* . b~ . t2> computed purely by map composition (for cross-checks)."""
-    space = adj.power(N).space
+    space = adj.power_space(N)
     t1 = sl.column_map(space, t1_coords)
     t2 = sl.column_map(space, t2_coords)
     comp = sl.super_transpose(t1) @ dualizing_map(adj, N) @ t2
@@ -503,34 +562,15 @@ def _adjacent_swaps(N: int, perm: tuple[int, ...]) -> list[int]:
     return swaps
 
 
-def sn_action_map(adj: AdjointData, N: int, perm: tuple[int, ...]) -> SuperMap:
-    """The signed action of a permutation on the degree-N power.
+def _permuter(adj: AdjointData, N: int, perm: tuple[int, ...]):
+    """The signed action of a permutation on basis indices of g^(x)N, memoized.
 
-    ``perm[i]`` is the slot the i-th factor moves to; built from adjacent
-    super permutations, so all Koszul signs come from the primitive tau.
-    """
-    g = adj.module.space
-    out = sl.identity(adj.power(N).space)
-    for i in _adjacent_swaps(N, perm):
-        left = adj.power(i).space if i else sl.UNIT
-        right = adj.power(N - i - 2).space if N - i - 2 else sl.UNIT
-        swap = sl.tensor_many(sl.identity(left), sl.super_permutation(g, g), sl.identity(right))
-        out = swap @ out
-    return out
-
-
-def sn_action(
-    adj: AdjointData, N: int, perm: tuple[int, ...], t: PresentedTensor
-) -> PresentedTensor:
-    """Apply a permutation to a presented tensor, keeping a valid presentation.
-
-    ``sn_action_map`` is a signed permutation of basis indices: each index
-    takes the same adjacent swaps, with the sign (-1)^{p p'} at each.
+    ``perm[i]`` is the slot the i-th factor moves to.  Each index takes the
+    adjacent swaps that bubble-sort perm, with the sign (-1)^{p p'} of the
+    super permutation at each: flat -> (index, sign).
     """
     swaps = _adjacent_swaps(N, perm)
     gdim = adj.gdim
-    if t.f.codomain.dim != gdim ** N:
-        raise ValueError(f"tensor of degree {t.degree} under a permutation of {N} slots")
     par = adj.module.space.parities
     moved: dict[int, tuple[int, int]] = {}
 
@@ -544,6 +584,31 @@ def sn_action(
             moved[flat] = (sum(d * gdim ** (N - 1 - k) for k, d in enumerate(digits)), sign)
         return moved[flat]
 
+    return move
+
+
+def permutation_map(adj: AdjointData, N: int, perm: tuple[int, ...]) -> SuperMap:
+    """The signed action of a permutation on the degree-N power, as a map."""
+    move = _permuter(adj, N, perm)
+    space = adj.power_space(N)
+    ent = {}
+    for c in range(space.dim):
+        new, sign = move(c)
+        ent[(new, c)] = Fraction(sign)
+    return SuperMap._of(space, space, 0, ent)
+
+
+def sn_action(
+    adj: AdjointData, N: int, perm: tuple[int, ...], t: PresentedTensor
+) -> PresentedTensor:
+    """Apply a permutation to a presented tensor, keeping a valid presentation.
+
+    The coordinates and the rows of the presenting map take the signed index
+    permutation of ``permutation_map``.
+    """
+    move = _permuter(adj, N, perm)
+    if t.f.codomain.dim != adj.gdim ** N:
+        raise ValueError(f"tensor of degree {t.degree} under a permutation of {N} slots")
     coords, ent = {}, {}
     for flat, v in t.coords.items():
         new, sign = move(flat)
@@ -555,14 +620,32 @@ def sn_action(
     return PresentedTensor(N, sl.nonzero(coords), f, t.witness)
 
 
-def adjoint_via_form(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:
-    """The adjoint of G: g^(x)M -> g^(x)N with respect to the extended form."""
-    bm_inv = adj.b_inv
-    binv_pow = bm_inv
-    for _ in range(m_deg - 1):
-        binv_pow = sl.tensor_map(binv_pow, bm_inv)
-    iota_m_inv = _invert_diag(_iota_chain(adj, m_deg))
-    return binv_pow @ iota_m_inv @ sl.super_transpose(G) @ dualizing_map(adj, n_deg)
+def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:
+    """The adjoint G* = b~_M^-1 . G^T . b~_N of G: g^(x)M -> g^(x)N for the extended form.
+
+    Built column by column on coordinates: the covector b~_N(e_c) of each
+    basis tensor of g^(x)N, pulled back through the super transpose of G
+    (G's entries read by row, with the sign (-1)^{p(G) p(row)}), then sent
+    through b~_M^-1 = b_inv^(x)M . iota^-1 by the partner walk of
+    ``dual_coords`` with b_inv's partners: iota is a diagonal sign, its own
+    inverse, and the even form keeps every factor's parity.
+    """
+    if (G.domain.dim, G.codomain.dim) != (adj.gdim ** m_deg, adj.gdim ** n_deg):
+        raise ValueError(f"map is not g^(x){m_deg} -> g^(x){n_deg}")
+    by_row: dict[int, list] = {}
+    for (i, j), v in G.entries.items():
+        v = int_if_whole(v)
+        by_row.setdefault(i, []).append((j, -v if G.parity and G.codomain.parities[i] else v))
+    forward, backward = _partners(adj, adj.b), _partners(adj, adj.b_inv)
+    ent = {}
+    for c in range(G.codomain.dim):
+        pulled: dict[int, Fraction] = {}
+        for i, x in _partner_walk(adj, n_deg, {c: 1}, forward).items():
+            for j, v in by_row.get(i, ()):
+                pulled[j] = pulled.get(j, 0) + v * x
+        for r, v in _partner_walk(adj, m_deg, pulled, backward).items():  # drops zeros
+            ent[(r, c)] = v
+    return SuperMap(G.codomain, G.domain, G.parity, ent)
 
 
 def pairing_map(adj: AdjointData) -> SuperMap:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import superlin as sl
-from .exactnum import rat_str
+from .exactnum import int_if_whole, rat_str
 from .linalg import RowReducer, nullspace
 from .rootdata import RootSystem, Weight
 from .superlin import SuperMap, SuperSpace
@@ -447,31 +447,42 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
                 out[(mask | (1 << c)) * dim_v0 + k] = -v if below % 2 else v
         return out
 
-    def act(x: dict, px: int, mask: int, k: int) -> dict[int, Fraction]:
-        if not x:
-            return {}
-        if mask == 0:
-            out: dict[int, Fraction] = {}
+    def act(chains: dict, acted: dict, chain: tuple, mask: int, k: int) -> dict[int, Fraction]:
+        """The commutator chain [[x, y_c1], y_c2]... applied to basis vector (mask, k).
+
+        ``chains`` memoizes each chain of the generator x as (matrix, parity),
+        ``acted`` each result by (chain, mask, k); cached dicts are never mutated.
+        """
+        key = (chain, mask, k)
+        if key in acted:
+            return acted[key]
+        if chain not in chains:
+            x, px = chains[chain[:-1]]
+            chains[chain] = (sl.mat_scomm(x, px, ys[chain[-1]], 1), (px + 1) % 2)
+        x, px = chains[chain]
+        out: dict[int, Fraction] = {}
+        if x and mask == 0:
             even_part: dict[tuple[int, int], Fraction] = {}
             for (p, q), v in x.items():
                 if p >= m and q < m:  # odd lowering block: wedge on a new factor
                     c = q * n + (p - m)
-                    key = (1 << c) * dim_v0 + k
-                    out[key] = out.get(key, 0) + v
+                    idx = (1 << c) * dim_v0 + k
+                    out[idx] = out.get(idx, 0) + v
                 elif (p < m) == (q < m):
                     even_part[(p, q)] = v
                 # odd raising block annihilates the vacuum factor
             if even_part:
                 for idx, v in even_apply(even_part, k).items():
                     out[idx] = out.get(idx, 0) + v
-            return sl.nonzero(out)
-        c = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << c)
-        out = act(sl.mat_scomm(x, px, ys[c], 1), (px + 1) % 2, rest, k)
-        sign = -1 if px else 1
-        for idx, v in wedge(c, act(x, px, rest, k)).items():
-            out[idx] = out.get(idx, 0) + sign * v
-        return sl.nonzero(out)
+        elif x:
+            c = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << c)
+            out = dict(act(chains, acted, chain + (c,), rest, k))
+            sign = -1 if px else 1
+            for idx, v in wedge(c, act(chains, acted, chain, rest, k)).items():
+                out[idx] = out.get(idx, 0) + sign * v
+        acted[key] = out = sl.nonzero(out)
+        return out
 
     dim = (1 << mn) * dim_v0
     parities = tuple(
@@ -490,11 +501,13 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
 
     def generator_map(kind: str, i: int) -> SuperMap:
         mat, par = std_matrix(kind, i)
+        chains: dict[tuple, tuple[dict, int]] = {(): (mat, par)}
+        acted: dict[tuple, dict[int, Fraction]] = {}
         ent: dict[tuple[int, int], Fraction] = {}
         for mask in range(1 << mn):
             for k in range(dim_v0):
                 col = mask * dim_v0 + k
-                for row, v in act(mat, par, mask, k).items():
+                for row, v in act(chains, acted, (), mask, k).items():
                     ent[(row, col)] = v
         return SuperMap(space, space, par, ent)
 
@@ -560,12 +573,15 @@ def _kac_dim(rs: RootSystem, lam: Weight) -> int:
 
 
 def _columns(x: SuperMap, transpose: bool = False) -> dict[int, list]:
-    """The entries of x, or of its plain transpose, grouped as column -> [(row, value)]."""
+    """The entries of x, or of its plain transpose, grouped as column -> [(row, value)].
+
+    Whole values are stored as ints (see ``int_if_whole``).
+    """
     cols: dict[int, list] = {}
     for (i, j), v in x.entries.items():
         if transpose:
             i, j = j, i
-        cols.setdefault(j, []).append((i, v))
+        cols.setdefault(j, []).append((i, int_if_whole(v)))
     return cols
 
 
@@ -573,18 +589,113 @@ def _apply(cols: dict[int, list], vec: dict) -> dict[int, Fraction]:
     """A column-indexed matrix (see ``_columns``) applied to a sparse column vector."""
     out: dict[int, Fraction] = {}
     for j, x in vec.items():
+        x = int_if_whole(x)
         for i, v in cols.get(j, ()):
             out[i] = out.get(i, 0) + v * x
     return sl.nonzero(out)
 
 
-def _killed(ops: list[dict], support: list[int]) -> list[dict[int, Fraction]]:
-    """A basis of the vectors on the basis indices ``support`` that every column-indexed op kills."""
+class FactorwiseAction:
+    """The Chevalley generators acting on coordinates of M_1 (x) ... (x) M_k.
+
+    x . (v_1 (x) ... (x) v_k) is the sum over positions pos of
+    (-1)^{p(x) (p(v_1) + ... + p(v_{pos-1}))} v_1 (x) ... (x) x.v_pos (x) ... (x) v_k,
+    in the left-factor-major basis of ``tensor_space``.  Each generator acts
+    through the columns of its factor matrices, so no map of the product is
+    built.  With ``transpose`` every generator acts by its plain transpose;
+    the signs stay, since the factors left of pos do not move.
+    """
+
+    def __init__(self, factors, transpose: bool = False):
+        self.factors = tuple(factors)
+        self.transpose = transpose
+        self.rs = self.factors[0].rs
+        if any(M.rs != self.rs for M in self.factors):
+            raise ValueError("tensor factors must live over the same algebra")
+        self.dims = [M.dim for M in self.factors]
+        self.places = [1] * len(self.dims)
+        for pos in range(len(self.dims) - 2, -1, -1):
+            self.places[pos] = self.places[pos + 1] * self.dims[pos + 1]
+        self.parities = [M.space.parities for M in self.factors]
+        self.gen_parity = [x.parity for x in self.factors[0].e]
+        self._cols: dict[tuple[str, int], list] = {}  # filled on first use
+
+    def _factor_columns(self, kind: str, i: int) -> list[dict[int, list]]:
+        """The columns of ``kind``_i on each factor, computed once per distinct module."""
+        key = (kind, i)
+        if key not in self._cols:
+            by_module: dict[int, dict] = {}
+            for M in self.factors:
+                if id(M) not in by_module:
+                    by_module[id(M)] = _columns(getattr(M, kind)[i], self.transpose)
+            self._cols[key] = [by_module[id(M)] for M in self.factors]
+        return self._cols[key]
+
+    def apply(self, kind: str, i: int, vec: dict) -> dict[int, Fraction]:
+        """The generator ``kind``_i ("e", "f" or "h") applied to a sparse vector."""
+        factor_cols = self._factor_columns(kind, i)
+        if len(factor_cols) == 1:
+            return _apply(factor_cols[0], vec)
+        odd = kind != "h" and self.gen_parity[i]
+        steps = list(zip(factor_cols, self.places, self.dims, self.parities))
+        out: dict[int, Fraction] = {}
+        for flat, c in vec.items():
+            c, lead = int_if_whole(c), 0
+            for cols, place, dim, par in steps:
+                d = flat // place % dim
+                for row, v in cols.get(d, ()):
+                    key = flat + (row - d) * place
+                    out[key] = out.get(key, 0) + (-v if odd and lead else v) * c
+                lead ^= par[d]
+        return sl.nonzero(out)
+
+    def indices(self, wt: tuple, parity: int) -> list[int]:
+        """The basis indices of weight ``wt`` and the given parity, ascending.
+
+        The factors are split in two halves, and each half's basis is grouped
+        by weight; the two tables meet at complementary weights.
+        """
+        if len(self.factors) == 1:
+            M = self.factors[0]
+            return [j for j, w in enumerate(M.basis_weights)
+                    if w == wt and M.space.parities[j] == parity]
+        half = len(self.factors) // 2
+        left, right = _weight_table(self.factors[:half]), _weight_table(self.factors[half:])
+        rdim = self.places[half - 1]
+        out = []
+        for wl, lefts in left.items():
+            rights = right.get(tuple(a - b for a, b in zip(wt, wl)), ())
+            out += [a * rdim + b for a, pa in lefts for b, pb in rights if pa ^ pb == parity]
+        return sorted(out)
+
+
+def _weight_table(factors) -> dict[tuple, list[tuple[int, int]]]:
+    """Weight -> [(index, parity)] over the basis of the tensor product of ``factors``."""
+    table = {(0,) * factors[0].rs.rank: [(0, 0)]}
+    for M in factors:
+        nxt: dict[tuple, list[tuple[int, int]]] = {}
+        for w, entries in table.items():
+            for j, (wj, pj) in enumerate(zip(M.basis_weights, M.space.parities)):
+                key = tuple(a + b for a, b in zip(w, wj))
+                nxt.setdefault(key, []).extend((a * M.dim + j, p ^ pj) for a, p in entries)
+        table = nxt
+    return table
+
+
+def _killed(action: FactorwiseAction, kinds: str, support: list[int]) -> list[dict[int, Fraction]]:
+    """A basis of the vectors on the basis indices ``support`` killed by every generator of ``kinds``.
+
+    ``kinds`` names the generator series, e.g. "e" for singular vectors or
+    "ef" for invariants.
+    """
+    if not support:
+        return []
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for g, cols in enumerate(ops):
-        for t, j in enumerate(support):
-            for i, v in cols.get(j, ()):
-                rows.setdefault((g, i), {})[t] = v
+    for kind in kinds:
+        for g in range(action.rs.rank):
+            for t, j in enumerate(support):
+                for i, v in action.apply(kind, g, {j: 1}).items():
+                    rows.setdefault((kind, g, i), {})[t] = v
     return [{support[t]: v for t, v in vec.items()} for vec in nullspace(rows.values(), len(support))]
 
 
@@ -608,25 +719,24 @@ def _kac_vector(U: GModule) -> int | None:
     return top[0]
 
 
-def _induced_maps(K: GModule, d: int, V: GModule, parity: int, transpose: bool = False):
-    """The g-linear maps K -> V out of the certified Kac module K, as {(row, col): value} dicts.
+def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int):
+    """The g-linear maps K -> target out of the certified Kac module K, as {(row, col): value} dicts.
 
     Frobenius reciprocity: a map F is fixed by v = F(d), any weight-mu vector
-    of V of parity p(d) + p(F) that every e_i kills, and
-    F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in V the f-words that span K
-    from d.  With ``transpose`` the same core runs on the plain transposes of
-    all generators, which obey the same rule: it returns the transposes of
-    the maps V -> K, rows killed by every f_i and spread by the e_i.
+    of the target of parity p(d) + p(F) that every e_i kills, and
+    F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in the target the f-words
+    that span K from d.  The target is any factorwise action, so a tensor
+    product is never built as a module.  When the target acts by transposes
+    the same core gives the transposes of the maps target -> K: rows killed
+    by every f_i and spread by the e_i.
     """
-    kill, spread_v, spread_k = (V.f, V.e, K.e) if transpose else (V.e, V.f, K.f)
-    cols = lambda xs: [_columns(x, transpose) for x in xs]
-    p_v = (K.space.parities[d] + parity) % 2
-    support = [i for i, w in enumerate(V.basis_weights)
-               if w == K.highest_weight.a and V.space.parities[i] == p_v]
-    singular = _killed(cols(kill), support)
+    kill, spread = ("f", "e") if target.transpose else ("e", "f")
+    source = FactorwiseAction((K,), target.transpose)
+    # A transient action for the kill system, so its columns are freed before the replay.
+    singular = _killed(FactorwiseAction(target.factors, target.transpose), kill,
+                       target.indices(K.highest_weight.a, (K.space.parities[d] + parity) % 2))
     if not singular:
         return []
-    spread_k, spread_v = cols(spread_k), cols(spread_v)
     reducer = RowReducer()
     reducer.add({d: Fraction(1)})
     vecs, words = [{d: Fraction(1)}], [None]
@@ -634,8 +744,8 @@ def _induced_maps(K: GModule, d: int, V: GModule, parity: int, transpose: bool =
     while frontier and len(reducer) < K.dim:
         nxt = []
         for k in frontier:
-            for g, x in enumerate(spread_k):
-                image = _apply(x, vecs[k])
+            for g in range(K.rs.rank):
+                image = source.apply(spread, g, vecs[k])
                 if image and reducer.add(image):
                     nxt.append(len(vecs))
                     vecs.append(image)
@@ -646,12 +756,13 @@ def _induced_maps(K: GModule, d: int, V: GModule, parity: int, transpose: bool =
             f"{K.name}: words from the highest weight vector span {len(reducer)} of {K.dim}"
         )
     signs = [-1 if parity and x.parity else 1 for x in K.e]
-    basis = [reducer.coords({j: Fraction(1)}) for j in range(K.dim)]
+    basis = [{k: int_if_whole(c) for k, c in reducer.coords({j: 1}).items()}
+             for j in range(K.dim)]
     out = []
     for v in singular:
         images = [v]
         for k, g in words[1:]:
-            image = _apply(spread_v[g], images[k])
+            image = target.apply(spread, g, images[k])
             images.append({i: signs[g] * c for i, c in image.items()})
         ent: dict[tuple[int, int], Fraction] = {}
         for j, coords in enumerate(basis):
@@ -682,11 +793,12 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     d = _kac_vector(U)
     if d is not None:
         return [SuperMap(U.space, V.space, parity, ent)
-                for ent in _induced_maps(U, d, V, parity)]
+                for ent in _induced_maps(U, d, FactorwiseAction((V,)), parity)]
     d = _kac_vector(V)
     if d is not None:
+        target = FactorwiseAction((U,), transpose=True)
         return [SuperMap(U.space, V.space, parity, {(i, j): v for (j, i), v in ent.items()})
-                for ent in _induced_maps(V, d, U, parity, transpose=True)]
+                for ent in _induced_maps(V, d, target, parity)]
     return _hom_generic(U, V, parity)
 
 
@@ -744,8 +856,8 @@ def singular_vectors(V: GModule) -> list[dict[int, Fraction]]:
     by_weight: dict[tuple, list[int]] = {}
     for i in range(V.dim):
         by_weight.setdefault(V.basis_weights[i], []).append(i)
-    raising = [_columns(x) for x in V.e]
-    return [vec for cols in by_weight.values() for vec in _killed(raising, cols)]
+    action = FactorwiseAction((V,))
+    return [vec for cols in by_weight.values() for vec in _killed(action, "e", cols)]
 
 
 def submodule_dimension(V: GModule, seeds) -> int:

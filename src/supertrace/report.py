@@ -58,8 +58,13 @@ def info(check_id: str, detail: str, **inputs) -> CheckResult:
     return CheckResult(check_id, True, "(recorded)", detail, {k: str(v) for k, v in inputs.items()})
 
 
-def report_dict(suite: str, algebra: str, results: list[CheckResult], timings: dict) -> dict:
-    """The report; ``timings`` maps a phase to its wall seconds (rounded to 1 ms)."""
+def report_dict(
+    suite: str, algebra: str, results: list[CheckResult], timings: dict, run: dict
+) -> dict:
+    """The report; ``timings`` maps a phase to its wall seconds (rounded to 1 ms).
+
+    ``run`` records how the report was made (see ``suites.run_verification``).
+    """
     failed = [r.check_id for r in results if not r.passed]
     return {
         "suite": suite,
@@ -70,6 +75,7 @@ def report_dict(suite: str, algebra: str, results: list[CheckResult], timings: d
         "failed_checks": failed,
         "pass": not failed,
         "timings": {k: round(v, 3) for k, v in timings.items()},
+        "run": run,
     }
 
 

@@ -42,13 +42,25 @@ class Roster:
     wB_via_A: rm.IdealWitness
     wC: rm.IdealWitness
     wD: rm.IdealWitness
+    cache: dict  # Kac module cache lookups: hits, misses, writes
 
 
 def build_roster(cache_dir: str | None = None) -> Roster:
     rs = build_root_system("sl", 2, 1)
     std = rm.standard_module(rs)
-    A = rm.cached_kac_module(rs, weight(0, 1), cache_dir)
-    B = rm.cached_kac_module(rs, weight(1, 1), cache_dir)
+    cache = {"hits": 0, "misses": 0, "writes": 0}
+
+    def kac(lam):
+        path = rm.kac_cache_path(cache_dir, rs, lam) if cache_dir else None
+        existed = path is not None and os.path.exists(path)
+        mod = rm.cached_kac_module(rs, lam, cache_dir)
+        if path is not None:
+            cache["hits" if existed else "misses"] += 1
+            cache["writes"] += not existed and os.path.exists(path)
+        return mod
+
+    A = kac(weight(0, 1))
+    B = kac(weight(1, 1))
     C = rm.tensor_module(A, std)
     D = rm.parity_shift_module(A)
     wA = rm.trivial_witness(A)
@@ -59,6 +71,7 @@ def build_roster(cache_dir: str | None = None) -> Roster:
         rm.ideal_witness(B, A),
         rm.witness_tensor(wA, std),
         rm.witness_parity_shift(wA),
+        cache,
     )
 
 
@@ -364,9 +377,8 @@ def suite_tensors(
     kernel_ok = True
     routes_ok = True
     for N in degrees:
-        for t in spaces[N].elements:
-            for tp in even_bases[N]:
-                ve, vs = it.classical_form_routes(adj, t, tp)
+        for row in it.classical_gram(adj, spaces[N].elements, even_bases[N]):
+            for ve, vs in row:
                 routes_ok = routes_ok and ve == vs
                 kernel_ok = kernel_ok and ve == 0
     out.append(check_true("tensors.kernel-property", kernel_ok,
@@ -412,7 +424,7 @@ def suite_tensors(
     grams = {}
     for N in degrees:
         elems = spaces[N].elements
-        gram = [[it.modified_form(adj, x, y) for y in elems] for x in elems]
+        gram = it.modified_gram(adj, elems, elems)
         grams[N] = gram
         for i in range(len(elems)):
             for j in range(len(elems)):
@@ -422,6 +434,12 @@ def suite_tensors(
     nonzero = any(v for gram in grams.values() for row in gram for v in row)
     out.append(check_true("tensors.modified-form-nonzero", nonzero,
                           f"degree-2 Gram {[[rat_str(v) for v in r] for r in grams.get(2, [])]}"))
+    for N in degrees:
+        rank = RowReducer()
+        for row in grams[N]:
+            rank.add({j: v for j, v in enumerate(row) if v})
+        out.append(info(f"tensors.modified-gram-rank-degree-{N}",
+                        f"rank {len(rank)} of {len(grams[N])}"))
     classical = {
         N: [it.extended_form(adj, x.coords, N, y.coords, N)
             for x in spaces[N].elements for y in spaces[N].elements]
@@ -444,22 +462,20 @@ def suite_tensors(
         )
         if zero_partner is not None:
             second = it.it_sum(adj, t, zero_partner, 0)
-            indep_ok = indep_ok and second.coords == t.coords
-            for other in spaces[2].elements:
-                indep_ok = indep_ok and (
-                    it.modified_form(adj, t, other) == it.modified_form(adj, second, other)
-                    and it.modified_form(adj, other, t) == it.modified_form(adj, other, second)
-                )
+            elems = spaces[2].elements
+            rows = it.modified_gram(adj, [t, second], elems)
+            cols = it.modified_gram(adj, elems, [t, second])
+            indep_ok = (second.coords == t.coords and rows[0] == rows[1]
+                        and all(a == b for a, b in cols))
     dup_pairs = 0
     for N in degrees:
-        seen: list[it.PresentedTensor] = []
-        for cand in spaces[N].raw:
-            for prior in seen:
-                if prior.coords == cand.coords and prior.f is not cand.f and cand.coords:
-                    dup_pairs += 1
-                    for other in spaces[N].elements:
-                        indep_ok = indep_ok and it.modified_form(adj, prior, other) == it.modified_form(adj, cand, other)
-            seen.append(cand)
+        pairs = [(prior, cand) for k, cand in enumerate(spaces[N].raw) if cand.coords
+                 for prior in spaces[N].raw[:k]
+                 if prior.coords == cand.coords and prior.f is not cand.f]
+        dup_pairs += len(pairs)
+        involved = list({id(t): t for pair in pairs for t in pair}.values())
+        rows = dict(zip(map(id, involved), it.modified_gram(adj, involved, spaces[N].elements)))
+        indep_ok = indep_ok and all(rows[id(a)] == rows[id(b)] for a, b in pairs)
     out.append(check_true("tensors.presentation-independence", indep_ok,
                           f"checked a direct-sum re-presentation and {dup_pairs} duplicate pairs"))
 
@@ -485,10 +501,7 @@ def suite_tensors(
         product = it.it_product(adj, tprime, 2, t1p)
         expected = it.tensor_coords(tprime, t1p.coords, adj.gdim ** 2)
         prod_ok = product.coords == expected and product.degree == 4
-        gens = adj.module.e + adj.module.f + adj.module.h
-        prod_ok = prod_ok and all(
-            not it.power_action_apply(adj, 4, g, product.coords) for g in gens
-        )
+        prod_ok = prod_ok and it.is_invariant(adj, 4, product.coords)
     out.append(check_true("tensors.closure-product", prod_ok,
                           "invariant (x) reachable lands invariantly in degree 4"))
 
@@ -502,8 +515,7 @@ def suite_tensors(
         elems = spaces[N].elements
         for perm in permutations(range(N)):
             moved = [it.sn_action(adj, N, perm, t) for t in elems]
-            gram_after = [[it.modified_form(adj, x, y) for y in moved] for x in moved]
-            perm_ok = perm_ok and gram_after == grams[N]
+            perm_ok = perm_ok and it.modified_gram(adj, moved, moved) == grams[N]
     out.append(check_true("tensors.permutation-orthogonality", perm_ok,
                           "S2 and S3 preserve the modified Gram matrices"))
 
@@ -514,25 +526,18 @@ def suite_tensors(
             continue
         elems = spaces[N].elements
         for perm in permutations(range(N)):
-            pmap = it.sn_action_map(adj, N, perm)
-            pstar = it.adjoint_via_form(adj, pmap, N, N)
-            for x in elems:
-                moved = it.sn_action(adj, N, perm, x)
-                for y in elems:
-                    pulled = it.presented_tensor(
-                        adj, N, y.witness, pstar @ y.f
-                    )
-                    lhs = it.modified_form(adj, moved, y)
-                    rhs = it.modified_form(adj, x, pulled)
-                    adj_ok = adj_ok and lhs == rhs
+            # G* comes from the form, not from the inverse permutation.
+            pstar = it.form_adjoint(adj, it.permutation_map(adj, N, perm), N, N)
+            moved = [it.sn_action(adj, N, perm, x) for x in elems]
+            pulled = [it.presented_tensor(adj, N, y.witness, pstar @ y.f) for y in elems]
+            adj_ok = adj_ok and it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled)
     if max_degree >= 2 and spaces[2].elements:
-        G = sl.column_map(adj.power(2).space, it.casimir_coords(adj)) @ it.pairing_map(adj)
-        Gstar = it.adjoint_via_form(adj, G, 2, 2)
-        for x in spaces[2].elements:
-            for y in spaces[2].elements:
-                moved = it.PresentedTensor(2, G.apply(x.coords), G @ x.f, x.witness)
-                pulled = it.presented_tensor(adj, 2, y.witness, Gstar @ y.f)
-                adj_ok = adj_ok and it.modified_form(adj, moved, y) == it.modified_form(adj, x, pulled)
+        G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
+        Gstar = it.form_adjoint(adj, G, 2, 2)
+        elems = spaces[2].elements
+        moved = [it.PresentedTensor(2, G.apply(x.coords), G @ x.f, x.witness) for x in elems]
+        pulled = [it.presented_tensor(adj, 2, y.witness, Gstar @ y.f) for y in elems]
+        adj_ok = adj_ok and it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled)
     out.append(check_true("tensors.functorial-adjoint", adj_ok,
                           "(G t1, t2)' = (t1, G* t2)' for permutations and contraction-insertion"))
     return out
@@ -566,8 +571,13 @@ def run_verification(
     ``<suite>.raised`` and the other suites still run; the suites that need
     the roster are skipped when it could not be built.  The report's
     ``timings`` block holds the wall seconds of the roster build and of each
-    suite that ran.
+    suite that ran.  Its ``run`` block records how it was run: seed, max
+    degree, algebra, package and module construction versions, and the Kac
+    module cache hits, misses and writes of the roster build (all 0 when no
+    roster was needed, null when its build failed).
     """
+    from . import __version__
+
     wanted = list(SUITES) if "all" in suites else [s for s in SUITES if s in suites]
     results: list[CheckResult] = []
     timings: dict[str, float] = {}
@@ -596,4 +606,13 @@ def run_verification(
             except Exception as exc:
                 results.append(_raised(name, exc))
             timings[name] = time.perf_counter() - start
-    return report_dict("+".join(wanted), algebra, results, timings)
+    run = {
+        "seed": seed,
+        "max_degree": max_degree,
+        "algebra": algebra,
+        "version": __version__,
+        "construction_version": rm.CONSTRUCTION_VERSION,
+        "cache": roster.cache if roster is not None else (
+            None if "roster" in timings else {"hits": 0, "misses": 0, "writes": 0}),
+    }
+    return report_dict("+".join(wanted), algebra, results, timings, run)

@@ -113,13 +113,14 @@ class SuperMap:
         if self.parity not in (0, 1):
             raise ValueError("map parity must be 0 or 1")
         clean = {}
+        rows, cols = self.codomain.parities, self.domain.parities
         for (i, j), v in self.entries.items():
             v = Fraction(v)
             if v == 0:
                 continue
-            if not (0 <= i < self.codomain.dim and 0 <= j < self.domain.dim):
+            if not (0 <= i < len(rows) and 0 <= j < len(cols)):
                 raise ValueError(f"entry ({i},{j}) out of range")
-            if self.codomain.parities[i] != (self.domain.parities[j] + self.parity) % 2:
+            if rows[i] != (cols[j] + self.parity) % 2:
                 raise ValueError(
                     f"entry ({i},{j}) violates homogeneity for parity {self.parity}"
                 )

@@ -10,6 +10,7 @@ from itertools import permutations
 
 import pytest
 
+import oracles
 from conftest import rand_combination
 from supertrace import invtensor as it
 from supertrace import mtrace as mt
@@ -257,7 +258,7 @@ def test_criterion_10_modified_form(adj, it_spaces):
     for N in (2, 3):
         elems = it_spaces[N].elements
         for perm in permutations(range(N)):
-            pmap = it.sn_action_map(adj, N, perm)
+            pmap = oracles.sn_action_map(adj, N, perm)
             moved = [
                 it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
                 for t in elems

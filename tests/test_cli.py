@@ -191,6 +191,36 @@ class TestVerify:
         assert list(json.loads(text.splitlines()[0])["timings"]) == ["superlin"]
 
 
+class TestRunBlock:
+    def test_header_and_report_record_how_the_run_was_made(self, tmp_path):
+        import supertrace
+        from supertrace.repmod import CONSTRUCTION_VERSION
+
+        cache, path = tmp_path / "cache", tmp_path / "report.json"
+        argv = ("verify", "--suite", "tensors", "--max-degree", "2", "--seed", "11",
+                "--cache-dir", str(cache), "--format", "json", "--report", str(path))
+        runs = []
+        for _ in range(2):
+            code, text = run_cli(*argv)
+            assert code == 0
+            header = json.loads(text.splitlines()[0])
+            assert {"suite", "algebra", "total", "failed", "failed_checks", "pass",
+                    "timings"} <= set(header)
+            assert json.loads(path.read_text())["run"] == header["run"]
+            runs.append(header["run"])
+        first, second = runs
+        assert first == {"seed": 11, "max_degree": 2, "algebra": "sl21",
+                         "version": supertrace.__version__,
+                         "construction_version": CONSTRUCTION_VERSION,
+                         "cache": {"hits": 0, "misses": 2, "writes": 2}}
+        assert second["cache"] == {"hits": 2, "misses": 0, "writes": 0}
+
+    def test_no_cache_and_no_roster(self):
+        code, text = run_cli("verify", "--suite", "superlin", "--format", "json")
+        assert json.loads(text.splitlines()[0])["run"]["cache"] == {"hits": 0, "misses": 0,
+                                                                     "writes": 0}
+
+
 class TestVerifyFailures:
     @staticmethod
     def checks_of(text):
@@ -278,6 +308,18 @@ class TestBadInput:
         code, _ = run_cli(*argv)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("degree", ["6", "7", "40"])
+    def test_max_degree_above_the_cap_exits_before_any_suite(self, degree, capsys, monkeypatch):
+        from supertrace import suites
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(suites, "run_verification", no_run)
+        code, _ = run_cli("verify", "--suite", "tensors", "--max-degree", degree)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --max-degree must be between 2 and 5")
 
 
 ALGEBRAS = st.sampled_from([

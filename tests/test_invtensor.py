@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from supertrace import invtensor as it
 from supertrace import repmod as rm
 from supertrace import superlin as sl
+from supertrace.linalg import RowReducer
+from supertrace.rootdata import weight
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +220,8 @@ class TestReachableSubspace:
         assert prod.degree == 4
         assert prod.coords == it.tensor_coords(even2[0], t1.coords, adj.gdim ** 2)
         for g in adj.module.e + adj.module.f + adj.module.h:
-            assert not it.power_action_apply(adj, 4, g, prod.coords)
+            assert not oracles.power_action_apply(adj, 4, g, prod.coords)
+        assert it.is_invariant(adj, 4, prod.coords)
 
 
 class TestModifiedForm:
@@ -260,8 +264,8 @@ def _presented_endo_oracle(adj, t1, t2_coords):
     t2 = sl.column_map(t1.f.codomain, t2_coords)
     vspace = t1.module.space
     dual_v = sl.dual_space(vspace)
-    unpack = it._invert_diag(sl.dual_tensor_iso(vspace, dual_v))
-    c_inv = it._invert_diag(sl.double_dual_iso(vspace))
+    unpack = oracles.invert_diag(sl.dual_tensor_iso(vspace, dual_v))
+    c_inv = oracles.invert_diag(sl.double_dual_iso(vspace))
     s = (sl.tensor_map(sl.identity(dual_v), c_inv) @ unpack @ sl.super_transpose(t1.f)
          @ it.dualizing_map(adj, t1.degree) @ t2)
     inner = sl.tensor_map(sl.identity(vspace), s)
@@ -271,7 +275,7 @@ def _presented_endo_oracle(adj, t1, t2_coords):
 
 def _sn_action_oracle(adj, N, perm, t):
     """Reference permutation action: compose with the map of adjacent super swaps."""
-    pmap = it.sn_action_map(adj, N, perm)
+    pmap = oracles.sn_action_map(adj, N, perm)
     return it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
 
 
@@ -361,9 +365,9 @@ class TestCoordinateRoutes:
 
 class TestSymmetricGroup:
     def test_identity_and_transposition(self, adj, basis_pos):
-        ident = it.sn_action_map(adj, 2, (0, 1))
+        ident = it.permutation_map(adj, 2, (0, 1))
         assert ident == sl.identity(adj.power(2).space)
-        swap = it.sn_action_map(adj, 2, (1, 0))
+        swap = it.permutation_map(adj, 2, (1, 0))
         assert swap == sl.super_permutation(adj.module.space, adj.module.space)
         e1, f1 = basis_pos[(0, 1)], basis_pos[(1, 0)]
         image = swap.apply({e1 * adj.gdim + f1: F(1)})
@@ -381,15 +385,16 @@ class TestSymmetricGroup:
     def test_action_is_g_linear(self, adj):
         power = adj.power(3)
         for perm in ((1, 0, 2), (2, 0, 1)):
-            pmap = it.sn_action_map(adj, 3, perm)
+            pmap = it.permutation_map(adj, 3, perm)
+            assert pmap == oracles.sn_action_map(adj, 3, perm)
             assert rm._check_g_linear(pmap, power, power)
 
 
 class TestFunctorialAdjoint:
     def test_adjoint_identity_for_extended_form(self, adj):
         rng = random.Random(23)
-        G = it.sn_action_map(adj, 3, (2, 0, 1))
-        Gstar = it.adjoint_via_form(adj, G, 3, 3)
+        G = it.permutation_map(adj, 3, (2, 0, 1))
+        Gstar = it.form_adjoint(adj, G, 3, 3)
         for _ in range(5):
             t1 = random_even_tensor(adj, 3, rng)
             t2 = random_even_tensor(adj, 3, rng)
@@ -400,7 +405,7 @@ class TestFunctorialAdjoint:
     def test_adjoint_identity_for_modified_form(self, adj, spaces):
         G = sl.column_map(adj.power(2).space, it.casimir_coords(adj)) @ it.pairing_map(adj)
         G = sl.SuperMap(adj.power(2).space, adj.power(2).space, 0, dict(G.entries))
-        Gstar = it.adjoint_via_form(adj, G, 2, 2)
+        Gstar = it.form_adjoint(adj, G, 2, 2)
         elems = spaces[2].elements
         for x in elems:
             moved = it.PresentedTensor(2, G.apply(x.coords), G @ x.f, x.witness)
@@ -462,3 +467,219 @@ class TestOtherAlgebra:
         scale = evr.entries[key] / funcs[0].entries[key]
         assert scale * funcs[0] == sl.SuperMap(VV.space, sl.UNIT, 0, dict(evr.entries))
         assert sl.scalar_of(sl.ev_right(K.space) @ sl.coev(K.space)) == 0
+
+
+# -- reachable tensors by adjunction, against the generic solve --------------------
+
+def _span(vectors):
+    reducer = RowReducer()
+    for v in vectors:
+        reducer.add(v)
+    return reducer
+
+
+def _same_span(xs, ys):
+    sx, sy = _span(xs), _span(ys)
+    return len(sx) == len(sy) and all(sx.contains(y) for y in ys) and all(sy.contains(x) for x in xs)
+
+
+def _flat_entries(f):
+    return {r * f.domain.dim + c: v for (r, c), v in f.entries.items()}
+
+
+@pytest.fixture(scope="module")
+def adjunction_cases(roster, adj, rs31, adj31):
+    K = rm.kac_module(rs31, weight(0, 0, 1))
+    cases = {("sl21", w.V.name, N): (adj, w) for w in (roster.wA, roster.wB_via_A)
+             for N in (1, 2, 3)}
+    cases.update({("sl31", K.name, N): (adj31, rm.trivial_witness(K)) for N in (1, 2)})
+    return cases
+
+
+@pytest.fixture(scope="module")
+def routes():
+    """Per case: both it_space results, and whether they agree."""
+    return {}
+
+
+def _both_routes(routes, key, adj, w):
+    if key not in routes:
+        routes[key] = (it.it_space(adj, key[2], [w]), oracles.it_space_generic(adj, key[2], [w]))
+    return routes[key]
+
+
+def _routes_agree(routes, key, adj, w):
+    """Hom dimension, reachable dimension, span of the maps and of the tensors."""
+    if ("agree", key) not in routes:
+        got, want = _both_routes(routes, key, adj, w)
+        routes[("agree", key)] = (
+            len(got.raw) == len(want.raw),
+            len(got.elements) == len(want.elements),
+            _same_span([_flat_entries(t.f) for t in got.raw],
+                       [_flat_entries(t.f) for t in want.raw]),
+            _same_span([t.coords for t in got.raw if t.coords],
+                       [t.coords for t in want.raw if t.coords]),
+        )
+    return routes[("agree", key)]
+
+
+class TestAdjunctionRoute:
+    """it_space through Hom(V, g^(x)N (x) V) against the generic Hom(V (x) V*, g^(x)N) solve."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_matches_generic_solve(self, adjunction_cases, routes, data):
+        key = data.draw(st.sampled_from(sorted(adjunction_cases)))
+        assert _routes_agree(routes, key, *adjunction_cases[key]) == (True, True, True, True)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_presenting_maps_are_g_linear(self, adjunction_cases, routes, data):
+        key = data.draw(st.sampled_from(sorted(adjunction_cases)))
+        adj_, w = adjunction_cases[key]
+        got, _ = _both_routes(routes, key, adj_, w)
+        N, V = key[2], w.V
+        vv = rm.tensor_module(V, rm.dual_module(V, check=False), check=False)
+        t = data.draw(st.sampled_from(got.raw))
+        assert t.f.parity == 0 and t.f.domain == vv.space
+        assert rm._check_g_linear(t.f, vv, adj_.power(N))
+        assert t.coords == t.f.apply({i * V.dim + i: 1 for i in range(V.dim)})  # f(coev(1))
+
+    def test_sl31_small_probe_reaches_nothing_at_degree_two(self, adjunction_cases, routes):
+        key = next(k for k in adjunction_cases if k[0] == "sl31" and k[2] == 2)
+        got, want = _both_routes(routes, key, *adjunction_cases[key])
+        assert got.raw and not got.elements
+        assert len(want.raw) == len(got.raw) and not want.elements
+
+    def test_degree_four(self, roster, adj):
+        # Both raw sets are bases of the Hom space: equal counts and coordinate
+        # spans here; the maps' spans and g-linearity are compared at degree <= 3.
+        got = it.it_space(adj, 4, [roster.wA])
+        want = oracles.it_space_generic(adj, 4, [roster.wA])
+        assert len(got.raw) == len(want.raw) == 86
+        assert len(got.elements) == len(want.elements) == 9
+        assert _same_span([t.coords for t in got.raw if t.coords],
+                          [t.coords for t in want.raw if t.coords])
+        V = roster.wA.V
+        vv = rm.tensor_module(V, rm.dual_module(V, check=False), check=False)
+        for t in got.raw[::40]:
+            assert rm._check_g_linear(t.f, vv, adj.power(4))
+
+    def test_probe_that_is_not_a_kac_module_raises(self, roster, adj):
+        for w in (roster.wC, roster.wD):
+            assert rm._kac_vector(w.V) is None
+            with pytest.raises(ValueError, match="not a certified Kac module"):
+                it.it_space(adj, 2, [roster.wA, w])
+
+
+class TestFactorwiseAction:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from("efh"), st.integers(0, 1), st.data())
+    def test_power_matches_generator_matrices(self, adj, N, kind, i, data):
+        coords = random_even_tensor(adj, N, random.Random(data.draw(st.integers(0, 10**6))))
+        gen = getattr(adj.module, kind)[i]
+        action = rm.FactorwiseAction((adj.module,) * N)
+        assert action.apply(kind, i, coords) == oracles.power_action_apply(adj, N, gen, coords)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from("efh"), st.integers(0, 1), st.booleans(), st.data())
+    def test_mixed_factors_match_the_tensor_module(self, roster, kind, i, transpose, data):
+        factors = (roster.A, roster.std, roster.B)
+        action = rm.FactorwiseAction(factors, transpose)
+        mod = rm.tensor_module(rm.tensor_module(roster.A, roster.std), roster.B)
+        x = getattr(mod, kind)[i]
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        vec = {rng.randrange(mod.dim): F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)}
+        vec = {k: v for k, v in vec.items() if v}
+        if transpose:  # the plain transpose, no super signs
+            x = sl.SuperMap(x.domain, x.codomain, x.parity,
+                            {(j, r): v for (r, j), v in x.entries.items()})
+        assert action.apply(kind, i, vec) == x.apply(vec)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_indices_by_weight(self, roster, parity):
+        factors = (roster.A, roster.std, roster.B)
+        mod = rm.tensor_module(rm.tensor_module(roster.A, roster.std), roster.B)
+        action = rm.FactorwiseAction(factors)
+        for wt in set(mod.basis_weights):
+            assert action.indices(wt, parity) == [
+                j for j, w in enumerate(mod.basis_weights)
+                if w == wt and mod.space.parities[j] == parity]
+
+
+# -- form adjoints and Grams on coordinates ----------------------------------------
+
+
+def _contraction_insertion(adj):
+    """g (x) g -> g (x) g: contract with the form, insert the Casimir."""
+    space = adj.power_space(2)
+    G = sl.column_map(space, it.casimir_coords(adj)) @ it.pairing_map(adj)
+    return sl.SuperMap(space, space, 0, dict(G.entries))
+
+
+def _casimir_insertion(adj):
+    """g -> g^(x)3, x |-> Casimir (x) x."""
+    cas = sl.column_map(adj.power_space(2), it.casimir_coords(adj))
+    return sl.tensor_map(cas, sl.identity(adj.module.space))
+
+
+class TestFormAdjoint:
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_permutations_match_the_map_route(self, adj, data):
+        N = data.draw(st.sampled_from([1, 2, 3]))
+        perm = tuple(data.draw(st.permutations(range(N))))
+        G = it.permutation_map(adj, N, perm)
+        assert G == oracles.sn_action_map(adj, N, perm)
+        assert it.form_adjoint(adj, G, N, N) == oracles.adjoint_via_form(adj, G, N, N)
+
+    def test_contraction_insertion_matches_the_map_route(self, adj):
+        G = _contraction_insertion(adj)
+        assert it.form_adjoint(adj, G, 2, 2) == oracles.adjoint_via_form(adj, G, 2, 2)
+
+    def test_degree_changing_map_matches_the_map_route(self, adj):
+        G = _casimir_insertion(adj)
+        Gstar = it.form_adjoint(adj, G, 1, 3)
+        assert Gstar.domain == adj.power_space(3) and Gstar.codomain == adj.module.space
+        assert Gstar == oracles.adjoint_via_form(adj, G, 1, 3)
+
+    def test_adjoint_of_a_permutation_is_not_built_from_the_inverse(self, adj):
+        # The adjoint is read off the form: with b scaled, G* moves by the scale ratio.
+        import dataclasses
+
+        G = it.permutation_map(adj, 2, (1, 0))
+        scaled = dataclasses.replace(adj, b=2 * adj.b)
+        assert it.form_adjoint(scaled, G, 2, 2) == 4 * it.form_adjoint(adj, G, 2, 2)
+
+    def test_shape_mismatch_raises(self, adj):
+        with pytest.raises(ValueError):
+            it.form_adjoint(adj, _contraction_insertion(adj), 1, 2)
+
+
+class TestGramsDualizeOncePerColumn:
+    def test_modified_gram_equals_pairwise_forms(self, adj, spaces, monkeypatch):
+        rows = list(spaces[2].raw[:4]) + list(spaces[3].elements)
+        cols = list(spaces[2].elements) + list(spaces[3].raw[:3])
+        pairwise = [[it.modified_form(adj, x, y) for y in cols] for x in rows]
+        calls = []
+        walk = it.dual_coords
+        monkeypatch.setattr(it, "dual_coords", lambda *a, **k: calls.append(1) or walk(*a, **k))
+        assert it.modified_gram(adj, rows, cols) == pairwise
+        assert len(calls) == len(cols)
+
+    def test_classical_gram_equals_pairwise_routes(self, adj, spaces, monkeypatch):
+        even, _ = it.invariant_tensors(adj, 3)
+        rng = random.Random(24)
+        cols = even + [random_even_tensor(adj, 3, rng) for _ in range(3)]
+        rows = list(spaces[3].raw[:5])
+        pairwise = [[(it.extended_form(adj, x.coords, 3, t2, 3),
+                      sl.supertrace(it.presented_endo(adj, x, t2))) for t2 in cols] for x in rows]
+        calls = []
+        walk = it.dual_coords
+        monkeypatch.setattr(it, "dual_coords", lambda *a, **k: calls.append(1) or walk(*a, **k))
+        assert it.classical_gram(adj, rows, cols) == pairwise
+        assert len(calls) == len(rows) + len(cols)
+
+    def test_classical_gram_rejects_mixed_degrees(self, adj, spaces):
+        with pytest.raises(ValueError):
+            it.classical_gram(adj, [spaces[2].elements[0], spaces[3].elements[0]], [])

@@ -630,3 +630,25 @@ def _singular_vectors_by_scan(V):
 def test_singular_vectors_match_the_scan(roster):
     for V in (roster.std, roster.A, roster.B, roster.C, rm.tensor_module(roster.A, roster.A)):
         assert rm.singular_vectors(V) == _singular_vectors_by_scan(V)
+
+
+# sha256 of the save_gmodule bytes of Kac modules built before their commutator
+# chains were memoized: the memoized induction must give the same modules.
+KAC_DIGESTS = {
+    (2, 1, (0, 1)): "cde6e604de052f9d0beb2d012c78456339cd2dd69cd52ebb9c49f46d4fd9e768",
+    (2, 1, (1, 1)): "d24560fee53e9924af8aa6fffc41e6e84a3efcb6345473edcc2c8eb86651785d",
+    (3, 1, (1, 0, F(1, 2))): "2e52916493a9b043f093f6730412aa608ac7c75016d04a75495f4b504a8bdc3e",
+    (3, 2, (1, 0, F(1, 2), 0)): "23696952726a717e2cafcfb68bf2d4198fd7af0919c31ff9a0cb0e6f052d2c6e",
+}
+
+
+@pytest.mark.parametrize("key", sorted(KAC_DIGESTS, key=str), ids=str)
+def test_kac_module_bytes_are_pinned(key, tmp_path):
+    import hashlib
+
+    from supertrace.rootdata import build_root_system
+
+    m, n, coords = key
+    path = tmp_path / "kac.jsonl"
+    rm.save_gmodule(rm.kac_module(build_root_system("sl", m, n), weight(*coords)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == KAC_DIGESTS[key]
