@@ -98,8 +98,7 @@ def _emit_rows(rows: list[dict], headers: list[str], fmt: str, out) -> None:
         out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
-def cmd_root_data(cfg: RunConfig, out) -> int:
-    rs = _build_system(cfg.family, cfg.dims)
+def cmd_root_data(cfg: RunConfig, rs: RootSystem, out) -> int:
     if cfg.fmt == "json":
         out.write(rs.to_json() + "\n")
         return 0
@@ -117,8 +116,7 @@ def cmd_root_data(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_mdim(cfg: RunConfig, out) -> int:
-    rs = _build_system(cfg.family, cfg.dims)
+def cmd_mdim(cfg: RunConfig, rs: RootSystem, out) -> int:
     rows = []
     for w in cfg.weights:
         typical = rs.is_typical(w)
@@ -131,10 +129,9 @@ def cmd_mdim(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_qdim(cfg: RunConfig, out) -> int:
+def cmd_qdim(cfg: RunConfig, rs: RootSystem, out) -> int:
     if cfg.order < 0:
         raise UsageError(f"--order must be non-negative, got {cfg.order}")
-    rs = _build_system(cfg.family, cfg.dims)
     rows = []
     for w in cfg.weights:
         typical = rs.is_typical(w)
@@ -148,8 +145,7 @@ def cmd_qdim(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_scan_typical(cfg: RunConfig, fixed, start, stop, step, out) -> int:
-    rs = _build_system(cfg.family, cfg.dims)
+def cmd_scan_typical(cfg: RunConfig, rs: RootSystem, fixed, start, stop, step, out) -> int:
     others = [p for p in fixed.replace(" ", "").split(",") if p] if fixed else []
     if len(others) != rs.rank - 1:
         raise UsageError(
@@ -292,12 +288,12 @@ def main(argv=None, out=None) -> int:
         )
         rs = _build_system(cfg.family, cfg.dims)
         if args.command == "root-data":
-            return cmd_root_data(cfg, out)
+            return cmd_root_data(cfg, rs, out)
         if args.command in ("mdim", "qdim"):
             cfg.weights = [_parse_weight(w, rs.rank) for w in args.weight]
-            return cmd_mdim(cfg, out) if args.command == "mdim" else cmd_qdim(cfg, out)
+            return (cmd_mdim if args.command == "mdim" else cmd_qdim)(cfg, rs, out)
         if args.command == "scan-typical":
-            return cmd_scan_typical(cfg, args.fixed, args.start, args.stop, args.step, out)
+            return cmd_scan_typical(cfg, rs, args.fixed, args.start, args.stop, args.step, out)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

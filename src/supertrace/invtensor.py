@@ -33,8 +33,10 @@ from .repmod import (  # hom_space stays bound here for callers that read invten
     _induced_maps,
     _kac_vector,
     _killed,
+    _make_module,
     dual_module,
     hom_space,  # noqa: F401
+    sl_generators,
     tensor_module,
 )
 from .rootdata import RootSystem
@@ -95,19 +97,16 @@ class AdjointData:
         return space
 
 
-def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
+def build_adjoint(rs: RootSystem) -> AdjointData:
     """Adjoint data for sl(m|n); verifies all four axioms of the form exactly."""
-    if rs.family != "sl":
-        raise ValueError("adjoint data is only built for sl(m|n)")
-    m, n = rs.m, rs.n
-    dim = m + n
-    r = rs.rank
+    std, e, f, h = sl_generators(rs)
+    par = std.parities
+    dim, r = std.dim, rs.rank
 
     offdiag = [(p, q) for p in range(dim) for q in range(dim) if p != q]
-    h_mats = [{(i, i): Fraction(1), (i + 1, i + 1): Fraction(1 if i == rs.s else -1)}
-              for i in range(r)]
+    h_mats = [x.entries for x in h]
     basis: list[dict] = [{pq: Fraction(1)} for pq in offdiag] + h_mats
-    parities = [1 if (p < m) != (q < m) else 0 for p, q in offdiag] + [0] * r
+    parities = [par[p] ^ par[q] for p, q in offdiag] + [0] * r
     gdim = len(basis)
     space = SuperSpace(tuple(parities))
 
@@ -128,40 +127,19 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
                     out[n_offdiag + idx] = c
         return out
 
-    def std_gen(kind: str, i: int) -> tuple[dict, int]:
-        par = 1 if i == rs.s else 0
-        if kind == "e":
-            return {(i, i + 1): Fraction(1)}, par
-        if kind == "f":
-            return {(i + 1, i): Fraction(1)}, par
-        return h_mats[i], 0
-
-    def ad_map(kind: str, i: int) -> SuperMap:
-        x, par = std_gen(kind, i)
+    def ad_map(x: SuperMap) -> SuperMap:
         ent: dict[tuple[int, int], Fraction] = {}
         for col in range(gdim):
-            image = sl.mat_scomm(x, par, basis[col], parities[col])
+            image = sl.mat_scomm(x.entries, x.parity, basis[col], parities[col])
             for row, v in expand(image).items():
                 ent[(row, col)] = v
-        return SuperMap(space, space, par, ent)
+        return SuperMap(space, space, x.parity, ent)
 
-    weights = [tuple(h.get((p, p), Fraction(0)) - h.get((q, q), Fraction(0)) for h in h_mats)
-               for p, q in offdiag] + [(Fraction(0),) * r] * r
-
-    from .repmod import _make_module
-
-    module = _make_module(
-        rs, space,
-        [ad_map("e", i) for i in range(r)],
-        [ad_map("f", i) for i in range(r)],
-        [ad_map("h", i) for i in range(r)],
-        weights, f"adj({m}|{n})", None, check,
-    )
-
-    sign_eps = [1 if p < m else -1 for p in range(dim)]
+    name = f"adj({rs.m}|{rs.n})"
+    module = _make_module(rs, space, *([ad_map(x) for x in xs] for xs in (e, f, h)), name)
 
     def str_of(mat: dict) -> Fraction:
-        return sum((sign_eps[p] * v for (p, q), v in mat.items() if p == q), Fraction(0))
+        return sum((-v if par[p] else v for (p, q), v in mat.items() if p == q), Fraction(0))
 
     gram = tuple(
         tuple(str_of(sl.mat_mul(basis[a], basis[b])) for b in range(gdim))
@@ -170,7 +148,7 @@ def build_adjoint(rs: RootSystem, check: bool = True) -> AdjointData:
     b_ent = {(i, j): gram[j][i] for j in range(gdim) for i in range(gdim) if gram[j][i]}
     b = SuperMap(space, sl.dual_space(space), 0, b_ent)
 
-    defect = form_defect(module, gram, b) if check else None
+    defect = form_defect(module, gram, b)
     if defect:
         raise FormConstructionError(defect)
 

@@ -50,14 +50,14 @@ def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
     return c
 
 
-def modified_trace(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
+def modified_trace(f: SuperMap, w: IdealWitness) -> Fraction:
     """mod_sdim(V0) times the bracket scalar; independent of the witness."""
-    return w.V.rs.mod_sdim(w.lambda0) * bracket(f, w, check=check)
+    return w.V.rs.mod_sdim(w.lambda0) * bracket(f, w)
 
 
-def classical_str_is_zero(w: IdealWitness, f: SuperMap, check: bool = True) -> bool:
+def classical_str_is_zero(w: IdealWitness, f: SuperMap) -> bool:
     """Whether the genuine supertrace of f vanishes (it must on witnessed modules)."""
-    bracket(f, w, check=check)  # validates g-linearity and the witness route
+    bracket(f, w)  # validates g-linearity and the witness route
     return sl.supertrace(f) == 0
 
 
@@ -77,14 +77,7 @@ def psi_sharp(
     return sl.super_permutation(C, D) @ h @ sl.super_permutation(B, A)
 
 
-def psi_apply(
-    h: SuperMap,
-    U: GModule,
-    Vp: GModule,
-    V: GModule,
-    Up: GModule,
-    f: SuperMap,
-) -> SuperMap:
+def psi_apply(h: SuperMap, U: GModule, V: GModule, f: SuperMap) -> SuperMap:
     """The operator f |-> ptr(h . (Id_U (x) f)) attached to h: U (x) V' -> V (x) U'.
 
     For f: U' -> V' this produces a map U -> V (the conjugation action of h on
@@ -127,7 +120,7 @@ def trace_invariance_sides(
     where Psi is the operator attached to h: U (x) V' -> V (x) U', f: U' -> V'
     and g: V -> U are g-linear, and V, V' carry witnesses.
     """
-    left_endo = psi_apply(h, U, Vp, V, Up, f) @ g
+    left_endo = psi_apply(h, U, V, f) @ g
     right_endo = f @ psi_sharp_apply(h, U, Vp, V, Up, g)
     left = modified_trace(left_endo, w_V)
     right = modified_trace(right_endo, w_Vp)

@@ -1,8 +1,11 @@
 """Explicit finite-dimensional sl(m|n)-modules and morphism machinery.
 
 A module is a tuple of generator matrices (e_i, f_i, h_i as SuperMaps) on a
-based super-space, together with the simultaneous h-eigenvalue of every basis
-vector.  Every constructor verifies the Chevalley relations
+based super-space.  The h_i act diagonally, and the basis weights are read
+off their diagonals in one place (``_make_module``); the matrices of the
+defining representation are written once (``sl_generators``), and the
+standard, Kac and adjoint modules are built from them.  Every constructor
+verifies the Chevalley relations
 
     [e_i, f_j] = delta_ij h_i,   [h_i, e_j] = a_ij e_j,
     [h_i, f_j] = -a_ij f_j,      [h_i, h_j] = 0,
@@ -83,11 +86,6 @@ class GModule:
         return f"GModule({self.name or 'unnamed'}, dim={self.dim}, sdim={self.sdim})"
 
 
-def _scomm(x: SuperMap, y: SuperMap) -> SuperMap:
-    sign = -1 if (x.parity and y.parity) else 1
-    return x @ y - sign * (y @ x)
-
-
 def verify_relations(mod: GModule) -> None:
     """Exact check of all Chevalley relations; raises ModuleRelationError.
 
@@ -119,16 +117,17 @@ def verify_relations(mod: GModule) -> None:
                 for i in range(r):
                     if wts[a][i] - wts[b][i] != sign * rs.cartan.a[i][j]:
                         raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
-    for i in range(r):
-        for j in range(r):
-            lhs = _scomm(mod.e[i], mod.f[j])
-            rhs = mod.h[i] if i == j else sl.zero_map(mod.space, mod.space)
-            if lhs != rhs and not (lhs.is_zero() and rhs.is_zero()):
+    for i, e in enumerate(mod.e):
+        for j, f in enumerate(mod.f):
+            lhs = sl.mat_scomm(e.entries, e.parity, f.entries, f.parity)
+            if lhs != (mod.h[i].entries if i == j else {}):
                 raise ModuleRelationError(f"{mod.name}: [e_{i}, f_{j}] relation failed")
 
 
-def _make_module(rs, space, e, f, h, weights, name, hw=None, check=True) -> GModule:
-    mod = GModule(rs, space, tuple(e), tuple(f), tuple(h), tuple(weights), name, hw)
+def _make_module(rs, space, e, f, h, name, hw=None, check=True) -> GModule:
+    """A module with its basis weights read off the diagonals of the h_i."""
+    weights = tuple(tuple(Fraction(x.entry(a, a)) for x in h) for a in range(space.dim))
+    mod = GModule(rs, space, tuple(e), tuple(f), tuple(h), weights, name, hw)
     if check:
         verify_relations(mod)
     return mod
@@ -141,46 +140,46 @@ def trivial_module(rs: RootSystem, parity: int = 0, check: bool = True) -> GModu
     space = SuperSpace((parity,))
     zero = [sl.zero_map(space, space, 1 if i == rs.s else 0) for i in range(rs.rank)]
     zeroh = [sl.zero_map(space, space) for _ in range(rs.rank)]
-    wt = (tuple(Fraction(0) for _ in range(rs.rank)),)
     name = "C(1|0)" if parity == 0 else "C(0|1)"
-    hw = Weight(wt[0]) if parity == 0 else None
-    return _make_module(rs, space, zero, zero, zeroh, wt, name, hw, check)
+    hw = Weight((Fraction(0),) * rs.rank) if parity == 0 else None
+    return _make_module(rs, space, zero, zero, zeroh, name, hw, check)
 
 
-def standard_module(rs: RootSystem, check: bool = True) -> GModule:
-    """The defining sl(m|n)-module C^{m|n} with elementary-matrix generators."""
+def sl_generators(rs: RootSystem):
+    """The defining representation C^{m|n} of sl(m|n) and its Chevalley generators.
+
+    Returns (space, e, f, h): the first m basis vectors are even, the last n
+    odd; e_i = E_{i,i+1} and f_i = E_{i+1,i} (odd for i = s), and
+    h_i = E_{ii} - E_{i+1,i+1} (E_{ss} + E_{s+1,s+1} at the odd index).
+    """
     if rs.family != "sl":
-        raise ValueError("standard matrix module is only built for sl(m|n)")
-    m, n = rs.m, rs.n
-    dim = m + n
-    space = SuperSpace(tuple(0 if k < m else 1 for k in range(dim)))
-    s = rs.s
-    e, f, h, diags = [], [], [], []
+        raise ValueError("the matrix realization is only written for sl(m|n)")
+    space = SuperSpace(tuple(0 if k < rs.m else 1 for k in range(rs.m + rs.n)))
+    e, f, h = [], [], []
     for i in range(rs.rank):
-        par = 1 if i == s else 0
+        par = 1 if i == rs.s else 0
         e.append(SuperMap(space, space, par, {(i, i + 1): Fraction(1)}))
         f.append(SuperMap(space, space, par, {(i + 1, i): Fraction(1)}))
-        diag = [Fraction(0)] * dim
-        diag[i] = Fraction(1)
-        diag[i + 1] = Fraction(1 if i == s else -1)
-        diags.append(diag)
-        h.append(
-            SuperMap(space, space, 0, {(k, k): diag[k] for k in range(dim) if diag[k]})
-        )
-    weights = tuple(tuple(diags[i][k] for i in range(rs.rank)) for k in range(dim))
-    hw = Weight(weights[0])
-    return _make_module(rs, space, e, f, h, weights, f"std({m}|{n})", hw, check)
+        h.append(SuperMap(space, space, 0,
+                          {(i, i): Fraction(1), (i + 1, i + 1): Fraction(1 if par else -1)}))
+    return space, e, f, h
+
+
+def standard_module(rs: RootSystem) -> GModule:
+    """The defining sl(m|n)-module C^{m|n} with elementary-matrix generators."""
+    # Its highest weight vector is the first basis vector, seen only by h_0.
+    hw = Weight((Fraction(1),) + (Fraction(0),) * (rs.rank - 1))
+    return _make_module(rs, *sl_generators(rs), f"std({rs.m}|{rs.n})", hw)
 
 
 def dual_module(V: GModule, check: bool = True) -> GModule:
     """Dual action x.phi = -(-1)^{p(x)p(phi)} phi . x (antipode is negation)."""
     space = sl.dual_space(V.space)
     dualize = lambda x: -1 * sl.super_transpose(x)
-    weights = tuple(tuple(-w for w in wt) for wt in V.basis_weights)
     return _make_module(
         V.rs, space,
         [dualize(x) for x in V.e], [dualize(x) for x in V.f], [dualize(x) for x in V.h],
-        weights, f"({V.name})*", None, check,
+        f"({V.name})*", None, check,
     )
 
 
@@ -191,11 +190,6 @@ def tensor_module(V: GModule, W: GModule, check: bool = True) -> GModule:
     idv, idw = sl.identity(V.space), sl.identity(W.space)
     act = lambda xv, xw: sl.tensor_map(xv, idw) + sl.tensor_map(idv, xw)
     space = sl.tensor_space(V.space, W.space)
-    weights = tuple(
-        tuple(a + b for a, b in zip(wv, ww))
-        for wv in V.basis_weights
-        for ww in W.basis_weights
-    )
     hw = None
     if V.highest_weight is not None and W.highest_weight is not None:
         hw = Weight(tuple(a + b for a, b in zip(V.highest_weight.a, W.highest_weight.a)))
@@ -204,7 +198,7 @@ def tensor_module(V: GModule, W: GModule, check: bool = True) -> GModule:
         [act(a, b) for a, b in zip(V.e, W.e)],
         [act(a, b) for a, b in zip(V.f, W.f)],
         [act(a, b) for a, b in zip(V.h, W.h)],
-        weights, f"{V.name}(x){W.name}", hw, check,
+        f"{V.name}(x){W.name}", hw, check,
     )
 
 
@@ -225,7 +219,7 @@ def direct_sum_module(V: GModule, W: GModule, check: bool = True) -> GModule:
         [block(a, b) for a, b in zip(V.e, W.e)],
         [block(a, b) for a, b in zip(V.f, W.f)],
         [block(a, b) for a, b in zip(V.h, W.h)],
-        V.basis_weights + W.basis_weights, f"{V.name}(+){W.name}", None, check,
+        f"{V.name}(+){W.name}", None, check,
     )
 
 
@@ -244,7 +238,7 @@ def parity_shift_module(V: GModule, check: bool = True) -> GModule:
     return _make_module(
         V.rs, space,
         [shift(x) for x in V.e], [shift(x) for x in V.f], [shift(x) for x in V.h],
-        V.basis_weights, f"op({V.name})", None, check,
+        f"op({V.name})", None, check,
     )
 
 
@@ -356,7 +350,7 @@ def _gl_simple_module(k: int, amu: tuple[int, ...]):
 # -- Kac modules ---------------------------------------------------------------
 
 
-def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
+def kac_module(rs: RootSystem, lam: Weight) -> GModule:
     """The Kac module K(lam) for a typical finite-dominant weight of sl(m|n).
 
     Induced from the simple module of the even part: the underlying space is
@@ -386,18 +380,10 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
     s_n = Fraction(wts_n[0][0]) - Fraction(deg_n, n)
     c_z = m * n * (lam.a[s] - s_m - s_n)
 
-    units_m_bycol: dict[tuple[int, int], dict[int, list]] = {}
-    for key, ent in units_m.items():
-        bycol: dict[int, list] = {}
-        for (row, col), v in ent.items():
-            bycol.setdefault(col, []).append((row, v))
-        units_m_bycol[key] = bycol
-    units_n_bycol: dict[tuple[int, int], dict[int, list]] = {}
-    for key, ent in units_n.items():
-        bycol: dict[int, list] = {}
-        for (row, col), v in ent.items():
-            bycol.setdefault(col, []).append((row, v))
-        units_n_bycol[key] = bycol
+    # Each matrix unit E_ab of the two even blocks, grouped by column.
+    units_m_bycol, units_n_bycol = (
+        {key: _columns(ent) for key, ent in units.items()} for units in (units_m, units_n)
+    )
 
     def even_apply(mat: dict, k: int) -> dict[int, Fraction]:
         """Apply a block-diagonal supertraceless (m+n)-matrix to V0 basis vector k.
@@ -490,18 +476,8 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
     )
     space = SuperSpace(parities)
 
-    def std_matrix(kind: str, i: int) -> tuple[dict, int]:
-        par = 1 if i == s else 0
-        if kind == "e":
-            return {(i, i + 1): Fraction(1)}, par
-        if kind == "f":
-            return {(i + 1, i): Fraction(1)}, par
-        diag = {(i, i): Fraction(1), (i + 1, i + 1): Fraction(1 if i == s else -1)}
-        return diag, 0
-
-    def generator_map(kind: str, i: int) -> SuperMap:
-        mat, par = std_matrix(kind, i)
-        chains: dict[tuple, tuple[dict, int]] = {(): (mat, par)}
+    def generator_map(x: SuperMap) -> SuperMap:
+        chains: dict[tuple, tuple[dict, int]] = {(): (x.entries, x.parity)}
         acted: dict[tuple, dict[int, Fraction]] = {}
         ent: dict[tuple[int, int], Fraction] = {}
         for mask in range(1 << mn):
@@ -509,52 +485,10 @@ def kac_module(rs: RootSystem, lam: Weight, check: bool = True) -> GModule:
                 col = mask * dim_v0 + k
                 for row, v in act(chains, acted, (), mask, k).items():
                     ent[(row, col)] = v
-        return SuperMap(space, space, par, ent)
+        return SuperMap(space, space, x.parity, ent)
 
-    # Basis weights: V0 weight plus the roots of the wedged odd vectors.
-    h_diags = []
-    for i in range(r):
-        diag = [Fraction(0)] * (m + n)
-        diag[i] = Fraction(1)
-        diag[i + 1] = Fraction(1 if i == s else -1)
-        h_diags.append(diag)
-
-    def v0_weight(k: int) -> tuple[Fraction, ...]:
-        im, jn = divmod(k, dn)
-        out = []
-        for i in range(r):
-            if i < s:
-                out.append(Fraction(wts_m[im][i] - wts_m[im][i + 1]))
-            elif i > s:
-                out.append(Fraction(wts_n[jn][i - m] - wts_n[jn][i - m + 1]))
-            else:
-                val = (
-                    Fraction(wts_m[im][m - 1]) - Fraction(deg_m, m)
-                    + Fraction(wts_n[jn][0]) - Fraction(deg_n, n)
-                    + c_z / (m * n)
-                )
-                out.append(val)
-        return tuple(out)
-
-    y_weights = []
-    for c in range(mn):
-        i, j = divmod(c, n)
-        y_weights.append(
-            tuple(h_diags[t][m + j] - h_diags[t][i] for t in range(r))
-        )
-    weights = []
-    for mask in range(1 << mn):
-        for k in range(dim_v0):
-            base = list(v0_weight(k))
-            for c in range(mn):
-                if mask & (1 << c):
-                    base = [x + y for x, y in zip(base, y_weights[c])]
-            weights.append(tuple(base))
-
-    e = [generator_map("e", i) for i in range(r)]
-    f = [generator_map("f", i) for i in range(r)]
-    h = [generator_map("h", i) for i in range(r)]
-    return _make_module(rs, space, e, f, h, weights, _kac_name(lam), lam, check)
+    e, f, h = ([generator_map(x) for x in xs] for xs in sl_generators(rs)[1:])
+    return _make_module(rs, space, e, f, h, _kac_name(lam), lam)
 
 
 def _kac_name(lam: Weight) -> str:
@@ -572,13 +506,13 @@ def _kac_dim(rs: RootSystem, lam: Weight) -> int:
 # -- morphism spaces -----------------------------------------------------------
 
 
-def _columns(x: SuperMap, transpose: bool = False) -> dict[int, list]:
-    """The entries of x, or of its plain transpose, grouped as column -> [(row, value)].
+def _columns(entries: dict, transpose: bool = False) -> dict[int, list]:
+    """Sparse matrix entries, or those of the plain transpose, grouped as column -> [(row, value)].
 
     Whole values are stored as ints (see ``int_if_whole``).
     """
     cols: dict[int, list] = {}
-    for (i, j), v in x.entries.items():
+    for (i, j), v in entries.items():
         if transpose:
             i, j = j, i
         cols.setdefault(j, []).append((i, int_if_whole(v)))
@@ -627,7 +561,7 @@ class FactorwiseAction:
             by_module: dict[int, dict] = {}
             for M in self.factors:
                 if id(M) not in by_module:
-                    by_module[id(M)] = _columns(getattr(M, kind)[i], self.transpose)
+                    by_module[id(M)] = _columns(getattr(M, kind)[i].entries, self.transpose)
             self._cols[key] = [by_module[id(M)] for M in self.factors]
         return self._cols[key]
 
@@ -830,7 +764,7 @@ def _hom_generic(U: GModule, V: GModule, parity: int) -> list[SuperMap]:
     gens_v = V.e + V.f
     for gidx, (xu, xv) in enumerate(zip(gens_u, gens_v)):
         sign = -1 if (parity and xu.parity) else 1
-        xu_rows, xv_cols = _columns(xu, transpose=True), _columns(xv)
+        xu_rows, xv_cols = _columns(xu.entries, transpose=True), _columns(xv.entries)
         for (i, j), t in index.items():
             for (j2, v) in xu_rows.get(j, ()):
                 put((gidx, i, j2), t, v)
@@ -867,7 +801,7 @@ def submodule_dimension(V: GModule, seeds) -> int:
     for vec in seeds:
         if reducer.add(vec):
             frontier.append(vec)
-    gens = [_columns(x) for x in V.gens()]
+    gens = [_columns(x.entries) for x in V.gens()]
     while frontier:
         nxt = []
         for vec in frontier:
@@ -925,21 +859,19 @@ def _check_g_linear(m: SuperMap, src: GModule, dst: GModule) -> bool:
     return True
 
 
-def make_witness(V, V0, lambda0, W, V0W, alpha, beta, *, check=True) -> IdealWitness:
-    w = IdealWitness(V, V0, lambda0, W, V0W, alpha, beta)
-    if check:
-        if not V.rs.is_typical(lambda0):
-            raise ValueError("witness core weight is atypical")
-        if alpha.parity != 0 or beta.parity != 0:
-            raise ValueError("witness maps must be even")
-        if alpha @ beta != sl.identity(V.space):
-            raise ValueError("alpha . beta is not the identity")
-        if not _check_g_linear(alpha, V0W, V) or not _check_g_linear(beta, V, V0W):
-            raise ValueError("witness maps are not g-linear")
-    return w
+def make_witness(V, V0, lambda0, W, V0W, alpha, beta) -> IdealWitness:
+    if not V.rs.is_typical(lambda0):
+        raise ValueError("witness core weight is atypical")
+    if alpha.parity != 0 or beta.parity != 0:
+        raise ValueError("witness maps must be even")
+    if alpha @ beta != sl.identity(V.space):
+        raise ValueError("alpha . beta is not the identity")
+    if not _check_g_linear(alpha, V0W, V) or not _check_g_linear(beta, V, V0W):
+        raise ValueError("witness maps are not g-linear")
+    return IdealWitness(V, V0, lambda0, W, V0W, alpha, beta)
 
 
-def trivial_witness(V: GModule, check: bool = True) -> IdealWitness:
+def trivial_witness(V: GModule) -> IdealWitness:
     """The identity splitting of a typical irreducible through itself."""
     if V.highest_weight is None:
         raise ValueError("module has no recorded highest weight")
@@ -947,10 +879,10 @@ def trivial_witness(V: GModule, check: bool = True) -> IdealWitness:
     V0W = tensor_module(V, W, check=False)
     # V (x) k and V share one basis, so the identity is both alpha and beta.
     ident = sl.identity(V.space)
-    return make_witness(V, V, V.highest_weight, W, V0W, ident, ident, check=check)
+    return make_witness(V, V, V.highest_weight, W, V0W, ident, ident)
 
 
-def ideal_witness(V: GModule, V0: GModule, check: bool = True) -> IdealWitness:
+def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
     """Search for a splitting of V through V0 (x) (V0* (x) V).
 
     V must have scalar even endomorphisms (checked), so each candidate
@@ -959,7 +891,7 @@ def ideal_witness(V: GModule, V0: GModule, check: bool = True) -> IdealWitness:
     composite vanishes.
     """
     if V is V0:
-        return trivial_witness(V, check=check)
+        return trivial_witness(V)
     if V0.highest_weight is None or not V.rs.is_typical(V0.highest_weight):
         raise ValueError("witness core must be typical with known highest weight")
     ends = hom_space(V, V, 0)
@@ -980,15 +912,13 @@ def ideal_witness(V: GModule, V0: GModule, check: bool = True) -> IdealWitness:
                 raise ModuleRelationError(
                     "composite of g-linear maps is not scalar on a scalar-End module"
                 )
-            return make_witness(
-                V, V0, V0.highest_weight, W, V0W, Fraction(1, 1) / c * a, b, check=check
-            )
+            return make_witness(V, V0, V0.highest_weight, W, V0W, Fraction(1, 1) / c * a, b)
     raise WitnessNotFoundError(
         f"no splitting of {V.name} through {V0.name} with W = V0* (x) V"
     )
 
 
-def witness_tensor(w: IdealWitness, U: GModule, check: bool = True) -> IdealWitness:
+def witness_tensor(w: IdealWitness, U: GModule) -> IdealWitness:
     """Closure under tensoring: a witness for V (x) U with W' = W (x) U."""
     V2 = tensor_module(w.V, U, check=False)
     W2 = tensor_module(w.W, U, check=False)
@@ -997,10 +927,10 @@ def witness_tensor(w: IdealWitness, U: GModule, check: bool = True) -> IdealWitn
     # (V0 (x) W) (x) U and V0 (x) (W (x) U) share the same flattened basis.
     alpha = sl.tensor_map(w.alpha, idu)
     beta = sl.tensor_map(w.beta, idu)
-    return make_witness(V2, w.V0, w.lambda0, W2, V0W2, alpha, beta, check=check)
+    return make_witness(V2, w.V0, w.lambda0, W2, V0W2, alpha, beta)
 
 
-def witness_dsum(w1: IdealWitness, w2: IdealWitness, check: bool = True) -> IdealWitness:
+def witness_dsum(w1: IdealWitness, w2: IdealWitness) -> IdealWitness:
     """Closure under direct sums (the two witnesses must share V0)."""
     if w1.V0 is not w2.V0:
         raise ValueError("direct-sum witnesses must share the same core module")
@@ -1025,10 +955,10 @@ def witness_dsum(w1: IdealWitness, w2: IdealWitness, check: bool = True) -> Idea
         ent_b[(i0 * (dw1 + dw2) + dw1 + iw, j + dv1)] = v
     alpha = SuperMap(V0W.space, V.space, 0, ent_a)
     beta = SuperMap(V.space, V0W.space, 0, ent_b)
-    return make_witness(V, w1.V0, w1.lambda0, W, V0W, alpha, beta, check=check)
+    return make_witness(V, w1.V0, w1.lambda0, W, V0W, alpha, beta)
 
 
-def witness_parity_shift(w: IdealWitness, check: bool = True) -> IdealWitness:
+def witness_parity_shift(w: IdealWitness) -> IdealWitness:
     """A witness for the parity-shifted module, shifting the W factor."""
     V_op = parity_shift_module(w.V, check=False)
     W_op = parity_shift_module(w.W, check=False)
@@ -1040,7 +970,7 @@ def witness_parity_shift(w: IdealWitness, check: bool = True) -> IdealWitness:
     id0 = sl.identity(w.V0.space)
     alpha = sig_v @ w.alpha @ sl.tensor_map(id0, sig_w_inv)
     beta = sl.tensor_map(id0, sig_w) @ w.beta @ sig_v_inv
-    return make_witness(V_op, w.V0, w.lambda0, W_op, V0W_op, alpha, beta, check=check)
+    return make_witness(V_op, w.V0, w.lambda0, W_op, V0W_op, alpha, beta)
 
 
 # -- serialization and caching ---------------------------------------------------
@@ -1091,7 +1021,7 @@ def save_gmodule(mod: GModule, path: str) -> None:
     os.replace(tmp, path)
 
 
-def load_gmodule(rs: RootSystem, path: str, check: bool = True) -> GModule:
+def load_gmodule(rs: RootSystem, path: str) -> GModule:
     """Load and re-verify a module saved by save_gmodule; corruption raises ModuleIntegrityError."""
     try:
         with open(path) as fh:
@@ -1122,8 +1052,7 @@ def load_gmodule(rs: RootSystem, path: str, check: bool = True) -> GModule:
         f = tuple(series["f"][i] for i in range(rs.rank))
         h = tuple(series["h"][i] for i in range(rs.rank))
         mod = GModule(rs, space, e, f, h, weights, header["name"], hw)
-        if check:
-            verify_relations(mod)
+        verify_relations(mod)
         return mod
     except ModuleIntegrityError:
         raise
@@ -1147,7 +1076,7 @@ def cached_kac_module(rs: RootSystem, lam: Weight, cache_dir: str | None) -> GMo
         return kac_module(rs, lam)
     path = kac_cache_path(cache_dir, rs, lam)
     if os.path.exists(path):
-        mod = load_gmodule(rs, path, check=True)
+        mod = load_gmodule(rs, path)
         if (mod.name, mod.highest_weight, mod.dim) != (_kac_name(lam), lam, _kac_dim(rs, lam)):
             raise ModuleIntegrityError(
                 f"{path}: holds {mod.name} of dim {mod.dim}, not the requested {_kac_name(lam)}"

@@ -340,13 +340,10 @@ def suite_tensors(
         defect = "b_inv . b is not the identity"
     out.append(check_true("tensors.form-axioms", defect is None,
                           defect or "even, supersymmetric, invariant, b_inv . b = Id"))
-    noff = adj.gdim - roster.rs.rank
-    dim = roster.rs.m + roster.rs.n
-    offdiag = ((p, q) for p in range(dim) for q in range(dim) if p != q)
-    pos = {pq: k for k, pq in enumerate(offdiag)}
+    _, e, f, h = rm.sl_generators(roster.rs)
+    h1, e1, f1 = (adj.basis_matrices.index(x[0].entries) for x in (h, e, f))
     out.append(check("tensors.form-sample", (Fraction(2), Fraction(1), Fraction(0)),
-                     (adj.gram[noff][noff], adj.gram[pos[(0, 1)]][pos[(1, 0)]],
-                      adj.gram[pos[(0, 1)]][pos[(0, 1)]]),
+                     (adj.gram[h1][h1], adj.gram[e1][f1], adj.gram[e1][e1]),
                      note="b(h1,h1), b(e1,f1), b(e1,e1) in the standard representation"))
 
     degrees = list(range(1, max_degree + 1))
@@ -451,22 +448,26 @@ def suite_tensors(
         + str({N: len(g) for N, g in classical.items()}),
     ))
 
-    # Presentation independence: realize an element a second time through a
-    # direct-sum probe and through any cross-probe duplicates.
+    # Presentation independence: re-present every reachable element through a
+    # direct sum with a same-core partner, and compare any duplicate presentations.
     indep_ok = True
-    if spaces[2].elements:
-        t = spaces[2].elements[0]
-        zero_partner = next(
-            (u for u in spaces[2].raw if u.witness.V0 is t.witness.V0 and u is not t),
-            None,
+    represented = {}
+    for N in degrees:
+        elems, firsts, seconds = spaces[N].elements, [], []
+        for i, t in enumerate(elems):
+            partner = next((u for u in spaces[N].raw
+                            if u.witness.V0 is t.witness.V0 and u is not t), None)
+            if partner is not None:
+                firsts.append(i)
+                seconds.append(it.it_sum(adj, t, partner, 0))
+        represented[N] = len(seconds)
+        rows = it.modified_gram(adj, seconds, elems)
+        cols = it.modified_gram(adj, elems, seconds)
+        indep_ok = indep_ok and all(
+            second.coords == elems[i].coords and rows[k] == grams[N][i]
+            and all(col[k] == row[i] for col, row in zip(cols, grams[N]))
+            for k, (i, second) in enumerate(zip(firsts, seconds))
         )
-        if zero_partner is not None:
-            second = it.it_sum(adj, t, zero_partner, 0)
-            elems = spaces[2].elements
-            rows = it.modified_gram(adj, [t, second], elems)
-            cols = it.modified_gram(adj, elems, [t, second])
-            indep_ok = (second.coords == t.coords and rows[0] == rows[1]
-                        and all(a == b for a, b in cols))
     dup_pairs = 0
     for N in degrees:
         pairs = [(prior, cand) for k, cand in enumerate(spaces[N].raw) if cand.coords
@@ -477,7 +478,8 @@ def suite_tensors(
         rows = dict(zip(map(id, involved), it.modified_gram(adj, involved, spaces[N].elements)))
         indep_ok = indep_ok and all(rows[id(a)] == rows[id(b)] for a, b in pairs)
     out.append(check_true("tensors.presentation-independence", indep_ok,
-                          f"checked a direct-sum re-presentation and {dup_pairs} duplicate pairs"))
+                          f"direct-sum re-presentations per degree {represented} "
+                          f"and {dup_pairs} duplicate pairs"))
 
     # Vector-space and ideal closure, with the explicit constructions.
     closure_ok = True

@@ -1,8 +1,13 @@
-"""Slow reference routes of the invariant-tensor layer, kept as test oracles.
+"""Slow or independent reference routes, kept as test oracles.
 
-Each builds g^(x)N-sized modules or maps, or solves a generic Hom system,
-where the library works on coordinates: the tests compare the two.
+The invariant-tensor routes build g^(x)N-sized modules or maps, or solve a
+generic Hom system, where the library works on coordinates.  The weight
+formulas give the basis weights of the standard, adjoint and Kac modules in
+closed form, where the library reads them off the h_i.  The tests compare
+the two.
 """
+
+from fractions import Fraction
 
 from supertrace import invtensor as it
 from supertrace import repmod as rm
@@ -72,3 +77,79 @@ def power_action_apply(adj, N, gen, coords):
                 out[key] = out.get(key, 0) + sign * v * c
             lead_parity += par[d]
     return sl.nonzero(out)
+
+
+def scomm(x, y):
+    """The super-commutator [x, y] = x . y - (-1)^{p(x) p(y)} y . x of two maps."""
+    sign = -1 if (x.parity and y.parity) else 1
+    return x @ y - sign * (y @ x)
+
+
+def _h_diagonals(rs):
+    """The diagonal of h_i = E_ii - E_{i+1,i+1} (E_ss + E_{s+1,s+1}) on the defining basis."""
+    diags = []
+    for i in range(rs.rank):
+        diag = [Fraction(0)] * (rs.m + rs.n)
+        diag[i] = Fraction(1)
+        diag[i + 1] = Fraction(1 if i == rs.s else -1)
+        diags.append(diag)
+    return diags
+
+
+def std_weights(rs):
+    """Basis vector k of the defining module has weight (h_i[k])_i."""
+    diags = _h_diagonals(rs)
+    return tuple(tuple(d[k] for d in diags) for k in range(rs.m + rs.n))
+
+
+def adjoint_weights(rs):
+    """E_pq (p != q, row-major) has weight h[p] - h[q]; the rank Cartan vectors weigh 0."""
+    dim = rs.m + rs.n
+    diags = _h_diagonals(rs)
+    offdiag = [(p, q) for p in range(dim) for q in range(dim) if p != q]
+    roots = tuple(tuple(d[p] - d[q] for d in diags) for p, q in offdiag)
+    return roots + ((Fraction(0),) * rs.rank,) * rs.rank
+
+
+def kac_weights(rs, lam):
+    """Basis weights of K(lam): the V0 weight plus the roots of the wedged odd vectors.
+
+    Basis vector (mask, k) wedges the odd lowering vectors y_c = E_{m+j, i}
+    (c = i n + j) named by the bits of mask onto basis vector k of the
+    gl(m) x gl(n) simple module V0; a_s also carries the central character.
+    """
+    m, n, r, s = rs.m, rs.n, rs.rank, rs.s
+    _, _, wts_m = rm._gl_simple_module(m, tuple(int(lam.a[i]) for i in range(m - 1)))
+    dn, _, wts_n = rm._gl_simple_module(n, tuple(int(lam.a[i]) for i in range(m, r)))
+    deg_m, deg_n = sum(wts_m[0]), sum(wts_n[0])
+    s_m = Fraction(wts_m[0][m - 1]) - Fraction(deg_m, m)
+    s_n = Fraction(wts_n[0][0]) - Fraction(deg_n, n)
+    c_z = m * n * (lam.a[s] - s_m - s_n)
+    diags = _h_diagonals(rs)
+
+    def v0_weight(k):
+        im, jn = divmod(k, dn)
+        out = []
+        for i in range(r):
+            if i < s:
+                out.append(Fraction(wts_m[im][i] - wts_m[im][i + 1]))
+            elif i > s:
+                out.append(Fraction(wts_n[jn][i - m] - wts_n[jn][i - m + 1]))
+            else:
+                out.append(Fraction(wts_m[im][m - 1]) - Fraction(deg_m, m)
+                           + Fraction(wts_n[jn][0]) - Fraction(deg_n, n) + c_z / (m * n))
+        return out
+
+    y_weights = []
+    for c in range(m * n):
+        i, j = divmod(c, n)
+        y_weights.append([d[m + j] - d[i] for d in diags])
+    weights = []
+    for mask in range(1 << (m * n)):
+        for k in range(len(wts_m) * dn):
+            base = v0_weight(k)
+            for c in range(m * n):
+                if mask & (1 << c):
+                    base = [x + y for x, y in zip(base, y_weights[c])]
+            weights.append(tuple(base))
+    return tuple(weights)

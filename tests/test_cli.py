@@ -286,8 +286,8 @@ class TestVerifyFailures:
 
         build = it.build_adjoint
 
-        def bad_inverse(rs, check=True):
-            adj = build(rs, check)
+        def bad_inverse(rs):
+            adj = build(rs)
             return dataclasses.replace(adj, b_inv=2 * adj.b_inv)
 
         monkeypatch.setattr(it, "build_adjoint", bad_inverse)

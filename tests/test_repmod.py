@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from supertrace import repmod as rm
 from supertrace.linalg import RowReducer, nullspace
 from supertrace import superlin as sl
@@ -411,13 +412,13 @@ def _relations_by_commutators(mod):
                 raise rm.ModuleRelationError("basis weight disagrees with h_i")
     for i in range(r):
         for j in range(r):
-            lhs = rm._scomm(mod.e[i], mod.f[j])
+            lhs = oracles.scomm(mod.e[i], mod.f[j])
             rhs = mod.h[i] if i == j else sl.zero_map(mod.space, mod.space)
             if lhs != rhs and not (lhs.is_zero() and rhs.is_zero()):
                 raise rm.ModuleRelationError("[e_i, f_j] relation failed")
             a_ij = mod.rs.cartan.a[i][j]
-            he = rm._scomm(mod.h[i], mod.e[j]) - a_ij * mod.e[j]
-            hf = rm._scomm(mod.h[i], mod.f[j]) + a_ij * mod.f[j]
+            he = oracles.scomm(mod.h[i], mod.e[j]) - a_ij * mod.e[j]
+            hf = oracles.scomm(mod.h[i], mod.f[j]) + a_ij * mod.f[j]
             if not he.is_zero() or not hf.is_zero():
                 raise rm.ModuleRelationError("[h_i, x_j] relation failed")
 
@@ -652,3 +653,69 @@ def test_kac_module_bytes_are_pinned(key, tmp_path):
     path = tmp_path / "kac.jsonl"
     rm.save_gmodule(rm.kac_module(build_root_system("sl", m, n), weight(*coords)), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == KAC_DIGESTS[key]
+
+
+# sha256 of the save_gmodule bytes of the defining and adjoint modules, taken
+# while each constructor still wrote out its own weights and matrices.
+STD_ADJ_DIGESTS = {
+    ("std", 2, 1): "c8f6125723f095417c7238f8f3032c6dafcb5c950f943f96d2564ba5649df515",
+    ("adj", 2, 1): "8316dfe52edecb0c082c41ea28110b85b6d3b76940fec19b2cb1335aa3d8b667",
+    ("std", 3, 1): "80d3df135563571b4effe1b9bda1ef82561c5d41a8e6adcebf92bf67534bdc39",
+    ("adj", 3, 1): "002050d8f0492a439565826fc3d4d92b5069112ff2797c25f4ef9499badbcc58",
+    ("std", 3, 2): "f98572442c83310d2d9d75fd5863022743e8b7a67962a4fb6cc3fdce6842bbe5",
+    ("adj", 3, 2): "0b9566b94b7e51fde62bb5ce5c42be7ffb20bf93be54c3d94d27a20b5ebb7566",
+}
+
+
+def _std_or_adj(kind, m, n):
+    from supertrace.invtensor import build_adjoint
+    from supertrace.rootdata import build_root_system
+
+    rs = build_root_system("sl", m, n)
+    return rm.standard_module(rs) if kind == "std" else build_adjoint(rs).module
+
+
+@pytest.mark.parametrize("key", sorted(STD_ADJ_DIGESTS), ids=str)
+def test_std_and_adjoint_bytes_are_pinned(key, tmp_path):
+    import hashlib
+
+    path = tmp_path / "mod.jsonl"
+    rm.save_gmodule(_std_or_adj(*key), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STD_ADJ_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(STD_ADJ_DIGESTS), ids=str)
+def test_std_and_adjoint_weights_match_the_formulas(key):
+    from supertrace.rootdata import build_root_system
+
+    kind, m, n = key
+    rs = build_root_system("sl", m, n)
+    formula = oracles.std_weights(rs) if kind == "std" else oracles.adjoint_weights(rs)
+    assert _std_or_adj(*key).basis_weights == formula
+
+
+# Small typical weights: a_i in {0, 1} off the odd index (sl(3|2) kept below
+# dim 256), and a rational a_s.
+_SMALL_KAC = st.one_of(
+    st.tuples(st.just((2, 1)), st.tuples(st.integers(0, 2))),
+    st.tuples(st.just((3, 1)), st.tuples(st.integers(0, 1), st.integers(0, 1))),
+    st.tuples(st.just((3, 2)), st.tuples(st.integers(0, 1), st.just(0), st.just(0))),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_SMALL_KAC, st.fractions(-3, 3, max_denominator=3))
+def test_kac_weights_match_the_formula(shape, a_s):
+    from hypothesis import assume
+
+    from supertrace.rootdata import build_root_system
+
+    (m, n), others = shape
+    rs = build_root_system("sl", m, n)
+    coords = list(others)
+    coords.insert(rs.s, a_s)
+    lam = weight(*coords)
+    assume(rs.is_typical(lam))
+    K = rm.kac_module(rs, lam)
+    assert K.basis_weights == oracles.kac_weights(rs, lam)
+    assert all(type(x) is F for wt in K.basis_weights for x in wt)
