@@ -20,8 +20,9 @@ from .rootdata import AtypicalWeightError, RootDataError, RootSystem, Weight, bu
 
 USAGE_ERROR = 2
 CACHE_ENV = "SUPERTRACE_CACHE_DIR"
-# g^(x)6 of sl(2|1) has dimension 262,144: refuse it before any work starts.
-MAX_DEGREE = 5
+# Degree 5 does not yet finish in bounded memory (its reachable-tensor solve
+# over g^(x)5 (x) V grew past 3.6 GB): refuse it before any work starts.
+MAX_DEGREE = 4
 
 
 @dataclass

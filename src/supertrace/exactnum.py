@@ -1,11 +1,15 @@
 """Exact scalar arithmetic: rationals and truncated power series in h.
 
 Everything in this library is computed over the rationals; there is no
-floating point anywhere.  Rationals are ``fractions.Fraction`` (always in
-lowest terms, positive denominator).  Truncated series in the formal
-deformation parameter h carry their truncation order explicitly, and every
-operation returns a result valid to the largest order justified by its
-operands.
+floating point anywhere.  A rational has one canonical form (``exact``): a
+whole value is an ``int``, any other a ``fractions.Fraction`` in lowest terms
+with positive denominator.  Map entries, vectors and solver outputs hold
+canonical scalars, so the mostly +-1 entries of the sparse kernel add and
+multiply as ints, without the gcd work of a Fraction.  ``/`` between two ints
+gives a float, so every true division here has a Fraction operand.
+Truncated series in the formal deformation parameter h carry their
+truncation order explicitly, and every operation returns a result valid to
+the largest order justified by its operands.
 """
 
 from __future__ import annotations
@@ -22,19 +26,25 @@ class SeriesValuationError(ArithmeticError):
     """Series division whose leading-zero structure makes the quotient undefined."""
 
 
-def int_if_whole(x):
-    """x as an int when it is a whole number, else unchanged.
+def exact(x):
+    """The canonical scalar equal to the rational x: an int when whole, else a Fraction.
 
-    Inner loops of exact sparse arithmetic use it on entries that are mostly
-    +-1: ints multiply and add without the gcd work of a Fraction, and the
-    value is the same rational either way.
+    Raises TypeError on anything that is not an int or a Fraction: a float
+    such as 0.1 is not the rational 1/10, and is refused rather than rounded.
     """
-    return x.numerator if x.denominator == 1 else x
+    if isinstance(x, (int, Fraction)):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def ratio(p: int, q: int):
+    """The canonical scalar p/q of two ints, q nonzero."""
+    return p // q if p % q == 0 else Fraction(p, q)
 
 
 def rat_str(x: Fraction) -> str:
     """Render a rational as 'p' or 'p/q'."""
-    x = Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import superlin as sl
-from .exactnum import int_if_whole
+from .exactnum import exact
 from .linalg import RowReducer
 from .mtrace import modified_trace
 from .repmod import (  # hom_space stays bound here for callers that read invtensor.hom_space
@@ -105,7 +105,7 @@ def build_adjoint(rs: RootSystem) -> AdjointData:
 
     offdiag = [(p, q) for p in range(dim) for q in range(dim) if p != q]
     h_mats = [x.entries for x in h]
-    basis: list[dict] = [{pq: Fraction(1)} for pq in offdiag] + h_mats
+    basis: list[dict] = [{pq: 1} for pq in offdiag] + h_mats
     parities = [par[p] ^ par[q] for p, q in offdiag] + [0] * r
     gdim = len(basis)
     space = SuperSpace(tuple(parities))
@@ -139,7 +139,7 @@ def build_adjoint(rs: RootSystem) -> AdjointData:
     module = _make_module(rs, space, *([ad_map(x) for x in xs] for xs in (e, f, h)), name)
 
     def str_of(mat: dict) -> Fraction:
-        return sum((-v if par[p] else v for (p, q), v in mat.items() if p == q), Fraction(0))
+        return sum(-v if par[p] else v for (p, q), v in mat.items() if p == q)
 
     gram = tuple(
         tuple(str_of(sl.mat_mul(basis[a], basis[b])) for b in range(gdim))
@@ -231,10 +231,10 @@ def dual_coords(adj: AdjointData, N: int, coords: dict) -> dict:
 
 
 def _partners(adj: AdjointData, form: SuperMap) -> list[list]:
-    """Column d of the even form map (b or b_inv) as [(c, value)], whole values as ints."""
+    """Column d of the even form map (b or b_inv) as [(c, value)]."""
     partners: list[list] = [[] for _ in range(adj.gdim)]
     for (c, d), v in form.entries.items():
-        partners[d].append((c, int_if_whole(v)))
+        partners[d].append((c, v))
     return partners
 
 
@@ -269,9 +269,9 @@ def extended_form(
     the covector b~(t1) evaluated on t2.
     """
     if n1 != n2:
-        return Fraction(0)
+        return 0
     phi = dual_coords(adj, n1, t1)
-    return sum((phi[r] * c for r, c in t2.items() if r in phi), Fraction(0))
+    return sum(phi[r] * c for r, c in t2.items() if r in phi)
 
 
 # -- presented invariant tensors (images of coevaluations) ----------------------
@@ -357,7 +357,7 @@ def it_sum(
 
     if t1.degree != t2.degree:
         raise ValueError("cannot sum tensors of different degree")
-    lam = Fraction(lam)
+    lam = exact(lam)
     w = witness_dsum(t1.witness, t2.witness)
     V1, V2 = t1.module, t2.module
     d1, d2 = V1.dim, V2.dim
@@ -453,7 +453,7 @@ def modified_gram(
         sl.column_map(adj.power_space(y.degree), y.coords)  # an even vector of g^(x)N
         phis.append(dual_coords(adj, y.degree, y.coords))
     return [[modified_trace(_endo_of_covector(x, phi), x.witness) if x.degree == y.degree
-             else Fraction(0) for y, phi in zip(cols, phis)] for x in rows]
+             else 0 for y, phi in zip(cols, phis)] for x in rows]
 
 
 def modified_form(
@@ -480,7 +480,7 @@ def classical_gram(
     for t2 in cols:
         sl.column_map(adj.power_space(N), t2)  # t2 must be an even vector of g^(x)N
         col_phis.append(dual_coords(adj, N, t2))
-    return [[(sum((phi[r] * c for r, c in t2.items() if r in phi), Fraction(0)),
+    return [[(sum(phi[r] * c for r, c in t2.items() if r in phi),
               sl.supertrace(_endo_of_covector(x, col_phi)))
              for t2, col_phi in zip(cols, col_phis)]
             for x, phi in zip(rows, row_phis)]
@@ -572,7 +572,7 @@ def permutation_map(adj: AdjointData, N: int, perm: tuple[int, ...]) -> SuperMap
     ent = {}
     for c in range(space.dim):
         new, sign = move(c)
-        ent[(new, c)] = Fraction(sign)
+        ent[(new, c)] = sign
     return SuperMap._of(space, space, 0, ent)
 
 
@@ -612,7 +612,6 @@ def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> Super
         raise ValueError(f"map is not g^(x){m_deg} -> g^(x){n_deg}")
     by_row: dict[int, list] = {}
     for (i, j), v in G.entries.items():
-        v = int_if_whole(v)
         by_row.setdefault(i, []).append((j, -v if G.parity and G.codomain.parities[i] else v))
     forward, backward = _partners(adj, adj.b), _partners(adj, adj.b_inv)
     ent = {}

@@ -15,13 +15,16 @@ A vector passed to ``add`` carries a tag column -1-k, k being its acceptance
 index.  Row operations act on the tags too, so a reduced row records which
 combination of accepted vectors it is, and ``coords`` reads the combination
 off the tags.  ``nullspace`` inserts its rows untagged, shortest first, and
-reads one kernel vector per free column off the pivot rows.
+reads one kernel vector per free column off the pivot rows.  Both return
+canonical scalars (``exactnum.exact``): ints where whole, else Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .exactnum import ratio
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -31,7 +34,7 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 def _int_row(row: dict) -> dict[int, int]:
     """Clear denominators and divide by the content, dropping zeros."""
-    items = {j: Fraction(v) for j, v in row.items() if v}
+    items = {j: v for j, v in row.items() if v}
     den = lcm(*(v.denominator for v in items.values()))
     return _primitive({j: v.numerator * (den // v.denominator) for j, v in items.items()})
 
@@ -108,15 +111,15 @@ class RowReducer:
         if any(j >= 0 for j in row):
             raise ValueError("vector is not in the span")
         den = row.pop(-1 - len(self))
-        return {-1 - j: Fraction(-t, den) for j, t in row.items()}
+        return {-1 - j: ratio(-t, den) for j, t in row.items()}
 
 
 def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     """Basis of the right kernel of the sparse matrix given by ``rows``.
 
     ``rows`` is an iterable of {column: value} dicts (values int or Fraction).
-    Returns kernel vectors as {column: Fraction} dicts, one per free column,
-    normalized so the free coordinate equals 1.
+    Returns kernel vectors as {column: value} dicts of canonical scalars, one
+    per free column, normalized so the free coordinate equals 1.
     """
     reducer = RowReducer()
     for row in sorted(filter(None, map(_int_row, rows)), key=len):
@@ -125,9 +128,9 @@ def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     for free in range(ncols):
         if free in reducer._rows:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for p in reducer._holders.get(free, ()):
             row = reducer._rows[p]
-            vec[p] = Fraction(-row[free], row[p])
+            vec[p] = ratio(-row[free], row[p])
         basis.append(vec)
     return basis

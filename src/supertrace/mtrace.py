@@ -41,7 +41,7 @@ def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
             reduced[(i, j)] = reduced.get((i, j), 0) + b * v
     reduced = sl.nonzero(reduced)
     # An odd multiple of the even identity must vanish identically.
-    c = Fraction(0) if f.parity == sl.ODD else reduced.get((0, 0), Fraction(0))
+    c = 0 if f.parity == sl.ODD else reduced.get((0, 0), 0)
     if reduced != {(i, i): c for i in range(w.V0.dim) if c}:
         raise BracketError(
             "ptr(beta . f . alpha) is not proportional to the identity; "

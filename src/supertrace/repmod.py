@@ -29,9 +29,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import superlin as sl
-from .exactnum import int_if_whole, rat_str
+from .exactnum import exact, rat_str
 from .linalg import RowReducer, nullspace
 from .rootdata import RootSystem, Weight
 from .superlin import SuperMap, SuperSpace
@@ -107,15 +108,16 @@ def verify_relations(mod: GModule) -> None:
                 )
         for a, wts in enumerate(mod.basis_weights):
             if wts[i] != hm.entry(a, a):
-                raise ModuleRelationError(
-                    f"{mod.name}: basis weight {a} disagrees with h_{i}"
-                )
-    wts = mod.basis_weights
+                raise ModuleRelationError(f"{mod.name}: basis weight {a} disagrees with h_{i}")
+    # The weight gaps in ints: coordinate i scaled by the lcm of its denominators.
+    dens = [lcm(*(w[i].denominator for w in mod.basis_weights)) for i in range(r)]
+    scaled = [[x.numerator * (d // x.denominator) for x, d in zip(w, dens)]
+              for w in mod.basis_weights]
     for j in range(r):
         for x, sign in ((mod.e[j], 1), (mod.f[j], -1)):
             for a, b in x.entries:
                 for i in range(r):
-                    if wts[a][i] - wts[b][i] != sign * rs.cartan.a[i][j]:
+                    if scaled[a][i] - scaled[b][i] != sign * rs.cartan.a[i][j] * dens[i]:
                         raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
     for i, e in enumerate(mod.e):
         for j, f in enumerate(mod.f):
@@ -158,10 +160,9 @@ def sl_generators(rs: RootSystem):
     e, f, h = [], [], []
     for i in range(rs.rank):
         par = 1 if i == rs.s else 0
-        e.append(SuperMap(space, space, par, {(i, i + 1): Fraction(1)}))
-        f.append(SuperMap(space, space, par, {(i + 1, i): Fraction(1)}))
-        h.append(SuperMap(space, space, 0,
-                          {(i, i): Fraction(1), (i + 1, i + 1): Fraction(1 if par else -1)}))
+        e.append(SuperMap(space, space, par, {(i, i + 1): 1}))
+        f.append(SuperMap(space, space, par, {(i + 1, i): 1}))
+        h.append(SuperMap(space, space, 0, {(i, i): 1, (i + 1, i + 1): 1 if par else -1}))
     return space, e, f, h
 
 
@@ -249,7 +250,7 @@ def sigma_map(V: GModule) -> SuperMap:
 
 def sigma_inverse(V: GModule) -> SuperMap:
     flipped, _ = sl.parity_shift(V.space)
-    return SuperMap(flipped, V.space, sl.ODD, {(i, i): Fraction(1) for i in range(V.dim)})
+    return SuperMap(flipped, V.space, sl.ODD, {(i, i): 1 for i in range(V.dim)})
 
 
 # -- simple gl(k) modules inside tensor powers -------------------------------
@@ -284,7 +285,7 @@ def _gl_simple_module(k: int, amu: tuple[int, ...]):
     # Highest weight vector: tensor over columns of wedge(e_1..e_height).
     from itertools import permutations
 
-    hw: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    hw: dict[tuple[int, ...], Fraction] = {(): 1}
     heights = [sum(1 for row in lam if row > c) for c in range(lam[0] if lam else 0)]
     for hgt in heights:
         new: dict[tuple[int, ...], Fraction] = {}
@@ -374,11 +375,10 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
     dm, units_m, wts_m = _gl_simple_module(m, amu_m)
     dn, units_n, wts_n = _gl_simple_module(n, amu_n)
     dim_v0 = dm * dn
-    deg_m = sum(wts_m[0])
-    deg_n = sum(wts_n[0])
-    s_m = Fraction(wts_m[0][m - 1]) - Fraction(deg_m, m)
-    s_n = Fraction(wts_n[0][0]) - Fraction(deg_n, n)
-    c_z = m * n * (lam.a[s] - s_m - s_n)
+    # The central character: a diagonal matrix whose gl(m) block has trace t
+    # acts by t * center plus its gl-weights, where center makes
+    # h_s = E_mm + E_{m+1,m+1} act by a_s on the highest weight vector.
+    center = exact(lam.a[s] - wts_m[0][m - 1] - wts_n[0][0])
 
     # Each matrix unit E_ab of the two even blocks, grouped by column.
     units_m_bycol, units_n_bycol = (
@@ -394,12 +394,8 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
         diagonal contribution is a scalar on each basis vector.
         """
         im, jn = divmod(k, dn)
-        trace = sum(
-            (v for (p, q), v in mat.items() if p == q and p < m), Fraction(0)
-        )
         out: dict[int, Fraction] = {}
-        diag = trace * c_z / (m * n)  # center character
-        diag -= trace * Fraction(deg_m, m) + trace * Fraction(deg_n, n)
+        diag = center * sum(v for (p, q), v in mat.items() if p == q and p < m)
         for (p, q), v in mat.items():
             if p == q:
                 if p < m:
@@ -419,7 +415,7 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
 
     def y_matrix(c: int) -> dict:
         i, j = divmod(c, n)
-        return {(m + j, i): Fraction(1)}
+        return {(m + j, i): 1}
 
     ys = [y_matrix(c) for c in range(mn)]
 
@@ -471,9 +467,7 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
         return out
 
     dim = (1 << mn) * dim_v0
-    parities = tuple(
-        bin(idx // dim_v0).count("1") % 2 for idx in range(dim)
-    )
+    parities = tuple(bin(idx // dim_v0).count("1") % 2 for idx in range(dim))
     space = SuperSpace(parities)
 
     def generator_map(x: SuperMap) -> SuperMap:
@@ -507,15 +501,12 @@ def _kac_dim(rs: RootSystem, lam: Weight) -> int:
 
 
 def _columns(entries: dict, transpose: bool = False) -> dict[int, list]:
-    """Sparse matrix entries, or those of the plain transpose, grouped as column -> [(row, value)].
-
-    Whole values are stored as ints (see ``int_if_whole``).
-    """
+    """Sparse matrix entries, or their plain transpose, grouped as column -> [(row, value)]."""
     cols: dict[int, list] = {}
     for (i, j), v in entries.items():
         if transpose:
             i, j = j, i
-        cols.setdefault(j, []).append((i, int_if_whole(v)))
+        cols.setdefault(j, []).append((i, v))
     return cols
 
 
@@ -523,7 +514,6 @@ def _apply(cols: dict[int, list], vec: dict) -> dict[int, Fraction]:
     """A column-indexed matrix (see ``_columns``) applied to a sparse column vector."""
     out: dict[int, Fraction] = {}
     for j, x in vec.items():
-        x = int_if_whole(x)
         for i, v in cols.get(j, ()):
             out[i] = out.get(i, 0) + v * x
     return sl.nonzero(out)
@@ -574,7 +564,7 @@ class FactorwiseAction:
         steps = list(zip(factor_cols, self.places, self.dims, self.parities))
         out: dict[int, Fraction] = {}
         for flat, c in vec.items():
-            c, lead = int_if_whole(c), 0
+            lead = 0
             for cols, place, dim, par in steps:
                 d = flat // place % dim
                 for row, v in cols.get(d, ()):
@@ -672,8 +662,8 @@ def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int):
     if not singular:
         return []
     reducer = RowReducer()
-    reducer.add({d: Fraction(1)})
-    vecs, words = [{d: Fraction(1)}], [None]
+    reducer.add({d: 1})
+    vecs, words = [{d: 1}], [None]
     frontier = [0]
     while frontier and len(reducer) < K.dim:
         nxt = []
@@ -690,8 +680,7 @@ def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int):
             f"{K.name}: words from the highest weight vector span {len(reducer)} of {K.dim}"
         )
     signs = [-1 if parity and x.parity else 1 for x in K.e]
-    basis = [{k: int_if_whole(c) for k, c in reducer.coords({j: 1}).items()}
-             for j in range(K.dim)]
+    basis = [reducer.coords({j: 1}) for j in range(K.dim)]
     out = []
     for v in singular:
         images = [v]
@@ -912,7 +901,7 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
                 raise ModuleRelationError(
                     "composite of g-linear maps is not scalar on a scalar-End module"
                 )
-            return make_witness(V, V0, V0.highest_weight, W, V0W, Fraction(1, 1) / c * a, b)
+            return make_witness(V, V0, V0.highest_weight, W, V0W, Fraction(1, c) * a, b)
     raise WitnessNotFoundError(
         f"no splitting of {V.name} through {V0.name} with W = V0* (x) V"
     )
@@ -1032,22 +1021,16 @@ def load_gmodule(rs: RootSystem, path: str) -> GModule:
         if (header["family"], header["m"], header["n"]) != (rs.family, rs.m, rs.n):
             raise ModuleIntegrityError(f"{path}: module belongs to a different algebra")
         space = SuperSpace(tuple(header["parities"]))
-        weights = tuple(
-            tuple(Fraction(x) for x in wt) for wt in header["weights"]
-        )
-        hw = (
-            Weight(tuple(Fraction(x) for x in header["highest_weight"]))
-            if header.get("highest_weight")
-            else None
-        )
+        weights = tuple(tuple(Fraction(x) for x in wt) for wt in header["weights"])
+        hw = header.get("highest_weight")
+        hw = Weight(tuple(Fraction(x) for x in hw)) if hw else None
         series: dict[str, dict[int, SuperMap]] = {"e": {}, "f": {}, "h": {}}
         for rec in records[1:]:
             if rec["record"] != "generator":
                 raise ModuleIntegrityError(f"{path}: stray record {rec['record']!r}")
-            ent = {(i, j): Fraction(v) for i, j, v in rec["entries"]}
-            series[rec["series"]][rec["index"]] = SuperMap(
-                space, space, rec["parity"], ent
-            )
+            # Entries are written by rat_str: an int literal when whole.
+            ent = {(i, j): Fraction(v) if "/" in v else int(v) for i, j, v in rec["entries"]}
+            series[rec["series"]][rec["index"]] = SuperMap(space, space, rec["parity"], ent)
         e = tuple(series["e"][i] for i in range(rs.rank))
         f = tuple(series["f"][i] for i in range(rs.rank))
         h = tuple(series["h"][i] for i in range(rs.rank))

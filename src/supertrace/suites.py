@@ -231,8 +231,8 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
     # Cyclicity with an even pair (inclusion/projection) and an odd pair (sigma).
     S2 = rm.direct_sum_module(A, A)
     wS2 = rm.witness_dsum(wA, wA)
-    incl = sl.SuperMap(A.space, S2.space, 0, {(i, i): Fraction(1) for i in range(A.dim)})
-    proj = sl.SuperMap(S2.space, A.space, 0, {(i, i): Fraction(1) for i in range(A.dim)})
+    incl = sl.SuperMap(A.space, S2.space, 0, {(i, i): 1 for i in range(A.dim)})
+    proj = sl.SuperMap(S2.space, A.space, 0, {(i, i): 1 for i in range(A.dim)})
     out.append(check("trace.cyclicity-even",
                      mt.modified_trace(incl @ proj, wS2),
                      mt.modified_trace(proj @ incl, wA)))
@@ -262,8 +262,8 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
     wAU2 = rm.witness_tensor(wA, U2)
     swap = sl.SuperMap(
         U2.space, U2.space, 0,
-        {(i, i + roster.std.dim): Fraction(1) for i in range(roster.std.dim)}
-        | {(i + roster.std.dim, i): Fraction(1) for i in range(roster.std.dim)},
+        {(i, i + roster.std.dim): 1 for i in range(roster.std.dim)}
+        | {(i + roster.std.dim, i): 1 for i in range(roster.std.dim)},
     )
     out.append(check("trace.tensor-factorization-nonscalar",
                      mt.modified_trace(idA, wA) * sl.supertrace(swap),
@@ -315,7 +315,7 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
                           "str = 0 on End bases of witnessed modules"))
     # Control: the projection onto the (even) highest weight vector is not
     # g-linear and has supertrace 1.
-    control = sl.SuperMap(A.space, A.space, 0, {(0, 0): Fraction(1)})
+    control = sl.SuperMap(A.space, A.space, 0, {(0, 0): 1})
     out.append(check("trace.supertrace-nonzero-control", (Fraction(1), False),
                      (sl.supertrace(control), rm._check_g_linear(control, A, A)),
                      note="(str, g-linear) of the projection onto basis vector 0"))

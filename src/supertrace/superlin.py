@@ -16,17 +16,21 @@ and the unit object is literal (no coherence plumbing needed).
 
 This module is the one place that does sparse matrix arithmetic: ``mat_mul``
 and ``mat_scomm`` work on {(row, col): value} dicts, and every accumulation
-adds with ``out.get(k, 0) + v`` and drops the cancelled entries once, through
-``nonzero``.  Maps are validated at the public constructor ``SuperMap(...)``;
-kernel results (compositions, sums, scalar multiples, tensor products,
-transposes, partial traces) are homogeneous by construction and are built
-through the private ``SuperMap._of``, which only drops zeros.
+adds with ``out.get(k, 0) + v`` and then passes once through ``nonzero``,
+which drops the cancelled entries and leaves every value a canonical scalar
+(``exactnum.exact``: an int when whole, else a Fraction).  Maps are validated
+at the public constructor ``SuperMap(...)``, which also makes each entry
+canonical; kernel results (compositions, sums, scalar multiples, tensor
+products, transposes, partial traces) are homogeneous by construction and are
+built through the private ``SuperMap._of``, which only calls ``nonzero``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .exactnum import exact
 
 EVEN, ODD = 0, 1
 
@@ -70,8 +74,8 @@ UNIT = super_space(1, 0)
 
 
 def nonzero(d: dict) -> dict:
-    """The entries of an accumulated dict that did not cancel to zero."""
-    return {k: v for k, v in d.items() if v}
+    """The entries that did not cancel to zero, as canonical scalars (a float raises)."""
+    return {k: v.numerator if v.denominator == 1 else v for k, v in d.items() if v}
 
 
 def mat_mul(x: dict, y: dict) -> dict:
@@ -99,9 +103,10 @@ def mat_scomm(x: dict, px: int, y: dict, py: int) -> dict:
 class SuperMap:
     """A homogeneous linear map between super-spaces.
 
-    Entries are stored sparsely as {(row, col): Fraction}.  Homogeneity is
-    enforced at construction: entry (i, j) may be nonzero only when
-    parity(codomain_i) = parity(domain_j) + parity(map) in Z2.
+    Entries are stored sparsely as {(row, col): value}, each value a canonical
+    scalar (see ``exactnum.exact``; anything but an int or a Fraction raises
+    TypeError).  Homogeneity is enforced at construction: entry (i, j) may be
+    nonzero only when parity(codomain_i) = parity(domain_j) + parity(map) in Z2.
     """
 
     domain: SuperSpace
@@ -115,8 +120,8 @@ class SuperMap:
         clean = {}
         rows, cols = self.codomain.parities, self.domain.parities
         for (i, j), v in self.entries.items():
-            v = Fraction(v)
-            if v == 0:
+            v = exact(v)
+            if not v:
                 continue
             if not (0 <= i < len(rows) and 0 <= j < len(cols)):
                 raise ValueError(f"entry ({i},{j}) out of range")
@@ -139,7 +144,7 @@ class SuperMap:
     # -- basic algebra ----------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
+        return self.entries.get((i, j), 0)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -162,7 +167,7 @@ class SuperMap:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> SuperMap:
-        c = Fraction(scalar)
+        c = exact(scalar)
         ent = {k: c * v for k, v in self.entries.items()} if c else {}
         return SuperMap._of(self.domain, self.codomain, self.parity, ent)
 
@@ -195,7 +200,7 @@ class SuperMap:
 
 
 def identity(V: SuperSpace) -> SuperMap:
-    return SuperMap(V, V, EVEN, {(i, i): Fraction(1) for i in range(V.dim)})
+    return SuperMap(V, V, EVEN, {(i, i): 1 for i in range(V.dim)})
 
 
 def zero_map(U: SuperSpace, V: SuperSpace, parity: int = EVEN) -> SuperMap:
@@ -249,7 +254,7 @@ def super_permutation(U: SuperSpace, V: SuperSpace) -> SuperMap:
     ent = {}
     for i, p in enumerate(U.parities):
         for j, q in enumerate(V.parities):
-            ent[(j * U.dim + i, i * V.dim + j)] = Fraction(-1 if p and q else 1)
+            ent[(j * U.dim + i, i * V.dim + j)] = -1 if p and q else 1
     return SuperMap(dom, cod, EVEN, ent)
 
 
@@ -272,29 +277,25 @@ def super_transpose(f: SuperMap) -> SuperMap:
 
 def ev(V: SuperSpace) -> SuperMap:
     """Left evaluation V* (x) V -> k, phi (x) v |-> phi(v)."""
-    ent = {(0, i * V.dim + i): Fraction(1) for i in range(V.dim)}
+    ent = {(0, i * V.dim + i): 1 for i in range(V.dim)}
     return SuperMap(tensor_space(dual_space(V), V), UNIT, EVEN, ent)
 
 
 def ev_right(V: SuperSpace) -> SuperMap:
     """Right evaluation V (x) V* -> k, v (x) phi |-> (-1)^{p(v)p(phi)} phi(v)."""
-    ent = {
-        (0, i * V.dim + i): Fraction(-1 if V.parities[i] else 1) for i in range(V.dim)
-    }
+    ent = {(0, i * V.dim + i): -1 if V.parities[i] else 1 for i in range(V.dim)}
     return SuperMap(tensor_space(V, dual_space(V)), UNIT, EVEN, ent)
 
 
 def coev(V: SuperSpace) -> SuperMap:
     """Coevaluation k -> V (x) V*, 1 |-> sum_i v_i (x) v_i^*."""
-    ent = {(i * V.dim + i, 0): Fraction(1) for i in range(V.dim)}
+    ent = {(i * V.dim + i, 0): 1 for i in range(V.dim)}
     return SuperMap(UNIT, tensor_space(V, dual_space(V)), EVEN, ent)
 
 
 def double_dual_iso(V: SuperSpace) -> SuperMap:
     """The canonical V -> V**, v |-> (-1)^{p(v)} v** in the dual-dual basis."""
-    ent = {
-        (i, i): Fraction(-1 if V.parities[i] else 1) for i in range(V.dim)
-    }
+    ent = {(i, i): -1 if V.parities[i] else 1 for i in range(V.dim)}
     return SuperMap(V, dual_space(dual_space(V)), EVEN, ent)
 
 
@@ -306,7 +307,7 @@ def dual_tensor_iso(U: SuperSpace, V: SuperSpace) -> SuperMap:
     for i, p in enumerate(U.parities):
         for j, q in enumerate(V.parities):
             k = i * V.dim + j
-            ent[(k, k)] = Fraction(-1 if p and q else 1)
+            ent[(k, k)] = -1 if p and q else 1
     return SuperMap(dom, cod, EVEN, ent)
 
 
@@ -317,7 +318,7 @@ def supertrace(f: SuperMap) -> Fraction:
     """str(f) = sum_i (-1)^{p(v_i)} f_ii; requires a square map."""
     if f.domain != f.codomain:
         raise ValueError("supertrace requires domain == codomain")
-    total = Fraction(0)
+    total = 0
     for i, p in enumerate(f.domain.parities):
         v = f.entries.get((i, i))
         if v:
@@ -355,5 +356,5 @@ def partial_supertrace_hom(
 def parity_shift(V: SuperSpace) -> tuple[SuperSpace, SuperMap]:
     """The parity-flipped space and the odd isomorphism onto it."""
     flipped = SuperSpace(tuple((p + 1) % 2 for p in V.parities))
-    sigma = SuperMap(V, flipped, ODD, {(i, i): Fraction(1) for i in range(V.dim)})
+    sigma = SuperMap(V, flipped, ODD, {(i, i): 1 for i in range(V.dim)})
     return flipped, sigma

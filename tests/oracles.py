@@ -34,7 +34,7 @@ def invert_diag(m):
     for (i, j), v in m.entries.items():
         if i != j:
             raise ValueError("not a diagonal map")
-        ent[(i, j)] = 1 / v
+        ent[(i, j)] = 1 / Fraction(v)
     return sl.SuperMap(m.codomain, m.domain, m.parity, ent)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 
 import pytest
@@ -221,6 +222,19 @@ class TestRunBlock:
                                                                      "writes": 0}
 
 
+# `run_verification(["all"], seed=2024)` as recorded at an earlier commit, without
+# the `timings` and `run` blocks: every check's id, pass flag, rendered values
+# and inputs, so a change of how values are held cannot change what is reported.
+GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "verify_all_seed2024.json")
+CHECK_KEYS = ("check", "pass", "expected", "actual", "inputs")
+
+
+@pytest.fixture(scope="module")
+def verify_all():
+    """`verify --suite all --format json` at the defaults (seed 2024, degree 3), run once."""
+    return run_cli("verify", "--suite", "all", "--format", "json")
+
+
 class TestVerifyFailures:
     @staticmethod
     def checks_of(text):
@@ -228,8 +242,17 @@ class TestVerifyFailures:
         assert lines[0]["record"] == "report"
         return {c["check"]: c for c in lines[1:]}
 
-    def test_values_render_canonically(self):
-        code, text = run_cli("verify", "--suite", "all", "--format", "json")
+    def test_report_matches_the_golden_report(self, verify_all):
+        code, text = verify_all
+        assert code == 0
+        header, *checks = [json.loads(line) for line in text.splitlines()]
+        with open(GOLDEN_REPORT) as fh:
+            golden = json.load(fh)
+        assert [{k: c[k] for k in CHECK_KEYS} for c in checks] == golden.pop("checks")
+        assert {k: header[k] for k in golden} == golden
+
+    def test_values_render_canonically(self, verify_all):
+        code, text = verify_all
         assert code == 0
         assert "Fraction(" not in text
         checks = self.checks_of(text)
@@ -309,7 +332,7 @@ class TestBadInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("degree", ["6", "7", "40"])
+    @pytest.mark.parametrize("degree", ["5", "6", "7", "40"])
     def test_max_degree_above_the_cap_exits_before_any_suite(self, degree, capsys, monkeypatch):
         from supertrace import suites
 
@@ -319,7 +342,7 @@ class TestBadInput:
         monkeypatch.setattr(suites, "run_verification", no_run)
         code, _ = run_cli("verify", "--suite", "tensors", "--max-degree", degree)
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: --max-degree must be between 2 and 5")
+        assert capsys.readouterr().err.startswith("error: --max-degree must be between 2 and 4")
 
 
 ALGEBRAS = st.sampled_from([

@@ -464,7 +464,7 @@ class TestOtherAlgebra:
         assert len(funcs) == 1
         evr = sl.ev_right(K.space)
         key = next(iter(evr.entries))
-        scale = evr.entries[key] / funcs[0].entries[key]
+        scale = F(evr.entries[key]) / funcs[0].entries[key]
         assert scale * funcs[0] == sl.SuperMap(VV.space, sl.UNIT, 0, dict(evr.entries))
         assert sl.scalar_of(sl.ev_right(K.space) @ sl.coev(K.space)) == 0
 

@@ -270,3 +270,39 @@ def test_row_reducer_matches_oracle(added, probes, weights):
         assert reducer.contains(vec) == inside
         if inside:
             assert reducer.coords(vec) == oracle.coords(vec)
+
+
+# -- canonical outputs ----------------------------------------------------------
+
+mixed_entries = st.one_of(st.integers(-5, 5), entries)
+mixed_rows = st.lists(
+    st.dictionaries(st.integers(0, NCOLS - 1), mixed_entries, max_size=4), max_size=9
+)
+
+
+def is_canonical(v) -> bool:
+    """Whole values are ints; the others are Fractions with denominator > 1."""
+    return type(v) is int or (type(v) is F and v.denominator > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_rows, st.lists(mixed_entries, min_size=9, max_size=9))
+def test_outputs_are_canonical_and_match_the_fraction_oracle(rows, weights):
+    as_fractions = [{j: F(v) for j, v in r.items()} for r in rows]
+    basis = nullspace([dict(r) for r in rows], NCOLS)
+    assert same_span(reference_nullspace(as_fractions, NCOLS), basis)
+    assert all(is_canonical(x) for vec in basis for x in vec.values())
+    reducer, oracle = RowReducer(), ReferenceRowReducer()
+    accepted = []
+    for r, fr in zip(rows, as_fractions):
+        took = reducer.add(dict(r))
+        assert took == oracle.add(fr)
+        if took:
+            accepted.append(fr)
+    combo = {}
+    for w, v in zip(weights, accepted):
+        for j, x in v.items():
+            combo[j] = combo.get(j, 0) + w * x
+    coords = reducer.coords(combo)
+    assert coords == oracle.coords(combo)
+    assert all(is_canonical(x) for x in coords.values())

@@ -463,6 +463,27 @@ class TestRelationCheck:
         with pytest.raises(rm.ModuleRelationError):
             _relations_by_commutators(broken)
 
+    @pytest.mark.parametrize("shape", [(2, 1, (1, F(1, 2))), (3, 1, (1, 0, F(-2, 3)))],
+                             ids=["sl21-K(1,1/2)", "sl31-K(1,0,-2/3)"])
+    def test_weight_gaps_with_fractional_weights(self, shape):
+        # verify_relations compares weight gaps in ints, each coordinate scaled
+        # by the lcm of its denominators; a fractional a_s exercises the scaling.
+        from supertrace.rootdata import build_root_system
+
+        m, n, coords = shape
+        rs = build_root_system("sl", m, n)
+        K = rm.kac_module(rs, weight(*coords))
+        assert any(x.denominator > 1 for x in K.basis_weights[0])
+        rm.verify_relations(K)
+        for j, x in enumerate(K.e):
+            root = [rs.cartan.a[i][j] for i in range(rs.rank)]
+            a, b = next((a, b) for a in range(K.dim) for b in range(K.dim)
+                        if K.space.parities[a] == (K.space.parities[b] + x.parity) % 2
+                        and [wa - wb for wa, wb in zip(K.weight(a), K.weight(b))] != root)
+            broken = sl.SuperMap(K.space, K.space, x.parity, {**x.entries, (a, b): 1})
+            with pytest.raises(rm.ModuleRelationError, match=rf"\[h_\d+, x_{j}\] relation failed"):
+                rm.verify_relations(_with_generator(K, "e", j, broken))
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_rescaled_h_raises_in_both_forms(self, modules, data):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -280,6 +281,48 @@ sparse_mats = st.dictionaries(
 )
 
 
+def _canonical(v) -> bool:
+    """Whole values are ints; the others are Fractions with denominator > 1."""
+    return type(v) is int or (type(v) is F and v.denominator > 1)
+
+
+# Ints and whole Fractions side by side, so canonical forms meet non-canonical ones.
+MIXED_VALUES = [0, 1, -1, 2, F(0), F(1), F(-1), F(4, 2), F(1, 2), F(-1, 2), F(3, 2)]
+mixed_mats = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.sampled_from(MIXED_VALUES), max_size=10
+)
+
+
+def _fractions(x: dict) -> dict:
+    """The same sparse matrix with every value a Fraction: the oracles' inputs."""
+    return {k: F(v) for k, v in x.items()}
+
+
+def _mixed_map(rng, U, V, parity):
+    """A homogeneous map whose entries are drawn from MIXED_VALUES."""
+    ent = {(i, j): rng.choice(MIXED_VALUES)
+           for i in range(V.dim) for j in range(U.dim)
+           if (V.parities[i] + U.parities[j]) % 2 == parity}
+    return sl.SuperMap(U, V, parity, ent)
+
+
+def _tensor_map(f, g) -> dict:
+    """Reference Koszul tensor product, dense over all index pairs, in Fractions.
+
+    (f (x) g)[(i, k), (j, l)] = (-1)^{p(g) p(domain_j)} f[i, j] g[k, l].
+    """
+    out = {}
+    for i in range(f.codomain.dim):
+        for j in range(f.domain.dim):
+            for k in range(g.codomain.dim):
+                for l in range(g.domain.dim):
+                    sign = F(-1) if g.parity and f.domain.parities[j] else F(1)
+                    v = sign * F(f.entry(i, j)) * F(g.entry(k, l))
+                    if v:
+                        out[(i * g.codomain.dim + k, j * g.domain.dim + l)] = v
+    return out
+
+
 class TestSparseKernel:
     @settings(max_examples=200, deadline=None)
     @given(sparse_mats, sparse_mats)
@@ -303,6 +346,36 @@ class TestSparseKernel:
     def test_nonzero(self):
         assert sl.nonzero({1: F(0), 2: F(3), 3: 0}) == {2: F(3)}
 
+    def test_nonzero_makes_values_canonical(self):
+        out = sl.nonzero({1: F(4, 2), 2: F(-1, 2), 3: -1, 4: F(0)})
+        assert out == {1: 2, 2: F(-1, 2), 3: -1} and all(map(_canonical, out.values()))
+        with pytest.raises((AttributeError, TypeError)):  # a float is never rounded
+            sl.nonzero({1: 0.5})
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_mats, mixed_mats)
+    def test_mat_mul_on_mixed_operands(self, x, y):
+        out = sl.mat_mul(x, y)
+        assert out == _mat_mul(_fractions(x), _fractions(y))
+        assert all(_canonical(v) for v in out.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_mats, st.integers(0, 1), mixed_mats, st.integers(0, 1))
+    def test_mat_scomm_on_mixed_operands(self, x, px, y, py):
+        out = sl.mat_scomm(x, px, y, py)
+        assert out == _mat_scomm(_fractions(x), px, _fractions(y), py)
+        assert all(_canonical(v) for v in out.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(spaces_strategy(), spaces_strategy(), spaces_strategy(), spaces_strategy(),
+           st.integers(0, 1), st.integers(0, 1), st.randoms(use_true_random=False))
+    def test_tensor_map_on_mixed_operands(self, U, V, X, Y, p, q, rnd):
+        rng = random.Random(rnd.randint(0, 10**6))
+        f, g = _mixed_map(rng, U, V, p), _mixed_map(rng, X, Y, q)
+        t = sl.tensor_map(f, g)
+        assert t.entries == _tensor_map(f, g)
+        assert all(_canonical(v) for v in t.entries.values())
+
 
 def _unit_map(rng, U, V, parity):
     """A homogeneous map with entries +-1, so sums and products cancel often."""
@@ -318,7 +391,7 @@ def _unit_map(rng, U, V, parity):
 def _assert_kernel_result(r):
     assert r == sl.SuperMap(r.domain, r.codomain, r.parity, dict(r.entries))
     assert all(r.entries.values())
-    assert all(type(v) is F for v in r.entries.values())
+    assert all(_canonical(v) for v in r.entries.values())
 
 
 class TestKernelResults:
@@ -346,4 +419,15 @@ class TestKernelResults:
     def test_public_constructor_converts_and_drops_zeros(self):
         V = sl.super_space(2, 0)
         m = sl.SuperMap(V, V, 0, {(0, 0): 1, (1, 1): 0})
-        assert m.entries == {(0, 0): F(1)} and type(m.entries[(0, 0)]) is F
+        assert m.entries == {(0, 0): F(1)} and _canonical(m.entries[(0, 0)])
+        m = sl.SuperMap(V, V, 0, {(0, 0): F(6, 3), (1, 1): F(1, 2), (0, 1): F(0)})
+        assert m.entries == {(0, 0): 2, (1, 1): F(1, 2)}
+        assert all(_canonical(v) for v in m.entries.values())
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, 0.0, "1/2", 1j, Decimal("0.5")], ids=repr)
+    def test_inexact_entries_and_scalars_raise_type_error(self, bad):
+        V = sl.super_space(1, 1)
+        with pytest.raises(TypeError):
+            sl.SuperMap(V, V, 0, {(0, 0): bad})
+        with pytest.raises(TypeError):
+            bad * sl.identity(V)
