@@ -53,7 +53,8 @@ class HSeries:
     """Truncated formal power series in h with rational coefficients.
 
     ``coeffs[k]`` multiplies h^k and ``len(coeffs) == order + 1``.  Two series
-    are equal iff their orders and all coefficients agree.
+    are equal iff their orders and all coefficients agree.  Coefficients must
+    be ints or Fractions (see ``exact``); a float raises TypeError.
     """
 
     order: int
@@ -64,22 +65,20 @@ class HSeries:
             raise ValueError("series order must be non-negative")
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient list must have length order+1")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(Fraction(exact(c)) for c in self.coeffs))
 
     @staticmethod
     def from_coeffs(coeffs, order: int | None = None) -> HSeries:
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is None:
             order = len(cs) - 1
         if len(cs) < order + 1:
-            cs += [Fraction(0)] * (order + 1 - len(cs))
+            cs += [0] * (order + 1 - len(cs))
         return HSeries(order, tuple(cs[: order + 1]))
 
     @staticmethod
     def constant(value, order: int) -> HSeries:
-        cs = [Fraction(0)] * (order + 1)
-        cs[0] = Fraction(value)
-        return HSeries(order, tuple(cs))
+        return HSeries(order, (value,) + (0,) * order)
 
     @staticmethod
     def zero(order: int) -> HSeries:
@@ -128,7 +127,7 @@ class HSeries:
                     if b != 0:
                         cs[i + j] += a * b
             return HSeries(n, tuple(cs))
-        c = Fraction(other)
+        c = exact(other)
         return HSeries(self.order, tuple(c * a for a in self.coeffs))
 
     __rmul__ = __mul__
@@ -186,7 +185,7 @@ def q_power(z, order: int) -> HSeries:
     """Truncation of exp(z*h/2): the coefficient of h^k is z^k / (2^k k!)."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    z = Fraction(z)
+    z = Fraction(exact(z))
     cs = []
     zk = Fraction(1)
     for k in range(order + 1):
@@ -197,4 +196,4 @@ def q_power(z, order: int) -> HSeries:
 
 def q_bracket(z, order: int) -> HSeries:
     """q^z - q^(-z), i.e. 2*sinh(z*h/2), truncated at the given order."""
-    return q_power(z, order) - q_power(-Fraction(z), order)
+    return q_power(z, order) - q_power(-exact(z), order)

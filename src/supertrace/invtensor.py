@@ -64,6 +64,7 @@ class AdjointData:
     b_inv: SuperMap
     _powers: dict = field(default_factory=dict, repr=False)
     _spaces: dict = field(default_factory=dict, repr=False)
+    _moved: dict = field(default_factory=dict, repr=False)  # (N, perm) -> {flat: (index, sign)}
 
     @property
     def gdim(self) -> int:
@@ -545,12 +546,13 @@ def _permuter(adj: AdjointData, N: int, perm: tuple[int, ...]):
 
     ``perm[i]`` is the slot the i-th factor moves to.  Each index takes the
     adjacent swaps that bubble-sort perm, with the sign (-1)^{p p'} of the
-    super permutation at each: flat -> (index, sign).
+    super permutation at each: flat -> (index, sign).  The moved indices are
+    kept on ``adj`` per (N, perm), so later calls reuse them.
     """
     swaps = _adjacent_swaps(N, perm)
     gdim = adj.gdim
     par = adj.module.space.parities
-    moved: dict[int, tuple[int, int]] = {}
+    moved = adj._moved.setdefault((N, tuple(perm)), {})
 
     def move(flat: int) -> tuple[int, int]:
         if flat not in moved:

@@ -52,7 +52,7 @@ def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
 
 def modified_trace(f: SuperMap, w: IdealWitness) -> Fraction:
     """mod_sdim(V0) times the bracket scalar; independent of the witness."""
-    return w.V.rs.mod_sdim(w.lambda0) * bracket(f, w)
+    return w.V.rs.mod_sdim(w.V0.highest_weight) * bracket(f, w)
 
 
 def classical_str_is_zero(w: IdealWitness, f: SuperMap) -> bool:
@@ -88,21 +88,6 @@ def psi_apply(h: SuperMap, U: GModule, V: GModule, f: SuperMap) -> SuperMap:
     return sl.partial_supertrace_hom(inner, U.space, f.domain, V.space)
 
 
-def psi_sharp_apply(
-    h: SuperMap,
-    U: GModule,
-    Vp: GModule,
-    V: GModule,
-    Up: GModule,
-    g: SuperMap,
-) -> SuperMap:
-    """The companion operator g |-> ptr(h^# . (Id_{V'} (x) g)) for g: V -> U."""
-    hsharp = psi_sharp(h, (U.space, Vp.space), (V.space, Up.space))
-    idvp = sl.identity(Vp.space)
-    inner = hsharp @ sl.tensor_map(idvp, g)
-    return sl.partial_supertrace_hom(inner, Vp.space, g.domain, Up.space)
-
-
 def trace_invariance_sides(
     h: SuperMap,
     U: GModule,
@@ -121,7 +106,9 @@ def trace_invariance_sides(
     and g: V -> U are g-linear, and V, V' carry witnesses.
     """
     left_endo = psi_apply(h, U, V, f) @ g
-    right_endo = f @ psi_sharp_apply(h, U, Vp, V, Up, g)
+    # Psi#(g) = ptr(h^# . (Id_{V'} (x) g)): the operator attached to h^#: V' (x) U -> U' (x) V.
+    hsharp = psi_sharp(h, (U.space, Vp.space), (V.space, Up.space))
+    right_endo = f @ psi_apply(hsharp, Vp, Up, g)
     left = modified_trace(left_endo, w_V)
     right = modified_trace(right_endo, w_Vp)
     sign = -1 if (h.parity and f.parity) else 1

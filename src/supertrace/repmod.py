@@ -382,7 +382,7 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
 
     # Each matrix unit E_ab of the two even blocks, grouped by column.
     units_m_bycol, units_n_bycol = (
-        {key: _columns(ent) for key, ent in units.items()} for units in (units_m, units_n)
+        {key: sl.mat_columns(ent) for key, ent in units.items()} for units in (units_m, units_n)
     )
 
     def even_apply(mat: dict, k: int) -> dict[int, Fraction]:
@@ -500,25 +500,6 @@ def _kac_dim(rs: RootSystem, lam: Weight) -> int:
 # -- morphism spaces -----------------------------------------------------------
 
 
-def _columns(entries: dict, transpose: bool = False) -> dict[int, list]:
-    """Sparse matrix entries, or their plain transpose, grouped as column -> [(row, value)]."""
-    cols: dict[int, list] = {}
-    for (i, j), v in entries.items():
-        if transpose:
-            i, j = j, i
-        cols.setdefault(j, []).append((i, v))
-    return cols
-
-
-def _apply(cols: dict[int, list], vec: dict) -> dict[int, Fraction]:
-    """A column-indexed matrix (see ``_columns``) applied to a sparse column vector."""
-    out: dict[int, Fraction] = {}
-    for j, x in vec.items():
-        for i, v in cols.get(j, ()):
-            out[i] = out.get(i, 0) + v * x
-    return sl.nonzero(out)
-
-
 class FactorwiseAction:
     """The Chevalley generators acting on coordinates of M_1 (x) ... (x) M_k.
 
@@ -542,35 +523,48 @@ class FactorwiseAction:
             self.places[pos] = self.places[pos + 1] * self.dims[pos + 1]
         self.parities = [M.space.parities for M in self.factors]
         self.gen_parity = [x.parity for x in self.factors[0].e]
-        self._cols: dict[tuple[str, int], list] = {}  # filled on first use
+        self._steps: dict[tuple[str, int], list] = {}  # filled on first use
 
-    def _factor_columns(self, kind: str, i: int) -> list[dict[int, list]]:
-        """The columns of ``kind``_i on each factor, computed once per distinct module."""
+    def _factor_steps(self, kind: str, i: int) -> list[tuple]:
+        """(columns of ``kind``_i, place, dim, parities) per factor, last factor first.
+
+        The columns are computed once per distinct module.
+        """
         key = (kind, i)
-        if key not in self._cols:
+        if key not in self._steps:
             by_module: dict[int, dict] = {}
             for M in self.factors:
                 if id(M) not in by_module:
-                    by_module[id(M)] = _columns(getattr(M, kind)[i].entries, self.transpose)
-            self._cols[key] = [by_module[id(M)] for M in self.factors]
-        return self._cols[key]
+                    by_module[id(M)] = sl.mat_columns(getattr(M, kind)[i].entries, self.transpose)
+            self._steps[key] = [(by_module[id(M)], place, dim, par) for M, place, dim, par
+                                in zip(self.factors, self.places, self.dims, self.parities)][::-1]
+        return self._steps[key]
 
     def apply(self, kind: str, i: int, vec: dict) -> dict[int, Fraction]:
-        """The generator ``kind``_i ("e", "f" or "h") applied to a sparse vector."""
-        factor_cols = self._factor_columns(kind, i)
-        if len(factor_cols) == 1:
-            return _apply(factor_cols[0], vec)
+        """The generator ``kind``_i ("e", "f" or "h") applied to a sparse vector.
+
+        The positions are visited last factor first, so on V (x) U* the moves
+        in U* come before those in V, in the order of the entrywise Hom
+        equations F x_U - (-1)^{p(x) p(F)} x_V F; a kill system then meets
+        its rows in that order, and the eliminator returns the same basis.
+        """
+        steps = self._factor_steps(kind, i)
+        if len(steps) == 1:
+            return sl.mat_apply(steps[0][0], vec)
         odd = kind != "h" and self.gen_parity[i]
-        steps = list(zip(factor_cols, self.places, self.dims, self.parities))
         out: dict[int, Fraction] = {}
         for flat, c in vec.items():
+            # lead: the parity of the factors left of pos, the whole parity peeled from the right.
             lead = 0
+            if odd:
+                for _, place, dim, par in steps:
+                    lead ^= par[flat // place % dim]
             for cols, place, dim, par in steps:
                 d = flat // place % dim
+                lead ^= par[d]
                 for row, v in cols.get(d, ()):
                     key = flat + (row - d) * place
                     out[key] = out.get(key, 0) + (-v if odd and lead else v) * c
-                lead ^= par[d]
         return sl.nonzero(out)
 
     def indices(self, wt: tuple, parity: int) -> list[int]:
@@ -586,6 +580,7 @@ class FactorwiseAction:
         half = len(self.factors) // 2
         left, right = _weight_table(self.factors[:half]), _weight_table(self.factors[half:])
         rdim = self.places[half - 1]
+        wt = tuple(map(exact, wt))
         out = []
         for wl, lefts in left.items():
             rights = right.get(tuple(a - b for a, b in zip(wt, wl)), ())
@@ -594,12 +589,16 @@ class FactorwiseAction:
 
 
 def _weight_table(factors) -> dict[tuple, list[tuple[int, int]]]:
-    """Weight -> [(index, parity)] over the basis of the tensor product of ``factors``."""
+    """Weight -> [(index, parity)] over the basis of the tensor product of ``factors``.
+
+    The weights are keyed as canonical scalars, which hash and add as ints where whole.
+    """
     table = {(0,) * factors[0].rs.rank: [(0, 0)]}
     for M in factors:
         nxt: dict[tuple, list[tuple[int, int]]] = {}
+        weights = [tuple(map(exact, w)) for w in M.basis_weights]
         for w, entries in table.items():
-            for j, (wj, pj) in enumerate(zip(M.basis_weights, M.space.parities)):
+            for j, (wj, pj) in enumerate(zip(weights, M.space.parities)):
                 key = tuple(a + b for a, b in zip(w, wj))
                 nxt.setdefault(key, []).extend((a * M.dim + j, p ^ pj) for a, p in entries)
         table = nxt
@@ -706,8 +705,11 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     certified one, the same route runs on row vectors through
     Hom(U, K) = Hom(K*, U*): the highest weight row of a map is a weight-mu
     covector of U killed by every f_i acting on the right, and the e_i acting
-    on the right spread it.  Other modules take the generic solve of
-    F . x_U = (-1)^{p(x) p(F)} x_V . F over all Chevalley generators.
+    on the right spread it.  Other modules take the generic route: a map F is
+    an invariant of V (x) U* with F[i, j] the coordinate of v_i (x) u_j*, since
+    x acts there by x_V F - (-1)^{p(x) p(F)} F x_U.  Its unknowns are the
+    weight-zero basis vectors of that parity, U index outer, and the system is
+    the one kill system of the e_i and f_i acting factor by factor.
     """
     if parity is None:
         return hom_space(U, V, 0) + hom_space(U, V, 1)
@@ -722,56 +724,18 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
         target = FactorwiseAction((U,), transpose=True)
         return [SuperMap(U.space, V.space, parity, {(i, j): v for (j, i), v in ent.items()})
                 for ent in _induced_maps(V, d, target, parity)]
-    return _hom_generic(U, V, parity)
-
-
-def _hom_generic(U: GModule, V: GModule, parity: int) -> list[SuperMap]:
-    """Hom(U, V) by elimination over the e- and f-generator equations.
-
-    The h-generator equations say exactly that F matches basis weights, which
-    cuts the unknowns to weight-matched entry positions before elimination.
-    """
-    by_weight_v: dict[tuple, list[int]] = {}
-    for i in range(V.dim):
-        by_weight_v.setdefault(V.basis_weights[i], []).append(i)
-    unknowns: list[tuple[int, int]] = []
-    for j in range(U.dim):
-        for i in by_weight_v.get(U.basis_weights[j], ()):
-            if (V.space.parities[i] + U.space.parities[j]) % 2 == parity:
-                unknowns.append((i, j))
-    if not unknowns:
-        return []
-    index = {u: t for t, u in enumerate(unknowns)}
-
-    equations: dict[tuple, dict[int, Fraction]] = {}
-
-    def put(key, t, val):
-        row = equations.setdefault(key, {})
-        row[t] = row.get(t, 0) + val
-
-    gens_u = U.e + U.f
-    gens_v = V.e + V.f
-    for gidx, (xu, xv) in enumerate(zip(gens_u, gens_v)):
-        sign = -1 if (parity and xu.parity) else 1
-        xu_rows, xv_cols = _columns(xu.entries, transpose=True), _columns(xv.entries)
-        for (i, j), t in index.items():
-            for (j2, v) in xu_rows.get(j, ()):
-                put((gidx, i, j2), t, v)
-            for (i2, v) in xv_cols.get(i, ()):
-                put((gidx, i2, j), t, -sign * v)
-
-    kernel = nullspace(equations.values(), len(unknowns))
-    out = []
-    for vec in kernel:
-        ent = {unknowns[t]: v for t, v in vec.items()}
-        out.append(SuperMap(U.space, V.space, parity, ent))
-    return out
+    action = FactorwiseAction((V, dual_module(U, check=False)))
+    support = sorted(action.indices((0,) * U.rs.rank, parity), key=lambda t: (t % U.dim, t))
+    return [SuperMap(U.space, V.space, parity, {divmod(t, U.dim): v for t, v in vec.items()})
+            for vec in _killed(action, "ef", support)]
 
 
 def invariant_vectors(V: GModule, parity: int | None = None) -> list[dict[int, Fraction]]:
     """A basis of the vectors killed by every generator, as sparse columns."""
-    maps = hom_space(trivial_module(V.rs, check=False), V, parity)
-    return [{i: v for (i, _), v in m.entries.items()} for m in maps]
+    action = FactorwiseAction((V,))
+    zero = (0,) * V.rs.rank
+    return [vec for p in ((0, 1) if parity is None else (parity,))
+            for vec in _killed(action, "ef", action.indices(zero, p))]
 
 
 def singular_vectors(V: GModule) -> list[dict[int, Fraction]]:
@@ -790,12 +754,13 @@ def submodule_dimension(V: GModule, seeds) -> int:
     for vec in seeds:
         if reducer.add(vec):
             frontier.append(vec)
-    gens = [_columns(x.entries) for x in V.gens()]
+    action = FactorwiseAction((V,))
+    gens = [(kind, g) for kind in "efh" for g in range(V.rs.rank)]
     while frontier:
         nxt = []
         for vec in frontier:
-            for x in gens:
-                image = _apply(x, vec)
+            for kind, g in gens:
+                image = action.apply(kind, g, vec)
                 if image and reducer.add(image):
                     nxt.append(image)
         frontier = nxt
@@ -825,12 +790,11 @@ class IdealWitness:
     """A certified splitting of V through V0 (x) W.
 
     alpha: V0 (x) W -> V and beta: V -> V0 (x) W are even g-linear maps with
-    alpha . beta = Id_V exactly; lambda0 is the (typical) highest weight of V0.
+    alpha . beta = Id_V exactly; V0 has a recorded typical highest weight.
     """
 
     V: GModule
     V0: GModule
-    lambda0: Weight
     W: GModule
     V0W: GModule
     alpha: SuperMap
@@ -848,16 +812,16 @@ def _check_g_linear(m: SuperMap, src: GModule, dst: GModule) -> bool:
     return True
 
 
-def make_witness(V, V0, lambda0, W, V0W, alpha, beta) -> IdealWitness:
-    if not V.rs.is_typical(lambda0):
-        raise ValueError("witness core weight is atypical")
+def make_witness(V, V0, W, V0W, alpha, beta) -> IdealWitness:
+    if V0.highest_weight is None or not V.rs.is_typical(V0.highest_weight):
+        raise ValueError("witness core has no recorded typical highest weight")
     if alpha.parity != 0 or beta.parity != 0:
         raise ValueError("witness maps must be even")
     if alpha @ beta != sl.identity(V.space):
         raise ValueError("alpha . beta is not the identity")
     if not _check_g_linear(alpha, V0W, V) or not _check_g_linear(beta, V, V0W):
         raise ValueError("witness maps are not g-linear")
-    return IdealWitness(V, V0, lambda0, W, V0W, alpha, beta)
+    return IdealWitness(V, V0, W, V0W, alpha, beta)
 
 
 def trivial_witness(V: GModule) -> IdealWitness:
@@ -868,7 +832,7 @@ def trivial_witness(V: GModule) -> IdealWitness:
     V0W = tensor_module(V, W, check=False)
     # V (x) k and V share one basis, so the identity is both alpha and beta.
     ident = sl.identity(V.space)
-    return make_witness(V, V, V.highest_weight, W, V0W, ident, ident)
+    return make_witness(V, V, W, V0W, ident, ident)
 
 
 def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
@@ -901,7 +865,7 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
                 raise ModuleRelationError(
                     "composite of g-linear maps is not scalar on a scalar-End module"
                 )
-            return make_witness(V, V0, V0.highest_weight, W, V0W, Fraction(1, c) * a, b)
+            return make_witness(V, V0, W, V0W, Fraction(1, c) * a, b)
     raise WitnessNotFoundError(
         f"no splitting of {V.name} through {V0.name} with W = V0* (x) V"
     )
@@ -916,7 +880,7 @@ def witness_tensor(w: IdealWitness, U: GModule) -> IdealWitness:
     # (V0 (x) W) (x) U and V0 (x) (W (x) U) share the same flattened basis.
     alpha = sl.tensor_map(w.alpha, idu)
     beta = sl.tensor_map(w.beta, idu)
-    return make_witness(V2, w.V0, w.lambda0, W2, V0W2, alpha, beta)
+    return make_witness(V2, w.V0, W2, V0W2, alpha, beta)
 
 
 def witness_dsum(w1: IdealWitness, w2: IdealWitness) -> IdealWitness:
@@ -944,7 +908,7 @@ def witness_dsum(w1: IdealWitness, w2: IdealWitness) -> IdealWitness:
         ent_b[(i0 * (dw1 + dw2) + dw1 + iw, j + dv1)] = v
     alpha = SuperMap(V0W.space, V.space, 0, ent_a)
     beta = SuperMap(V.space, V0W.space, 0, ent_b)
-    return make_witness(V, w1.V0, w1.lambda0, W, V0W, alpha, beta)
+    return make_witness(V, w1.V0, W, V0W, alpha, beta)
 
 
 def witness_parity_shift(w: IdealWitness) -> IdealWitness:
@@ -959,7 +923,7 @@ def witness_parity_shift(w: IdealWitness) -> IdealWitness:
     id0 = sl.identity(w.V0.space)
     alpha = sig_v @ w.alpha @ sl.tensor_map(id0, sig_w_inv)
     beta = sl.tensor_map(id0, sig_w) @ w.beta @ sig_v_inv
-    return make_witness(V_op, w.V0, w.lambda0, W_op, V0W_op, alpha, beta)
+    return make_witness(V_op, w.V0, W_op, V0W_op, alpha, beta)
 
 
 # -- serialization and caching ---------------------------------------------------

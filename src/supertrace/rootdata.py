@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import HSeries, q_bracket, rat_str
+from .exactnum import HSeries, exact, q_bracket, rat_str
 from .linalg import RowReducer
 
 
@@ -62,12 +62,16 @@ class Root:
 
 @dataclass(frozen=True)
 class Weight:
-    """A weight in evaluation coordinates a_i = lambda(h_i)."""
+    """A weight in evaluation coordinates a_i = lambda(h_i).
+
+    Each coordinate must be an int or a Fraction (``exactnum.exact``); a float
+    raises TypeError rather than being rounded.
+    """
 
     a: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
+        object.__setattr__(self, "a", tuple(Fraction(exact(x)) for x in self.a))
 
     def __str__(self):
         return "(" + ",".join(rat_str(x) for x in self.a) + ")"
@@ -76,7 +80,7 @@ class Weight:
 def weight(*coords) -> Weight:
     if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
         coords = tuple(coords[0])
-    return Weight(tuple(Fraction(str(c)) if isinstance(c, str) else Fraction(c) for c in coords))
+    return Weight(tuple(Fraction(c) if isinstance(c, str) else c for c in coords))
 
 
 @dataclass(frozen=True)

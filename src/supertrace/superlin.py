@@ -15,7 +15,9 @@ spaces are ordered parity lists, so tensor products are strictly associative
 and the unit object is literal (no coherence plumbing needed).
 
 This module is the one place that does sparse matrix arithmetic: ``mat_mul``
-and ``mat_scomm`` work on {(row, col): value} dicts, and every accumulation
+and ``mat_scomm`` work on {(row, col): value} dicts, ``mat_columns`` groups
+such a dict by column and ``mat_apply`` applies the grouped matrix to a sparse
+vector (the one matrix-vector product), and every accumulation
 adds with ``out.get(k, 0) + v`` and then passes once through ``nonzero``,
 which drops the cancelled entries and leaves every value a canonical scalar
 (``exactnum.exact``: an int when whole, else a Fraction).  Maps are validated
@@ -78,11 +80,28 @@ def nonzero(d: dict) -> dict:
     return {k: v.numerator if v.denominator == 1 else v for k, v in d.items() if v}
 
 
+def mat_columns(entries: dict, transpose: bool = False) -> dict[int, list]:
+    """Sparse matrix entries, or their plain transpose, grouped as column -> [(row, value)]."""
+    cols: dict[int, list] = {}
+    for (i, j), v in entries.items():
+        if transpose:
+            i, j = j, i
+        cols.setdefault(j, []).append((i, v))
+    return cols
+
+
+def mat_apply(cols: dict[int, list], vec: dict) -> dict:
+    """A column-grouped matrix (see ``mat_columns``) applied to a sparse column vector."""
+    out: dict[int, Fraction] = {}
+    for j, x in vec.items():
+        for i, v in cols.get(j, ()):
+            out[i] = out.get(i, 0) + v * x
+    return nonzero(out)
+
+
 def mat_mul(x: dict, y: dict) -> dict:
     """The product x . y of sparse matrices {(row, col): value}."""
-    by_row: dict[int, list] = {}
-    for (k, j), v in y.items():
-        by_row.setdefault(k, []).append((j, v))
+    by_row = mat_columns(y, transpose=True)
     out: dict[tuple[int, int], Fraction] = {}
     for (i, k), u in x.items():
         for j, v in by_row.get(k, ()):
@@ -183,14 +202,7 @@ class SuperMap:
 
     def apply(self, vec: dict) -> dict[int, Fraction]:
         """Apply to a column vector given as {index: value}."""
-        out: dict[int, Fraction] = {}
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
-        for (i, j), v in self.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        for j, x in vec.items():
-            for i, v in by_col.get(j, ()):
-                out[i] = out.get(i, 0) + v * x
-        return nonzero(out)
+        return mat_apply(mat_columns(self.entries), vec)
 
     def __repr__(self):
         return (

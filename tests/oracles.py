@@ -1,10 +1,12 @@
 """Slow or independent reference routes, kept as test oracles.
 
 The invariant-tensor routes build g^(x)N-sized modules or maps, or solve a
-generic Hom system, where the library works on coordinates.  The weight
-formulas give the basis weights of the standard, adjoint and Kac modules in
-closed form, where the library reads them off the h_i.  The tests compare
-the two.
+generic Hom system, where the library works on coordinates.  The Hom
+equations of ``hom_by_equations`` are written entry by entry from the
+generator matrices, where the library solves for the invariants of
+V (x) U*.  The weight formulas give the basis weights of the standard,
+adjoint and Kac modules in closed form, where the library reads them off the
+h_i.  The tests compare the two.
 """
 
 from fractions import Fraction
@@ -12,7 +14,38 @@ from fractions import Fraction
 from supertrace import invtensor as it
 from supertrace import repmod as rm
 from supertrace import superlin as sl
-from supertrace.linalg import RowReducer
+from supertrace.linalg import RowReducer, nullspace
+
+
+def hom_by_equations(U, V, parity):
+    """Hom(U, V) by elimination over F . x_U = (-1)^{p(x) p(F)} x_V . F for the e_i and f_i.
+
+    The h-generator equations say exactly that F matches basis weights, which
+    cuts the unknowns to weight-matched entry positions (U index outer).
+    """
+    by_weight_v = {}
+    for i in range(V.dim):
+        by_weight_v.setdefault(V.basis_weights[i], []).append(i)
+    unknowns = [(i, j) for j in range(U.dim) for i in by_weight_v.get(U.basis_weights[j], ())
+                if (V.space.parities[i] + U.space.parities[j]) % 2 == parity]
+    if not unknowns:
+        return []
+    equations = {}
+
+    def put(key, t, val):
+        row = equations.setdefault(key, {})
+        row[t] = row.get(t, 0) + val
+
+    for gidx, (xu, xv) in enumerate(zip(U.e + U.f, V.e + V.f)):
+        sign = -1 if (parity and xu.parity) else 1
+        xu_rows, xv_cols = sl.mat_columns(xu.entries, transpose=True), sl.mat_columns(xv.entries)
+        for t, (i, j) in enumerate(unknowns):
+            for j2, v in xu_rows.get(j, ()):
+                put((gidx, i, j2), t, v)
+            for i2, v in xv_cols.get(i, ()):
+                put((gidx, i2, j), t, -sign * v)
+    return [sl.SuperMap(U.space, V.space, parity, {unknowns[t]: v for t, v in vec.items()})
+            for vec in nullspace(equations.values(), len(unknowns))]
 
 
 def it_space_generic(adj, N, probes):
@@ -21,7 +54,7 @@ def it_space_generic(adj, N, probes):
     raw = []
     for w in probes:
         vv = rm.tensor_module(w.V, rm.dual_module(w.V, check=False), check=False)
-        for f in rm._hom_generic(vv, power, 0):
+        for f in hom_by_equations(vv, power, 0):
             raw.append(it.presented_tensor(adj, N, w, f))
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]

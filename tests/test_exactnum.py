@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +66,24 @@ class TestQPower:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             q_power(1, -1)
+
+
+INEXACT = [0.1, 0.5, Decimal("0.5"), 1j]
+
+
+class TestInexactRefused:
+    @pytest.mark.parametrize("x", INEXACT, ids=repr)
+    def test_series_and_exponent_refuse_inexact_values(self, x):
+        for build in (lambda: HSeries(1, (1, x)), lambda: HSeries.from_coeffs([x]),
+                      lambda: HSeries.constant(x, 2), lambda: hs(1, 2) * x,
+                      lambda: q_power(x, 2), lambda: q_bracket(x, 2)):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_exact_values_still_work(self):
+        assert HSeries(1, (1, F(1, 2))) == hs(1, F(1, 2))
+        assert HSeries.constant(F(3, 2), 1) * 2 == hs(3, 0)
+        assert q_power(F(1, 2), 1) == hs(1, F(1, 4))
 
 
 class TestSeries:

@@ -332,6 +332,21 @@ class TestCoordinateRoutes:
         moved, expected = it.sn_action(adj, N, perm, t), _sn_action_oracle(adj, N, perm, t)
         assert moved.coords == expected.coords and moved.f == expected.f
 
+    def test_sn_action_keeps_its_moved_indices_per_permutation(self, roster, spaces):
+        fresh = it.build_adjoint(roster.rs)
+        t = spaces[3].raw[0]
+        first = it.sn_action(fresh, 3, (2, 0, 1), t)
+        memo = fresh._moved[(3, (2, 0, 1))]
+        size = len(memo)
+        assert size and set(fresh._moved) == {(3, (2, 0, 1))}
+        again = it.sn_action(fresh, 3, (2, 0, 1), t)
+        assert fresh._moved[(3, (2, 0, 1))] is memo and len(memo) == size
+        assert (again.coords, again.f) == (first.coords, first.f)
+        expected = _sn_action_oracle(fresh, 3, (1, 2, 0), t)
+        other = it.sn_action(fresh, 3, (1, 2, 0), t)
+        assert (other.coords, other.f) == (expected.coords, expected.f)
+        assert len(fresh._moved) == 2
+
     @pytest.mark.parametrize("perms", [((1, 3, 0, 2), (1, 0, 2, 3)),
                                        ((2, 0, 3, 1), (0, 1, 2, 3))])
     def test_degree_four_casimir_products(self, adj, casimir_products, perms):

@@ -564,7 +564,7 @@ class TestReciprocityRoute:
         assert rm._kac_vector(U) is not None or rm._kac_vector(V) is not None
         got = rm.hom_space(U, V, parity)
         want = [m for p in ((0, 1) if parity is None else (parity,))
-                for m in rm._hom_generic(U, V, p)]
+                for m in oracles.hom_by_equations(U, V, p)]
         assert _same_span(got, want)
         for fmap in got:
             assert fmap.domain == U.space and fmap.codomain == V.space
@@ -577,7 +577,7 @@ class TestReciprocityRoute:
         V0W = roster.wB_via_A.V0W
         for U, V in ((V0W, B), (B, V0W)):
             assert rm._kac_vector(U if U is B else V) == 0
-            assert _same_span(rm.hom_space(U, V, 0), rm._hom_generic(U, V, 0))
+            assert _same_span(rm.hom_space(U, V, 0), oracles.hom_by_equations(U, V, 0))
 
     def test_end_of_kac_module_is_the_identity(self, roster):
         for K in (roster.A, roster.B, _kac(3, 1, (1, 0, F(1, 2)))):
@@ -595,7 +595,7 @@ class TestReciprocityRoute:
                      (roster.C, shifted)):
             for parity in (0, 1):
                 got = rm.hom_space(U, V, parity)
-                assert _same_span(got, rm._hom_generic(U, V, parity))
+                assert _same_span(got, oracles.hom_by_equations(U, V, parity))
                 assert all(rm._check_g_linear(m, U, V) for m in got)
 
     def test_certificate_negatives_take_the_generic_route(self, roster, monkeypatch):
@@ -620,7 +620,7 @@ class TestReciprocityRoute:
         for U in negatives:
             assert rm._kac_vector(U) is None
             assert (rm.hom_space(U, U, 0), rm.hom_space(U, roster.std, 1)) == expected[id(U)]
-            assert expected[id(U)][0] == rm._hom_generic(U, U, 0)
+            assert expected[id(U)][0] == oracles.hom_by_equations(U, U, 0)
 
     def test_words_that_do_not_span_raise(self, roster):
         A = roster.A
@@ -630,6 +630,57 @@ class TestReciprocityRoute:
         assert rm._kac_vector(fake) == 0
         with pytest.raises(rm.ModuleRelationError, match="span 1 of 4"):
             rm.hom_space(fake, A, 0)
+
+
+# -- generic Hom spaces: invariants of V (x) U* ---------------------------------
+
+
+@st.composite
+def generic_module(draw, roster):
+    """A roster module, or a tensor product, direct sum or parity shift of roster modules."""
+    std, A, B, C, D = roster.std, roster.A, roster.B, roster.C, roster.D
+    kind = draw(st.sampled_from(["base", "tensor", "dsum", "shift"]))
+    if kind == "base":
+        return draw(st.sampled_from([std, rm.dual_module(std), C, D]))
+    if kind == "tensor":
+        X = draw(st.sampled_from([std, rm.dual_module(std), A, B, D]))
+        return rm.tensor_module(X, draw(st.sampled_from([std, rm.dual_module(std), A, D])))
+    if kind == "dsum":
+        return rm.direct_sum_module(*(draw(st.sampled_from([std, A, B, C, D])) for _ in "XY"))
+    return rm.parity_shift_module(draw(st.sampled_from([std, B, C])))
+
+
+class TestGenericHom:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), parity=st.sampled_from([0, 1]))
+    def test_basis_equals_the_equation_oracle(self, roster, data, parity):
+        U, V = data.draw(generic_module(roster)), data.draw(generic_module(roster))
+        assert rm._kac_vector(U) is None and rm._kac_vector(V) is None
+        got = rm.hom_space(U, V, parity)
+        assert got == oracles.hom_by_equations(U, V, parity)
+        assert all(rm._check_g_linear(m, U, V) for m in got)
+
+    def test_end_of_kac_tensor_std(self, roster):
+        # The visiting order of FactorwiseAction.apply decides this basis.
+        KS = rm.tensor_module(roster.B, roster.std)
+        for parity in (0, 1):
+            assert rm.hom_space(KS, KS, parity) == oracles.hom_by_equations(KS, KS, parity)
+
+    def test_invariant_vectors_are_the_hom_columns_from_the_trivial_module(self, roster,
+                                                                          monkeypatch):
+        mods = [rm.tensor_module(roster.std, rm.dual_module(roster.std)),
+                rm.tensor_module(roster.A, rm.dual_module(roster.A)), roster.C]
+        triv = rm.trivial_module(roster.rs)
+        want = [[{i: v for (i, _), v in m.entries.items()}
+                 for p in (0, 1) for m in oracles.hom_by_equations(triv, V, p)] for V in mods]
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("invariant_vectors went through a Hom solve")
+
+        monkeypatch.setattr(rm, "hom_space", no_call)
+        monkeypatch.setattr(rm, "trivial_module", no_call)
+        assert [rm.invariant_vectors(V) for V in mods] == want
+        assert len(want[0]) == 1 and len(want[1]) == 1
 
 
 def _singular_vectors_by_scan(V):

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from supertrace.exactnum import HSeries, q_bracket
 from supertrace.rootdata import (
     AtypicalWeightError,
     RootDataError,
+    Weight,
     build_root_system,
     weight,
 )
@@ -112,6 +114,20 @@ class TestWeightLength:
             rs21.form(weight(1), root)
         with pytest.raises(RootDataError):
             rs21.form(weight(0, 1), weight(0, 1, 0))
+
+
+class TestInexactWeights:
+    @pytest.mark.parametrize("x", [0.1, 0.5, Decimal("0.5"), 1j], ids=repr)
+    def test_inexact_coordinates_refused(self, x):
+        with pytest.raises(TypeError):
+            weight(0, x)
+        with pytest.raises(TypeError):
+            Weight((x, 0))
+
+    def test_exact_coordinates_accepted(self, rs21):
+        assert weight(1, F(1, 2)) == weight(1, "1/2") == Weight((1, F(1, 2)))
+        assert weight("-3/4", 2).a == (F(-3, 4), F(2))
+        assert rs21.mod_sdim(weight(0, "1/2")) == rs21.mod_sdim(weight(0, F(1, 2)))
 
 
 class TestTypicality:
