@@ -29,6 +29,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from . import superlin as sl
@@ -541,7 +542,7 @@ class FactorwiseAction:
         return self._steps[key]
 
     def apply(self, kind: str, i: int, vec: dict) -> dict[int, Fraction]:
-        """The generator ``kind``_i ("e", "f" or "h") applied to a sparse vector.
+        """``kind``_i ("e", "f" or "h") on a sparse vector; key b * dim + k is vector k of block b.
 
         The positions are visited last factor first, so on V (x) U* the moves
         in U* come before those in V, in the order of the entrywise Hom
@@ -549,8 +550,6 @@ class FactorwiseAction:
         its rows in that order, and the eliminator returns the same basis.
         """
         steps = self._factor_steps(kind, i)
-        if len(steps) == 1:
-            return sl.mat_apply(steps[0][0], vec)
         odd = kind != "h" and self.gen_parity[i]
         out: dict[int, Fraction] = {}
         for flat, c in vec.items():
@@ -642,24 +641,33 @@ def _kac_vector(U: GModule) -> int | None:
     return top[0]
 
 
-def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int):
+def _singular(K: GModule, d: int, target: FactorwiseAction, parity: int) -> list[dict]:
+    """The vectors v = F(d) that fix the g-linear maps F: K -> target (``_induced_maps``).
+
+    Frobenius reciprocity: the target's weight-mu vectors of parity p(d) + p(F) killed by
+    every e_i; for a transposed target, the rows d of the maps target -> K, killed by the f_i.
+    """
+    # A transient action for the kill system, so its columns are freed before the replay.
+    return _killed(FactorwiseAction(target.factors, target.transpose),
+                   "f" if target.transpose else "e",
+                   target.indices(K.highest_weight.a, (K.space.parities[d] + parity) % 2))
+
+
+def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, singular=None):
     """The g-linear maps K -> target out of the certified Kac module K, as {(row, col): value} dicts.
 
-    Frobenius reciprocity: a map F is fixed by v = F(d), any weight-mu vector
-    of the target of parity p(d) + p(F) that every e_i kills, and
-    F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in the target the f-words
-    that span K from d.  The target is any factorwise action, so a tensor
-    product is never built as a module.  When the target acts by transposes
-    the same core gives the transposes of the maps target -> K: rows killed
-    by every f_i and spread by the e_i.
+    The map F is fixed by v = F(d), one of ``singular`` (default: all of
+    ``_singular``), and F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in the
+    target the f-words that span K from d, found once per call.  The target
+    is any factorwise action, so a tensor product is never built as a
+    module.  When the target acts by transposes the same core gives the
+    transposes of the maps target -> K, spread by the e_i.
     """
-    kill, spread = ("f", "e") if target.transpose else ("e", "f")
-    source = FactorwiseAction((K,), target.transpose)
-    # A transient action for the kill system, so its columns are freed before the replay.
-    singular = _killed(FactorwiseAction(target.factors, target.transpose), kill,
-                       target.indices(K.highest_weight.a, (K.space.parities[d] + parity) % 2))
+    singular = _singular(K, d, target, parity) if singular is None else singular
     if not singular:
         return []
+    spread = "e" if target.transpose else "f"
+    source = FactorwiseAction((K,), target.transpose)
     reducer = RowReducer()
     reducer.add({d: 1})
     vecs, words = [{d: 1}], [None]
@@ -791,12 +799,13 @@ class IdealWitness:
 
     alpha: V0 (x) W -> V and beta: V -> V0 (x) W are even g-linear maps with
     alpha . beta = Id_V exactly; V0 has a recorded typical highest weight.
+    V0 (x) W is not kept as a module: its basis is the left-factor-major one
+    of ``tensor_space(V0.space, W.space)``, and it acts factor by factor.
     """
 
     V: GModule
     V0: GModule
     W: GModule
-    V0W: GModule
     alpha: SuperMap
     beta: SuperMap
 
@@ -804,83 +813,106 @@ class IdealWitness:
         return f"IdealWitness({self.V.name} through {self.V0.name}(x){self.W.name})"
 
 
-def _check_g_linear(m: SuperMap, src: GModule, dst: GModule) -> bool:
-    for xs, xd in zip(src.gens(), dst.gens()):
-        sign = -1 if (m.parity and xs.parity) else 1
-        if m @ xs != sign * (xd @ m):
-            return False
+def _check_g_linear(m: SuperMap, src, dst) -> bool:
+    """Whether m: src -> dst satisfies m . x = (-1)^{p(m) p(x)} x . m for every e_i, f_i, h_i.
+
+    Each side is a module or a tuple of factors (ValueError unless m runs between their
+    spaces), acting factor by factor, so no product module or matrix is built: m . x is
+    the transposed action of src on all rows of m at once (row i at offset i * dim src),
+    and x . m the action of dst on all its columns (column j at offset j * dim dst).
+    """
+    src, dst = (s if isinstance(s, tuple) else (s,) for s in (src, dst))
+    if (m.domain, m.codomain) != tuple(reduce(sl.tensor_space, (M.space for M in side))
+                                       for side in (src, dst)):
+        raise ValueError("map does not run between the spaces of src and dst")
+    on_rows, on_cols = FactorwiseAction(src, transpose=True), FactorwiseAction(dst)
+    ds, dd = m.domain.dim, m.codomain.dim
+    rows = {i * ds + j: v for (i, j), v in m.entries.items()}
+    cols = {j * dd + i: v for (i, j), v in m.entries.items()}
+    for kind in "efh":
+        for g in range(on_rows.rs.rank):
+            sign = -1 if m.parity and kind != "h" and on_rows.gen_parity[g] else 1
+            lhs = {divmod(t, ds): v for t, v in on_rows.apply(kind, g, rows).items()}
+            rhs = {divmod(t, dd)[::-1]: sign * v for t, v in on_cols.apply(kind, g, cols).items()}
+            if lhs != rhs:
+                return False
     return True
 
 
-def make_witness(V, V0, W, V0W, alpha, beta) -> IdealWitness:
+def make_witness(V, V0, W, alpha, beta) -> IdealWitness:
+    """Check and record a splitting: alpha . beta = Id_V, both maps even and g-linear.
+
+    The maps must run between ``tensor_space(V0.space, W.space)`` and V.space
+    (ValueError before any g-linearity work, which is done on the factors).
+    """
     if V0.highest_weight is None or not V.rs.is_typical(V0.highest_weight):
         raise ValueError("witness core has no recorded typical highest weight")
     if alpha.parity != 0 or beta.parity != 0:
         raise ValueError("witness maps must be even")
+    V0W = sl.tensor_space(V0.space, W.space)
+    for name, m, spaces in (("alpha", alpha, (V0W, V.space)), ("beta", beta, (V.space, V0W))):
+        for side, got, want in zip(("domain", "codomain"), (m.domain, m.codomain), spaces):
+            if got != want:
+                raise ValueError(f"{name} has the wrong {side}")
     if alpha @ beta != sl.identity(V.space):
         raise ValueError("alpha . beta is not the identity")
-    if not _check_g_linear(alpha, V0W, V) or not _check_g_linear(beta, V, V0W):
+    if not _check_g_linear(alpha, (V0, W), V) or not _check_g_linear(beta, V, (V0, W)):
         raise ValueError("witness maps are not g-linear")
-    return IdealWitness(V, V0, W, V0W, alpha, beta)
+    return IdealWitness(V, V0, W, alpha, beta)
 
 
 def trivial_witness(V: GModule) -> IdealWitness:
-    """The identity splitting of a typical irreducible through itself."""
-    if V.highest_weight is None:
-        raise ValueError("module has no recorded highest weight")
-    W = trivial_module(V.rs, check=False)
-    V0W = tensor_module(V, W, check=False)
+    """The identity splitting of V through itself; ValueError unless V's highest weight is typical."""
     # V (x) k and V share one basis, so the identity is both alpha and beta.
     ident = sl.identity(V.space)
-    return make_witness(V, V, W, V0W, ident, ident)
+    return make_witness(V, V, trivial_module(V.rs, check=False), ident, ident)
 
 
 def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
     """Search for a splitting of V through V0 (x) (V0* (x) V).
 
-    V must have scalar even endomorphisms (checked), so each candidate
-    composite alpha . beta is automatically a scalar; the first nonzero
-    scalar is normalized away.  Raises WitnessNotFoundError if every
-    composite vanishes.
+    V must have scalar even endomorphisms (checked), so each composite
+    alpha . beta is a scalar; the first nonzero one, in the order
+    alphas x betas, is normalized away (WitnessNotFoundError if none).  For
+    a certified Kac module V (``_kac_vector``) alpha is fixed by its row d,
+    a singular covector u, and beta by its column d, a singular vector v, on
+    the factorwise action of (V0, W); as u . v = (alpha . beta)[d, d], only
+    the chosen pair is replayed.  Other modules solve both Hom spaces
+    through V0 (x) W built as a module.
     """
     if V is V0:
         return trivial_witness(V)
     if V0.highest_weight is None or not V.rs.is_typical(V0.highest_weight):
         raise ValueError("witness core must be typical with known highest weight")
-    ends = hom_space(V, V, 0)
-    if len(ends) != 1:
+    if len(hom_space(V, V, 0)) != 1:
         raise ValueError("module does not have scalar even endomorphisms")
     W = tensor_module(dual_module(V0, check=False), V, check=False)
-    V0W = tensor_module(V0, W, check=False)
-    alphas = hom_space(V0W, V, 0)
-    betas = hom_space(V, V0W, 0)
-    ident = sl.identity(V.space)
-    for a in alphas:
-        for b in betas:
-            comp = a @ b
-            c = comp.entry(0, 0)
-            if c == 0:
-                continue
-            if comp != c * ident:
-                raise ModuleRelationError(
-                    "composite of g-linear maps is not scalar on a scalar-End module"
-                )
-            return make_witness(V, V0, W, V0W, Fraction(1, c) * a, b)
-    raise WitnessNotFoundError(
-        f"no splitting of {V.name} through {V0.name} with W = V0* (x) V"
-    )
+    d = _kac_vector(V)
+    if d is None:
+        V0W = tensor_module(V0, W, check=False)
+        alphas, betas = hom_space(V0W, V, 0), hom_space(V, V0W, 0)
+        pairs = ((a, b, (a @ b).entry(0, 0)) for a in alphas for b in betas)
+    else:
+        by_rows, by_cols = FactorwiseAction((V0, W), transpose=True), FactorwiseAction((V0, W))
+        us, vs = _singular(V, d, by_rows, 0), _singular(V, d, by_cols, 0)
+        pairs = ((u, v, sum(x * v.get(i, 0) for i, x in u.items())) for u in us for v in vs)
+    a, b, c = next((pair for pair in pairs if pair[2]), (None, None, 0))
+    if not c:
+        raise WitnessNotFoundError(f"no splitting of {V.name} through {V0.name} with W = V0* (x) V")
+    if d is not None:  # replay the one pair
+        a = SuperMap(sl.tensor_space(V0.space, W.space), V.space, 0,
+                     {(j, i): x for (i, j), x in _induced_maps(V, d, by_rows, 0, [a])[0].items()})
+        b = SuperMap(V.space, a.domain, 0, _induced_maps(V, d, by_cols, 0, [b])[0])
+    return make_witness(V, V0, W, Fraction(1, c) * a, b)
 
 
 def witness_tensor(w: IdealWitness, U: GModule) -> IdealWitness:
     """Closure under tensoring: a witness for V (x) U with W' = W (x) U."""
     V2 = tensor_module(w.V, U, check=False)
     W2 = tensor_module(w.W, U, check=False)
-    V0W2 = tensor_module(w.V0, W2, check=False)
     idu = sl.identity(U.space)
     # (V0 (x) W) (x) U and V0 (x) (W (x) U) share the same flattened basis.
-    alpha = sl.tensor_map(w.alpha, idu)
-    beta = sl.tensor_map(w.beta, idu)
-    return make_witness(V2, w.V0, W2, V0W2, alpha, beta)
+    return make_witness(V2, w.V0, W2, sl.tensor_map(w.alpha, idu), sl.tensor_map(w.beta, idu))
 
 
 def witness_dsum(w1: IdealWitness, w2: IdealWitness) -> IdealWitness:
@@ -889,41 +921,29 @@ def witness_dsum(w1: IdealWitness, w2: IdealWitness) -> IdealWitness:
         raise ValueError("direct-sum witnesses must share the same core module")
     V = direct_sum_module(w1.V, w2.V, check=False)
     W = direct_sum_module(w1.W, w2.W, check=False)
-    V0W = tensor_module(w1.V0, W, check=False)
-    dw1, dw2 = w1.W.dim, w2.W.dim
-    dv1 = w1.V.dim
+    V0W = sl.tensor_space(w1.V0.space, W.space)
     ent_a: dict[tuple[int, int], Fraction] = {}
     ent_b: dict[tuple[int, int], Fraction] = {}
-    for (i, col), v in w1.alpha.entries.items():
-        i0, iw = divmod(col, dw1)
-        ent_a[(i, i0 * (dw1 + dw2) + iw)] = v
-    for (i, col), v in w2.alpha.entries.items():
-        i0, iw = divmod(col, dw2)
-        ent_a[(i + dv1, i0 * (dw1 + dw2) + dw1 + iw)] = v
-    for (row, j), v in w1.beta.entries.items():
-        i0, iw = divmod(row, dw1)
-        ent_b[(i0 * (dw1 + dw2) + iw, j)] = v
-    for (row, j), v in w2.beta.entries.items():
-        i0, iw = divmod(row, dw2)
-        ent_b[(i0 * (dw1 + dw2) + dw1 + iw, j + dv1)] = v
-    alpha = SuperMap(V0W.space, V.space, 0, ent_a)
-    beta = SuperMap(V.space, V0W.space, 0, ent_b)
-    return make_witness(V, w1.V0, W, V0W, alpha, beta)
+    # Summand k's V and W indices move by the dimensions of the summands before it.
+    for w, dv, dw in ((w1, 0, 0), (w2, w1.V.dim, w1.W.dim)):
+        for (i, col), v in w.alpha.entries.items():
+            i0, iw = divmod(col, w.W.dim)
+            ent_a[(i + dv, i0 * W.dim + dw + iw)] = v
+        for (row, j), v in w.beta.entries.items():
+            i0, iw = divmod(row, w.W.dim)
+            ent_b[(i0 * W.dim + dw + iw, j + dv)] = v
+    return make_witness(V, w1.V0, W, SuperMap(V0W, V.space, 0, ent_a),
+                        SuperMap(V.space, V0W, 0, ent_b))
 
 
 def witness_parity_shift(w: IdealWitness) -> IdealWitness:
     """A witness for the parity-shifted module, shifting the W factor."""
     V_op = parity_shift_module(w.V, check=False)
     W_op = parity_shift_module(w.W, check=False)
-    V0W_op = tensor_module(w.V0, W_op, check=False)
-    sig_v = sigma_map(w.V)
-    sig_v_inv = sigma_inverse(w.V)
-    sig_w = sigma_map(w.W)
-    sig_w_inv = sigma_inverse(w.W)
     id0 = sl.identity(w.V0.space)
-    alpha = sig_v @ w.alpha @ sl.tensor_map(id0, sig_w_inv)
-    beta = sl.tensor_map(id0, sig_w) @ w.beta @ sig_v_inv
-    return make_witness(V_op, w.V0, W_op, V0W_op, alpha, beta)
+    alpha = sigma_map(w.V) @ w.alpha @ sl.tensor_map(id0, sigma_inverse(w.W))
+    beta = sl.tensor_map(id0, sigma_map(w.W)) @ w.beta @ sigma_inverse(w.V)
+    return make_witness(V_op, w.V0, W_op, alpha, beta)
 
 
 # -- serialization and caching ---------------------------------------------------

@@ -6,7 +6,10 @@ equations of ``hom_by_equations`` are written entry by entry from the
 generator matrices, where the library solves for the invariants of
 V (x) U*.  The weight formulas give the basis weights of the standard,
 adjoint and Kac modules in closed form, where the library reads them off the
-h_i.  The tests compare the two.
+h_i.  The witness routes build V0 (x) W as a module of SuperMaps, solve
+both Hom spaces in full and check g-linearity by products with its
+generator matrices, where the library works on the factors (V0, W) and
+replays one pair.  The tests compare the two.
 """
 
 from fractions import Fraction
@@ -46,6 +49,38 @@ def hom_by_equations(U, V, parity):
                 put((gidx, i2, j), t, -sign * v)
     return [sl.SuperMap(U.space, V.space, parity, {unknowns[t]: v for t, v in vec.items()})
             for vec in nullspace(equations.values(), len(unknowns))]
+
+
+def g_linear_by_products(m, src, dst):
+    """m . x == (-1)^{p(m) p(x)} x . m for every generator, as products of module matrices."""
+    for xs, xd in zip(src.gens(), dst.gens()):
+        sign = -1 if (m.parity and xs.parity) else 1
+        if m @ xs != sign * (xd @ m):
+            return False
+    return True
+
+
+def ideal_witness_by_modules(V, V0):
+    """(alpha, beta) of ideal_witness through V0 (x) W built as a module, W = V0* (x) V.
+
+    Both Hom spaces are solved in full, and the first pair in the order
+    alphas x betas with a nonzero composite is normalized to alpha . beta = Id.
+    """
+    if len(rm.hom_space(V, V, 0)) != 1:
+        raise ValueError("module does not have scalar even endomorphisms")
+    W = rm.tensor_module(rm.dual_module(V0, check=False), V, check=False)
+    V0W = rm.tensor_module(V0, W, check=False)
+    alphas, betas = rm.hom_space(V0W, V, 0), rm.hom_space(V, V0W, 0)
+    for a in alphas:
+        for b in betas:
+            comp = a @ b
+            c = comp.entry(0, 0)
+            if c:
+                assert comp == c * sl.identity(V.space)
+                a = Fraction(1, c) * a
+                assert g_linear_by_products(a, V0W, V) and g_linear_by_products(b, V, V0W)
+                return a, b
+    raise rm.WitnessNotFoundError(f"no splitting of {V.name} through {V0.name}")
 
 
 def it_space_generic(adj, N, probes):

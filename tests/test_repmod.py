@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -5,7 +6,7 @@ import tempfile
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -574,7 +575,8 @@ class TestReciprocityRoute:
     def test_kac_domain_and_codomain_in_a_witness(self, roster):
         # The alpha maps land in the certified module, the beta maps leave it.
         B, A = roster.B, roster.A
-        V0W = roster.wB_via_A.V0W
+        w = roster.wB_via_A
+        V0W = rm.tensor_module(w.V0, w.W)
         for U, V in ((V0W, B), (B, V0W)):
             assert rm._kac_vector(U if U is B else V) == 0
             assert _same_span(rm.hom_space(U, V, 0), oracles.hom_by_equations(U, V, 0))
@@ -681,6 +683,170 @@ class TestGenericHom:
         monkeypatch.setattr(rm, "trivial_module", no_call)
         assert [rm.invariant_vectors(V) for V in mods] == want
         assert len(want[0]) == 1 and len(want[1]) == 1
+
+
+# -- witnesses on the factorwise action -------------------------------------------
+
+
+_SIDES = []
+
+
+def _sides(rs21):
+    """(side, module): a module or a tuple of factors, and the module the oracle sees.
+
+    Built without the roster, whose witnesses go through the check under test.
+    """
+    if not _SIDES:
+        std, A, B = rm.standard_module(rs21), _kac(2, 1, (0, 1)), _kac(2, 1, (1, 1))
+        C, D = rm.tensor_module(A, std), rm.parity_shift_module(A)
+        W = rm.tensor_module(rm.dual_module(A), B)  # (A, W) is V0 (x) W of B via A, dim 128
+        for side in (std, rm.dual_module(std), A, B, C, D, (A, std), (std, D), (D, std, A),
+                     (A, W)):
+            factors = side if isinstance(side, tuple) else (side,)
+            _SIDES.append((side, functools.reduce(rm.tensor_module, factors)))
+    return _SIDES
+
+
+def _mutant(data, m):
+    """m with one entry of its parity changed by a nonzero amount."""
+    U, V = m.domain, m.codomain
+    j = data.draw(st.integers(0, U.dim - 1))
+    i = data.draw(st.sampled_from([i for i in range(V.dim)
+                                   if V.parities[i] == (U.parities[j] + m.parity) % 2]))
+    delta = data.draw(st.sampled_from([1, -1, 2, F(1, 2), F(-3, 4)]))
+    return m + sl.SuperMap(U, V, m.parity, {(i, j): delta})
+
+
+class TestFactorwiseGLinearity:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), parity=st.sampled_from([0, 1]), mutate=st.booleans(),
+           onto_own_module=st.booleans())
+    def test_agrees_with_the_product_oracle(self, rs21, data, parity, mutate, onto_own_module):
+        (src, U), (dst, V) = (data.draw(st.sampled_from(_sides(rs21))) for _ in "UV")
+        if onto_own_module:  # a nonzero Hom space from a tuple side onto its module, or back
+            own = (U, U)
+            (src, U), (dst, V) = data.draw(st.sampled_from([((src, U), own), (own, (src, U))]))
+        assume(U.dim * V.dim <= 2048)
+        m = sl.zero_map(U.space, V.space, parity)
+        for basis_map in rm.hom_space(U, V, parity):
+            m = m + data.draw(st.sampled_from([1, -2, F(1, 3)])) * basis_map
+        if mutate:
+            m = _mutant(data, m)
+        assert rm._check_g_linear(m, src, dst) == oracles.g_linear_by_products(m, U, V)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_witness_maps_and_their_mutants(self, roster, data):
+        # alpha leaves the tuple (V0, W) of dim 128 for dim 8, and beta enters it.
+        w = roster.wB_via_A
+        V0W = rm.tensor_module(w.V0, w.W)
+        for m, src, dst, U, V in ((w.alpha, (w.V0, w.W), w.V, V0W, w.V),
+                                  (w.beta, w.V, (w.V0, w.W), w.V, V0W)):
+            assert rm._check_g_linear(m, src, dst) and oracles.g_linear_by_products(m, U, V)
+            bad = _mutant(data, m)
+            assert rm._check_g_linear(bad, src, dst) == oracles.g_linear_by_products(bad, U, V)
+
+    def test_odd_maps_on_both_sides_of_a_tensor_product(self, rs21):
+        A, std = _kac(2, 1, (0, 1)), rm.standard_module(rs21)
+        D = rm.parity_shift_module(A)
+        sig = sl.tensor_map(rm.sigma_map(A), sl.identity(std.space))
+        assert sig.parity == sl.ODD
+        assert rm._check_g_linear(sig, (A, std), (D, std))
+        assert rm._check_g_linear(sl.tensor_map(rm.sigma_inverse(A), sl.identity(std.space)),
+                                  (D, std), (A, std))
+
+    def test_a_map_off_the_spaces_of_its_sides_raises(self, rs21):
+        # The check indexes rows and columns by dimension, so it must not run on other spaces.
+        A, std = _kac(2, 1, (0, 1)), rm.standard_module(rs21)
+        D = rm.parity_shift_module(A)  # same dimension as A, other parities
+        ident, sig = sl.identity(A.space), sl.tensor_map(rm.sigma_map(A), sl.identity(std.space))
+        for m, src, dst in ((ident, D, A), (ident, A, D), (ident, (A, std), A), (ident, A, (A, std)),
+                            (sig, (D, std), (D, std)), (sig, (A, std), (A, std)),
+                            (sig, (std, A), (D, std))):
+            with pytest.raises(ValueError, match="does not run between"):
+                rm._check_g_linear(m, src, dst)
+        assert rm._check_g_linear(ident, A, A) and rm._check_g_linear(sig, (A, std), (D, std))
+
+
+def _witness_case(name):
+    """(V, V0); the roster's A = K(0,1), B = K(1,1) and D = op(A), built without its witnesses."""
+    K = _kac
+    return {
+        "B via A": (K(2, 1, (1, 1)), K(2, 1, (0, 1))),
+        "B via K(0,2)": (K(2, 1, (1, 1)), K(2, 1, (0, 2))),
+        "sl31 K(1,0,1/2) via K(0,0,-3/2)": (K(3, 1, (1, 0, F(1, 2))), K(3, 1, (0, 0, F(-3, 2)))),
+        "sl31 K(0,1,5/2) via K(0,0,7/2)": (K(3, 1, (0, 1, F(5, 2))), K(3, 1, (0, 0, F(7, 2)))),
+        "sl12 K(7/2,1) via K(5/2,1)": (K(1, 2, (F(7, 2), 1)), K(1, 2, (F(5, 2), 1))),
+        "D via A": (rm.parity_shift_module(K(2, 1, (0, 1))), K(2, 1, (0, 1))),
+    }[name]
+
+
+class TestWitnessOracle:
+    @pytest.mark.parametrize("name", ["B via A", "B via K(0,2)", "sl31 K(1,0,1/2) via K(0,0,-3/2)",
+                                      "sl31 K(0,1,5/2) via K(0,0,7/2)",
+                                      "sl12 K(7/2,1) via K(5/2,1)", "D via A"])
+    def test_alpha_and_beta_equal_the_module_route(self, name):
+        V, V0 = _witness_case(name)
+        assert (rm._kac_vector(V) is None) == (name == "D via A")
+        w = rm.ideal_witness(V, V0)
+        alpha, beta = oracles.ideal_witness_by_modules(V, V0)
+        assert w.alpha == alpha and w.beta == beta
+        assert w.alpha.entries == alpha.entries and w.beta.entries == beta.entries
+
+    @pytest.mark.parametrize("which", ["std", "trivial"])
+    def test_unwitnessed_modules_raise_on_both_routes(self, rs21, which):
+        V = rm.standard_module(rs21) if which == "std" else rm.trivial_module(rs21)
+        for search in (rm.ideal_witness, oracles.ideal_witness_by_modules):
+            with pytest.raises(rm.WitnessNotFoundError):
+                search(V, _kac(2, 1, (0, 1)))
+
+    def test_no_product_module_is_built(self, roster, monkeypatch):
+        calls = []
+        build = rm.tensor_module
+
+        def record(X, Y, check=True):
+            out = build(X, Y, check)
+            calls.append((X, Y))
+            return out
+
+        monkeypatch.setattr(rm, "tensor_module", record)
+        K = _kac(3, 1, (1, 0, F(1, 2)))
+        made = [rm.ideal_witness(K, _kac(3, 1, (0, 0, F(-3, 2)))), rm.trivial_witness(roster.A)]
+        made += [rm.witness_tensor(made[1], roster.std), rm.witness_dsum(made[1], made[1]),
+                 rm.witness_parity_shift(made[1])]
+        for w in made:
+            assert not any(X is w.V0 and Y is w.W for X, Y in calls)
+        assert len(calls) == 3  # W of the search, then V (x) std and W (x) std
+
+
+class TestMakeWitnessSpaces:
+    @pytest.mark.parametrize("name,side", [("alpha", "domain"), ("alpha", "codomain"),
+                                           ("beta", "domain"), ("beta", "codomain")])
+    def test_mismatch_raises_before_any_g_linearity_work(self, roster, monkeypatch, name, side):
+        w = roster.wB_via_A
+        m = getattr(w, name)
+        grown = lambda S: sl.SuperSpace(S.parities + (0,))
+        if side == "domain":
+            dom, cod = grown(m.domain), m.codomain
+        else:
+            dom, cod = m.domain, grown(m.codomain)
+        maps = {"alpha": w.alpha, "beta": w.beta, name: sl.SuperMap(dom, cod, 0, m.entries)}
+
+        def no_check(*args):
+            raise AssertionError("g-linearity checked before the spaces")
+
+        monkeypatch.setattr(rm, "_check_g_linear", no_check)
+        with pytest.raises(ValueError, match=f"{name} has the wrong {side}"):
+            rm.make_witness(w.V, w.V0, w.W, maps["alpha"], maps["beta"])
+
+    def test_a_parity_shifted_w_of_the_same_dimension_raises(self, roster):
+        w = roster.wB_via_A
+        with pytest.raises(ValueError, match="alpha has the wrong domain"):
+            rm.make_witness(w.V, w.V0, rm.parity_shift_module(w.W), w.alpha, w.beta)
+
+    def test_matching_spaces_pass(self, roster):
+        w = roster.wB_via_A
+        assert rm.make_witness(w.V, w.V0, w.W, w.alpha, w.beta).alpha == w.alpha
 
 
 def _singular_vectors_by_scan(V):
