@@ -59,7 +59,6 @@ from .repmod import (
     hom_space,
     ideal_witness,
     invariant_vectors,
-    is_irreducible,
     kac_module,
     parity_shift_module,
     standard_module,

@@ -487,17 +487,6 @@ def classical_gram(
             for x, phi in zip(rows, row_phis)]
 
 
-def classical_form_routes(
-    adj: AdjointData, t1: PresentedTensor, t2_coords: dict
-) -> tuple[Fraction, Fraction]:
-    """The pairing of t1 against an invariant tensor, by both routes.
-
-    Returns (extended-form value, supertrace of the presented endomorphism);
-    the two agree, and both vanish when t2 is invariant.
-    """
-    return classical_gram(adj, [t1], [t2_coords])[0][0]
-
-
 def classical_form_vanishes(
     adj: AdjointData, t1: PresentedTensor, t2_coords: dict
 ) -> bool:
@@ -506,7 +495,7 @@ def classical_form_vanishes(
     Evaluates both routes (the signed product formula and the supertrace of
     the presented endomorphism), insists they agree, and reports vanishing.
     """
-    value_ext, value_str = classical_form_routes(adj, t1, t2_coords)
+    value_ext, value_str = classical_gram(adj, [t1], [t2_coords])[0][0]
     if value_ext != value_str:
         raise FormConstructionError(
             f"pairing routes disagree ({value_ext} vs {value_str})"

@@ -52,14 +52,17 @@ class ModuleIntegrityError(ValueError):
 class WitnessNotFoundError(RuntimeError):
     """No splitting through V0 (x) W was found with the canonical W.
 
-    This records a failed search, not a proof that the module lies outside
-    the ideal generated by typical modules.
+    Or V is not a certified Kac module and no search ran.  This records a
+    failed search, not a proof that V lies outside the ideal of typicals.
     """
 
 
 @dataclass(frozen=True, eq=False)
 class GModule:
-    """Generator matrices on a based super-space with recorded basis weights."""
+    """Generator matrices on a based super-space with recorded basis weights.
+
+    A recorded ``highest_weight`` is that of a basis vector generating the module.
+    """
 
     rs: RootSystem
     space: SuperSpace
@@ -186,21 +189,17 @@ def dual_module(V: GModule, check: bool = True) -> GModule:
 
 
 def tensor_module(V: GModule, W: GModule, check: bool = True) -> GModule:
-    """Tensor action x.(v (x) w) = x.v (x) w + (-1)^{p(x)p(v)} v (x) x.w."""
+    """Tensor action x.(v (x) w) = x.v (x) w + (-1)^{p(x)p(v)} v (x) x.w; no highest weight."""
     if V.rs != W.rs:
         raise ValueError("tensor factors must live over the same algebra")
     idv, idw = sl.identity(V.space), sl.identity(W.space)
     act = lambda xv, xw: sl.tensor_map(xv, idw) + sl.tensor_map(idv, xw)
-    space = sl.tensor_space(V.space, W.space)
-    hw = None
-    if V.highest_weight is not None and W.highest_weight is not None:
-        hw = Weight(tuple(a + b for a, b in zip(V.highest_weight.a, W.highest_weight.a)))
     return _make_module(
-        V.rs, space,
+        V.rs, sl.tensor_space(V.space, W.space),
         [act(a, b) for a, b in zip(V.e, W.e)],
         [act(a, b) for a, b in zip(V.f, W.f)],
         [act(a, b) for a, b in zip(V.h, W.h)],
-        f"{V.name}(x){W.name}", hw, check,
+        f"{V.name}(x){W.name}", None, check,
     )
 
 
@@ -229,7 +228,8 @@ def parity_shift_module(V: GModule, check: bool = True) -> GModule:
     """The same underlying action with all parities flipped.
 
     Odd generators are negated so that the identity matrix with an odd parity
-    tag is a g-linear isomorphism onto the shifted module.
+    tag is a g-linear isomorphism onto the shifted module.  The highest
+    weight is kept, so op K(lam) is certified with an odd d.
     """
     space, _ = sl.parity_shift(V.space)
 
@@ -240,7 +240,7 @@ def parity_shift_module(V: GModule, check: bool = True) -> GModule:
     return _make_module(
         V.rs, space,
         [shift(x) for x in V.e], [shift(x) for x in V.f], [shift(x) for x in V.h],
-        f"op({V.name})", None, check,
+        f"op({V.name})", V.highest_weight, check,
     )
 
 
@@ -627,8 +627,8 @@ def _kac_vector(U: GModule) -> int | None:
     The certificate: the recorded highest weight mu is finite-dominant and
     typical, dim U = dim K(mu), and U's one basis vector d of weight mu is
     killed by every e_i.  Then d generates a nonzero quotient of the simple
-    module K(mu) (of its parity shift when d is odd) of dimension dim U, so
-    U is that module.  Returns None when any part fails.
+    module K(mu) (op K(mu) when d is odd) of dimension dim U, so U is that
+    module.  Returns None when any part fails; every Kac route asks this gate.
     """
     rs, mu = U.rs, U.highest_weight
     if mu is None or rs.family != "sl" or not rs.is_dominant_finite(mu) or not rs.is_typical(mu):
@@ -746,50 +746,6 @@ def invariant_vectors(V: GModule, parity: int | None = None) -> list[dict[int, F
             for vec in _killed(action, "ef", action.indices(zero, p))]
 
 
-def singular_vectors(V: GModule) -> list[dict[int, Fraction]]:
-    """Weight vectors annihilated by every raising generator."""
-    by_weight: dict[tuple, list[int]] = {}
-    for i in range(V.dim):
-        by_weight.setdefault(V.basis_weights[i], []).append(i)
-    action = FactorwiseAction((V,))
-    return [vec for cols in by_weight.values() for vec in _killed(action, "e", cols)]
-
-
-def submodule_dimension(V: GModule, seeds) -> int:
-    """Dimension of the submodule generated by the given vectors."""
-    reducer = RowReducer()
-    frontier = []
-    for vec in seeds:
-        if reducer.add(vec):
-            frontier.append(vec)
-    action = FactorwiseAction((V,))
-    gens = [(kind, g) for kind in "efh" for g in range(V.rs.rank)]
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for kind, g in gens:
-                image = action.apply(kind, g, vec)
-                if image and reducer.add(image):
-                    nxt.append(image)
-        frontier = nxt
-    return len(reducer)
-
-
-def is_irreducible(V: GModule) -> bool:
-    """Exact irreducibility: every singular vector generates the whole module.
-
-    Any nonzero submodule contains a singular vector (take a weight vector of
-    maximal height), so this criterion is complete for modules with diagonal
-    Cartan action.
-    """
-    if V.dim == 0:
-        return False
-    for vec in singular_vectors(V):
-        if submodule_dimension(V, [vec]) != V.dim:
-            return False
-    return True
-
-
 # -- ideal witnesses -----------------------------------------------------------
 
 
@@ -798,7 +754,7 @@ class IdealWitness:
     """A certified splitting of V through V0 (x) W.
 
     alpha: V0 (x) W -> V and beta: V -> V0 (x) W are even g-linear maps with
-    alpha . beta = Id_V exactly; V0 has a recorded typical highest weight.
+    alpha . beta = Id_V exactly; V0 is K(lam) with an even d (``_check_core``).
     V0 (x) W is not kept as a module: its basis is the left-factor-major one
     of ``tensor_space(V0.space, W.space)``, and it acts factor by factor.
     """
@@ -839,14 +795,21 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
     return True
 
 
+def _check_core(V0: GModule) -> None:
+    """ValueError unless V0 is K(lam) certified with an even d, so that d(V0) = mod_sdim(lam)."""
+    d = _kac_vector(V0)
+    if d is None or V0.space.parities[d]:
+        raise ValueError(f"witness core {V0.name} is not a certified Kac module "
+                         "with an even highest weight vector")
+
+
 def make_witness(V, V0, W, alpha, beta) -> IdealWitness:
     """Check and record a splitting: alpha . beta = Id_V, both maps even and g-linear.
 
-    The maps must run between ``tensor_space(V0.space, W.space)`` and V.space
-    (ValueError before any g-linearity work, which is done on the factors).
+    A bad core (``_check_core``) or a map off ``tensor_space(V0.space, W.space)`` and V.space
+    raises ValueError before any g-linearity work, which is done on the factors.
     """
-    if V0.highest_weight is None or not V.rs.is_typical(V0.highest_weight):
-        raise ValueError("witness core has no recorded typical highest weight")
+    _check_core(V0)
     if alpha.parity != 0 or beta.parity != 0:
         raise ValueError("witness maps must be even")
     V0W = sl.tensor_space(V0.space, W.space)
@@ -862,7 +825,7 @@ def make_witness(V, V0, W, alpha, beta) -> IdealWitness:
 
 
 def trivial_witness(V: GModule) -> IdealWitness:
-    """The identity splitting of V through itself; ValueError unless V's highest weight is typical."""
+    """The identity splitting of V through itself; V must be a valid core (``_check_core``)."""
     # V (x) k and V share one basis, so the identity is both alpha and beta.
     ident = sl.identity(V.space)
     return make_witness(V, V, trivial_module(V.rs, check=False), ident, ident)
@@ -871,38 +834,28 @@ def trivial_witness(V: GModule) -> IdealWitness:
 def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
     """Search for a splitting of V through V0 (x) (V0* (x) V).
 
-    V must have scalar even endomorphisms (checked), so each composite
-    alpha . beta is a scalar; the first nonzero one, in the order
-    alphas x betas, is normalized away (WitnessNotFoundError if none).  For
-    a certified Kac module V (``_kac_vector``) alpha is fixed by its row d,
-    a singular covector u, and beta by its column d, a singular vector v, on
-    the factorwise action of (V0, W); as u . v = (alpha . beta)[d, d], only
-    the chosen pair is replayed.  Other modules solve both Hom spaces
-    through V0 (x) W built as a module.
+    A bad core V0 raises ValueError before any solve (``_check_core``), and
+    a V that is not a certified Kac module WitnessNotFoundError.  alpha is
+    fixed by its row d, a singular covector u, and beta by its column d, a
+    singular vector v, on the factorwise action of (V0, W); the first pair
+    with c = u . v = (alpha . beta)[d, d] != 0 is replayed and normalized.
     """
+    _check_core(V0)
     if V is V0:
         return trivial_witness(V)
-    if V0.highest_weight is None or not V.rs.is_typical(V0.highest_weight):
-        raise ValueError("witness core must be typical with known highest weight")
-    if len(hom_space(V, V, 0)) != 1:
-        raise ValueError("module does not have scalar even endomorphisms")
-    W = tensor_module(dual_module(V0, check=False), V, check=False)
     d = _kac_vector(V)
     if d is None:
-        V0W = tensor_module(V0, W, check=False)
-        alphas, betas = hom_space(V0W, V, 0), hom_space(V, V0W, 0)
-        pairs = ((a, b, (a @ b).entry(0, 0)) for a in alphas for b in betas)
-    else:
-        by_rows, by_cols = FactorwiseAction((V0, W), transpose=True), FactorwiseAction((V0, W))
-        us, vs = _singular(V, d, by_rows, 0), _singular(V, d, by_cols, 0)
-        pairs = ((u, v, sum(x * v.get(i, 0) for i, x in u.items())) for u in us for v in vs)
-    a, b, c = next((pair for pair in pairs if pair[2]), (None, None, 0))
+        raise WitnessNotFoundError(f"{V.name} is not a certified Kac module; no search ran")
+    W = tensor_module(dual_module(V0, check=False), V, check=False)
+    by_rows, by_cols = FactorwiseAction((V0, W), transpose=True), FactorwiseAction((V0, W))
+    us, vs = _singular(V, d, by_rows, 0), _singular(V, d, by_cols, 0)
+    pairs = ((u, v, sum(x * v.get(i, 0) for i, x in u.items())) for u in us for v in vs)
+    u, v, c = next((pair for pair in pairs if pair[2]), (None, None, 0))
     if not c:
         raise WitnessNotFoundError(f"no splitting of {V.name} through {V0.name} with W = V0* (x) V")
-    if d is not None:  # replay the one pair
-        a = SuperMap(sl.tensor_space(V0.space, W.space), V.space, 0,
-                     {(j, i): x for (i, j), x in _induced_maps(V, d, by_rows, 0, [a])[0].items()})
-        b = SuperMap(V.space, a.domain, 0, _induced_maps(V, d, by_cols, 0, [b])[0])
+    a = SuperMap(sl.tensor_space(V0.space, W.space), V.space, 0,
+                 {(j, i): x for (i, j), x in _induced_maps(V, d, by_rows, 0, [u])[0].items()})
+    b = SuperMap(V.space, a.domain, 0, _induced_maps(V, d, by_cols, 0, [v])[0])
     return make_witness(V, V0, W, Fraction(1, c) * a, b)
 
 

@@ -252,13 +252,6 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
     return SuperMap._of(dom, cod, (f.parity + g.parity) % 2, ent)
 
 
-def tensor_many(*maps: SuperMap) -> SuperMap:
-    out = maps[0]
-    for m in maps[1:]:
-        out = tensor_map(out, m)
-    return out
-
-
 def super_permutation(U: SuperSpace, V: SuperSpace) -> SuperMap:
     """tau_{U,V}: U (x) V -> V (x) U, u (x) v |-> (-1)^{p(u)p(v)} v (x) u."""
     dom = tensor_space(U, V)

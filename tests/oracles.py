@@ -9,10 +9,14 @@ adjoint and Kac modules in closed form, where the library reads them off the
 h_i.  The witness routes build V0 (x) W as a module of SuperMaps, solve
 both Hom spaces in full and check g-linearity by products with its
 generator matrices, where the library works on the factors (V0, W) and
-replays one pair.  The tests compare the two.
+replays one pair; ``ideal_witness_by_modules`` is the only module-built
+witness search left.  Singular vectors, submodule dimensions and
+irreducibility are computed only here, as checks on the modules the library
+builds.  The tests compare the two.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from supertrace import invtensor as it
 from supertrace import repmod as rm
@@ -83,6 +87,37 @@ def ideal_witness_by_modules(V, V0):
     raise rm.WitnessNotFoundError(f"no splitting of {V.name} through {V0.name}")
 
 
+def singular_vectors(V):
+    """A basis of the weight vectors annihilated by every raising generator, weight by weight."""
+    by_weight = {}
+    for i in range(V.dim):
+        by_weight.setdefault(V.basis_weights[i], []).append(i)
+    action = rm.FactorwiseAction((V,))
+    return [vec for cols in by_weight.values() for vec in rm._killed(action, "e", cols)]
+
+
+def submodule_dimension(V, seeds):
+    """Dimension of the submodule generated by the given vectors."""
+    reducer = RowReducer()
+    frontier = [vec for vec in seeds if reducer.add(vec)]
+    action = rm.FactorwiseAction((V,))
+    while frontier:
+        frontier = [image for vec in frontier for kind in "efh" for g in range(V.rs.rank)
+                    if (image := action.apply(kind, g, vec)) and reducer.add(image)]
+    return len(reducer)
+
+
+def is_irreducible(V):
+    """Exact irreducibility: every singular vector generates the whole module.
+
+    Any nonzero submodule contains a singular vector (take a weight vector of
+    maximal height), so this criterion is complete for modules with diagonal
+    Cartan action.
+    """
+    return V.dim > 0 and all(submodule_dimension(V, [vec]) == V.dim
+                             for vec in singular_vectors(V))
+
+
 def it_space_generic(adj, N, probes):
     """it_space by the generic solve of Hom(V (x) V*, g^(x)N) over both modules."""
     power = adj.power(N)
@@ -113,7 +148,8 @@ def sn_action_map(adj, N, perm):
     for i in it._adjacent_swaps(N, perm):
         left = adj.power_space(i) if i else sl.UNIT
         right = adj.power_space(N - i - 2) if N - i - 2 else sl.UNIT
-        swap = sl.tensor_many(sl.identity(left), sl.super_permutation(g, g), sl.identity(right))
+        swap = reduce(sl.tensor_map,
+                      (sl.identity(left), sl.super_permutation(g, g), sl.identity(right)))
         out = swap @ out
     return out
 

@@ -230,7 +230,7 @@ def test_criterion_09_kernel_property(adj, it_spaces):
         even, _ = it.invariant_tensors(adj, N)
         for t in space.elements:
             for tp in even:
-                route_ext, route_str = it.classical_form_routes(adj, t, tp)
+                route_ext, route_str = it.classical_gram(adj, [t], [tp])[0][0]
                 assert route_ext == route_str == 0
                 pairs += 1
     assert pairs

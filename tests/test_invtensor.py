@@ -193,7 +193,7 @@ class TestReachableSubspace:
             even, _ = it.invariant_tensors(adj, N)
             for t in space.elements:
                 for tp in even:
-                    ve, vs = it.classical_form_routes(adj, t, tp)
+                    ve, vs = it.classical_gram(adj, [t], [tp])[0][0]
                     assert ve == vs == 0
 
     def test_closure_sum_matches_coordinates(self, adj, spaces):
@@ -580,8 +580,22 @@ class TestAdjunctionRoute:
         for t in got.raw[::40]:
             assert rm._check_g_linear(t.f, vv, adj.power(4))
 
+    def test_parity_shifted_probe_presents_the_negated_tensors(self, roster, adj):
+        # op K(0,1) is certified with an odd d; its tensors are -1 times those of K(0,1).
+        for N in (2, 3):
+            a, d = it.it_space(adj, N, [roster.wA]), it.it_space(adj, N, [roster.wD])
+            assert len(a.raw) == len(d.raw) and len(a.elements) == len(d.elements) > 0
+            for s, t in zip(a.raw, d.raw):
+                assert t.coords == {k: -v for k, v in s.coords.items()}
+            assert _same_span([t.coords for t in d.elements], [t.coords for t in a.elements])
+            gram_a = it.modified_gram(adj, list(a.elements), list(a.elements))
+            assert any(any(row) for row in gram_a)
+            assert it.modified_gram(adj, list(d.elements), list(d.elements)) == gram_a
+            assert it.modified_gram(adj, list(a.elements), list(d.elements)) == [
+                [-x for x in row] for row in gram_a]
+
     def test_probe_that_is_not_a_kac_module_raises(self, roster, adj):
-        for w in (roster.wC, roster.wD):
+        for w in (roster.wC, rm.witness_dsum(roster.wA, roster.wA)):
             assert rm._kac_vector(w.V) is None
             with pytest.raises(ValueError, match="not a certified Kac module"):
                 it.it_space(adj, 2, [roster.wA, w])

@@ -158,15 +158,15 @@ class TestHomSpaces:
 
 class TestIrreducibility:
     def test_irreducible_modules(self, std, K01, K11):
-        assert rm.is_irreducible(std)
-        assert rm.is_irreducible(K01)
-        assert rm.is_irreducible(K11)
+        assert oracles.is_irreducible(std)
+        assert oracles.is_irreducible(K01)
+        assert oracles.is_irreducible(K11)
 
     def test_reducible_tensor(self, roster):
-        assert not rm.is_irreducible(roster.C)
+        assert not oracles.is_irreducible(roster.C)
 
     def test_singular_vectors_of_typical_kac(self, K01):
-        vecs = rm.singular_vectors(K01)
+        vecs = oracles.singular_vectors(K01)
         assert len(vecs) == 1 and set(vecs[0]) == {0}
 
 
@@ -368,7 +368,7 @@ class TestMirrorBlockOrder:
         lam = weight(F(5, 2), 1)
         K = rm.kac_module(rs12, lam)
         assert K.dim == 2 ** 2 * 2 and K.sdim == 0
-        assert rm.is_irreducible(K)
+        assert oracles.is_irreducible(K)
 
     def test_cross_witness_between_fractional_weights(self, rs12):
         from supertrace import mtrace as mt
@@ -539,11 +539,14 @@ SL31_WEIGHTS = st.tuples(st.sampled_from([(0, 0), (1, 0), (0, 1)]),
 
 @st.composite
 def kac_hom_pair(draw):
-    """(U, V) with a Kac module on at least one side, the other Kac, K (x) std or std."""
+    """(U, V) with a Kac module or its parity shift on at least one side.
+
+    The other side is Kac or op Kac, K (x) std, std or the same module.
+    """
     m = draw(st.sampled_from([2, 3]))
     weights = SL21_WEIGHTS if m == 2 else SL31_WEIGHTS
-    K = _kac(m, 1, draw(weights))
-    K2 = _kac(m, 1, draw(weights))
+    K, K2 = (_kac(m, 1, draw(weights)) for _ in "KK")
+    K, K2 = (rm.parity_shift_module(X) if draw(st.booleans()) else X for X in (K, K2))
     std = rm.standard_module(K.rs)
     other = draw(st.sampled_from(["kac", "kac(x)std", "std", "same"]))
     if other == "same":
@@ -601,17 +604,19 @@ class TestReciprocityRoute:
                 assert all(rm._check_g_linear(m, U, V) for m in got)
 
     def test_certificate_negatives_take_the_generic_route(self, roster, monkeypatch):
-        A = roster.A
+        A, C = roster.A, roster.C
         wrong_weight = rm.GModule(A.rs, A.space, A.e, A.f, A.h, A.basis_weights, "K(0,1)?",
                                   weight(0, 2))
+        typical_c = rm.GModule(C.rs, C.space, C.e, C.f, C.h, C.basis_weights, C.name,
+                               weight(1, 1))
         negatives = [
-            roster.C,  # recorded weight (1,1) is typical, but dim 12 is not dim K(1,1) = 8
-            roster.D,  # parity shift: no recorded highest weight
+            typical_c,  # recorded weight (1,1) is typical, but dim 12 is not dim K(1,1) = 8
+            C,  # a tensor product records no highest weight
             rm.dual_module(A),
             wrong_weight,  # no basis vector has the recorded weight
             rm.trivial_module(A.rs),  # atypical
         ]
-        assert roster.C.highest_weight == weight(1, 1) and roster.rs.is_typical(weight(1, 1))
+        assert roster.rs.is_typical(weight(1, 1))
         expected = {id(U): (rm.hom_space(U, U, 0), rm.hom_space(U, roster.std, 1))
                     for U in negatives}
 
@@ -639,17 +644,21 @@ class TestReciprocityRoute:
 
 @st.composite
 def generic_module(draw, roster):
-    """A roster module, or a tensor product, direct sum or parity shift of roster modules."""
+    """A roster module, or a tensor product, direct sum or parity shift of roster modules.
+
+    None is certified: a Kac module or its parity shift (D, op B) takes the
+    reciprocity route, and ``kac_hom_pair`` draws those.
+    """
     std, A, B, C, D = roster.std, roster.A, roster.B, roster.C, roster.D
     kind = draw(st.sampled_from(["base", "tensor", "dsum", "shift"]))
     if kind == "base":
-        return draw(st.sampled_from([std, rm.dual_module(std), C, D]))
+        return draw(st.sampled_from([std, rm.dual_module(std), C]))
     if kind == "tensor":
         X = draw(st.sampled_from([std, rm.dual_module(std), A, B, D]))
         return rm.tensor_module(X, draw(st.sampled_from([std, rm.dual_module(std), A, D])))
     if kind == "dsum":
         return rm.direct_sum_module(*(draw(st.sampled_from([std, A, B, C, D])) for _ in "XY"))
-    return rm.parity_shift_module(draw(st.sampled_from([std, B, C])))
+    return rm.parity_shift_module(draw(st.sampled_from([std, C])))
 
 
 class TestGenericHom:
@@ -771,23 +780,32 @@ class TestFactorwiseGLinearity:
 def _witness_case(name):
     """(V, V0); the roster's A = K(0,1), B = K(1,1) and D = op(A), built without its witnesses."""
     K = _kac
+    op = rm.parity_shift_module
     return {
         "B via A": (K(2, 1, (1, 1)), K(2, 1, (0, 1))),
         "B via K(0,2)": (K(2, 1, (1, 1)), K(2, 1, (0, 2))),
         "sl31 K(1,0,1/2) via K(0,0,-3/2)": (K(3, 1, (1, 0, F(1, 2))), K(3, 1, (0, 0, F(-3, 2)))),
         "sl31 K(0,1,5/2) via K(0,0,7/2)": (K(3, 1, (0, 1, F(5, 2))), K(3, 1, (0, 0, F(7, 2)))),
         "sl12 K(7/2,1) via K(5/2,1)": (K(1, 2, (F(7, 2), 1)), K(1, 2, (F(5, 2), 1))),
-        "D via A": (rm.parity_shift_module(K(2, 1, (0, 1))), K(2, 1, (0, 1))),
+        "D via A": (op(K(2, 1, (0, 1))), K(2, 1, (0, 1))),
+        "op B via A": (op(K(2, 1, (1, 1))), K(2, 1, (0, 1))),
+        "sl31 op K(1,0,1/2) via K(0,0,-3/2)": (op(K(3, 1, (1, 0, F(1, 2)))),
+                                               K(3, 1, (0, 0, F(-3, 2)))),
+        "sl12 op K(7/2,1) via K(5/2,1)": (op(K(1, 2, (F(7, 2), 1))), K(1, 2, (F(5, 2), 1))),
     }[name]
 
 
 class TestWitnessOracle:
     @pytest.mark.parametrize("name", ["B via A", "B via K(0,2)", "sl31 K(1,0,1/2) via K(0,0,-3/2)",
                                       "sl31 K(0,1,5/2) via K(0,0,7/2)",
-                                      "sl12 K(7/2,1) via K(5/2,1)", "D via A"])
+                                      "sl12 K(7/2,1) via K(5/2,1)", "D via A", "op B via A",
+                                      "sl31 op K(1,0,1/2) via K(0,0,-3/2)",
+                                      "sl12 op K(7/2,1) via K(5/2,1)"])
     def test_alpha_and_beta_equal_the_module_route(self, name):
         V, V0 = _witness_case(name)
-        assert (rm._kac_vector(V) is None) == (name == "D via A")
+        d = rm._kac_vector(V)
+        odd = name == "D via A" or "op" in name.split()
+        assert d is not None and V.space.parities[d] == odd
         w = rm.ideal_witness(V, V0)
         alpha, beta = oracles.ideal_witness_by_modules(V, V0)
         assert w.alpha == alpha and w.beta == beta
@@ -849,6 +867,72 @@ class TestMakeWitnessSpaces:
         assert rm.make_witness(w.V, w.V0, w.W, w.alpha, w.beta).alpha == w.alpha
 
 
+# -- one certificate gates every typical-module route -------------------------------
+
+
+@st.composite
+def witnessed_kac_case(draw):
+    """(K(lam), a certified core K(mu)) of sl(2|1), sl(3|1) or sl(1|2); mu may equal lam."""
+    shape = draw(st.sampled_from([(2, 1), (3, 1), (1, 2)]))
+    a_s = st.sampled_from([F(-3, 2), F(1, 2), F(5, 2), F(7, 2)])
+    if shape == (2, 1):
+        lam, mu = draw(SL21_WEIGHTS), (0, draw(a_s))
+    elif shape == (3, 1):  # a dim-8 core keeps V0 (x) W small
+        lam, mu = draw(SL31_WEIGHTS), (0, 0, draw(a_s))
+    else:
+        lam, mu = (draw(a_s), draw(st.integers(0, 1))), (draw(a_s), 1)
+    return _kac(*shape, lam), _kac(*shape, mu)
+
+
+class TestCoreGate:
+    def test_a_tensor_product_is_not_a_core(self, roster):
+        # K(0,1) (x) std used to carry the typical weight (1,1): str'(Id) came out 2/3, not 1/2.
+        with pytest.raises(ValueError, match="not a certified Kac module"):
+            rm.trivial_witness(roster.C)
+
+    def test_an_odd_highest_weight_vector_is_not_a_core(self, roster, monkeypatch):
+        D = roster.D
+        d = rm._kac_vector(D)
+        assert d is not None and D.space.parities[d] == 1
+
+        def no_check(*args):
+            raise AssertionError("g-linearity checked before the core")
+
+        monkeypatch.setattr(rm, "_check_g_linear", no_check)
+        ident = sl.identity(D.space)
+        with pytest.raises(ValueError, match="even highest weight vector"):
+            rm.make_witness(D, D, rm.trivial_module(D.rs), ident, ident)
+
+    def test_ideal_witness_checks_the_core_before_any_solve(self, roster, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a singular solve ran before the core was checked")
+
+        monkeypatch.setattr(rm, "_singular", no_solve)
+        with pytest.raises(ValueError, match="not a certified Kac module"):
+            rm.ideal_witness(roster.B, roster.C)
+
+    def test_an_uncertified_module_is_not_searched(self, roster, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a singular solve ran on an uncertified module")
+
+        monkeypatch.setattr(rm, "_singular", no_solve)
+        for V in (roster.C, rm.dual_module(roster.A), roster.std):
+            with pytest.raises(rm.WitnessNotFoundError, match="no search ran"):
+                rm.ideal_witness(V, roster.A)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=witnessed_kac_case())
+    def test_identity_of_kac_and_op_kac_has_plus_and_minus_mod_sdim(self, case):
+        from supertrace import mtrace as mt
+
+        K, core = case
+        lam = K.highest_weight
+        for V, sign in ((K, 1), (rm.parity_shift_module(K), -1)):
+            w = rm.ideal_witness(V, core)
+            assert w.V0 is core
+            assert mt.modified_trace(sl.identity(V.space), w) == sign * K.rs.mod_sdim(lam)
+
+
 def _singular_vectors_by_scan(V):
     """The entry-scanning form of singular_vectors."""
     by_weight = {}
@@ -868,7 +952,7 @@ def _singular_vectors_by_scan(V):
 
 def test_singular_vectors_match_the_scan(roster):
     for V in (roster.std, roster.A, roster.B, roster.C, rm.tensor_module(roster.A, roster.A)):
-        assert rm.singular_vectors(V) == _singular_vectors_by_scan(V)
+        assert oracles.singular_vectors(V) == _singular_vectors_by_scan(V)
 
 
 # sha256 of the save_gmodule bytes of Kac modules built before their commutator
