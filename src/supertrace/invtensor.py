@@ -208,9 +208,13 @@ def _digits(flat: int, N: int, gdim: int) -> list[int]:
 
 
 def is_invariant(adj: AdjointData, N: int, coords: dict) -> bool:
-    """Whether every generator kills the degree-N tensor ``coords``."""
+    """Whether every generator kills the degree-N tensor ``coords``.
+
+    Only the e_i and f_i are applied: the adjoint module's relations are
+    verified, so h_i = [e_i, f_i] kills what both of them kill.
+    """
     action = FactorwiseAction((adj.module,) * N)
-    return all(not action.apply(kind, i, coords) for kind in "efh" for i in range(adj.rs.rank))
+    return all(not action.apply(kind, i, coords) for kind in "ef" for i in range(adj.rs.rank))
 
 
 def tensor_coords(u: dict, v: dict, vdim: int) -> dict:

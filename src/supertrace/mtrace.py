@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import superlin as sl
+from .exactnum import exact
 from .repmod import GModule, IdealWitness, _check_g_linear
 from .superlin import SuperMap
 
@@ -51,8 +52,8 @@ def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
 
 
 def modified_trace(f: SuperMap, w: IdealWitness) -> Fraction:
-    """mod_sdim(V0) times the bracket scalar; independent of the witness."""
-    return w.V.rs.mod_sdim(w.V0.highest_weight) * bracket(f, w)
+    """mod_sdim(V0) times the bracket scalar, canonical (``exact``); independent of the witness."""
+    return exact(w.V.rs.mod_sdim(w.V0.highest_weight) * bracket(f, w))
 
 
 def classical_str_is_zero(w: IdealWitness, f: SuperMap) -> bool:

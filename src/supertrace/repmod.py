@@ -50,10 +50,11 @@ class ModuleIntegrityError(ValueError):
 
 
 class WitnessNotFoundError(RuntimeError):
-    """No splitting through V0 (x) W was found with the canonical W.
+    """V is not a certified Kac module, so ``ideal_witness`` ran no search.
 
-    Or V is not a certified Kac module and no search ran.  This records a
-    failed search, not a proof that V lies outside the ideal of typicals.
+    This is not a proof that V lies outside the ideal of typicals.  The
+    other raise, no beta found for a certified V, is a guard: a certified V
+    is projective, so it cannot happen.
     """
 
 
@@ -645,11 +646,10 @@ def _singular(K: GModule, d: int, target: FactorwiseAction, parity: int) -> list
     """The vectors v = F(d) that fix the g-linear maps F: K -> target (``_induced_maps``).
 
     Frobenius reciprocity: the target's weight-mu vectors of parity p(d) + p(F) killed by
-    every e_i; for a transposed target, the rows d of the maps target -> K, killed by the f_i.
+    every e_i.
     """
     # A transient action for the kill system, so its columns are freed before the replay.
-    return _killed(FactorwiseAction(target.factors, target.transpose),
-                   "f" if target.transpose else "e",
+    return _killed(FactorwiseAction(target.factors), "e",
                    target.indices(K.highest_weight.a, (K.space.parities[d] + parity) % 2))
 
 
@@ -660,14 +660,12 @@ def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, sin
     ``_singular``), and F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in the
     target the f-words that span K from d, found once per call.  The target
     is any factorwise action, so a tensor product is never built as a
-    module.  When the target acts by transposes the same core gives the
-    transposes of the maps target -> K, spread by the e_i.
+    module.
     """
     singular = _singular(K, d, target, parity) if singular is None else singular
     if not singular:
         return []
-    spread = "e" if target.transpose else "f"
-    source = FactorwiseAction((K,), target.transpose)
+    source = FactorwiseAction((K,))
     reducer = RowReducer()
     reducer.add({d: 1})
     vecs, words = [{d: 1}], [None]
@@ -676,7 +674,7 @@ def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, sin
         nxt = []
         for k in frontier:
             for g in range(K.rs.rank):
-                image = source.apply(spread, g, vecs[k])
+                image = source.apply("f", g, vecs[k])
                 if image and reducer.add(image):
                     nxt.append(len(vecs))
                     vecs.append(image)
@@ -692,7 +690,7 @@ def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, sin
     for v in singular:
         images = [v]
         for k, g in words[1:]:
-            image = target.apply(spread, g, images[k])
+            image = target.apply("f", g, images[k])
             images.append({i: signs[g] * c for i, c in image.items()})
         ent: dict[tuple[int, int], Fraction] = {}
         for j, coords in enumerate(basis):
@@ -709,15 +707,12 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     When U is certified to be a typical Kac module K(mu) (see ``_kac_vector``),
     Frobenius reciprocity gives Hom(K(mu), V) = {weight-mu vectors of V killed
     by every e_i}: only that system is solved, and each map is rebuilt from
-    the f-words that span K(mu) from its highest weight vector.  When V is the
-    certified one, the same route runs on row vectors through
-    Hom(U, K) = Hom(K*, U*): the highest weight row of a map is a weight-mu
-    covector of U killed by every f_i acting on the right, and the e_i acting
-    on the right spread it.  Other modules take the generic route: a map F is
-    an invariant of V (x) U* with F[i, j] the coordinate of v_i (x) u_j*, since
-    x acts there by x_V F - (-1)^{p(x) p(F)} F x_U.  Its unknowns are the
-    weight-zero basis vectors of that parity, U index outer, and the system is
-    the one kill system of the e_i and f_i acting factor by factor.
+    the f-words that span K(mu) from its highest weight vector.  Any other U
+    takes the generic route, whatever V is: a map F is an invariant of
+    V (x) U* with F[i, j] the coordinate of v_i (x) u_j*, since x acts there
+    by x_V F - (-1)^{p(x) p(F)} F x_U.  Its unknowns are the weight-zero basis
+    vectors of that parity, U index outer, and the system is the one kill
+    system of the e_i and f_i acting factor by factor.
     """
     if parity is None:
         return hom_space(U, V, 0) + hom_space(U, V, 1)
@@ -727,11 +722,6 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     if d is not None:
         return [SuperMap(U.space, V.space, parity, ent)
                 for ent in _induced_maps(U, d, FactorwiseAction((V,)), parity)]
-    d = _kac_vector(V)
-    if d is not None:
-        target = FactorwiseAction((U,), transpose=True)
-        return [SuperMap(U.space, V.space, parity, {(i, j): v for (j, i), v in ent.items()})
-                for ent in _induced_maps(V, d, target, parity)]
     action = FactorwiseAction((V, dual_module(U, check=False)))
     support = sorted(action.indices((0,) * U.rs.rank, parity), key=lambda t: (t % U.dim, t))
     return [SuperMap(U.space, V.space, parity, {divmod(t, U.dim): v for t, v in vec.items()})
@@ -770,12 +760,15 @@ class IdealWitness:
 
 
 def _check_g_linear(m: SuperMap, src, dst) -> bool:
-    """Whether m: src -> dst satisfies m . x = (-1)^{p(m) p(x)} x . m for every e_i, f_i, h_i.
+    """Whether m: src -> dst satisfies m . x = (-1)^{p(m) p(x)} x . m for every generator.
 
     Each side is a module or a tuple of factors (ValueError unless m runs between their
     spaces), acting factor by factor, so no product module or matrix is built: m . x is
     the transposed action of src on all rows of m at once (row i at offset i * dim src),
     and x . m the action of dst on all its columns (column j at offset j * dim dst).
+    Only the e_i and f_i are checked: on modules with verified relations
+    [e_i, f_i] = h_i, and a map that commutes with e_i and f_i (with the signs
+    above) commutes with their super-commutator.
     """
     src, dst = (s if isinstance(s, tuple) else (s,) for s in (src, dst))
     if (m.domain, m.codomain) != tuple(reduce(sl.tensor_space, (M.space for M in side))
@@ -785,9 +778,9 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
     ds, dd = m.domain.dim, m.codomain.dim
     rows = {i * ds + j: v for (i, j), v in m.entries.items()}
     cols = {j * dd + i: v for (i, j), v in m.entries.items()}
-    for kind in "efh":
+    for kind in "ef":
         for g in range(on_rows.rs.rank):
-            sign = -1 if m.parity and kind != "h" and on_rows.gen_parity[g] else 1
+            sign = -1 if m.parity and on_rows.gen_parity[g] else 1
             lhs = {divmod(t, ds): v for t, v in on_rows.apply(kind, g, rows).items()}
             rhs = {divmod(t, dd)[::-1]: sign * v for t, v in on_cols.apply(kind, g, cols).items()}
             if lhs != rhs:
@@ -832,13 +825,15 @@ def trivial_witness(V: GModule) -> IdealWitness:
 
 
 def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
-    """Search for a splitting of V through V0 (x) (V0* (x) V).
+    """Split V through V0 (x) (V0* (x) V) with alpha = ev_{V0} (x) Id_V.
 
     A bad core V0 raises ValueError before any solve (``_check_core``), and
     a V that is not a certified Kac module WitnessNotFoundError.  alpha is
-    fixed by its row d, a singular covector u, and beta by its column d, a
-    singular vector v, on the factorwise action of (V0, W); the first pair
-    with c = u . v = (alpha . beta)[d, d] != 0 is replayed and normalized.
+    written down, alpha[k, (i, i, k)] = (-1)^{p_i}; beta is replayed from its
+    column d, the first singular vector v on the factorwise action of (V0, W)
+    with c = alpha(v)[d] != 0, and alpha is scaled by 1/c.  Such a v exists:
+    alpha is onto and the certified V (K(lam) or op K(lam)) is projective, so
+    some beta has alpha . beta = Id_V, and End(V) = k makes alpha . beta = c Id_V.
     """
     _check_core(V0)
     if V is V0:
@@ -847,16 +842,18 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
     if d is None:
         raise WitnessNotFoundError(f"{V.name} is not a certified Kac module; no search ran")
     W = tensor_module(dual_module(V0, check=False), V, check=False)
-    by_rows, by_cols = FactorwiseAction((V0, W), transpose=True), FactorwiseAction((V0, W))
-    us, vs = _singular(V, d, by_rows, 0), _singular(V, d, by_cols, 0)
-    pairs = ((u, v, sum(x * v.get(i, 0) for i, x in u.items())) for u in us for v in vs)
-    u, v, c = next((pair for pair in pairs if pair[2]), (None, None, 0))
+    # Column (i, i*, k) of V0 (x) V0* (x) V is t + k, with t = i dim W + i dim V.
+    dv, dw = V.dim, W.dim
+    ev = [(i * dw + i * dv, -1 if p else 1) for i, p in enumerate(V0.space.parities)]
+    action = FactorwiseAction((V0, W))
+    pairs = ((v, sum(s * v.get(t + d, 0) for t, s in ev)) for v in _singular(V, d, action, 0))
+    v, c = next((pair for pair in pairs if pair[1]), (None, 0))
     if not c:
         raise WitnessNotFoundError(f"no splitting of {V.name} through {V0.name} with W = V0* (x) V")
     a = SuperMap(sl.tensor_space(V0.space, W.space), V.space, 0,
-                 {(j, i): x for (i, j), x in _induced_maps(V, d, by_rows, 0, [u])[0].items()})
-    b = SuperMap(V.space, a.domain, 0, _induced_maps(V, d, by_cols, 0, [v])[0])
-    return make_witness(V, V0, W, Fraction(1, c) * a, b)
+                 {(k, t + k): Fraction(s, c) for t, s in ev for k in range(dv)})
+    b = SuperMap(V.space, a.domain, 0, _induced_maps(V, d, action, 0, [v])[0])
+    return make_witness(V, V0, W, a, b)
 
 
 def witness_tensor(w: IdealWitness, U: GModule) -> IdealWitness:

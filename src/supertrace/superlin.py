@@ -298,12 +298,6 @@ def coev(V: SuperSpace) -> SuperMap:
     return SuperMap(UNIT, tensor_space(V, dual_space(V)), EVEN, ent)
 
 
-def double_dual_iso(V: SuperSpace) -> SuperMap:
-    """The canonical V -> V**, v |-> (-1)^{p(v)} v** in the dual-dual basis."""
-    ent = {(i, i): -1 if V.parities[i] else 1 for i in range(V.dim)}
-    return SuperMap(V, dual_space(dual_space(V)), EVEN, ent)
-
-
 def dual_tensor_iso(U: SuperSpace, V: SuperSpace) -> SuperMap:
     """The canonical U* (x) V* -> (U (x) V)*, with sign (-1)^{p(u_i)p(v_j)}."""
     dom = tensor_space(dual_space(U), dual_space(V))

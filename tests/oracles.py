@@ -6,13 +6,15 @@ equations of ``hom_by_equations`` are written entry by entry from the
 generator matrices, where the library solves for the invariants of
 V (x) U*.  The weight formulas give the basis weights of the standard,
 adjoint and Kac modules in closed form, where the library reads them off the
-h_i.  The witness routes build V0 (x) W as a module of SuperMaps, solve
-both Hom spaces in full and check g-linearity by products with its
-generator matrices, where the library works on the factors (V0, W) and
-replays one pair; ``ideal_witness_by_modules`` is the only module-built
-witness search left.  Singular vectors, submodule dimensions and
-irreducibility are computed only here, as checks on the modules the library
-builds.  The tests compare the two.
+h_i.  The witness routes build V0 (x) W as a module of SuperMaps, take
+alpha = ev_right(V0) (x) Id_V from superlin, solve Hom(V, V0 (x) W) in full
+and check g-linearity by products with every generator matrix (e, f and h),
+where the library writes alpha entry by entry, solves on the factors
+(V0, W), replays one beta and checks only the e_i and f_i;
+``ideal_witness_by_modules`` is the only module-built witness search left.
+Singular vectors, submodule dimensions, irreducibility and the double-dual
+isomorphism are computed only here, as checks on the library.  The tests
+compare the two.
 """
 
 from fractions import Fraction
@@ -67,23 +69,23 @@ def g_linear_by_products(m, src, dst):
 def ideal_witness_by_modules(V, V0):
     """(alpha, beta) of ideal_witness through V0 (x) W built as a module, W = V0* (x) V.
 
-    Both Hom spaces are solved in full, and the first pair in the order
-    alphas x betas with a nonzero composite is normalized to alpha . beta = Id.
+    alpha is ev_right(V0) (x) Id_V from superlin; beta is the first map of
+    Hom(V, V0 (x) W) with a nonzero composite c, and alpha is scaled by 1/c
+    so that alpha . beta = Id.
     """
     if len(rm.hom_space(V, V, 0)) != 1:
         raise ValueError("module does not have scalar even endomorphisms")
     W = rm.tensor_module(rm.dual_module(V0, check=False), V, check=False)
     V0W = rm.tensor_module(V0, W, check=False)
-    alphas, betas = rm.hom_space(V0W, V, 0), rm.hom_space(V, V0W, 0)
-    for a in alphas:
-        for b in betas:
-            comp = a @ b
-            c = comp.entry(0, 0)
-            if c:
-                assert comp == c * sl.identity(V.space)
-                a = Fraction(1, c) * a
-                assert g_linear_by_products(a, V0W, V) and g_linear_by_products(b, V, V0W)
-                return a, b
+    a = sl.tensor_map(sl.ev_right(V0.space), sl.identity(V.space))
+    for b in rm.hom_space(V, V0W, 0):
+        comp = a @ b
+        c = comp.entry(0, 0)
+        if c:
+            assert comp == c * sl.identity(V.space)
+            a = Fraction(1, c) * a
+            assert g_linear_by_products(a, V0W, V) and g_linear_by_products(b, V, V0W)
+            return a, b
     raise rm.WitnessNotFoundError(f"no splitting of {V.name} through {V0.name}")
 
 
@@ -129,6 +131,12 @@ def it_space_generic(adj, N, probes):
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
     return it.ITSubspace(N, tuple(independent), tuple(raw))
+
+
+def double_dual_iso(V):
+    """The canonical V -> V**, v |-> (-1)^{p(v)} v** in the dual-dual basis."""
+    ent = {(i, i): -1 if V.parities[i] else 1 for i in range(V.dim)}
+    return sl.SuperMap(V, sl.dual_space(sl.dual_space(V)), sl.EVEN, ent)
 
 
 def invert_diag(m):

@@ -265,7 +265,7 @@ def _presented_endo_oracle(adj, t1, t2_coords):
     vspace = t1.module.space
     dual_v = sl.dual_space(vspace)
     unpack = oracles.invert_diag(sl.dual_tensor_iso(vspace, dual_v))
-    c_inv = oracles.invert_diag(sl.double_dual_iso(vspace))
+    c_inv = oracles.invert_diag(oracles.double_dual_iso(vspace))
     s = (sl.tensor_map(sl.identity(dual_v), c_inv) @ unpack @ sl.super_transpose(t1.f)
          @ it.dualizing_map(adj, t1.degree) @ t2)
     inner = sl.tensor_map(sl.identity(vspace), s)

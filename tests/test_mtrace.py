@@ -50,6 +50,9 @@ class TestModifiedTrace:
     def test_identity_values(self, roster):
         assert mt.modified_trace(sl.identity(roster.A.space), roster.wA) == F(1, 2)
         assert mt.modified_trace(sl.identity(roster.B.space), roster.wB) == F(2, 3)
+        # A whole value is the canonical int, as everywhere else.
+        whole = mt.modified_trace(2 * sl.identity(roster.A.space), roster.wA)
+        assert type(whole) is int and whole == 1
 
     def test_witness_independence(self, roster):
         idb = sl.identity(roster.B.space)
