@@ -29,11 +29,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 
 from . import superlin as sl
-from .exactnum import exact, rat_str
+from .exactnum import exact, rat_str, ratio
 from .linalg import RowReducer, nullspace
 from .rootdata import RootSystem, Weight
 from .superlin import SuperMap, SuperSpace
@@ -88,6 +88,19 @@ class GModule:
     def weight(self, i: int) -> tuple[Fraction, ...]:
         return self.basis_weights[i]
 
+    @cached_property
+    def _table(self) -> dict:
+        """What the factorwise action reads: "weights" (``exact``) and each ``columns`` key."""
+        return {"weights": [tuple(map(exact, w)) for w in self.basis_weights]}
+
+    def columns(self, kind: str, i: int, transpose: bool = False) -> tuple[dict[int, list], int]:
+        """``kind``_i cleared to ints over den (``sl.cleared``), grouped by column, and den."""
+        key = (kind, i, transpose)
+        if key not in self._table:
+            ent, den = sl.cleared(getattr(self, kind)[i].entries)
+            self._table[key] = (sl.mat_columns(ent, transpose), den)
+        return self._table[key]
+
     def __repr__(self):
         return f"GModule({self.name or 'unnamed'}, dim={self.dim}, sdim={self.sdim})"
 
@@ -98,22 +111,14 @@ def verify_relations(mod: GModule) -> None:
     Once every h_i is checked to be diagonal with the basis weights,
     [h_i, x_j] = +-a_ij x_j says exactly that each nonzero entry (a, b) of
     e_j (f_j) moves the weight by +a_j (-a_j): (w_a - w_b)_i = +-a_ij.  The
-    diagonal h_i commute with each other.
+    diagonal h_i commute with each other.  [e_i, f_j] = delta_ij h_i is checked in
+    ints, as [den_e e_i, den_f f_j] = delta_ij den_e den_f h_i (``sl.cleared``).
     """
     rs = mod.rs
     r = rs.rank
-    for i in range(r):
-        hm = mod.h[i]
-        for (a, b), v in hm.entries.items():
-            if a != b:
-                raise ModuleRelationError(f"{mod.name}: h_{i} is not diagonal")
-            if v != mod.basis_weights[a][i]:
-                raise ModuleRelationError(
-                    f"{mod.name}: h_{i} eigenvalue mismatch at basis vector {a}"
-                )
-        for a, wts in enumerate(mod.basis_weights):
-            if wts[i] != hm.entry(a, a):
-                raise ModuleRelationError(f"{mod.name}: basis weight {a} disagrees with h_{i}")
+    for i, hm in enumerate(mod.h):
+        if hm.entries != {(a, a): w[i] for a, w in enumerate(mod.basis_weights) if w[i]}:
+            raise ModuleRelationError(f"{mod.name}: h_{i} is not diagonal with the basis weights")
     # The weight gaps in ints: coordinate i scaled by the lcm of its denominators.
     dens = [lcm(*(w[i].denominator for w in mod.basis_weights)) for i in range(r)]
     scaled = [[x.numerator * (d // x.denominator) for x, d in zip(w, dens)]
@@ -124,10 +129,11 @@ def verify_relations(mod: GModule) -> None:
                 for i in range(r):
                     if scaled[a][i] - scaled[b][i] != sign * rs.cartan.a[i][j] * dens[i]:
                         raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
-    for i, e in enumerate(mod.e):
-        for j, f in enumerate(mod.f):
-            lhs = sl.mat_scomm(e.entries, e.parity, f.entries, f.parity)
-            if lhs != (mod.h[i].entries if i == j else {}):
+    es, fs = ([sl.cleared(x.entries) + (x.parity,) for x in xs] for xs in (mod.e, mod.f))
+    for i, (e, de, pe) in enumerate(es):
+        for j, (f, df, pf) in enumerate(fs):
+            want = {k: de * df * v for k, v in mod.h[i].entries.items()} if i == j else {}
+            if sl.mat_scomm(e, pe, f, pf) != want:
                 raise ModuleRelationError(f"{mod.name}: [e_{i}, f_{j}] relation failed")
 
 
@@ -510,7 +516,10 @@ class FactorwiseAction:
     in the left-factor-major basis of ``tensor_space``.  Each generator acts
     through the columns of its factor matrices, so no map of the product is
     built.  With ``transpose`` every generator acts by its plain transpose;
-    the signs stay, since the factors left of pos do not move.
+    the signs stay, since the factors left of pos do not move.  The columns
+    are each module's ``GModule.columns``, ints scaled to L, the lcm of the
+    factors' denominators: ``_scaled`` multiplies ints only and returns L
+    times the image, and ``apply`` divides by L once per output entry.
     """
 
     def __init__(self, factors, transpose: bool = False):
@@ -525,21 +534,16 @@ class FactorwiseAction:
             self.places[pos] = self.places[pos + 1] * self.dims[pos + 1]
         self.parities = [M.space.parities for M in self.factors]
         self.gen_parity = [x.parity for x in self.factors[0].e]
-        self._steps: dict[tuple[str, int], list] = {}  # filled on first use
+        self._steps: dict[tuple[str, int], tuple[list, int]] = {}  # filled on first use
 
-    def _factor_steps(self, kind: str, i: int) -> list[tuple]:
-        """(columns of ``kind``_i, place, dim, parities) per factor, last factor first.
-
-        The columns are computed once per distinct module.
-        """
+    def _factor_steps(self, kind: str, i: int) -> tuple[list[tuple], int]:
+        """(columns, place, dim, parities, L // den) per factor, last factor first, and L."""
         key = (kind, i)
         if key not in self._steps:
-            by_module: dict[int, dict] = {}
-            for M in self.factors:
-                if id(M) not in by_module:
-                    by_module[id(M)] = sl.mat_columns(getattr(M, kind)[i].entries, self.transpose)
-            self._steps[key] = [(by_module[id(M)], place, dim, par) for M, place, dim, par
-                                in zip(self.factors, self.places, self.dims, self.parities)][::-1]
+            tables = [M.columns(kind, i, self.transpose) for M in self.factors]
+            L = lcm(*(den for _, den in tables))
+            self._steps[key] = ([(cols, place, dim, par, L // den) for (cols, den), place, dim, par
+                                 in zip(tables, self.places, self.dims, self.parities)][::-1], L)
         return self._steps[key]
 
     def apply(self, kind: str, i: int, vec: dict) -> dict[int, Fraction]:
@@ -549,23 +553,32 @@ class FactorwiseAction:
         in U* come before those in V, in the order of the entrywise Hom
         equations F x_U - (-1)^{p(x) p(F)} x_V F; a kill system then meets
         its rows in that order, and the eliminator returns the same basis.
+        The values are canonical scalars.
         """
-        steps = self._factor_steps(kind, i)
+        ints, den = sl.cleared(vec)
+        out, L = self._scaled(kind, i, ints)
+        L *= den
+        return {k: v if L == 1 else ratio(v, L) for k, v in out.items() if v}
+
+    def _scaled(self, kind: str, i: int, vec: dict[int, int]) -> tuple[dict[int, int], int]:
+        """``kind``_i on an int vector: L times the image in ints, zeros kept, and L."""
+        steps, L = self._factor_steps(kind, i)
         odd = kind != "h" and self.gen_parity[i]
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for flat, c in vec.items():
             # lead: the parity of the factors left of pos, the whole parity peeled from the right.
             lead = 0
             if odd:
-                for _, place, dim, par in steps:
+                for _, place, dim, par, _ in steps:
                     lead ^= par[flat // place % dim]
-            for cols, place, dim, par in steps:
+            for cols, place, dim, par, scale in steps:
                 d = flat // place % dim
                 lead ^= par[d]
+                s = -c * scale if odd and lead else c * scale
                 for row, v in cols.get(d, ()):
                     key = flat + (row - d) * place
-                    out[key] = out.get(key, 0) + (-v if odd and lead else v) * c
-        return sl.nonzero(out)
+                    out[key] = out.get(key, 0) + v * s
+        return out, L
 
     def indices(self, wt: tuple, parity: int) -> list[int]:
         """The basis indices of weight ``wt`` and the given parity, ascending.
@@ -596,9 +609,8 @@ def _weight_table(factors) -> dict[tuple, list[tuple[int, int]]]:
     table = {(0,) * factors[0].rs.rank: [(0, 0)]}
     for M in factors:
         nxt: dict[tuple, list[tuple[int, int]]] = {}
-        weights = [tuple(map(exact, w)) for w in M.basis_weights]
         for w, entries in table.items():
-            for j, (wj, pj) in enumerate(zip(weights, M.space.parities)):
+            for j, (wj, pj) in enumerate(zip(M._table["weights"], M.space.parities)):
                 key = tuple(a + b for a, b in zip(w, wj))
                 nxt.setdefault(key, []).extend((a * M.dim + j, p ^ pj) for a, p in entries)
         table = nxt
@@ -609,15 +621,19 @@ def _killed(action: FactorwiseAction, kinds: str, support: list[int]) -> list[di
     """A basis of the vectors on the basis indices ``support`` killed by every generator of ``kinds``.
 
     ``kinds`` names the generator series, e.g. "e" for singular vectors or
-    "ef" for invariants.
+    "ef" for invariants.  Each generator acts once, on unit vector t of the support
+    in block t; the rows stay scaled by the action's L, which moves no kernel.
     """
     if not support:
         return []
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    dim = action.places[0] * action.dims[0]
+    units = {t * dim + j: 1 for t, j in enumerate(support)}
+    rows: dict[tuple, dict[int, int]] = {}
     for kind in kinds:
         for g in range(action.rs.rank):
-            for t, j in enumerate(support):
-                for i, v in action.apply(kind, g, {j: 1}).items():
+            for key, v in action._scaled(kind, g, units)[0].items():
+                if v:
+                    t, i = divmod(key, dim)
                     rows.setdefault((kind, g, i), {})[t] = v
     return [{support[t]: v for t, v in vec.items()} for vec in nullspace(rows.values(), len(support))]
 
@@ -648,8 +664,7 @@ def _singular(K: GModule, d: int, target: FactorwiseAction, parity: int) -> list
     Frobenius reciprocity: the target's weight-mu vectors of parity p(d) + p(F) killed by
     every e_i.
     """
-    # A transient action for the kill system, so its columns are freed before the replay.
-    return _killed(FactorwiseAction(target.factors), "e",
+    return _killed(target, "e",
                    target.indices(K.highest_weight.a, (K.space.parities[d] + parity) % 2))
 
 
@@ -768,7 +783,9 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
     and x . m the action of dst on all its columns (column j at offset j * dim dst).
     Only the e_i and f_i are checked: on modules with verified relations
     [e_i, f_i] = h_i, and a map that commutes with e_i and f_i (with the signs
-    above) commutes with their super-commutator.
+    above) commutes with their super-commutator.  Being homogeneous in m, the
+    check runs on m cleared to ints, and compares L_dst (m . x) with L_src (x . m)
+    (``FactorwiseAction._scaled``), with no division.
     """
     src, dst = (s if isinstance(s, tuple) else (s,) for s in (src, dst))
     if (m.domain, m.codomain) != tuple(reduce(sl.tensor_space, (M.space for M in side))
@@ -776,14 +793,16 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
         raise ValueError("map does not run between the spaces of src and dst")
     on_rows, on_cols = FactorwiseAction(src, transpose=True), FactorwiseAction(dst)
     ds, dd = m.domain.dim, m.codomain.dim
-    rows = {i * ds + j: v for (i, j), v in m.entries.items()}
-    cols = {j * dd + i: v for (i, j), v in m.entries.items()}
+    ent, _ = sl.cleared(m.entries)
+    rows = {i * ds + j: v for (i, j), v in ent.items()}
+    cols = {j * dd + i: v for (i, j), v in ent.items()}
     for kind in "ef":
         for g in range(on_rows.rs.rank):
             sign = -1 if m.parity and on_rows.gen_parity[g] else 1
-            lhs = {divmod(t, ds): v for t, v in on_rows.apply(kind, g, rows).items()}
-            rhs = {divmod(t, dd)[::-1]: sign * v for t, v in on_cols.apply(kind, g, cols).items()}
-            if lhs != rhs:
+            lhs, l_src = on_rows._scaled(kind, g, rows)
+            rhs, l_dst = on_cols._scaled(kind, g, cols)
+            if ({divmod(t, ds): l_dst * v for t, v in lhs.items() if v}
+                    != {divmod(t, dd)[::-1]: sign * l_src * v for t, v in rhs.items() if v}):
                 return False
     return True
 

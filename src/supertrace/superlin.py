@@ -14,13 +14,15 @@ All maps are dense-in-principle matrices over the rationals, stored sparsely;
 spaces are ordered parity lists, so tensor products are strictly associative
 and the unit object is literal (no coherence plumbing needed).
 
-This module is the one place that does sparse matrix arithmetic: ``mat_mul``
-and ``mat_scomm`` work on {(row, col): value} dicts, ``mat_columns`` groups
-such a dict by column and ``mat_apply`` applies the grouped matrix to a sparse
-vector (the one matrix-vector product), and every accumulation
-adds with ``out.get(k, 0) + v`` and then passes once through ``nonzero``,
-which drops the cancelled entries and leaves every value a canonical scalar
-(``exactnum.exact``: an int when whole, else a Fraction).  Maps are validated
+The sparse matrix helpers live here: ``mat_mul`` and ``mat_scomm`` work on
+{(row, col): value} dicts, ``mat_columns`` groups such a dict by column and
+``mat_apply`` applies the grouped matrix to a sparse vector, and every
+accumulation adds with ``out.get(k, 0) + v`` and then passes once through
+``nonzero``, which drops the cancelled entries and leaves every value a
+canonical scalar (``exactnum.exact``: an int when whole, else a Fraction).
+``cleared`` writes a dict of rationals as ints over one denominator: the
+generator action of ``repmod`` runs on those, so its products are int
+products, and divides once per output entry.  Maps are validated
 at the public constructor ``SuperMap(...)``, which also makes each entry
 canonical; kernel results (compositions, sums, scalar multiples, tensor
 products, transposes, partial traces) are homogeneous by construction and are
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import exact
 
@@ -78,6 +81,15 @@ UNIT = super_space(1, 0)
 def nonzero(d: dict) -> dict:
     """The entries that did not cancel to zero, as canonical scalars (a float raises)."""
     return {k: v.numerator if v.denominator == 1 else v for k, v in d.items() if v}
+
+
+def cleared(entries: dict) -> tuple[dict, int]:
+    """The entries times den, the lcm of their denominators, as ints (itself if all are), and den."""
+    dens = {v.denominator for v in entries.values() if type(v) is not int}
+    if not dens:
+        return entries, 1
+    den = lcm(*dens)
+    return {k: v.numerator * (den // v.denominator) for k, v in entries.items()}, den
 
 
 def mat_columns(entries: dict, transpose: bool = False) -> dict[int, list]:

@@ -601,6 +601,15 @@ class TestAdjunctionRoute:
                 it.it_space(adj, 2, [roster.wA, w])
 
 
+_SL31_KAC = {}
+
+
+def _sl31_kac(rs31, coords):
+    if coords not in _SL31_KAC:
+        _SL31_KAC[coords] = rm.kac_module(rs31, weight(*coords))
+    return _SL31_KAC[coords]
+
+
 class TestFactorwiseAction:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.sampled_from("efh"), st.integers(0, 1), st.data())
@@ -624,6 +633,28 @@ class TestFactorwiseAction:
             x = sl.SuperMap(x.domain, x.codomain, x.parity,
                             {(j, r): v for (r, j), v in x.entries.items()})
         assert action.apply(kind, i, vec) == x.apply(vec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 0, F(1, 2)), (0, 0, F(-3, 2))]), st.booleans(),
+           st.sampled_from("efh"), st.integers(0, 2), st.booleans(), st.data())
+    def test_fractional_factors_match_the_tensor_module(self, rs31, coords, std_first, kind, i,
+                                                        transpose, data):
+        # a_s = 1/2 or -3/2 puts Fractions into h_s and e_s, so the action clears
+        # denominators; the tensor module's matrices act on Fractions throughout.
+        K, std = _sl31_kac(rs31, coords), rm.standard_module(rs31)
+        assert any(type(v) is not int for v in K.e[rs31.s].entries.values())
+        factors = (std, K) if std_first else (K, std)
+        mod = rm.tensor_module(*factors)
+        x = getattr(mod, kind)[i]
+        if transpose:  # the plain transpose, no super signs
+            x = sl.SuperMap(x.domain, x.codomain, x.parity,
+                            {(j, r): v for (r, j), v in x.entries.items()})
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        vec = {rng.randrange(mod.dim): F(rng.choice([-7, -2, 1, 3]), rng.choice([1, 2, 3, 5]))
+               for _ in range(rng.randint(1, 6))}
+        got = rm.FactorwiseAction(factors, transpose).apply(kind, i, vec)
+        assert got == x.apply(vec)
+        assert all(type(v) is int or v.denominator > 1 for v in got.values())
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_indices_by_weight(self, roster, parity):

@@ -243,6 +243,22 @@ class TestSerialization:
         with pytest.raises(rm.ModuleIntegrityError):
             rm.load_gmodule(rs21, str(path))
 
+    def test_denominator_only_change_detected(self, rs31, tmp_path):
+        # The weight gaps only see where e_s has entries, so 7/2 -> 7/3 is
+        # caught by the [e_s, f_j] relations alone, checked on cleared matrices.
+        path = tmp_path / "k.jsonl"
+        rm.save_gmodule(_kac(3, 1, (1, 0, F(1, 2))), str(path))
+        assert rm.load_gmodule(rs31, str(path)).name == "K(1,0,1/2)"
+        lines = path.read_text().splitlines()
+        k, rec = next((k, r) for k, r in enumerate(map(json.loads, lines))
+                      if r.get("series") == "e" and r["index"] == rs31.s)
+        entry = next(e for e in rec["entries"] if e[2] == "7/2")
+        entry[2] = "7/3"
+        lines[k] = json.dumps(rec, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(rm.ModuleIntegrityError, match=rf"\[e_{rs31.s}, f_\d\] relation failed"):
+            rm.load_gmodule(rs31, str(path))
+
     def test_swapped_cache_file_rejected(self, rs21, tmp_path):
         import shutil
 
@@ -684,6 +700,14 @@ class TestGenericHom:
         for parity in (0, 1):
             assert rm.hom_space(KS, KS, parity) == oracles.hom_by_equations(KS, KS, parity)
 
+    def test_fractional_factors_equal_the_equation_oracle(self):
+        # K(1,0,1/2) (x) std of sl(3|1): the kill rows are scaled by the action's
+        # denominator 2, and the basis is still the oracle's, entry for entry.
+        K = _kac(3, 1, (1, 0, F(1, 2)))
+        KS = rm.tensor_module(K, rm.standard_module(K.rs))
+        for parity in (0, 1):
+            assert rm.hom_space(KS, KS, parity) == oracles.hom_by_equations(KS, KS, parity)
+
     def test_invariant_vectors_are_the_hom_columns_from_the_trivial_module(self, roster,
                                                                           monkeypatch):
         mods = [rm.tensor_module(roster.std, rm.dual_module(roster.std)),
@@ -723,14 +747,40 @@ def _sides(rs21):
     return _SIDES
 
 
-def _mutant(data, m):
+def _mutant(data, m, deltas=(1, -1, 2, F(1, 2), F(-3, 4))):
     """m with one entry of its parity changed by a nonzero amount."""
     U, V = m.domain, m.codomain
     j = data.draw(st.integers(0, U.dim - 1))
     i = data.draw(st.sampled_from([i for i in range(V.dim)
                                    if V.parities[i] == (U.parities[j] + m.parity) % 2]))
-    delta = data.draw(st.sampled_from([1, -1, 2, F(1, 2), F(-3, 4)]))
+    delta = data.draw(st.sampled_from(deltas))
     return m + sl.SuperMap(U, V, m.parity, {(i, j): delta})
+
+
+_FRACTIONAL = {}
+
+
+def _fractional_cases():
+    """Name -> (map, src, dst, oracle src, oracle dst) on sl(3|1) modules with Fraction entries.
+
+    Id of V = K(1,0,1/2) and of V0 = K(0,0,-3/2), the witness alpha of V
+    through V0, whose entries are +-1/7, and Id_std (x) coev_V0, which leaves
+    a side with integer matrices for one whose e_s has denominator 2.
+    """
+    if not _FRACTIONAL:
+        V, V0 = _kac(3, 1, (1, 0, F(1, 2))), _kac(3, 1, (0, 0, F(-3, 2)))
+        std, dual = rm.standard_module(V.rs), rm.dual_module(V0)
+        w = rm.ideal_witness(V, V0)
+        assert any(type(v) is not int for v in w.alpha.entries.values())
+        coev = sl.tensor_map(sl.identity(std.space), sl.coev(V0.space))
+        _FRACTIONAL.update({
+            "Id_V": (sl.identity(V.space), V, V, V, V),
+            "Id_V0": (sl.identity(V0.space), V0, V0, V0, V0),
+            "alpha": (w.alpha, (V0, w.W), V, rm.tensor_module(V0, w.W, check=False), V),
+            "coev": (coev, std, (std, V0, dual), std,
+                     rm.tensor_module(rm.tensor_module(std, V0, check=False), dual, check=False)),
+        })
+    return _FRACTIONAL
 
 
 class TestFactorwiseGLinearity:
@@ -761,6 +811,18 @@ class TestFactorwiseGLinearity:
             assert rm._check_g_linear(m, src, dst) and oracles.g_linear_by_products(m, U, V)
             bad = _mutant(data, m)
             assert rm._check_g_linear(bad, src, dst) == oracles.g_linear_by_products(bad, U, V)
+
+    @pytest.mark.parametrize("case", ["Id_V", "Id_V0", "alpha", "coev"])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), c=st.sampled_from([F(2, 3), F(-7, 2), F(1, 7), 5]))
+    def test_fractional_modules_agree_with_the_product_oracle(self, case, data, c):
+        m, src, dst, U, V = _fractional_cases()[case]
+        m = c * m
+        assert rm._check_g_linear(m, src, dst) and oracles.g_linear_by_products(m, U, V)
+        # One entry moved by 1/7 adds a rank-one map, never g-linear with a simple side of dim > 1.
+        bad = _mutant(data, m, deltas=(F(1, 7),))
+        assert not rm._check_g_linear(bad, src, dst)
+        assert not oracles.g_linear_by_products(bad, U, V)
 
     def test_odd_maps_on_both_sides_of_a_tensor_product(self, rs21):
         A, std = _kac(2, 1, (0, 1)), rm.standard_module(rs21)
