@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
@@ -73,6 +73,8 @@ class GModule:
     basis_weights: tuple[tuple[Fraction, ...], ...]
     name: str = ""
     highest_weight: Weight | None = None
+    # (kind, i) -> ``cleared``; verify_relations fills every e_i and f_i.
+    _cleared: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -89,17 +91,16 @@ class GModule:
         return self.basis_weights[i]
 
     @cached_property
-    def _table(self) -> dict:
-        """What the factorwise action reads: "weights" (``exact``) and each ``columns`` key."""
-        return {"weights": [tuple(map(exact, w)) for w in self.basis_weights]}
+    def exact_weights(self) -> list[tuple]:
+        """``basis_weights`` as canonical scalars (``exact``), for the factorwise action."""
+        return [tuple(map(exact, w)) for w in self.basis_weights]
 
-    def columns(self, kind: str, i: int, transpose: bool = False) -> tuple[dict[int, list], int]:
-        """``kind``_i cleared to ints over den (``sl.cleared``), grouped by column, and den."""
-        key = (kind, i, transpose)
-        if key not in self._table:
+    def cleared(self, kind: str, i: int) -> tuple[dict, int, dict[int, list], dict[int, list]]:
+        """``kind``_i as ints over den (``sl.cleared``): (ints, den, by column, by row); kept."""
+        if (kind, i) not in self._cleared:
             ent, den = sl.cleared(getattr(self, kind)[i].entries)
-            self._table[key] = (sl.mat_columns(ent, transpose), den)
-        return self._table[key]
+            self._cleared[kind, i] = ent, den, sl.mat_columns(ent), sl.mat_columns(ent, True)
+        return self._cleared[kind, i]
 
     def __repr__(self):
         return f"GModule({self.name or 'unnamed'}, dim={self.dim}, sdim={self.sdim})"
@@ -112,7 +113,7 @@ def verify_relations(mod: GModule) -> None:
     [h_i, x_j] = +-a_ij x_j says exactly that each nonzero entry (a, b) of
     e_j (f_j) moves the weight by +a_j (-a_j): (w_a - w_b)_i = +-a_ij.  The
     diagonal h_i commute with each other.  [e_i, f_j] = delta_ij h_i is checked in
-    ints, as [den_e e_i, den_f f_j] = delta_ij den_e den_f h_i (``sl.cleared``).
+    ints (``GModule.cleared``): [den_e e_i, den_f f_j] = delta_ij den_e den_f h_i.
     """
     rs = mod.rs
     r = rs.rank
@@ -129,11 +130,12 @@ def verify_relations(mod: GModule) -> None:
                 for i in range(r):
                     if scaled[a][i] - scaled[b][i] != sign * rs.cartan.a[i][j] * dens[i]:
                         raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
-    es, fs = ([sl.cleared(x.entries) + (x.parity,) for x in xs] for xs in (mod.e, mod.f))
-    for i, (e, de, pe) in enumerate(es):
-        for j, (f, df, pf) in enumerate(fs):
+    for i, x in enumerate(mod.e):
+        e, de = mod.cleared("e", i)[:2]
+        for j, y in enumerate(mod.f):
+            f, df = mod.cleared("f", j)[:2]
             want = {k: de * df * v for k, v in mod.h[i].entries.items()} if i == j else {}
-            if sl.mat_scomm(e, pe, f, pf) != want:
+            if sl.mat_scomm(e, x.parity, f, y.parity) != want:
                 raise ModuleRelationError(f"{mod.name}: [e_{i}, f_{j}] relation failed")
 
 
@@ -516,10 +518,9 @@ class FactorwiseAction:
     in the left-factor-major basis of ``tensor_space``.  Each generator acts
     through the columns of its factor matrices, so no map of the product is
     built.  With ``transpose`` every generator acts by its plain transpose;
-    the signs stay, since the factors left of pos do not move.  The columns
-    are each module's ``GModule.columns``, ints scaled to L, the lcm of the
-    factors' denominators: ``_scaled`` multiplies ints only and returns L
-    times the image, and ``apply`` divides by L once per output entry.
+    the signs stay, since the factors left of pos do not move.  The factors'
+    ``GModule.cleared`` columns are scaled to L, the lcm of their denominators, so
+    ``_scaled`` multiplies ints only; ``apply`` divides once per output entry.
     """
 
     def __init__(self, factors, transpose: bool = False):
@@ -540,9 +541,10 @@ class FactorwiseAction:
         """(columns, place, dim, parities, L // den) per factor, last factor first, and L."""
         key = (kind, i)
         if key not in self._steps:
-            tables = [M.columns(kind, i, self.transpose) for M in self.factors]
-            L = lcm(*(den for _, den in tables))
-            self._steps[key] = ([(cols, place, dim, par, L // den) for (cols, den), place, dim, par
+            tables = [M.cleared(kind, i) for M in self.factors]
+            L = lcm(*(t[1] for t in tables))
+            self._steps[key] = ([(t[2 + self.transpose], place, dim, par, L // t[1])
+                                 for t, place, dim, par
                                  in zip(tables, self.places, self.dims, self.parities)][::-1], L)
         return self._steps[key]
 
@@ -610,7 +612,7 @@ def _weight_table(factors) -> dict[tuple, list[tuple[int, int]]]:
     for M in factors:
         nxt: dict[tuple, list[tuple[int, int]]] = {}
         for w, entries in table.items():
-            for j, (wj, pj) in enumerate(zip(M._table["weights"], M.space.parities)):
+            for j, (wj, pj) in enumerate(zip(M.exact_weights, M.space.parities)):
                 key = tuple(a + b for a, b in zip(w, wj))
                 nxt.setdefault(key, []).extend((a * M.dim + j, p ^ pj) for a, p in entries)
         table = nxt
@@ -621,8 +623,8 @@ def _killed(action: FactorwiseAction, kinds: str, support: list[int]) -> list[di
     """A basis of the vectors on the basis indices ``support`` killed by every generator of ``kinds``.
 
     ``kinds`` names the generator series, e.g. "e" for singular vectors or
-    "ef" for invariants.  Each generator acts once, on unit vector t of the support
-    in block t; the rows stay scaled by the action's L, which moves no kernel.
+    "ef" for invariants.  Each generator acts once, on support vector t in block t;
+    the rows stay scaled by L, which moves no kernel.
     """
     if not support:
         return []
@@ -783,9 +785,8 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
     and x . m the action of dst on all its columns (column j at offset j * dim dst).
     Only the e_i and f_i are checked: on modules with verified relations
     [e_i, f_i] = h_i, and a map that commutes with e_i and f_i (with the signs
-    above) commutes with their super-commutator.  Being homogeneous in m, the
-    check runs on m cleared to ints, and compares L_dst (m . x) with L_src (x . m)
-    (``FactorwiseAction._scaled``), with no division.
+    above) commutes with their super-commutator.  The check is homogeneous in m:
+    it runs on m cleared to ints and compares L_dst (m . x) with L_src (x . m).
     """
     src, dst = (s if isinstance(s, tuple) else (s,) for s in (src, dst))
     if (m.domain, m.codomain) != tuple(reduce(sl.tensor_space, (M.space for M in side))

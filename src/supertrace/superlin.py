@@ -14,15 +14,13 @@ All maps are dense-in-principle matrices over the rationals, stored sparsely;
 spaces are ordered parity lists, so tensor products are strictly associative
 and the unit object is literal (no coherence plumbing needed).
 
-The sparse matrix helpers live here: ``mat_mul`` and ``mat_scomm`` work on
-{(row, col): value} dicts, ``mat_columns`` groups such a dict by column and
-``mat_apply`` applies the grouped matrix to a sparse vector, and every
+The sparse matrix kernels live here: ``mat_mul`` and ``mat_scomm`` work on
+{(row, col): value} dicts, ``mat_columns`` groups such a dict by column,
+``mat_apply`` applies the grouped matrix to a sparse vector, ``cleared`` writes
+a dict as ints over one denominator (for the int loops of ``repmod``), and every
 accumulation adds with ``out.get(k, 0) + v`` and then passes once through
 ``nonzero``, which drops the cancelled entries and leaves every value a
-canonical scalar (``exactnum.exact``: an int when whole, else a Fraction).
-``cleared`` writes a dict of rationals as ints over one denominator: the
-generator action of ``repmod`` runs on those, so its products are int
-products, and divides once per output entry.  Maps are validated
+canonical scalar (``exactnum.exact``: an int when whole, else a Fraction).  Maps are validated
 at the public constructor ``SuperMap(...)``, which also makes each entry
 canonical; kernel results (compositions, sums, scalar multiples, tensor
 products, transposes, partial traces) are homogeneous by construction and are
