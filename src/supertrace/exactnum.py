@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 
 Rational = Fraction
@@ -40,6 +40,15 @@ def exact(x):
 def ratio(p: int, q: int):
     """The canonical scalar p/q of two ints, q nonzero."""
     return p // q if p % q == 0 else Fraction(p, q)
+
+
+def cleared(entries: dict) -> tuple[dict, int]:
+    """(ints, den): the values times den, the lcm of their denominators; ints come back as is."""
+    dens = {v.denominator for v in entries.values() if type(v) is not int}
+    if not dens:
+        return entries, 1
+    den = lcm(*dens)
+    return {k: v.numerator * (den // v.denominator) for k, v in entries.items()}, den
 
 
 def rat_str(x: Fraction) -> str:

@@ -22,9 +22,9 @@ canonical scalars (``exactnum.exact``): ints where whole, else Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .exactnum import ratio
+from .exactnum import cleared, ratio
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -33,10 +33,8 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _int_row(row: dict) -> dict[int, int]:
-    """Clear denominators and divide by the content, dropping zeros."""
-    items = {j: v for j, v in row.items() if v}
-    den = lcm(*(v.denominator for v in items.values()))
-    return _primitive({j: v.numerator * (den // v.denominator) for j, v in items.items()})
+    """Clear denominators (``exactnum.cleared``) and divide by the content, dropping zeros."""
+    return _primitive(cleared({j: v for j, v in row.items() if v})[0])
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:

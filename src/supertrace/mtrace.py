@@ -28,19 +28,13 @@ def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
         raise ValueError("map is not an endomorphism of the witnessed module")
     if check and not _check_g_linear(f, w.V, w.V):
         raise BracketError("bracket input is not g-linear")
-    # ptr_W(beta . f . alpha)_{ij} = sum_u (-1)^{p(u)} beta[(i,u), a] (f . alpha)[a, (j,u)],
-    # contracted over W without forming the V0 (x) W endomorphism.
+    # ptr_W(beta . f . alpha) = B . F, with B[i, (a,u)] = beta[(i,u), a] and F[(a,u), j] =
+    # (-1)^{p(u)} (f . alpha)[a, (j,u)], (a,u) keyed a dim W + u: no V0 (x) W map is formed.
     dw, w_par = w.W.dim, w.W.space.parities
-    fa: dict[tuple[int, int], list] = {}
-    for (a, col), v in sl.mat_mul(f.entries, w.alpha.entries).items():
-        j, u = divmod(col, dw)
-        fa.setdefault((a, u), []).append((j, -v if w_par[u] else v))
-    reduced: dict[tuple[int, int], Fraction] = {}
-    for (row, a), b in w.beta.entries.items():
-        i, u = divmod(row, dw)
-        for j, v in fa.get((a, u), ()):
-            reduced[(i, j)] = reduced.get((i, j), 0) + b * v
-    reduced = sl.nonzero(reduced)
+    B = {(row // dw, a * dw + row % dw): b for (row, a), b in w.beta.entries.items()}
+    F = {(a * dw + col % dw, col // dw): -v if w_par[col % dw] else v
+         for (a, col), v in sl.mat_mul(f.entries, w.alpha.entries).items()}
+    reduced = sl.mat_mul(B, F)
     # An odd multiple of the even identity must vanish identically.
     c = 0 if f.parity == sl.ODD else reduced.get((0, 0), 0)
     if reduced != {(i, i): c for i in range(w.V0.dim) if c}:

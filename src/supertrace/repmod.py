@@ -30,10 +30,11 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import permutations
 from math import lcm
 
 from . import superlin as sl
-from .exactnum import exact, rat_str, ratio
+from .exactnum import cleared, exact, rat_str, ratio
 from .linalg import RowReducer, nullspace
 from .rootdata import RootSystem, Weight
 from .superlin import SuperMap, SuperSpace
@@ -96,9 +97,9 @@ class GModule:
         return [tuple(map(exact, w)) for w in self.basis_weights]
 
     def cleared(self, kind: str, i: int) -> tuple[dict, int, dict[int, list], dict[int, list]]:
-        """``kind``_i as ints over den (``sl.cleared``): (ints, den, by column, by row); kept."""
+        """``kind``_i as ints over den (``cleared``): (ints, den, by column, by row); kept."""
         if (kind, i) not in self._cleared:
-            ent, den = sl.cleared(getattr(self, kind)[i].entries)
+            ent, den = cleared(getattr(self, kind)[i].entries)
             self._cleared[kind, i] = ent, den, sl.mat_columns(ent), sl.mat_columns(ent, True)
         return self._cleared[kind, i]
 
@@ -120,15 +121,14 @@ def verify_relations(mod: GModule) -> None:
     for i, hm in enumerate(mod.h):
         if hm.entries != {(a, a): w[i] for a, w in enumerate(mod.basis_weights) if w[i]}:
             raise ModuleRelationError(f"{mod.name}: h_{i} is not diagonal with the basis weights")
-    # The weight gaps in ints: coordinate i scaled by the lcm of its denominators.
-    dens = [lcm(*(w[i].denominator for w in mod.basis_weights)) for i in range(r)]
-    scaled = [[x.numerator * (d // x.denominator) for x, d in zip(w, dens)]
-              for w in mod.basis_weights]
+    # The weight gaps in ints: coordinate i of every basis weight cleared over dens[i].
+    scaled, dens = zip(*(cleared(dict(enumerate(w[i] for w in mod.basis_weights)))
+                         for i in range(r)))
     for j in range(r):
         for x, sign in ((mod.e[j], 1), (mod.f[j], -1)):
             for a, b in x.entries:
                 for i in range(r):
-                    if scaled[a][i] - scaled[b][i] != sign * rs.cartan.a[i][j] * dens[i]:
+                    if scaled[i][a] - scaled[i][b] != sign * rs.cartan.a[i][j] * dens[i]:
                         raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
     for i, x in enumerate(mod.e):
         e, de = mod.cleared("e", i)[:2]
@@ -293,30 +293,16 @@ def _gl_simple_module(k: int, amu: tuple[int, ...]):
         return idx
 
     # Highest weight vector: tensor over columns of wedge(e_1..e_height).
-    from itertools import permutations
-
     hw: dict[tuple[int, ...], Fraction] = {(): 1}
     heights = [sum(1 for row in lam if row > c) for c in range(lam[0] if lam else 0)]
     for hgt in heights:
-        new: dict[tuple[int, ...], Fraction] = {}
-        for perm in permutations(range(hgt)):
-            sign = 1
-            for a in range(hgt):
-                for b in range(a + 1, hgt):
-                    if perm[a] > perm[b]:
-                        sign = -sign
-            for t, c in hw.items():
-                new[t + perm] = new.get(t + perm, 0) + sign * c
-        hw = sl.nonzero(new)
+        signed = [(perm, (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]))
+                  for perm in permutations(range(hgt))]
+        hw = sl._summed((t + perm, sign * c) for perm, sign in signed for t, c in hw.items())
 
     def unit_apply(a: int, b: int, vec: dict) -> dict:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for t, c in vec.items():
-            for pos, digit in enumerate(t):
-                if digit == b:
-                    u = t[:pos] + (a,) + t[pos + 1 :]
-                    out[u] = out.get(u, 0) + c
-        return sl.nonzero(out)
+        return sl._summed((t[:pos] + (a,) + t[pos + 1 :], c) for t, c in vec.items()
+                          for pos, digit in enumerate(t) if digit == b)
 
     def flatten(vec: dict) -> dict[int, Fraction]:
         return {flat(t): c for t, c in vec.items()}
@@ -404,22 +390,14 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
         diagonal contribution is a scalar on each basis vector.
         """
         im, jn = divmod(k, dn)
-        out: dict[int, Fraction] = {}
-        diag = center * sum(v for (p, q), v in mat.items() if p == q and p < m)
-        for (p, q), v in mat.items():
-            if p == q:
-                if p < m:
-                    diag += v * wts_m[im][p]
-                else:
-                    diag += v * wts_n[jn][p - m]
-            elif p < m and q < m:
-                for row, u in units_m_bycol[(p, q)].get(im, ()):
-                    out[row * dn + jn] = out.get(row * dn + jn, 0) + v * u
-            elif p >= m and q >= m:
-                for row, u in units_n_bycol[(p - m, q - m)].get(jn, ()):
-                    out[im * dn + row] = out.get(im * dn + row, 0) + v * u
-        out[k] = out.get(k, 0) + diag
-        return sl.nonzero(out)
+        diag = sum(v * (center + wts_m[im][p] if p < m else wts_n[jn][p - m])
+                   for (p, q), v in mat.items() if p == q)
+        # A unit of the gl(m) block moves the first V0 factor, one of gl(n) the second.
+        blocks = [(v, units_m_bycol[(p, q)].get(im, ()), dn, jn) if p < m else
+                  (v, units_n_bycol[(p - m, q - m)].get(jn, ()), 1, im * dn)
+                  for (p, q), v in mat.items() if p != q]
+        return sl._summed(((row * step + base, v * u) for v, col, step, base in blocks
+                           for row, u in col), {k: diag})
 
     mn = m * n
 
@@ -429,15 +407,13 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
 
     ys = [y_matrix(c) for c in range(mn)]
 
-    def wedge(c: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        # Distinct basis vectors wedge to distinct ones, so nothing accumulates.
-        out: dict[int, Fraction] = {}
+    def wedge(c: int, vec: dict[int, Fraction], sign: int):
+        """The (index, value) pairs of sign * (y_c wedge vec), one per basis vector it keeps."""
         for idx, v in vec.items():
             mask, k = divmod(idx, dim_v0)
             if not mask & (1 << c):
                 below = bin(mask & ((1 << c) - 1)).count("1")
-                out[(mask | (1 << c)) * dim_v0 + k] = -v if below % 2 else v
-        return out
+                yield (mask | (1 << c)) * dim_v0 + k, -sign * v if below % 2 else sign * v
 
     def act(chains: dict, acted: dict, chain: tuple, mask: int, k: int) -> dict[int, Fraction]:
         """The commutator chain [[x, y_c1], y_c2]... applied to basis vector (mask, k).
@@ -452,28 +428,20 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
             x, px = chains[chain[:-1]]
             chains[chain] = (sl.mat_scomm(x, px, ys[chain[-1]], 1), (px + 1) % 2)
         x, px = chains[chain]
-        out: dict[int, Fraction] = {}
-        if x and mask == 0:
-            even_part: dict[tuple[int, int], Fraction] = {}
-            for (p, q), v in x.items():
-                if p >= m and q < m:  # odd lowering block: wedge on a new factor
-                    c = q * n + (p - m)
-                    idx = (1 << c) * dim_v0 + k
-                    out[idx] = out.get(idx, 0) + v
-                elif (p < m) == (q < m):
-                    even_part[(p, q)] = v
-                # odd raising block annihilates the vacuum factor
-            if even_part:
-                for idx, v in even_apply(even_part, k).items():
-                    out[idx] = out.get(idx, 0) + v
-        elif x:
+        if not x:
+            out = {}
+        elif mask == 0:
+            # Odd lowering entries wedge on a new factor; odd raising ones kill the vacuum.
+            lowered = (((1 << (q * n + p - m)) * dim_v0 + k, v)
+                       for (p, q), v in x.items() if p >= m and q < m)
+            even_part = {(p, q): v for (p, q), v in x.items() if (p < m) == (q < m)}
+            out = sl._summed(lowered, even_apply(even_part, k) if even_part else ())
+        else:
             c = (mask & -mask).bit_length() - 1
             rest = mask & ~(1 << c)
-            out = dict(act(chains, acted, chain + (c,), rest, k))
-            sign = -1 if px else 1
-            for idx, v in wedge(c, act(chains, acted, chain, rest, k)).items():
-                out[idx] = out.get(idx, 0) + sign * v
-        acted[key] = out = sl.nonzero(out)
+            first = act(chains, acted, chain + (c,), rest, k)
+            out = sl._summed(wedge(c, act(chains, acted, chain, rest, k), -1 if px else 1), first)
+        acted[key] = out
         return out
 
     dim = (1 << mn) * dim_v0
@@ -525,6 +493,8 @@ class FactorwiseAction:
 
     def __init__(self, factors, transpose: bool = False):
         self.factors = tuple(factors)
+        if not self.factors:
+            raise ValueError("a factorwise action needs at least one factor")
         self.transpose = transpose
         self.rs = self.factors[0].rs
         if any(M.rs != self.rs for M in self.factors):
@@ -557,7 +527,7 @@ class FactorwiseAction:
         its rows in that order, and the eliminator returns the same basis.
         The values are canonical scalars.
         """
-        ints, den = sl.cleared(vec)
+        ints, den = cleared(vec)
         out, L = self._scaled(kind, i, ints)
         L *= den
         return {k: v if L == 1 else ratio(v, L) for k, v in out.items() if v}
@@ -702,20 +672,24 @@ def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, sin
             f"{K.name}: words from the highest weight vector span {len(reducer)} of {K.dim}"
         )
     signs = [-1 if parity and x.parity else 1 for x in K.e]
-    basis = [reducer.coords({j: 1}) for j in range(K.dim)]
+    # F = images . coords: image k of word k, and basis vector j's coordinates over the words.
+    coords = {(k, j): c for j in range(K.dim) for k, c in reducer.coords({j: 1}).items()}
     out = []
     for v in singular:
         images = [v]
         for k, g in words[1:]:
             image = target.apply("f", g, images[k])
             images.append({i: signs[g] * c for i, c in image.items()})
-        ent: dict[tuple[int, int], Fraction] = {}
-        for j, coords in enumerate(basis):
-            for k, c in coords.items():
-                for i, x in images[k].items():
-                    ent[(i, j)] = ent.get((i, j), 0) + c * x
-        out.append(sl.nonzero(ent))
+        out.append(sl.mat_mul({(i, k): x for k, image in enumerate(images)
+                               for i, x in image.items()}, coords))
     return out
+
+
+def _parities(parity) -> tuple[int, ...]:
+    """(parity,) for 0 or 1, both for None; ValueError for anything else."""
+    if parity not in (0, 1, None):
+        raise ValueError(f"parity must be 0, 1 or None, not {parity!r}")
+    return (0, 1) if parity is None else (parity,)
 
 
 def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
@@ -731,8 +705,8 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     vectors of that parity, U index outer, and the system is the one kill
     system of the e_i and f_i acting factor by factor.
     """
-    if parity is None:
-        return hom_space(U, V, 0) + hom_space(U, V, 1)
+    if parity not in (0, 1):
+        return [m for p in _parities(parity) for m in hom_space(U, V, p)]
     if U.rs != V.rs:
         raise ValueError("morphisms require modules over the same algebra")
     d = _kac_vector(U)
@@ -749,7 +723,7 @@ def invariant_vectors(V: GModule, parity: int | None = None) -> list[dict[int, F
     """A basis of the vectors killed by every generator, as sparse columns."""
     action = FactorwiseAction((V,))
     zero = (0,) * V.rs.rank
-    return [vec for p in ((0, 1) if parity is None else (parity,))
+    return [vec for p in _parities(parity)
             for vec in _killed(action, "ef", action.indices(zero, p))]
 
 
@@ -794,7 +768,7 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
         raise ValueError("map does not run between the spaces of src and dst")
     on_rows, on_cols = FactorwiseAction(src, transpose=True), FactorwiseAction(dst)
     ds, dd = m.domain.dim, m.codomain.dim
-    ent, _ = sl.cleared(m.entries)
+    ent, _ = cleared(m.entries)
     rows = {i * ds + j: v for (i, j), v in ent.items()}
     cols = {j * dd + i: v for (i, j), v in ent.items()}
     for kind in "ef":

@@ -488,11 +488,8 @@ def suite_tensors(
         partner = next((u for u in spaces[2].raw if u.witness.V0 is x.witness.V0), None)
         if partner is not None:
             lam = Fraction(3, 2)
-            summed = it.it_sum(adj, x, partner, lam)
-            expected = dict(x.coords)
-            for k, v in partner.coords.items():
-                expected[k] = expected.get(k, 0) + lam * v
-            closure_ok = summed.coords == sl.nonzero(expected)
+            expected = sl._summed(((k, lam * v) for k, v in partner.coords.items()), x.coords)
+            closure_ok = it.it_sum(adj, x, partner, lam).coords == expected
     out.append(check_true("tensors.closure-sum", closure_ok,
                           "direct-sum presentation matches coordinate addition"))
 

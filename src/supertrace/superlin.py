@@ -15,23 +15,23 @@ spaces are ordered parity lists, so tensor products are strictly associative
 and the unit object is literal (no coherence plumbing needed).
 
 The sparse matrix kernels live here: ``mat_mul`` and ``mat_scomm`` work on
-{(row, col): value} dicts, ``mat_columns`` groups such a dict by column,
-``mat_apply`` applies the grouped matrix to a sparse vector, ``cleared`` writes
-a dict as ints over one denominator (for the int loops of ``repmod``), and every
-accumulation adds with ``out.get(k, 0) + v`` and then passes once through
-``nonzero``, which drops the cancelled entries and leaves every value a
-canonical scalar (``exactnum.exact``: an int when whole, else a Fraction).  Maps are validated
-at the public constructor ``SuperMap(...)``, which also makes each entry
-canonical; kernel results (compositions, sums, scalar multiples, tensor
+{(row, col): value} dicts, ``mat_columns`` groups such a dict by column, and
+``mat_apply`` applies the grouped matrix to a sparse vector.  Every sum of
+products in the library goes through one accumulate, ``_summed``: it adds
+(key, value) pairs by key and passes the result once through ``_nonzero``,
+which drops the cancelled entries and leaves every value a canonical scalar
+(``exactnum.exact``: an int when whole, else a Fraction); ``exactnum.cleared``
+writes a dict as ints over one denominator for the int kernels.  Maps are
+validated at the public constructor ``SuperMap(...)``, which also makes each
+entry canonical; kernel results (compositions, sums, scalar multiples, tensor
 products, transposes, partial traces) are homogeneous by construction and are
-built through the private ``SuperMap._of``, which only calls ``nonzero``.
+built through the private ``SuperMap._of``, which only calls ``_nonzero``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .exactnum import exact
 
@@ -76,18 +76,17 @@ def super_space(dim_even: int, dim_odd: int) -> SuperSpace:
 UNIT = super_space(1, 0)
 
 
-def nonzero(d: dict) -> dict:
+def _nonzero(d: dict) -> dict:
     """The entries that did not cancel to zero, as canonical scalars (a float raises)."""
     return {k: v.numerator if v.denominator == 1 else v for k, v in d.items() if v}
 
 
-def cleared(entries: dict) -> tuple[dict, int]:
-    """The entries times den, the lcm of their denominators, as ints (itself if all are), and den."""
-    dens = {v.denominator for v in entries.values() if type(v) is not int}
-    if not dens:
-        return entries, 1
-    den = lcm(*dens)
-    return {k: v.numerator * (den // v.denominator) for k, v in entries.items()}, den
+def _summed(pairs, start=()) -> dict:
+    """``start`` plus the (key, value) pairs added by key, less what cancelled (``_nonzero``)."""
+    out = dict(start)
+    for k, v in pairs:
+        out[k] = out.get(k, 0) + v
+    return _nonzero(out)
 
 
 def mat_columns(entries: dict, transpose: bool = False) -> dict[int, list]:
@@ -102,30 +101,19 @@ def mat_columns(entries: dict, transpose: bool = False) -> dict[int, list]:
 
 def mat_apply(cols: dict[int, list], vec: dict) -> dict:
     """A column-grouped matrix (see ``mat_columns``) applied to a sparse column vector."""
-    out: dict[int, Fraction] = {}
-    for j, x in vec.items():
-        for i, v in cols.get(j, ()):
-            out[i] = out.get(i, 0) + v * x
-    return nonzero(out)
+    return _summed((i, v * x) for j, x in vec.items() for i, v in cols.get(j, ()))
 
 
 def mat_mul(x: dict, y: dict) -> dict:
     """The product x . y of sparse matrices {(row, col): value}."""
     by_row = mat_columns(y, transpose=True)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, k), u in x.items():
-        for j, v in by_row.get(k, ()):
-            out[(i, j)] = out.get((i, j), 0) + u * v
-    return nonzero(out)
+    return _summed(((i, j), u * v) for (i, k), u in x.items() for j, v in by_row.get(k, ()))
 
 
 def mat_scomm(x: dict, px: int, y: dict, py: int) -> dict:
     """The super-commutator x . y - (-1)^{px py} y . x of sparse matrices."""
-    out = mat_mul(x, y)
     sign = 1 if (px and py) else -1
-    for k, v in mat_mul(y, x).items():
-        out[k] = out.get(k, 0) + sign * v
-    return nonzero(out)
+    return _summed(((k, sign * v) for k, v in mat_mul(y, x).items()), mat_mul(x, y))
 
 
 @dataclass(frozen=True)
@@ -166,7 +154,7 @@ class SuperMap:
         """A kernel result, homogeneous by construction: zeros dropped, no checks."""
         m = object.__new__(cls)
         for name, value in (("domain", domain), ("codomain", codomain),
-                            ("parity", parity), ("entries", nonzero(entries))):
+                            ("parity", parity), ("entries", _nonzero(entries))):
             object.__setattr__(m, name, value)
         return m
 
@@ -187,10 +175,8 @@ class SuperMap:
             return self
         if self.parity != other.parity:
             raise ValueError("cannot add maps of different parity")
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            ent[k] = ent.get(k, 0) + v
-        return SuperMap._of(self.domain, self.codomain, self.parity, ent)
+        return SuperMap._of(self.domain, self.codomain, self.parity,
+                            _summed(other.entries.items(), self.entries))
 
     def __sub__(self, other: SuperMap) -> SuperMap:
         return self + (-1) * other
@@ -353,12 +339,8 @@ def partial_supertrace_hom(
     if h.domain != tensor_space(A, C) or h.codomain != tensor_space(B, C):
         raise ValueError("map does not fit the requested factorizations")
     dc = C.dim
-    ent: dict[tuple[int, int], Fraction] = {}
-    for (r, c), v in h.entries.items():
-        i, ci = divmod(r, dc)
-        j, cj = divmod(c, dc)
-        if ci == cj:
-            ent[(i, j)] = ent.get((i, j), 0) + (-v if C.parities[ci] else v)
+    ent = _summed(((r // dc, c // dc), -v if C.parities[c % dc] else v)
+                  for (r, c), v in h.entries.items() if r % dc == c % dc)
     return SuperMap._of(A, B, h.parity, ent)
 
 

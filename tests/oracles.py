@@ -188,7 +188,7 @@ def power_action_apply(adj, N, gen, coords):
                 key = flat + (i - d) * place
                 out[key] = out.get(key, 0) + sign * v * c
             lead_parity += par[d]
-    return sl.nonzero(out)
+    return sl._nonzero(out)
 
 
 def scomm(x, y):

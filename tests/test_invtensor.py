@@ -130,6 +130,20 @@ class TestExtendedForm:
         t2 = random_even_tensor(adj, 3, rng)
         assert it.extended_form(adj, t1, 2, t2, 3) == 0
 
+    # Multiples of gdim: at degree 1, gdim and 5 gdim used to read as key 0.
+    @pytest.mark.parametrize("key", [-1, 1, 2, 5])
+    def test_coordinate_outside_the_power_raises(self, adj, key):
+        assert it.extended_form(adj, {0: 1}, 1, {2: 1}, 1) == 1
+        bad = {key * adj.gdim: 1}
+        for args in ((bad, 1, {2: 1}, 1), ({2: 1}, 1, bad, 1), (bad, 1, {2: 1}, 2)):
+            with pytest.raises(ValueError):
+                it.extended_form(adj, *args)
+
+    def test_inexact_value_raises(self, adj):
+        for args in (({0: 0.5}, 1, {2: 1}, 1), ({0: 1}, 1, {2: 1.0}, 1)):
+            with pytest.raises(TypeError):
+                it.extended_form(adj, *args)
+
     def test_even_pair_value(self, adj, basis_pos):
         e1, f1 = basis_pos[(0, 1)], basis_pos[(1, 0)]
         t1 = {e1 * adj.gdim + f1: F(1)}
@@ -180,6 +194,12 @@ class TestInvariants:
     def test_cap_enforced(self, adj):
         with pytest.raises(ValueError):
             it.invariant_tensors(adj, 5, cap=4)
+
+    def test_degree_zero_raises(self, adj):
+        with pytest.raises(ValueError):
+            it.invariant_tensors(adj, 0)
+        with pytest.raises(ValueError):
+            it.is_invariant(adj, 0, {0: 1})
 
 
 class TestReachableSubspace:

@@ -155,6 +155,18 @@ class TestHomSpaces:
         assert rm.hom_space(std, shifted, 0) == []
         assert len(rm.hom_space(std, shifted, 1)) == 1
 
+    @pytest.mark.parametrize("parity", [2, -1, "0"])
+    def test_parity_outside_zero_one_none_raises(self, std, K01, parity):
+        for U in (std, K01):  # the generic route and the Kac route
+            with pytest.raises(ValueError):
+                rm.hom_space(U, std, parity)
+        with pytest.raises(ValueError):
+            rm.invariant_vectors(std, parity)
+
+    def test_factorwise_action_needs_a_factor(self):
+        with pytest.raises(ValueError):
+            rm.FactorwiseAction(())
+
 
 class TestIrreducibility:
     def test_irreducible_modules(self, std, K01, K11):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import rand_map
 from supertrace import superlin as sl
+from supertrace.exactnum import exact
 
 
 def spaces_strategy():
@@ -345,13 +346,43 @@ class TestSparseKernel:
         assert sl.mat_scomm(x, 1, x, 1) == {(0, 0): F(2), (1, 1): F(2)}
 
     def test_nonzero(self):
-        assert sl.nonzero({1: F(0), 2: F(3), 3: 0}) == {2: F(3)}
+        assert sl._nonzero({1: F(0), 2: F(3), 3: 0}) == {2: F(3)}
 
     def test_nonzero_makes_values_canonical(self):
-        out = sl.nonzero({1: F(4, 2), 2: F(-1, 2), 3: -1, 4: F(0)})
+        out = sl._nonzero({1: F(4, 2), 2: F(-1, 2), 3: -1, 4: F(0)})
         assert out == {1: 2, 2: F(-1, 2), 3: -1} and all(map(_canonical, out.values()))
         with pytest.raises((AttributeError, TypeError)):  # a float is never rounded
-            sl.nonzero({1: 0.5})
+            sl._nonzero({1: 0.5})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(MIXED_VALUES)), max_size=12))
+    def test_summed_matches_plain_loop(self, pairs):
+        want = {}
+        for k, v in pairs:  # the oracle: plain Fraction sums, zeros popped at the end
+            want[k] = want.get(k, F(0)) + F(v)
+        want = {k: v for k, v in want.items() if v != 0}
+        out = sl._summed(iter(pairs))
+        assert out == want
+        assert all(out.values()) and all(map(_canonical, out.values()))
+        assert all(type(exact(v)) is type(v) for v in out.values())
+        half = len(pairs) // 2  # a start dict takes the first half's sums
+        assert sl._summed(pairs[half:], sl._summed(pairs[:half])) == want
+
+    def test_summed_cancels_and_refuses_floats(self):
+        assert sl._summed([(1, F(1, 2)), (2, 3), (1, F(-1, 2)), (2, -1)]) == {2: 2}
+        with pytest.raises((AttributeError, TypeError)):  # a float is never rounded
+            sl._summed([(1, 1), (1, 0.5)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_mats, st.dictionaries(st.integers(0, 3), st.sampled_from(MIXED_VALUES)))
+    def test_mat_apply_is_mat_mul_on_one_column(self, x, vec):
+        out = sl.mat_apply(sl.mat_columns(x), vec)
+        column = sl.mat_mul(x, {(j, 0): c for j, c in vec.items()})
+        assert out == {i: v for (i, _), v in column.items()}
+        assert all(map(_canonical, out.values()))
+        flipped = {(j, i): v for (i, j), v in x.items()}
+        assert sl.mat_apply(sl.mat_columns(x, transpose=True), vec) == sl.mat_apply(
+            sl.mat_columns(flipped), vec)
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_mats, mixed_mats)
