@@ -11,9 +11,10 @@ subspaces keep their presentations (module, map, witness) so the form can be
 evaluated and its presentation independence checked.  The reachable maps
 come from Frobenius reciprocity through the adjunction
 Hom(V (x) V*, g^(x)N) = Hom(V, g^(x)N (x) V); both forms, form adjoints and
-the symmetric group action work on coordinates.  The g^(x)N-sized
-map-composition route (dualizing_map, pairing_as_composite) is kept as an
-independent oracle.
+the symmetric group action work on coordinates, through the extended form
+b~_N = iota . b^(x)N that ``AdjointData`` keeps per degree as its columns.  The
+g^(x)N-sized map-composition route (dualizing_map, pairing_as_composite),
+composed once per degree, is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ class AdjointData:
 
     basis_matrices realize the chosen homogeneous basis inside the defining
     representation; b is the induced isomorphism g -> g* (columns are the
-    form against basis vectors) and gram its matrix.
+    form against basis vectors) and gram its matrix.  The memos are filled
+    per degree and are not init fields, so ``dataclasses.replace`` starts a
+    copy empty: ``_forms`` keeps b~_N (``form_columns``), ``_composites`` its
+    composed map (``dualizing_map``).
     """
 
     rs: RootSystem
@@ -62,9 +66,11 @@ class AdjointData:
     gram: tuple[tuple[Fraction, ...], ...]
     b: SuperMap
     b_inv: SuperMap
-    _powers: dict = field(default_factory=dict, repr=False)
-    _spaces: dict = field(default_factory=dict, repr=False)
-    _moved: dict = field(default_factory=dict, repr=False)  # (N, perm) -> {flat: (index, sign)}
+    _powers: dict = field(default_factory=dict, init=False, repr=False)
+    _spaces: dict = field(default_factory=dict, init=False, repr=False)
+    _moved: dict = field(default_factory=dict, init=False, repr=False)  # (N, perm) -> {flat: (index, sign)}
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
+    _composites: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def gdim(self) -> int:
@@ -96,6 +102,16 @@ class AdjointData:
                 space = sl.tensor_space(space, self.module.space)
             self._spaces[N] = space
         return space
+
+    def form_columns(self, N: int) -> list[list]:
+        """Column t of b~_N as [(r, value)]: the partner walk of the identity, once per degree."""
+        if N not in self._forms:
+            n = self.gdim ** N
+            self._forms[N] = cols = [[] for _ in range(n)]
+            identity = {t * n + t: 1 for t in range(n)}
+            for k, v in _partner_walk(self, N, identity, _partners(self, self.b)).items():
+                cols[k // n].append((k % n, v))
+        return self._forms[N]
 
 
 def build_adjoint(rs: RootSystem) -> AdjointData:
@@ -228,11 +244,11 @@ def tensor_coords(u: dict, v: dict, vdim: int) -> dict:
 def dual_coords(adj: AdjointData, N: int, coords: dict) -> dict:
     """The covector b~(t) = iota . b^(x)N (t) of a degree-N tensor, sparsely.
 
-    Each term pairs factor by factor with its Gram partners (b is even, so
-    E_pq meets only E_qp and a Cartan factor only Cartan elements); the iota
-    chain adds the Koszul sign (-1)^{sum_{i<k} p_i p_k}.
+    One sum over the kept columns b~_N(e_t) of ``AdjointData.form_columns`` for
+    the basis tensors t of the support.
     """
-    return _partner_walk(adj, N, coords, _partners(adj, adj.b))
+    cols = adj.form_columns(N)
+    return sl._summed((r, v * c) for t, c in coords.items() for r, v in cols[t])
 
 
 def _partners(adj: AdjointData, form: SuperMap) -> list[list]:
@@ -244,9 +260,12 @@ def _partners(adj: AdjointData, form: SuperMap) -> list[list]:
 
 
 def _partner_walk(adj: AdjointData, N: int, coords: dict, partners: list[list]) -> dict:
-    """The walk of ``dual_coords`` over precomputed partners, on all columns of a matrix at once.
+    """b~_N (or b_inv's walk) on all columns of a matrix at once, from precomputed partners.
 
-    A key k gdim^N + t is the basis tensor t of column k: the walk takes off t's digits.
+    A key k gdim^N + t is the basis tensor t of column k: the walk takes off t's
+    digits, pairs each factor with its Gram partners (b is even, so E_pq meets
+    only E_qp and a Cartan factor only Cartan elements), and the iota chain adds
+    the Koszul sign (-1)^{sum_{i<k} p_i p_k}.
     """
     gdim, size = adj.gdim, adj.gdim ** N
     par = adj.module.space.parities
@@ -416,8 +435,10 @@ def _iota_chain(adj: AdjointData, N: int) -> SuperMap:
 
 
 def dualizing_map(adj: AdjointData, N: int) -> SuperMap:
-    """b~ = iota . b^(x)N: g^(x)N -> (g^(x)N)*, the form as an isomorphism."""
-    return _iota_chain(adj, N) @ _b_power(adj, N)
+    """b~ = iota . b^(x)N: g^(x)N -> (g^(x)N)*, the form as an isomorphism; composed once per N."""
+    if N not in adj._composites:
+        adj._composites[N] = _iota_chain(adj, N) @ _b_power(adj, N)
+    return adj._composites[N]
 
 
 def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:
@@ -598,19 +619,18 @@ def sn_action(
 def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:
     """The adjoint G* = b~_M^-1 . G^T . b~_N of G: g^(x)M -> g^(x)N for the extended form.
 
-    Built on coordinates, all columns at once: the covectors b~_N(e_c) of the
-    basis tensors of g^(x)N (the partner walk of ``dual_coords`` on the
-    identity), pulled back through the super transpose of G by ``mat_mul``,
+    Built on coordinates, all columns at once: the kept covectors b~_N(e_c) of
+    the basis tensors of g^(x)N (``AdjointData.form_columns``), pulled back
+    through the super transpose of G by ``mat_mul``,
     then sent through b~_M^-1 = b_inv^(x)M . iota^-1 by the walk with b_inv's
     partners: iota is a diagonal sign, its own inverse, and the even form
     keeps every factor's parity.
     """
     if (G.domain.dim, G.codomain.dim) != (adj.gdim ** m_deg, adj.gdim ** n_deg):
         raise ValueError(f"map is not g^(x){m_deg} -> g^(x){n_deg}")
-    n, m = G.codomain.dim, G.domain.dim  # a walk key c * dim + t is entry (t, c)
-    covectors = _partner_walk(adj, n_deg, {c * n + c: 1 for c in range(n)}, _partners(adj, adj.b))
-    pulled = sl.mat_mul(sl.super_transpose(G).entries,
-                        {(k % n, k // n): v for k, v in covectors.items()})
+    m = G.domain.dim  # a walk key c * m + t is entry (t, c)
+    covectors = {(r, c): v for c, col in enumerate(adj.form_columns(n_deg)) for r, v in col}
+    pulled = sl.mat_mul(sl.super_transpose(G).entries, covectors)
     walked = _partner_walk(adj, m_deg, {c * m + j: v for (j, c), v in pulled.items()},
                            _partners(adj, adj.b_inv))
     return SuperMap(G.codomain, G.domain, G.parity, {(k % m, k // m): v for k, v in walked.items()})

@@ -3,7 +3,8 @@
 Given a witnessed splitting alpha: V0 (x) W -> V, beta: V -> V0 (x) W with
 alpha . beta = Id_V, the partial supertrace of beta . f . alpha over the W
 factor is an even invariant endomorphism of the typical irreducible V0, hence
-an exact scalar c; the modified trace of f is mod_sdim(V0) * c.  Odd g-linear
+an exact scalar c; the modified trace of f is d(V0) * c, with
+d(V0) = mod_sdim(V0) kept on the witness (``IdealWitness.d``).  Odd g-linear
 endomorphisms force c = 0 on parity grounds, which is checked rather than
 assumed.
 """
@@ -46,8 +47,8 @@ def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
 
 
 def modified_trace(f: SuperMap, w: IdealWitness) -> Fraction:
-    """mod_sdim(V0) times the bracket scalar, canonical (``exact``); independent of the witness."""
-    return exact(w.V.rs.mod_sdim(w.V0.highest_weight) * bracket(f, w))
+    """d(V0) times the bracket scalar, canonical (``exact``); independent of the witness."""
+    return exact(w.d * bracket(f, w))
 
 
 def classical_str_is_zero(w: IdealWitness, f: SuperMap) -> bool:

@@ -746,6 +746,11 @@ class IdealWitness:
     alpha: SuperMap
     beta: SuperMap
 
+    @cached_property
+    def d(self) -> Fraction:
+        """d(V0) = ``mod_sdim`` of the core's highest weight, the scale of the modified trace."""
+        return self.V.rs.mod_sdim(self.V0.highest_weight)
+
     def __repr__(self):
         return f"IdealWitness({self.V.name} through {self.V0.name}(x){self.W.name})"
 

@@ -15,17 +15,17 @@ spaces are ordered parity lists, so tensor products are strictly associative
 and the unit object is literal (no coherence plumbing needed).
 
 The sparse matrix kernels live here: ``mat_mul`` and ``mat_scomm`` work on
-{(row, col): value} dicts, ``mat_columns`` groups such a dict by column, and
-``mat_apply`` applies the grouped matrix to a sparse vector.  Every sum of
-products in the library goes through one accumulate, ``_summed``: it adds
-(key, value) pairs by key and passes the result once through ``_nonzero``,
-which drops the cancelled entries and leaves every value a canonical scalar
-(``exactnum.exact``: an int when whole, else a Fraction); ``exactnum.cleared``
-writes a dict as ints over one denominator for the int kernels.  Maps are
-validated at the public constructor ``SuperMap(...)``, which also makes each
-entry canonical; kernel results (compositions, sums, scalar multiples, tensor
-products, transposes, partial traces) are homogeneous by construction and are
-built through the private ``SuperMap._of``, which only calls ``_nonzero``.
+{(row, col): value} dicts, and ``mat_columns`` groups such a dict by column.
+Every sum of products in the library goes through one accumulate,
+``_summed``: it adds (key, value) pairs by key and passes the result once
+through ``_nonzero``, which drops the cancelled entries and leaves every value
+a canonical scalar (``exactnum.exact``: an int when whole, else a Fraction);
+``exactnum.cleared`` writes a dict as ints over one denominator for the int
+kernels.  Maps are validated at the public constructor ``SuperMap(...)``,
+which also makes each entry canonical; kernel results (compositions, sums,
+scalar multiples, tensor products, transposes, partial traces) are homogeneous
+by construction and are built through the private ``SuperMap._of``, which only
+calls ``_nonzero``.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ def mat_columns(entries: dict, transpose: bool = False) -> dict[int, list]:
             i, j = j, i
         cols.setdefault(j, []).append((i, v))
     return cols
-
-
-def mat_apply(cols: dict[int, list], vec: dict) -> dict:
-    """A column-grouped matrix (see ``mat_columns``) applied to a sparse column vector."""
-    return _summed((i, v * x) for j, x in vec.items() for i, v in cols.get(j, ()))
 
 
 def mat_mul(x: dict, y: dict) -> dict:
@@ -197,8 +192,8 @@ class SuperMap:
                             mat_mul(self.entries, other.entries))
 
     def apply(self, vec: dict) -> dict[int, Fraction]:
-        """Apply to a column vector given as {index: value}."""
-        return mat_apply(mat_columns(self.entries), vec)
+        """Apply to a column vector given as {index: value}, in one pass over the entries."""
+        return _summed((i, v * vec[j]) for (i, j), v in self.entries.items() if j in vec)
 
     def __repr__(self):
         return (

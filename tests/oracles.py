@@ -12,13 +12,15 @@ and check g-linearity by products with every generator matrix (e, f and h),
 where the library writes alpha entry by entry, solves on the factors
 (V0, W), replays one beta and checks only the e_i and f_i;
 ``ideal_witness_by_modules`` is the only module-built witness search left.
-Singular vectors, submodule dimensions, irreducibility and the double-dual
-isomorphism are computed only here, as checks on the library.  The tests
-compare the two.
+``dual_coords_by_walk`` pairs each tensor factor by factor with b's
+partners, where the library sums the kept columns of b~_N.  Singular vectors,
+submodule dimensions, irreducibility and the double-dual isomorphism are
+computed only here, as checks on the library.  The tests compare the two.
 """
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 from supertrace import invtensor as it
 from supertrace import repmod as rm
@@ -160,6 +162,28 @@ def sn_action_map(adj, N, perm):
                       (sl.identity(left), sl.super_permutation(g, g), sl.identity(right)))
         out = swap @ out
     return out
+
+
+def dual_coords_by_walk(adj, N, coords):
+    """b~_N(t) = iota . b^(x)N (t) term by term: every choice of Gram partners for t's digits.
+
+    The Koszul sign of iota is (-1)^{sum_{i<k} p_i p_k} over the digits' parities.
+    """
+    gdim, par = adj.gdim, adj.module.space.parities
+    partners = [[] for _ in range(gdim)]
+    for (c, d), v in adj.b.entries.items():
+        partners[d].append((c, v))
+    out = {}
+    for flat, coeff in coords.items():
+        digits = [flat // gdim ** (N - 1 - k) % gdim for k in range(N)]
+        odd = sum(par[d] for d in digits)
+        sign = -1 if (odd * (odd - 1) // 2) % 2 else 1  # pairs of odd digits
+        for choice in product(*(partners[d] for d in digits)):
+            row, value = 0, sign * Fraction(coeff)
+            for e, v in choice:
+                row, value = row * gdim + e, value * v
+            out[row] = out.get(row, 0) + value
+    return {k: v for k, v in out.items() if v}
 
 
 def adjoint_via_form(adj, G, m_deg, n_deg):

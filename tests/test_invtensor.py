@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -734,6 +735,59 @@ class TestFormAdjoint:
     def test_shape_mismatch_raises(self, adj):
         with pytest.raises(ValueError):
             it.form_adjoint(adj, _contraction_insertion(adj), 1, 2)
+
+
+class TestKeptForm:
+    """b~_N kept per degree on AdjointData: the per-tensor walk, the counts, the copies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_dual_coords_is_the_walk(self, adj, adj31, data):
+        a, top = data.draw(st.sampled_from([(adj, 4), (adj31, 3)]))
+        N = data.draw(st.integers(1, top))
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        if data.draw(st.booleans()):
+            t = random_even_tensor(a, N, rng)
+        else:  # any parity, fractional coefficients
+            t = {rng.randrange(a.gdim ** N): F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)}
+        want = oracles.dual_coords_by_walk(a, N, t)
+        assert it.dual_coords(dataclasses.replace(a), N, t) == want  # empty memos
+        assert it.dual_coords(a, N, t) == want  # memos kept from earlier examples
+
+    def test_composite_is_composed_once_per_degree(self, adj, monkeypatch):
+        fresh, chain, calls = dataclasses.replace(adj), it._iota_chain, []
+        monkeypatch.setattr(it, "_iota_chain", lambda a, N: calls.append(N) or chain(a, N))
+        rng = random.Random(5)
+        for N in (2, 3, 2, 3, 2):
+            t1, t2 = random_even_tensor(adj, N, rng), random_even_tensor(adj, N, rng)
+            assert it.pairing_as_composite(fresh, t1, t2, N) == it.extended_form(adj, t1, N, t2, N)
+        assert calls == [2, 3]
+
+    def test_identity_walk_runs_once_per_degree(self, adj, monkeypatch):
+        fresh, walk, walks = dataclasses.replace(adj), it._partner_walk, []
+        b_partners = it._partners(adj, adj.b)
+        assert b_partners != it._partners(adj, adj.b_inv)
+
+        def counted(a, N, coords, partners):
+            walks.append((N, partners == b_partners))
+            return walk(a, N, coords, partners)
+
+        monkeypatch.setattr(it, "_partner_walk", counted)
+        rng = random.Random(6)
+        G = it.permutation_map(adj, 2, (1, 0))
+        for N in (2, 3, 2, 3):
+            it.dual_coords(fresh, N, random_even_tensor(adj, N, rng))
+            it.form_adjoint(fresh, G, 2, 2)
+        assert [N for N, of_b in walks if of_b] == [2, 3]
+        assert walks.count((2, False)) == 4  # each form_adjoint still walks b_inv
+
+    def test_replace_starts_with_empty_memos(self, adj):
+        # Filled memos at N = 2 must not reach a copy with b scaled by 2.
+        t = random_even_tensor(adj, 2, random.Random(7))
+        phi, composite = it.dual_coords(adj, 2, t), it.dualizing_map(adj, 2)
+        scaled = dataclasses.replace(adj, b=2 * adj.b)
+        assert it.dual_coords(scaled, 2, t) == {r: 4 * v for r, v in phi.items()}
+        assert it.dualizing_map(scaled, 2) == 4 * composite
 
 
 class TestGramsDualizeOncePerColumn:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -53,6 +54,15 @@ class TestModifiedTrace:
         # A whole value is the canonical int, as everywhere else.
         whole = mt.modified_trace(2 * sl.identity(roster.A.space), roster.wA)
         assert type(whole) is int and whole == 1
+
+    def test_d_is_computed_once_per_witness(self, roster, monkeypatch):
+        w, calls = dataclasses.replace(roster.wB), []
+        mod_sdim = type(roster.rs).mod_sdim
+        monkeypatch.setattr(type(roster.rs), "mod_sdim",
+                            lambda rs, lam: calls.append(lam) or mod_sdim(rs, lam))
+        idb = sl.identity(roster.B.space)
+        assert [mt.modified_trace(idb, w) for _ in range(2)] == [F(2, 3)] * 2
+        assert calls == [w.V0.highest_weight]
 
     def test_witness_independence(self, roster):
         idb = sl.identity(roster.B.space)

@@ -375,14 +375,14 @@ class TestSparseKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_mats, st.dictionaries(st.integers(0, 3), st.sampled_from(MIXED_VALUES)))
-    def test_mat_apply_is_mat_mul_on_one_column(self, x, vec):
-        out = sl.mat_apply(sl.mat_columns(x), vec)
+    def test_apply_is_mat_mul_on_one_column(self, x, vec):
+        space = sl.super_space(4, 0)
+        out = sl.SuperMap._of(space, space, 0, x).apply(vec)
         column = sl.mat_mul(x, {(j, 0): c for j, c in vec.items()})
         assert out == {i: v for (i, _), v in column.items()}
         assert all(map(_canonical, out.values()))
         flipped = {(j, i): v for (i, j), v in x.items()}
-        assert sl.mat_apply(sl.mat_columns(x, transpose=True), vec) == sl.mat_apply(
-            sl.mat_columns(flipped), vec)
+        assert sl.mat_columns(x, transpose=True) == sl.mat_columns(flipped)
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_mats, mixed_mats)
