@@ -2,9 +2,11 @@
 
     python3 scripts/bench_record.py 10 --parent HEAD~1 --layer repmod
 
-Run from anywhere inside the checkout.  The parent revision is unpacked from
-``git archive`` into a temporary directory, which is removed afterwards; the
-change is the working tree of this checkout.  For every workload of
+Run from anywhere inside the checkout.  Both sides run from sibling trees in
+one temporary directory, laid out alike and removed afterwards: the parent
+revision unpacked from ``git archive``, and the change copied from the tracked
+files of this checkout as they are in its working tree, so uncommitted edits
+count.  For every workload of
 ``BENCHMARK.json`` and each of the ``PAIRS`` seeds from ``FIRST_SEED``,
 ``perfbench/run.py --trace 0`` runs once on each tree, one after the other,
 and the tree that goes first alternates from seed to seed.  The file records both revisions, the machine
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -31,18 +34,31 @@ FIRST_SEED = 2001  # pair k runs seed FIRST_SEED + k
 RECORD = "# run record: "
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+def git(*args: str, root: str = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
-def unpack(rev: str, dest: str) -> None:
-    """The committed files of ``rev`` under ``dest``; nothing is registered in .git."""
-    archive, tree = os.path.join(dest, "tree.tar"), os.path.join(dest, "tree")
-    os.makedirs(tree)
-    subprocess.run(["git", "archive", "--format=tar", "-o", archive, rev], cwd=ROOT, check=True)
-    subprocess.run(["tar", "-xf", archive, "-C", tree], check=True)
+def prepare_trees(rev: str, dest: str, root: str = ROOT) -> dict[str, str]:
+    """Sibling trees ``dest/parent`` and ``dest/change``, laid out alike.
+
+    The parent tree holds the committed files of ``rev``; the change tree the
+    files that git tracks in the checkout at ``root``, as they are in its
+    working tree (a tracked file deleted there is left out).  Nothing is
+    registered in .git.
+    """
+    trees = {side: os.path.join(dest, side) for side in ("parent", "change")}
+    archive = os.path.join(dest, "parent.tar")
+    os.makedirs(trees["parent"])
+    subprocess.run(["git", "archive", "--format=tar", "-o", archive, rev], cwd=root, check=True)
+    subprocess.run(["tar", "-xf", archive, "-C", trees["parent"]], check=True)
     os.remove(archive)
+    for rel in git("ls-files", "-z", root=root).split("\0"):
+        if rel and os.path.isfile(os.path.join(root, rel)):
+            target = os.path.join(trees["change"], rel)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(os.path.join(root, rel), target)
+    return trees
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -98,9 +114,8 @@ def main(argv=None) -> int:
         "workloads": {},
         "src_lines": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        unpack(args.parent, tmp)
-        trees = {"parent": os.path.join(tmp, "tree"), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-trees-") as tmp:
+        trees = prepare_trees(args.parent, tmp)
         for workload in (w["name"] for w in spec["workloads"]):
             runs: dict[str, list] = {"parent": [], "change": []}
             for k in range(PAIRS):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 
 from . import superlin as sl
 from .exactnum import exact
@@ -314,17 +315,31 @@ class PresentedTensor:
     """An invariant tensor together with the data presenting it.
 
     coords are the coordinates of f(coev_V(1)) in the degree-N power; f is an
-    even g-linear map V (x) V* -> g^{(x)N} and witness certifies V.
+    even g-linear map V (x) V* -> g^{(x)N} and witness certifies V.  A tensor moved
+    by ``sn_action`` keeps the ``source`` map and adj's signed permutation ``perm``:
+    f = P . source is built on first access, and the forms pull back through P.
     """
 
     degree: int
     coords: dict
-    f: SuperMap
+    source: SuperMap
     witness: IdealWitness
+    perm: tuple[int, ...] | None = None
+    adj: AdjointData | None = field(default=None, repr=False)
 
     @property
     def module(self) -> GModule:
         return self.witness.V
+
+    @cached_property
+    def f(self) -> SuperMap:
+        """The presenting map: ``source`` itself, or P . source with its columns moved."""
+        if self.perm is None:
+            return self.source
+        move, src = _permuter(self.adj, self.degree, self.perm), self.source
+        ent = {(r, c): v for c, col in sl.mat_columns(src.entries).items()
+               for r, v in _permuted(move, col).items()}
+        return SuperMap._of(src.domain, src.codomain, src.parity, ent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,13 +430,6 @@ def it_product(
 # -- the modified bilinear form --------------------------------------------------
 
 
-def _b_power(adj: AdjointData, N: int) -> SuperMap:
-    out = adj.b
-    for _ in range(N - 1):
-        out = sl.tensor_map(out, adj.b)
-    return out
-
-
 def _iota_chain(adj: AdjointData, N: int) -> SuperMap:
     """(g*)^(x)N -> (g^(x)N)* via iterated two-factor dual isomorphisms."""
     g = adj.module.space
@@ -437,14 +445,17 @@ def _iota_chain(adj: AdjointData, N: int) -> SuperMap:
 def dualizing_map(adj: AdjointData, N: int) -> SuperMap:
     """b~ = iota . b^(x)N: g^(x)N -> (g^(x)N)*, the form as an isomorphism; composed once per N."""
     if N not in adj._composites:
-        adj._composites[N] = _iota_chain(adj, N) @ _b_power(adj, N)
+        adj._composites[N] = _iota_chain(adj, N) @ reduce(sl.tensor_map, [adj.b] * N)
     return adj._composites[N]
 
 
 def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:
     """The endomorphism of t1's module classifying the pairing against b~^-1(phi)."""
-    # psi = f1^T phi (f1 is even) in one pass over f1's entries: cheaper than grouping f1 per pair.
-    psi = sl._summed((c, v * phi[r]) for (r, c), v in t1.f.entries.items() if r in phi)
+    if t1.perm is not None:  # f1 = P . source, so f1^T phi = source^T (P^-1 phi): f1 is not built
+        inverse = tuple(sorted(range(t1.degree), key=t1.perm.__getitem__))
+        phi = _permuted(_permuter(t1.adj, t1.degree, inverse), phi.items())
+    # psi = f1^T phi in one pass over the source's entries (it is even): cheaper than grouping per pair.
+    psi = sl._summed((c, v * phi[r]) for (r, c), v in t1.source.entries.items() if r in phi)
     vspace = t1.module.space
     par = vspace.parities
     ent = {}
@@ -461,10 +472,11 @@ def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> Su
     The composite ev_right . (Id (x) (c^-1 . unpack . f1* . b~ . t2)) turns an
     element of Hom(k, V1* (x) V1) into End(V1); its modified trace gives the
     value of the modified form.  It is read off coordinates: psi = f1*(b~(t2))
-    in one pass over f1's entries, then endo[j, a] = +-psi[a d + j] with the
-    diagonal signs of unpack, c^-1 and ev_right.
+    in one pass over the entries of t1's source map, with b~(t2) pulled back
+    through t1's permutation if it has one, then endo[j, a] = +-psi[a d + j]
+    with the diagonal signs of unpack, c^-1 and ev_right.
     """
-    sl.column_map(t1.f.codomain, t2_coords)  # t2 must be an even vector of g^(x)N
+    sl.column_map(t1.source.codomain, t2_coords)  # t2 must be an even vector of g^(x)N
     return _endo_of_covector(t1, dual_coords(adj, t1.degree, t2_coords))
 
 
@@ -502,7 +514,9 @@ def classical_gram(
     """
     if len({x.degree for x in rows}) > 1:
         raise ValueError("rows of different degree")
-    N = rows[0].degree if rows else 1
+    if not rows:
+        return []
+    N = rows[0].degree
     row_phis = [dual_coords(adj, N, x.coords) for x in rows]
     col_phis = []
     for t2 in cols:
@@ -583,6 +597,11 @@ def _permuter(adj: AdjointData, N: int, perm: tuple[int, ...]):
     return move
 
 
+def _permuted(move, pairs) -> dict:
+    """The sparse vector of (flat, value) ``pairs`` moved by a signed permutation ``move``."""
+    return {new: sign * v for flat, v in pairs for new, sign in (move(flat),)}
+
+
 def permutation_map(adj: AdjointData, N: int, perm: tuple[int, ...]) -> SuperMap:
     """The signed action of a permutation on the degree-N power, as a map."""
     move = _permuter(adj, N, perm)
@@ -599,21 +618,15 @@ def sn_action(
 ) -> PresentedTensor:
     """Apply a permutation to a presented tensor, keeping a valid presentation.
 
-    The coordinates and the rows of the presenting map take the signed index
-    permutation of ``permutation_map``.
+    Only the coordinates take the signed index permutation of ``permutation_map``;
+    t's source map is kept, with perm composed onto t's own (composed[i] = perm[t.perm[i]]).
     """
     move = _permuter(adj, N, perm)
-    if t.f.codomain.dim != adj.gdim ** N:
+    if t.source.codomain.dim != adj.gdim ** N:
         raise ValueError(f"tensor of degree {t.degree} under a permutation of {N} slots")
-    coords, ent = {}, {}
-    for flat, v in t.coords.items():
-        new, sign = move(flat)
-        coords[new] = sign * v
-    for (r, c), v in t.f.entries.items():
-        new, sign = move(r)
-        ent[(new, c)] = sign * v
-    f = SuperMap._of(t.f.domain, t.f.codomain, t.f.parity, ent)
-    return PresentedTensor(N, sl._nonzero(coords), f, t.witness)
+    composed = tuple(perm) if t.perm is None else tuple(perm[s] for s in t.perm)
+    coords = sl._nonzero(_permuted(move, t.coords.items()))
+    return PresentedTensor(N, coords, t.source, t.witness, composed, adj)
 
 
 def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:

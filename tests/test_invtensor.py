@@ -355,18 +355,46 @@ class TestCoordinateRoutes:
 
     def test_sn_action_keeps_its_moved_indices_per_permutation(self, roster, spaces):
         fresh = it.build_adjoint(roster.rs)
-        t = spaces[3].raw[0]
+        t = next(u for u in spaces[3].raw if u.coords)
         first = it.sn_action(fresh, 3, (2, 0, 1), t)
         memo = fresh._moved[(3, (2, 0, 1))]
-        size = len(memo)
-        assert size and set(fresh._moved) == {(3, (2, 0, 1))}
+        # Only the coordinates were moved: the memo holds their indices, and f is not built.
+        assert set(memo) == set(t.coords) and set(fresh._moved) == {(3, (2, 0, 1))}
+        assert "f" not in vars(first) and first.source is t.f
         again = it.sn_action(fresh, 3, (2, 0, 1), t)
-        assert fresh._moved[(3, (2, 0, 1))] is memo and len(memo) == size
-        assert (again.coords, again.f) == (first.coords, first.f)
-        expected = _sn_action_oracle(fresh, 3, (1, 2, 0), t)
+        assert fresh._moved[(3, (2, 0, 1))] is memo and set(memo) == set(t.coords)
+        assert again.coords == first.coords
+        expected = _sn_action_oracle(fresh, 3, (2, 0, 1), t)
+        assert first.f == expected.f and "f" in vars(first) and first.f is first.f
         other = it.sn_action(fresh, 3, (1, 2, 0), t)
+        assert set(fresh._moved) == {(3, (2, 0, 1)), (3, (1, 2, 0))}
+        expected = _sn_action_oracle(fresh, 3, (1, 2, 0), t)
         assert (other.coords, other.f) == (expected.coords, expected.f)
-        assert len(fresh._moved) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.data())
+    def test_a_chain_of_moves_pairs_as_the_eager_tensor(self, adj, spaces, casimir_products,
+                                                       N, data):
+        pool = casimir_products if N == 4 else [t for t in spaces[N].raw if t.coords]
+        t, other = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        chain = data.draw(st.lists(st.permutations(range(N)), min_size=1, max_size=3))
+        moved, composed = t, tuple(range(N))
+        for perm in chain:
+            moved = it.sn_action(adj, N, tuple(perm), moved)
+            composed = tuple(perm[s] for s in composed)
+        pmap = oracles.sn_action_map(adj, N, composed)
+        eager = it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
+        t2 = random_even_tensor(adj, N, random.Random(data.draw(st.integers(0, 10**6))))
+        for x, y in ((moved, other), (other, moved)):
+            assert it.modified_form(adj, x, y) == it.modified_form(
+                adj, eager if x is moved else x, eager if y is moved else y)
+        for t3 in (other.coords, t2):
+            assert it.presented_endo(adj, moved, t3) == it.presented_endo(adj, eager, t3)
+        assert it.classical_gram(adj, [moved], [other.coords, t2]) == it.classical_gram(
+            adj, [eager], [other.coords, t2])
+        # The forms pulled their covectors back: none of them built the moved map.
+        assert "f" not in vars(moved)
+        assert moved.coords == eager.coords and moved.f == eager.f
 
     @pytest.mark.parametrize("perms", [((1, 3, 0, 2), (1, 0, 2, 3)),
                                        ((2, 0, 3, 1), (0, 1, 2, 3))])
@@ -813,6 +841,10 @@ class TestGramsDualizeOncePerColumn:
         monkeypatch.setattr(it, "dual_coords", lambda *a, **k: calls.append(1) or walk(*a, **k))
         assert it.classical_gram(adj, rows, cols) == pairwise
         assert len(calls) == len(rows) + len(cols)
+
+    def test_classical_gram_of_no_rows_is_empty(self, adj):
+        even, _ = it.invariant_tensors(adj, 3)
+        assert it.classical_gram(adj, [], even[:1]) == []
 
     def test_classical_gram_rejects_mixed_degrees(self, adj, spaces):
         with pytest.raises(ValueError):

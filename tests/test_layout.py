@@ -3,8 +3,9 @@
 Every sum of products adds through ``superlin._summed``; the only other
 ``d.get(k, 0) + v`` accumulates are the two int kernels that keep zeros on
 purpose.  A new inline accumulate fails here, naming its file and function:
-a ``get`` called on its dict or through a bound name (``get = out.get``), or
-a ``defaultdict`` added into.
+a ``get`` called on its dict or through a bound name (``get = out.get``), a
+``defaultdict`` added into, or an add into ``out[k]`` guarded by ``k in out``
+(an ``if`` statement with an ``else`` that sets ``out[k]``, or an ``if`` expression).
 """
 
 import ast
@@ -45,9 +46,41 @@ def _bindings(scope: ast.AST) -> tuple[set[str], set[str]]:
     return gets, defaults
 
 
+def _adds_into(node: ast.AST, entry: str) -> bool:
+    """Whether ``node`` adds or subtracts ``<entry>`` and a term, or is a statement adding into it."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, (ast.Add, ast.Sub)) and ast.unparse(node.target) == entry
+    if isinstance(node, ast.Assign):
+        return [ast.unparse(t) for t in node.targets] == [entry] and _adds_into(node.value, entry)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and entry in (ast.unparse(node.left), ast.unparse(node.right)))
+
+
+def _guarded_add(node: ast.AST) -> bool:
+    """``if k in d: d[k] += v`` with an ``else`` setting ``d[k]``, or ``d[k] + v if k in d else v``
+    (``not in`` with the branches swapped too)."""
+    if not isinstance(node, (ast.If, ast.IfExp)):
+        return False
+    test = node.test
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.In, ast.NotIn))):
+        return False
+    entry = ast.unparse(ast.Subscript(test.comparators[0], test.left, ast.Load()))
+    present, absent = node.body, node.orelse
+    if isinstance(test.ops[0], ast.NotIn):
+        present, absent = absent, present
+    if isinstance(node, ast.IfExp):
+        return _adds_into(present, entry)
+    return (any(_adds_into(stmt, entry) for stmt in present)
+            and any(isinstance(stmt, ast.Assign) and entry in map(ast.unparse, stmt.targets)
+                    for stmt in absent))
+
+
 def _is_accumulate(node: ast.AST, gets: set[str], defaults: set[str]) -> bool:
-    """``<expr>.get(<key>, 0) + ...`` or ``... - ...``, also through a bound ``get``; or a
-    ``defaultdict`` entry added into (``d[k] += v``, ``d[k] + v``)."""
+    """``<expr>.get(<key>, 0) + ...`` or ``... - ...``, also through a bound ``get``; a
+    ``defaultdict`` entry added into (``d[k] += v``, ``d[k] + v``); or a ``k in d`` guarded add."""
+    if _guarded_add(node):
+        return True
     if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
         return isinstance(node.target, ast.Subscript) and ast.unparse(node.target.value) in defaults
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))):
@@ -100,6 +133,24 @@ def test_accumulate_finder_sees_a_defaultdict():
             "class C:\n    def h(self, k, v):\n        self.acc = defaultdict(int)\n"
             "        self.acc[k] = self.acc[k] - v\n")
     assert _accumulate_sites(ast.parse(code), "m") == ["m.f", "m.C.h"]
+
+
+def test_accumulate_finder_sees_an_if_in_statement():
+    code = ("def f(out, pairs):\n    for k, v in pairs:\n        if k in out:\n"
+            "            out[k] += v\n        else:\n            out[k] = v\n    return out\n"
+            "def g(out, k, v):\n    if k not in out:\n        out[k] = v\n    else:\n"
+            "        out[k] = out[k] - v\n"
+            "def h(out, seen, k, v):\n    if k in seen:\n        out[k] += v\n    else:\n"
+            "        out[k] = v\n    if k in out:\n        out[k] += v\n")
+    assert _accumulate_sites(ast.parse(code), "m") == ["m.f", "m.g"]
+
+
+def test_accumulate_finder_sees_an_if_in_expression():
+    code = ("def f(out, k, v):\n    out[k] = out[k] + v if k in out else v\n"
+            "def g(out, k, v):\n    out[k] = v if k not in out else out[k] - v\n"
+            "def h(out, k, v):\n    return out[k] * v if k in out else v\n"
+            "def i(out, r, c, v):\n    out[r, c] = v + out[r, c] if (r, c) in out else v\n")
+    assert _accumulate_sites(ast.parse(code), "m") == ["m.f", "m.g", "m.i"]
 
 
 def test_no_inline_accumulate_outside_the_kernels():
