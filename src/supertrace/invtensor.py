@@ -466,6 +466,14 @@ def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:
     return SuperMap._of(vspace, vspace, 0, ent)
 
 
+def _check_even_tensor(adj: AdjointData, N: int, coords: dict) -> None:
+    """ValueError unless every nonzero coordinate is on an even basis tensor of g^(x)N; a float TypeError."""
+    par = adj.power_space(N).parities
+    for k, v in coords.items():
+        if exact(v) and (k not in range(len(par)) or par[k]):
+            raise ValueError(f"coordinate {k} is not on an even basis tensor of g^(x){N}")
+
+
 def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> SuperMap:
     """The endomorphism of t1's module classifying the pairing against t2.
 
@@ -476,7 +484,7 @@ def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> Su
     through t1's permutation if it has one, then endo[j, a] = +-psi[a d + j]
     with the diagonal signs of unpack, c^-1 and ev_right.
     """
-    sl.column_map(t1.source.codomain, t2_coords)  # t2 must be an even vector of g^(x)N
+    _check_even_tensor(adj, t1.degree, t2_coords)
     return _endo_of_covector(t1, dual_coords(adj, t1.degree, t2_coords))
 
 
@@ -490,7 +498,7 @@ def modified_gram(
     """
     phis = []
     for y in cols:
-        sl.column_map(adj.power_space(y.degree), y.coords)  # an even vector of g^(x)N
+        _check_even_tensor(adj, y.degree, y.coords)
         phis.append(dual_coords(adj, y.degree, y.coords))
     return [[modified_trace(_endo_of_covector(x, phi), x.witness) if x.degree == y.degree
              else 0 for y, phi in zip(cols, phis)] for x in rows]
@@ -520,7 +528,7 @@ def classical_gram(
     row_phis = [dual_coords(adj, N, x.coords) for x in rows]
     col_phis = []
     for t2 in cols:
-        sl.column_map(adj.power_space(N), t2)  # t2 must be an even vector of g^(x)N
+        _check_even_tensor(adj, N, t2)
         col_phis.append(dual_coords(adj, N, t2))
     return [[(sum(phi[r] * c for r, c in t2.items() if r in phi),
               sl.supertrace(_endo_of_covector(x, col_phi)))

@@ -30,12 +30,11 @@ def bracket(f: SuperMap, w: IdealWitness, check: bool = True) -> Fraction:
     if check and not _check_g_linear(f, w.V, w.V):
         raise BracketError("bracket input is not g-linear")
     # ptr_W(beta . f . alpha) = B . F, with B[i, (a,u)] = beta[(i,u), a] and F[(a,u), j] =
-    # (-1)^{p(u)} (f . alpha)[a, (j,u)], (a,u) keyed a dim W + u: no V0 (x) W map is formed.
-    dw, w_par = w.W.dim, w.W.space.parities
-    B = {(row // dw, a * dw + row % dw): b for (row, a), b in w.beta.entries.items()}
-    F = {(a * dw + col % dw, col // dw): -v if w_par[col % dw] else v
-         for (a, col), v in sl.mat_mul(f.entries, w.alpha.entries).items()}
-    reduced = sl.mat_mul(B, F)
+    # (-1)^{p(u)} (f . alpha)[a, (j,u)], (a,u) keyed a dim W + u: B and alpha's signed rows
+    # are kept on the witness, and no V0 (x) W map is formed.
+    F = sl._summed(((a * w.W.dim + u, j), v * x) for (a, k), v in f.entries.items()
+                   for u, j, x in w.alpha_rows.get(k, ()))
+    reduced = sl.mat_mul(w.beta_keyed, F)
     # An odd multiple of the even identity must vanish identically.
     c = 0 if f.parity == sl.ODD else reduced.get((0, 0), 0)
     if reduced != {(i, i): c for i in range(w.V0.dim) if c}:

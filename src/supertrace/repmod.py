@@ -10,16 +10,15 @@ verifies the Chevalley relations
     [e_i, f_j] = delta_ij h_i,   [h_i, e_j] = a_ij e_j,
     [h_i, f_j] = -a_ij f_j,      [h_i, h_j] = 0,
 
-exactly (the [e_i, f_j] relations as super-commutators, the [h_i, x_j] ones as
-weight gaps of the entries of x_j) and aborts on failure, so a module object
-is always a certified representation of the generator algebra.
+exactly (the [e_i, f_j] relations as super-commutators in ints, the [h_i, x_j]
+ones as weight gaps of the entries of x_j) and aborts on failure, so a module
+object is always a certified representation of the generator algebra.
 
 Kac modules for typical dominant weights are induced from the even part: the
-simple gl(m) x gl(n) module with the matching highest weight is built inside
-tensor powers of the defining representations, the one-dimensional central
-character absorbs the free coordinate a_s, and the induced action on the
-exterior algebra of the odd lowering space is computed by commuting generators
-through the wedge factors.
+simple gl(m) x gl(n) module V0 with the matching highest weight is built
+inside tensor powers of the defining representations, the one-dimensional
+central character absorbs the free coordinate a_s, and the generators of
+K(lam) = Lambda(g_-1) (x) V0 are written straight from its PBW basis.
 """
 
 from __future__ import annotations
@@ -30,13 +29,13 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import permutations
+from itertools import chain, permutations
 from math import lcm
 
 from . import superlin as sl
 from .exactnum import cleared, exact, rat_str, ratio
 from .linalg import RowReducer, nullspace
-from .rootdata import RootSystem, Weight
+from .rootdata import AtypicalWeightError, RootSystem, Weight
 from .superlin import SuperMap, SuperSpace
 
 CONSTRUCTION_VERSION = 1
@@ -114,10 +113,10 @@ def verify_relations(mod: GModule) -> None:
     [h_i, x_j] = +-a_ij x_j says exactly that each nonzero entry (a, b) of
     e_j (f_j) moves the weight by +a_j (-a_j): (w_a - w_b)_i = +-a_ij.  The
     diagonal h_i commute with each other.  [e_i, f_j] = delta_ij h_i is checked in
-    ints (``GModule.cleared``): [den_e e_i, den_f f_j] = delta_ij den_e den_f h_i.
+    ints on the kept tables of ``GModule.cleared``, both products in one sum:
+    [den_e e_i, den_f f_j] = delta_ij den_e den_f h_i.
     """
-    rs = mod.rs
-    r = rs.rank
+    rs, r = mod.rs, mod.rs.rank
     for i, hm in enumerate(mod.h):
         if hm.entries != {(a, a): w[i] for a, w in enumerate(mod.basis_weights) if w[i]}:
             raise ModuleRelationError(f"{mod.name}: h_{i} is not diagonal with the basis weights")
@@ -126,16 +125,22 @@ def verify_relations(mod: GModule) -> None:
                          for i in range(r)))
     for j in range(r):
         for x, sign in ((mod.e[j], 1), (mod.f[j], -1)):
-            for a, b in x.entries:
-                for i in range(r):
-                    if scaled[i][a] - scaled[i][b] != sign * rs.cartan.a[i][j] * dens[i]:
-                        raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
+            for i, sc in enumerate(scaled):
+                gap = sign * rs.cartan.a[i][j] * dens[i]
+                if any(sc[a] - sc[b] != gap for a, b in x.entries):
+                    raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
+    dim = mod.dim
     for i, x in enumerate(mod.e):
-        e, de = mod.cleared("e", i)[:2]
+        e, de, e_cols = mod.cleared("e", i)[:3]
         for j, y in enumerate(mod.f):
-            f, df = mod.cleared("f", j)[:2]
-            want = {k: de * df * v for k, v in mod.h[i].entries.items()} if i == j else {}
-            if sl.mat_scomm(e, x.parity, f, y.parity) != want:
+            f, df, f_cols = mod.cleared("f", j)[:3]
+            want = {a * dim + b: de * df * v for (a, b), v in mod.h[i].entries.items()} if i == j else {}
+            # e f - (-1)^{p(e) p(f)} f e in one accumulate, each product over its left factor's columns.
+            sign = 1 if x.parity and y.parity else -1
+            terms = chain(((a * dim + b, u * v) for (k, b), v in f.items() for a, u in e_cols.get(k, ())),
+                          ((a * dim + b, sign * u * v) for (k, b), v in e.items()
+                           for a, u in f_cols.get(k, ())))
+            if sl._summed(terms) != want:
                 raise ModuleRelationError(f"{mod.name}: [e_{i}, f_{j}] relation failed")
 
 
@@ -347,48 +352,27 @@ def _gl_simple_module(k: int, amu: tuple[int, ...]):
 # -- Kac modules ---------------------------------------------------------------
 
 
-def kac_module(rs: RootSystem, lam: Weight) -> GModule:
-    """The Kac module K(lam) for a typical finite-dominant weight of sl(m|n).
+def _kac_even_part(rs: RootSystem, lam: Weight):
+    """(dim V0, even_apply) for the gl(m) x gl(n) simple module V0 that K(lam) is induced from.
 
-    Induced from the simple module of the even part: the underlying space is
-    the exterior algebra on the odd lowering root vectors tensored with the
-    gl(m) x gl(n) simple module, the central character is fixed by a_s, and
-    generator matrices are obtained by commuting through the wedge factors.
-    For typical lam this is the irreducible highest weight module.
+    even_apply(mat, k) applies a block-diagonal supertraceless (m+n)-matrix to
+    V0 basis vector k: the traceless block parts act through the recorded gl
+    matrix units, the scalar part (proportional to the center) by the
+    character fixed by a_s, so the diagonal acts by one scalar per vector.
     """
-    if rs.family != "sl":
-        raise ValueError("Kac modules are only constructed for sl(m|n)")
-    if not rs.is_dominant_finite(lam):
-        raise ValueError(f"weight {lam} is not dominant with natural a_i (i != s)")
-    from .rootdata import AtypicalWeightError
-
-    if not rs.is_typical(lam):
-        raise AtypicalWeightError(f"weight {lam} is atypical; Kac module not simple")
-
-    m, n, r, s = rs.m, rs.n, rs.rank, rs.s
-    amu_m = tuple(int(lam.a[i]) for i in range(m - 1))
-    amu_n = tuple(int(lam.a[i]) for i in range(m, r))
-    dm, units_m, wts_m = _gl_simple_module(m, amu_m)
-    dn, units_n, wts_n = _gl_simple_module(n, amu_n)
-    dim_v0 = dm * dn
+    m, r, s = rs.m, rs.rank, rs.s
+    dm, units_m, wts_m = _gl_simple_module(m, tuple(int(lam.a[i]) for i in range(m - 1)))
+    dn, units_n, wts_n = _gl_simple_module(rs.n, tuple(int(lam.a[i]) for i in range(m, r)))
     # The central character: a diagonal matrix whose gl(m) block has trace t
     # acts by t * center plus its gl-weights, where center makes
     # h_s = E_mm + E_{m+1,m+1} act by a_s on the highest weight vector.
     center = exact(lam.a[s] - wts_m[0][m - 1] - wts_n[0][0])
-
     # Each matrix unit E_ab of the two even blocks, grouped by column.
     units_m_bycol, units_n_bycol = (
         {key: sl.mat_columns(ent) for key, ent in units.items()} for units in (units_m, units_n)
     )
 
     def even_apply(mat: dict, k: int) -> dict[int, Fraction]:
-        """Apply a block-diagonal supertraceless (m+n)-matrix to V0 basis vector k.
-
-        The traceless block parts act through the recorded gl matrix units;
-        the scalar part (proportional to the center) acts by the character
-        fixed by a_s.  Diagonal units act by gl-weights, so the whole
-        diagonal contribution is a scalar on each basis vector.
-        """
         im, jn = divmod(k, dn)
         diag = sum(v * (center + wts_m[im][p] if p < m else wts_n[jn][p - m])
                    for (p, q), v in mat.items() if p == q)
@@ -399,67 +383,78 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
         return sl._summed(((row * step + base, v * u) for v, col, step, base in blocks
                            for row, u in col), {k: diag})
 
-    mn = m * n
+    return dm * dn, even_apply
 
-    def y_matrix(c: int) -> dict:
-        i, j = divmod(c, n)
-        return {(m + j, i): 1}
 
-    ys = [y_matrix(c) for c in range(mn)]
+def _wedge(c: int, vec: dict, sign: int, dim_v0: int):
+    """The (index, value) pairs of sign * (y_c wedge vec); index mask dim_v0 + k is y_mask (x) v_k."""
+    for idx, v in vec.items():
+        mask, k = divmod(idx, dim_v0)
+        if not mask >> c & 1:
+            below = bin(mask & ((1 << c) - 1)).count("1")
+            yield (mask | 1 << c) * dim_v0 + k, -sign * v if below % 2 else sign * v
 
-    def wedge(c: int, vec: dict[int, Fraction], sign: int):
-        """The (index, value) pairs of sign * (y_c wedge vec), one per basis vector it keeps."""
-        for idx, v in vec.items():
-            mask, k = divmod(idx, dim_v0)
-            if not mask & (1 << c):
-                below = bin(mask & ((1 << c) - 1)).count("1")
-                yield (mask | (1 << c)) * dim_v0 + k, -sign * v if below % 2 else sign * v
 
-    def act(chains: dict, acted: dict, chain: tuple, mask: int, k: int) -> dict[int, Fraction]:
-        """The commutator chain [[x, y_c1], y_c2]... applied to basis vector (mask, k).
+def kac_module(rs: RootSystem, lam: Weight) -> GModule:
+    """The Kac module K(lam) for a typical finite-dominant weight of sl(m|n).
 
-        ``chains`` memoizes each chain of the generator x as (matrix, parity),
-        ``acted`` each result by (chain, mask, k); cached dicts are never mutated.
-        """
-        key = (chain, mask, k)
-        if key in acted:
-            return acted[key]
-        if chain not in chains:
-            x, px = chains[chain[:-1]]
-            chains[chain] = (sl.mat_scomm(x, px, ys[chain[-1]], 1), (px + 1) % 2)
-        x, px = chains[chain]
-        if not x:
-            out = {}
-        elif mask == 0:
-            # Odd lowering entries wedge on a new factor; odd raising ones kill the vacuum.
-            lowered = (((1 << (q * n + p - m)) * dim_v0 + k, v)
-                       for (p, q), v in x.items() if p >= m and q < m)
-            even_part = {(p, q): v for (p, q), v in x.items() if (p < m) == (q < m)}
-            out = sl._summed(lowered, even_apply(even_part, k) if even_part else ())
-        else:
-            c = (mask & -mask).bit_length() - 1
-            rest = mask & ~(1 << c)
-            first = act(chains, acted, chain + (c,), rest, k)
-            out = sl._summed(wedge(c, act(chains, acted, chain, rest, k), -1 if px else 1), first)
-        acted[key] = out
-        return out
+    Induced from the simple module V0 of the even part (``_kac_even_part``):
+    the basis is y_mask (x) v_k = y_c1 ... y_cj v_k over the bits c1 < ... < cj
+    of mask, y_c = E_{m+j,i} (c = i n + j).  An even x replaces one factor y_c
+    by [x, y_c] and acts on v_k; a lowering x wedges; a raising x kills the
+    vacuum and peels off the lowest factor, x(y_c w) = [x, y_c] w - y_c x w.
+    For typical lam this is the irreducible highest weight module.
+    """
+    if rs.family != "sl":
+        raise ValueError("Kac modules are only constructed for sl(m|n)")
+    if not rs.is_dominant_finite(lam):
+        raise ValueError(f"weight {lam} is not dominant with natural a_i (i != s)")
+    if not rs.is_typical(lam):
+        raise AtypicalWeightError(f"weight {lam} is atypical; Kac module not simple")
 
+    m, n, mn = rs.m, rs.n, rs.m * rs.n
+    dim_v0, even_apply = _kac_even_part(rs, lam)
     dim = (1 << mn) * dim_v0
-    parities = tuple(bin(idx // dim_v0).count("1") % 2 for idx in range(dim))
-    space = SuperSpace(parities)
+    ys = [{(m + j, i): 1} for i in range(m) for j in range(n)]
+    blocks = range(0, dim, dim_v0)
 
-    def generator_map(x: SuperMap) -> SuperMap:
-        chains: dict[tuple, tuple[dict, int]] = {(): (x.entries, x.parity)}
-        acted: dict[tuple, dict[int, Fraction]] = {}
-        ent: dict[tuple[int, int], Fraction] = {}
-        for mask in range(1 << mn):
-            for k in range(dim_v0):
-                col = mask * dim_v0 + k
-                for row, v in act(chains, acted, (), mask, k).items():
-                    ent[(row, col)] = v
-        return SuperMap(space, space, x.parity, ent)
+    def even(x: dict) -> tuple[list, list]:
+        """An even x on V0 per k, and on the wedge factors per mask as [(mask' dim_v0, value)]."""
+        moves = [[(q * n + p - m, v) for (p, q), v in sl.mat_scomm(x, 0, y, 1).items()] for y in ys]
+        # y_c moved to the front, replaced by [x, y_c] = sum v y_c2, wedged back on.
+        on_y = [sl._summed(pair for c in range(mn) if mask >> c & 1 for c2, v in moves[c]
+                           for pair in _wedge(c2, {(mask ^ 1 << c) * dim_v0: v},
+                                              (-1) ** bin(mask & ((1 << c) - 1)).count("1"), dim_v0)
+                           ).items() for mask in range(1 << mn)]
+        return [even_apply(x, k).items() for k in range(dim_v0)], on_y
 
-    e, f, h = ([generator_map(x) for x in xs] for xs in sl_generators(rs)[1:])
+    def matrix(x: SuperMap) -> dict:
+        """The entries {(row, col): value} of x on the basis y_mask (x) v_k."""
+        if not x.parity:
+            # x moves v_k inside the block of mask, or the wedge factors of every v_k alike.
+            on_v0, on_y = even(x.entries)
+            return sl._summed(chain(
+                (((base + row, base + k), v) for base in blocks for k in range(dim_v0)
+                 for row, v in on_v0[k]),
+                (((idx + k, base + k), v) for base, moved in zip(blocks, on_y)
+                 for idx, v in moved for k in range(dim_v0))))
+        # Raising entries kill the vacuum, lowering ones wedge on a factor.
+        out = [{(1 << q * n + p - m) * dim_v0 + k: v for (p, q), v in x.entries.items() if p >= m}
+               for k in range(dim_v0)]
+        comms = [even(sl.mat_scomm(x.entries, 1, y, 1)) for y in ys]
+        for col in range(dim_v0, dim):
+            mask, k = divmod(col, dim_v0)
+            c = (mask & -mask).bit_length() - 1
+            rest = mask ^ 1 << c
+            (on_v0, on_y), before = comms[c], rest * dim_v0
+            out.append(sl._summed(chain(((before + row, v) for row, v in on_v0[k]),
+                                        ((idx + k, v) for idx, v in on_y[rest]),
+                                        _wedge(c, out[before + k], -1, dim_v0))))
+        return {(row, col): v for col, image in enumerate(out) for row, v in image.items()}
+
+    space = SuperSpace(tuple(bin(idx // dim_v0).count("1") % 2 for idx in range(dim)))
+    e, f, h = ([SuperMap(space, space, x.parity, matrix(x)) for x in xs]
+               for xs in sl_generators(rs)[1:])
     return _make_module(rs, space, e, f, h, _kac_name(lam), lam)
 
 
@@ -750,6 +745,19 @@ class IdealWitness:
     def d(self) -> Fraction:
         """d(V0) = ``mod_sdim`` of the core's highest weight, the scale of the modified trace."""
         return self.V.rs.mod_sdim(self.V0.highest_weight)
+
+    @cached_property
+    def beta_keyed(self) -> dict:
+        """beta as B[i, a dim W + u] = beta[(i, u), a], the left factor of ``mtrace.bracket``."""
+        dw = self.W.dim
+        return {(row // dw, a * dw + row % dw): b for (row, a), b in self.beta.entries.items()}
+
+    @cached_property
+    def alpha_rows(self) -> dict[int, list]:
+        """Row k of alpha as [(u, j, (-1)^{p(u)} alpha[k, j dim W + u])], for ``mtrace.bracket``."""
+        dw, par = self.W.dim, self.W.space.parities
+        return {k: [(col % dw, col // dw, -v if par[col % dw] else v) for col, v in row]
+                for k, row in sl.mat_columns(self.alpha.entries, True).items()}
 
     def __repr__(self):
         return f"IdealWitness({self.V.name} through {self.V0.name}(x){self.W.name})"

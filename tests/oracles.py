@@ -13,7 +13,10 @@ where the library writes alpha entry by entry, solves on the factors
 (V0, W), replays one beta and checks only the e_i and f_i;
 ``ideal_witness_by_modules`` is the only module-built witness search left.
 ``dual_coords_by_walk`` pairs each tensor factor by factor with b's
-partners, where the library sums the kept columns of b~_N.  Singular vectors,
+partners, where the library sums the kept columns of b~_N.
+``kac_generators_by_chains`` commutes each generator through the wedge
+factors of K(lam) chain by chain, where the library writes the generators
+straight from the PBW basis.  Singular vectors,
 submodule dimensions, irreducibility and the double-dual isomorphism are
 computed only here, as checks on the library.  The tests compare the two.
 """
@@ -289,3 +292,54 @@ def kac_weights(rs, lam):
                     base = [x + y for x, y in zip(base, y_weights[c])]
             weights.append(tuple(base))
     return tuple(weights)
+
+
+def kac_generators_by_chains(rs, lam):
+    """(e, f, h) of K(lam) by commuting each generator through the wedge factors.
+
+    Basis vector (mask, k) is y_c1 ... y_cj v_k over the bits c1 < ... < cj of
+    mask; x (y_c w) = [x, y_c] w + (-1)^{p(x)} y_c (x w) peels off the lowest
+    factor, so each chain [[x, y_c1], y_c2]... acts on the vacuum at the end,
+    where its odd lowering entries wedge on a factor, its odd raising ones
+    vanish and its even part acts on V0.  Each chain of x is computed once and
+    each result memoized by (chain, mask, k).
+    """
+    m, n = rs.m, rs.n
+    mn = m * n
+    dim_v0, even_apply = rm._kac_even_part(rs, lam)
+    ys = [{(m + j, i): 1} for i in range(m) for j in range(n)]
+    dim = (1 << mn) * dim_v0
+    space = sl.SuperSpace(tuple(bin(idx // dim_v0).count("1") % 2 for idx in range(dim)))
+
+    def act(chains, acted, chain, mask, k):
+        key = (chain, mask, k)
+        if key in acted:
+            return acted[key]
+        if chain not in chains:
+            x, px = chains[chain[:-1]]
+            chains[chain] = (sl.mat_scomm(x, px, ys[chain[-1]], 1), (px + 1) % 2)
+        x, px = chains[chain]
+        if not x:
+            out = {}
+        elif mask == 0:
+            lowered = (((1 << (q * n + p - m)) * dim_v0 + k, v)
+                       for (p, q), v in x.items() if p >= m and q < m)
+            even_part = {(p, q): v for (p, q), v in x.items() if (p < m) == (q < m)}
+            out = sl._summed(lowered, even_apply(even_part, k) if even_part else ())
+        else:
+            c = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << c)
+            first = act(chains, acted, chain + (c,), rest, k)
+            wedged = rm._wedge(c, act(chains, acted, chain, rest, k), -1 if px else 1, dim_v0)
+            out = sl._summed(wedged, first)
+        acted[key] = out
+        return out
+
+    def generator_map(x):
+        chains, acted, ent = {(): (x.entries, x.parity)}, {}, {}
+        for col in range(dim):
+            for row, v in act(chains, acted, (), *divmod(col, dim_v0)).items():
+                ent[(row, col)] = v
+        return sl.SuperMap(space, space, x.parity, ent)
+
+    return tuple(tuple(generator_map(x) for x in xs) for xs in rm.sl_generators(rs)[1:])

@@ -842,6 +842,19 @@ class TestGramsDualizeOncePerColumn:
         assert it.classical_gram(adj, rows, cols) == pairwise
         assert len(calls) == len(rows) + len(cols)
 
+    @pytest.mark.parametrize("bad", ["odd", "outside"])
+    def test_each_pairing_rejects_an_odd_or_outside_tensor(self, adj, spaces, bad):
+        # The same ValueError from presented_endo, modified_gram and classical_gram.
+        t1 = spaces[2].elements[0]
+        odd = next(a for a in range(adj.gdim) if adj.module.space.parities[a])
+        coords = {odd * adj.gdim: F(1)} if bad == "odd" else {adj.gdim ** 2: F(1)}
+        calls = (lambda: it.presented_endo(adj, t1, coords),
+                 lambda: it.modified_gram(adj, [t1], [dataclasses.replace(t1, coords=coords)]),
+                 lambda: it.classical_gram(adj, [t1], [coords]))
+        for call in calls:
+            with pytest.raises(ValueError, match="not on an even basis tensor"):
+                call()
+
     def test_classical_gram_of_no_rows_is_empty(self, adj):
         even, _ = it.invariant_tensors(adj, 3)
         assert it.classical_gram(adj, [], even[:1]) == []

@@ -226,3 +226,69 @@ class TestBracketContraction:
                 mt.bracket(f, w, check=False)
             return
         assert mt.bracket(f, w, check=False) == want
+
+
+def _bracket_tables_uncached(w):
+    """B and alpha's signed rows of ``bracket``, re-keyed from the witness maps on every call."""
+    dw, par = w.W.dim, w.W.space.parities
+    B = {(row // dw, a * dw + row % dw): b for (row, a), b in w.beta.entries.items()}
+    rows = {}
+    for (k, col), v in w.alpha.entries.items():
+        rows.setdefault(k, []).append((col % dw, col // dw, -v if par[col % dw] else v))
+    return B, {k: sorted(row) for k, row in rows.items()}
+
+
+def _bracket_uncached(f, w):
+    """``bracket`` with its tables rebuilt for the call: B . F, F[(a,u), j] = +-(f . alpha)[a, (j,u)]."""
+    B, rows = _bracket_tables_uncached(w)
+    F_ = {}
+    for (a, k), v in f.entries.items():
+        for u, j, x in rows.get(k, ()):
+            key = (a * w.W.dim + u, j)
+            F_[key] = F_.get(key, 0) + v * x
+    reduced = sl.mat_mul(B, F_)
+    c = 0 if f.parity else reduced.get((0, 0), 0)
+    if reduced != {(i, i): c for i in range(w.V0.dim) if c}:
+        raise mt.BracketError("not proportional to the identity")
+    return c
+
+
+class TestBracketTablesKeptPerWitness:
+    @pytest.fixture(scope="class")
+    def witnesses(self, roster, shifted):
+        # One witness of each construction: ideal_witness, witness_dsum, witness_parity_shift.
+        return [roster.wB_via_A, rm.witness_dsum(roster.wA, shifted[1]), roster.wD]
+
+    def test_tables_equal_the_uncached_route(self, witnesses):
+        for w in witnesses:
+            B, rows = _bracket_tables_uncached(w)
+            assert w.beta_keyed == B
+            assert {k: sorted(row) for k, row in w.alpha_rows.items()} == rows
+
+    def test_values_equal_the_uncached_route(self, witnesses):
+        rng = random.Random(17)
+        for w in witnesses:
+            for parity in (0, 1):
+                for f in rm.hom_space(w.V, w.V, parity) + [rand_map(rng, w.V.space, w.V.space, parity)]:
+                    f = rand_combination([f], rng)
+                    try:
+                        want = _bracket_uncached(f, w)
+                    except mt.BracketError:
+                        with pytest.raises(mt.BracketError):
+                            mt.bracket(f, w, check=False)
+                        continue
+                    assert mt.bracket(f, w, check=False) == want == _bracket_by_composite(f, w)
+
+    def test_tables_are_built_once_per_witness(self, witnesses, monkeypatch):
+        calls = []
+        for name in ("beta_keyed", "alpha_rows"):
+            prop = rm.IdealWitness.__dict__[name]
+            monkeypatch.setattr(prop, "func",
+                                lambda w, func=prop.func, name=name: calls.append(name) or func(w))
+        for w in witnesses:
+            fresh = dataclasses.replace(w)
+            ident = sl.identity(fresh.V.space)
+            one = _bracket_uncached(ident, w)
+            for c in (1, 2, F(-1, 3)):
+                assert mt.bracket(c * ident, fresh) == c * one
+        assert sorted(calls) == sorted(["alpha_rows", "beta_keyed"] * len(witnesses))

@@ -527,6 +527,36 @@ class TestRelationCheck:
         with pytest.raises(rm.ModuleRelationError):
             _relations_by_commutators(broken)
 
+    @pytest.fixture(scope="class")
+    def fractional_kacs(self):
+        from supertrace.rootdata import build_root_system
+
+        return [rm.kac_module(build_root_system("sl", m, n), weight(*coords)) for m, n, coords in
+                ((2, 1, (1, F(1, 2))), (3, 1, (1, 0, F(-2, 3))), (3, 2, (0, 0, F(1, 3), 1)))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rescaled_entry_breaks_e_f_in_both_forms(self, fractional_kacs, data):
+        # The support is kept, so every weight gap holds and only [e_i, f_j] can fail.
+        K = data.draw(st.sampled_from(fractional_kacs))
+        series = data.draw(st.sampled_from(["e", "f"]))
+        j = data.draw(st.integers(0, K.rs.rank - 1))
+        x = getattr(K, series)[j]
+        # Rescaling entry (a, b) by c adds (c - 1) x_ab [E_ab, y] to the commutator with each y
+        # of the other series: nonzero unless no y has an entry in row b or in column a.
+        partners = K.f if series == "e" else K.e
+        rows = {p for y in partners for p, _ in y.entries}
+        cols = {q for y in partners for _, q in y.entries}
+        a, b = data.draw(st.sampled_from(sorted((a, b) for a, b in x.entries
+                                                if b in rows or a in cols)))
+        c = data.draw(st.sampled_from([F(-1), F(2), F(1, 2), F(-3, 4), F(5, 3)]))
+        ent = {**x.entries, (a, b): c * x.entries[(a, b)]}
+        broken = _with_generator(K, series, j, sl.SuperMap(K.space, K.space, x.parity, ent))
+        with pytest.raises(rm.ModuleRelationError, match=r"\[e_\d+, f_\d+\] relation failed"):
+            rm.verify_relations(broken)
+        with pytest.raises(rm.ModuleRelationError):
+            _relations_by_commutators(broken)
+
 
 # -- Hom spaces by Frobenius reciprocity ----------------------------------------------
 
@@ -1135,3 +1165,27 @@ def test_kac_weights_match_the_formula(shape, a_s):
     K = rm.kac_module(rs, lam)
     assert K.basis_weights == oracles.kac_weights(rs, lam)
     assert all(type(x) is F for wt in K.basis_weights for x in wt)
+
+
+# The largest natural coordinate drawn off the odd index, per sl(m|n): most
+# draws stay at dim <= 256.
+_CHAIN_ALGEBRAS = {(2, 1): 3, (1, 2): 3, (3, 1): 2, (1, 3): 2, (3, 2): 1, (2, 3): 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kac_generators_match_the_commutator_chains(data):
+    from supertrace.rootdata import build_root_system
+
+    m, n = data.draw(st.sampled_from(sorted(_CHAIN_ALGEBRAS)))
+    rs = build_root_system("sl", m, n)
+    coords = [data.draw(st.integers(0, _CHAIN_ALGEBRAS[m, n])) for _ in range(rs.rank - 1)]
+    # A non-integer a_s with natural coordinates elsewhere is typical.
+    coords.insert(rs.s, data.draw(st.sampled_from(
+        [F(p, q) for q in (2, 3) for p in range(-7, 8) if p % q])))
+    lam = weight(*coords)
+    assume(rm._kac_dim(rs, lam) <= 256)
+    K = rm.kac_module(rs, lam)
+    e, f, h = oracles.kac_generators_by_chains(rs, lam)
+    for got, want in zip(K.e + K.f + K.h, e + f + h):
+        assert got.parity == want.parity and got.entries == want.entries
