@@ -12,9 +12,10 @@ evaluated and its presentation independence checked.  The reachable maps
 come from Frobenius reciprocity through the adjunction
 Hom(V (x) V*, g^(x)N) = Hom(V, g^(x)N (x) V); both forms, form adjoints and
 the symmetric group action work on coordinates, through the extended form
-b~_N = iota . b^(x)N that ``AdjointData`` keeps per degree as its columns.  The
-g^(x)N-sized map-composition route (dualizing_map, pairing_as_composite),
-composed once per degree, is kept as an independent oracle.
+b~_N = iota . b^(x)N and its inverse that ``AdjointData`` keeps per degree as
+columns; the pairings read a presenting map's kept rows.  The g^(x)N-sized
+map-composition route (dualizing_map, pairing_as_composite), composed once per
+degree, is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class AdjointData:
     representation; b is the induced isomorphism g -> g* (columns are the
     form against basis vectors) and gram its matrix.  The memos are filled
     per degree and are not init fields, so ``dataclasses.replace`` starts a
-    copy empty: ``_forms`` keeps b~_N (``form_columns``), ``_composites`` its
-    composed map (``dualizing_map``).
+    copy empty: ``_forms`` keeps the columns of b~_N and b~_N^-1
+    (``form_columns``, keyed (N, inverse)), ``_composites`` b~_N's composed map
+    (``dualizing_map``).
     """
 
     rs: RootSystem
@@ -104,15 +106,16 @@ class AdjointData:
             self._spaces[N] = space
         return space
 
-    def form_columns(self, N: int) -> list[list]:
-        """Column t of b~_N as [(r, value)]: the partner walk of the identity, once per degree."""
-        if N not in self._forms:
+    def form_columns(self, N: int, inverse: bool = False) -> list[list]:
+        """Column t of b~_N, or of b~_N^-1 = b_inv^(x)N . iota^-1 (iota is its own inverse), as
+        [(r, value)]: the walk of b's or b_inv's partners on the identity, once per degree."""
+        if (N, inverse) not in self._forms:
             n = self.gdim ** N
-            self._forms[N] = cols = [[] for _ in range(n)]
-            identity = {t * n + t: 1 for t in range(n)}
-            for k, v in _partner_walk(self, N, identity, _partners(self, self.b)).items():
+            self._forms[N, inverse] = cols = [[] for _ in range(n)]
+            partners = _partners(self, self.b_inv if inverse else self.b)
+            for k, v in _partner_walk(self, N, {t * n + t: 1 for t in range(n)}, partners).items():
                 cols[k // n].append((k % n, v))
-        return self._forms[N]
+        return self._forms[N, inverse]
 
 
 def build_adjoint(rs: RootSystem) -> AdjointData:
@@ -372,17 +375,17 @@ def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace
     raw: list[PresentedTensor] = []
     for w in probes:
         V = w.V
+        dim, par = V.dim, V.space.parities  # read once per probe, not per entry
         d = _kac_vector(V)
         if d is None:
             raise ValueError(f"probe {V.name} is not a certified Kac module")
         domain = sl.tensor_space(V.space, sl.dual_space(V.space))
         target = FactorwiseAction((adj.module,) * N + (V,))
-        par = V.space.parities
         for g in _induced_maps(V, d, target, 0):
             ent = {}
             for (row, j), v in g.items():
-                x, k = divmod(row, V.dim)
-                ent[(x, j * V.dim + k)] = -v if par[k] else v
+                x, k = divmod(row, dim)
+                ent[(x, j * dim + k)] = -v if par[k] else v
             raw.append(presented_tensor(adj, N, w, SuperMap(domain, codomain, 0, ent)))
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
@@ -450,12 +453,13 @@ def dualizing_map(adj: AdjointData, N: int) -> SuperMap:
 
 
 def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:
-    """The endomorphism of t1's module classifying the pairing against b~^-1(phi)."""
+    """The endomorphism of t1's module classifying the pairing against b~^-1(phi); psi = f1^T phi reads
+    the source's kept rows (``SuperMap.rows``) in phi, so a moved tensor's S_N orbit shares one index."""
     if t1.perm is not None:  # f1 = P . source, so f1^T phi = source^T (P^-1 phi): f1 is not built
         inverse = tuple(sorted(range(t1.degree), key=t1.perm.__getitem__))
         phi = _permuted(_permuter(t1.adj, t1.degree, inverse), phi.items())
-    # psi = f1^T phi in one pass over the source's entries (it is even): cheaper than grouping per pair.
-    psi = sl._summed((c, v * phi[r]) for (r, c), v in t1.source.entries.items() if r in phi)
+    rows = t1.source.rows  # f1 is even: psi = f1^T phi has no signs
+    psi = sl._summed((c, u * v) for r, u in phi.items() for c, v in rows.get(r, ()))
     vspace = t1.module.space
     par = vspace.parities
     ent = {}
@@ -480,7 +484,7 @@ def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> Su
     The composite ev_right . (Id (x) (c^-1 . unpack . f1* . b~ . t2)) turns an
     element of Hom(k, V1* (x) V1) into End(V1); its modified trace gives the
     value of the modified form.  It is read off coordinates: psi = f1*(b~(t2))
-    in one pass over the entries of t1's source map, with b~(t2) pulled back
+    from the kept rows of t1's source map at its support, with b~(t2) pulled back
     through t1's permutation if it has one, then endo[j, a] = +-psi[a d + j]
     with the diagonal signs of unpack, c^-1 and ev_right.
     """
@@ -555,12 +559,13 @@ def classical_form_vanishes(
 def pairing_as_composite(
     adj: AdjointData, t1_coords: dict, t2_coords: dict, N: int
 ) -> Fraction:
-    """<t1* . b~ . t2> computed purely by map composition (for cross-checks)."""
+    """<t1* . b~ . t2> by composition with ``dualizing_map`` (for cross-checks), not ``form_columns``;
+    t1* . b~ reads only t1's rows of b~, through the composite's kept row index (t1 is even)."""
     space = adj.power_space(N)
-    t1 = sl.column_map(space, t1_coords)
-    t2 = sl.column_map(space, t2_coords)
-    comp = sl.super_transpose(t1) @ dualizing_map(adj, N) @ t2
-    return sl.scalar_of(comp)
+    t1, t2 = (sl.column_map(space, t) for t in (t1_coords, t2_coords))
+    rows = dualizing_map(adj, N).rows
+    t1_b = sl._summed(((0, c), u * v) for (r, _), u in t1.entries.items() for c, v in rows.get(r, ()))
+    return sl.scalar_of(SuperMap._of(space, sl.UNIT, 0, t1_b) @ t2)
 
 
 # -- symmetric group action and functorial adjoints ------------------------------
@@ -640,21 +645,19 @@ def sn_action(
 def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:
     """The adjoint G* = b~_M^-1 . G^T . b~_N of G: g^(x)M -> g^(x)N for the extended form.
 
-    Built on coordinates, all columns at once: the kept covectors b~_N(e_c) of
-    the basis tensors of g^(x)N (``AdjointData.form_columns``), pulled back
-    through the super transpose of G by ``mat_mul``,
-    then sent through b~_M^-1 = b_inv^(x)M . iota^-1 by the walk with b_inv's
-    partners: iota is a diagonal sign, its own inverse, and the even form
-    keeps every factor's parity.
+    Two sparse products on the columns ``AdjointData.form_columns`` keeps, all
+    columns at once: the covectors b~_N(e_c) pulled back through the super
+    transpose of G, then sent through the kept columns of b~_M^-1.  No call
+    walks a form.
     """
     if (G.domain.dim, G.codomain.dim) != (adj.gdim ** m_deg, adj.gdim ** n_deg):
         raise ValueError(f"map is not g^(x){m_deg} -> g^(x){n_deg}")
-    m = G.domain.dim  # a walk key c * m + t is entry (t, c)
-    covectors = {(r, c): v for c, col in enumerate(adj.form_columns(n_deg)) for r, v in col}
-    pulled = sl.mat_mul(sl.super_transpose(G).entries, covectors)
-    walked = _partner_walk(adj, m_deg, {c * m + j: v for (j, c), v in pulled.items()},
-                           _partners(adj, adj.b_inv))
-    return SuperMap(G.codomain, G.domain, G.parity, {(k % m, k // m): v for k, v in walked.items()})
+    transposed = sl.mat_columns(sl.super_transpose(G).entries)
+    pulled = sl._summed(((j, c), u * v) for c, col in enumerate(adj.form_columns(n_deg))
+                        for r, v in col for j, u in transposed.get(r, ()))
+    inverse = adj.form_columns(m_deg, inverse=True)
+    ent = sl._summed(((a, c), w * v) for (j, c), v in pulled.items() for a, w in inverse[j])
+    return SuperMap._of(G.codomain, G.domain, G.parity, ent)
 
 
 def pairing_map(adj: AdjointData) -> SuperMap:

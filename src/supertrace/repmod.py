@@ -95,6 +95,10 @@ class GModule:
         """``basis_weights`` as canonical scalars (``exact``), for the factorwise action."""
         return [tuple(map(exact, w)) for w in self.basis_weights]
 
+    @cached_property
+    def dual(self) -> GModule:  # unverified, kept for hom_space's generic route
+        return dual_module(self, check=False)
+
     def cleared(self, kind: str, i: int) -> tuple[dict, int, dict[int, list], dict[int, list]]:
         """``kind``_i as ints over den (``cleared``): (ints, den, by column, by row); kept."""
         if (kind, i) not in self._cleared:
@@ -402,7 +406,8 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
     the basis is y_mask (x) v_k = y_c1 ... y_cj v_k over the bits c1 < ... < cj
     of mask, y_c = E_{m+j,i} (c = i n + j).  An even x replaces one factor y_c
     by [x, y_c] and acts on v_k; a lowering x wedges; a raising x kills the
-    vacuum and peels off the lowest factor, x(y_c w) = [x, y_c] w - y_c x w.
+    vacuum and peels off the lowest factor, x(y_c w) = [x, y_c] w - y_c x w; the
+    generators are homogeneous by construction, so they are built by ``SuperMap._of``.
     For typical lam this is the irreducible highest weight module.
     """
     if rs.family != "sl":
@@ -453,7 +458,7 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
         return {(row, col): v for col, image in enumerate(out) for row, v in image.items()}
 
     space = SuperSpace(tuple(bin(idx // dim_v0).count("1") % 2 for idx in range(dim)))
-    e, f, h = ([SuperMap(space, space, x.parity, matrix(x)) for x in xs]
+    e, f, h = ([SuperMap._of(space, space, x.parity, matrix(x)) for x in xs]
                for xs in sl_generators(rs)[1:])
     return _make_module(rs, space, e, f, h, _kac_name(lam), lam)
 
@@ -708,7 +713,7 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     if d is not None:
         return [SuperMap(U.space, V.space, parity, ent)
                 for ent in _induced_maps(U, d, FactorwiseAction((V,)), parity)]
-    action = FactorwiseAction((V, dual_module(U, check=False)))
+    action = FactorwiseAction((V, U.dual))
     support = sorted(action.indices((0,) * U.rs.rank, parity), key=lambda t: (t % U.dim, t))
     return [SuperMap(U.space, V.space, parity, {divmod(t, U.dim): v for t, v in vec.items()})
             for vec in _killed(action, "ef", support)]

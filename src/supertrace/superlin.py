@@ -16,6 +16,8 @@ and the unit object is literal (no coherence plumbing needed).
 
 The sparse matrix kernels live here: ``mat_mul`` and ``mat_scomm`` work on
 {(row, col): value} dicts, and ``mat_columns`` groups such a dict by column.
+A map keeps its entries grouped by row (``SuperMap.rows``) once it is first read;
+only ``invtensor.pairing_as_composite`` and ``invtensor._endo_of_covector`` read it.
 Every sum of products in the library goes through one accumulate,
 ``_summed``: it adds (key, value) pairs by key and passes the result once
 through ``_nonzero``, which drops the cancelled entries and leaves every value
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exactnum import exact
 
@@ -152,6 +155,10 @@ class SuperMap:
                             ("parity", parity), ("entries", _nonzero(entries))):
             object.__setattr__(m, name, value)
         return m
+
+    @cached_property
+    def rows(self) -> dict[int, list]:  # row -> [(col, value)], built on first read and kept
+        return mat_columns(self.entries, transpose=True)
 
     # -- basic algebra ----------------------------------------------------
 

@@ -764,6 +764,21 @@ class TestFormAdjoint:
         with pytest.raises(ValueError):
             it.form_adjoint(adj, _contraction_insertion(adj), 1, 2)
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), degrees=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           parity=st.sampled_from([0, 1]))
+    def test_random_maps_match_the_map_route(self, adj, data, degrees, parity):
+        # Sparse homogeneous G: g^(x)M -> g^(x)N, on a copy with empty memos and on adj's kept ones.
+        M, N = degrees
+        src, dst = adj.power_space(M).parities, adj.power_space(N).parities
+        keys = data.draw(st.lists(st.tuples(st.integers(0, len(dst) - 1), st.integers(0, len(src) - 1))
+                                  .filter(lambda k: dst[k[0]] == src[k[1]] ^ parity), max_size=12))
+        ent = {k: data.draw(st.fractions(-5, 5, max_denominator=4)) for k in keys}
+        G = sl.SuperMap(adj.power_space(M), adj.power_space(N), parity, ent)
+        want = oracles.adjoint_via_form(adj, G, M, N)
+        assert it.form_adjoint(dataclasses.replace(adj), G, M, N) == want
+        assert it.form_adjoint(adj, G, M, N) == want
+
 
 class TestKeptForm:
     """b~_N kept per degree on AdjointData: the per-tensor walk, the counts, the copies."""
@@ -807,7 +822,7 @@ class TestKeptForm:
             it.dual_coords(fresh, N, random_even_tensor(adj, N, rng))
             it.form_adjoint(fresh, G, 2, 2)
         assert [N for N, of_b in walks if of_b] == [2, 3]
-        assert walks.count((2, False)) == 4  # each form_adjoint still walks b_inv
+        assert [N for N, of_b in walks if not of_b] == [2]  # b~_2^-1 is walked once, then kept
 
     def test_replace_starts_with_empty_memos(self, adj):
         # Filled memos at N = 2 must not reach a copy with b scaled by 2.
@@ -816,6 +831,36 @@ class TestKeptForm:
         scaled = dataclasses.replace(adj, b=2 * adj.b)
         assert it.dual_coords(scaled, 2, t) == {r: 4 * v for r, v in phi.items()}
         assert it.dualizing_map(scaled, 2) == 4 * composite
+
+    def test_replace_starts_without_the_kept_inverse(self, adj):
+        # b~_2^-1 kept on adj must not reach a copy whose b_inv is scaled by 1/2.
+        G = it.permutation_map(adj, 2, (1, 0))
+        Gstar, inverse = it.form_adjoint(adj, G, 2, 2), adj.form_columns(2, inverse=True)
+        scaled = dataclasses.replace(adj, b=2 * adj.b, b_inv=F(1, 2) * adj.b_inv)
+        assert scaled._forms == {} and scaled._composites == {}
+        assert scaled.form_columns(2, inverse=True) == [[(r, v / 4) for r, v in col] for col in inverse]
+        assert it.form_adjoint(scaled, G, 2, 2) == Gstar  # the scales cancel: 4 * 1/4
+
+    def test_second_composite_pairing_does_not_regroup(self, adj, monkeypatch):
+        fresh, group, grouped = dataclasses.replace(adj), sl.mat_columns, []
+        monkeypatch.setattr(sl, "mat_columns", lambda e, **k: grouped.append(e) or group(e, **k))
+        rng = random.Random(8)
+        for _ in range(2):
+            t1, t2 = random_even_tensor(adj, 3, rng), random_even_tensor(adj, 3, rng)
+            assert it.pairing_as_composite(fresh, t1, t2, 3) == it.extended_form(adj, t1, 3, t2, 3)
+        composite = it.dualizing_map(fresh, 3).entries
+        assert sum(e is composite for e in grouped) == 1
+
+    def test_orbit_builds_the_source_row_index_once(self, adj, spaces, monkeypatch):
+        t = spaces[3].elements[0]
+        orbit = [it.sn_action(adj, 3, perm, t) for perm in permutations(range(3))]
+        want = [[it.modified_form(adj, x, y) for y in orbit] for x in orbit]
+        t = dataclasses.replace(t, source=dataclasses.replace(t.source))  # no kept row index yet
+        orbit = [it.sn_action(adj, 3, perm, t) for perm in permutations(range(3))]
+        group, grouped = sl.mat_columns, []
+        monkeypatch.setattr(sl, "mat_columns", lambda e, **k: grouped.append(e) or group(e, **k))
+        assert it.modified_gram(adj, orbit, orbit) == want
+        assert sum(e is t.source.entries for e in grouped) == 1
 
 
 class TestGramsDualizeOncePerColumn:

@@ -1189,3 +1189,31 @@ def test_kac_generators_match_the_commutator_chains(data):
     e, f, h = oracles.kac_generators_by_chains(rs, lam)
     for got, want in zip(K.e + K.f + K.h, e + f + h):
         assert got.parity == want.parity and got.entries == want.entries
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_kac_generators_survive_revalidation(data):
+    # kac_module builds its generators unvalidated; the public constructor must accept each as is.
+    from supertrace.rootdata import build_root_system
+
+    m, n = data.draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    rs = build_root_system("sl", m, n)
+    coords = [data.draw(st.integers(0, _CHAIN_ALGEBRAS[m, n])) for _ in range(rs.rank - 1)]
+    coords.insert(rs.s, data.draw(st.sampled_from(
+        [F(p, q) for q in (2, 3) for p in range(-7, 8) if p % q])))
+    lam = weight(*coords)
+    assume(rm._kac_dim(rs, lam) <= 256)
+    for g in rm.kac_module(rs, lam).gens():
+        assert sl.SuperMap(g.domain, g.codomain, g.parity, g.entries) == g
+
+
+def test_generic_hom_builds_the_dual_once(roster, monkeypatch):
+    U = rm.tensor_module(roster.std, roster.A)  # uncertified: the generic route
+    V = rm.tensor_module(roster.A, roster.std)
+    want = [oracles.hom_by_equations(U, V, p) for p in (0, 1)]
+    built, dual = [], rm.dual_module
+    monkeypatch.setattr(rm, "dual_module", lambda *a, **k: built.append(a[0]) or dual(*a, **k))
+    assert [rm.hom_space(U, V, p) for p in (0, 1)] == want
+    assert rm.hom_space(U, V, 0) == want[0]
+    assert built == [U]
