@@ -32,11 +32,12 @@ from .repmod import (  # hom_space stays bound here for callers that read invten
     FactorwiseAction,
     GModule,
     IdealWitness,
+    _assembled,
     _check_g_linear,
-    _induced_maps,
     _kac_vector,
     _killed,
     _make_module,
+    _replay,
     dual_module,
     hom_space,  # noqa: F401
     sl_generators,
@@ -108,13 +109,10 @@ class AdjointData:
 
     def form_columns(self, N: int, inverse: bool = False) -> list[list]:
         """Column t of b~_N, or of b~_N^-1 = b_inv^(x)N . iota^-1 (iota is its own inverse), as
-        [(r, value)]: the walk of b's or b_inv's partners on the identity, once per degree."""
+        [(r, value)]: the walk of b's or b_inv's partners on every basis tensor, once per degree."""
         if (N, inverse) not in self._forms:
-            n = self.gdim ** N
-            self._forms[N, inverse] = cols = [[] for _ in range(n)]
             partners = _partners(self, self.b_inv if inverse else self.b)
-            for k, v in _partner_walk(self, N, {t * n + t: 1 for t in range(n)}, partners).items():
-                cols[k // n].append((k % n, v))
+            self._forms[N, inverse] = _partner_walk(self, N, partners)
         return self._forms[N, inverse]
 
 
@@ -263,21 +261,20 @@ def _partners(adj: AdjointData, form: SuperMap) -> list[list]:
     return partners
 
 
-def _partner_walk(adj: AdjointData, N: int, coords: dict, partners: list[list]) -> dict:
-    """b~_N (or b_inv's walk) on all columns of a matrix at once, from precomputed partners.
+def _partner_walk(adj: AdjointData, N: int, partners: list[list]) -> list[list]:
+    """b~_N (or b_inv's walk) on every basis tensor t of g^(x)N, from precomputed partners.
 
-    A key k gdim^N + t is the basis tensor t of column k: the walk takes off t's
-    digits, pairs each factor with its Gram partners (b is even, so E_pq meets
-    only E_qp and a Cartan factor only Cartan elements), and the iota chain adds
-    the Koszul sign (-1)^{sum_{i<k} p_i p_k}.
+    Column t as [(r, value)]: the walk takes off t's digits, pairs each factor
+    with its Gram partners (b is even, so E_pq meets only E_qp and a Cartan
+    factor only Cartan elements), and the iota chain adds the Koszul sign
+    (-1)^{sum_{i<k} p_i p_k}.
     """
-    gdim, size = adj.gdim, adj.gdim ** N
+    gdim = adj.gdim
     par = adj.module.space.parities
-    pairs = []
-    for key, coeff in coords.items():
-        col, flat = divmod(key, size)
+    cols = []
+    for t in range(gdim ** N):
         # (index of the partner so far, signed product), last factor first.
-        terms = [(col * size, 1)]
+        terms, flat = [(0, 1)], t
         place = 1
         tail = 0  # parity of the factors after the current one
         for _ in range(N):
@@ -286,8 +283,8 @@ def _partner_walk(adj: AdjointData, N: int, coords: dict, partners: list[list]) 
                      for r, prod in terms for e, v in partners[d]]
             place *= gdim
             tail ^= par[d]
-        pairs += terms if coeff == 1 else [(r, prod * coeff) for r, prod in terms]
-    return sl._summed(pairs)
+        cols.append(list(sl._nonzero(dict(terms)).items()))  # distinct partner tuples: no key repeats
+    return cols
 
 
 def extended_form(
@@ -321,6 +318,8 @@ class PresentedTensor:
     even g-linear map V (x) V* -> g^{(x)N} and witness certifies V.  A tensor moved
     by ``sn_action`` keeps the ``source`` map and adj's signed permutation ``perm``:
     f = P . source is built on first access, and the forms pull back through P.
+    A tensor of ``it_space`` keeps its reciprocity replay instead of ``source``,
+    which is assembled and validated on first read (``SuperMap(...)``) and kept.
     """
 
     degree: int
@@ -333,6 +332,32 @@ class PresentedTensor:
     @property
     def module(self) -> GModule:
         return self.witness.V
+
+    @classmethod
+    def _replayed(cls, degree: int, coords: dict, witness: IdealWitness,
+                  replay: tuple) -> PresentedTensor:
+        """A tensor of ``it_space`` whose ``source`` is assembled on first read from
+        ``replay`` = (images, C, codomain), its reciprocity replay (``repmod._replay``)."""
+        t = object.__new__(cls)
+        vars(t).update(degree=degree, coords=coords, witness=witness, perm=None, adj=None,
+                       _replay=replay)
+        return t
+
+    def __getattr__(self, name: str):
+        # Only ``source`` is ever missing: on a ``_replayed`` tensor, until its first read.
+        if name != "source" or "_replay" not in vars(self):
+            raise AttributeError(name)
+        images, coeffs, codomain = self._replay
+        V = self.witness.V
+        dim, par = V.dim, V.space.parities
+        ent = {}
+        for (row, j), v in _assembled(images, coeffs).items():
+            x, k = divmod(row, dim)
+            ent[(x, j * dim + k)] = -v if par[k] else v
+        source = SuperMap(sl.tensor_space(V.space, sl.dual_space(V.space)), codomain, 0, ent)
+        vars(self)["source"] = source
+        del vars(self)["_replay"]
+        return source
 
     @cached_property
     def f(self) -> SuperMap:
@@ -369,7 +394,10 @@ def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace
     that is f[x, j d + k] = (-1)^{p_k} g[x d + k, j] with d = dim V.  Every
     probe must be a certified Kac module (ValueError otherwise), so the maps
     g come from Frobenius reciprocity on the factorwise action of
-    g^(x)N (x) V; neither side is built as a module.
+    g^(x)N (x) V; neither side is built as a module.  The coordinates
+    t[x] = sum_i (-1)^{p_i} g[x d + i, i], the diagonal that ``presented_tensor``
+    sums, are read off the replay images and word coordinates C of g = images . C
+    (``repmod._replay``); f is assembled only when something reads it.
     """
     codomain = adj.power_space(N)
     raw: list[PresentedTensor] = []
@@ -379,14 +407,16 @@ def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace
         d = _kac_vector(V)
         if d is None:
             raise ValueError(f"probe {V.name} is not a certified Kac module")
-        domain = sl.tensor_space(V.space, sl.dual_space(V.space))
-        target = FactorwiseAction((adj.module,) * N + (V,))
-        for g in _induced_maps(V, d, target, 0):
-            ent = {}
-            for (row, j), v in g.items():
-                x, k = divmod(row, dim)
-                ent[(x, j * dim + k)] = -v if par[k] else v
-            raw.append(presented_tensor(adj, N, w, SuperMap(domain, codomain, 0, ent)))
+        replays, coeffs = _replay(V, d, FactorwiseAction((adj.module,) * N + (V,)), 0)
+        for images in replays:
+            pairs = []
+            for k, image in enumerate(images):
+                for row, u in image.items():
+                    x, i = divmod(row, dim)
+                    c = coeffs.get((k, i))
+                    if c:
+                        pairs.append((x, -u * c if par[i] else u * c))
+            raw.append(PresentedTensor._replayed(N, sl._summed(pairs), w, (images, coeffs, codomain)))
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
     return ITSubspace(N, tuple(independent), tuple(raw))
@@ -398,7 +428,8 @@ def it_sum(
     """Present t1 + lam * t2 through the direct sum of the probe modules.
 
     Requires the two witnesses to share a core module; the presenting map acts
-    blockwise on (V1 (+) V2) (x) (V1 (+) V2)*.
+    blockwise on (V1 (+) V2) (x) (V1 (+) V2)*.  At lam = 0 the V2 block is zero,
+    and t2's map is not read.
     """
     from .repmod import witness_dsum
 
@@ -413,7 +444,7 @@ def it_sum(
     for (row, col), v in t1.f.entries.items():
         i, j = divmod(col, d1)
         ent[(row, i * d + j)] = v
-    for (row, col), v in t2.f.entries.items():
+    for (row, col), v in (t2.f.entries.items() if lam else ()):
         i, j = divmod(col, d2)
         ent[(row, (d1 + i) * d + (d1 + j))] = lam * v
     vv = sl.tensor_space(w.V.space, sl.dual_space(w.V.space))

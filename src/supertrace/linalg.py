@@ -13,10 +13,11 @@ earlier rows that hold it, found through a column -> rows index.
 
 A vector passed to ``add`` carries a tag column -1-k, k being its acceptance
 index.  Row operations act on the tags too, so a reduced row records which
-combination of accepted vectors it is, and ``coords`` reads the combination
-off the tags.  ``nullspace`` inserts its rows untagged, shortest first, and
-reads one kernel vector per free column off the pivot rows.  Both return
-canonical scalars (``exactnum.exact``): ints where whole, else Fractions.
+combination of accepted vectors it is: ``coords`` reads the combination off
+the tags, and ``unit_coords`` every unit vector's off the stored rows.
+``nullspace`` inserts its rows untagged, shortest first, and reads one
+kernel vector per free column off the pivot rows.  All return canonical
+scalars (``exactnum.exact``): ints where whole, else Fractions.
 """
 
 from __future__ import annotations
@@ -110,6 +111,22 @@ class RowReducer:
             raise ValueError("vector is not in the span")
         den = row.pop(-1 - len(self))
         return {-1 - j: ratio(-t, den) for j, t in row.items()}
+
+    def unit_coords(self) -> dict[tuple[int, int], Fraction]:
+        """Each pivot column's unit vector over the accepted vectors, as {(k, j): c}, j ascending.
+
+        No solve: when no stored row holds a free column (ValueError otherwise), the
+        row with pivot j is a e_j plus its tags t_k, so e_j = sum_k (t_k / a) vec_k.
+        """
+        out = {}
+        for j in sorted(self._rows):
+            row = self._rows[j]
+            for c, t in row.items():
+                if c >= 0 and c != j:
+                    raise ValueError("the accepted vectors do not span their columns")
+                if c < 0:
+                    out[(-1 - c, j)] = ratio(t, row[j])
+        return out
 
 
 def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:

@@ -640,18 +640,20 @@ def _singular(K: GModule, d: int, target: FactorwiseAction, parity: int) -> list
                    target.indices(K.highest_weight.a, (K.space.parities[d] + parity) % 2))
 
 
-def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, singular=None):
-    """The g-linear maps K -> target out of the certified Kac module K, as {(row, col): value} dicts.
+def _replay(K: GModule, d: int, target: FactorwiseAction, parity: int, singular=None):
+    """Each singular vector's images of the f-words, and the word coordinates C.
 
-    The map F is fixed by v = F(d), one of ``singular`` (default: all of
-    ``_singular``), and F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in the
-    target the f-words that span K from d, found once per call.  The target
-    is any factorwise action, so a tensor product is never built as a
-    module.
+    A g-linear map F: K -> target out of the certified Kac module K is fixed
+    by v = F(d), one of ``singular`` (default: all of ``_singular``), and
+    F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in the target the f-words
+    that span K from d, found once per call: image k is F(word k).  C[k, j],
+    basis vector j over the words, is read off the word search's rows, so
+    F = images . C (``_assembled``).  The target is any factorwise action, so
+    a tensor product is never built as a module.
     """
     singular = _singular(K, d, target, parity) if singular is None else singular
     if not singular:
-        return []
+        return [], {}
     source = FactorwiseAction((K,))
     reducer = RowReducer()
     reducer.add({d: 1})
@@ -672,17 +674,26 @@ def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, sin
             f"{K.name}: words from the highest weight vector span {len(reducer)} of {K.dim}"
         )
     signs = [-1 if parity and x.parity else 1 for x in K.e]
-    # F = images . coords: image k of word k, and basis vector j's coordinates over the words.
-    coords = {(k, j): c for j in range(K.dim) for k, c in reducer.coords({j: 1}).items()}
-    out = []
+    replays = []
     for v in singular:
         images = [v]
         for k, g in words[1:]:
             image = target.apply("f", g, images[k])
-            images.append({i: signs[g] * c for i, c in image.items()})
-        out.append(sl.mat_mul({(i, k): x for k, image in enumerate(images)
-                               for i, x in image.items()}, coords))
-    return out
+            images.append(image if signs[g] == 1 else {i: -c for i, c in image.items()})
+        replays.append(images)
+    return replays, reducer.unit_coords()
+
+
+def _assembled(images: list[dict], coords: dict) -> dict:
+    """The map F = images . C of a ``_replay``, as {(row, col): value}."""
+    return sl.mat_mul({(i, k): x for k, image in enumerate(images) for i, x in image.items()}, coords)
+
+
+def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, singular=None):
+    """The g-linear maps K -> target out of the certified Kac module K, as {(row, col): value} dicts:
+    each ``_replay`` assembled at once."""
+    replays, coords = _replay(K, d, target, parity, singular)
+    return [_assembled(images, coords) for images in replays]
 
 
 def _parities(parity) -> tuple[int, ...]:
@@ -956,6 +967,13 @@ def save_gmodule(mod: GModule, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_rat(text: str):
+    """A scalar as ``rat_str`` writes it, an int literal or p/q: ValueError otherwise, TypeError
+    for a non-string."""
+    num, slash, den = str.partition(text, "/")
+    return Fraction(int(num), int(den)) if slash else int(num)
+
+
 def load_gmodule(rs: RootSystem, path: str) -> GModule:
     """Load and re-verify a module saved by save_gmodule; corruption raises ModuleIntegrityError."""
     try:
@@ -967,15 +985,14 @@ def load_gmodule(rs: RootSystem, path: str) -> GModule:
         if (header["family"], header["m"], header["n"]) != (rs.family, rs.m, rs.n):
             raise ModuleIntegrityError(f"{path}: module belongs to a different algebra")
         space = SuperSpace(tuple(header["parities"]))
-        weights = tuple(tuple(Fraction(x) for x in wt) for wt in header["weights"])
+        weights = tuple(tuple(map(_read_rat, wt)) for wt in header["weights"])
         hw = header.get("highest_weight")
-        hw = Weight(tuple(Fraction(x) for x in hw)) if hw else None
+        hw = Weight(tuple(map(_read_rat, hw))) if hw else None
         series: dict[str, dict[int, SuperMap]] = {"e": {}, "f": {}, "h": {}}
         for rec in records[1:]:
             if rec["record"] != "generator":
                 raise ModuleIntegrityError(f"{path}: stray record {rec['record']!r}")
-            # Entries are written by rat_str: an int literal when whole.
-            ent = {(i, j): Fraction(v) if "/" in v else int(v) for i, j, v in rec["entries"]}
+            ent = {(i, j): _read_rat(v) for i, j, v in rec["entries"]}
             series[rec["series"]][rec["index"]] = SuperMap(space, space, rec["parity"], ent)
         e = tuple(series["e"][i] for i in range(rs.rank))
         f = tuple(series["f"][i] for i in range(rs.rank))

@@ -16,7 +16,10 @@ where the library writes alpha entry by entry, solves on the factors
 partners, where the library sums the kept columns of b~_N.
 ``kac_generators_by_chains`` commutes each generator through the wedge
 factors of K(lam) chain by chain, where the library writes the generators
-straight from the PBW basis.  Singular vectors,
+straight from the PBW basis.  ``unit_coords_by_solves`` solves for each unit
+vector on its own, where the library reads them all off the reduced rows, and
+``presenting_maps_at_once`` assembles every presenting map of ``it_space``,
+where the library assembles one only when it is read.  Singular vectors,
 submodule dimensions, irreducibility and the double-dual isomorphism are
 computed only here, as checks on the library.  The tests compare the two.
 """
@@ -136,6 +139,29 @@ def it_space_generic(adj, N, probes):
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
     return it.ITSubspace(N, tuple(independent), tuple(raw))
+
+
+def presenting_maps_at_once(adj, N, w):
+    """The presenting maps of ``it_space`` for one probe, each assembled by ``_induced_maps`` and
+    validated: f[x, j d + k] = (-1)^{p_k} g[x d + k, j]."""
+    V = w.V
+    dim, par = V.dim, V.space.parities
+    domain = sl.tensor_space(V.space, sl.dual_space(V.space))
+    target = rm.FactorwiseAction((adj.module,) * N + (V,))
+    maps = []
+    for g in rm._induced_maps(V, rm._kac_vector(V), target, 0):
+        ent = {}
+        for (row, j), v in g.items():
+            x, k = divmod(row, dim)
+            ent[(x, j * dim + k)] = -v if par[k] else v
+        maps.append(sl.SuperMap(domain, adj.power_space(N), 0, ent))
+    return maps
+
+
+def unit_coords_by_solves(reducer, columns):
+    """Each unit vector e_j (j in ``columns``) over the accepted vectors, one ``coords`` solve
+    per unit, as {(k, j): c}."""
+    return {(k, j): c for j in columns for k, c in reducer.coords({j: 1}).items()}
 
 
 def double_dual_iso(V):

@@ -650,6 +650,98 @@ class TestAdjunctionRoute:
                 it.it_space(adj, 2, [roster.wA, w])
 
 
+@pytest.fixture(scope="module")
+def replay_cases(roster, adj, rs31, adj31):
+    """The certified probes of sl(2|1) at degrees 1-3 and sl(3|1) K(0,0,1/2) at degrees 1-2."""
+    K = _sl31_kac(rs31, (0, 0, F(1, 2)))
+    cases = {("sl21", name, N): (adj, getattr(roster, name))
+             for name in ("wA", "wB_via_A", "wD") for N in (1, 2, 3)}
+    cases.update({("sl31", K.name, N): (adj31, rm.trivial_witness(K)) for N in (1, 2)})
+    return cases
+
+
+_REPLAYS = {}
+
+
+def _replay_case(key, adj_, w):
+    """it_space's tensors for one probe, its maps assembled at once, and the replay's word
+    coordinates C with the reducer of the word search they were read from."""
+    if key not in _REPLAYS:
+        N, V = key[2], w.V
+        reducers = []
+
+        class Recording(RowReducer):
+            def __init__(self):
+                super().__init__()
+                reducers.append(self)
+
+        target = rm.FactorwiseAction((adj_.module,) * N + (V,))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rm, "RowReducer", Recording)
+            replays, coeffs = rm._replay(V, rm._kac_vector(V), target, 0)
+        _REPLAYS[key] = (it.it_space(adj_, N, [w]), oracles.presenting_maps_at_once(adj_, N, w),
+                         coeffs, reducers, len(replays))
+    return _REPLAYS[key]
+
+
+class TestDeferredPresentations:
+    """it_space reads coordinates off the replay and assembles a presenting map on first read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_deferred_maps_match_the_assembly_at_once(self, replay_cases, data):
+        key = data.draw(st.sampled_from(sorted(replay_cases)))
+        adj_, w = replay_cases[key]
+        space, eager, coeffs, reducers, count = _replay_case(key, adj_, w)
+        assert len(space.raw) == len(eager) == count
+        if not eager:
+            return
+        i = data.draw(st.integers(0, len(eager) - 1))
+        t, want = space.raw[i], eager[i]
+        # The coordinates are the column sum of the map, read before the map exists.
+        assert t.coords == it.presented_tensor(adj_, key[2], w, want).coords
+        assert t.source == want and list(t.source.entries.items()) == list(want.entries.items())
+        assert t.f is t.source
+        # C is read off the rows of the word search; the oracle solves for each unit vector.
+        (reducer,) = reducers
+        assert len(reducer) == w.V.dim
+        assert list(coeffs.items()) == list(
+            oracles.unit_coords_by_solves(reducer, range(w.V.dim)).items())
+
+    def test_replay_cases_are_not_empty(self, replay_cases):
+        counts = {key: _replay_case(key, *case)[4] for key, case in replay_cases.items()}
+        assert all(counts[("sl21", name, N)] for name in ("wA", "wB_via_A", "wD") for N in (1, 2, 3))
+        assert any(n for key, n in counts.items() if key[0] == "sl31")
+
+    def test_it_space_assembles_only_what_is_read(self, roster, adj, monkeypatch):
+        assemble, calls = it._assembled, []
+        monkeypatch.setattr(it, "_assembled", lambda *a: calls.append(1) or assemble(*a))
+        space = it.it_space(adj, 3, [roster.wA])
+        assert len(space.raw) == 17 and not calls
+        assert all("source" not in vars(t) and "f" not in vars(t) for t in space.raw)
+        t = space.raw[0]
+        first = t.f
+        assert len(calls) == 1 and t.source is first and t.f is first
+        assert len(calls) == 1 and "_replay" not in vars(t)
+        copy = dataclasses.replace(space.raw[1], coords=dict(space.raw[1].coords))
+        assert len(calls) == 2 and copy.source is space.raw[1].source
+        assert all("source" not in vars(u) for u in space.raw[2:])
+        with pytest.raises(AttributeError):
+            space.raw[2].other
+
+    def test_a_tensors_run_assembles_five_of_thirty_three(self, monkeypatch):
+        from supertrace import suites
+
+        assemble, calls, span, spaces = it._assembled, [], it.it_space, []
+        monkeypatch.setattr(it, "_assembled", lambda *a: calls.append(1) or assemble(*a))
+        monkeypatch.setattr(it, "it_space", lambda *a: spaces.append(span(*a)) or spaces[-1])
+        report = suites.run_verification(["tensors"], max_degree=3)
+        assert report["pass"] and report["failed"] == 0
+        # The 3 elements, one duplicate pair's second map and one it_sum partner at lam = 3/2.
+        assert sum(len(space.raw) for space in spaces) == 33
+        assert len(calls) == 5
+
+
 _SL31_KAC = {}
 
 
@@ -811,9 +903,9 @@ class TestKeptForm:
         b_partners = it._partners(adj, adj.b)
         assert b_partners != it._partners(adj, adj.b_inv)
 
-        def counted(a, N, coords, partners):
+        def counted(a, N, partners):
             walks.append((N, partners == b_partners))
-            return walk(a, N, coords, partners)
+            return walk(a, N, partners)
 
         monkeypatch.setattr(it, "_partner_walk", counted)
         rng = random.Random(6)

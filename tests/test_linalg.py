@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from supertrace.linalg import RowReducer, nullspace
 
 # -- reference oracles --------------------------------------------------------
@@ -306,3 +308,36 @@ def test_outputs_are_canonical_and_match_the_fraction_oracle(rows, weights):
     coords = reducer.coords(combo)
     assert coords == oracle.coords(combo)
     assert all(is_canonical(x) for x in coords.values())
+
+
+# -- unit vectors read off the stored rows ---------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), st.lists(st.integers(0, NCOLS - 1), max_size=NCOLS))
+def test_unit_coords_match_per_unit_solves(rows, units):
+    # Rows, then some unit vectors; when every column is spanned, each e_j is read off its row.
+    reducer = RowReducer()
+    accepted = [v for v in [*rows, *({j: 1} for j in units)] if reducer.add(dict(v))]
+    spanned = [j for j in range(NCOLS) if reducer.contains({j: 1})]
+    if len(spanned) < len(reducer):  # some stored row holds a column that is no pivot
+        with pytest.raises(ValueError, match="do not span"):
+            reducer.unit_coords()
+        return
+    got = reducer.unit_coords()
+    assert list(got.items()) == list(oracles.unit_coords_by_solves(reducer, spanned).items())
+    assert all(is_canonical(c) for c in got.values())
+    for j in spanned:
+        combo = {}
+        for k, v in enumerate(accepted):
+            for i, x in v.items():
+                combo[i] = combo.get(i, 0) + got.get((k, j), 0) * x
+        assert {i: x for i, x in combo.items() if x} == {j: 1}
+
+
+def test_unit_coords_of_a_full_basis():
+    reducer = RowReducer()
+    for v in ({0: 2, 1: 1}, {0: 1, 1: 1}, {2: F(1, 3)}):
+        assert reducer.add(v)
+    assert reducer.unit_coords() == {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 2, (2, 2): 3}
+    assert oracles.unit_coords_by_solves(reducer, range(3)) == reducer.unit_coords()

@@ -271,6 +271,29 @@ class TestSerialization:
         with pytest.raises(rm.ModuleIntegrityError, match=rf"\[e_{rs31.s}, f_\d\] relation failed"):
             rm.load_gmodule(rs31, str(path))
 
+    @pytest.mark.parametrize("field", ["weights", "highest_weight"])
+    @pytest.mark.parametrize("bad", ["1.5", "x", "1/2.5", "", 1, "decimal"])
+    def test_weight_that_rat_str_never_writes_is_rejected(self, rs21, K01, tmp_path, field, bad):
+        # Weights are read as the entries are: an int literal or p/q, nothing else, not
+        # even the right value in decimal.
+        path = tmp_path / "k01.jsonl"
+        rm.save_gmodule(K01, str(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        wt = header["weights"][1] if field == "weights" else header["highest_weight"]
+        wt[0] = str(float(F(wt[0]))) if bad == "decimal" else bad
+        path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+        with pytest.raises(rm.ModuleIntegrityError, match="corrupt module record"):
+            rm.load_gmodule(rs21, str(path))
+
+    def test_weights_load_as_written(self, rs31, tmp_path):
+        K = _kac(3, 1, (1, 0, F(1, 2)))
+        path = tmp_path / "k.jsonl"
+        rm.save_gmodule(K, str(path))
+        loaded = rm.load_gmodule(rs31, str(path))
+        assert loaded.basis_weights == K.basis_weights and loaded.highest_weight == K.highest_weight
+        assert any(type(x) is F for wt in loaded.basis_weights for x in wt)
+
     def test_swapped_cache_file_rejected(self, rs21, tmp_path):
         import shutil
 
