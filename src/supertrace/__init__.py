@@ -12,7 +12,6 @@ property as an exact identity.
 
 from .exactnum import (
     HSeries,
-    Rational,
     SeriesValuationError,
     q_bracket,
     q_power,

@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import rat_str
@@ -20,26 +19,9 @@ from .rootdata import AtypicalWeightError, RootDataError, RootSystem, Weight, bu
 
 USAGE_ERROR = 2
 CACHE_ENV = "SUPERTRACE_CACHE_DIR"
-# Degree 5 does not yet finish in bounded memory (its reachable-tensor solve
-# over g^(x)5 (x) V grew past 3.6 GB): refuse it before any work starts.
+# Degree 5 is refused before any work starts: its reachable space (it_space) alone
+# takes about 6 minutes and 1.2 GB, and the degree-5 forms are not measured yet.
 MAX_DEGREE = 4
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters shared by the table commands."""
-
-    family: str
-    dims: tuple[int, ...]
-    weights: list[Weight] = field(default_factory=list)
-    order: int = 8
-    fmt: str = "table"
-
-    @property
-    def algebra_label(self) -> str:
-        if self.family == "sl":
-            return f"sl({self.dims[0]}|{self.dims[1]})"
-        return f"osp(2|{2 * self.dims[0]})"
 
 
 class UsageError(ValueError):
@@ -99,11 +81,13 @@ def _emit_rows(rows: list[dict], headers: list[str], fmt: str, out) -> None:
         out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
-def cmd_root_data(cfg: RunConfig, rs: RootSystem, out) -> int:
-    if cfg.fmt == "json":
+def cmd_root_data(args, rs: RootSystem, out) -> int:
+    if args.format == "json":
         out.write(rs.to_json() + "\n")
         return 0
-    out.write(f"{cfg.algebra_label}: rank {rs.rank}, odd simple root index {rs.s + 1}\n")
+    dims = args.dims
+    label = f"sl({dims[0]}|{dims[1]})" if args.family == "sl" else f"osp(2|{2 * dims[0]})"
+    out.write(f"{label}: rank {rs.rank}, odd simple root index {rs.s + 1}\n")
     out.write("Cartan matrix rows: " + "; ".join(str(list(r)) for r in rs.cartan.a) + "\n")
     out.write("symmetrizers d: " + str(list(rs.cartan.d)) + "\n")
     rows = []
@@ -117,43 +101,44 @@ def cmd_root_data(cfg: RunConfig, rs: RootSystem, out) -> int:
     return 0
 
 
-def cmd_mdim(cfg: RunConfig, rs: RootSystem, out) -> int:
+def cmd_mdim(args, rs: RootSystem, out) -> int:
     rows = []
-    for w in cfg.weights:
+    for w in [_parse_weight(text, rs.rank) for text in args.weight]:
         typical = rs.is_typical(w)
         rows.append({
             "weight": str(w),
             "typical": typical,
             "mdim": rat_str(rs.mod_sdim(w)) if typical else "atypical",
         })
-    _emit_rows(rows, ["weight", "typical", "mdim"], cfg.fmt, out)
+    _emit_rows(rows, ["weight", "typical", "mdim"], args.format, out)
     return 0
 
 
-def cmd_qdim(cfg: RunConfig, rs: RootSystem, out) -> int:
-    if cfg.order < 0:
-        raise UsageError(f"--order must be non-negative, got {cfg.order}")
+def cmd_qdim(args, rs: RootSystem, out) -> int:
+    weights = [_parse_weight(text, rs.rank) for text in args.weight]
+    if args.order < 0:
+        raise UsageError(f"--order must be non-negative, got {args.order}")
     rows = []
-    for w in cfg.weights:
+    for w in weights:
         typical = rs.is_typical(w)
         if typical:
-            series = rs.qmod_sdim(w, cfg.order)
+            series = rs.qmod_sdim(w, args.order)
             coeffs = [rat_str(c) for c in series.coeffs]
         else:
             coeffs = "atypical"
         rows.append({"weight": str(w), "typical": typical, "coefficients": coeffs})
-    _emit_rows(rows, ["weight", "typical", "coefficients"], cfg.fmt, out)
+    _emit_rows(rows, ["weight", "typical", "coefficients"], args.format, out)
     return 0
 
 
-def cmd_scan_typical(cfg: RunConfig, rs: RootSystem, fixed, start, stop, step, out) -> int:
-    others = [p for p in fixed.replace(" ", "").split(",") if p] if fixed else []
+def cmd_scan_typical(args, rs: RootSystem, out) -> int:
+    others = [p for p in args.fixed.replace(" ", "").split(",") if p] if args.fixed else []
     if len(others) != rs.rank - 1:
         raise UsageError(
-            f"--fixed needs the {rs.rank - 1} coordinates other than a_s, got {fixed!r}"
+            f"--fixed needs the {rs.rank - 1} coordinates other than a_s, got {args.fixed!r}"
         )
     fixed_vals = [_parse_rational(p) for p in others]
-    lo, hi, inc = _parse_rational(start), _parse_rational(stop), _parse_rational(step)
+    lo, hi, inc = (_parse_rational(x) for x in (args.start, args.stop, args.step))
     if inc <= 0 or hi < lo:
         raise UsageError("need step > 0 and stop >= start")
     rows = []
@@ -174,7 +159,7 @@ def cmd_scan_typical(cfg: RunConfig, rs: RootSystem, fixed, start, stop, step, o
             "odd_factor_vanishes": pole,
         })
         a_s += inc
-    _emit_rows(rows, ["a_s", "typical", "mdim", "odd_factor_vanishes"], cfg.fmt, out)
+    _emit_rows(rows, ["a_s", "typical", "mdim", "odd_factor_vanishes"], args.format, out)
     summary = {
         "atypical_points": [rat_str(x) for x in atypical],
         "all_integers": all(x.denominator == 1 for x in atypical),
@@ -207,13 +192,7 @@ def cmd_verify(args, out) -> int:
     if args.format == "json":
         out.write(to_json_lines(report) + "\n")
     else:
-        from .report import CheckResult
-
-        results = [
-            CheckResult(c["check"], c["pass"], c["expected"], c["actual"], c["inputs"])
-            for c in report["checks"]
-        ]
-        for line in render_lines(results):
+        for line in render_lines(report["checks"]):
             out.write(line + "\n")
         out.write(f"{report['total']} checks, {report['failed']} failed\n")
     if args.report:
@@ -281,25 +260,11 @@ def main(argv=None, out=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args, out)
-        cfg = RunConfig(
-            family=args.family,
-            dims=tuple(args.dims),
-            fmt=args.format,
-            order=getattr(args, "order", 8),
-        )
-        rs = _build_system(cfg.family, cfg.dims)
-        if args.command == "root-data":
-            return cmd_root_data(cfg, rs, out)
-        if args.command in ("mdim", "qdim"):
-            cfg.weights = [_parse_weight(w, rs.rank) for w in args.weight]
-            return (cmd_mdim if args.command == "mdim" else cmd_qdim)(cfg, rs, out)
-        if args.command == "scan-typical":
-            return cmd_scan_typical(cfg, rs, args.fixed, args.start, args.stop, args.step, out)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except AtypicalWeightError as exc:
+        # The parser accepts only the commands it declares.
+        command = {"root-data": cmd_root_data, "mdim": cmd_mdim, "qdim": cmd_qdim,
+                   "scan-typical": cmd_scan_typical}[args.command]
+        return command(args, _build_system(args.family, args.dims), out)
+    except (UsageError, AtypicalWeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

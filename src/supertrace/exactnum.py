@@ -19,9 +19,6 @@ from fractions import Fraction
 from math import factorial, lcm
 
 
-Rational = Fraction
-
-
 class SeriesValuationError(ArithmeticError):
     """Series division whose leading-zero structure makes the quotient undefined."""
 

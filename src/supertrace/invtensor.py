@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 from . import superlin as sl
 from .exactnum import exact
@@ -171,16 +171,14 @@ def build_adjoint(rs: RootSystem) -> AdjointData:
     if defect:
         raise FormConstructionError(defect)
 
-    # Row k of b^-1 expresses the k-th unit vector over the rows of b.
+    # Row k of b^-1 expresses the k-th unit vector over the rows of b (``unit_coords``).
     reducer = RowReducer()
     for i in range(gdim):
         reducer.add({j: gram[j][i] for j in range(gdim) if gram[j][i]})
     if len(reducer) < gdim:
         raise FormConstructionError("form is degenerate")
-    b_inv = SuperMap(
-        sl.dual_space(space), space, 0,
-        {(k, i): c for k in range(gdim) for i, c in reducer.coords({k: 1}).items()},
-    )
+    b_inv = SuperMap(sl.dual_space(space), space, 0,
+                     {(k, i): c for (i, k), c in reducer.unit_coords().items()})
     return AdjointData(rs, module, tuple(basis), gram, b, b_inv)
 
 
@@ -215,14 +213,6 @@ def invariant_tensors(adj: AdjointData, N: int, cap: int = 4):
     action = FactorwiseAction((adj.module,) * N)
     zero = (0,) * adj.rs.rank
     return tuple(_killed(action, "ef", action.indices(zero, p)) for p in (0, 1))
-
-
-def _digits(flat: int, N: int, gdim: int) -> list[int]:
-    """The factor indices of a basis vector of g^(x)N, first factor first."""
-    digits = [0] * N
-    for pos in range(N - 1, -1, -1):
-        flat, digits[pos] = divmod(flat, gdim)
-    return digits
 
 
 def is_invariant(adj: AdjointData, N: int, coords: dict) -> bool:
@@ -264,25 +254,24 @@ def _partners(adj: AdjointData, form: SuperMap) -> list[list]:
 def _partner_walk(adj: AdjointData, N: int, partners: list[list]) -> list[list]:
     """b~_N (or b_inv's walk) on every basis tensor t of g^(x)N, from precomputed partners.
 
-    Column t as [(r, value)]: the walk takes off t's digits, pairs each factor
-    with its Gram partners (b is even, so E_pq meets only E_qp and a Cartan
-    factor only Cartan elements), and the iota chain adds the Koszul sign
-    (-1)^{sum_{i<k} p_i p_k}.
+    Column t as [(r, value)]: the walk takes off t's digits and pairs each
+    factor with its Gram partners (b is even, so E_pq meets only E_qp and a
+    Cartan factor only Cartan elements); the iota chain's Koszul sign
+    (-1)^{sum_{i<k} p_i p_k} is (-1)^{k(k-1)/2}, k the number of odd factors.
     """
     gdim = adj.gdim
     par = adj.module.space.parities
     cols = []
     for t in range(gdim ** N):
-        # (index of the partner so far, signed product), last factor first.
-        terms, flat = [(0, 1)], t
-        place = 1
-        tail = 0  # parity of the factors after the current one
+        # (index of the partner so far, product), last factor first.
+        terms, flat, place, odd = [(0, 1)], t, 1, 0
         for _ in range(N):
             flat, d = divmod(flat, gdim)
-            terms = [(r + e * place, -prod * v if tail and par[e] else prod * v)
-                     for r, prod in terms for e, v in partners[d]]
+            terms = [(r + e * place, prod * v) for r, prod in terms for e, v in partners[d]]
             place *= gdim
-            tail ^= par[d]
+            odd += par[d]
+        if odd * (odd - 1) // 2 % 2:
+            terms = [(r, -prod) for r, prod in terms]
         cols.append(list(sl._nonzero(dict(terms)).items()))  # distinct partner tuples: no key repeats
     return cols
 
@@ -318,8 +307,8 @@ class PresentedTensor:
     even g-linear map V (x) V* -> g^{(x)N} and witness certifies V.  A tensor moved
     by ``sn_action`` keeps the ``source`` map and adj's signed permutation ``perm``:
     f = P . source is built on first access, and the forms pull back through P.
-    A tensor of ``it_space`` keeps its reciprocity replay instead of ``source``,
-    which is assembled and validated on first read (``SuperMap(...)``) and kept.
+    The tensors of ``it_space`` and ``sn_action`` are ``_deferred``: ``source`` is read on
+    first access and kept (``_replayed_source``, or the ``source`` of the tensor moved).
     """
 
     degree: int
@@ -334,29 +323,20 @@ class PresentedTensor:
         return self.witness.V
 
     @classmethod
-    def _replayed(cls, degree: int, coords: dict, witness: IdealWitness,
-                  replay: tuple) -> PresentedTensor:
-        """A tensor of ``it_space`` whose ``source`` is assembled on first read from
-        ``replay`` = (images, C, codomain), its reciprocity replay (``repmod._replay``)."""
+    def _deferred(cls, degree: int, coords: dict, witness: IdealWitness, build, perm: tuple | None,
+                  adj: AdjointData | None) -> PresentedTensor:
+        """A tensor whose ``source`` is ``build()``, called on its first read and kept."""
         t = object.__new__(cls)
-        vars(t).update(degree=degree, coords=coords, witness=witness, perm=None, adj=None,
-                       _replay=replay)
+        vars(t).update(degree=degree, coords=coords, witness=witness, perm=perm, adj=adj,
+                       _build=build)
         return t
 
     def __getattr__(self, name: str):
-        # Only ``source`` is ever missing: on a ``_replayed`` tensor, until its first read.
-        if name != "source" or "_replay" not in vars(self):
+        # Only ``source`` is ever missing: on a ``_deferred`` tensor, until its first read.
+        if name != "source" or "_build" not in vars(self):
             raise AttributeError(name)
-        images, coeffs, codomain = self._replay
-        V = self.witness.V
-        dim, par = V.dim, V.space.parities
-        ent = {}
-        for (row, j), v in _assembled(images, coeffs).items():
-            x, k = divmod(row, dim)
-            ent[(x, j * dim + k)] = -v if par[k] else v
-        source = SuperMap(sl.tensor_space(V.space, sl.dual_space(V.space)), codomain, 0, ent)
-        vars(self)["source"] = source
-        del vars(self)["_replay"]
+        source = vars(self)["source"] = self._build()
+        del vars(self)["_build"]
         return source
 
     @cached_property
@@ -416,10 +396,23 @@ def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace
                     c = coeffs.get((k, i))
                     if c:
                         pairs.append((x, -u * c if par[i] else u * c))
-            raw.append(PresentedTensor._replayed(N, sl._summed(pairs), w, (images, coeffs, codomain)))
+            raw.append(PresentedTensor._deferred(
+                N, sl._summed(pairs), w, partial(_replayed_source, V, images, coeffs, codomain),
+                None, None))
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
     return ITSubspace(N, tuple(independent), tuple(raw))
+
+
+def _replayed_source(V: GModule, images: list[dict], coeffs: dict, codomain: SuperSpace) -> SuperMap:
+    """The presenting map f[x, j d + k] = (-1)^{p_k} g[x d + k, j] of g = images . C (``_assembled``),
+    validated by ``SuperMap(...)``."""
+    dim, par = V.dim, V.space.parities
+    ent = {}
+    for (row, j), v in _assembled(images, coeffs).items():
+        x, k = divmod(row, dim)
+        ent[(x, j * dim + k)] = -v if par[k] else v
+    return SuperMap(sl.tensor_space(V.space, sl.dual_space(V.space)), codomain, 0, ent)
 
 
 def it_sum(
@@ -602,40 +595,35 @@ def pairing_as_composite(
 # -- symmetric group action and functorial adjoints ------------------------------
 
 
-def _adjacent_swaps(N: int, perm: tuple[int, ...]) -> list[int]:
-    """The slots i whose swaps with i + 1, in this order, bubble-sort perm."""
-    if sorted(perm) != list(range(N)):
-        raise ValueError("not a permutation")
-    current, swaps = list(perm), []
-    for end in range(N - 1, 0, -1):
-        for i in range(end):
-            if current[i] > current[i + 1]:
-                current[i], current[i + 1] = current[i + 1], current[i]
-                swaps.append(i)
-    return swaps
-
-
 def _permuter(adj: AdjointData, N: int, perm: tuple[int, ...]):
     """The signed action of a permutation on basis indices of g^(x)N, memoized.
 
-    ``perm[i]`` is the slot the i-th factor moves to.  Each index takes the
-    adjacent swaps that bubble-sort perm, with the sign (-1)^{p p'} of the
-    super permutation at each: flat -> (index, sign).  The moved indices are
-    kept on ``adj`` per (N, perm), so later calls reuse them.
+    ``perm[i]`` is the slot the i-th factor moves to; ValueError unless perm
+    permutes range(N).  Each factor goes straight into its slot, and the move
+    takes the Koszul sign (-1)^{sum p_i p_j} over the factor pairs i < j that
+    perm reverses: flat -> (index, sign).  The factors are read last first, so
+    an odd factor i meets the odd factors j > i already put into the slots
+    below perm[i].  The moved indices are kept on ``adj`` per (N, perm), so
+    later calls reuse them.
     """
-    swaps = _adjacent_swaps(N, perm)
+    if sorted(perm) != list(range(N)):
+        raise ValueError("not a permutation")
     gdim = adj.gdim
     par = adj.module.space.parities
+    # Per factor, last first: its place in the moved index, and its slot's bit and the bits below.
+    steps = [(gdim ** (N - 1 - slot), 1 << slot, (1 << slot) - 1) for slot in reversed(perm)]
     moved = adj._moved.setdefault((N, tuple(perm)), {})
 
     def move(flat: int) -> tuple[int, int]:
         if flat not in moved:
-            digits, sign = _digits(flat, N, gdim), 1
-            for i in swaps:
-                x, y = digits[i], digits[i + 1]
-                sign = -sign if par[x] and par[y] else sign
-                digits[i], digits[i + 1] = y, x
-            moved[flat] = (sum(d * gdim ** (N - 1 - k) for k, d in enumerate(digits)), sign)
+            index, rest, odd_slots, flips = 0, flat, 0, 0
+            for place, bit, below in steps:
+                rest, d = divmod(rest, gdim)
+                index += d * place
+                if par[d]:
+                    flips += (odd_slots & below).bit_count()
+                    odd_slots |= bit
+            moved[flat] = (index, -1 if flips % 2 else 1)
         return moved[flat]
 
     return move
@@ -663,14 +651,16 @@ def sn_action(
     """Apply a permutation to a presented tensor, keeping a valid presentation.
 
     Only the coordinates take the signed index permutation of ``permutation_map``;
-    t's source map is kept, with perm composed onto t's own (composed[i] = perm[t.perm[i]]).
+    perm is composed onto t's own (composed[i] = perm[t.perm[i]]), and the moved
+    tensor reads t's source map, the same object, on its own first read of ``source``.
     """
     move = _permuter(adj, N, perm)
-    if t.source.codomain.dim != adj.gdim ** N:
+    if t.degree != N:
         raise ValueError(f"tensor of degree {t.degree} under a permutation of {N} slots")
     composed = tuple(perm) if t.perm is None else tuple(perm[s] for s in t.perm)
     coords = sl._nonzero(_permuted(move, t.coords.items()))
-    return PresentedTensor(N, coords, t.source, t.witness, composed, adj)
+    return PresentedTensor._deferred(N, coords, t.witness, partial(getattr, t, "source"),
+                                     composed, adj)
 
 
 def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:

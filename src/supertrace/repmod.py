@@ -160,13 +160,13 @@ def _make_module(rs, space, e, f, h, name, hw=None, check=True) -> GModule:
 # -- basic constructions -----------------------------------------------------
 
 
-def trivial_module(rs: RootSystem, parity: int = 0, check: bool = True) -> GModule:
-    space = SuperSpace((parity,))
+def trivial_module(rs: RootSystem, check: bool = True) -> GModule:
+    """The even one-dimensional module C(1|0) on which every generator acts by 0."""
+    space = SuperSpace((0,))
     zero = [sl.zero_map(space, space, 1 if i == rs.s else 0) for i in range(rs.rank)]
     zeroh = [sl.zero_map(space, space) for _ in range(rs.rank)]
-    name = "C(1|0)" if parity == 0 else "C(0|1)"
-    hw = Weight((Fraction(0),) * rs.rank) if parity == 0 else None
-    return _make_module(rs, space, zero, zero, zeroh, name, hw, check)
+    return _make_module(rs, space, zero, zero, zeroh, "C(1|0)", Weight((Fraction(0),) * rs.rank),
+                        check)
 
 
 def sl_generators(rs: RootSystem):
@@ -195,15 +195,17 @@ def standard_module(rs: RootSystem) -> GModule:
     return _make_module(rs, *sl_generators(rs), f"std({rs.m}|{rs.n})", hw)
 
 
+def _derived(mods: tuple[GModule, ...], space: SuperSpace, act, name: str, hw, check: bool) -> GModule:
+    """The module on ``space`` whose i-th e, f and h are ``act`` of the i-th e, f and h of ``mods``."""
+    return _make_module(mods[0].rs, space,
+                        *([act(*xs) for xs in zip(*(getattr(M, kind) for M in mods))]
+                          for kind in "efh"), name, hw, check)
+
+
 def dual_module(V: GModule, check: bool = True) -> GModule:
     """Dual action x.phi = -(-1)^{p(x)p(phi)} phi . x (antipode is negation)."""
-    space = sl.dual_space(V.space)
-    dualize = lambda x: -1 * sl.super_transpose(x)
-    return _make_module(
-        V.rs, space,
-        [dualize(x) for x in V.e], [dualize(x) for x in V.f], [dualize(x) for x in V.h],
-        f"({V.name})*", None, check,
-    )
+    return _derived((V,), sl.dual_space(V.space), lambda x: -1 * sl.super_transpose(x),
+                    f"({V.name})*", None, check)
 
 
 def tensor_module(V: GModule, W: GModule, check: bool = True) -> GModule:
@@ -211,17 +213,13 @@ def tensor_module(V: GModule, W: GModule, check: bool = True) -> GModule:
     if V.rs != W.rs:
         raise ValueError("tensor factors must live over the same algebra")
     idv, idw = sl.identity(V.space), sl.identity(W.space)
-    act = lambda xv, xw: sl.tensor_map(xv, idw) + sl.tensor_map(idv, xw)
-    return _make_module(
-        V.rs, sl.tensor_space(V.space, W.space),
-        [act(a, b) for a, b in zip(V.e, W.e)],
-        [act(a, b) for a, b in zip(V.f, W.f)],
-        [act(a, b) for a, b in zip(V.h, W.h)],
-        f"{V.name}(x){W.name}", None, check,
-    )
+    return _derived((V, W), sl.tensor_space(V.space, W.space),
+                    lambda xv, xw: sl.tensor_map(xv, idw) + sl.tensor_map(idv, xw),
+                    f"{V.name}(x){W.name}", None, check)
 
 
 def direct_sum_module(V: GModule, W: GModule, check: bool = True) -> GModule:
+    """Block-diagonal action on V (+) W, W's indices after V's."""
     if V.rs != W.rs:
         raise ValueError("direct summands must live over the same algebra")
     space = SuperSpace(V.space.parities + W.space.parities)
@@ -229,17 +227,10 @@ def direct_sum_module(V: GModule, W: GModule, check: bool = True) -> GModule:
 
     def block(a: SuperMap, b: SuperMap) -> SuperMap:
         ent = dict(a.entries)
-        for (i, j), v in b.entries.items():
-            ent[(i + dv, j + dv)] = v
+        ent.update({(i + dv, j + dv): v for (i, j), v in b.entries.items()})
         return SuperMap(space, space, a.parity, ent)
 
-    return _make_module(
-        V.rs, space,
-        [block(a, b) for a, b in zip(V.e, W.e)],
-        [block(a, b) for a, b in zip(V.f, W.f)],
-        [block(a, b) for a, b in zip(V.h, W.h)],
-        f"{V.name}(+){W.name}", None, check,
-    )
+    return _derived((V, W), space, block, f"{V.name}(+){W.name}", None, check)
 
 
 def parity_shift_module(V: GModule, check: bool = True) -> GModule:
@@ -250,16 +241,9 @@ def parity_shift_module(V: GModule, check: bool = True) -> GModule:
     weight is kept, so op K(lam) is certified with an odd d.
     """
     space, _ = sl.parity_shift(V.space)
-
-    def shift(x: SuperMap) -> SuperMap:
-        ent = {k: (-v if x.parity else v) for k, v in x.entries.items()}
-        return SuperMap(space, space, x.parity, ent)
-
-    return _make_module(
-        V.rs, space,
-        [shift(x) for x in V.e], [shift(x) for x in V.f], [shift(x) for x in V.h],
-        f"op({V.name})", V.highest_weight, check,
-    )
+    shift = lambda x: SuperMap(space, space, x.parity,
+                               {k: -v if x.parity else v for k, v in x.entries.items()})
+    return _derived((V,), space, shift, f"op({V.name})", V.highest_weight, check)
 
 
 def sigma_map(V: GModule) -> SuperMap:
@@ -286,12 +270,13 @@ def _weyl_dim(lam: list[int]) -> int:
 
 
 def _gl_simple_module(k: int, amu: tuple[int, ...]):
-    """All gl(k) matrix-unit actions on the simple module with sl-weight amu.
+    """The off-diagonal gl(k) matrix-unit actions on the simple module with sl-weight amu.
 
     Returns (dim, units, weights) where units[(a, b)] is the sparse matrix of
-    E_ab in the generated basis and weights[v] is the gl-weight (occupation
-    vector) of basis vector v.  Realized inside (C^k)^{(x) d} by generating
-    from the column-antisymmetrized highest weight vector.
+    E_ab (a != b) in the generated basis and weights[v] is the gl-weight
+    (occupation vector) of basis vector v, which gives the diagonal E_aa.
+    Realized inside (C^k)^{(x) d} by generating from the column-antisymmetrized
+    highest weight vector.
     """
     lam = [sum(amu[i:]) for i in range(k - 1)] + [0]
 
@@ -339,17 +324,16 @@ def _gl_simple_module(k: int, amu: tuple[int, ...]):
         weights.append(tuple(sum(1 for d in t if d == a) for a in range(k)))
 
     units: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-    for a in range(k):
-        for b in range(k):
-            ent: dict[tuple[int, int], Fraction] = {}
-            for col, vec in enumerate(basis):
-                image = unit_apply(a, b, vec)
-                if not image:
-                    continue
-                for row, v in reducer.coords(flatten(image)).items():
-                    if v:
-                        ent[(row, col)] = v
-            units[(a, b)] = ent
+    for a, b in permutations(range(k), 2):  # E_aa acts through the weights (``_kac_even_part``)
+        ent: dict[tuple[int, int], Fraction] = {}
+        for col, vec in enumerate(basis):
+            image = unit_apply(a, b, vec)
+            if not image:
+                continue
+            for row, v in reducer.coords(flatten(image)).items():
+                if v:
+                    ent[(row, col)] = v
+        units[(a, b)] = ent
     return dim, units, weights
 
 
@@ -631,7 +615,7 @@ def _kac_vector(U: GModule) -> int | None:
 
 
 def _singular(K: GModule, d: int, target: FactorwiseAction, parity: int) -> list[dict]:
-    """The vectors v = F(d) that fix the g-linear maps F: K -> target (``_induced_maps``).
+    """The vectors v = F(d) that fix the g-linear maps F: K -> target (``_replay``).
 
     Frobenius reciprocity: the target's weight-mu vectors of parity p(d) + p(F) killed by
     every e_i.
@@ -689,13 +673,6 @@ def _assembled(images: list[dict], coords: dict) -> dict:
     return sl.mat_mul({(i, k): x for k, image in enumerate(images) for i, x in image.items()}, coords)
 
 
-def _induced_maps(K: GModule, d: int, target: FactorwiseAction, parity: int, singular=None):
-    """The g-linear maps K -> target out of the certified Kac module K, as {(row, col): value} dicts:
-    each ``_replay`` assembled at once."""
-    replays, coords = _replay(K, d, target, parity, singular)
-    return [_assembled(images, coords) for images in replays]
-
-
 def _parities(parity) -> tuple[int, ...]:
     """(parity,) for 0 or 1, both for None; ValueError for anything else."""
     if parity not in (0, 1, None):
@@ -722,8 +699,8 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
         raise ValueError("morphisms require modules over the same algebra")
     d = _kac_vector(U)
     if d is not None:
-        return [SuperMap(U.space, V.space, parity, ent)
-                for ent in _induced_maps(U, d, FactorwiseAction((V,)), parity)]
+        replays, coords = _replay(U, d, FactorwiseAction((V,)), parity)
+        return [SuperMap(U.space, V.space, parity, _assembled(images, coords)) for images in replays]
     action = FactorwiseAction((V, U.dual))
     support = sorted(action.indices((0,) * U.rs.rank, parity), key=lambda t: (t % U.dim, t))
     return [SuperMap(U.space, V.space, parity, {divmod(t, U.dim): v for t, v in vec.items()})
@@ -875,7 +852,8 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
         raise WitnessNotFoundError(f"no splitting of {V.name} through {V0.name} with W = V0* (x) V")
     a = SuperMap(sl.tensor_space(V0.space, W.space), V.space, 0,
                  {(k, t + k): Fraction(s, c) for t, s in ev for k in range(dv)})
-    b = SuperMap(V.space, a.domain, 0, _induced_maps(V, d, action, 0, [v])[0])
+    (images,), coords = _replay(V, d, action, 0, [v])
+    b = SuperMap(V.space, a.domain, 0, _assembled(images, coords))
     return make_witness(V, V0, W, a, b)
 
 

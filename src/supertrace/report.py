@@ -79,12 +79,10 @@ def report_dict(
     }
 
 
-def render_lines(results: list[CheckResult]) -> list[str]:
-    lines = []
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{mark}] {r.check_id}: expected {r.expected}, got {r.actual}")
-    return lines
+def render_lines(checks: list[dict]) -> list[str]:
+    """One line per row of a report's ``checks`` (``CheckResult.to_dict``)."""
+    return [f"[{'PASS' if c['pass'] else 'FAIL'}] {c['check']}: "
+            f"expected {c['expected']}, got {c['actual']}" for c in checks]
 
 
 def to_json_lines(report: dict) -> str:

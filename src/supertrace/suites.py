@@ -75,8 +75,8 @@ def build_roster(cache_dir: str | None = None) -> Roster:
     )
 
 
-def _rand_frac(rng: random.Random, lo=-6, hi=6) -> Fraction:
-    num = rng.randint(lo, hi)
+def _rand_frac(rng: random.Random) -> Fraction:
+    num = rng.randint(-6, 6)
     den = rng.randint(1, 4)
     return Fraction(num, den)
 

@@ -217,9 +217,9 @@ def zero_map(U: SuperSpace, V: SuperSpace, parity: int = EVEN) -> SuperMap:
     return SuperMap(U, V, parity, {})
 
 
-def column_map(V: SuperSpace, coords: dict, parity: int = EVEN) -> SuperMap:
-    """A map from the unit object k picking out the vector ``coords`` in V."""
-    return SuperMap(UNIT, V, parity, {(i, 0): v for i, v in coords.items() if v})
+def column_map(V: SuperSpace, coords: dict) -> SuperMap:
+    """The even map from the unit object k picking out the vector ``coords`` in V."""
+    return SuperMap(UNIT, V, EVEN, {(i, 0): v for i, v in coords.items() if v})
 
 
 def scalar_of(m: SuperMap) -> Fraction:

@@ -19,9 +19,12 @@ factors of K(lam) chain by chain, where the library writes the generators
 straight from the PBW basis.  ``unit_coords_by_solves`` solves for each unit
 vector on its own, where the library reads them all off the reduced rows, and
 ``presenting_maps_at_once`` assembles every presenting map of ``it_space``,
-where the library assembles one only when it is read.  Singular vectors,
-submodule dimensions, irreducibility and the double-dual isomorphism are
-computed only here, as checks on the library.  The tests compare the two.
+where the library assembles one only when it is read.  ``sn_action_map``
+composes the adjacent super swaps that bubble-sort a permutation, where the
+library puts each factor straight into its slot with a closed-form sign.
+Singular vectors, submodule dimensions, irreducibility and the double-dual
+isomorphism are computed only here, as checks on the library.  The tests
+compare the two.
 """
 
 from fractions import Fraction
@@ -142,16 +145,17 @@ def it_space_generic(adj, N, probes):
 
 
 def presenting_maps_at_once(adj, N, w):
-    """The presenting maps of ``it_space`` for one probe, each assembled by ``_induced_maps`` and
-    validated: f[x, j d + k] = (-1)^{p_k} g[x d + k, j]."""
+    """The presenting maps of ``it_space`` for one probe, every replay of ``_replay`` assembled
+    at once and validated: f[x, j d + k] = (-1)^{p_k} g[x d + k, j]."""
     V = w.V
     dim, par = V.dim, V.space.parities
     domain = sl.tensor_space(V.space, sl.dual_space(V.space))
     target = rm.FactorwiseAction((adj.module,) * N + (V,))
     maps = []
-    for g in rm._induced_maps(V, rm._kac_vector(V), target, 0):
+    replays, coords = rm._replay(V, rm._kac_vector(V), target, 0)
+    for images in replays:
         ent = {}
-        for (row, j), v in g.items():
+        for (row, j), v in rm._assembled(images, coords).items():
             x, k = divmod(row, dim)
             ent[(x, j * dim + k)] = -v if par[k] else v
         maps.append(sl.SuperMap(domain, adj.power_space(N), 0, ent))
@@ -180,11 +184,25 @@ def invert_diag(m):
     return sl.SuperMap(m.codomain, m.domain, m.parity, ent)
 
 
+def _adjacent_swaps(N, perm):
+    """The slots i whose swaps with i + 1, in this order, bubble-sort perm."""
+    if sorted(perm) != list(range(N)):
+        raise ValueError("not a permutation")
+    current, swaps = list(perm), []
+    for end in range(N - 1, 0, -1):
+        for i in range(end):
+            if current[i] > current[i + 1]:
+                current[i], current[i + 1] = current[i + 1], current[i]
+                swaps.append(i)
+    return swaps
+
+
 def sn_action_map(adj, N, perm):
-    """The signed permutation action on g^(x)N, composed from adjacent super permutations."""
+    """The signed permutation action on g^(x)N, composed from the adjacent super permutations
+    that bubble-sort perm."""
     g = adj.module.space
     out = sl.identity(adj.power_space(N))
-    for i in it._adjacent_swaps(N, perm):
+    for i in _adjacent_swaps(N, perm):
         left = adj.power_space(i) if i else sl.UNIT
         right = adj.power_space(N - i - 2) if N - i - 2 else sl.UNIT
         swap = reduce(sl.tensor_map,
@@ -234,7 +252,8 @@ def power_action_apply(adj, N, gen, coords):
     out = {}
     for flat, c in coords.items():
         lead_parity = 0
-        for pos, d in enumerate(it._digits(flat, N, gdim)):
+        digits = [flat // gdim ** (N - 1 - k) % gdim for k in range(N)]
+        for pos, d in enumerate(digits):
             sign = -1 if (gen.parity and lead_parity % 2) else 1
             place = gdim ** (N - 1 - pos)
             for i, v in by_col.get(d, ()):

@@ -722,12 +722,26 @@ class TestDeferredPresentations:
         t = space.raw[0]
         first = t.f
         assert len(calls) == 1 and t.source is first and t.f is first
-        assert len(calls) == 1 and "_replay" not in vars(t)
+        assert len(calls) == 1 and "_build" not in vars(t)
         copy = dataclasses.replace(space.raw[1], coords=dict(space.raw[1].coords))
         assert len(calls) == 2 and copy.source is space.raw[1].source
         assert all("source" not in vars(u) for u in space.raw[2:])
         with pytest.raises(AttributeError):
             space.raw[2].other
+
+    def test_moving_a_raw_tensor_assembles_nothing(self, roster, adj, monkeypatch):
+        assemble, calls = it._assembled, []
+        monkeypatch.setattr(it, "_assembled", lambda *a: calls.append(1) or assemble(*a))
+        t = next(u for u in it.it_space(adj, 3, [roster.wA]).raw if u.coords)
+        once = it.sn_action(adj, 3, (1, 2, 0), t)
+        twice = it.sn_action(adj, 3, (1, 0, 2), once)
+        assert not calls and all("source" not in vars(u) for u in (t, once, twice))
+        # The first read of a moved source is the input's own map, so the orbit shares one row index.
+        source = twice.source
+        assert len(calls) == 1 and source is once.source is t.source
+        assert all("_build" not in vars(u) for u in (t, once, twice))
+        expected = _sn_action_oracle(adj, 3, (0, 2, 1), t)
+        assert twice.perm == (0, 2, 1) and (twice.coords, twice.f) == (expected.coords, expected.f)
 
     def test_a_tensors_run_assembles_five_of_thirty_three(self, monkeypatch):
         from supertrace import suites
@@ -824,6 +838,19 @@ def _casimir_insertion(adj):
     return sl.tensor_map(cas, sl.identity(adj.module.space))
 
 
+class TestClosedFormSigns:
+    """_permuter puts each factor straight into its slot with one Koszul sign; the oracle
+    composes the adjacent super swaps that bubble-sort the permutation."""
+
+    @pytest.mark.parametrize("algebra, N", [("sl21", 4), ("sl31", 1), ("sl31", 2), ("sl31", 3)])
+    def test_every_permutation_matches_the_adjacent_swaps(self, adj, adj31, algebra, N):
+        fresh = dataclasses.replace(adj if algebra == "sl21" else adj31)  # no kept moves
+        for perm in permutations(range(N)):
+            move = it._permuter(fresh, N, perm)
+            want = oracles.sn_action_map(fresh, N, perm).entries
+            assert {(move(c)[0], c): move(c)[1] for c in range(fresh.gdim ** N)} == want
+
+
 class TestFormAdjoint:
     @settings(max_examples=15, deadline=None)
     @given(st.data())
@@ -851,6 +878,17 @@ class TestFormAdjoint:
         G = it.permutation_map(adj, 2, (1, 0))
         scaled = dataclasses.replace(adj, b=2 * adj.b)
         assert it.form_adjoint(scaled, G, 2, 2) == 4 * it.form_adjoint(adj, G, 2, 2)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_a_sparse_degree_four_map_matches_the_map_route(self, adj, parity):
+        rng, par = random.Random(40 + parity), adj.power_space(4).parities
+        ent = {}
+        while len(ent) < 12:
+            r, c = rng.randrange(len(par)), rng.randrange(len(par))
+            if par[r] == par[c] ^ parity:
+                ent[(r, c)] = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+        G = sl.SuperMap(adj.power_space(4), adj.power_space(4), parity, ent)
+        assert it.form_adjoint(adj, G, 4, 4) == oracles.adjoint_via_form(adj, G, 4, 4)
 
     def test_shape_mismatch_raises(self, adj):
         with pytest.raises(ValueError):

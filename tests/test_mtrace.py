@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -219,13 +220,16 @@ class TestBracketContraction:
             f = rand_combination(basis, rng)
         else:  # not g-linear: both forms must agree on the scalar or both raise
             f = rand_map(rng, w.V.space, w.V.space, parity)
-        try:
-            want = _bracket_by_composite(f, w)
-        except mt.BracketError:
-            with pytest.raises(mt.BracketError):
-                mt.bracket(f, w, check=False)
-            return
-        assert mt.bracket(f, w, check=False) == want
+        # The contraction alone is compared: g-linearity is not checked (a patch, not a fixture,
+        # since hypothesis reruns the body).
+        with mock.patch.object(mt, "_check_g_linear", return_value=True):
+            try:
+                want = _bracket_by_composite(f, w)
+            except mt.BracketError:
+                with pytest.raises(mt.BracketError):
+                    mt.bracket(f, w)
+                return
+            assert mt.bracket(f, w) == want
 
 
 def _bracket_tables_uncached(w):
@@ -267,17 +271,18 @@ class TestBracketTablesKeptPerWitness:
 
     def test_values_equal_the_uncached_route(self, witnesses):
         rng = random.Random(17)
-        for w in witnesses:
-            for parity in (0, 1):
-                for f in rm.hom_space(w.V, w.V, parity) + [rand_map(rng, w.V.space, w.V.space, parity)]:
-                    f = rand_combination([f], rng)
-                    try:
-                        want = _bracket_uncached(f, w)
-                    except mt.BracketError:
-                        with pytest.raises(mt.BracketError):
-                            mt.bracket(f, w, check=False)
-                        continue
-                    assert mt.bracket(f, w, check=False) == want == _bracket_by_composite(f, w)
+        with mock.patch.object(mt, "_check_g_linear", return_value=True):  # the contraction alone
+            for w in witnesses:
+                for parity in (0, 1):
+                    for f in rm.hom_space(w.V, w.V, parity) + [rand_map(rng, w.V.space, w.V.space, parity)]:
+                        f = rand_combination([f], rng)
+                        try:
+                            want = _bracket_uncached(f, w)
+                        except mt.BracketError:
+                            with pytest.raises(mt.BracketError):
+                                mt.bracket(f, w)
+                            continue
+                        assert mt.bracket(f, w) == want == _bracket_by_composite(f, w)
 
     def test_tables_are_built_once_per_witness(self, witnesses, monkeypatch):
         calls = []

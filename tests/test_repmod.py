@@ -711,7 +711,7 @@ class TestReciprocityRoute:
         def no_route(*args):
             raise AssertionError("the reciprocity route ran on an uncertified module")
 
-        monkeypatch.setattr(rm, "_induced_maps", no_route)
+        monkeypatch.setattr(rm, "_replay", no_route)
         for U in negatives:
             assert rm._kac_vector(U) is None
             assert (rm.hom_space(U, U, 0), rm.hom_space(U, roster.std, 1)) == expected[id(U)]
