@@ -9,7 +9,9 @@ An incoming row is reduced only against the pivot rows whose pivot columns
 it touches; the stored rows are fully reduced, so one pass clears every pivot
 column.  If anything is left, its pivot is the entry of smallest magnitude
 (ties go to the larger column), and that column is then eliminated from the
-earlier rows that hold it, found through a column -> rows index.
+earlier rows that hold it, found through a column -> rows index.  Since
+a . old - b . row can gain or lose a column only where the new row has one,
+the index of each updated row is refreshed over the new row's columns alone.
 
 A vector passed to ``add`` carries a tag column -1-k, k being its acceptance
 index.  Row operations act on the tags too, so a reduced row records which
@@ -42,7 +44,7 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict
     """Clear ``col`` from ``row`` with a multiple of ``pivot_row``."""
     g = gcd(pivot_row[col], row[col])
     a, b = pivot_row[col] // g, row[col] // g
-    out = {j: a * v for j, v in row.items()}
+    out = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
     for j, v in pivot_row.items():
         w = out.get(j, 0) - b * v
         if w:
@@ -82,12 +84,12 @@ class RowReducer:
         for q in self._holders.pop(pc, ()):
             old = self._rows[q]
             new = self._rows[q] = _eliminate(old, row, pc)
-            for j in old.keys() - new.keys():
-                if j >= 0 and j != pc:
-                    self._holders[j].discard(q)
-            for j in new.keys() - old.keys():
-                if j >= 0:
+            # In a old - b row a column appears or cancels only where row has one.
+            for j in free:
+                if j in new:
                     self._holders.setdefault(j, set()).add(q)
+                elif j in old and j != pc:
+                    self._holders[j].discard(q)
         self._rows[pc] = row
         for j in free:
             if j != pc:

@@ -26,11 +26,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, permutations
 from math import lcm
+from operator import add
 
 from . import superlin as sl
 from .exactnum import cleared, exact, rat_str, ratio
@@ -111,9 +113,11 @@ class GModule:
 
 
 def verify_relations(mod: GModule) -> None:
-    """Exact check of all Chevalley relations; raises ModuleRelationError.
+    """Exact check of the Cartan and [e_i, f_j] relations; raises ModuleRelationError.
 
-    Once every h_i is checked to be diagonal with the basis weights,
+    Checked: each h_i is diagonal with the basis weights, [h_i, x_j] = +-a_ij x_j
+    and [e_i, f_j] = delta_ij h_i.  No Serre-type relation is checked, not even
+    [e_s, e_s] = 0 for the odd isotropic simple root.  Once every h_i is diagonal,
     [h_i, x_j] = +-a_ij x_j says exactly that each nonzero entry (a, b) of
     e_j (f_j) moves the weight by +a_j (-a_j): (w_a - w_b)_i = +-a_ij.  The
     diagonal h_i commute with each other.  [e_i, f_j] = delta_ij h_i is checked in
@@ -516,12 +520,17 @@ class FactorwiseAction:
         L *= den
         return {k: v if L == 1 else ratio(v, L) for k, v in out.items() if v}
 
-    def _scaled(self, kind: str, i: int, vec: dict[int, int]) -> tuple[dict[int, int], int]:
-        """``kind``_i on an int vector: L times the image in ints, zeros kept, and L."""
+    def _scaled(self, kind: str, i: int, vec: dict[int, int], out: dict[int, int] | None = None,
+                mult: int = 1) -> tuple[dict[int, int], int]:
+        """``kind``_i on an int vector: L times the image in ints, zeros kept, and L.
+
+        The image times ``mult`` is added into ``out`` (a new dict by default).
+        """
         steps, L = self._factor_steps(kind, i)
         odd = kind != "h" and self.gen_parity[i]
-        out: dict[int, int] = {}
+        out = {} if out is None else out
         for flat, c in vec.items():
+            c *= mult
             # lead: the parity of the factors left of pos, the whole parity peeled from the right.
             lead = 0
             if odd:
@@ -642,16 +651,27 @@ def _replay(K: GModule, d: int, target: FactorwiseAction, parity: int, singular=
     reducer = RowReducer()
     reducer.add({d: 1})
     vecs, words = [{d: 1}], [None]
+    # Word k lies in the weight space of depth lam - wt = depths[k]; f_g steps it by
+    # Cartan column g, and a word whose weight space is already spanned is not tried.
+    lam, steps = K.basis_weights[d], list(zip(*K.rs.cartan.a))
+    room = Counter(tuple(int(a - b) for a, b in zip(lam, wt)) for wt in K.basis_weights)
+    depths = [(0,) * K.rs.rank]
+    spanned = Counter(depths)
     frontier = [0]
     while frontier and len(reducer) < K.dim:
         nxt = []
         for k in frontier:
             for g in range(K.rs.rank):
+                depth = tuple(map(add, depths[k], steps[g]))
+                if spanned[depth] == room[depth]:
+                    continue
                 image = source.apply("f", g, vecs[k])
                 if image and reducer.add(image):
                     nxt.append(len(vecs))
                     vecs.append(image)
                     words.append((k, g))
+                    depths.append(depth)
+                    spanned[depth] += 1
         frontier = nxt
     if len(reducer) != K.dim:
         raise ModuleRelationError(
@@ -760,30 +780,30 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
     """Whether m: src -> dst satisfies m . x = (-1)^{p(m) p(x)} x . m for every generator.
 
     Each side is a module or a tuple of factors (ValueError unless m runs between their
-    spaces), acting factor by factor, so no product module or matrix is built: m . x is
-    the transposed action of src on all rows of m at once (row i at offset i * dim src),
-    and x . m the action of dst on all its columns (column j at offset j * dim dst).
-    Only the e_i and f_i are checked: on modules with verified relations
-    [e_i, f_i] = h_i, and a map that commutes with e_i and f_i (with the signs
-    above) commutes with their super-commutator.  The check is homogeneous in m:
-    it runs on m cleared to ints and compares L_dst (m . x) with L_src (x . m).
+    spaces), acting factor by factor, so no product module or matrix is built.  m is keyed
+    once, row-major (i * dim src + j): m . x is the transposed action of src on that vector,
+    and x . m the action of dst on the same vector, dst's places scaled by dim src.  Only
+    the e_i and f_i are checked: on modules with verified relations [e_i, f_i] = h_i, and a
+    map that commutes with e_i and f_i (with the signs above) commutes with their
+    super-commutator.  The check is homogeneous in m: it runs on m cleared to ints and
+    adds L_dst (m . x) and -(-1)^{p(m) p(x)} L_src (x . m) into one sum, which must vanish.
     """
     src, dst = (s if isinstance(s, tuple) else (s,) for s in (src, dst))
     if (m.domain, m.codomain) != tuple(reduce(sl.tensor_space, (M.space for M in side))
                                        for side in (src, dst)):
         raise ValueError("map does not run between the spaces of src and dst")
+    ds = m.domain.dim
     on_rows, on_cols = FactorwiseAction(src, transpose=True), FactorwiseAction(dst)
-    ds, dd = m.domain.dim, m.codomain.dim
+    on_cols.places = [p * ds for p in on_cols.places]  # dst acts on the i of i * ds + j
     ent, _ = cleared(m.entries)
-    rows = {i * ds + j: v for (i, j), v in ent.items()}
-    cols = {j * dd + i: v for (i, j), v in ent.items()}
+    keyed = {i * ds + j: v for (i, j), v in ent.items()}
     for kind in "ef":
         for g in range(on_rows.rs.rank):
             sign = -1 if m.parity and on_rows.gen_parity[g] else 1
-            lhs, l_src = on_rows._scaled(kind, g, rows)
-            rhs, l_dst = on_cols._scaled(kind, g, cols)
-            if ({divmod(t, ds): l_dst * v for t, v in lhs.items() if v}
-                    != {divmod(t, dd)[::-1]: sign * l_src * v for t, v in rhs.items() if v}):
+            l_src, l_dst = on_rows._factor_steps(kind, g)[1], on_cols._factor_steps(kind, g)[1]
+            total, _ = on_rows._scaled(kind, g, keyed, mult=l_dst)
+            on_cols._scaled(kind, g, keyed, total, -sign * l_src)
+            if any(total.values()):
                 return False
     return True
 

@@ -16,7 +16,13 @@ where the library writes alpha entry by entry, solves on the factors
 partners, where the library sums the kept columns of b~_N.
 ``kac_generators_by_chains`` commutes each generator through the wedge
 factors of K(lam) chain by chain, where the library writes the generators
-straight from the PBW basis.  ``unit_coords_by_solves`` solves for each unit
+straight from the PBW basis.  ``g_linear_two_sided`` acts on m's rows and on a
+column-major copy and compares the re-keyed images, where the library adds both
+sides into one sum over one keying of m.  ``replay_unskipped`` tries every
+f_g on every new word, where the library skips words whose weight space is
+already spanned.  ``SetDifferenceRowReducer`` refreshes the column index of
+each updated row from whole key-set differences, where the library looks only
+at the new pivot row's columns.  ``unit_coords_by_solves`` solves for each unit
 vector on its own, where the library reads them all off the reduced rows, and
 ``presenting_maps_at_once`` assembles every presenting map of ``it_space``,
 where the library assembles one only when it is read.  ``sn_action_map``
@@ -34,7 +40,8 @@ from itertools import product
 from supertrace import invtensor as it
 from supertrace import repmod as rm
 from supertrace import superlin as sl
-from supertrace.linalg import RowReducer, nullspace
+from supertrace.exactnum import cleared
+from supertrace.linalg import RowReducer, _eliminate, nullspace
 
 
 def hom_by_equations(U, V, parity):
@@ -75,6 +82,87 @@ def g_linear_by_products(m, src, dst):
         if m @ xs != sign * (xd @ m):
             return False
     return True
+
+
+def g_linear_two_sided(m, src, dst):
+    """``repmod._check_g_linear`` with each side on its own vector: m . x over m's rows,
+    x . m over a column-major copy, both re-keyed to (i, j) and compared as dicts."""
+    src, dst = (s if isinstance(s, tuple) else (s,) for s in (src, dst))
+    if (m.domain, m.codomain) != tuple(reduce(sl.tensor_space, (M.space for M in side))
+                                       for side in (src, dst)):
+        raise ValueError("map does not run between the spaces of src and dst")
+    on_rows, on_cols = rm.FactorwiseAction(src, transpose=True), rm.FactorwiseAction(dst)
+    ds, dd = m.domain.dim, m.codomain.dim
+    ent, _ = cleared(m.entries)
+    rows = {i * ds + j: v for (i, j), v in ent.items()}
+    cols = {j * dd + i: v for (i, j), v in ent.items()}
+    for kind in "ef":
+        for g in range(on_rows.rs.rank):
+            sign = -1 if m.parity and on_rows.gen_parity[g] else 1
+            lhs, l_src = on_rows._scaled(kind, g, rows)
+            rhs, l_dst = on_cols._scaled(kind, g, cols)
+            if ({divmod(t, ds): l_dst * v for t, v in lhs.items() if v}
+                    != {divmod(t, dd)[::-1]: sign * l_src * v for t, v in rhs.items() if v}):
+                return False
+    return True
+
+
+def replay_unskipped(K, d, target, parity, singular=None):
+    """``repmod._replay`` with the word search trying every f_g on every new word."""
+    singular = rm._singular(K, d, target, parity) if singular is None else singular
+    if not singular:
+        return [], {}
+    source = rm.FactorwiseAction((K,))
+    reducer = RowReducer()
+    reducer.add({d: 1})
+    vecs, words = [{d: 1}], [None]
+    frontier = [0]
+    while frontier and len(reducer) < K.dim:
+        nxt = []
+        for k in frontier:
+            for g in range(K.rs.rank):
+                image = source.apply("f", g, vecs[k])
+                if image and reducer.add(image):
+                    nxt.append(len(vecs))
+                    vecs.append(image)
+                    words.append((k, g))
+        frontier = nxt
+    assert len(reducer) == K.dim
+    signs = [-1 if parity and x.parity else 1 for x in K.e]
+    replays = []
+    for v in singular:
+        images = [v]
+        for k, g in words[1:]:
+            image = target.apply("f", g, images[k])
+            images.append(image if signs[g] == 1 else {i: -c for i, c in image.items()})
+        replays.append(images)
+    return replays, reducer.unit_coords()
+
+
+class SetDifferenceRowReducer(RowReducer):
+    """``RowReducer`` whose ``_insert`` refreshes each updated row's column index from the
+    two whole key-set differences of its old and new row."""
+
+    def _insert(self, row):
+        row = self._reduce(row)
+        free = [j for j in row if j >= 0]
+        if not free:
+            return False
+        pc = min(free, key=lambda j: (abs(row[j]), -j))
+        for q in self._holders.pop(pc, ()):
+            old = self._rows[q]
+            new = self._rows[q] = _eliminate(old, row, pc)
+            for j in old.keys() - new.keys():
+                if j >= 0 and j != pc:
+                    self._holders[j].discard(q)
+            for j in new.keys() - old.keys():
+                if j >= 0:
+                    self._holders.setdefault(j, set()).add(q)
+        self._rows[pc] = row
+        for j in free:
+            if j != pc:
+                self._holders.setdefault(j, set()).add(pc)
+        return True
 
 
 def ideal_witness_by_modules(V, V0):

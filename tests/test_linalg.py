@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from supertrace import linalg
 from supertrace.linalg import RowReducer, nullspace
 
 # -- reference oracles --------------------------------------------------------
@@ -341,3 +343,24 @@ def test_unit_coords_of_a_full_basis():
         assert reducer.add(v)
     assert reducer.unit_coords() == {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 2, (2, 2): 3}
     assert oracles.unit_coords_by_solves(reducer, range(3)) == reducer.unit_coords()
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.lists(st.integers(0, NCOLS - 1), max_size=NCOLS))
+def test_index_updates_leave_the_set_difference_state(rows, units):
+    # A row stream, then unit vectors: the same rows, index, unit coordinates and kernel.
+    new, old = RowReducer(), oracles.SetDifferenceRowReducer()
+    for v in [*rows, *({j: 1} for j in units)]:
+        assert new.add(dict(v)) == old.add(dict(v))
+        assert new._rows == old._rows and new._holders == old._holders
+    try:
+        want = old.unit_coords()
+    except ValueError:
+        with pytest.raises(ValueError, match="do not span"):
+            new.unit_coords()
+    else:
+        assert list(new.unit_coords().items()) == list(want.items())
+    with patch.object(linalg, "RowReducer", oracles.SetDifferenceRowReducer):
+        want = nullspace([dict(r) for r in rows], NCOLS)
+    got = nullspace([dict(r) for r in rows], NCOLS)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]

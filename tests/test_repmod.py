@@ -659,6 +659,39 @@ class TestReciprocityRoute:
             assert parity is None or fmap.parity == parity
             assert rm._check_g_linear(fmap, U, V)
 
+    @pytest.mark.parametrize("m, n, coords", [(2, 1, (1, F(1, 2))), (2, 1, (0, 1)),
+                                              (3, 1, (1, 0, F(-2, 3))), (3, 2, (0, 0, F(1, 3), 1))])
+    def test_skipping_spanned_weight_spaces_keeps_the_words(self, m, n, coords):
+        # Replayed into K itself from d, image k is word k of the search; C is read off its rows.
+        K = _kac(m, n, coords)
+        d = rm._kac_vector(K)
+        std = rm.standard_module(K.rs)
+        for target, parity, singular in ((rm.FactorwiseAction((K,)), 0, [{d: 1}]),
+                                         (rm.FactorwiseAction((K, std)), 0, None),
+                                         (rm.FactorwiseAction((std, K)), 1, None)):
+            got = rm._replay(K, d, target, parity, singular)
+            assert got == oracles.replay_unskipped(K, d, target, parity, singular)
+            if singular:
+                assert len(got[0][0]) == K.dim
+
+    def test_the_word_search_skips_spanned_weight_spaces(self, monkeypatch):
+        K = _kac(3, 1, (1, 0, F(-2, 3)))
+        d = rm._kac_vector(K)
+        counts = {"f": 0}
+        real = rm.FactorwiseAction.apply
+
+        def counted(self, kind, i, vec):
+            counts[kind] = counts.get(kind, 0) + 1
+            return real(self, kind, i, vec)
+
+        monkeypatch.setattr(rm.FactorwiseAction, "apply", counted)
+        rm._replay(K, d, rm.FactorwiseAction((K,)), 0, [{d: 1}])
+        skipped = counts["f"]
+        counts["f"] = 0
+        oracles.replay_unskipped(K, d, rm.FactorwiseAction((K,)), 0, [{d: 1}])
+        # The replay applies K.dim - 1 words either way; only the search differs.
+        assert skipped < counts["f"]
+
     def test_kac_domain_and_codomain_in_a_witness(self, roster):
         # The alpha maps land in the certified module by the generic route,
         # the beta maps leave it by reciprocity.
@@ -863,7 +896,20 @@ class TestFactorwiseGLinearity:
             m = m + data.draw(st.sampled_from([1, -2, F(1, 3)])) * basis_map
         if mutate:
             m = _mutant(data, m)
-        assert rm._check_g_linear(m, src, dst) == oracles.g_linear_by_products(m, U, V)
+        verdict = rm._check_g_linear(m, src, dst)
+        assert verdict == oracles.g_linear_by_products(m, U, V) == oracles.g_linear_two_sided(m, src, dst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), parity=st.sampled_from([0, 1]))
+    def test_random_sparse_maps_agree_with_both_oracles(self, rs21, data, parity):
+        # Mostly not g-linear: a few random entries of one parity, or none (the zero map is).
+        (src, U), (dst, V) = (data.draw(st.sampled_from(_sides(rs21))) for _ in "UV")
+        assume(U.dim * V.dim <= 2048)
+        m = sl.zero_map(U.space, V.space, parity)
+        for _ in range(data.draw(st.integers(0, 3))):
+            m = _mutant(data, m)
+        verdict = rm._check_g_linear(m, src, dst)
+        assert verdict == oracles.g_linear_by_products(m, U, V) == oracles.g_linear_two_sided(m, src, dst)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -874,8 +920,11 @@ class TestFactorwiseGLinearity:
         for m, src, dst, U, V in ((w.alpha, (w.V0, w.W), w.V, V0W, w.V),
                                   (w.beta, w.V, (w.V0, w.W), w.V, V0W)):
             assert rm._check_g_linear(m, src, dst) and oracles.g_linear_by_products(m, U, V)
+            assert oracles.g_linear_two_sided(m, src, dst)
             bad = _mutant(data, m)
-            assert rm._check_g_linear(bad, src, dst) == oracles.g_linear_by_products(bad, U, V)
+            verdict = rm._check_g_linear(bad, src, dst)
+            assert verdict == oracles.g_linear_by_products(bad, U, V)
+            assert verdict == oracles.g_linear_two_sided(bad, src, dst)
 
     @pytest.mark.parametrize("case", ["Id_V", "Id_V0", "alpha", "coev"])
     @settings(max_examples=8, deadline=None)
@@ -888,6 +937,7 @@ class TestFactorwiseGLinearity:
         bad = _mutant(data, m, deltas=(F(1, 7),))
         assert not rm._check_g_linear(bad, src, dst)
         assert not oracles.g_linear_by_products(bad, U, V)
+        assert not oracles.g_linear_two_sided(bad, src, dst)
 
     def test_odd_maps_on_both_sides_of_a_tensor_product(self, rs21):
         A, std = _kac(2, 1, (0, 1)), rm.standard_module(rs21)
