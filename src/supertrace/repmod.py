@@ -653,8 +653,10 @@ def _replay(K: GModule, d: int, target: FactorwiseAction, parity: int, singular=
     vecs, words = [{d: 1}], [None]
     # Word k lies in the weight space of depth lam - wt = depths[k]; f_g steps it by
     # Cartan column g, and a word whose weight space is already spanned is not tried.
+    # lam - wt is integral on the weights of K, so each b shares the denominator of its a.
     lam, steps = K.basis_weights[d], list(zip(*K.rs.cartan.a))
-    room = Counter(tuple(int(a - b) for a, b in zip(lam, wt)) for wt in K.basis_weights)
+    room = Counter(tuple((a.numerator - b.numerator) // a.denominator for a, b in zip(lam, wt))
+                   for wt in K.basis_weights)
     depths = [(0,) * K.rs.rank]
     spanned = Counter(depths)
     frontier = [0]
