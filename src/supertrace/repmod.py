@@ -522,10 +522,8 @@ class FactorwiseAction:
 
     def _scaled(self, kind: str, i: int, vec: dict[int, int], out: dict[int, int] | None = None,
                 mult: int = 1) -> tuple[dict[int, int], int]:
-        """``kind``_i on an int vector: L times the image in ints, zeros kept, and L.
-
-        The image times ``mult`` is added into ``out`` (a new dict by default).
-        """
+        """``kind``_i on an int vector: mult L times the image in ints, zeros kept, added into
+        ``out`` (a new dict by default), and L."""
         steps, L = self._factor_steps(kind, i)
         odd = kind != "h" and self.gen_parity[i]
         out = {} if out is None else out

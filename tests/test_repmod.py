@@ -663,16 +663,16 @@ class TestReciprocityRoute:
                                               (3, 1, (1, 0, F(-2, 3))), (3, 2, (0, 0, F(1, 3), 1))])
     def test_skipping_spanned_weight_spaces_keeps_the_words(self, m, n, coords):
         # Replayed into K itself from d, image k is word k of the search; C is read off its rows.
+        # Hom(K, K (x) std (x) std*) holds the coevaluation, Hom(K, op K) the odd sigma.
         K = _kac(m, n, coords)
         d = rm._kac_vector(K)
         std = rm.standard_module(K.rs)
         for target, parity, singular in ((rm.FactorwiseAction((K,)), 0, [{d: 1}]),
-                                         (rm.FactorwiseAction((K, std)), 0, None),
-                                         (rm.FactorwiseAction((std, K)), 1, None)):
+                                         (rm.FactorwiseAction((K, std, rm.dual_module(std))), 0, None),
+                                         (rm.FactorwiseAction((rm.parity_shift_module(K),)), 1, None)):
             got = rm._replay(K, d, target, parity, singular)
-            assert got == oracles.replay_unskipped(K, d, target, parity, singular)
-            if singular:
-                assert len(got[0][0]) == K.dim
+            assert got[0] and got == oracles.replay_unskipped(K, d, target, parity, singular)
+            assert all(len(images) == K.dim for images in got[0])
 
     def test_the_word_search_skips_spanned_weight_spaces(self, monkeypatch):
         K = _kac(3, 1, (1, 0, F(-2, 3)))
