@@ -35,11 +35,11 @@ from .repmod import (  # hom_space stays bound here for callers that read invten
     _assembled,
     _check_g_linear,
     _kac_vector,
-    _killed,
     _make_module,
     _replay,
     dual_module,
     hom_space,  # noqa: F401
+    invariant_vectors,
     sl_generators,
     tensor_module,
 )
@@ -155,7 +155,7 @@ def build_adjoint(rs: RootSystem) -> AdjointData:
         return SuperMap(space, space, x.parity, ent)
 
     name = f"adj({rs.m}|{rs.n})"
-    module = _make_module(rs, space, *([ad_map(x) for x in xs] for xs in (e, f, h)), name)
+    module = _make_module(rs, space, *([ad_map(x) for x in xs] for xs in (e, f)), name)
 
     def str_of(mat: dict) -> Fraction:
         return sum(-v if par[p] else v for (p, q), v in mat.items() if p == q)
@@ -210,9 +210,7 @@ def invariant_tensors(adj: AdjointData, N: int, cap: int = 4):
     """
     if N > cap:
         raise ValueError(f"degree {N} exceeds the configured cap {cap}")
-    action = FactorwiseAction((adj.module,) * N)
-    zero = (0,) * adj.rs.rank
-    return tuple(_killed(action, "ef", action.indices(zero, p)) for p in (0, 1))
+    return tuple(invariant_vectors((adj.module,) * N, p) for p in (0, 1))
 
 
 def is_invariant(adj: AdjointData, N: int, coords: dict) -> bool:

@@ -1,18 +1,23 @@
 """Explicit finite-dimensional sl(m|n)-modules and morphism machinery.
 
-A module is a tuple of generator matrices (e_i, f_i, h_i as SuperMaps) on a
-based super-space.  The h_i act diagonally, and the basis weights are read
-off their diagonals in one place (``_make_module``); the matrices of the
-defining representation are written once (``sl_generators``), and the
-standard, Kac and adjoint modules are built from them.  Every constructor
-verifies the Chevalley relations
+A module is its generator matrices e_i and f_i (SuperMaps) on a based
+super-space.  The h_i are not stored: h_i = [e_i, f_i] acts diagonally, and the
+basis weights are read off those diagonals in one place
+(``GModule.basis_weights``).  The matrices of the defining representation are
+written once (``sl_generators``), and the standard, Kac and adjoint modules
+are built from them.  ``verify_relations`` checks the Chevalley relations
 
     [e_i, f_j] = delta_ij h_i,   [h_i, e_j] = a_ij e_j,
     [h_i, f_j] = -a_ij f_j,      [h_i, h_j] = 0,
 
 exactly (the [e_i, f_j] relations as super-commutators in ints, the [h_i, x_j]
-ones as weight gaps of the entries of x_j) and aborts on failure, so a module
-object is always a certified representation of the generator algebra.
+ones as weight gaps of the entries of x_j) and aborts on failure.  The
+constructors run it unless built with ``check=False``, and ``load_gmodule``
+always does; such a module is a certified representation of the generator
+algebra.  A ``check=False`` build (the witness closures, ``GModule.dual``,
+``AdjointData.power``, the dual in ``form_defect``) is not: its e_i and f_i
+are a construction's action on its parts, a representation when the parts
+are, but nothing checks them.
 
 Kac modules for typical dominant weights are induced from the even part: the
 simple gl(m) x gl(n) module V0 with the matching highest weight is built
@@ -40,7 +45,7 @@ from .linalg import RowReducer, nullspace
 from .rootdata import AtypicalWeightError, RootSystem, Weight
 from .superlin import SuperMap, SuperSpace
 
-CONSTRUCTION_VERSION = 1
+CONSTRUCTION_VERSION = 2
 
 
 class ModuleRelationError(AssertionError):
@@ -62,20 +67,19 @@ class WitnessNotFoundError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GModule:
-    """Generator matrices on a based super-space with recorded basis weights.
+    """The generator matrices e_i and f_i on a based super-space.
 
-    A recorded ``highest_weight`` is that of a basis vector generating the module.
+    The h_i and the basis weights are derived from them (``basis_weights``).  A recorded
+    ``highest_weight`` is that of a basis vector generating the module.
     """
 
     rs: RootSystem
     space: SuperSpace
     e: tuple[SuperMap, ...]
     f: tuple[SuperMap, ...]
-    h: tuple[SuperMap, ...]
-    basis_weights: tuple[tuple[Fraction, ...], ...]
     name: str = ""
     highest_weight: Weight | None = None
-    # (kind, i) -> ``cleared``; verify_relations fills every e_i and f_i.
+    # (kind, i) -> ``cleared``; basis_weights fills every e_i and f_i.
     _cleared: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -89,8 +93,32 @@ class GModule:
     def gens(self) -> tuple[SuperMap, ...]:
         return self.e + self.f + self.h
 
-    def weight(self, i: int) -> tuple[Fraction, ...]:
-        return self.basis_weights[i]
+    @cached_property
+    def basis_weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Weight a: the diagonal entries (a, a) of [e_i, f_i] = e_i f_i - (-1)^{p(e_i)} f_i e_i,
+        read in ints off the kept tables of ``cleared``; ``verify_relations`` certifies them.
+
+        Entry f_i[k, a] meets e_i[a, k] alone on the diagonal: at a in e_i f_i, at k in f_i e_i.
+        """
+        diags = []
+        for i, x in enumerate(self.e):
+            (e, de), (f, df) = self.cleared("e", i)[:2], self.cleared("f", i)[:2]
+            sign = 1 if x.parity else -1
+            diag = [0] * self.dim
+            for (k, a), v in f.items():
+                if u := e.get((a, k)):
+                    diag[a] += u * v
+                    diag[k] += sign * u * v
+            frac = {t: Fraction(t, de * df) for t in set(diag)}  # one Fraction per value
+            diags.append([frac[t] for t in diag])
+        return tuple(zip(*diags))
+
+    @property
+    def h(self) -> tuple[SuperMap, ...]:
+        """The h_i = [e_i, f_i]: the diagonal maps of the ``basis_weights``."""
+        return tuple(SuperMap(self.space, self.space, 0, {(a, a): w[i] for a, w in
+                                                         enumerate(self.basis_weights)})
+                     for i in range(self.rs.rank))
 
     @cached_property
     def exact_weights(self) -> list[tuple]:
@@ -115,20 +143,17 @@ class GModule:
 def verify_relations(mod: GModule) -> None:
     """Exact check of the Cartan and [e_i, f_j] relations; raises ModuleRelationError.
 
-    Checked: each h_i is diagonal with the basis weights, [h_i, x_j] = +-a_ij x_j
-    and [e_i, f_j] = delta_ij h_i.  No Serre-type relation is checked, not even
-    [e_s, e_s] = 0 for the odd isotropic simple root.  Once every h_i is diagonal,
-    [h_i, x_j] = +-a_ij x_j says exactly that each nonzero entry (a, b) of
-    e_j (f_j) moves the weight by +a_j (-a_j): (w_a - w_b)_i = +-a_ij.  The
-    diagonal h_i commute with each other.  [e_i, f_j] = delta_ij h_i is checked in
-    ints on the kept tables of ``GModule.cleared``, both products in one sum:
-    [den_e e_i, den_f f_j] = delta_ij den_e den_f h_i.
+    The h_i are the diagonal maps of ``GModule.basis_weights``, read off the diagonals of
+    the [e_i, f_i], so they commute with each other.  Checked: [h_i, x_j] = +-a_ij x_j, which
+    for diagonal h_i says exactly that each nonzero entry (a, b) of e_j (f_j) moves the weight
+    by +a_j (-a_j): (w_a - w_b)_i = +-a_ij; then [e_i, f_j] = delta_ij h_i, so [e_i, f_i] has
+    no entry off the diagonal.  Diagonal h_i with these relations exist exactly when both
+    checks pass.  [e_i, f_j] is checked in ints on the kept tables of ``GModule.cleared``,
+    both products in one sum: [den_e e_i, den_f f_j] = delta_ij den_e den_f h_i.  No
+    Serre-type relation is checked, not even [e_s, e_s] = 0 for the odd isotropic simple root.
     """
     rs, r = mod.rs, mod.rs.rank
-    for i, hm in enumerate(mod.h):
-        if hm.entries != {(a, a): w[i] for a, w in enumerate(mod.basis_weights) if w[i]}:
-            raise ModuleRelationError(f"{mod.name}: h_{i} is not diagonal with the basis weights")
-    # The weight gaps in ints: coordinate i of every basis weight cleared over dens[i].
+    # The weights in ints: coordinate i of every basis weight cleared over dens[i].
     scaled, dens = zip(*(cleared(dict(enumerate(w[i] for w in mod.basis_weights)))
                          for i in range(r)))
     for j in range(r):
@@ -142,7 +167,9 @@ def verify_relations(mod: GModule) -> None:
         e, de, e_cols = mod.cleared("e", i)[:3]
         for j, y in enumerate(mod.f):
             f, df, f_cols = mod.cleared("f", j)[:3]
-            want = {a * dim + b: de * df * v for (a, b), v in mod.h[i].entries.items()} if i == j else {}
+            # den_e den_f w_a[i] in ints: dens[i], the lcm of the denominators, divides den_e den_f.
+            want = ({a * (dim + 1): v * (de * df // dens[i]) for a, v in scaled[i].items() if v}
+                    if i == j else {})
             # e f - (-1)^{p(e) p(f)} f e in one accumulate, each product over its left factor's columns.
             sign = 1 if x.parity and y.parity else -1
             terms = chain(((a * dim + b, u * v) for (k, b), v in f.items() for a, u in e_cols.get(k, ())),
@@ -152,10 +179,8 @@ def verify_relations(mod: GModule) -> None:
                 raise ModuleRelationError(f"{mod.name}: [e_{i}, f_{j}] relation failed")
 
 
-def _make_module(rs, space, e, f, h, name, hw=None, check=True) -> GModule:
-    """A module with its basis weights read off the diagonals of the h_i."""
-    weights = tuple(tuple(Fraction(x.entry(a, a)) for x in h) for a in range(space.dim))
-    mod = GModule(rs, space, tuple(e), tuple(f), tuple(h), weights, name, hw)
+def _make_module(rs, space, e, f, name, hw=None, check=True) -> GModule:
+    mod = GModule(rs, space, tuple(e), tuple(f), name, hw)
     if check:
         verify_relations(mod)
     return mod
@@ -168,9 +193,7 @@ def trivial_module(rs: RootSystem, check: bool = True) -> GModule:
     """The even one-dimensional module C(1|0) on which every generator acts by 0."""
     space = SuperSpace((0,))
     zero = [sl.zero_map(space, space, 1 if i == rs.s else 0) for i in range(rs.rank)]
-    zeroh = [sl.zero_map(space, space) for _ in range(rs.rank)]
-    return _make_module(rs, space, zero, zero, zeroh, "C(1|0)", Weight((Fraction(0),) * rs.rank),
-                        check)
+    return _make_module(rs, space, zero, zero, "C(1|0)", Weight((Fraction(0),) * rs.rank), check)
 
 
 def sl_generators(rs: RootSystem):
@@ -196,14 +219,14 @@ def standard_module(rs: RootSystem) -> GModule:
     """The defining sl(m|n)-module C^{m|n} with elementary-matrix generators."""
     # Its highest weight vector is the first basis vector, seen only by h_0.
     hw = Weight((Fraction(1),) + (Fraction(0),) * (rs.rank - 1))
-    return _make_module(rs, *sl_generators(rs), f"std({rs.m}|{rs.n})", hw)
+    return _make_module(rs, *sl_generators(rs)[:3], f"std({rs.m}|{rs.n})", hw)
 
 
 def _derived(mods: tuple[GModule, ...], space: SuperSpace, act, name: str, hw, check: bool) -> GModule:
-    """The module on ``space`` whose i-th e, f and h are ``act`` of the i-th e, f and h of ``mods``."""
+    """The module on ``space`` whose i-th e and f are ``act`` of the i-th e and f of ``mods``."""
     return _make_module(mods[0].rs, space,
                         *([act(*xs) for xs in zip(*(getattr(M, kind) for M in mods))]
-                          for kind in "efh"), name, hw, check)
+                          for kind in "ef"), name, hw, check)
 
 
 def dual_module(V: GModule, check: bool = True) -> GModule:
@@ -446,9 +469,9 @@ def kac_module(rs: RootSystem, lam: Weight) -> GModule:
         return {(row, col): v for col, image in enumerate(out) for row, v in image.items()}
 
     space = SuperSpace(tuple(bin(idx // dim_v0).count("1") % 2 for idx in range(dim)))
-    e, f, h = ([SuperMap._of(space, space, x.parity, matrix(x)) for x in xs]
-               for xs in sl_generators(rs)[1:])
-    return _make_module(rs, space, e, f, h, _kac_name(lam), lam)
+    e, f = ([SuperMap._of(space, space, x.parity, matrix(x)) for x in xs]
+            for xs in sl_generators(rs)[1:3])
+    return _make_module(rs, space, e, f, _kac_name(lam), lam)
 
 
 def _kac_name(lam: Weight) -> str:
@@ -507,7 +530,7 @@ class FactorwiseAction:
         return self._steps[key]
 
     def apply(self, kind: str, i: int, vec: dict) -> dict[int, Fraction]:
-        """``kind``_i ("e", "f" or "h") on a sparse vector; key b * dim + k is vector k of block b.
+        """``kind``_i ("e" or "f") on a sparse vector; key b * dim + k is vector k of block b.
 
         The positions are visited last factor first, so on V (x) U* the moves
         in U* come before those in V, in the order of the entrywise Hom
@@ -525,7 +548,7 @@ class FactorwiseAction:
         """``kind``_i on an int vector: mult L times the image in ints, zeros kept, added into
         ``out`` (a new dict by default), and L."""
         steps, L = self._factor_steps(kind, i)
-        odd = kind != "h" and self.gen_parity[i]
+        odd = self.gen_parity[i]
         out = {} if out is None else out
         for flat, c in vec.items():
             c *= mult
@@ -727,10 +750,14 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
             for vec in _killed(action, "ef", support)]
 
 
-def invariant_vectors(V: GModule, parity: int | None = None) -> list[dict[int, Fraction]]:
-    """A basis of the vectors killed by every generator, as sparse columns."""
-    action = FactorwiseAction((V,))
-    zero = (0,) * V.rs.rank
+def invariant_vectors(V, parity: int | None = None) -> list[dict[int, Fraction]]:
+    """A basis of the vectors killed by every generator, as sparse columns.
+
+    V is a module or a tuple of factors, acting factor by factor on the basis of their
+    ``tensor_space``, so no product module is built.
+    """
+    action = FactorwiseAction(V if isinstance(V, tuple) else (V,))
+    zero = (0,) * action.rs.rank
     return [vec for p in _parities(parity)
             for vec in _killed(action, "ef", action.indices(zero, p))]
 
@@ -921,43 +948,17 @@ def witness_parity_shift(w: IdealWitness) -> IdealWitness:
 
 
 def save_gmodule(mod: GModule, path: str) -> None:
-    """Write a module as versioned JSON lines (header then one generator per line)."""
-    lines = [
-        json.dumps(
-            {
-                "record": "module",
-                "version": CONSTRUCTION_VERSION,
-                "name": mod.name,
-                "family": mod.rs.family,
-                "m": mod.rs.m,
-                "n": mod.rs.n,
-                "parities": list(mod.space.parities),
-                "weights": [[rat_str(x) for x in wt] for wt in mod.basis_weights],
-                "highest_weight": (
-                    [rat_str(x) for x in mod.highest_weight.a]
-                    if mod.highest_weight
-                    else None
-                ),
-            },
-            sort_keys=True,
-        )
-    ]
-    for series, maps in (("e", mod.e), ("f", mod.f), ("h", mod.h)):
-        for idx, m in enumerate(maps):
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "generator",
-                        "series": series,
-                        "index": idx,
-                        "parity": m.parity,
-                        "entries": [
-                            [i, j, rat_str(v)] for (i, j), v in sorted(m.entries.items())
-                        ],
-                    },
-                    sort_keys=True,
-                )
-            )
+    """Write a module as versioned JSON lines: a header, then one line per e_i and f_i."""
+    hw = mod.highest_weight
+    header = {"record": "module", "version": CONSTRUCTION_VERSION, "name": mod.name,
+              "family": mod.rs.family, "m": mod.rs.m, "n": mod.rs.n,
+              "parities": list(mod.space.parities),
+              "highest_weight": [rat_str(x) for x in hw.a] if hw else None}
+    lines = [json.dumps(header, sort_keys=True)] + [
+        json.dumps({"record": "generator", "series": series, "index": idx, "parity": m.parity,
+                    "entries": [[i, j, rat_str(v)] for (i, j), v in sorted(m.entries.items())]},
+                   sort_keys=True)
+        for series, maps in (("e", mod.e), ("f", mod.f)) for idx, m in enumerate(maps)]
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
@@ -983,19 +984,16 @@ def load_gmodule(rs: RootSystem, path: str) -> GModule:
         if (header["family"], header["m"], header["n"]) != (rs.family, rs.m, rs.n):
             raise ModuleIntegrityError(f"{path}: module belongs to a different algebra")
         space = SuperSpace(tuple(header["parities"]))
-        weights = tuple(tuple(map(_read_rat, wt)) for wt in header["weights"])
         hw = header.get("highest_weight")
         hw = Weight(tuple(map(_read_rat, hw))) if hw else None
-        series: dict[str, dict[int, SuperMap]] = {"e": {}, "f": {}, "h": {}}
+        series: dict[str, dict[int, SuperMap]] = {"e": {}, "f": {}}
         for rec in records[1:]:
             if rec["record"] != "generator":
                 raise ModuleIntegrityError(f"{path}: stray record {rec['record']!r}")
             ent = {(i, j): _read_rat(v) for i, j, v in rec["entries"]}
             series[rec["series"]][rec["index"]] = SuperMap(space, space, rec["parity"], ent)
-        e = tuple(series["e"][i] for i in range(rs.rank))
-        f = tuple(series["f"][i] for i in range(rs.rank))
-        h = tuple(series["h"][i] for i in range(rs.rank))
-        mod = GModule(rs, space, e, f, h, weights, header["name"], hw)
+        e, f = (tuple(series[kind][i] for i in range(rs.rank)) for kind in "ef")
+        mod = GModule(rs, space, e, f, header["name"], hw)
         verify_relations(mod)
         return mod
     except ModuleIntegrityError:

@@ -5,8 +5,12 @@ generic Hom system, where the library works on coordinates.  The Hom
 equations of ``hom_by_equations`` are written entry by entry from the
 generator matrices, where the library solves for the invariants of
 V (x) U*.  The weight formulas give the basis weights of the standard,
-adjoint and Kac modules in closed form, where the library reads them off the
-h_i.  The witness routes build V0 (x) W as a module of SuperMaps, take
+adjoint and Kac modules in closed form, and ``WEIGHT_RULES`` those of the
+dual, tensor, direct-sum and parity-shift constructions from their parts,
+where the library reads every module's weights off the diagonals of the
+[e_i, f_i].  ``v1_bytes`` writes a module in the construction-version-1 file
+layout, header weights and h records included, which the library no longer
+writes.  The witness routes build V0 (x) W as a module of SuperMaps, take
 alpha = ev_right(V0) (x) Id_V from superlin, solve Hom(V, V0 (x) W) in full
 and check g-linearity by products with every generator matrix (e, f and h),
 where the library writes alpha entry by entry, solves on the factors
@@ -33,6 +37,7 @@ isomorphism are computed only here, as checks on the library.  The tests
 compare the two.
 """
 
+import json
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -40,7 +45,7 @@ from itertools import product
 from supertrace import invtensor as it
 from supertrace import repmod as rm
 from supertrace import superlin as sl
-from supertrace.exactnum import cleared
+from supertrace.exactnum import cleared, rat_str
 from supertrace.linalg import RowReducer, _eliminate, nullspace
 
 
@@ -203,7 +208,7 @@ def submodule_dimension(V, seeds):
     frontier = [vec for vec in seeds if reducer.add(vec)]
     action = rm.FactorwiseAction((V,))
     while frontier:
-        frontier = [image for vec in frontier for kind in "efh" for g in range(V.rs.rank)
+        frontier = [image for vec in frontier for kind in "ef" for g in range(V.rs.rank)
                     if (image := action.apply(kind, g, vec)) and reducer.add(image)]
     return len(reducer)
 
@@ -381,6 +386,31 @@ def adjoint_weights(rs):
     offdiag = [(p, q) for p in range(dim) for q in range(dim) if p != q]
     roots = tuple(tuple(d[p] - d[q] for d in diags) for p, q in offdiag)
     return roots + ((Fraction(0),) * rs.rank,) * rs.rank
+
+
+# The basis weights of each construction from those of its parts, in its basis order.
+WEIGHT_RULES = {
+    "dual": lambda wv: tuple(tuple(-x for x in w) for w in wv),
+    "tensor": lambda wv, ww: tuple(tuple(a + b for a, b in zip(v, w)) for v in wv for w in ww),
+    "dsum": lambda wv, ww: wv + ww,
+    "shift": lambda wv: wv,
+}
+
+
+def v1_bytes(mod):
+    """The bytes of ``mod`` in the version-1 module file: the header records the basis
+    weights, and the e, f and h series follow, h taken from ``GModule.h``."""
+    rats = lambda xs: [rat_str(x) for x in xs]
+    header = {"record": "module", "version": 1, "name": mod.name, "family": mod.rs.family,
+              "m": mod.rs.m, "n": mod.rs.n, "parities": list(mod.space.parities),
+              "weights": [rats(wt) for wt in mod.basis_weights],
+              "highest_weight": rats(mod.highest_weight.a) if mod.highest_weight else None}
+    lines = [json.dumps(header, sort_keys=True)] + [
+        json.dumps({"record": "generator", "series": series, "index": idx, "parity": m.parity,
+                    "entries": [[i, j, rat_str(v)] for (i, j), v in sorted(m.entries.items())]},
+                   sort_keys=True)
+        for series, maps in (("e", mod.e), ("f", mod.f), ("h", mod.h)) for idx, m in enumerate(maps)]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def kac_weights(rs, lam):

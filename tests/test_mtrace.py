@@ -179,8 +179,7 @@ def test_cyclicity_with_inverse_isomorphisms(roster):
     conj = lambda x: P @ x @ P_inv
     copy = rm.GModule(
         A.rs, A.space,
-        tuple(conj(x) for x in A.e), tuple(conj(x) for x in A.f), tuple(conj(x) for x in A.h),
-        A.basis_weights, "K(0,1)-copy", A.highest_weight,
+        tuple(conj(x) for x in A.e), tuple(conj(x) for x in A.f), "K(0,1)-copy", A.highest_weight,
     )
     rm.verify_relations(copy)
     w_copy = rm.trivial_witness(copy)

@@ -43,9 +43,7 @@ class TestStandardModule:
         assert std.sdim == 1
 
     def test_relations_fail_loudly(self, rs21, std):
-        broken = rm.GModule(
-            rs21, std.space, std.e, std.e, std.h, std.basis_weights, "broken"
-        )
+        broken = rm.GModule(rs21, std.space, std.e, std.e, "broken")
         with pytest.raises(rm.ModuleRelationError):
             rm.verify_relations(broken)
 
@@ -256,8 +254,9 @@ class TestSerialization:
             rm.load_gmodule(rs21, str(path))
 
     def test_denominator_only_change_detected(self, rs31, tmp_path):
-        # The weight gaps only see where e_s has entries, so 7/2 -> 7/3 is
-        # caught by the [e_s, f_j] relations alone, checked on cleared matrices.
+        # 7/2 -> 7/3 in e_s moves the diagonal of [e_s, f_s], so the weights read off it
+        # move too: h_s's weight gaps across x_1, the first generator checked that meets
+        # the moved basis vectors, fail before any [e_i, f_j] relation is reached.
         path = tmp_path / "k.jsonl"
         rm.save_gmodule(_kac(3, 1, (1, 0, F(1, 2))), str(path))
         assert rm.load_gmodule(rs31, str(path)).name == "K(1,0,1/2)"
@@ -268,22 +267,33 @@ class TestSerialization:
         entry[2] = "7/3"
         lines[k] = json.dumps(rec, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(rm.ModuleIntegrityError, match=rf"\[e_{rs31.s}, f_\d\] relation failed"):
+        with pytest.raises(rm.ModuleIntegrityError, match=rf"\[h_{rs31.s}, x_1\] relation failed"):
             rm.load_gmodule(rs31, str(path))
 
-    @pytest.mark.parametrize("field", ["weights", "highest_weight"])
+    @pytest.mark.parametrize("field", ["highest_weight"])
     @pytest.mark.parametrize("bad", ["1.5", "x", "1/2.5", "", 1, "decimal"])
     def test_weight_that_rat_str_never_writes_is_rejected(self, rs21, K01, tmp_path, field, bad):
-        # Weights are read as the entries are: an int literal or p/q, nothing else, not
-        # even the right value in decimal.
+        # The highest weight is read as the entries are: an int literal or p/q, nothing else,
+        # not even the right value in decimal.
         path = tmp_path / "k01.jsonl"
         rm.save_gmodule(K01, str(path))
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        wt = header["weights"][1] if field == "weights" else header["highest_weight"]
+        wt = header[field]
         wt[0] = str(float(F(wt[0]))) if bad == "decimal" else bad
         path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
         with pytest.raises(rm.ModuleIntegrityError, match="corrupt module record"):
+            rm.load_gmodule(rs21, str(path))
+
+    def test_files_hold_e_and_f_only_and_version_1_is_refused(self, rs21, K01, tmp_path):
+        path = tmp_path / "k01.jsonl"
+        rm.save_gmodule(K01, str(path))
+        header, *records = map(json.loads, path.read_text().splitlines())
+        assert header["version"] == rm.CONSTRUCTION_VERSION == 2 and "weights" not in header
+        assert [(r["series"], r["index"]) for r in records] == [(k, i) for k in "ef" for i in (0, 1)]
+        assert ".v2." in rm.kac_cache_path(str(tmp_path), rs21, K01.highest_weight)
+        path.write_bytes(oracles.v1_bytes(K01))
+        with pytest.raises(rm.ModuleIntegrityError, match="unsupported module record"):
             rm.load_gmodule(rs21, str(path))
 
     def test_weights_load_as_written(self, rs31, tmp_path):
@@ -476,10 +486,10 @@ def _relations_by_commutators(mod):
 
 
 def _with_generator(mod, series, idx, new):
-    gens = {"e": list(mod.e), "f": list(mod.f), "h": list(mod.h)}
+    gens = {"e": list(mod.e), "f": list(mod.f)}
     gens[series][idx] = new
-    return rm.GModule(mod.rs, mod.space, tuple(gens["e"]), tuple(gens["f"]), tuple(gens["h"]),
-                      mod.basis_weights, mod.name, mod.highest_weight)
+    return rm.GModule(mod.rs, mod.space, tuple(gens["e"]), tuple(gens["f"]), mod.name,
+                      mod.highest_weight)
 
 
 class TestRelationCheck:
@@ -531,24 +541,11 @@ class TestRelationCheck:
             root = [rs.cartan.a[i][j] for i in range(rs.rank)]
             a, b = next((a, b) for a in range(K.dim) for b in range(K.dim)
                         if K.space.parities[a] == (K.space.parities[b] + x.parity) % 2
-                        and [wa - wb for wa, wb in zip(K.weight(a), K.weight(b))] != root)
+                        and [wa - wb for wa, wb in zip(K.basis_weights[a], K.basis_weights[b])]
+                        != root)
             broken = sl.SuperMap(K.space, K.space, x.parity, {**x.entries, (a, b): 1})
             with pytest.raises(rm.ModuleRelationError, match=rf"\[h_\d+, x_{j}\] relation failed"):
                 rm.verify_relations(_with_generator(K, "e", j, broken))
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_rescaled_h_raises_in_both_forms(self, modules, data):
-        mod = data.draw(st.sampled_from(modules))
-        i = data.draw(st.integers(0, mod.rs.rank - 1))
-        c = data.draw(st.sampled_from([F(0), F(2), F(-1), F(1, 3)]))
-        if mod.h[i].is_zero():
-            return
-        broken = _with_generator(mod, "h", i, c * mod.h[i])
-        with pytest.raises(rm.ModuleRelationError):
-            rm.verify_relations(broken)
-        with pytest.raises(rm.ModuleRelationError):
-            _relations_by_commutators(broken)
 
     @pytest.fixture(scope="class")
     def fractional_kacs(self):
@@ -560,7 +557,9 @@ class TestRelationCheck:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_rescaled_entry_breaks_e_f_in_both_forms(self, fractional_kacs, data):
-        # The support is kept, so every weight gap holds and only [e_i, f_j] can fail.
+        # The support is kept.  When the weights, read off the diagonals of the [e_i, f_i],
+        # are kept too, every weight gap holds and only [e_i, f_j] can fail; when the
+        # rescaled entry meets its transposed partner they move, and a weight gap fails first.
         K = data.draw(st.sampled_from(fractional_kacs))
         series = data.draw(st.sampled_from(["e", "f"]))
         j = data.draw(st.integers(0, K.rs.rank - 1))
@@ -575,7 +574,8 @@ class TestRelationCheck:
         c = data.draw(st.sampled_from([F(-1), F(2), F(1, 2), F(-3, 4), F(5, 3)]))
         ent = {**x.entries, (a, b): c * x.entries[(a, b)]}
         broken = _with_generator(K, series, j, sl.SuperMap(K.space, K.space, x.parity, ent))
-        with pytest.raises(rm.ModuleRelationError, match=r"\[e_\d+, f_\d+\] relation failed"):
+        failing = r"\[e_\d+, f_\d+\]" if broken.basis_weights == K.basis_weights else r"\[h_\d+, x_\d+\]"
+        with pytest.raises(rm.ModuleRelationError, match=failing + " relation failed"):
             rm.verify_relations(broken)
         with pytest.raises(rm.ModuleRelationError):
             _relations_by_commutators(broken)
@@ -711,8 +711,7 @@ class TestReciprocityRoute:
         # A parity-shifted Kac module with its highest weight recorded is
         # certified too; d is odd and every map picks up the odd signs.
         D = roster.D
-        shifted = rm.GModule(D.rs, D.space, D.e, D.f, D.h, D.basis_weights, D.name,
-                             roster.A.highest_weight)
+        shifted = rm.GModule(D.rs, D.space, D.e, D.f, D.name, roster.A.highest_weight)
         assert shifted.space.parities[rm._kac_vector(shifted)] == 1
         for U, V in ((shifted, roster.A), (roster.A, shifted), (shifted, roster.C),
                      (roster.C, shifted)):
@@ -726,10 +725,8 @@ class TestReciprocityRoute:
 
     def test_certificate_negatives_take_the_generic_route(self, roster, monkeypatch):
         A, C = roster.A, roster.C
-        wrong_weight = rm.GModule(A.rs, A.space, A.e, A.f, A.h, A.basis_weights, "K(0,1)?",
-                                  weight(0, 2))
-        typical_c = rm.GModule(C.rs, C.space, C.e, C.f, C.h, C.basis_weights, C.name,
-                               weight(1, 1))
+        wrong_weight = rm.GModule(A.rs, A.space, A.e, A.f, "K(0,1)?", weight(0, 2))
+        typical_c = rm.GModule(C.rs, C.space, C.e, C.f, C.name, weight(1, 1))
         negatives = [
             typical_c,  # recorded weight (1,1) is typical, but dim 12 is not dim K(1,1) = 8
             C,  # a tensor product records no highest weight
@@ -751,12 +748,16 @@ class TestReciprocityRoute:
             assert expected[id(U)][0] == oracles.hom_by_equations(U, U, 0)
 
     def test_words_that_do_not_span_raise(self, roster):
-        A = roster.A
-        no_f = tuple(sl.zero_map(A.space, A.space, x.parity) for x in A.f)
-        fake = rm.GModule(A.rs, A.space, A.e, no_f, A.h, A.basis_weights, "fake",
-                          A.highest_weight)
+        # f_s loses its entry y_0 v -> y_1 y_0 v.  The weights read off [e_i, f_i] move on
+        # those two vectors, but d keeps its weight and the certificate, and no word reaches
+        # the bottom vector.
+        A, s = roster.A, roster.rs.s
+        f = list(A.f)
+        f[s] = sl.SuperMap(A.space, A.space, 1, {k: v for k, v in A.f[s].entries.items()
+                                                 if k != (3, 1)})
+        fake = rm.GModule(A.rs, A.space, A.e, tuple(f), "fake", A.highest_weight)
         assert rm._kac_vector(fake) == 0
-        with pytest.raises(rm.ModuleRelationError, match="span 1 of 4"):
+        with pytest.raises(rm.ModuleRelationError, match="span 2 of 4"):
             rm.hom_space(fake, A, 0)
 
 
@@ -1152,8 +1153,9 @@ def test_singular_vectors_match_the_scan(roster):
         assert oracles.singular_vectors(V) == _singular_vectors_by_scan(V)
 
 
-# sha256 of the save_gmodule bytes of Kac modules built before their commutator
-# chains were memoized: the memoized induction must give the same modules.
+# sha256 of the version-1 module file bytes (``oracles.v1_bytes``) of Kac modules built
+# before their commutator chains were memoized: the memoized induction must give the same
+# e, f and weights.
 KAC_DIGESTS = {
     (2, 1, (0, 1)): "cde6e604de052f9d0beb2d012c78456339cd2dd69cd52ebb9c49f46d4fd9e768",
     (2, 1, (1, 1)): "d24560fee53e9924af8aa6fffc41e6e84a3efcb6345473edcc2c8eb86651785d",
@@ -1163,19 +1165,18 @@ KAC_DIGESTS = {
 
 
 @pytest.mark.parametrize("key", sorted(KAC_DIGESTS, key=str), ids=str)
-def test_kac_module_bytes_are_pinned(key, tmp_path):
+def test_kac_module_bytes_are_pinned(key):
     import hashlib
 
     from supertrace.rootdata import build_root_system
 
     m, n, coords = key
-    path = tmp_path / "kac.jsonl"
-    rm.save_gmodule(rm.kac_module(build_root_system("sl", m, n), weight(*coords)), str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == KAC_DIGESTS[key]
+    K = rm.kac_module(build_root_system("sl", m, n), weight(*coords))
+    assert hashlib.sha256(oracles.v1_bytes(K)).hexdigest() == KAC_DIGESTS[key]
 
 
-# sha256 of the save_gmodule bytes of the defining and adjoint modules, taken
-# while each constructor still wrote out its own weights and matrices.
+# sha256 of the version-1 module file bytes (``oracles.v1_bytes``) of the defining and
+# adjoint modules, taken while each constructor still wrote out its own weights and matrices.
 STD_ADJ_DIGESTS = {
     ("std", 2, 1): "c8f6125723f095417c7238f8f3032c6dafcb5c950f943f96d2564ba5649df515",
     ("adj", 2, 1): "8316dfe52edecb0c082c41ea28110b85b6d3b76940fec19b2cb1335aa3d8b667",
@@ -1195,12 +1196,10 @@ def _std_or_adj(kind, m, n):
 
 
 @pytest.mark.parametrize("key", sorted(STD_ADJ_DIGESTS), ids=str)
-def test_std_and_adjoint_bytes_are_pinned(key, tmp_path):
+def test_std_and_adjoint_bytes_are_pinned(key):
     import hashlib
 
-    path = tmp_path / "mod.jsonl"
-    rm.save_gmodule(_std_or_adj(*key), str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == STD_ADJ_DIGESTS[key]
+    assert hashlib.sha256(oracles.v1_bytes(_std_or_adj(*key))).hexdigest() == STD_ADJ_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", sorted(STD_ADJ_DIGESTS), ids=str)
@@ -1211,6 +1210,41 @@ def test_std_and_adjoint_weights_match_the_formulas(key):
     rs = build_root_system("sl", m, n)
     formula = oracles.std_weights(rs) if kind == "std" else oracles.adjoint_weights(rs)
     assert _std_or_adj(*key).basis_weights == formula
+
+
+@st.composite
+def module_with_rule_weights(draw):
+    """(module, weights): a std, adjoint or Kac module of sl(2|1) or sl(3|1) (fractional a_s
+    included) under up to two duals, tensors, direct sums and parity shifts, with its basis
+    weights by the closed formulas and ``oracles.WEIGHT_RULES``."""
+    from supertrace.invtensor import build_adjoint
+    from supertrace.rootdata import build_root_system
+
+    m = draw(st.sampled_from([2, 3]))
+    rs = build_root_system("sl", m, 1)
+    kacs = [(1, F(1, 2)), (0, 1), (2, F(-3, 2))] if m == 2 else [(1, 0, F(1, 2)), (0, 0, F(-2, 3))]
+    bases = [(rm.standard_module(rs), oracles.std_weights(rs))]
+    bases += [(_kac(m, 1, coords), oracles.kac_weights(rs, weight(*coords))) for coords in kacs]
+    small = [pair for pair in bases if pair[0].dim <= 8]
+    bases.append((build_adjoint(rs).module, oracles.adjoint_weights(rs)))
+    V, wts = draw(st.sampled_from(bases))
+    for kind in draw(st.lists(st.sampled_from(sorted(oracles.WEIGHT_RULES)), max_size=2)):
+        if kind in ("dual", "shift"):
+            build = rm.dual_module if kind == "dual" else rm.parity_shift_module
+            V, wts = build(V, check=False), oracles.WEIGHT_RULES[kind](wts)
+        else:
+            U, wu = draw(st.sampled_from(small if kind == "tensor" else bases))
+            build = rm.tensor_module if kind == "tensor" else rm.direct_sum_module
+            V, wts = build(V, U, check=False), oracles.WEIGHT_RULES[kind](wts, wu)
+    return V, wts
+
+
+@settings(max_examples=40, deadline=None)
+@given(module_with_rule_weights())
+def test_derived_weights_follow_the_construction_rules(case):
+    V, wts = case
+    assert V.basis_weights == wts
+    assert all(type(x) is F for wt in V.basis_weights for x in wt)
 
 
 # Small typical weights: a_i in {0, 1} off the odd index (sl(3|2) kept below
