@@ -522,6 +522,8 @@ class FactorwiseAction:
         """(columns, place, dim, parities, L // den) per factor, last factor first, and L."""
         key = (kind, i)
         if key not in self._steps:
+            if kind not in ("e", "f"):  # h_s is even: the odd signs of e_s and f_s would be wrong
+                raise ValueError(f"the factorwise action applies e_i and f_i, not {kind!r}")
             tables = [M.cleared(kind, i) for M in self.factors]
             L = lcm(*(t[1] for t in tables))
             self._steps[key] = ([(t[2 + self.transpose], place, dim, par, L // t[1])
