@@ -37,7 +37,6 @@ from .repmod import (  # hom_space stays bound here for callers that read invten
     _kac_vector,
     _make_module,
     _replay,
-    dual_module,
     hom_space,  # noqa: F401
     invariant_vectors,
     sl_generators,
@@ -80,9 +79,6 @@ class AdjointData:
     def gdim(self) -> int:
         return self.module.dim
 
-    def parity(self, a: int) -> int:
-        return self.module.space.parities[a]
-
     def power(self, N: int) -> GModule:
         """The N-th tensor power of the adjoint module (memoized)."""
         if N < 1:
@@ -91,7 +87,7 @@ class AdjointData:
         if mod is None:
             mod = self.module
             for _ in range(N - 1):
-                mod = tensor_module(mod, self.module, check=False)
+                mod = tensor_module(mod, self.module)
             self._powers[N] = mod
         return mod
 
@@ -191,7 +187,7 @@ def form_defect(module: GModule, gram, b: SuperMap) -> str | None:
                 return "form is not even"
             if gram[c][a] != (-1 if (par[a] and par[c]) else 1) * gram[a][c]:
                 return "form is not supersymmetric"
-    if not _check_g_linear(b, module, dual_module(module, check=False)):
+    if not _check_g_linear(b, module, module.dual):
         return "form is not invariant"
     return None
 
@@ -311,7 +307,7 @@ class PresentedTensor:
 
     degree: int
     coords: dict
-    source: SuperMap
+    source: SuperMap = field(repr=False)  # left out of repr: a deferred tensor builds it on read
     witness: IdealWitness
     perm: tuple[int, ...] | None = None
     adj: AdjointData | None = field(default=None, repr=False)

@@ -11,13 +11,13 @@ are built from them.  ``verify_relations`` checks the Chevalley relations
     [h_i, f_j] = -a_ij f_j,      [h_i, h_j] = 0,
 
 exactly (the [e_i, f_j] relations as super-commutators in ints, the [h_i, x_j]
-ones as weight gaps of the entries of x_j) and aborts on failure.  The
-constructors run it unless built with ``check=False``, and ``load_gmodule``
-always does; such a module is a certified representation of the generator
-algebra.  A ``check=False`` build (the witness closures, ``GModule.dual``,
-``AdjointData.power``, the dual in ``form_defect``) is not: its e_i and f_i
-are a construction's action on its parts, a representation when the parts
-are, but nothing checks them.
+ones as weight gaps of the entries of x_j) and aborts on failure.  It runs on
+every module built from scratch (the trivial, standard, Kac and adjoint
+modules, all through ``_make_module``) and on every module read from a file
+(``load_gmodule``), and on nothing else; such a module is a certified
+representation of the generator algebra.  The dual, tensor, direct-sum and
+parity-shift modules (``_derived``) are a construction's action on their
+parts, a representation whenever the parts are, and are built unchecked.
 
 Kac modules for typical dominant weights are induced from the even part: the
 simple gl(m) x gl(n) module V0 with the matching highest weight is built
@@ -126,8 +126,8 @@ class GModule:
         return [tuple(map(exact, w)) for w in self.basis_weights]
 
     @cached_property
-    def dual(self) -> GModule:  # unverified, kept for hom_space's generic route
-        return dual_module(self, check=False)
+    def dual(self) -> GModule:  # built once, for hom_space's generic route and form_defect
+        return dual_module(self)
 
     def cleared(self, kind: str, i: int) -> tuple[dict, int, dict[int, list], dict[int, list]]:
         """``kind``_i as ints over den (``cleared``): (ints, den, by column, by row); kept."""
@@ -179,21 +179,20 @@ def verify_relations(mod: GModule) -> None:
                 raise ModuleRelationError(f"{mod.name}: [e_{i}, f_{j}] relation failed")
 
 
-def _make_module(rs, space, e, f, name, hw=None, check=True) -> GModule:
+def _make_module(rs, space, e, f, name, hw=None) -> GModule:
     mod = GModule(rs, space, tuple(e), tuple(f), name, hw)
-    if check:
-        verify_relations(mod)
+    verify_relations(mod)
     return mod
 
 
 # -- basic constructions -----------------------------------------------------
 
 
-def trivial_module(rs: RootSystem, check: bool = True) -> GModule:
+def trivial_module(rs: RootSystem) -> GModule:
     """The even one-dimensional module C(1|0) on which every generator acts by 0."""
     space = SuperSpace((0,))
     zero = [sl.zero_map(space, space, 1 if i == rs.s else 0) for i in range(rs.rank)]
-    return _make_module(rs, space, zero, zero, "C(1|0)", Weight((Fraction(0),) * rs.rank), check)
+    return _make_module(rs, space, zero, zero, "C(1|0)", Weight((Fraction(0),) * rs.rank))
 
 
 def sl_generators(rs: RootSystem):
@@ -222,30 +221,30 @@ def standard_module(rs: RootSystem) -> GModule:
     return _make_module(rs, *sl_generators(rs)[:3], f"std({rs.m}|{rs.n})", hw)
 
 
-def _derived(mods: tuple[GModule, ...], space: SuperSpace, act, name: str, hw, check: bool) -> GModule:
+def _derived(mods: tuple[GModule, ...], space: SuperSpace, act, name: str, hw) -> GModule:
     """The module on ``space`` whose i-th e and f are ``act`` of the i-th e and f of ``mods``."""
-    return _make_module(mods[0].rs, space,
-                        *([act(*xs) for xs in zip(*(getattr(M, kind) for M in mods))]
-                          for kind in "ef"), name, hw, check)
+    return GModule(mods[0].rs, space,
+                   *(tuple(act(*xs) for xs in zip(*(getattr(M, kind) for M in mods)))
+                     for kind in "ef"), name, hw)
 
 
-def dual_module(V: GModule, check: bool = True) -> GModule:
+def dual_module(V: GModule) -> GModule:
     """Dual action x.phi = -(-1)^{p(x)p(phi)} phi . x (antipode is negation)."""
     return _derived((V,), sl.dual_space(V.space), lambda x: -1 * sl.super_transpose(x),
-                    f"({V.name})*", None, check)
+                    f"({V.name})*", None)
 
 
-def tensor_module(V: GModule, W: GModule, check: bool = True) -> GModule:
+def tensor_module(V: GModule, W: GModule) -> GModule:
     """Tensor action x.(v (x) w) = x.v (x) w + (-1)^{p(x)p(v)} v (x) x.w; no highest weight."""
     if V.rs != W.rs:
         raise ValueError("tensor factors must live over the same algebra")
     idv, idw = sl.identity(V.space), sl.identity(W.space)
     return _derived((V, W), sl.tensor_space(V.space, W.space),
                     lambda xv, xw: sl.tensor_map(xv, idw) + sl.tensor_map(idv, xw),
-                    f"{V.name}(x){W.name}", None, check)
+                    f"{V.name}(x){W.name}", None)
 
 
-def direct_sum_module(V: GModule, W: GModule, check: bool = True) -> GModule:
+def direct_sum_module(V: GModule, W: GModule) -> GModule:
     """Block-diagonal action on V (+) W, W's indices after V's."""
     if V.rs != W.rs:
         raise ValueError("direct summands must live over the same algebra")
@@ -257,10 +256,10 @@ def direct_sum_module(V: GModule, W: GModule, check: bool = True) -> GModule:
         ent.update({(i + dv, j + dv): v for (i, j), v in b.entries.items()})
         return SuperMap(space, space, a.parity, ent)
 
-    return _derived((V, W), space, block, f"{V.name}(+){W.name}", None, check)
+    return _derived((V, W), space, block, f"{V.name}(+){W.name}", None)
 
 
-def parity_shift_module(V: GModule, check: bool = True) -> GModule:
+def parity_shift_module(V: GModule) -> GModule:
     """The same underlying action with all parities flipped.
 
     Odd generators are negated so that the identity matrix with an odd parity
@@ -270,7 +269,7 @@ def parity_shift_module(V: GModule, check: bool = True) -> GModule:
     space, _ = sl.parity_shift(V.space)
     shift = lambda x: SuperMap(space, space, x.parity,
                                {k: -v if x.parity else v for k, v in x.entries.items()})
-    return _derived((V,), space, shift, f"op({V.name})", V.highest_weight, check)
+    return _derived((V,), space, shift, f"op({V.name})", V.highest_weight)
 
 
 def sigma_map(V: GModule) -> SuperMap:
@@ -867,10 +866,14 @@ def make_witness(V, V0, W, alpha, beta) -> IdealWitness:
 
 
 def trivial_witness(V: GModule) -> IdealWitness:
-    """The identity splitting of V through itself; V must be a valid core (``_check_core``)."""
-    # V (x) k and V share one basis, so the identity is both alpha and beta.
+    """The identity splitting of V through itself; V must be a valid core (``_check_core``).
+
+    V (x) k and V share one basis, so the identity is both alpha and beta.  Id . Id = Id and
+    the identity commutes with every action, so ``make_witness`` has nothing left to check.
+    """
+    _check_core(V)
     ident = sl.identity(V.space)
-    return make_witness(V, V, trivial_module(V.rs, check=False), ident, ident)
+    return IdealWitness(V, V, trivial_module(V.rs), ident, ident)
 
 
 def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
@@ -890,7 +893,9 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
     d = _kac_vector(V)
     if d is None:
         raise WitnessNotFoundError(f"{V.name} is not a certified Kac module; no search ran")
-    W = tensor_module(dual_module(V0, check=False), V, check=False)
+    # Not V0.dual: a core serves many calls, and a dual kept on it would make a call's work
+    # (and the benchmark's per-op counts) depend on the calls before it.
+    W = tensor_module(dual_module(V0), V)
     # Column (i, i*, k) of V0 (x) V0* (x) V is t + k, with t = i dim W + i dim V.
     dv, dw = V.dim, W.dim
     ev = [(i * dw + i * dv, -1 if p else 1) for i, p in enumerate(V0.space.parities)]
@@ -908,8 +913,8 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
 
 def witness_tensor(w: IdealWitness, U: GModule) -> IdealWitness:
     """Closure under tensoring: a witness for V (x) U with W' = W (x) U."""
-    V2 = tensor_module(w.V, U, check=False)
-    W2 = tensor_module(w.W, U, check=False)
+    V2 = tensor_module(w.V, U)
+    W2 = tensor_module(w.W, U)
     idu = sl.identity(U.space)
     # (V0 (x) W) (x) U and V0 (x) (W (x) U) share the same flattened basis.
     return make_witness(V2, w.V0, W2, sl.tensor_map(w.alpha, idu), sl.tensor_map(w.beta, idu))
@@ -919,8 +924,8 @@ def witness_dsum(w1: IdealWitness, w2: IdealWitness) -> IdealWitness:
     """Closure under direct sums (the two witnesses must share V0)."""
     if w1.V0 is not w2.V0:
         raise ValueError("direct-sum witnesses must share the same core module")
-    V = direct_sum_module(w1.V, w2.V, check=False)
-    W = direct_sum_module(w1.W, w2.W, check=False)
+    V = direct_sum_module(w1.V, w2.V)
+    W = direct_sum_module(w1.W, w2.W)
     V0W = sl.tensor_space(w1.V0.space, W.space)
     ent_a: dict[tuple[int, int], Fraction] = {}
     ent_b: dict[tuple[int, int], Fraction] = {}
@@ -938,8 +943,8 @@ def witness_dsum(w1: IdealWitness, w2: IdealWitness) -> IdealWitness:
 
 def witness_parity_shift(w: IdealWitness) -> IdealWitness:
     """A witness for the parity-shifted module, shifting the W factor."""
-    V_op = parity_shift_module(w.V, check=False)
-    W_op = parity_shift_module(w.W, check=False)
+    V_op = parity_shift_module(w.V)
+    W_op = parity_shift_module(w.W)
     id0 = sl.identity(w.V0.space)
     alpha = sigma_map(w.V) @ w.alpha @ sl.tensor_map(id0, sigma_inverse(w.W))
     beta = sl.tensor_map(id0, sigma_map(w.W)) @ w.beta @ sigma_inverse(w.V)
@@ -987,13 +992,19 @@ def load_gmodule(rs: RootSystem, path: str) -> GModule:
             raise ModuleIntegrityError(f"{path}: module belongs to a different algebra")
         space = SuperSpace(tuple(header["parities"]))
         hw = header.get("highest_weight")
-        hw = Weight(tuple(map(_read_rat, hw))) if hw else None
+        hw = Weight(tuple(map(_read_rat, hw))) if hw is not None else None
+        if hw is not None and len(hw.a) != rs.rank:
+            raise ModuleIntegrityError(f"{path}: highest weight {hw} has {len(hw.a)} coordinates; "
+                                       f"rank is {rs.rank}")
         series: dict[str, dict[int, SuperMap]] = {"e": {}, "f": {}}
         for rec in records[1:]:
             if rec["record"] != "generator":
                 raise ModuleIntegrityError(f"{path}: stray record {rec['record']!r}")
+            kind, idx = rec["series"], rec["index"]
+            if type(idx) is not int or idx not in range(rs.rank) or idx in series[kind]:
+                raise ModuleIntegrityError(f"{path}: stray or repeated record {kind}_{idx!r}")
             ent = {(i, j): _read_rat(v) for i, j, v in rec["entries"]}
-            series[rec["series"]][rec["index"]] = SuperMap(space, space, rec["parity"], ent)
+            series[kind][idx] = SuperMap(space, space, rec["parity"], ent)
         e, f = (tuple(series[kind][i] for i in range(rs.rank)) for kind in "ef")
         mod = GModule(rs, space, e, f, header["name"], hw)
         verify_relations(mod)

@@ -61,18 +61,10 @@ def build_roster(cache_dir: str | None = None) -> Roster:
 
     A = kac(weight(0, 1))
     B = kac(weight(1, 1))
-    C = rm.tensor_module(A, std)
-    D = rm.parity_shift_module(A)
     wA = rm.trivial_witness(A)
-    return Roster(
-        rs, std, A, B, C, D,
-        wA,
-        rm.trivial_witness(B),
-        rm.ideal_witness(B, A),
-        rm.witness_tensor(wA, std),
-        rm.witness_parity_shift(wA),
-        cache,
-    )
+    wC, wD = rm.witness_tensor(wA, std), rm.witness_parity_shift(wA)
+    return Roster(rs, std, A, B, wC.V, wD.V, wA, rm.trivial_witness(B), rm.ideal_witness(B, A),
+                  wC, wD, cache)
 
 
 def _rand_frac(rng: random.Random) -> Fraction:
@@ -216,8 +208,8 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
                      mt.modified_trace(idB, wB2)))
 
     # Odd endomorphism of A (+) D built from the parity-shift isomorphism.
-    S = rm.direct_sum_module(A, D)
     wS = rm.witness_dsum(wA, wD)
+    S = wS.V
     sig, sig_inv = rm.sigma_map(A), rm.sigma_inverse(A)
     ent = {}
     for (i, j), v in sig.entries.items():
@@ -229,8 +221,8 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
                      mt.bracket(f_odd, wS), module=S.name))
 
     # Cyclicity with an even pair (inclusion/projection) and an odd pair (sigma).
-    S2 = rm.direct_sum_module(A, A)
     wS2 = rm.witness_dsum(wA, wA)
+    S2 = wS2.V
     incl = sl.SuperMap(A.space, S2.space, 0, {(i, i): 1 for i in range(A.dim)})
     proj = sl.SuperMap(S2.space, A.space, 0, {(i, i): 1 for i in range(A.dim)})
     out.append(check("trace.cyclicity-even",

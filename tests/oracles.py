@@ -179,8 +179,8 @@ def ideal_witness_by_modules(V, V0):
     """
     if len(rm.hom_space(V, V, 0)) != 1:
         raise ValueError("module does not have scalar even endomorphisms")
-    W = rm.tensor_module(rm.dual_module(V0, check=False), V, check=False)
-    V0W = rm.tensor_module(V0, W, check=False)
+    W = rm.tensor_module(rm.dual_module(V0), V)
+    V0W = rm.tensor_module(V0, W)
     a = sl.tensor_map(sl.ev_right(V0.space), sl.identity(V.space))
     for b in rm.hom_space(V, V0W, 0):
         comp = a @ b
@@ -229,7 +229,7 @@ def it_space_generic(adj, N, probes):
     power = adj.power(N)
     raw = []
     for w in probes:
-        vv = rm.tensor_module(w.V, rm.dual_module(w.V, check=False), check=False)
+        vv = rm.tensor_module(w.V, rm.dual_module(w.V))
         for f in hom_by_equations(vv, power, 0):
             raw.append(it.presented_tensor(adj, N, w, f))
     reducer = RowReducer()

@@ -262,7 +262,7 @@ class TestVerifyFailures:
     def test_raising_tensor_suite_is_a_named_failure(self, monkeypatch):
         from supertrace import invtensor as it
 
-        def broken(rs, check=True):
+        def broken(rs):
             raise it.FormConstructionError("form is degenerate")
 
         monkeypatch.setattr(it, "build_adjoint", broken)
@@ -291,7 +291,7 @@ class TestVerifyFailures:
     def test_raising_roster_is_a_named_failure(self, monkeypatch):
         from supertrace import repmod as rm
 
-        def broken(V, V0, check=True):
+        def broken(V, V0):
             raise rm.WitnessNotFoundError("no splitting")
 
         monkeypatch.setattr(rm, "ideal_witness", broken)

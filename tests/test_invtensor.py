@@ -603,7 +603,7 @@ class TestAdjunctionRoute:
         adj_, w = adjunction_cases[key]
         got, _ = _both_routes(routes, key, adj_, w)
         N, V = key[2], w.V
-        vv = rm.tensor_module(V, rm.dual_module(V, check=False), check=False)
+        vv = rm.tensor_module(V, rm.dual_module(V))
         t = data.draw(st.sampled_from(got.raw))
         assert t.f.parity == 0 and t.f.domain == vv.space
         assert rm._check_g_linear(t.f, vv, adj_.power(N))
@@ -625,7 +625,7 @@ class TestAdjunctionRoute:
         assert _same_span([t.coords for t in got.raw if t.coords],
                           [t.coords for t in want.raw if t.coords])
         V = roster.wA.V
-        vv = rm.tensor_module(V, rm.dual_module(V, check=False), check=False)
+        vv = rm.tensor_module(V, rm.dual_module(V))
         for t in got.raw[::40]:
             assert rm._check_g_linear(t.f, vv, adj.power(4))
 
@@ -742,6 +742,14 @@ class TestDeferredPresentations:
         assert all("_build" not in vars(u) for u in (t, once, twice))
         expected = _sn_action_oracle(adj, 3, (0, 2, 1), t)
         assert twice.perm == (0, 2, 1) and (twice.coords, twice.f) == (expected.coords, expected.f)
+
+    def test_repr_of_a_raw_tensor_assembles_nothing(self, roster, adj, monkeypatch):
+        assemble, calls = it._assembled, []
+        monkeypatch.setattr(it, "_assembled", lambda *a: calls.append(1) or assemble(*a))
+        t = next(u for u in it.it_space(adj, 3, [roster.wA]).raw if u.coords)
+        text = repr(t)
+        assert text.startswith("PresentedTensor(degree=3, coords=") and "source" not in text
+        assert not calls and "source" not in vars(t) and "_build" in vars(t)
 
     def test_a_tensors_run_assembles_five_of_thirty_three(self, monkeypatch):
         from supertrace import suites

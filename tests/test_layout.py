@@ -6,6 +6,11 @@ purpose.  A new inline accumulate fails here, naming its file and function:
 a ``get`` called on its dict or through a bound name (``get = out.get``), a
 ``defaultdict`` added into, or an add into ``out[k]`` guarded by ``k in out``
 (an ``if`` statement with an ``else`` that sets ``out[k]``, or an ``if`` expression).
+
+A module is certified where it is made: ``verify_relations`` is called from
+``repmod._make_module`` (every module built from scratch) and
+``repmod.load_gmodule`` (every module read from a file) and from nowhere else,
+and no function takes a ``check`` option to turn a check off.
 """
 
 import ast
@@ -159,3 +164,49 @@ def test_no_inline_accumulate_outside_the_kernels():
         sites += _accumulate_sites(ast.parse(path.read_text()), path.stem)
     assert "superlin._summed" in sites
     assert sorted(set(sites) - ALLOWED) == []
+
+
+def _sources():
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+
+
+def _callers(tree: ast.AST, prefix: str, name: str) -> list[str]:
+    """The qualified names of the functions (or the module) calling ``name`` or ``<expr>.name``."""
+    sites = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, SCOPES):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                sites.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, prefix)
+    return sites
+
+
+def test_caller_finder_sees_names_and_attributes():
+    code = ("def f(m):\n    verify_relations(m)\n"
+            "class C:\n    def g(self, m):\n        return rm.verify_relations(m)\n"
+            "def h(m):\n    return verify(m)\n")
+    assert _callers(ast.parse(code), "m", "verify_relations") == ["m.f", "m.C.g"]
+
+
+def test_relations_are_verified_only_where_a_module_is_made():
+    sites = [site for stem, tree in _sources() for site in _callers(tree, stem, "verify_relations")]
+    assert sorted(sites) == ["repmod._make_module", "repmod.load_gmodule"]
+
+
+def test_no_function_takes_a_check_option():
+    found = []
+    for stem, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "check" in names:
+                    found.append(f"{stem}.{getattr(node, 'name', 'lambda')}")
+    assert found == []

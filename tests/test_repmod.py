@@ -239,6 +239,16 @@ class TestWitnesses:
         assert outcome in ("witnessed", "not witnessed")
 
 
+def _saved_records(mod, path):
+    """The parsed records of ``mod`` saved at ``path``."""
+    rm.save_gmodule(mod, str(path))
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_records(path, records):
+    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+
+
 class TestSerialization:
     def test_roundtrip(self, rs21, K11, tmp_path):
         path = tmp_path / "k11.jsonl"
@@ -299,6 +309,27 @@ class TestSerialization:
         assert ".v2." in rm.kac_cache_path(str(tmp_path), rs21, K01.highest_weight)
         path.write_bytes(oracles.v1_bytes(K01))
         with pytest.raises(rm.ModuleIntegrityError, match="unsupported module record"):
+            rm.load_gmodule(rs21, str(path))
+
+    def test_generator_index_outside_the_rank_is_refused(self, rs21, K01, tmp_path):
+        path = tmp_path / "k01.jsonl"
+        records = _saved_records(K01, path)
+        _write_records(path, records + [dict(records[1], index=5)])
+        with pytest.raises(rm.ModuleIntegrityError, match="stray or repeated record e_5"):
+            rm.load_gmodule(rs21, str(path))
+
+    def test_repeated_generator_record_is_refused(self, rs21, K01, tmp_path):
+        path = tmp_path / "k01.jsonl"
+        records = _saved_records(K01, path)
+        _write_records(path, records + [records[1]])
+        with pytest.raises(rm.ModuleIntegrityError, match="stray or repeated record e_0"):
+            rm.load_gmodule(rs21, str(path))
+
+    def test_highest_weight_of_the_wrong_length_is_refused(self, rs21, K01, tmp_path):
+        path = tmp_path / "k01.jsonl"
+        header, *records = _saved_records(K01, path)
+        _write_records(path, [dict(header, highest_weight=["0", "1", "5"])] + records)
+        with pytest.raises(rm.ModuleIntegrityError, match="3 coordinates; rank is 2"):
             rm.load_gmodule(rs21, str(path))
 
     def test_weights_load_as_written(self, rs31, tmp_path):
@@ -457,7 +488,7 @@ def test_hom_spaces_match_invariants_of_tensor_with_dual(roster):
         (roster.std, rm.parity_shift_module(roster.std)),
     ]
     for U, V in pairs:
-        internal = rm.tensor_module(V, rm.dual_module(U), check=False)
+        internal = rm.tensor_module(V, rm.dual_module(U))
         for parity in (0, 1):
             assert len(rm.hom_space(U, V, parity)) == len(
                 rm.invariant_vectors(internal, parity)
@@ -637,7 +668,7 @@ def kac_hom_pair(draw):
     elif other == "std":
         other = std
     else:
-        other = rm.tensor_module(K2, std, check=False)
+        other = rm.tensor_module(K2, std)
     return (K, other) if draw(st.booleans()) else (other, K)
 
 
@@ -875,9 +906,9 @@ def _fractional_cases():
         _FRACTIONAL.update({
             "Id_V": (sl.identity(V.space), V, V, V, V),
             "Id_V0": (sl.identity(V0.space), V0, V0, V0, V0),
-            "alpha": (w.alpha, (V0, w.W), V, rm.tensor_module(V0, w.W, check=False), V),
+            "alpha": (w.alpha, (V0, w.W), V, rm.tensor_module(V0, w.W), V),
             "coev": (coev, std, (std, V0, dual), std,
-                     rm.tensor_module(rm.tensor_module(std, V0, check=False), dual, check=False)),
+                     rm.tensor_module(rm.tensor_module(std, V0), dual)),
         })
     return _FRACTIONAL
 
@@ -1016,8 +1047,8 @@ class TestWitnessOracle:
         calls = []
         build = rm.tensor_module
 
-        def record(X, Y, check=True):
-            out = build(X, Y, check)
+        def record(X, Y):
+            out = build(X, Y)
             calls.append((X, Y))
             return out
 
@@ -1083,6 +1114,16 @@ class TestCoreGate:
         # K(0,1) (x) std used to carry the typical weight (1,1): str'(Id) came out 2/3, not 1/2.
         with pytest.raises(ValueError, match="not a certified Kac module"):
             rm.trivial_witness(roster.C)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=witnessed_kac_case())
+    def test_make_witness_accepts_the_trivial_witness(self, case):
+        # trivial_witness checks the core alone: Id . Id = Id and Id is g-linear on any module.
+        for K in case:
+            w = rm.trivial_witness(K)
+            assert w.V is w.V0 is K and w.alpha == w.beta == sl.identity(K.space)
+            again = rm.make_witness(w.V, w.V0, w.W, w.alpha, w.beta)
+            assert (again.W.dim, again.alpha, again.beta) == (1, w.alpha, w.beta)
 
     def test_an_odd_highest_weight_vector_is_not_a_core(self, roster, monkeypatch):
         D = roster.D
@@ -1231,11 +1272,11 @@ def module_with_rule_weights(draw):
     for kind in draw(st.lists(st.sampled_from(sorted(oracles.WEIGHT_RULES)), max_size=2)):
         if kind in ("dual", "shift"):
             build = rm.dual_module if kind == "dual" else rm.parity_shift_module
-            V, wts = build(V, check=False), oracles.WEIGHT_RULES[kind](wts)
+            V, wts = build(V), oracles.WEIGHT_RULES[kind](wts)
         else:
             U, wu = draw(st.sampled_from(small if kind == "tensor" else bases))
             build = rm.tensor_module if kind == "tensor" else rm.direct_sum_module
-            V, wts = build(V, U, check=False), oracles.WEIGHT_RULES[kind](wts, wu)
+            V, wts = build(V, U), oracles.WEIGHT_RULES[kind](wts, wu)
     return V, wts
 
 
@@ -1245,6 +1286,13 @@ def test_derived_weights_follow_the_construction_rules(case):
     V, wts = case
     assert V.basis_weights == wts
     assert all(type(x) is F for wt in V.basis_weights for x in wt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(module_with_rule_weights())
+def test_derived_modules_satisfy_the_relations(case):
+    # Duals, tensors, sums and shifts are built unchecked: each must be a representation.
+    rm.verify_relations(case[0])
 
 
 # Small typical weights: a_i in {0, 1} off the odd index (sl(3|2) kept below
