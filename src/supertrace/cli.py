@@ -175,12 +175,12 @@ def cmd_verify(args, out) -> int:
     from .report import render_lines, to_json_lines
     from .suites import run_verification
 
-    family, dims = parse_algebra_spec(args.algebra)
+    rs = _build_system(*parse_algebra_spec(args.algebra))  # sl11, sl10 or osp20 is a usage error
     if not 2 <= args.max_degree <= MAX_DEGREE:
         raise UsageError(
             f"--max-degree must be between 2 and {MAX_DEGREE}, got {args.max_degree}"
         )
-    if (family, dims) != ("sl", (2, 1)) and args.suite in ("trace", "tensors", "all"):
+    if (rs.family, rs.m, rs.n) != ("sl", 2, 1) and args.suite in ("trace", "tensors", "all"):
         raise UsageError(
             "the trace and tensors suites run on the sl(2|1) roster; use --algebra sl21"
         )

@@ -34,7 +34,6 @@ from .repmod import (  # hom_space stays bound here for callers that read invten
     IdealWitness,
     _assembled,
     _check_g_linear,
-    _kac_vector,
     _make_module,
     _replay,
     hom_space,  # noqa: F401
@@ -371,17 +370,16 @@ def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace
     g^(x)N (x) V; neither side is built as a module.  The coordinates
     t[x] = sum_i (-1)^{p_i} g[x d + i, i], the diagonal that ``presented_tensor``
     sums, are read off the replay images and word coordinates C of g = images . C
-    (``repmod._replay``); f is assembled only when something reads it.
+    (``repmod._replay``, the words kept on V); f is assembled only when something reads it.
     """
     codomain = adj.power_space(N)
     raw: list[PresentedTensor] = []
     for w in probes:
         V = w.V
         dim, par = V.dim, V.space.parities  # read once per probe, not per entry
-        d = _kac_vector(V)
-        if d is None:
+        if V.kac_vector is None:
             raise ValueError(f"probe {V.name} is not a certified Kac module")
-        replays, coeffs = _replay(V, d, FactorwiseAction((adj.module,) * N + (V,)), 0)
+        replays, coeffs = _replay(V, FactorwiseAction((adj.module,) * N + (V,)), 0)
         for images in replays:
             pairs = []
             for k, image in enumerate(images):

@@ -1,11 +1,11 @@
 """Explicit finite-dimensional sl(m|n)-modules and morphism machinery.
 
 A module is its generator matrices e_i and f_i (SuperMaps) on a based
-super-space.  The h_i are not stored: h_i = [e_i, f_i] acts diagonally, and the
-basis weights are read off those diagonals in one place
-(``GModule.basis_weights``).  The matrices of the defining representation are
-written once (``sl_generators``), and the standard, Kac and adjoint modules
-are built from them.  ``verify_relations`` checks the Chevalley relations
+super-space; what is derived from them, such as the basis weights read off
+the diagonal h_i = [e_i, f_i], is computed once and kept on the ``GModule``.
+The matrices of the defining representation are written once
+(``sl_generators``), and the standard, Kac and adjoint modules are built from
+them.  ``verify_relations`` checks the Chevalley relations
 
     [e_i, f_j] = delta_ij h_i,   [h_i, e_j] = a_ij e_j,
     [h_i, f_j] = -a_ij f_j,      [h_i, h_j] = 0,
@@ -67,10 +67,12 @@ class WitnessNotFoundError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GModule:
-    """The generator matrices e_i and f_i on a based super-space.
+    """The generator matrices e_i and f_i on a based super-space; immutable.
 
-    The h_i and the basis weights are derived from them (``basis_weights``).  A recorded
-    ``highest_weight`` is that of a basis vector generating the module.
+    What is derived from them is kept once computed: ``basis_weights`` (the h_i are not
+    stored), ``cleared``, ``dual`` and, for a Kac module, ``kac_vector`` and ``kac_words``;
+    ``dataclasses.replace`` starts with none kept.  A recorded ``highest_weight`` is that of
+    a basis vector generating the module.
     """
 
     rs: RootSystem
@@ -94,9 +96,10 @@ class GModule:
         return self.e + self.f + self.h
 
     @cached_property
-    def basis_weights(self) -> tuple[tuple[Fraction, ...], ...]:
+    def basis_weights(self) -> tuple[tuple, ...]:
         """Weight a: the diagonal entries (a, a) of [e_i, f_i] = e_i f_i - (-1)^{p(e_i)} f_i e_i,
-        read in ints off the kept tables of ``cleared``; ``verify_relations`` certifies them.
+        read in ints off the kept tables of ``cleared`` as canonical scalars (``ratio``), so they
+        hash and add as ints where whole; ``verify_relations`` certifies them.
 
         Entry f_i[k, a] meets e_i[a, k] alone on the diagonal: at a in e_i f_i, at k in f_i e_i.
         """
@@ -109,7 +112,7 @@ class GModule:
                 if u := e.get((a, k)):
                     diag[a] += u * v
                     diag[k] += sign * u * v
-            frac = {t: Fraction(t, de * df) for t in set(diag)}  # one Fraction per value
+            frac = {t: ratio(t, de * df) for t in set(diag)}  # one scalar per value
             diags.append([frac[t] for t in diag])
         return tuple(zip(*diags))
 
@@ -121,9 +124,64 @@ class GModule:
                      for i in range(self.rs.rank))
 
     @cached_property
-    def exact_weights(self) -> list[tuple]:
-        """``basis_weights`` as canonical scalars (``exact``), for the factorwise action."""
-        return [tuple(map(exact, w)) for w in self.basis_weights]
+    def kac_vector(self) -> int | None:
+        """The index of the highest weight vector d when the module is certified to be a Kac module.
+
+        The certificate: the recorded highest weight mu is finite-dominant and
+        typical, dim = dim K(mu), and the one basis vector d of weight mu is
+        killed by every e_i.  Then d generates a nonzero quotient of the simple
+        module K(mu) (op K(mu) when d is odd) of dimension dim, so the module is
+        that one.  None when any part fails; every Kac route asks this gate.
+        """
+        rs, mu = self.rs, self.highest_weight
+        if (mu is None or rs.family != "sl" or not rs.is_dominant_finite(mu) or not rs.is_typical(mu)
+                or self.dim != _kac_dim(rs, mu)):
+            return None
+        top = [k for k, wt in enumerate(self.basis_weights) if wt == mu.a]
+        if len(top) != 1 or any(j == top[0] for x in self.e for (_, j) in x.entries):
+            return None
+        return top[0]
+
+    @cached_property
+    def kac_words(self) -> tuple[tuple[tuple[int, int], ...], dict]:
+        """(words, C): the f-words that span a certified Kac module from d, and their coordinates.
+
+        Word 0 is d; word k > 0 is (j, g), f_g on word j < k.  C[k, j], basis vector j over the
+        words, is read off the search's rows.  f_g steps a word's depth lam - wt by Cartan column
+        g (integral here: each b shares the denominator of its a), and no word is tried in a
+        weight space already spanned.  ModuleRelationError when the words do not span.
+        """
+        d = self.kac_vector
+        if d is None:
+            raise ValueError(f"{self.name} is not a certified Kac module")
+        source = FactorwiseAction((self,))
+        reducer = RowReducer()
+        reducer.add({d: 1})
+        vecs, words = [{d: 1}], []
+        lam, steps = self.basis_weights[d], list(zip(*self.rs.cartan.a))
+        room = Counter(tuple((a.numerator - b.numerator) // a.denominator for a, b in zip(lam, wt))
+                       for wt in self.basis_weights)
+        depths, frontier = [(0,) * self.rs.rank], [0]
+        spanned = Counter(depths)
+        while frontier and len(reducer) < self.dim:
+            nxt = []
+            for k in frontier:
+                for g in range(self.rs.rank):
+                    depth = tuple(map(add, depths[k], steps[g]))
+                    if spanned[depth] == room[depth]:
+                        continue
+                    image = source.apply("f", g, vecs[k])
+                    if image and reducer.add(image):
+                        nxt.append(len(vecs))
+                        vecs.append(image)
+                        words.append((k, g))
+                        depths.append(depth)
+                        spanned[depth] += 1
+            frontier = nxt
+        if len(reducer) != self.dim:
+            raise ModuleRelationError(f"{self.name}: words from the highest weight vector span "
+                                      f"{len(reducer)} of {self.dim}")
+        return tuple(words), reducer.unit_coords()
 
     @cached_property
     def dual(self) -> GModule:  # built once, for hom_space's generic route and form_defect
@@ -570,17 +628,12 @@ class FactorwiseAction:
     def indices(self, wt: tuple, parity: int) -> list[int]:
         """The basis indices of weight ``wt`` and the given parity, ascending.
 
-        The factors are split in two halves, and each half's basis is grouped
-        by weight; the two tables meet at complementary weights.
+        The factors are split in two halves, the right one empty for one factor, and each
+        half's basis is grouped by weight; the two tables meet at complementary weights.
         """
-        if len(self.factors) == 1:
-            M = self.factors[0]
-            return [j for j, w in enumerate(M.basis_weights)
-                    if w == wt and M.space.parities[j] == parity]
-        half = len(self.factors) // 2
-        left, right = _weight_table(self.factors[:half]), _weight_table(self.factors[half:])
+        half = max(1, len(self.factors) // 2)
+        left, right = (_weight_table(self.rs, fs) for fs in (self.factors[:half], self.factors[half:]))
         rdim = self.places[half - 1]
-        wt = tuple(map(exact, wt))
         out = []
         for wl, lefts in left.items():
             rights = right.get(tuple(a - b for a, b in zip(wt, wl)), ())
@@ -588,16 +641,14 @@ class FactorwiseAction:
         return sorted(out)
 
 
-def _weight_table(factors) -> dict[tuple, list[tuple[int, int]]]:
-    """Weight -> [(index, parity)] over the basis of the tensor product of ``factors``.
-
-    The weights are keyed as canonical scalars, which hash and add as ints where whole.
-    """
-    table = {(0,) * factors[0].rs.rank: [(0, 0)]}
+def _weight_table(rs: RootSystem, factors) -> dict[tuple, list[tuple[int, int]]]:
+    """Weight -> [(index, parity)] over the basis of the tensor product of ``factors``,
+    keyed by the ``basis_weights``; no factors give the zero weight at index 0."""
+    table = {(0,) * rs.rank: [(0, 0)]}
     for M in factors:
         nxt: dict[tuple, list[tuple[int, int]]] = {}
         for w, entries in table.items():
-            for j, (wj, pj) in enumerate(zip(M.exact_weights, M.space.parities)):
+            for j, (wj, pj) in enumerate(zip(M.basis_weights, M.space.parities)):
                 key = tuple(a + b for a, b in zip(w, wj))
                 nxt.setdefault(key, []).extend((a * M.dim + j, p ^ pj) for a, p in entries)
         table = nxt
@@ -625,91 +676,39 @@ def _killed(action: FactorwiseAction, kinds: str, support: list[int]) -> list[di
     return [{support[t]: v for t, v in vec.items()} for vec in nullspace(rows.values(), len(support))]
 
 
-def _kac_vector(U: GModule) -> int | None:
-    """The index of the highest weight vector d when U is certified to be a Kac module.
-
-    The certificate: the recorded highest weight mu is finite-dominant and
-    typical, dim U = dim K(mu), and U's one basis vector d of weight mu is
-    killed by every e_i.  Then d generates a nonzero quotient of the simple
-    module K(mu) (op K(mu) when d is odd) of dimension dim U, so U is that
-    module.  Returns None when any part fails; every Kac route asks this gate.
-    """
-    rs, mu = U.rs, U.highest_weight
-    if mu is None or rs.family != "sl" or not rs.is_dominant_finite(mu) or not rs.is_typical(mu):
-        return None
-    if U.dim != _kac_dim(rs, mu):
-        return None
-    top = [k for k, wt in enumerate(U.basis_weights) if wt == mu.a]
-    if len(top) != 1 or any(j == top[0] for x in U.e for (_, j) in x.entries):
-        return None
-    return top[0]
-
-
-def _singular(K: GModule, d: int, target: FactorwiseAction, parity: int) -> list[dict]:
+def _singular(K: GModule, target: FactorwiseAction, parity: int) -> list[dict]:
     """The vectors v = F(d) that fix the g-linear maps F: K -> target (``_replay``).
 
     Frobenius reciprocity: the target's weight-mu vectors of parity p(d) + p(F) killed by
     every e_i.
     """
     return _killed(target, "e",
-                   target.indices(K.highest_weight.a, (K.space.parities[d] + parity) % 2))
+                   target.indices(K.highest_weight.a, (K.space.parities[K.kac_vector] + parity) % 2))
 
 
-def _replay(K: GModule, d: int, target: FactorwiseAction, parity: int, singular=None):
+def _replay(K: GModule, target: FactorwiseAction, parity: int, singular=None):
     """Each singular vector's images of the f-words, and the word coordinates C.
 
     A g-linear map F: K -> target out of the certified Kac module K is fixed
     by v = F(d), one of ``singular`` (default: all of ``_singular``), and
     F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in the target the f-words
-    that span K from d, found once per call: image k is F(word k).  C[k, j],
-    basis vector j over the words, is read off the word search's rows, so
+    that span K from d (``GModule.kac_words``): image k is F(word k), so
     F = images . C (``_assembled``).  The target is any factorwise action, so
     a tensor product is never built as a module.
     """
-    singular = _singular(K, d, target, parity) if singular is None else singular
+    singular = _singular(K, target, parity) if singular is None else singular
     if not singular:
         return [], {}
-    source = FactorwiseAction((K,))
-    reducer = RowReducer()
-    reducer.add({d: 1})
-    vecs, words = [{d: 1}], [None]
-    # Word k lies in the weight space of depth lam - wt = depths[k]; f_g steps it by
-    # Cartan column g, and a word whose weight space is already spanned is not tried.
-    # lam - wt is integral on the weights of K, so each b shares the denominator of its a.
-    lam, steps = K.basis_weights[d], list(zip(*K.rs.cartan.a))
-    room = Counter(tuple((a.numerator - b.numerator) // a.denominator for a, b in zip(lam, wt))
-                   for wt in K.basis_weights)
-    depths = [(0,) * K.rs.rank]
-    spanned = Counter(depths)
-    frontier = [0]
-    while frontier and len(reducer) < K.dim:
-        nxt = []
-        for k in frontier:
-            for g in range(K.rs.rank):
-                depth = tuple(map(add, depths[k], steps[g]))
-                if spanned[depth] == room[depth]:
-                    continue
-                image = source.apply("f", g, vecs[k])
-                if image and reducer.add(image):
-                    nxt.append(len(vecs))
-                    vecs.append(image)
-                    words.append((k, g))
-                    depths.append(depth)
-                    spanned[depth] += 1
-        frontier = nxt
-    if len(reducer) != K.dim:
-        raise ModuleRelationError(
-            f"{K.name}: words from the highest weight vector span {len(reducer)} of {K.dim}"
-        )
+    words, coords = K.kac_words
     signs = [-1 if parity and x.parity else 1 for x in K.e]
     replays = []
     for v in singular:
         images = [v]
-        for k, g in words[1:]:
+        for k, g in words:
             image = target.apply("f", g, images[k])
             images.append(image if signs[g] == 1 else {i: -c for i, c in image.items()})
         replays.append(images)
-    return replays, reducer.unit_coords()
+    return replays, coords
 
 
 def _assembled(images: list[dict], coords: dict) -> dict:
@@ -727,7 +726,7 @@ def _parities(parity) -> tuple[int, ...]:
 def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
     """A basis of the g-linear maps U -> V of the given parity (None = both).
 
-    When U is certified to be a typical Kac module K(mu) (see ``_kac_vector``),
+    When U is certified to be a typical Kac module K(mu) (``GModule.kac_vector``),
     Frobenius reciprocity gives Hom(K(mu), V) = {weight-mu vectors of V killed
     by every e_i}: only that system is solved, and each map is rebuilt from
     the f-words that span K(mu) from its highest weight vector.  Any other U
@@ -741,9 +740,8 @@ def hom_space(U: GModule, V: GModule, parity: int | None = 0) -> list[SuperMap]:
         return [m for p in _parities(parity) for m in hom_space(U, V, p)]
     if U.rs != V.rs:
         raise ValueError("morphisms require modules over the same algebra")
-    d = _kac_vector(U)
-    if d is not None:
-        replays, coords = _replay(U, d, FactorwiseAction((V,)), parity)
+    if U.kac_vector is not None:
+        replays, coords = _replay(U, FactorwiseAction((V,)), parity)
         return [SuperMap(U.space, V.space, parity, _assembled(images, coords)) for images in replays]
     action = FactorwiseAction((V, U.dual))
     support = sorted(action.indices((0,) * U.rs.rank, parity), key=lambda t: (t % U.dim, t))
@@ -838,7 +836,7 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
 
 def _check_core(V0: GModule) -> None:
     """ValueError unless V0 is K(lam) certified with an even d, so that d(V0) = mod_sdim(lam)."""
-    d = _kac_vector(V0)
+    d = V0.kac_vector
     if d is None or V0.space.parities[d]:
         raise ValueError(f"witness core {V0.name} is not a certified Kac module "
                          "with an even highest weight vector")
@@ -890,7 +888,7 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
     _check_core(V0)
     if V is V0:
         return trivial_witness(V)
-    d = _kac_vector(V)
+    d = V.kac_vector
     if d is None:
         raise WitnessNotFoundError(f"{V.name} is not a certified Kac module; no search ran")
     # Not V0.dual: a core serves many calls, and a dual kept on it would make a call's work
@@ -900,13 +898,13 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
     dv, dw = V.dim, W.dim
     ev = [(i * dw + i * dv, -1 if p else 1) for i, p in enumerate(V0.space.parities)]
     action = FactorwiseAction((V0, W))
-    pairs = ((v, sum(s * v.get(t + d, 0) for t, s in ev)) for v in _singular(V, d, action, 0))
+    pairs = ((v, sum(s * v.get(t + d, 0) for t, s in ev)) for v in _singular(V, action, 0))
     v, c = next((pair for pair in pairs if pair[1]), (None, 0))
     if not c:
         raise WitnessNotFoundError(f"no splitting of {V.name} through {V0.name} with W = V0* (x) V")
     a = SuperMap(sl.tensor_space(V0.space, W.space), V.space, 0,
                  {(k, t + k): Fraction(s, c) for t, s in ev for k in range(dv)})
-    (images,), coords = _replay(V, d, action, 0, [v])
+    (images,), coords = _replay(V, action, 0, [v])
     b = SuperMap(V.space, a.domain, 0, _assembled(images, coords))
     return make_witness(V, V0, W, a, b)
 
@@ -1032,10 +1030,10 @@ def cached_kac_module(rs: RootSystem, lam: Weight, cache_dir: str | None) -> GMo
     path = kac_cache_path(cache_dir, rs, lam)
     if os.path.exists(path):
         mod = load_gmodule(rs, path)
-        if (mod.name, mod.highest_weight, mod.dim) != (_kac_name(lam), lam, _kac_dim(rs, lam)):
-            raise ModuleIntegrityError(
-                f"{path}: holds {mod.name} of dim {mod.dim}, not the requested {_kac_name(lam)}"
-            )
+        d = mod.kac_vector  # certifies dim K(lam) and the module; K(lam) has an even d
+        if (mod.name, mod.highest_weight) != (_kac_name(lam), lam) or d is None or mod.space.parities[d]:
+            raise ModuleIntegrityError(f"{path}: holds {mod.name} of dim {mod.dim}, "
+                                       f"not a certified {_kac_name(lam)}")
         return mod
     mod = kac_module(rs, lam)
     save_gmodule(mod, path)

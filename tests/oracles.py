@@ -22,11 +22,12 @@ partners, where the library sums the kept columns of b~_N.
 factors of K(lam) chain by chain, where the library writes the generators
 straight from the PBW basis.  ``g_linear_two_sided`` acts on m's rows and on a
 column-major copy and compares the re-keyed images, where the library adds both
-sides into one sum over one keying of m.  ``replay_unskipped`` tries every
-f_g on every new word, where the library skips words whose weight space is
-already spanned.  ``SetDifferenceRowReducer`` refreshes the column index of
-each updated row from whole key-set differences, where the library looks only
-at the new pivot row's columns.  ``unit_coords_by_solves`` solves for each unit
+sides into one sum over one keying of m.  ``kac_words_unskipped`` tries every
+f_g on every new word, where ``GModule.kac_words`` skips words whose weight
+space is already spanned; ``replay_unskipped`` replays those words.
+``SetDifferenceRowReducer`` refreshes the column index of each updated row
+from whole key-set differences, where the library looks only at the new pivot
+row's columns.  ``unit_coords_by_solves`` solves for each unit
 vector on its own, where the library reads them all off the reduced rows, and
 ``presenting_maps_at_once`` assembles every presenting map of ``it_space``,
 where the library assembles one only when it is read.  ``sn_action_map``
@@ -112,11 +113,9 @@ def g_linear_two_sided(m, src, dst):
     return True
 
 
-def replay_unskipped(K, d, target, parity, singular=None):
-    """``repmod._replay`` with the word search trying every f_g on every new word."""
-    singular = rm._singular(K, d, target, parity) if singular is None else singular
-    if not singular:
-        return [], {}
+def kac_words_unskipped(K):
+    """``GModule.kac_words`` with the word search trying every f_g on every new word."""
+    d = K.kac_vector
     source = rm.FactorwiseAction((K,))
     reducer = RowReducer()
     reducer.add({d: 1})
@@ -133,15 +132,24 @@ def replay_unskipped(K, d, target, parity, singular=None):
                     words.append((k, g))
         frontier = nxt
     assert len(reducer) == K.dim
+    return tuple(words[1:]), reducer.unit_coords()
+
+
+def replay_unskipped(K, target, parity, singular=None):
+    """``repmod._replay`` over the words of ``kac_words_unskipped``."""
+    singular = rm._singular(K, target, parity) if singular is None else singular
+    if not singular:
+        return [], {}
+    words, coords = kac_words_unskipped(K)
     signs = [-1 if parity and x.parity else 1 for x in K.e]
     replays = []
     for v in singular:
         images = [v]
-        for k, g in words[1:]:
+        for k, g in words:
             image = target.apply("f", g, images[k])
             images.append(image if signs[g] == 1 else {i: -c for i, c in image.items()})
         replays.append(images)
-    return replays, reducer.unit_coords()
+    return replays, coords
 
 
 class SetDifferenceRowReducer(RowReducer):
@@ -245,7 +253,7 @@ def presenting_maps_at_once(adj, N, w):
     domain = sl.tensor_space(V.space, sl.dual_space(V.space))
     target = rm.FactorwiseAction((adj.module,) * N + (V,))
     maps = []
-    replays, coords = rm._replay(V, rm._kac_vector(V), target, 0)
+    replays, coords = rm._replay(V, target, 0)
     for images in replays:
         ent = {}
         for (row, j), v in rm._assembled(images, coords).items():

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -147,6 +148,27 @@ class TestVerify:
         checks = {c["check"]: c["pass"] for c in map(json.loads, text.strip().splitlines()[1:])}
         assert checks == {"roster.cache-integrity": False}
 
+    @pytest.mark.parametrize("wrong", ["std(2|1)(+)C(1|0)", "op(K(0,1))"])
+    def test_cached_module_that_is_not_the_kac_module_fails_with_named_check(self, tmp_path,
+                                                                              wrong):
+        # Saved as K(0,1) with its highest weight: dim 4 and relations that hold, but no even d.
+        import dataclasses
+
+        from supertrace import repmod as rm
+        from supertrace.rootdata import build_root_system, weight
+
+        rs, lam = build_root_system("sl", 2, 1), weight(0, 1)
+        std, C, K = rm.standard_module(rs), rm.trivial_module(rs), rm.kac_module(rs, lam)
+        mod = rm.direct_sum_module(std, C) if wrong.startswith("std") else rm.parity_shift_module(K)
+        rm.save_gmodule(dataclasses.replace(mod, name="K(0,1)", highest_weight=lam),
+                        rm.kac_cache_path(str(tmp_path), rs, lam))
+        code, text = run_cli(
+            "verify", "--suite", "trace", "--cache-dir", str(tmp_path), "--format", "json"
+        )
+        assert code == 1
+        checks = {c["check"]: c["pass"] for c in map(json.loads, text.strip().splitlines()[1:])}
+        assert checks == {"roster.cache-integrity": False}
+
     def test_corrupted_cache_fails_with_named_check(self, tmp_path):
         from supertrace import repmod as rm
         from supertrace.rootdata import build_root_system, weight
@@ -222,17 +244,29 @@ class TestRunBlock:
                                                                      "writes": 0}
 
 
-# `run_verification(["all"], seed=2024)` as recorded at an earlier commit, without
-# the `timings` and `run` blocks: every check's id, pass flag, rendered values
-# and inputs, so a change of how values are held cannot change what is reported.
-GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data", "verify_all_seed2024.json")
+# `verify --format json` runs as recorded at an earlier commit, without the
+# `timings` and `run` blocks: every check's id, pass flag, rendered values and
+# inputs, so a change of how values are held cannot change what is reported.
+# Each file under tests/data is named by its key here.
+GOLDEN_REPORTS = {
+    "verify_all_seed2024": ("--suite", "all"),
+    "verify_all_seed51": ("--suite", "all", "--seed", "51"),
+    "verify_all_seed85": ("--suite", "all", "--seed", "85"),
+    "verify_tensors_degree4_seed7": ("--suite", "tensors", "--max-degree", "4", "--seed", "7"),
+}
 CHECK_KEYS = ("check", "pass", "expected", "actual", "inputs")
+
+
+@functools.lru_cache(maxsize=None)
+def verify_run(argv: tuple) -> tuple[int, str]:
+    """`verify *argv --format json`, run once per argv."""
+    return run_cli("verify", *argv, "--format", "json")
 
 
 @pytest.fixture(scope="module")
 def verify_all():
     """`verify --suite all --format json` at the defaults (seed 2024, degree 3), run once."""
-    return run_cli("verify", "--suite", "all", "--format", "json")
+    return verify_run(GOLDEN_REPORTS["verify_all_seed2024"])
 
 
 class TestVerifyFailures:
@@ -242,11 +276,12 @@ class TestVerifyFailures:
         assert lines[0]["record"] == "report"
         return {c["check"]: c for c in lines[1:]}
 
-    def test_report_matches_the_golden_report(self, verify_all):
-        code, text = verify_all
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_REPORTS))
+    def test_report_matches_the_golden_report(self, golden):
+        code, text = verify_run(GOLDEN_REPORTS[golden])
         assert code == 0
         header, *checks = [json.loads(line) for line in text.splitlines()]
-        with open(GOLDEN_REPORT) as fh:
+        with open(os.path.join(os.path.dirname(__file__), "data", f"{golden}.json")) as fh:
             golden = json.load(fh)
         assert [{k: c[k] for k in CHECK_KEYS} for c in checks] == golden.pop("checks")
         assert {k: header[k] for k in golden} == golden
@@ -331,6 +366,21 @@ class TestBadInput:
         code, _ = run_cli(*argv)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("sl11", "sl(m|n) requires m != n"), ("sl10", "sl(m|n) requires m, n >= 1"),
+        ("osp20", "osp(2|2n) requires n >= 1"),
+    ])
+    def test_invalid_algebra_exits_2_before_any_suite(self, spec, message, capsys, monkeypatch):
+        from supertrace import suites
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(suites, "run_verification", no_run)
+        code, _ = run_cli("verify", "--suite", "superlin", "--algebra", spec)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("degree", ["5", "6", "7", "40"])
     def test_max_degree_above_the_cap_exits_before_any_suite(self, degree, capsys, monkeypatch):

@@ -645,7 +645,7 @@ class TestAdjunctionRoute:
 
     def test_probe_that_is_not_a_kac_module_raises(self, roster, adj):
         for w in (roster.wC, rm.witness_dsum(roster.wA, roster.wA)):
-            assert rm._kac_vector(w.V) is None
+            assert w.V.kac_vector is None
             with pytest.raises(ValueError, match="not a certified Kac module"):
                 it.it_space(adj, 2, [roster.wA, w])
 
@@ -665,7 +665,8 @@ _REPLAYS = {}
 
 def _replay_case(key, adj_, w):
     """it_space's tensors for one probe, its maps assembled at once, and the replay's word
-    coordinates C with the reducer of the word search they were read from."""
+    coordinates C with the reducer of the word search they were read from: the search runs
+    on a copy of the probe, whose ``kac_words`` are not kept yet."""
     if key not in _REPLAYS:
         N, V = key[2], w.V
         reducers = []
@@ -678,7 +679,7 @@ def _replay_case(key, adj_, w):
         target = rm.FactorwiseAction((adj_.module,) * N + (V,))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rm, "RowReducer", Recording)
-            replays, coeffs = rm._replay(V, rm._kac_vector(V), target, 0)
+            replays, coeffs = rm._replay(dataclasses.replace(V), target, 0)
         _REPLAYS[key] = (it.it_space(adj_, N, [w]), oracles.presenting_maps_at_once(adj_, N, w),
                          coeffs, reducers, len(replays))
     return _REPLAYS[key]

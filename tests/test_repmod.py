@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -13,6 +14,7 @@ import oracles
 from supertrace import repmod as rm
 from supertrace.linalg import RowReducer, nullspace
 from supertrace import superlin as sl
+from supertrace.exactnum import exact
 from supertrace.rootdata import AtypicalWeightError, weight
 
 
@@ -351,6 +353,19 @@ class TestSerialization:
             rm.cached_kac_module(rs21, weight(0, 1), str(tmp_path))
         assert rm.cached_kac_module(rs21, weight(1, 1), str(tmp_path)).dim == 8
 
+    @pytest.mark.parametrize("wrong", ["std(2|1)(+)C(1|0)", "op(K(0,1))"])
+    def test_cache_file_that_is_not_the_kac_module_rejected(self, rs21, tmp_path, wrong):
+        # Saved as K(0,1) with its highest weight, both have dim 4 = dim K(0,1) and relations
+        # that hold; the first has no certified d, the second an odd one.
+        lam = weight(0, 1)
+        std, C, K = rm.standard_module(rs21), rm.trivial_module(rs21), rm.kac_module(rs21, lam)
+        mod = rm.direct_sum_module(std, C) if wrong.startswith("std") else rm.parity_shift_module(K)
+        assert mod.dim == 4 and mod.name == wrong
+        rm.save_gmodule(dataclasses.replace(mod, name="K(0,1)", highest_weight=lam),
+                        rm.kac_cache_path(str(tmp_path), rs21, lam))
+        with pytest.raises(rm.ModuleIntegrityError, match=r"not a certified K\(0,1\)"):
+            rm.cached_kac_module(rs21, lam, str(tmp_path))
+
     def test_cache_reuse(self, rs21, tmp_path):
         first = rm.cached_kac_module(rs21, weight(0, 2), str(tmp_path))
         cache_file = rm.kac_cache_path(str(tmp_path), rs21, weight(0, 2))
@@ -677,11 +692,11 @@ class TestReciprocityRoute:
     @given(pair=kac_hom_pair(), parity=st.sampled_from([0, 1, None]))
     def test_matches_generic_solve(self, pair, parity):
         U, V = pair
-        assert rm._kac_vector(U) is not None or rm._kac_vector(V) is not None
+        assert U.kac_vector is not None or V.kac_vector is not None
         got = rm.hom_space(U, V, parity)
         want = [m for p in ((0, 1) if parity is None else (parity,))
                 for m in oracles.hom_by_equations(U, V, p)]
-        if rm._kac_vector(U) is None:  # an uncertified domain takes the generic route
+        if U.kac_vector is None:  # an uncertified domain takes the generic route
             assert got == want
         else:
             assert _same_span(got, want)
@@ -696,18 +711,18 @@ class TestReciprocityRoute:
         # Replayed into K itself from d, image k is word k of the search; C is read off its rows.
         # Hom(K, K (x) std (x) std*) holds the coevaluation, Hom(K, op K) the odd sigma.
         K = _kac(m, n, coords)
-        d = rm._kac_vector(K)
+        d = K.kac_vector
         std = rm.standard_module(K.rs)
+        assert K.kac_words == oracles.kac_words_unskipped(K)
         for target, parity, singular in ((rm.FactorwiseAction((K,)), 0, [{d: 1}]),
                                          (rm.FactorwiseAction((K, std, rm.dual_module(std))), 0, None),
                                          (rm.FactorwiseAction((rm.parity_shift_module(K),)), 1, None)):
-            got = rm._replay(K, d, target, parity, singular)
-            assert got[0] and got == oracles.replay_unskipped(K, d, target, parity, singular)
+            got = rm._replay(K, target, parity, singular)
+            assert got[0] and got == oracles.replay_unskipped(K, target, parity, singular)
             assert all(len(images) == K.dim for images in got[0])
 
     def test_the_word_search_skips_spanned_weight_spaces(self, monkeypatch):
-        K = _kac(3, 1, (1, 0, F(-2, 3)))
-        d = rm._kac_vector(K)
+        K = dataclasses.replace(_kac(3, 1, (1, 0, F(-2, 3))))  # no words kept yet
         counts = {"f": 0}
         real = rm.FactorwiseAction.apply
 
@@ -716,11 +731,10 @@ class TestReciprocityRoute:
             return real(self, kind, i, vec)
 
         monkeypatch.setattr(rm.FactorwiseAction, "apply", counted)
-        rm._replay(K, d, rm.FactorwiseAction((K,)), 0, [{d: 1}])
+        words = K.kac_words
         skipped = counts["f"]
         counts["f"] = 0
-        oracles.replay_unskipped(K, d, rm.FactorwiseAction((K,)), 0, [{d: 1}])
-        # The replay applies K.dim - 1 words either way; only the search differs.
+        assert oracles.kac_words_unskipped(K) == words
         assert skipped < counts["f"]
 
     def test_kac_domain_and_codomain_in_a_witness(self, roster):
@@ -729,7 +743,7 @@ class TestReciprocityRoute:
         B = roster.B
         w = roster.wB_via_A
         V0W = rm.tensor_module(w.V0, w.W)
-        assert rm._kac_vector(B) == 0 and rm._kac_vector(V0W) is None
+        assert B.kac_vector == 0 and V0W.kac_vector is None
         assert rm.hom_space(V0W, B, 0) == oracles.hom_by_equations(V0W, B, 0)
         assert _same_span(rm.hom_space(B, V0W, 0), oracles.hom_by_equations(B, V0W, 0))
 
@@ -743,7 +757,7 @@ class TestReciprocityRoute:
         # certified too; d is odd and every map picks up the odd signs.
         D = roster.D
         shifted = rm.GModule(D.rs, D.space, D.e, D.f, D.name, roster.A.highest_weight)
-        assert shifted.space.parities[rm._kac_vector(shifted)] == 1
+        assert shifted.space.parities[shifted.kac_vector] == 1
         for U, V in ((shifted, roster.A), (roster.A, shifted), (shifted, roster.C),
                      (roster.C, shifted)):
             for parity in (0, 1):
@@ -774,7 +788,7 @@ class TestReciprocityRoute:
 
         monkeypatch.setattr(rm, "_replay", no_route)
         for U in negatives:
-            assert rm._kac_vector(U) is None
+            assert U.kac_vector is None
             assert (rm.hom_space(U, U, 0), rm.hom_space(U, roster.std, 1)) == expected[id(U)]
             assert expected[id(U)][0] == oracles.hom_by_equations(U, U, 0)
 
@@ -787,7 +801,7 @@ class TestReciprocityRoute:
         f[s] = sl.SuperMap(A.space, A.space, 1, {k: v for k, v in A.f[s].entries.items()
                                                  if k != (3, 1)})
         fake = rm.GModule(A.rs, A.space, A.e, tuple(f), "fake", A.highest_weight)
-        assert rm._kac_vector(fake) == 0
+        assert fake.kac_vector == 0
         with pytest.raises(rm.ModuleRelationError, match="span 2 of 4"):
             rm.hom_space(fake, A, 0)
 
@@ -819,7 +833,7 @@ class TestGenericHom:
     @given(data=st.data(), parity=st.sampled_from([0, 1]))
     def test_basis_equals_the_equation_oracle(self, roster, data, parity):
         U, V = data.draw(generic_module(roster)), data.draw(generic_module(roster))
-        assert rm._kac_vector(U) is None and rm._kac_vector(V) is None
+        assert U.kac_vector is None and V.kac_vector is None
         got = rm.hom_space(U, V, parity)
         assert got == oracles.hom_by_equations(U, V, parity)
         assert all(rm._check_g_linear(m, U, V) for m in got)
@@ -1028,7 +1042,7 @@ class TestWitnessOracle:
                                       "sl12 op K(7/2,1) via K(5/2,1)"])
     def test_alpha_and_beta_equal_the_module_route(self, name):
         V, V0 = _witness_case(name)
-        d = rm._kac_vector(V)
+        d = V.kac_vector
         odd = name == "D via A" or "op" in name.split()
         assert d is not None and V.space.parities[d] == odd
         w = rm.ideal_witness(V, V0)
@@ -1109,6 +1123,49 @@ def witnessed_kac_case(draw):
     return _kac(*shape, lam), _kac(*shape, mu)
 
 
+class TestKeptFacts:
+    """The Kac certificate and the f-word basis are computed once per module and kept."""
+
+    def test_once_per_module_in_a_tensors_run(self, monkeypatch):
+        from collections import Counter
+
+        from supertrace.suites import run_verification
+
+        runs = {}
+        for name in ("kac_vector", "kac_words"):
+            body, counter = getattr(rm.GModule, name).func, runs.setdefault(name, Counter())
+
+            def counted(mod, body=body, counter=counter):
+                counter[mod] += 1
+                return body(mod)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(rm.GModule, name)
+            monkeypatch.setattr(rm.GModule, name, prop)
+        assert run_verification(["tensors"])["pass"]
+        assert set(runs["kac_vector"].values()) == set(runs["kac_words"].values()) == {1}
+        assert sorted(mod.name for mod in runs["kac_words"]) == ["K(0,1)", "K(1,1)"]
+        assert set(runs["kac_words"]) <= set(runs["kac_vector"])
+
+    def test_a_gated_core_runs_no_word_search(self, roster):
+        K = dataclasses.replace(roster.A)
+        rm.ideal_witness(roster.B, K)
+        rm.trivial_witness(K)
+        assert K.kac_vector == 0 and "kac_words" not in vars(K)
+
+    def test_replace_and_parity_shift_start_with_empty_memos(self, roster):
+        A = roster.A
+        assert A.kac_vector == 0 and A.kac_words
+        assert dataclasses.replace(A, highest_weight=None).kac_vector is None
+        op = rm.parity_shift_module(A)
+        assert op.kac_vector == 0 and op.space.parities[op.kac_vector] == 1
+        assert A.space.parities[A.kac_vector] == 0
+
+    def test_words_of_an_uncertified_module_raise(self, roster):
+        with pytest.raises(ValueError, match="not a certified Kac module"):
+            roster.C.kac_words
+
+
 class TestCoreGate:
     def test_a_tensor_product_is_not_a_core(self, roster):
         # K(0,1) (x) std used to carry the typical weight (1,1): str'(Id) came out 2/3, not 1/2.
@@ -1127,7 +1184,7 @@ class TestCoreGate:
 
     def test_an_odd_highest_weight_vector_is_not_a_core(self, roster, monkeypatch):
         D = roster.D
-        d = rm._kac_vector(D)
+        d = D.kac_vector
         assert d is not None and D.space.parities[d] == 1
 
         def no_check(*args):
@@ -1285,7 +1342,7 @@ def module_with_rule_weights(draw):
 def test_derived_weights_follow_the_construction_rules(case):
     V, wts = case
     assert V.basis_weights == wts
-    assert all(type(x) is F for wt in V.basis_weights for x in wt)
+    assert all(type(x) is type(exact(x)) for wt in V.basis_weights for x in wt)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1319,7 +1376,7 @@ def test_kac_weights_match_the_formula(shape, a_s):
     assume(rs.is_typical(lam))
     K = rm.kac_module(rs, lam)
     assert K.basis_weights == oracles.kac_weights(rs, lam)
-    assert all(type(x) is F for wt in K.basis_weights for x in wt)
+    assert all(type(x) is type(exact(x)) for wt in K.basis_weights for x in wt)
 
 
 # The largest natural coordinate drawn off the odd index, per sl(m|n): most
