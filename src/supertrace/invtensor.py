@@ -20,6 +20,7 @@ degree, is kept as an independent oracle.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -40,6 +41,7 @@ from .repmod import (  # hom_space stays bound here for callers that read invten
     invariant_vectors,
     sl_generators,
     tensor_module,
+    witness_dsum,
 )
 from .rootdata import RootSystem
 from .superlin import SuperMap, SuperSpace
@@ -55,11 +57,11 @@ class AdjointData:
 
     basis_matrices realize the chosen homogeneous basis inside the defining
     representation; b is the induced isomorphism g -> g* (columns are the
-    form against basis vectors) and gram its matrix.  The memos are filled
-    per degree and are not init fields, so ``dataclasses.replace`` starts a
-    copy empty: ``_forms`` keeps the columns of b~_N and b~_N^-1
-    (``form_columns``, keyed (N, inverse)), ``_composites`` b~_N's composed map
-    (``dualizing_map``).
+    form against basis vectors) and gram its matrix.  Per-degree tables are kept in
+    one dict, ``_kept``, read through ``_keep(key, build)``: ("power", N), ("space", N),
+    ("form", N, inverse) for ``form_columns``, ("composite", N) for ``dualizing_map``
+    and ("moved", N, perm) for ``_permuter``.  ``_kept`` is not an init field, so
+    ``dataclasses.replace`` starts a copy empty.
     """
 
     rs: RootSystem
@@ -68,47 +70,37 @@ class AdjointData:
     gram: tuple[tuple[Fraction, ...], ...]
     b: SuperMap
     b_inv: SuperMap
-    _powers: dict = field(default_factory=dict, init=False, repr=False)
-    _spaces: dict = field(default_factory=dict, init=False, repr=False)
-    _moved: dict = field(default_factory=dict, init=False, repr=False)  # (N, perm) -> {flat: (index, sign)}
-    _forms: dict = field(default_factory=dict, init=False, repr=False)
-    _composites: dict = field(default_factory=dict, init=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def gdim(self) -> int:
         return self.module.dim
 
-    def power(self, N: int) -> GModule:
-        """The N-th tensor power of the adjoint module (memoized)."""
+    def _keep(self, key: tuple, build):
+        """The table kept under ``key``: ``build()`` on the key's first read."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+    def _fold(self, key: str, op, N: int, factor):
+        """op folded over N copies of factor (N >= 1, else ValueError), kept under (key, N)."""
         if N < 1:
             raise ValueError("tensor degree must be at least 1")
-        mod = self._powers.get(N)
-        if mod is None:
-            mod = self.module
-            for _ in range(N - 1):
-                mod = tensor_module(mod, self.module)
-            self._powers[N] = mod
-        return mod
+        return self._keep((key, N), lambda: reduce(op, [factor] * N))
+
+    def power(self, N: int) -> GModule:
+        """The N-th tensor power of the adjoint module (kept)."""
+        return self._fold("power", tensor_module, N, self.module)
 
     def power_space(self, N: int) -> SuperSpace:
-        """The super-space of the N-th tensor power (memoized), without its module."""
-        if N < 1:
-            raise ValueError("tensor degree must be at least 1")
-        space = self._spaces.get(N)
-        if space is None:
-            space = self.module.space
-            for _ in range(N - 1):
-                space = sl.tensor_space(space, self.module.space)
-            self._spaces[N] = space
-        return space
+        """The super-space of the N-th tensor power (kept), without its module."""
+        return self._fold("space", sl.tensor_space, N, self.module.space)
 
     def form_columns(self, N: int, inverse: bool = False) -> list[list]:
         """Column t of b~_N, or of b~_N^-1 = b_inv^(x)N . iota^-1 (iota is its own inverse), as
         [(r, value)]: the walk of b's or b_inv's partners on every basis tensor, once per degree."""
-        if (N, inverse) not in self._forms:
-            partners = _partners(self, self.b_inv if inverse else self.b)
-            self._forms[N, inverse] = _partner_walk(self, N, partners)
-        return self._forms[N, inverse]
+        form = self.b_inv if inverse else self.b
+        return self._keep(("form", N, inverse), lambda: _partner_walk(self, N, _partners(self, form)))
 
 
 def build_adjoint(rs: RootSystem) -> AdjointData:
@@ -297,17 +289,18 @@ class PresentedTensor:
     """An invariant tensor together with the data presenting it.
 
     coords are the coordinates of f(coev_V(1)) in the degree-N power; f is an
-    even g-linear map V (x) V* -> g^{(x)N} and witness certifies V.  A tensor moved
-    by ``sn_action`` keeps the ``source`` map and adj's signed permutation ``perm``:
-    f = P . source is built on first access, and the forms pull back through P.
-    The tensors of ``it_space`` and ``sn_action`` are ``_deferred``: ``source`` is read on
-    first access and kept (``_replayed_source``, or the ``source`` of the tensor moved).
+    even g-linear map V (x) V* -> g^{(x)N} and witness certifies V.  The map is a
+    recipe: ``source`` is ``build()``, read once and kept (a ``cached_property``): the
+    map itself (``presented_tensor``), its assembly from the replay (``it_space``) or
+    the moved tensor's own ``source`` (``sn_action``).  A moved tensor keeps adj's
+    signed permutation ``perm``: f = P . source is built on first access, and the
+    forms pull back through P.
     """
 
     degree: int
     coords: dict
-    source: SuperMap = field(repr=False)  # left out of repr: a deferred tensor builds it on read
     witness: IdealWitness
+    build: Callable[[], SuperMap] = field(repr=False)
     perm: tuple[int, ...] | None = None
     adj: AdjointData | None = field(default=None, repr=False)
 
@@ -315,22 +308,10 @@ class PresentedTensor:
     def module(self) -> GModule:
         return self.witness.V
 
-    @classmethod
-    def _deferred(cls, degree: int, coords: dict, witness: IdealWitness, build, perm: tuple | None,
-                  adj: AdjointData | None) -> PresentedTensor:
-        """A tensor whose ``source`` is ``build()``, called on its first read and kept."""
-        t = object.__new__(cls)
-        vars(t).update(degree=degree, coords=coords, witness=witness, perm=perm, adj=adj,
-                       _build=build)
-        return t
-
-    def __getattr__(self, name: str):
-        # Only ``source`` is ever missing: on a ``_deferred`` tensor, until its first read.
-        if name != "source" or "_build" not in vars(self):
-            raise AttributeError(name)
-        source = vars(self)["source"] = self._build()
-        del vars(self)["_build"]
-        return source
+    @cached_property
+    def source(self) -> SuperMap:
+        """The presenting map before ``perm``: ``build()``, on first read."""
+        return self.build()
 
     @cached_property
     def f(self) -> SuperMap:
@@ -356,7 +337,7 @@ def presented_tensor(adj: AdjointData, N: int, w: IdealWitness, f: SuperMap) -> 
     """f(coev_V(1)): the sum of f's columns i d + i, the multiples of d + 1."""
     step = w.V.dim + 1
     coords = sl._summed((r, v) for (r, c), v in f.entries.items() if c % step == 0)
-    return PresentedTensor(N, coords, f, w)
+    return PresentedTensor(N, coords, w, lambda: f)
 
 
 def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace:
@@ -388,9 +369,8 @@ def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace
                     c = coeffs.get((k, i))
                     if c:
                         pairs.append((x, -u * c if par[i] else u * c))
-            raw.append(PresentedTensor._deferred(
-                N, sl._summed(pairs), w, partial(_replayed_source, V, images, coeffs, codomain),
-                None, None))
+            raw.append(PresentedTensor(N, sl._summed(pairs), w,
+                                       partial(_replayed_source, V, images, coeffs, codomain)))
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
     return ITSubspace(N, tuple(independent), tuple(raw))
@@ -416,8 +396,6 @@ def it_sum(
     blockwise on (V1 (+) V2) (x) (V1 (+) V2)*.  At lam = 0 the V2 block is zero,
     and t2's map is not read.
     """
-    from .repmod import witness_dsum
-
     if t1.degree != t2.degree:
         raise ValueError("cannot sum tensors of different degree")
     lam = exact(lam)
@@ -463,9 +441,8 @@ def _iota_chain(adj: AdjointData, N: int) -> SuperMap:
 
 def dualizing_map(adj: AdjointData, N: int) -> SuperMap:
     """b~ = iota . b^(x)N: g^(x)N -> (g^(x)N)*, the form as an isomorphism; composed once per N."""
-    if N not in adj._composites:
-        adj._composites[N] = _iota_chain(adj, N) @ reduce(sl.tensor_map, [adj.b] * N)
-    return adj._composites[N]
+    return adj._keep(("composite", N),
+                     lambda: _iota_chain(adj, N) @ reduce(sl.tensor_map, [adj.b] * N))
 
 
 def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:
@@ -604,7 +581,7 @@ def _permuter(adj: AdjointData, N: int, perm: tuple[int, ...]):
     par = adj.module.space.parities
     # Per factor, last first: its place in the moved index, and its slot's bit and the bits below.
     steps = [(gdim ** (N - 1 - slot), 1 << slot, (1 << slot) - 1) for slot in reversed(perm)]
-    moved = adj._moved.setdefault((N, tuple(perm)), {})
+    moved = adj._keep(("moved", N, tuple(perm)), dict)
 
     def move(flat: int) -> tuple[int, int]:
         if flat not in moved:
@@ -651,8 +628,7 @@ def sn_action(
         raise ValueError(f"tensor of degree {t.degree} under a permutation of {N} slots")
     composed = tuple(perm) if t.perm is None else tuple(perm[s] for s in t.perm)
     coords = sl._nonzero(_permuted(move, t.coords.items()))
-    return PresentedTensor._deferred(N, coords, t.witness, partial(getattr, t, "source"),
-                                     composed, adj)
+    return PresentedTensor(N, coords, t.witness, partial(getattr, t, "source"), composed, adj)
 
 
 def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:

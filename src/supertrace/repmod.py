@@ -32,7 +32,7 @@ import json
 import os
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, permutations
@@ -69,10 +69,10 @@ class WitnessNotFoundError(RuntimeError):
 class GModule:
     """The generator matrices e_i and f_i on a based super-space; immutable.
 
-    What is derived from them is kept once computed: ``basis_weights`` (the h_i are not
-    stored), ``cleared``, ``dual`` and, for a Kac module, ``kac_vector`` and ``kac_words``;
-    ``dataclasses.replace`` starts with none kept.  A recorded ``highest_weight`` is that of
-    a basis vector generating the module.
+    What is derived from them is a ``cached_property``, kept once read: ``basis_weights``
+    (the h_i are not stored), ``cleared``, ``dual`` and, for a Kac module, ``kac_vector``
+    and ``kac_words``; ``dataclasses.replace`` starts with none kept.  A recorded
+    ``highest_weight`` is that of a basis vector generating the module.
     """
 
     rs: RootSystem
@@ -81,8 +81,6 @@ class GModule:
     f: tuple[SuperMap, ...]
     name: str = ""
     highest_weight: Weight | None = None
-    # (kind, i) -> ``cleared``; basis_weights fills every e_i and f_i.
-    _cleared: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -105,7 +103,7 @@ class GModule:
         """
         diags = []
         for i, x in enumerate(self.e):
-            (e, de), (f, df) = self.cleared("e", i)[:2], self.cleared("f", i)[:2]
+            (e, de), (f, df) = self.cleared["e", i][:2], self.cleared["f", i][:2]
             sign = 1 if x.parity else -1
             diag = [0] * self.dim
             for (k, a), v in f.items():
@@ -187,12 +185,13 @@ class GModule:
     def dual(self) -> GModule:  # built once, for hom_space's generic route and form_defect
         return dual_module(self)
 
-    def cleared(self, kind: str, i: int) -> tuple[dict, int, dict[int, list], dict[int, list]]:
-        """``kind``_i as ints over den (``cleared``): (ints, den, by column, by row); kept."""
-        if (kind, i) not in self._cleared:
-            ent, den = cleared(getattr(self, kind)[i].entries)
-            self._cleared[kind, i] = ent, den, sl.mat_columns(ent), sl.mat_columns(ent, True)
-        return self._cleared[kind, i]
+    @cached_property
+    def cleared(self) -> dict[tuple[str, int], tuple[dict, int, dict[int, list], dict[int, list]]]:
+        """(kind, i) -> ``kind``_i as ints over den (``exactnum.cleared``): (ints, den, by column,
+        by row), for every e_i and f_i."""
+        return {(kind, i): (ent, den, sl.mat_columns(ent), sl.mat_columns(ent, True))
+                for kind in "ef" for i, x in enumerate(getattr(self, kind))
+                for ent, den in (cleared(x.entries),)}
 
     def __repr__(self):
         return f"GModule({self.name or 'unnamed'}, dim={self.dim}, sdim={self.sdim})"
@@ -222,9 +221,9 @@ def verify_relations(mod: GModule) -> None:
                     raise ModuleRelationError(f"{mod.name}: [h_{i}, x_{j}] relation failed")
     dim = mod.dim
     for i, x in enumerate(mod.e):
-        e, de, e_cols = mod.cleared("e", i)[:3]
+        e, de, e_cols = mod.cleared["e", i][:3]
         for j, y in enumerate(mod.f):
-            f, df, f_cols = mod.cleared("f", j)[:3]
+            f, df, f_cols = mod.cleared["f", j][:3]
             # den_e den_f w_a[i] in ints: dens[i], the lcm of the denominators, divides den_e den_f.
             want = ({a * (dim + 1): v * (de * df // dens[i]) for a, v in scaled[i].items() if v}
                     if i == j else {})
@@ -581,7 +580,7 @@ class FactorwiseAction:
         if key not in self._steps:
             if kind not in ("e", "f"):  # h_s is even: the odd signs of e_s and f_s would be wrong
                 raise ValueError(f"the factorwise action applies e_i and f_i, not {kind!r}")
-            tables = [M.cleared(kind, i) for M in self.factors]
+            tables = [M.cleared[kind, i] for M in self.factors]
             L = lcm(*(t[1] for t in tables))
             self._steps[key] = ([(t[2 + self.transpose], place, dim, par, L // t[1])
                                  for t, place, dim, par

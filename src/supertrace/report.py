@@ -49,13 +49,13 @@ def check(check_id: str, expected, actual, **inputs) -> CheckResult:
 def check_true(check_id: str, condition: bool, detail: str = "", **inputs) -> CheckResult:
     return CheckResult(
         check_id, bool(condition), "true", detail or str(bool(condition)),
-        {k: str(v) for k, v in inputs.items()},
+        {k: render(v) for k, v in inputs.items()},
     )
 
 
 def info(check_id: str, detail: str, **inputs) -> CheckResult:
     """A recorded observation that carries data but cannot fail."""
-    return CheckResult(check_id, True, "(recorded)", detail, {k: str(v) for k, v in inputs.items()})
+    return CheckResult(check_id, True, "(recorded)", detail, {k: render(v) for k, v in inputs.items()})
 
 
 def report_dict(

@@ -16,6 +16,9 @@ import time
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import permutations
+from operator import matmul
 
 from . import invtensor as it
 from . import mtrace as mt
@@ -497,8 +500,6 @@ def suite_tensors(
                           "invariant (x) reachable lands invariantly in degree 4"))
 
     # Orthogonality of the symmetric group actions, Gram before vs after.
-    from itertools import permutations
-
     perm_ok = True
     for N in (2, 3):
         if N > max_degree or not spaces[N].elements:
@@ -526,7 +527,8 @@ def suite_tensors(
         G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
         Gstar = it.form_adjoint(adj, G, 2, 2)
         elems = spaces[2].elements
-        moved = [it.PresentedTensor(2, G.apply(x.coords), G @ x.f, x.witness) for x in elems]
+        moved = [it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
+                 for x in elems]
         pulled = [it.presented_tensor(adj, 2, y.witness, Gstar @ y.f) for y in elems]
         adj_ok = adj_ok and it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled)
     out.append(check_true("tensors.functorial-adjoint", adj_ok,
@@ -563,9 +565,10 @@ def run_verification(
     the roster are skipped when it could not be built.  The report's
     ``timings`` block holds the wall seconds of the roster build and of each
     suite that ran.  Its ``run`` block records how it was run: seed, max
-    degree, algebra, package and module construction versions, and the Kac
-    module cache hits, misses and writes of the roster build (all 0 when no
-    roster was needed, null when its build failed).
+    degree, algebra (None, as at the top, unless the trace or tensors suite,
+    the only ones that read it, is asked for), package and module construction
+    versions, and the Kac module cache hits, misses and writes of the roster
+    build (all 0 when no roster was needed, null when its build failed).
     """
     from . import __version__
 
@@ -584,6 +587,8 @@ def run_verification(
         except Exception as exc:
             results.append(_raised("roster", exc))
         timings["roster"] = time.perf_counter() - start
+    else:
+        algebra = None
     runs = {
         "superlin": lambda: suite_superlin(seed),
         "trace": lambda: suite_trace(roster, seed),

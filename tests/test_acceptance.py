@@ -6,7 +6,9 @@ them); all tolerances are zero because the arithmetic is exact throughout.
 
 import random
 from fractions import Fraction as F
+from functools import partial
 from itertools import permutations
+from operator import matmul
 
 import pytest
 
@@ -260,7 +262,7 @@ def test_criterion_10_modified_form(adj, it_spaces):
         for perm in permutations(range(N)):
             pmap = oracles.sn_action_map(adj, N, perm)
             moved = [
-                it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
+                it.PresentedTensor(N, pmap.apply(t.coords), t.witness, partial(matmul, pmap, t.f))
                 for t in elems
             ]
             after = [[it.modified_form(adj, x, y) for y in moved] for x in moved]

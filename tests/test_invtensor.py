@@ -1,7 +1,9 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from functools import partial
 from itertools import permutations
+from operator import matmul
 
 import pytest
 from hypothesis import given, settings
@@ -297,12 +299,13 @@ def _presented_endo_oracle(adj, t1, t2_coords):
 def _sn_action_oracle(adj, N, perm, t):
     """Reference permutation action: compose with the map of adjacent super swaps."""
     pmap = oracles.sn_action_map(adj, N, perm)
-    return it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
+    f = pmap @ t.f  # built before it is wrapped, so bad input raises here
+    return it.PresentedTensor(N, pmap.apply(t.coords), t.witness, lambda: f)
 
 
 def _column_tensor(adj, N, coords, witness):
     """A tensor presented by its own column map k -> g^(x)N (any even coords)."""
-    return it.PresentedTensor(N, coords, sl.column_map(adj.power(N).space, coords), witness)
+    return it.PresentedTensor(N, coords, witness, partial(sl.column_map, adj.power(N).space, coords))
 
 
 @pytest.fixture(scope="module")
@@ -357,17 +360,18 @@ class TestCoordinateRoutes:
         fresh = it.build_adjoint(roster.rs)
         t = next(u for u in spaces[3].raw if u.coords)
         first = it.sn_action(fresh, 3, (2, 0, 1), t)
-        memo = fresh._moved[(3, (2, 0, 1))]
+        memo = fresh._kept["moved", 3, (2, 0, 1)]
         # Only the coordinates were moved: the memo holds their indices, and f is not built.
-        assert set(memo) == set(t.coords) and set(fresh._moved) == {(3, (2, 0, 1))}
+        assert set(memo) == set(t.coords) and set(fresh._kept) == {("moved", 3, (2, 0, 1))}
         assert "f" not in vars(first) and first.source is t.f
         again = it.sn_action(fresh, 3, (2, 0, 1), t)
-        assert fresh._moved[(3, (2, 0, 1))] is memo and set(memo) == set(t.coords)
+        assert fresh._kept["moved", 3, (2, 0, 1)] is memo and set(memo) == set(t.coords)
         assert again.coords == first.coords
         expected = _sn_action_oracle(fresh, 3, (2, 0, 1), t)
         assert first.f == expected.f and "f" in vars(first) and first.f is first.f
         other = it.sn_action(fresh, 3, (1, 2, 0), t)
-        assert set(fresh._moved) == {(3, (2, 0, 1)), (3, (1, 2, 0))}
+        assert {key for key in fresh._kept if key[0] == "moved"} == {("moved", 3, (2, 0, 1)),
+                                                                   ("moved", 3, (1, 2, 0))}
         expected = _sn_action_oracle(fresh, 3, (1, 2, 0), t)
         assert (other.coords, other.f) == (expected.coords, expected.f)
 
@@ -383,7 +387,7 @@ class TestCoordinateRoutes:
             moved = it.sn_action(adj, N, tuple(perm), moved)
             composed = tuple(perm[s] for s in composed)
         pmap = oracles.sn_action_map(adj, N, composed)
-        eager = it.PresentedTensor(N, pmap.apply(t.coords), pmap @ t.f, t.witness)
+        eager = it.PresentedTensor(N, pmap.apply(t.coords), t.witness, partial(matmul, pmap, t.f))
         t2 = random_even_tensor(adj, N, random.Random(data.draw(st.integers(0, 10**6))))
         for x, y in ((moved, other), (other, moved)):
             assert it.modified_form(adj, x, y) == it.modified_form(
@@ -472,7 +476,7 @@ class TestFunctorialAdjoint:
         Gstar = it.form_adjoint(adj, G, 2, 2)
         elems = spaces[2].elements
         for x in elems:
-            moved = it.PresentedTensor(2, G.apply(x.coords), G @ x.f, x.witness)
+            moved = it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
             for y in elems:
                 pulled = it.presented_tensor(adj, 2, y.witness, Gstar @ y.f)
                 assert it.modified_form(adj, moved, y) == it.modified_form(adj, x, pulled)
@@ -723,9 +727,9 @@ class TestDeferredPresentations:
         t = space.raw[0]
         first = t.f
         assert len(calls) == 1 and t.source is first and t.f is first
-        assert len(calls) == 1 and "_build" not in vars(t)
+        assert len(calls) == 1 and "source" in vars(t)
         copy = dataclasses.replace(space.raw[1], coords=dict(space.raw[1].coords))
-        assert len(calls) == 2 and copy.source is space.raw[1].source
+        assert copy.source == space.raw[1].source
         assert all("source" not in vars(u) for u in space.raw[2:])
         with pytest.raises(AttributeError):
             space.raw[2].other
@@ -740,7 +744,7 @@ class TestDeferredPresentations:
         # The first read of a moved source is the input's own map, so the orbit shares one row index.
         source = twice.source
         assert len(calls) == 1 and source is once.source is t.source
-        assert all("_build" not in vars(u) for u in (t, once, twice))
+        assert all("source" in vars(u) for u in (t, once, twice))
         expected = _sn_action_oracle(adj, 3, (0, 2, 1), t)
         assert twice.perm == (0, 2, 1) and (twice.coords, twice.f) == (expected.coords, expected.f)
 
@@ -749,8 +753,9 @@ class TestDeferredPresentations:
         monkeypatch.setattr(it, "_assembled", lambda *a: calls.append(1) or assemble(*a))
         t = next(u for u in it.it_space(adj, 3, [roster.wA]).raw if u.coords)
         text = repr(t)
-        assert text.startswith("PresentedTensor(degree=3, coords=") and "source" not in text
-        assert not calls and "source" not in vars(t) and "_build" in vars(t)
+        assert text.startswith("PresentedTensor(degree=3, coords=")
+        assert "source" not in text and "build" not in text
+        assert not calls and "source" not in vars(t)
 
     def test_a_tensors_run_assembles_five_of_thirty_three(self, monkeypatch):
         from supertrace import suites
@@ -976,7 +981,7 @@ class TestKeptForm:
         G = it.permutation_map(adj, 2, (1, 0))
         Gstar, inverse = it.form_adjoint(adj, G, 2, 2), adj.form_columns(2, inverse=True)
         scaled = dataclasses.replace(adj, b=2 * adj.b, b_inv=F(1, 2) * adj.b_inv)
-        assert scaled._forms == {} and scaled._composites == {}
+        assert scaled._kept == {}
         assert scaled.form_columns(2, inverse=True) == [[(r, v / 4) for r, v in col] for col in inverse]
         assert it.form_adjoint(scaled, G, 2, 2) == Gstar  # the scales cancel: 4 * 1/4
 
@@ -994,7 +999,8 @@ class TestKeptForm:
         t = spaces[3].elements[0]
         orbit = [it.sn_action(adj, 3, perm, t) for perm in permutations(range(3))]
         want = [[it.modified_form(adj, x, y) for y in orbit] for x in orbit]
-        t = dataclasses.replace(t, source=dataclasses.replace(t.source))  # no kept row index yet
+        source = dataclasses.replace(t.source)  # no kept row index yet
+        t = dataclasses.replace(t, build=lambda: source)
         orbit = [it.sn_action(adj, 3, perm, t) for perm in permutations(range(3))]
         group, grouped = sl.mat_columns, []
         monkeypatch.setattr(sl, "mat_columns", lambda e, **k: grouped.append(e) or group(e, **k))
