@@ -4,12 +4,14 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supertrace.cli import main
+from supertrace.report import check, check_true, info
 
 
 def run_cli(*argv):
@@ -239,9 +241,18 @@ class TestRunBlock:
         assert second["cache"] == {"hits": 2, "misses": 0, "writes": 0}
 
     def test_no_cache_and_no_roster(self):
-        code, text = run_cli("verify", "--suite", "superlin", "--format", "json")
-        assert json.loads(text.splitlines()[0])["run"]["cache"] == {"hits": 0, "misses": 0,
-                                                                     "writes": 0}
+        code, text = run_cli("verify", "--suite", "superlin", "--algebra", "osp23",
+                             "--format", "json")
+        header = json.loads(text.splitlines()[0])
+        assert code == 0 and header["run"]["cache"] == {"hits": 0, "misses": 0, "writes": 0}
+        # superlin reads no algebra, so the report names none.
+        assert header["algebra"] is None and header["run"]["algebra"] is None
+
+
+def test_report_inputs_render_canonically():
+    pair = (F(1, 2), F(2, 3))
+    for result in (check("x", 1, 1, a=pair), check_true("x", True, a=pair), info("x", "d", a=pair)):
+        assert result.inputs == {"a": "(1/2, 2/3)"}
 
 
 # `verify --format json` runs as recorded at an earlier commit, without the

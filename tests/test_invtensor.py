@@ -748,6 +748,21 @@ class TestDeferredPresentations:
         expected = _sn_action_oracle(adj, 3, (0, 2, 1), t)
         assert twice.perm == (0, 2, 1) and (twice.coords, twice.f) == (expected.coords, expected.f)
 
+    def test_every_tensor_builds_its_map_at_most_once(self, roster, adj, monkeypatch):
+        replayed, calls = it._replayed_source, []
+        monkeypatch.setattr(it, "_replayed_source", lambda *a: calls.append(1) or replayed(*a))
+        raw = next(u for u in it.it_space(adj, 3, [roster.wA]).raw if u.coords)
+        # An S_N orbit of a raw tensor reads one map object, the raw tensor's, built once.
+        orbit = [it.sn_action(adj, 3, perm, raw) for perm in permutations(range(3))]
+        assert all(moved.f.entries for moved in orbit) and len(calls) == 1
+        assert all(moved.source is raw.source for moved in orbit)
+        eager = it.presented_tensor(adj, 3, raw.witness, raw.f)
+        for t in (raw, orbit[1], eager):
+            builds = []
+            counted = dataclasses.replace(t, build=lambda build=t.build: builds.append(1) or build())
+            maps = [counted.source, counted.f, counted.source, counted.f]
+            assert len(builds) == 1 and maps[0] is maps[2] and maps[1] is maps[3]
+
     def test_repr_of_a_raw_tensor_assembles_nothing(self, roster, adj, monkeypatch):
         assemble, calls = it._assembled, []
         monkeypatch.setattr(it, "_assembled", lambda *a: calls.append(1) or assemble(*a))
@@ -967,6 +982,24 @@ class TestKeptForm:
             it.form_adjoint(fresh, G, 2, 2)
         assert [N for N, of_b in walks if of_b] == [2, 3]
         assert [N for N, of_b in walks if not of_b] == [2]  # b~_2^-1 is walked once, then kept
+
+    def test_every_table_is_built_once_per_key(self, adj, monkeypatch):
+        fresh, built = dataclasses.replace(adj), []
+        for name in ("_partner_walk", "_iota_chain"):
+            monkeypatch.setattr(it, name, lambda *a, body=getattr(it, name), name=name:
+                                built.append(name) or body(*a))
+        reads = {("power", 2): lambda: fresh.power(2), ("space", 3): lambda: fresh.power_space(3),
+                 ("form", 2, False): lambda: fresh.form_columns(2),
+                 ("form", 2, True): lambda: fresh.form_columns(2, inverse=True),
+                 ("composite", 2): lambda: it.dualizing_map(fresh, 2)}
+        for key, read in reads.items():
+            first = read()
+            assert read() is first and fresh._kept[key] is first
+        assert sorted(built) == ["_iota_chain", "_partner_walk", "_partner_walk"]
+        index = it._permuter(fresh, 2, (1, 0))(5)
+        assert it._permuter(fresh, 2, (1, 0))(5) == index
+        assert fresh._kept.pop(("moved", 2, (1, 0))) == {5: index} and set(fresh._kept) == set(reads)
+        assert dataclasses.replace(fresh)._kept == {}
 
     def test_replace_starts_with_empty_memos(self, adj):
         # Filled memos at N = 2 must not reach a copy with b scaled by 2.

@@ -11,6 +11,12 @@ A module is certified where it is made: ``verify_relations`` is called from
 ``repmod._make_module`` (every module built from scratch) and
 ``repmod.load_gmodule`` (every module read from a file) and from nowhere else,
 and no function takes a ``check`` option to turn a check off.
+
+What is derived from an object is kept one way: a ``cached_property`` on it, or,
+for the per-degree tables of ``invtensor.AdjointData``, one dict read through one
+helper.  So no class defines ``__getattr__``, no dataclass has more than one
+``init=False`` field, and no code builds an object past its constructor with
+``__new__`` except ``SuperMap._of``, the unchecked constructor of kernel results.
 """
 
 import ast
@@ -18,6 +24,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "supertrace"
 ALLOWED = {"superlin._summed", "repmod.FactorwiseAction._scaled", "linalg._eliminate"}
+NEW_ALLOWED = {"superlin.SuperMap._of"}  # the one caller of ``__new__``
 
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -210,3 +217,54 @@ def test_no_function_takes_a_check_option():
                 if "check" in names:
                     found.append(f"{stem}.{getattr(node, 'name', 'lambda')}")
     assert found == []
+
+
+def test_caller_finder_sees_new_on_any_class():
+    code = ("class T:\n    def make(cls):\n        return object.__new__(cls)\n"
+            "def f(cls):\n    return cls.__new__(cls)\n"
+            "def g(cls):\n    return cls(1)\n")
+    assert _callers(ast.parse(code), "m", "__new__") == ["m.T.make", "m.f"]
+
+
+def test_objects_are_built_through_their_constructors():
+    sites = [site for stem, tree in _sources() for site in _callers(tree, stem, "__new__")]
+    assert sorted(set(sites) - NEW_ALLOWED) == []
+
+
+def test_no_class_defers_attributes_through_getattr():
+    found = [f"{stem}.{node.name}" for stem, tree in _sources() for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "__getattr__"]
+    assert found == []
+
+
+def _uninitialized_fields(tree: ast.AST) -> dict[str, int]:
+    """Per dataclass, the number of its fields declared ``field(..., init=False)``."""
+    counts = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1] == "dataclass"
+                for d in node.decorator_list):
+            counts[node.name] = sum(
+                isinstance(stmt, ast.AnnAssign) and isinstance(stmt.value, ast.Call)
+                and ast.unparse(stmt.value.func).split(".")[-1] == "field"
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+                        for k in stmt.value.keywords)
+                for stmt in node.body)
+    return counts
+
+
+def test_uninitialized_field_finder_counts_per_dataclass():
+    code = ("@dataclass(frozen=True)\nclass A:\n    x: int\n"
+            "    _a: dict = field(default_factory=dict, init=False)\n"
+            "    _b: dict = dataclasses.field(init=False, repr=False)\n    _c: int = field(init=True)\n"
+            "@dataclasses.dataclass\nclass B:\n    y: int = 0\n"
+            "class C:\n    _d: dict = field(init=False)\n")
+    assert _uninitialized_fields(ast.parse(code)) == {"A": 2, "B": 0}
+
+
+def test_a_dataclass_keeps_at_most_one_uninitialized_field():
+    counts = {f"{stem}.{name}": n for stem, tree in _sources()
+              for name, n in _uninitialized_fields(tree).items()}
+    assert counts["invtensor.AdjointData"] == 1 and counts["repmod.GModule"] == 0
+    assert {name: n for name, n in counts.items() if n > 1} == {}

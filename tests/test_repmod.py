@@ -14,7 +14,7 @@ import oracles
 from supertrace import repmod as rm
 from supertrace.linalg import RowReducer, nullspace
 from supertrace import superlin as sl
-from supertrace.exactnum import exact
+from supertrace.exactnum import cleared, exact
 from supertrace.rootdata import AtypicalWeightError, weight
 
 
@@ -1164,6 +1164,18 @@ class TestKeptFacts:
     def test_words_of_an_uncertified_module_raise(self, roster):
         with pytest.raises(ValueError, match="not a certified Kac module"):
             roster.C.kac_words
+
+    def test_cleared_keeps_every_generator_table(self, roster):
+        for M in (roster.A, roster.C, roster.D):
+            tables = M.cleared
+            assert set(tables) == {(kind, i) for kind in "ef" for i in range(M.rs.rank)}
+            for (kind, i), (ints, den, by_col, by_row) in tables.items():
+                assert (ints, den) == cleared(getattr(M, kind)[i].entries)
+                assert (by_col, by_row) == (sl.mat_columns(ints), sl.mat_columns(ints, True))
+            assert M.cleared is tables
+        K = dataclasses.replace(roster.A)
+        assert not {"cleared", "basis_weights", "dual", "kac_vector", "kac_words"} & set(vars(K))
+        assert K.cleared == roster.A.cleared and K.cleared is not roster.A.cleared
 
 
 class TestCoreGate:

@@ -1,11 +1,15 @@
-"""The scripts under scripts/ run in-process against the package, so an export change shows here."""
+"""The scripts under scripts/ and README's library example run in-process against the package,
+so an export change shows here."""
 
+import ast
 import runpy
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_invariant_form_tables_runs_at_degree_two(monkeypatch, capsys):
@@ -41,3 +45,15 @@ def test_bench_trees_are_siblings_laid_out_alike(tmp_path):
     assert layouts[0] == layouts[1] == ["notes.txt", "src", "src/a.py"]
     assert (Path(trees["parent"]) / "src" / "a.py").read_text() == "A = 1\n"
     assert (Path(trees["change"]) / "src" / "a.py").read_text() == "A = 2\n"
+
+
+def test_readme_library_example_gives_the_values_in_its_comments():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), scope))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), scope)
+    assert values == [F(1, 2), (F(1, 2), 0, F(-5, 48), 0, F(53, 3840)), F(2, 3)]
