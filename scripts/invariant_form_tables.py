@@ -40,7 +40,7 @@ def raw_pairing_scalar(adj, t1, t2_coords):
     w = t1.witness
     endo = it.presented_endo(adj, t1, t2_coords)
     comp = w.beta @ endo @ w.alpha
-    reduced = sl.partial_supertrace(comp, w.V0.space, w.W.space)
+    reduced = sl.partial_supertrace(comp, w.V0.space, w.w_space)
     c = reduced.entry(0, 0)
     residual = Fraction(0)
     for i in range(w.V0.dim):

@@ -31,8 +31,8 @@ def bracket(f: SuperMap, w: IdealWitness) -> Fraction:
         raise BracketError("bracket input is not g-linear")
     # ptr_W(beta . f . alpha) = B . F, with B[i, (a,u)] = beta[(i,u), a] and F[(a,u), j] =
     # (-1)^{p(u)} (f . alpha)[a, (j,u)], (a,u) keyed a dim W + u: B and alpha's signed rows
-    # are kept on the witness, and no V0 (x) W map is formed.
-    F = sl._summed(((a * w.W.dim + u, j), v * x) for (a, k), v in f.entries.items()
+    # are kept on the witness, and neither V0 (x) W nor W is formed, as a map or a module.
+    F = sl._summed(((a * w.w_space.dim + u, j), v * x) for (a, k), v in f.entries.items()
                    for u, j, x in w.alpha_rows.get(k, ()))
     reduced = sl.mat_mul(w.beta_keyed, F)
     # An odd multiple of the even identity must vanish identically.

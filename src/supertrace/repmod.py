@@ -116,9 +116,9 @@ class GModule:
 
     @property
     def h(self) -> tuple[SuperMap, ...]:
-        """The h_i = [e_i, f_i]: the diagonal maps of the ``basis_weights``."""
-        return tuple(SuperMap(self.space, self.space, 0, {(a, a): w[i] for a, w in
-                                                         enumerate(self.basis_weights)})
+        """The h_i = [e_i, f_i]: even diagonal maps of the ``basis_weights``, homogeneous, so unchecked."""
+        return tuple(SuperMap._of(self.space, self.space, 0, {(a, a): w[i] for a, w in
+                                                             enumerate(self.basis_weights)})
                      for i in range(self.rs.rank))
 
     @cached_property
@@ -335,8 +335,8 @@ def sigma_map(V: GModule) -> SuperMap:
 
 
 def sigma_inverse(V: GModule) -> SuperMap:
-    flipped, _ = sl.parity_shift(V.space)
-    return SuperMap(flipped, V.space, sl.ODD, {(i, i): 1 for i in range(V.dim)})
+    """The odd inverse of ``sigma_map``: the parity shift of the shifted space."""
+    return sl.parity_shift(sl.parity_shift(V.space)[0])[1]
 
 
 # -- simple gl(k) modules inside tensor powers -------------------------------
@@ -769,13 +769,13 @@ class IdealWitness:
 
     alpha: V0 (x) W -> V and beta: V -> V0 (x) W are even g-linear maps with
     alpha . beta = Id_V exactly; V0 is K(lam) with an even d (``_check_core``).
-    V0 (x) W is not kept as a module: its basis is the left-factor-major one
-    of ``tensor_space(V0.space, W.space)``, and it acts factor by factor.
+    W is the tuple of its factor modules, never empty, acting one by one: V0 (x) W is the
+    left-factor-major ``tensor_space`` over (V0,) + W, never built as a module.
     """
 
     V: GModule
     V0: GModule
-    W: GModule
+    W: tuple[GModule, ...]
     alpha: SuperMap
     beta: SuperMap
 
@@ -785,20 +785,25 @@ class IdealWitness:
         return self.V.rs.mod_sdim(self.V0.highest_weight)
 
     @cached_property
+    def w_space(self) -> SuperSpace:
+        """The space of W, the tensor product of its factors' spaces."""
+        return reduce(sl.tensor_space, (M.space for M in self.W), sl.UNIT)
+
+    @cached_property
     def beta_keyed(self) -> dict:
         """beta as B[i, a dim W + u] = beta[(i, u), a], the left factor of ``mtrace.bracket``."""
-        dw = self.W.dim
+        dw = self.w_space.dim
         return {(row // dw, a * dw + row % dw): b for (row, a), b in self.beta.entries.items()}
 
     @cached_property
     def alpha_rows(self) -> dict[int, list]:
         """Row k of alpha as [(u, j, (-1)^{p(u)} alpha[k, j dim W + u])], for ``mtrace.bracket``."""
-        dw, par = self.W.dim, self.W.space.parities
+        dw, par = self.w_space.dim, self.w_space.parities
         return {k: [(col % dw, col // dw, -v if par[col % dw] else v) for col, v in row]
                 for k, row in sl.mat_columns(self.alpha.entries, True).items()}
 
     def __repr__(self):
-        return f"IdealWitness({self.V.name} through {self.V0.name}(x){self.W.name})"
+        return f"IdealWitness({self.V.name} through {'(x)'.join(M.name for M in (self.V0,) + self.W)})"
 
 
 def _check_g_linear(m: SuperMap, src, dst) -> bool:
@@ -844,45 +849,45 @@ def _check_core(V0: GModule) -> None:
 def make_witness(V, V0, W, alpha, beta) -> IdealWitness:
     """Check and record a splitting: alpha . beta = Id_V, both maps even and g-linear.
 
-    A bad core (``_check_core``) or a map off ``tensor_space(V0.space, W.space)`` and V.space
-    raises ValueError before any g-linearity work, which is done on the factors.
+    W is a tuple of factor modules (a module raises TypeError).  A bad core (``_check_core``) or
+    a map off the space of (V0,) + W and V.space raises ValueError before any g-linearity work,
+    which is done on the factors, as is the ValueError for a factor over another algebra.
     """
     _check_core(V0)
     if alpha.parity != 0 or beta.parity != 0:
         raise ValueError("witness maps must be even")
-    V0W = sl.tensor_space(V0.space, W.space)
+    V0W = reduce(sl.tensor_space, (M.space for M in (V0,) + W))
     for name, m, spaces in (("alpha", alpha, (V0W, V.space)), ("beta", beta, (V.space, V0W))):
         for side, got, want in zip(("domain", "codomain"), (m.domain, m.codomain), spaces):
             if got != want:
                 raise ValueError(f"{name} has the wrong {side}")
     if alpha @ beta != sl.identity(V.space):
         raise ValueError("alpha . beta is not the identity")
-    if not _check_g_linear(alpha, (V0, W), V) or not _check_g_linear(beta, V, (V0, W)):
+    if not _check_g_linear(alpha, (V0,) + W, V) or not _check_g_linear(beta, V, (V0,) + W):
         raise ValueError("witness maps are not g-linear")
     return IdealWitness(V, V0, W, alpha, beta)
 
 
 def trivial_witness(V: GModule) -> IdealWitness:
-    """The identity splitting of V through itself; V must be a valid core (``_check_core``).
+    """The identity splitting of V through itself, W = (k,); V must be a valid core (``_check_core``).
 
     V (x) k and V share one basis, so the identity is both alpha and beta.  Id . Id = Id and
     the identity commutes with every action, so ``make_witness`` has nothing left to check.
     """
     _check_core(V)
     ident = sl.identity(V.space)
-    return IdealWitness(V, V, trivial_module(V.rs), ident, ident)
+    return IdealWitness(V, V, (trivial_module(V.rs),), ident, ident)
 
 
 def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
-    """Split V through V0 (x) (V0* (x) V) with alpha = ev_{V0} (x) Id_V.
+    """Split V through V0 (x) W, W = (V0*, V), with alpha = ev_{V0} (x) Id_V.
 
     A bad core V0 raises ValueError before any solve (``_check_core``), and
-    a V that is not a certified Kac module WitnessNotFoundError.  alpha is
-    written down, alpha[k, (i, i, k)] = (-1)^{p_i}; beta is replayed from its
-    column d, the first singular vector v on the factorwise action of (V0, W)
-    with c = alpha(v)[d] != 0, and alpha is scaled by 1/c.  Such a v exists:
-    alpha is onto and the certified V (K(lam) or op K(lam)) is projective, so
-    some beta has alpha . beta = Id_V, and End(V) = k makes alpha . beta = c Id_V.
+    a V that is not a certified Kac module WitnessNotFoundError.  ev = ev_right(V0) (x) Id_V;
+    beta is replayed from its column d, the first singular vector v on the factorwise action
+    of (V0, V0*, V) with c = ev(v)[d] != 0, and alpha = ev / c.  Such a v exists:
+    ev is onto and the certified V (K(lam) or op K(lam)) is projective, so
+    some beta has ev . beta = Id_V, and End(V) = k makes ev . beta = c Id_V.
     """
     _check_core(V0)
     if V is V0:
@@ -892,60 +897,55 @@ def ideal_witness(V: GModule, V0: GModule) -> IdealWitness:
         raise WitnessNotFoundError(f"{V.name} is not a certified Kac module; no search ran")
     # Not V0.dual: a core serves many calls, and a dual kept on it would make a call's work
     # (and the benchmark's per-op counts) depend on the calls before it.
-    W = tensor_module(dual_module(V0), V)
-    # Column (i, i*, k) of V0 (x) V0* (x) V is t + k, with t = i dim W + i dim V.
-    dv, dw = V.dim, W.dim
-    ev = [(i * dw + i * dv, -1 if p else 1) for i, p in enumerate(V0.space.parities)]
-    action = FactorwiseAction((V0, W))
-    pairs = ((v, sum(s * v.get(t + d, 0) for t, s in ev)) for v in _singular(V, action, 0))
+    W = (dual_module(V0), V)
+    ev = sl.tensor_map(sl.ev_right(V0.space), sl.identity(V.space))
+    action = FactorwiseAction((V0,) + W)
+    pairs = ((v, ev.apply(v).get(d, 0)) for v in _singular(V, action, 0))
     v, c = next((pair for pair in pairs if pair[1]), (None, 0))
     if not c:
         raise WitnessNotFoundError(f"no splitting of {V.name} through {V0.name} with W = V0* (x) V")
-    a = SuperMap(sl.tensor_space(V0.space, W.space), V.space, 0,
-                 {(k, t + k): Fraction(s, c) for t, s in ev for k in range(dv)})
     (images,), coords = _replay(V, action, 0, [v])
-    b = SuperMap(V.space, a.domain, 0, _assembled(images, coords))
-    return make_witness(V, V0, W, a, b)
+    b = SuperMap(V.space, ev.domain, 0, _assembled(images, coords))
+    return make_witness(V, V0, W, Fraction(1, c) * ev, b)
 
 
 def witness_tensor(w: IdealWitness, U: GModule) -> IdealWitness:
-    """Closure under tensoring: a witness for V (x) U with W' = W (x) U."""
-    V2 = tensor_module(w.V, U)
-    W2 = tensor_module(w.W, U)
+    """Closure under tensoring: a witness for V (x) U with U appended to W's factors."""
     idu = sl.identity(U.space)
     # (V0 (x) W) (x) U and V0 (x) (W (x) U) share the same flattened basis.
-    return make_witness(V2, w.V0, W2, sl.tensor_map(w.alpha, idu), sl.tensor_map(w.beta, idu))
+    return make_witness(tensor_module(w.V, U), w.V0, w.W + (U,), sl.tensor_map(w.alpha, idu),
+                        sl.tensor_map(w.beta, idu))
 
 
 def witness_dsum(w1: IdealWitness, w2: IdealWitness) -> IdealWitness:
-    """Closure under direct sums (the two witnesses must share V0)."""
+    """Closure under direct sums (sharing V0): W' = (W1 (+) W2,), each W folded into one module."""
     if w1.V0 is not w2.V0:
         raise ValueError("direct-sum witnesses must share the same core module")
     V = direct_sum_module(w1.V, w2.V)
-    W = direct_sum_module(w1.W, w2.W)
+    W = direct_sum_module(*(reduce(tensor_module, w.W) for w in (w1, w2)))
     V0W = sl.tensor_space(w1.V0.space, W.space)
     ent_a: dict[tuple[int, int], Fraction] = {}
     ent_b: dict[tuple[int, int], Fraction] = {}
     # Summand k's V and W indices move by the dimensions of the summands before it.
-    for w, dv, dw in ((w1, 0, 0), (w2, w1.V.dim, w1.W.dim)):
+    for w, dv, dw in ((w1, 0, 0), (w2, w1.V.dim, w1.w_space.dim)):
         for (i, col), v in w.alpha.entries.items():
-            i0, iw = divmod(col, w.W.dim)
+            i0, iw = divmod(col, w.w_space.dim)
             ent_a[(i + dv, i0 * W.dim + dw + iw)] = v
         for (row, j), v in w.beta.entries.items():
-            i0, iw = divmod(row, w.W.dim)
+            i0, iw = divmod(row, w.w_space.dim)
             ent_b[(i0 * W.dim + dw + iw, j + dv)] = v
-    return make_witness(V, w1.V0, W, SuperMap(V0W, V.space, 0, ent_a),
+    return make_witness(V, w1.V0, (W,), SuperMap(V0W, V.space, 0, ent_a),
                         SuperMap(V.space, V0W, 0, ent_b))
 
 
 def witness_parity_shift(w: IdealWitness) -> IdealWitness:
-    """A witness for the parity-shifted module, shifting the W factor."""
+    """A witness for the parity-shifted module, shifting W's last factor."""
     V_op = parity_shift_module(w.V)
-    W_op = parity_shift_module(w.W)
-    id0 = sl.identity(w.V0.space)
-    alpha = sigma_map(w.V) @ w.alpha @ sl.tensor_map(id0, sigma_inverse(w.W))
-    beta = sl.tensor_map(id0, sigma_map(w.W)) @ w.beta @ sigma_inverse(w.V)
-    return make_witness(V_op, w.V0, W_op, alpha, beta)
+    *rest, last = w.W
+    ident = sl.identity(reduce(sl.tensor_space, (M.space for M in [w.V0] + rest)))
+    alpha = sigma_map(w.V) @ w.alpha @ sl.tensor_map(ident, sigma_inverse(last))
+    beta = sl.tensor_map(ident, sigma_map(last)) @ w.beta @ sigma_inverse(w.V)
+    return make_witness(V_op, w.V0, (*rest, parity_shift_module(last)), alpha, beta)
 
 
 # -- serialization and caching ---------------------------------------------------

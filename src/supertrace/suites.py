@@ -169,8 +169,7 @@ def suite_superlin(seed: int = 2024) -> list[CheckResult]:
 
     flipped, sigma = sl.parity_shift(V)
     out.append(check("superlin.parity-shift-sdim", -V.sdim, flipped.sdim))
-    sigma_inv = sl.SuperMap(flipped, V, sl.ODD, {(i, i): 1 for i in range(V.dim)})
-    back = sigma_inv @ sigma
+    back = sl.parity_shift(flipped)[1] @ sigma
     out.append(check_true("superlin.parity-shift-involution",
                           back == sl.identity(V) and back.parity == 0,
                           "sigma . sigma = Id with even parity"))

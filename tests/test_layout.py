@@ -17,6 +17,11 @@ for the per-degree tables of ``invtensor.AdjointData``, one dict read through on
 helper.  So no class defines ``__getattr__``, no dataclass has more than one
 ``init=False`` field, and no code builds an object past its constructor with
 ``__new__`` except ``SuperMap._of``, the unchecked constructor of kernel results.
+
+A witness keeps W as the tuple of its factor modules: inside ``repmod``,
+``tensor_module`` is named only by its own definition, by ``witness_tensor``
+(for V (x) U) and by ``witness_dsum`` (a direct sum of two Ws needs each as one
+module), so no other witness path builds W or V0 (x) W as a product module.
 """
 
 import ast
@@ -177,17 +182,20 @@ def _sources():
     return [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
 
 
-def _callers(tree: ast.AST, prefix: str, name: str) -> list[str]:
-    """The qualified names of the functions (or the module) calling ``name`` or ``<expr>.name``."""
+def _is_name(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` is the name ``name`` or an attribute ``<expr>.name``."""
+    return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == name
+
+
+def _sites(tree: ast.AST, prefix: str, hit) -> list[str]:
+    """The qualified names of the functions (or the module) holding a node for which ``hit`` holds."""
     sites = []
 
     def visit(node: ast.AST, scope: str) -> None:
         if isinstance(node, SCOPES):
             scope = f"{scope}.{node.name}"
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
-                sites.append(scope)
+        elif hit(node):
+            sites.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -195,11 +203,36 @@ def _callers(tree: ast.AST, prefix: str, name: str) -> list[str]:
     return sites
 
 
+def _callers(tree: ast.AST, prefix: str, name: str) -> list[str]:
+    """The qualified names of the functions (or the module) calling ``name`` or ``<expr>.name``."""
+    return _sites(tree, prefix, lambda node: isinstance(node, ast.Call) and _is_name(node.func, name))
+
+
+def _namers(tree: ast.AST, prefix: str, name: str) -> list[str]:
+    """The qualified names of the functions (or the module) naming ``name`` or ``<expr>.name``,
+    called or not."""
+    return _sites(tree, prefix, lambda node: isinstance(node, (ast.Name, ast.Attribute))
+                  and _is_name(node, name))
+
+
 def test_caller_finder_sees_names_and_attributes():
     code = ("def f(m):\n    verify_relations(m)\n"
             "class C:\n    def g(self, m):\n        return rm.verify_relations(m)\n"
             "def h(m):\n    return verify(m)\n")
     assert _callers(ast.parse(code), "m", "verify_relations") == ["m.f", "m.C.g"]
+
+
+def test_name_finder_sees_calls_and_bare_names():
+    code = ("def f(ws):\n    return reduce(tensor_module, ws)\n"
+            "def g(a, b):\n    return rm.tensor_module(a, b)\n"
+            "def tensor_module(a, b):\n    return a\n"
+            "def h(a):\n    return 'tensor_module' + a.tensor_modules\n")
+    assert _namers(ast.parse(code), "m", "tensor_module") == ["m.f", "m.g"]
+
+
+def test_witnesses_build_no_product_module_for_w():
+    sites = set(_namers(dict(_sources())["repmod"], "repmod", "tensor_module"))
+    assert sites == {"repmod.witness_tensor", "repmod.witness_dsum"}
 
 
 def test_relations_are_verified_only_where_a_module_is_made():

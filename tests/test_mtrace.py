@@ -190,7 +190,7 @@ def test_cyclicity_with_inverse_isomorphisms(roster):
 
 def _bracket_by_composite(f, w):
     """The composite form of bracket: ptr_W of the V0 (x) W endomorphism beta . f . alpha."""
-    reduced = sl.partial_supertrace(w.beta @ f @ w.alpha, w.V0.space, w.W.space)
+    reduced = sl.partial_supertrace(w.beta @ f @ w.alpha, w.V0.space, w.w_space)
     c = F(0) if f.parity == sl.ODD else reduced.entry(0, 0)
     if reduced.entries != {(i, i): c for i in range(w.V0.dim) if c}:
         raise mt.BracketError("not proportional to the identity")
@@ -233,7 +233,7 @@ class TestBracketContraction:
 
 def _bracket_tables_uncached(w):
     """B and alpha's signed rows of ``bracket``, re-keyed from the witness maps on every call."""
-    dw, par = w.W.dim, w.W.space.parities
+    dw, par = w.w_space.dim, w.w_space.parities
     B = {(row // dw, a * dw + row % dw): b for (row, a), b in w.beta.entries.items()}
     rows = {}
     for (k, col), v in w.alpha.entries.items():
@@ -247,7 +247,7 @@ def _bracket_uncached(f, w):
     F_ = {}
     for (a, k), v in f.entries.items():
         for u, j, x in rows.get(k, ()):
-            key = (a * w.W.dim + u, j)
+            key = (a * w.w_space.dim + u, j)
             F_[key] = F_.get(key, 0) + v * x
     reduced = sl.mat_mul(B, F_)
     c = 0 if f.parity else reduced.get((0, 0), 0)

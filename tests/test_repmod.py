@@ -50,6 +50,15 @@ class TestStandardModule:
             rm.verify_relations(broken)
 
 
+def test_h_revalidates_to_an_equal_map(roster):
+    # GModule.h is built unchecked: even diagonal maps are homogeneous by construction.
+    for M in (roster.std, roster.A, roster.C, roster.D, rm.trivial_module(roster.rs),
+              _kac(3, 1, (1, 0, F(1, 2)))):
+        assert len(M.h) == M.rs.rank
+        for h in M.h:
+            assert h.parity == 0 and sl.SuperMap(h.domain, h.codomain, 0, h.entries) == h
+
+
 class TestConstructions:
     def test_tensor_relations_hold(self, rs21, std):
         rm.tensor_module(std, std)  # construction verifies and would raise
@@ -658,6 +667,11 @@ def _kac(m, n, coords):
     return _KAC[key]
 
 
+def _v0w(w):
+    """V0 (x) W of a witness built as a module, for the oracles that need one."""
+    return functools.reduce(rm.tensor_module, (w.V0,) + w.W)
+
+
 # Typical finite-dominant weights: natural a_i (i != s) and a half-integer a_s.
 SL21_WEIGHTS = st.tuples(st.integers(0, 2), st.sampled_from([F(-3, 2), F(1, 2), F(5, 2)]))
 SL31_WEIGHTS = st.tuples(st.sampled_from([(0, 0), (1, 0), (0, 1)]),
@@ -742,7 +756,7 @@ class TestReciprocityRoute:
         # the beta maps leave it by reciprocity.
         B = roster.B
         w = roster.wB_via_A
-        V0W = rm.tensor_module(w.V0, w.W)
+        V0W = _v0w(w)
         assert B.kac_vector == 0 and V0W.kac_vector is None
         assert rm.hom_space(V0W, B, 0) == oracles.hom_by_equations(V0W, B, 0)
         assert _same_span(rm.hom_space(B, V0W, 0), oracles.hom_by_equations(B, V0W, 0))
@@ -905,11 +919,13 @@ _FRACTIONAL = {}
 
 
 def _fractional_cases():
-    """Name -> (map, src, dst, oracle src, oracle dst) on sl(3|1) modules with Fraction entries.
+    """Name -> (map, src, dst, oracle src, oracle dst) on modules with Fraction entries.
 
-    Id of V = K(1,0,1/2) and of V0 = K(0,0,-3/2), the witness alpha of V
-    through V0, whose entries are +-1/7, and Id_std (x) coev_V0, which leaves
-    a side with integer matrices for one whose e_s has denominator 2.
+    On sl(3|1): Id of V = K(1,0,1/2) and of V0 = K(0,0,-3/2), the witness alpha
+    of V through V0, whose entries are +-1/7, and its beta, each on the three
+    factors (V0, V0*, V) that ``make_witness`` checks, and Id_std (x) coev_V0,
+    which leaves a side with integer matrices for one whose e_s has denominator 2.
+    On sl(2|1): alpha and beta of the witness of K(1,1/2) through K(0,3/2).
     """
     if not _FRACTIONAL:
         V, V0 = _kac(3, 1, (1, 0, F(1, 2))), _kac(3, 1, (0, 0, F(-3, 2)))
@@ -920,10 +936,15 @@ def _fractional_cases():
         _FRACTIONAL.update({
             "Id_V": (sl.identity(V.space), V, V, V, V),
             "Id_V0": (sl.identity(V0.space), V0, V0, V0, V0),
-            "alpha": (w.alpha, (V0, w.W), V, rm.tensor_module(V0, w.W), V),
             "coev": (coev, std, (std, V0, dual), std,
                      rm.tensor_module(rm.tensor_module(std, V0), dual)),
         })
+        w21 = rm.ideal_witness(_kac(2, 1, (1, F(1, 2))), _kac(2, 1, (0, F(3, 2))))
+        for prefix, w in (("", w), ("sl21 ", w21)):
+            factors, V0W = (w.V0,) + w.W, _v0w(w)
+            assert len(factors) == 3
+            _FRACTIONAL[prefix + "alpha"] = (w.alpha, factors, w.V, V0W, w.V)
+            _FRACTIONAL[prefix + "beta"] = (w.beta, w.V, factors, w.V, V0W)
     return _FRACTIONAL
 
 
@@ -960,11 +981,11 @@ class TestFactorwiseGLinearity:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_witness_maps_and_their_mutants(self, roster, data):
-        # alpha leaves the tuple (V0, W) of dim 128 for dim 8, and beta enters it.
+        # alpha leaves the factors (V0, V0*, V) of dim 128 for dim 8, and beta enters them.
         w = roster.wB_via_A
-        V0W = rm.tensor_module(w.V0, w.W)
-        for m, src, dst, U, V in ((w.alpha, (w.V0, w.W), w.V, V0W, w.V),
-                                  (w.beta, w.V, (w.V0, w.W), w.V, V0W)):
+        V0W, factors = _v0w(w), (w.V0,) + w.W
+        for m, src, dst, U, V in ((w.alpha, factors, w.V, V0W, w.V),
+                                  (w.beta, w.V, factors, w.V, V0W)):
             assert rm._check_g_linear(m, src, dst) and oracles.g_linear_by_products(m, U, V)
             assert oracles.g_linear_two_sided(m, src, dst)
             bad = _mutant(data, m)
@@ -972,13 +993,15 @@ class TestFactorwiseGLinearity:
             assert verdict == oracles.g_linear_by_products(bad, U, V)
             assert verdict == oracles.g_linear_two_sided(bad, src, dst)
 
-    @pytest.mark.parametrize("case", ["Id_V", "Id_V0", "alpha", "coev"])
+    @pytest.mark.parametrize("case", ["Id_V", "Id_V0", "alpha", "beta", "coev", "sl21 alpha",
+                                      "sl21 beta"])
     @settings(max_examples=8, deadline=None)
     @given(data=st.data(), c=st.sampled_from([F(2, 3), F(-7, 2), F(1, 7), 5]))
     def test_fractional_modules_agree_with_the_product_oracle(self, case, data, c):
         m, src, dst, U, V = _fractional_cases()[case]
         m = c * m
         assert rm._check_g_linear(m, src, dst) and oracles.g_linear_by_products(m, U, V)
+        assert oracles.g_linear_two_sided(m, src, dst)
         # One entry moved by 1/7 adds a rank-one map, never g-linear with a simple side of dim > 1.
         bad = _mutant(data, m, deltas=(F(1, 7),))
         assert not rm._check_g_linear(bad, src, dst)
@@ -1070,10 +1093,14 @@ class TestWitnessOracle:
         K = _kac(3, 1, (1, 0, F(1, 2)))
         made = [rm.ideal_witness(K, _kac(3, 1, (0, 0, F(-3, 2)))), rm.trivial_witness(roster.A)]
         made += [rm.witness_tensor(made[1], roster.std), rm.witness_dsum(made[1], made[1]),
-                 rm.witness_parity_shift(made[1])]
-        for w in made:
-            assert not any(X is w.V0 and Y is w.W for X, Y in calls)
-        assert len(calls) == 3  # W of the search, then V (x) std and W (x) std
+                 rm.witness_parity_shift(made[1]), rm.witness_parity_shift(made[0])]
+        assert [len(w.W) for w in made] == [2, 1, 2, 1, 1, 2]
+        # Only V (x) std: W is kept as factors, and a one-factor W is its own product.
+        assert calls == [(roster.A, roster.std)]
+        calls.clear()
+        # A direct sum needs one module: each W of two factors is folded, and nothing else.
+        rm.witness_dsum(made[2], made[2])
+        assert calls == [made[2].W] * 2
 
 
 class TestMakeWitnessSpaces:
@@ -1099,11 +1126,43 @@ class TestMakeWitnessSpaces:
     def test_a_parity_shifted_w_of_the_same_dimension_raises(self, roster):
         w = roster.wB_via_A
         with pytest.raises(ValueError, match="alpha has the wrong domain"):
-            rm.make_witness(w.V, w.V0, rm.parity_shift_module(w.W), w.alpha, w.beta)
+            rm.make_witness(w.V, w.V0, w.W[:-1] + (rm.parity_shift_module(w.W[-1]),),
+                            w.alpha, w.beta)
 
     def test_matching_spaces_pass(self, roster):
         w = roster.wB_via_A
         assert rm.make_witness(w.V, w.V0, w.W, w.alpha, w.beta).alpha == w.alpha
+
+
+class TestWitnessesHeldAsFactors:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_closure_chains_recertify_and_bracket_as_the_composite(self, roster, data):
+        from supertrace import mtrace as mt
+
+        starts = [roster.wA, roster.wB_via_A]  # trivial_witness(K(0,1)), ideal_witness(K(1,1), K(0,1))
+        w = data.draw(st.sampled_from(starts))
+        for step in data.draw(st.lists(st.sampled_from(["tensor std", "shift", "dsum"]), max_size=3)):
+            if step == "tensor std":
+                w = rm.witness_tensor(w, roster.std)
+            elif step == "shift":
+                w = rm.witness_parity_shift(w)
+            else:  # with a witness of the same core
+                w = rm.witness_dsum(w, data.draw(st.sampled_from(starts)))
+            again = rm.make_witness(w.V, w.V0, w.W, w.alpha, w.beta)
+            assert again.W == w.W and again.w_space == w.w_space
+        f = data.draw(st.sampled_from([1, F(-2, 3)])) * sl.identity(w.V.space)
+        reduced = sl.partial_supertrace(w.beta @ f @ w.alpha, w.V0.space, w.w_space)
+        assert reduced == mt.bracket(f, w) * sl.identity(w.V0.space)
+
+    def test_w_is_a_tuple_of_factors_over_the_same_algebra(self, roster):
+        w = roster.wA
+        with pytest.raises(TypeError):
+            rm.make_witness(w.V, w.V0, w.W[0], w.alpha, w.beta)
+        other = rm.trivial_module(_kac(3, 1, (1, 0, F(1, 2))).rs)
+        assert other.space == w.W[0].space and other.rs != w.V.rs
+        with pytest.raises(ValueError, match="same algebra"):
+            rm.make_witness(w.V, w.V0, (other,), w.alpha, w.beta)
 
 
 # -- one certificate gates every typical-module route -------------------------------
@@ -1191,8 +1250,9 @@ class TestCoreGate:
         for K in case:
             w = rm.trivial_witness(K)
             assert w.V is w.V0 is K and w.alpha == w.beta == sl.identity(K.space)
+            assert len(w.W) == 1 and w.W[0].dim == w.w_space.dim == 1
             again = rm.make_witness(w.V, w.V0, w.W, w.alpha, w.beta)
-            assert (again.W.dim, again.alpha, again.beta) == (1, w.alpha, w.beta)
+            assert (again.W, again.alpha, again.beta) == (w.W, w.alpha, w.beta)
 
     def test_an_odd_highest_weight_vector_is_not_a_core(self, roster, monkeypatch):
         D = roster.D
@@ -1205,7 +1265,7 @@ class TestCoreGate:
         monkeypatch.setattr(rm, "_check_g_linear", no_check)
         ident = sl.identity(D.space)
         with pytest.raises(ValueError, match="even highest weight vector"):
-            rm.make_witness(D, D, rm.trivial_module(D.rs), ident, ident)
+            rm.make_witness(D, D, (rm.trivial_module(D.rs),), ident, ident)
 
     def test_ideal_witness_checks_the_core_before_any_solve(self, roster, monkeypatch):
         def no_solve(*args):
