@@ -6,11 +6,13 @@ Run from anywhere inside the checkout.  Both sides run from sibling trees in
 one temporary directory, laid out alike and removed afterwards: the parent
 revision unpacked from ``git archive``, and the change copied from the tracked
 files of this checkout as they are in its working tree, so uncommitted edits
-count.  For every workload of
+count.  Neither tree may hold a ``__pycache__``, so no side starts with its
+``src/`` compiled.  For every workload of
 ``BENCHMARK.json`` and each of the ``PAIRS`` seeds from ``FIRST_SEED``,
 ``perfbench/run.py --trace 0`` runs once on each tree, one after the other,
 and the tree that goes first alternates from seed to seed.  The file records both revisions, the machine
-and the ``src/`` line counts (both from each run's ``# run record:`` line),
+(with ``PYTHONDONTWRITEBYTECODE`` as the runs inherit it: set, every run compiles
+``src/`` afresh; unset, only each tree's first) and the ``src/`` line counts (both from each run's ``# run record:`` line),
 the layer the change moved, every run, and per workload the median and
 quartiles of ``setup_s``, ``run_ref`` and ``peak_rss_mb`` with the number of
 pairs in which the change was better.
@@ -45,7 +47,7 @@ def prepare_trees(rev: str, dest: str, root: str = ROOT) -> dict[str, str]:
     The parent tree holds the committed files of ``rev``; the change tree the
     files that git tracks in the checkout at ``root``, as they are in its
     working tree (a tracked file deleted there is left out).  Nothing is
-    registered in .git.
+    registered in .git.  Exits if a tree holds a ``__pycache__`` (a tracked one).
     """
     trees = {side: os.path.join(dest, side) for side in ("parent", "change")}
     archive = os.path.join(dest, "parent.tar")
@@ -58,7 +60,18 @@ def prepare_trees(rev: str, dest: str, root: str = ROOT) -> dict[str, str]:
             target = os.path.join(trees["change"], rel)
             os.makedirs(os.path.dirname(target), exist_ok=True)
             shutil.copy2(os.path.join(root, rel), target)
+    cached = [os.path.relpath(os.path.join(path, "__pycache__"), dest)
+              for tree in trees.values() for path, dirs, _ in os.walk(tree) if "__pycache__" in dirs]
+    if cached:
+        raise SystemExit(f"refusing to start: {', '.join(sorted(cached))} holds compiled bytecode")
     return trees
+
+
+def machine(rec: dict) -> dict:
+    """The machine block: a run record's cpu, nproc and python, and ``PYTHONDONTWRITEBYTECODE``
+    as the runs inherit it (null when unset)."""
+    return {**{key: rec[key] for key in ("cpu", "nproc", "python")},
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -124,7 +137,7 @@ def main(argv=None) -> int:
                 for tree in order:
                     run, rec = run_once(trees[tree], workload, seed, seconds)
                     runs[tree].append(run)
-                    record["machine"] = {key: rec[key] for key in ("cpu", "nproc", "python")}
+                    record["machine"] = machine(rec)
                     record["src_lines"][tree] = rec["src_lines"]
                     print(f"{workload} seed {seed} {tree}: "
                           + ", ".join(f"{m} {runs[tree][-1][m]:.4g}" for m in METRICS),

@@ -23,13 +23,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 
 from . import superlin as sl
 from .exactnum import exact
 from .linalg import RowReducer
 from .mtrace import modified_trace
-from .repmod import (  # hom_space stays bound here for callers that read invtensor.hom_space
+from .repmod import (  # hom_space stays bound here: perfbench's tracer test reads invtensor.hom_space
     FactorwiseAction,
     GModule,
     IdealWitness,
@@ -59,9 +59,9 @@ class AdjointData:
     representation; b is the induced isomorphism g -> g* (columns are the
     form against basis vectors) and gram its matrix.  Per-degree tables are kept in
     one dict, ``_kept``, read through ``_keep(key, build)``: ("power", N), ("space", N),
-    ("form", N, inverse) for ``form_columns``, ("composite", N) for ``dualizing_map``
-    and ("moved", N, perm) for ``_permuter``.  ``_kept`` is not an init field, so
-    ``dataclasses.replace`` starts a copy empty.
+    ("form", N, inverse) for ``form_columns``, ("composite", N) for ``dualizing_map``,
+    ("invariants", N) for ``invariant_tensors`` and ("moved", N, perm) for ``_permuter``.
+    ``_kept`` is not an init field, so ``dataclasses.replace`` starts a copy empty.
     """
 
     rs: RootSystem
@@ -103,8 +103,12 @@ class AdjointData:
         return self._keep(("form", N, inverse), lambda: _partner_walk(self, N, _partners(self, form)))
 
 
+@cache
 def build_adjoint(rs: RootSystem) -> AdjointData:
-    """Adjoint data for sl(m|n); verifies all four axioms of the form exactly."""
+    """Adjoint data for sl(m|n); verifies all four axioms of the form exactly.
+
+    One object per root system per process, whose kept tables serve every later run;
+    ``dataclasses.replace(adj)`` is a copy with none kept."""
     std, e, f, h = sl_generators(rs)
     par = std.parities
     dim, r = std.dim, rs.rank
@@ -193,11 +197,13 @@ def invariant_tensors(adj: AdjointData, N: int, cap: int = 4):
     lexicographic basis of the N-th adjoint tensor power: the weight-zero
     vectors that every e_i and f_i kills, acting factor by factor.  The odd
     basis is empty for these algebras; it is computed rather than assumed so
-    the evenness statement is a checked result.
+    the evenness statement is a checked result.  The bases are kept on adj per
+    degree; the cap is checked on every call.
     """
     if N > cap:
         raise ValueError(f"degree {N} exceeds the configured cap {cap}")
-    return tuple(invariant_vectors((adj.module,) * N, p) for p in (0, 1))
+    return adj._keep(("invariants", N),
+                     lambda: tuple(invariant_vectors((adj.module,) * N, p) for p in (0, 1)))
 
 
 def is_invariant(adj: AdjointData, N: int, coords: dict) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .exactnum import HSeries, exact, q_bracket, rat_str
 from .linalg import RowReducer
@@ -165,9 +166,14 @@ class RootSystem:
 
     # -- typicality and dimensions -----------------------------------------
 
+    @cached_property
+    def rho_pairings(self) -> dict[tuple[int, ...], Fraction]:
+        """<rho, alpha> for every positive root alpha, keyed by its coefficients."""
+        return {a.coeffs: self.form_rr(self.rho, a.coeffs) for a in self.pos_even + self.pos_odd}
+
     def pairing_with_rho_shift(self, w: Weight, root: Root) -> Fraction:
-        """<lambda + rho, alpha> for a weight lambda and a root alpha."""
-        return self.form_wr(w, root.coeffs) + self.form_rr(self.rho, root.coeffs)
+        """<lambda + rho, alpha> for a weight lambda and a positive root alpha."""
+        return self.form_wr(w, root.coeffs) + self.rho_pairings[root.coeffs]
 
     def is_typical(self, w: Weight) -> bool:
         return all(self.pairing_with_rho_shift(w, a) != 0 for a in self.pos_odd)
@@ -190,7 +196,7 @@ class RootSystem:
         """The modified superdimension of the typical module with highest weight w."""
         value = Fraction(1)
         for alpha in self.pos_even:
-            denom = self.form_rr(self.rho, alpha.coeffs)
+            denom = self.rho_pairings[alpha.coeffs]
             if denom == 0:
                 raise RootDataError(
                     "<rho, alpha> vanished on an even positive root; Cartan data corrupt"
@@ -223,7 +229,7 @@ class RootSystem:
         den = HSeries.one(work)
         for alpha in self.pos_even:
             num = num * q_bracket(self.pairing_with_rho_shift(w, alpha), work)
-            den = den * q_bracket(self.form_rr(self.rho, alpha.coeffs), work)
+            den = den * q_bracket(self.rho_pairings[alpha.coeffs], work)
         for alpha in self.pos_odd:
             den = den * q_bracket(self.pairing_with_rho_shift(w, alpha), work)
         h_power = {len(self.pos_odd): Fraction(1)}
@@ -266,11 +272,13 @@ def _epsilon_gram(signature: list[int], simple: list[list[int]]) -> list[list[Fr
     return out
 
 
+@cache
 def build_root_system(family: str, m: int, n: int | None = None) -> RootSystem:
     """Construct the distinguished-Borel root system for sl(m|n) or osp(2|2n).
 
     For the osp family pass the symplectic half-rank as ``m`` (so osp(2|2n)
-    is ``build_root_system("osp2", n)``); ``n`` is then ignored.
+    is ``build_root_system("osp2", n)``); ``n`` is then ignored.  One object per argument
+    tuple per process: what is kept on it, and its ``invtensor.build_adjoint``, serve every call.
     """
     if family == "sl":
         if n is None:

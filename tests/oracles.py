@@ -33,6 +33,9 @@ vector on its own, where the library reads them all off the reduced rows, and
 where the library assembles one only when it is read.  ``sn_action_map``
 composes the adjacent super swaps that bubble-sort a permutation, where the
 library puts each factor straight into its slot with a closed-form sign.
+``pairing_with_rho_shift_by_form``, ``atypicality_factors_by_form`` and
+``mod_sdim_by_form`` evaluate <rho, alpha> through the form on every call,
+where ``RootSystem`` reads it kept per positive root (``rho_pairings``).
 Singular vectors, submodule dimensions, irreducibility and the double-dual
 isomorphism are computed only here, as checks on the library.  The tests
 compare the two.
@@ -48,6 +51,7 @@ from supertrace import repmod as rm
 from supertrace import superlin as sl
 from supertrace.exactnum import cleared, rat_str
 from supertrace.linalg import RowReducer, _eliminate, nullspace
+from supertrace.rootdata import AtypicalWeightError
 
 
 def hom_by_equations(U, V, parity):
@@ -283,6 +287,27 @@ def invert_diag(m):
             raise ValueError("not a diagonal map")
         ent[(i, j)] = 1 / Fraction(v)
     return sl.SuperMap(m.codomain, m.domain, m.parity, ent)
+
+
+def pairing_with_rho_shift_by_form(rs, w, root):
+    """<lambda + rho, alpha>, with <rho, alpha> through ``form_rr`` on every call."""
+    return rs.form_wr(w, root.coeffs) + rs.form_rr(rs.rho, root.coeffs)
+
+
+def atypicality_factors_by_form(rs, w):
+    return [pairing_with_rho_shift_by_form(rs, w, a) for a in rs.pos_odd]
+
+
+def mod_sdim_by_form(rs, w):
+    """prod_even <lambda + rho, alpha> / <rho, alpha> over prod_odd <lambda + rho, alpha>."""
+    value = Fraction(1)
+    for alpha in rs.pos_even:
+        value *= pairing_with_rho_shift_by_form(rs, w, alpha) / rs.form_rr(rs.rho, alpha.coeffs)
+    for factor in atypicality_factors_by_form(rs, w):
+        if factor == 0:
+            raise AtypicalWeightError(f"weight {w} is atypical")
+        value /= factor
+    return value
 
 
 def _adjacent_swaps(N, perm):

@@ -4,11 +4,15 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from supertrace.exactnum import HSeries, q_bracket
 from supertrace.rootdata import (
     AtypicalWeightError,
     RootDataError,
+    RootSystem,
     Weight,
     build_root_system,
     weight,
@@ -275,3 +279,43 @@ class TestOsp24:
             assert rs.weight_to_root_coords(rs.root_to_weight(coords)) == coords
             w = weight(*(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank)))
             assert rs.root_to_weight(rs.weight_to_root_coords(w)) == w
+
+
+class TestKeptRhoPairings:
+    """<rho, alpha> is kept per positive root on the one RootSystem of each algebra."""
+
+    ALGEBRAS = [("sl", 2, 1), ("sl", 3, 1), ("sl", 3, 2), ("osp2", 2)]
+
+    def test_one_root_system_per_algebra(self):
+        for args in self.ALGEBRAS:
+            rs = build_root_system(*args)
+            assert build_root_system(*args) is rs and rs.rho_pairings is rs.rho_pairings
+            assert set(rs.rho_pairings) == {a.coeffs for a in rs.pos_even + rs.pos_odd}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(ALGEBRAS), st.data())
+    def test_pairings_match_the_form_route(self, args, data):
+        rs = build_root_system(*args)
+        coord = st.one_of(st.integers(-3, 3), st.fractions(-5, 5, max_denominator=4))
+        w = weight(*(data.draw(coord) for _ in range(rs.rank)))
+        for root in rs.pos_even + rs.pos_odd:
+            assert rs.pairing_with_rho_shift(w, root) == oracles.pairing_with_rho_shift_by_form(rs, w, root)
+        factors = rs.atypicality_factors(w)
+        assert factors == oracles.atypicality_factors_by_form(rs, w)
+        if all(factors):
+            assert rs.mod_sdim(w) == oracles.mod_sdim_by_form(rs, w)
+        else:
+            for route in (rs.mod_sdim, lambda w: oracles.mod_sdim_by_form(rs, w)):
+                with pytest.raises(AtypicalWeightError):
+                    route(w)
+
+    def test_typicality_and_dimensions_walk_no_form(self, monkeypatch):
+        rs = build_root_system("sl", 3, 1)
+        lam = weight(1, 0, F(1, 2))
+        want = (rs.is_typical(lam), rs.mod_sdim(lam), rs.qmod_sdim(lam, 3))
+
+        def walked(*args):
+            raise AssertionError("form_rr walked")
+
+        monkeypatch.setattr(RootSystem, "form_rr", walked)
+        assert (rs.is_typical(lam), rs.mod_sdim(lam), rs.qmod_sdim(lam, 3)) == want

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -45,6 +47,34 @@ def test_bench_trees_are_siblings_laid_out_alike(tmp_path):
     assert layouts[0] == layouts[1] == ["notes.txt", "src", "src/a.py"]
     assert (Path(trees["parent"]) / "src" / "a.py").read_text() == "A = 1\n"
     assert (Path(trees["change"]) / "src" / "a.py").read_text() == "A = 2\n"
+
+
+def test_bench_trees_holding_bytecode_refuse_to_start(tmp_path):
+    prepare_trees = runpy.run_path(str(SCRIPTS / "bench_record.py"))["prepare_trees"]
+    repo = tmp_path / "repo"
+    (repo / "src" / "__pycache__").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("A = 1\n")
+    (repo / "src" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+                        "-c", "commit.gpgsign=false", *args], cwd=repo, check=True, capture_output=True)
+    out = tmp_path / "trees"
+    out.mkdir()
+    with pytest.raises(SystemExit, match="refusing to start: change/src/__pycache__, "
+                                         "parent/src/__pycache__"):
+        prepare_trees("HEAD", str(out), str(repo))
+
+
+@pytest.mark.parametrize("value", [None, "1"])
+def test_bench_record_notes_whether_runs_write_bytecode(monkeypatch, value):
+    machine = runpy.run_path(str(SCRIPTS / "bench_record.py"))["machine"]
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    rec = {"cpu": "c", "nproc": 2, "python": "3.11.7", "src_lines": 10}
+    assert machine(rec) == {"cpu": "c", "nproc": 2, "python": "3.11.7",
+                            "PYTHONDONTWRITEBYTECODE": value}
 
 
 def test_readme_library_example_gives_the_values_in_its_comments():
