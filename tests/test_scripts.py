@@ -21,21 +21,20 @@ def test_invariant_form_tables_runs_at_degree_two(monkeypatch, capsys):
     assert "degree 2" in capsys.readouterr().out
 
 
+def _committed(repo: Path) -> None:
+    """Make ``repo`` a git repository with everything in it committed."""
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+                        "-c", "commit.gpgsign=false", *args], cwd=repo, check=True, capture_output=True)
+
+
 def test_bench_trees_are_siblings_laid_out_alike(tmp_path):
     prepare_trees = runpy.run_path(str(SCRIPTS / "bench_record.py"))["prepare_trees"]
     repo = tmp_path / "repo"
     (repo / "src").mkdir(parents=True)
     (repo / "src" / "a.py").write_text("A = 1\n")
     (repo / "notes.txt").write_text("n\n")
-
-    def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
-                        "-c", "commit.gpgsign=false", *args],
-                       cwd=repo, check=True, capture_output=True)
-
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "first")
+    _committed(repo)
     (repo / "src" / "a.py").write_text("A = 2\n")  # uncommitted edit under src/
     (repo / "untracked.txt").write_text("u\n")
     out = tmp_path / "trees"
@@ -55,9 +54,7 @@ def test_bench_trees_holding_bytecode_refuse_to_start(tmp_path):
     (repo / "src" / "__pycache__").mkdir(parents=True)
     (repo / "src" / "a.py").write_text("A = 1\n")
     (repo / "src" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
-    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
-                        "-c", "commit.gpgsign=false", *args], cwd=repo, check=True, capture_output=True)
+    _committed(repo)
     out = tmp_path / "trees"
     out.mkdir()
     with pytest.raises(SystemExit, match="refusing to start: change/src/__pycache__, "
