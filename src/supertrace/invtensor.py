@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, partial, reduce
 
 from . import superlin as sl
 from .exactnum import exact
@@ -59,9 +59,9 @@ class AdjointData:
     representation; b is the induced isomorphism g -> g* (columns are the
     form against basis vectors) and gram its matrix.  Per-degree tables are kept in
     one dict, ``_kept``, read through ``_keep(key, build)``: ("power", N), ("space", N),
-    ("form", N, inverse) for ``form_columns``, ("composite", N) for ``dualizing_map``,
-    ("invariants", N) for ``invariant_tensors`` and ("moved", N, perm) for ``_permuter``.
-    ``_kept`` is not an init field, so ``dataclasses.replace`` starts a copy empty.
+    ("form", N, inverse) for ``form_columns``, ("composite", N) for ``dualizing_map``
+    and ("moved", N, perm) for ``_permuter``.  ``_kept`` is not an init field, so
+    ``dataclasses.replace`` starts a copy empty.
     """
 
     rs: RootSystem
@@ -103,12 +103,8 @@ class AdjointData:
         return self._keep(("form", N, inverse), lambda: _partner_walk(self, N, _partners(self, form)))
 
 
-@cache
 def build_adjoint(rs: RootSystem) -> AdjointData:
-    """Adjoint data for sl(m|n); verifies all four axioms of the form exactly.
-
-    One object per root system per process, whose kept tables serve every later run;
-    ``dataclasses.replace(adj)`` is a copy with none kept."""
+    """Adjoint data for sl(m|n); verifies all four axioms of the form exactly."""
     std, e, f, h = sl_generators(rs)
     par = std.parities
     dim, r = std.dim, rs.rank
@@ -197,13 +193,11 @@ def invariant_tensors(adj: AdjointData, N: int, cap: int = 4):
     lexicographic basis of the N-th adjoint tensor power: the weight-zero
     vectors that every e_i and f_i kills, acting factor by factor.  The odd
     basis is empty for these algebras; it is computed rather than assumed so
-    the evenness statement is a checked result.  The bases are kept on adj per
-    degree; the cap is checked on every call.
+    the evenness statement is a checked result.
     """
     if N > cap:
         raise ValueError(f"degree {N} exceeds the configured cap {cap}")
-    return adj._keep(("invariants", N),
-                     lambda: tuple(invariant_vectors((adj.module,) * N, p) for p in (0, 1)))
+    return tuple(invariant_vectors((adj.module,) * N, p) for p in (0, 1))
 
 
 def is_invariant(adj: AdjointData, N: int, coords: dict) -> bool:
@@ -245,25 +239,25 @@ def _partners(adj: AdjointData, form: SuperMap) -> list[list]:
 def _partner_walk(adj: AdjointData, N: int, partners: list[list]) -> list[list]:
     """b~_N (or b_inv's walk) on every basis tensor t of g^(x)N, from precomputed partners.
 
-    Column t as [(r, value)]: the walk takes off t's digits and pairs each
-    factor with its Gram partners (b is even, so E_pq meets only E_qp and a
-    Cartan factor only Cartan elements); the iota chain's Koszul sign
-    (-1)^{sum_{i<k} p_i p_k} is (-1)^{k(k-1)/2}, k the number of odd factors.
+    Column t as [(r, value)], degree by degree: column d gdim^j + t of degree j + 1 puts
+    the Gram partners of d in front of column t of degree j (b is even, so E_pq meets only
+    E_qp and a Cartan factor only Cartan elements).  The iota chain's Koszul sign
+    (-1)^{sum_{i<k} p_i p_k} is (-1)^{k(k-1)/2}, k the number of odd factors, so an odd d
+    adds the factor (-1)^{k_t}.
     """
-    gdim = adj.gdim
-    par = adj.module.space.parities
-    cols = []
-    for t in range(gdim ** N):
-        # (index of the partner so far, product), last factor first.
-        terms, flat, place, odd = [(0, 1)], t, 1, 0
-        for _ in range(N):
-            flat, d = divmod(flat, gdim)
-            terms = [(r + e * place, prod * v) for r, prod in terms for e, v in partners[d]]
-            place *= gdim
-            odd += par[d]
-        if odd * (odd - 1) // 2 % 2:
-            terms = [(r, -prod) for r, prod in terms]
-        cols.append(list(sl._nonzero(dict(terms)).items()))  # distinct partner tuples: no key repeats
+    gdim, par = adj.gdim, adj.module.space.parities
+    cols, odds = [[(0, 1)]], [0]
+    for _ in range(N):
+        place, last, cols = len(cols), cols, []
+        for d in range(gdim):
+            for t in range(place):
+                col, flip = [], par[d] and odds[t] % 2
+                for r, p in last[t]:
+                    for e, v in partners[d]:  # distinct partner tuples: no key repeats, no zero
+                        x = -p * v if flip else p * v
+                        col.append((r + e * place, x.numerator if x.denominator == 1 else x))
+                cols.append(col)
+        odds = [odds[t] + par[d] for d in range(gdim) for t in range(place)]
     return cols
 
 

@@ -27,7 +27,7 @@ def bracket(f: SuperMap, w: IdealWitness) -> Fraction:
     """The scalar c with ptr(beta . f . alpha) = c Id, f a g-linear endomorphism of the witnessed V."""
     if f.domain != w.V.space or f.codomain != w.V.space:
         raise ValueError("map is not an endomorphism of the witnessed module")
-    if not _check_g_linear(f, w.V, w.V):
+    if not _check_g_linear(f, w.V, w.V, w.endo_actions):
         raise BracketError("bracket input is not g-linear")
     # ptr_W(beta . f . alpha) = B . F, with B[i, (a,u)] = beta[(i,u), a] and F[(a,u), j] =
     # (-1)^{p(u)} (f . alpha)[a, (j,u)], (a,u) keyed a dim W + u: B and alpha's signed rows

@@ -556,9 +556,10 @@ class FactorwiseAction:
     the signs stay, since the factors left of pos do not move.  The factors'
     ``GModule.cleared`` columns are scaled to L, the lcm of their denominators, so
     ``_scaled`` multiplies ints only; ``apply`` divides once per output entry.
+    ``scale`` multiplies every place: the factors are the digits of key // scale.
     """
 
-    def __init__(self, factors, transpose: bool = False):
+    def __init__(self, factors, transpose: bool = False, scale: int = 1):
         self.factors = tuple(factors)
         if not self.factors:
             raise ValueError("a factorwise action needs at least one factor")
@@ -567,7 +568,7 @@ class FactorwiseAction:
         if any(M.rs != self.rs for M in self.factors):
             raise ValueError("tensor factors must live over the same algebra")
         self.dims = [M.dim for M in self.factors]
-        self.places = [1] * len(self.dims)
+        self.places = [scale] * len(self.dims)
         for pos in range(len(self.dims) - 2, -1, -1):
             self.places[pos] = self.places[pos + 1] * self.dims[pos + 1]
         self.parities = [M.space.parities for M in self.factors]
@@ -790,6 +791,11 @@ class IdealWitness:
         return reduce(sl.tensor_space, (M.space for M in self.W), sl.UNIT)
 
     @cached_property
+    def endo_actions(self) -> tuple[FactorwiseAction, FactorwiseAction]:
+        """The actions ``_check_g_linear`` runs on an endomorphism of V, kept for ``mtrace.bracket``."""
+        return FactorwiseAction((self.V,), transpose=True), FactorwiseAction((self.V,), scale=self.V.dim)
+
+    @cached_property
     def beta_keyed(self) -> dict:
         """beta as B[i, a dim W + u] = beta[(i, u), a], the left factor of ``mtrace.bracket``."""
         dw = self.w_space.dim
@@ -806,7 +812,7 @@ class IdealWitness:
         return f"IdealWitness({self.V.name} through {'(x)'.join(M.name for M in (self.V0,) + self.W)})"
 
 
-def _check_g_linear(m: SuperMap, src, dst) -> bool:
+def _check_g_linear(m: SuperMap, src, dst, actions=None) -> bool:
     """Whether m: src -> dst satisfies m . x = (-1)^{p(m) p(x)} x . m for every generator.
 
     Each side is a module or a tuple of factors (ValueError unless m runs between their
@@ -817,14 +823,14 @@ def _check_g_linear(m: SuperMap, src, dst) -> bool:
     map that commutes with e_i and f_i (with the signs above) commutes with their
     super-commutator.  The check is homogeneous in m: it runs on m cleared to ints and
     adds L_dst (m . x) and -(-1)^{p(m) p(x)} L_src (x . m) into one sum, which must vanish.
+    A caller may pass the two actions kept (``IdealWitness.endo_actions``).
     """
     src, dst = (s if isinstance(s, tuple) else (s,) for s in (src, dst))
     if (m.domain, m.codomain) != tuple(reduce(sl.tensor_space, (M.space for M in side))
                                        for side in (src, dst)):
         raise ValueError("map does not run between the spaces of src and dst")
     ds = m.domain.dim
-    on_rows, on_cols = FactorwiseAction(src, transpose=True), FactorwiseAction(dst)
-    on_cols.places = [p * ds for p in on_cols.places]  # dst acts on the i of i * ds + j
+    on_rows, on_cols = actions or (FactorwiseAction(src, transpose=True), FactorwiseAction(dst, scale=ds))
     ent, _ = cleared(m.entries)
     keyed = {i * ds + j: v for (i, j), v in ent.items()}
     for kind in "ef":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from .exactnum import HSeries, exact, q_bracket, rat_str
 from .linalg import RowReducer
@@ -167,13 +167,13 @@ class RootSystem:
     # -- typicality and dimensions -----------------------------------------
 
     @cached_property
-    def rho_pairings(self) -> dict[tuple[int, ...], Fraction]:
-        """<rho, alpha> for every positive root alpha, keyed by its coefficients."""
+    def rho_pairings(self) -> dict[tuple[int, ...], Fraction]:  # <rho, alpha> by positive alpha's coeffs
         return {a.coeffs: self.form_rr(self.rho, a.coeffs) for a in self.pos_even + self.pos_odd}
 
     def pairing_with_rho_shift(self, w: Weight, root: Root) -> Fraction:
-        """<lambda + rho, alpha> for a weight lambda and a positive root alpha."""
-        return self.form_wr(w, root.coeffs) + self.rho_pairings[root.coeffs]
+        """<lambda + rho, alpha> for a weight lambda and a root alpha; kept for a positive alpha."""
+        rho = self.rho_pairings.get(root.coeffs)
+        return self.form_wr(w, root.coeffs) + (self.form_rr(self.rho, root.coeffs) if rho is None else rho)
 
     def is_typical(self, w: Weight) -> bool:
         return all(self.pairing_with_rho_shift(w, a) != 0 for a in self.pos_odd)
@@ -272,13 +272,11 @@ def _epsilon_gram(signature: list[int], simple: list[list[int]]) -> list[list[Fr
     return out
 
 
-@cache
 def build_root_system(family: str, m: int, n: int | None = None) -> RootSystem:
     """Construct the distinguished-Borel root system for sl(m|n) or osp(2|2n).
 
     For the osp family pass the symplectic half-rank as ``m`` (so osp(2|2n)
-    is ``build_root_system("osp2", n)``); ``n`` is then ignored.  One object per argument
-    tuple per process: what is kept on it, and its ``invtensor.build_adjoint``, serve every call.
+    is ``build_root_system("osp2", n)``); ``n`` is then ignored.
     """
     if family == "sl":
         if n is None:

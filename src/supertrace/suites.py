@@ -520,7 +520,8 @@ def suite_tensors(
             # G* comes from the form, not from the inverse permutation.
             pstar = it.form_adjoint(adj, it.permutation_map(adj, N, perm), N, N)
             moved = [it.sn_action(adj, N, perm, x) for x in elems]
-            pulled = [it.presented_tensor(adj, N, y.witness, pstar @ y.f) for y in elems]
+            pulled = [it.PresentedTensor(N, pstar.apply(y.coords), y.witness, partial(matmul, pstar, y.f))
+                      for y in elems]
             adj_ok = adj_ok and it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled)
     if max_degree >= 2 and spaces[2].elements:
         G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
@@ -528,7 +529,8 @@ def suite_tensors(
         elems = spaces[2].elements
         moved = [it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
                  for x in elems]
-        pulled = [it.presented_tensor(adj, 2, y.witness, Gstar @ y.f) for y in elems]
+        pulled = [it.PresentedTensor(2, Gstar.apply(y.coords), y.witness, partial(matmul, Gstar, y.f))
+                  for y in elems]
         adj_ok = adj_ok and it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled)
     out.append(check_true("tensors.functorial-adjoint", adj_ok,
                           "(G t1, t2)' = (t1, G* t2)' for permutations and contraction-insertion"))

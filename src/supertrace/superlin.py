@@ -48,7 +48,7 @@ class SuperSpace:
     parities: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p not in (0, 1) for p in self.parities):
+        if not {*self.parities} <= {0, 1}:
             raise ValueError("parities must be 0 or 1")
 
     @property

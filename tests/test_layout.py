@@ -17,10 +17,6 @@ for the per-degree tables of ``invtensor.AdjointData``, one dict read through on
 helper.  So no class defines ``__getattr__``, no dataclass has more than one
 ``init=False`` field, and no code builds an object past its constructor with
 ``__new__`` except ``SuperMap._of``, the unchecked constructor of kernel results.
-The only process-level memos are the two cached builders,
-``rootdata.build_root_system`` and ``invtensor.build_adjoint`` (one object per
-algebra, whose kept tables serve every later run): no other function is wrapped in
-``cache`` or ``lru_cache``, and no module or class body binds a dict.
 
 A witness keeps W as the tuple of its factor modules: inside ``repmod``,
 ``tensor_module`` is named only by its own definition, by ``witness_tensor``
@@ -34,8 +30,6 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "supertrace"
 ALLOWED = {"superlin._summed", "repmod.FactorwiseAction._scaled", "linalg._eliminate"}
 NEW_ALLOWED = {"superlin.SuperMap._of"}  # the one caller of ``__new__``
-MEMO_ALLOWED = {"rootdata.build_root_system", "invtensor.build_adjoint"}  # the cached builders
-DICT_MAKERS = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary"}
 
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -307,52 +301,3 @@ def test_a_dataclass_keeps_at_most_one_uninitialized_field():
               for name, n in _uninitialized_fields(tree).items()}
     assert counts["invtensor.AdjointData"] == 1 and counts["repmod.GModule"] == 0
     assert {name: n for name, n in counts.items() if n > 1} == {}
-
-
-def _is_memo(node: ast.AST) -> bool:
-    """``cache``, ``lru_cache``, ``functools.cache``, ``lru_cache(maxsize=...)`` and the like."""
-    func = node.func if isinstance(node, ast.Call) else node
-    return _is_name(func, "cache") or _is_name(func, "lru_cache")
-
-
-def _memo_sites(tree: ast.AST, prefix: str) -> set[str]:
-    """What is memoized for the process: the qualified names of the functions (or the module)
-    decorated with or calling ``cache``/``lru_cache``, and of the names a module or class body
-    binds to a new dict."""
-    sites = set(_sites(tree, prefix, lambda node: isinstance(node, ast.Call) and _is_memo(node)))
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(_is_memo(d) for d in child.decorator_list):
-                    sites.add(f"{scope}.{child.name}")
-                visit(child, f"{scope}.{child.name}")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{scope}.{child.name}")
-            elif (isinstance(child, (ast.Assign, ast.AnnAssign)) and child.value is not None
-                  and isinstance(node, (ast.Module, ast.ClassDef))
-                  and (isinstance(child.value, (ast.Dict, ast.DictComp))
-                       or isinstance(child.value, ast.Call)
-                       and ast.unparse(child.value.func).split(".")[-1] in DICT_MAKERS)):
-                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
-                sites.update(f"{scope}.{ast.unparse(t)}" for t in targets)
-
-    visit(tree, prefix)
-    return sites
-
-
-def test_memo_finder_sees_decorators_calls_and_module_dicts():
-    code = ("import functools\n@functools.cache\ndef f(x):\n    return x\n"
-            "@lru_cache(maxsize=None)\ndef g(x):\n    return x\n"
-            "def h(x, cache):\n    cache['k'] = x\n    return cache\n"
-            "i = functools.lru_cache()(h)\n_SEEN = {}\n_MORE: dict = defaultdict(list)\n"
-            "class C:\n    _memo = dict()\n    @cached_property\n    def p(self):\n"
-            "        local = {}\n        return local\n"
-            "    x: dict = field(default_factory=dict)\n")
-    assert _memo_sites(ast.parse(code), "m") == {"m.f", "m.g", "m", "m._SEEN", "m._MORE",
-                                                   "m.C._memo"}
-
-
-def test_the_cached_builders_are_the_only_process_memos():
-    sites = set().union(*(_memo_sites(tree, stem) for stem, tree in _sources()))
-    assert sites == MEMO_ALLOWED

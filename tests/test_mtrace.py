@@ -41,6 +41,13 @@ class TestBracket:
         assert mt.bracket(f_odd, wS) == 0
         assert mt.modified_trace(f_odd, wS) == 0
 
+    def test_g_linearity_actions_are_built_once_per_witness(self, roster, monkeypatch):
+        w, built, cls = dataclasses.replace(roster.wA), [], rm.FactorwiseAction
+        monkeypatch.setattr(rm, "FactorwiseAction", lambda *a, **k: built.append(a) or cls(*a, **k))
+        for c in (1, 2, 3):
+            assert mt.bracket(c * sl.identity(w.V.space), w) == c
+        assert len(built) == 2  # the transposed action and the scaled one, on the first bracket
+
     def test_non_g_linear_input_rejected(self, roster):
         rng = random.Random(13)
         bad = rand_map(rng, roster.A.space, roster.A.space, 0)

@@ -1008,6 +1008,23 @@ class TestFactorwiseGLinearity:
         assert not oracles.g_linear_by_products(bad, U, V)
         assert not oracles.g_linear_two_sided(bad, src, dst)
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), parity=st.sampled_from([0, 1]), mutate=st.booleans())
+    def test_a_witness_keeps_the_actions_on_its_endomorphisms(self, roster, data, parity, mutate):
+        w = data.draw(st.sampled_from([roster.wA, roster.wB, roster.wB_via_A]))
+        V = w.V
+        m = sl.zero_map(V.space, V.space, parity)
+        for basis_map in rm.hom_space(V, V, parity):
+            m = m + data.draw(st.sampled_from([1, -2, F(1, 3)])) * basis_map
+        if mutate:
+            m = _mutant(data, m)
+        verdict = rm._check_g_linear(m, V, V, w.endo_actions)
+        assert verdict == rm._check_g_linear(m, V, V) == oracles.g_linear_by_products(m, V, V)
+        rows, cols = w.endo_actions
+        assert w.endo_actions is w.endo_actions and (rows.transpose, cols.transpose) == (True, False)
+        assert (rows.places, cols.places) == ([1], [V.dim])
+        assert "endo_actions" not in vars(dataclasses.replace(w))
+
     def test_odd_maps_on_both_sides_of_a_tensor_product(self, rs21):
         A, std = _kac(2, 1, (0, 1)), rm.standard_module(rs21)
         D = rm.parity_shift_module(A)

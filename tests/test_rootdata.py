@@ -11,6 +11,7 @@ import oracles
 from supertrace.exactnum import HSeries, q_bracket
 from supertrace.rootdata import (
     AtypicalWeightError,
+    Root,
     RootDataError,
     RootSystem,
     Weight,
@@ -282,15 +283,25 @@ class TestOsp24:
 
 
 class TestKeptRhoPairings:
-    """<rho, alpha> is kept per positive root on the one RootSystem of each algebra."""
+    """<rho, alpha> is kept per positive root on each RootSystem (``rho_pairings``)."""
 
     ALGEBRAS = [("sl", 2, 1), ("sl", 3, 1), ("sl", 3, 2), ("osp2", 2)]
 
-    def test_one_root_system_per_algebra(self):
+    def test_kept_once_per_positive_root(self):
         for args in self.ALGEBRAS:
             rs = build_root_system(*args)
-            assert build_root_system(*args) is rs and rs.rho_pairings is rs.rho_pairings
+            assert rs.rho_pairings is rs.rho_pairings
             assert set(rs.rho_pairings) == {a.coeffs for a in rs.pos_even + rs.pos_odd}
+
+    def test_a_root_that_is_not_positive_pairs_through_the_form(self):
+        rs = build_root_system("sl", 3, 1)
+        w = weight(1, F(1, 2), 2)
+        for alpha in rs.pos_even + rs.pos_odd:
+            negative = Root(tuple(-c for c in alpha.coeffs), alpha.parity)
+            assert negative.coeffs not in rs.rho_pairings
+            want = oracles.pairing_with_rho_shift_by_form(rs, w, negative)
+            assert rs.pairing_with_rho_shift(w, negative) == want
+            assert want == -rs.form_wr(w, alpha.coeffs) - rs.rho_pairings[alpha.coeffs]
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(ALGEBRAS), st.data())
