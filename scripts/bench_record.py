@@ -15,7 +15,8 @@ and the tree that goes first alternates from seed to seed.  The file records bot
 ``src/`` afresh; unset, only each tree's first) and the ``src/`` line counts (both from each run's ``# run record:`` line),
 the layer the change moved, every run, and per workload the median and
 quartiles of ``setup_s``, ``run_ref`` and ``peak_rss_mb`` with the number of
-pairs in which the change was better.
+pairs in which the change was better.  After writing the file it prints that
+summary (``summary_lines``).
 """
 
 from __future__ import annotations
@@ -106,6 +107,29 @@ def summarize(runs: dict) -> dict:
     return out
 
 
+def summary_lines(record: dict) -> list[str]:
+    """What a record says, one line each: per workload and metric the parent median with its
+    quartiles, the change median and the pairs in which the change was better (flagged when the
+    change median lies outside the parent's quartiles); per workload the failed ops of both
+    sides; and the ``src/`` line counts of both sides."""
+    lines = []
+    for workload, data in record["workloads"].items():
+        summary = data["summary"]
+        for m in METRICS:
+            parent, change = summary[m]["parent"], summary[m]["change"]
+            outside = not parent["q1"] <= change["median"] <= parent["q3"]
+            lines.append(f"{workload} {m}: parent {parent['median']:.4g} "
+                         f"(q1-q3 {parent['q1']:.4g}-{parent['q3']:.4g}), "
+                         f"change {change['median']:.4g}, better in "
+                         f"{summary[m]['change_better_pairs']}/{summary[m]['pairs']} pairs"
+                         + (", outside the parent's quartiles" if outside else ""))
+        failed = summary["failed_ops"]
+        lines.append(f"{workload} failed ops: parent {failed['parent']}, change {failed['change']}")
+    src = record["src_lines"]
+    lines.append(f"src lines: parent {src['parent']}, change {src['change']}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("number", type=int, help="n of BENCH_<n>.json")
@@ -148,6 +172,7 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {os.path.relpath(path)}")
+    print("\n".join(summary_lines(record)))
     return 0
 
 

@@ -56,18 +56,17 @@ class AdjointData:
     """The adjoint module of sl(m|n) with its invariant bilinear form.
 
     basis_matrices realize the chosen homogeneous basis inside the defining
-    representation; b is the induced isomorphism g -> g* (columns are the
-    form against basis vectors) and gram its matrix.  Per-degree tables are kept in
+    representation; b is the form, stored once as the induced isomorphism
+    g -> g*: column i holds the form against basis vector i, so (x_i, x_j) is
+    ``b.entry(j, i)``.  The root system is ``module.rs``.  Per-degree tables are kept in
     one dict, ``_kept``, read through ``_keep(key, build)``: ("power", N), ("space", N),
     ("form", N, inverse) for ``form_columns``, ("composite", N) for ``dualizing_map``
     and ("moved", N, perm) for ``_permuter``.  ``_kept`` is not an init field, so
     ``dataclasses.replace`` starts a copy empty.
     """
 
-    rs: RootSystem
     module: GModule
     basis_matrices: tuple[dict, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
     b: SuperMap
     b_inv: SuperMap
     _kept: dict = field(default_factory=dict, init=False, repr=False)
@@ -147,37 +146,31 @@ def build_adjoint(rs: RootSystem) -> AdjointData:
     def str_of(mat: dict) -> Fraction:
         return sum(-v if par[p] else v for (p, q), v in mat.items() if p == q)
 
-    gram = tuple(
-        tuple(str_of(sl.mat_mul(basis[a], basis[b])) for b in range(gdim))
-        for a in range(gdim)
-    )
-    b_ent = {(i, j): gram[j][i] for j in range(gdim) for i in range(gdim) if gram[j][i]}
-    b = SuperMap(space, sl.dual_space(space), 0, b_ent)
-
-    defect = form_defect(module, gram, b)
+    b = SuperMap(space, sl.dual_space(space), 0,
+                 {(i, j): v for j in range(gdim) for i in range(gdim)
+                  if (v := str_of(sl.mat_mul(basis[j], basis[i])))})
+    defect = form_defect(module, b)
     if defect:
         raise FormConstructionError(defect)
 
     # Row k of b^-1 expresses the k-th unit vector over the rows of b (``unit_coords``).
     reducer = RowReducer()
     for i in range(gdim):
-        reducer.add({j: gram[j][i] for j in range(gdim) if gram[j][i]})
+        reducer.add(dict(b.rows.get(i, ())))
     if len(reducer) < gdim:
         raise FormConstructionError("form is degenerate")
     b_inv = SuperMap(sl.dual_space(space), space, 0,
                      {(k, i): c for (i, k), c in reducer.unit_coords().items()})
-    return AdjointData(rs, module, tuple(basis), gram, b, b_inv)
+    return AdjointData(module, tuple(basis), b, b_inv)
 
 
-def form_defect(module: GModule, gram, b: SuperMap) -> str | None:
-    """The first axiom the form fails (even, supersymmetric, invariant), or None."""
+def form_defect(module: GModule, b: SuperMap) -> str | None:
+    """The first axiom the form b fails (even, supersymmetric, invariant), or None."""
     par = module.space.parities
-    for a in range(module.dim):
-        for c in range(module.dim):
-            if par[a] != par[c] and gram[a][c] != 0:
-                return "form is not even"
-            if gram[c][a] != (-1 if (par[a] and par[c]) else 1) * gram[a][c]:
-                return "form is not supersymmetric"
+    if any(par[i] != par[j] for i, j in b.entries):
+        return "form is not even"
+    if any(b.entry(j, i) != (-1 if par[i] and par[j] else 1) * v for (i, j), v in b.entries.items()):
+        return "form is not supersymmetric"
     if not _check_g_linear(b, module, module.dual):
         return "form is not invariant"
     return None
@@ -207,7 +200,7 @@ def is_invariant(adj: AdjointData, N: int, coords: dict) -> bool:
     verified, so h_i = [e_i, f_i] kills what both of them kill.
     """
     action = FactorwiseAction((adj.module,) * N)
-    return all(not action.apply(kind, i, coords) for kind in "ef" for i in range(adj.rs.rank))
+    return all(not action.apply(kind, i, coords) for kind in "ef" for i in range(adj.module.rs.rank))
 
 
 def tensor_coords(u: dict, v: dict, vdim: int) -> dict:
@@ -652,8 +645,7 @@ def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> Super
 def pairing_map(adj: AdjointData) -> SuperMap:
     """g (x) g -> k given by the form itself (a b-contraction)."""
     g = adj.module.space
-    ent = {(0, a * adj.gdim + bb): v
-           for a, row in enumerate(adj.gram) for bb, v in enumerate(row) if v}
+    ent = {(0, a * adj.gdim + c): v for (c, a), v in adj.b.entries.items()}
     return SuperMap(sl.tensor_space(g, g), sl.UNIT, 0, ent)
 
 

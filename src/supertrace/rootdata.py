@@ -5,8 +5,10 @@ odd roots in simple-root coordinates, the rho vectors, the bilinear form on
 weight space, typicality, and the modified superdimension together with its
 h-series deformation.
 
-Coordinate systems: roots live in simple-root coordinates; weights are stored
-as the evaluation vector a_i = lambda(h_i).  These pair via
+Coordinate systems: each family lists its roots once as integer vectors over
+eps_i, delta_j, and ``_assemble`` derives their simple-root coordinates (where
+roots live), parities and the Cartan matrix.  Weights are stored as the
+evaluation vector a_i = lambda(h_i).  These pair via
 <lambda, alpha_i> = d_i * a_i, and the Gram matrix (d_i a_ij) pairs roots with
 roots.  Indices are 0-based throughout (the odd simple root is index s).
 """
@@ -261,64 +263,77 @@ class RootSystem:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _epsilon_gram(signature: list[int], simple: list[list[int]]) -> list[list[Fraction]]:
-    r = len(simple)
-    out = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            out[i][j] = Fraction(
-                sum(s * xi * yj for s, xi, yj in zip(signature, simple[i], simple[j]))
-            )
-    return out
-
-
 def build_root_system(family: str, m: int, n: int | None = None) -> RootSystem:
     """Construct the distinguished-Borel root system for sl(m|n) or osp(2|2n).
 
-    For the osp family pass the symplectic half-rank as ``m`` (so osp(2|2n)
-    is ``build_root_system("osp2", n)``); ``n`` is then ignored.
+    For the osp family pass the symplectic half-rank alone (osp(2|2n) is
+    ``build_root_system("osp2", n)``); a second dimension raises RootDataError.
     """
     if family == "sl":
         if n is None:
             raise RootDataError("sl requires both m and n")
         return _build_sl(m, n)
     if family == "osp2":
+        if n is not None:
+            raise RootDataError("osp2 takes one dimension n, for osp(2|2n)")
         return _build_osp2(m)
     raise RootDataError(f"unknown family {family!r} (expected 'sl' or 'osp2')")
 
 
-def _half_sum(roots: list[Root], rank: int) -> tuple[Fraction, ...]:
-    acc = [Fraction(0)] * rank
-    for root in roots:
-        for i, c in enumerate(root.coeffs):
-            acc[i] += Fraction(c, 2)
-    return tuple(acc)
+def _half_sum(roots: tuple[Root, ...], rank: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(sum(root.coeffs[i] for root in roots), 2) for i in range(rank))
 
 
-def _assemble(family, m, n, signature, simple, d, s, pos) -> RootSystem:
-    r = len(simple)
-    gram = _epsilon_gram(signature, simple)
-    a_rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            q = gram[i][j] / d[i]
-            if q.denominator != 1:
-                raise RootDataError("non-integral Cartan matrix entry")
-            row.append(int(q))
-        a_rows.append(tuple(row))
-    cartan = SuperCartanData(r, tuple(a_rows), s, tuple(d))
-    pos_even = tuple(root for root in pos if root.parity == 0)
-    pos_odd = tuple(root for root in pos if root.parity == 1)
-    rho0 = _half_sum(list(pos_even), r)
-    rho1 = _half_sum(list(pos_odd), r)
+def _vec(size: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+    """The epsilon-delta vector with coefficient c on coordinate k for each (k, c) in terms."""
+    v = [0] * size
+    for k, c in terms:
+        v[k] += c
+    return tuple(v)
+
+
+def _peel(simple: list[tuple[int, ...]], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Simple-root coordinates of v, peeled off coordinate by coordinate (simple root i first
+    touches coordinate i); RootDataError when v is no integral combination of the simple roots."""
+    rest, coeffs = list(v), []
+    for i, alpha in enumerate(simple):
+        c = rest[i] // alpha[i]
+        if c:
+            rest = [x - c * y for x, y in zip(rest, alpha)]
+        coeffs.append(c)
+    if any(rest):  # a remainder on a pivot, or a leftover past the last one
+        raise RootDataError(f"{v} is not an integral combination of the simple roots")
+    return tuple(coeffs)
+
+
+def _assemble(family, m, n, signature, d, simple, pos) -> RootSystem:
+    """The root system of integer epsilon-delta data, derived once for every family.
+
+    ``signature`` is the form's sign on each coordinate (+1 on the eps_i, -1 on
+    the delta_j), ``d`` the symmetrizers, ``simple`` and ``pos`` the simple and
+    positive roots.  The Cartan matrix is the simple roots' Gram divided by d;
+    a root is odd when it has nonzero coordinates of both signs, and the one
+    odd simple root is alpha_s; positive roots keep the order of ``pos``.
+    """
+    gram = [[sum(s * x * y for s, x, y in zip(signature, a, b)) for b in simple] for a in simple]
+    if any(g % di for row, di in zip(gram, d) for g in row):
+        raise RootDataError("non-integral Cartan matrix entry")
+
+    def parity(v) -> int:
+        return int(len({s for s, x in zip(signature, v) if x}) == 2)
+
+    r, s = len(simple), next(i for i, alpha in enumerate(simple) if parity(alpha))
+    a = tuple(tuple(g // di for g in row) for row, di in zip(gram, d))
+    cartan = SuperCartanData(r, a, s, tuple(d))
+    roots = [Root(_peel(simple, v), parity(v)) for v in pos]
+    pos_even = tuple(root for root in roots if root.parity == 0)
+    pos_odd = tuple(root for root in roots if root.parity == 1)
+    rho0, rho1 = _half_sum(pos_even, r), _half_sum(pos_odd, r)
     rho = tuple(x - y for x, y in zip(rho0, rho1))
     rs = RootSystem(family, m, n, cartan, pos_even, pos_odd, rho0, rho1, rho)
     for i in range(r):
         # <rho, alpha_i> = <alpha_i, alpha_i>/2 must hold for the distinguished data.
-        unit = [0] * r
-        unit[i] = 1
-        if rs.form_rr(rs.rho, unit) * 2 != rs.gram(i, i):
+        if rs.form_rr(rs.rho, _vec(r, (i, 1))) * 2 != rs.gram(i, i):
             raise RootDataError("rho consistency check failed")
     return rs
 
@@ -328,66 +343,22 @@ def _build_sl(m: int, n: int) -> RootSystem:
         raise RootDataError("sl(m|n) requires m, n >= 1")
     if m == n:
         raise RootDataError("sl(m|n) requires m != n (singular Cartan matrix)")
-    r = m + n - 1
-    s = m - 1
-    signature = [1] * m + [-1] * n
-    simple = []
-    for i in range(r):
-        v = [0] * (m + n)
-        v[i], v[i + 1] = 1, -1
-        simple.append(v)
-    d = [1 if i <= s else -1 for i in range(r)]
-    pos = []
-    for i in range(r):
-        for j in range(i, r):
-            coeffs = tuple(1 if i <= k <= j else 0 for k in range(r))
-            pos.append(Root(coeffs, 1 if i <= s <= j else 0))
-    return _assemble("sl", m, n, signature, simple, d, s, pos)
+    size = m + n  # eps_1 .. eps_m, delta_1 .. delta_n
+    simple = [_vec(size, (k, 1), (k + 1, -1)) for k in range(size - 1)]
+    pos = [_vec(size, (i, 1), (j, -1)) for i in range(size) for j in range(i + 1, size)]
+    return _assemble("sl", m, n, [1] * m + [-1] * n, [1] * m + [-1] * (n - 1), simple, pos)
 
 
 def _build_osp2(n: int) -> RootSystem:
     if n < 1:
         raise RootDataError("osp(2|2n) requires n >= 1")
-    r = n + 1
-    s = 0
-    signature = [1] + [-1] * n
-    simple = []
-    head = [0] * (n + 1)
-    head[0], head[1] = 1, -1
-    simple.append(head)  # eps - delta_1
-    for k in range(1, n):
-        v = [0] * (n + 1)
-        v[k], v[k + 1] = 1, -1
-        simple.append(v)  # delta_k - delta_{k+1}
-    tail = [0] * (n + 1)
-    tail[n] = 2
-    simple.append(tail)  # 2 delta_n
-    d = [2 if n == 1 else 1] + [-1] * (n - 1) + [-2]
-
-    def two_delta(i: int) -> list[int]:
-        # 2 delta_i in simple-root coordinates (1-based i).
-        c = [0] * r
-        for k in range(i, n):
-            c[k] = 2
-        c[n] = 1
-        return c
-
-    def delta_diff(i: int, j: int) -> list[int]:
-        c = [0] * r
-        for k in range(i, j):
-            c[k] = 1
-        return c
-
+    size = n + 1  # eps, delta_1 .. delta_n
+    # eps - delta_1, delta_k - delta_{k+1}, 2 delta_n
+    simple = [_vec(size, (k, 1), (k + 1, -1)) for k in range(n)] + [_vec(size, (n, 2))]
     pos = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pos.append(Root(tuple(delta_diff(i, j)), 0))
-            summed = [x + y for x, y in zip(delta_diff(i, j), two_delta(j))]
-            pos.append(Root(tuple(summed), 0))  # delta_i + delta_j
-        pos.append(Root(tuple(two_delta(i)), 0))
-    for i in range(1, n + 1):
-        minus = [1] + delta_diff(1, i)[1:]  # eps - delta_i
-        pos.append(Root(tuple(minus), 1))
-        plus = [x + y for x, y in zip(minus, two_delta(i))]
-        pos.append(Root(tuple(plus), 1))  # eps + delta_i
-    return _assemble("osp2", 2, 2 * n, signature, simple, d, s, pos)
+    for i in range(1, size):
+        pos += [_vec(size, (i, 1), (j, c)) for j in range(i + 1, size) for c in (-1, 1)]
+        pos.append(_vec(size, (i, 2)))  # delta_i -+ delta_j, then 2 delta_i
+    pos += [_vec(size, (0, 1), (i, c)) for i in range(1, size) for c in (-1, 1)]  # eps -+ delta_i
+    d = [2 if n == 1 else 1] + [-1] * (n - 1) + [-2]
+    return _assemble("osp2", 2, 2 * n, [1] + [-1] * n, d, simple, pos)

@@ -70,6 +70,12 @@ def build_roster(cache_dir: str | None = None) -> Roster:
                   wC, wD, cache)
 
 
+def _every(check_id: str, outcomes: list[bool], detail: str) -> CheckResult:
+    """Holds when every comparison in ``outcomes`` held; fails when nothing was compared."""
+    return check_true(check_id, bool(outcomes) and all(outcomes),
+                      detail if outcomes else "nothing was compared")
+
+
 def _rand_frac(rng: random.Random) -> Fraction:
     num = rng.randint(-6, 6)
     den = rng.randint(1, 4)
@@ -329,7 +335,7 @@ def suite_tensors(
     rng = random.Random(seed)
     out: list[CheckResult] = []
     adj = it.build_adjoint(roster.rs)
-    defect = it.form_defect(adj.module, adj.gram, adj.b)
+    defect = it.form_defect(adj.module, adj.b)
     if defect is None and adj.b_inv @ adj.b != sl.identity(adj.module.space):
         defect = "b_inv . b is not the identity"
     out.append(check_true("tensors.form-axioms", defect is None,
@@ -337,7 +343,7 @@ def suite_tensors(
     _, e, f, h = rm.sl_generators(roster.rs)
     h1, e1, f1 = (adj.basis_matrices.index(x[0].entries) for x in (h, e, f))
     out.append(check("tensors.form-sample", (Fraction(2), Fraction(1), Fraction(0)),
-                     (adj.gram[h1][h1], adj.gram[e1][f1], adj.gram[e1][e1]),
+                     (adj.b.entry(h1, h1), adj.b.entry(f1, e1), adj.b.entry(e1, e1)),
                      note="b(h1,h1), b(e1,f1), b(e1,e1) in the standard representation"))
 
     degrees = list(range(1, max_degree + 1))
@@ -365,17 +371,12 @@ def suite_tensors(
                         f"dim {len(spaces[N].elements)} of invariant dim {len(even_bases[N])}",
                         probes=",".join(w.V.name for w in probes)))
 
-    kernel_ok = True
-    routes_ok = True
-    for N in degrees:
-        for row in it.classical_gram(adj, spaces[N].elements, even_bases[N]):
-            for ve, vs in row:
-                routes_ok = routes_ok and ve == vs
-                kernel_ok = kernel_ok and ve == 0
-    out.append(check_true("tensors.kernel-property", kernel_ok,
-                          "extended form vanishes against all invariants"))
-    out.append(check_true("tensors.route-agreement", routes_ok,
-                          "combinatorial and supertrace routes agree"))
+    values = [pair for N in degrees
+              for row in it.classical_gram(adj, spaces[N].elements, even_bases[N]) for pair in row]
+    out.append(_every("tensors.kernel-property", [ve == 0 for ve, _ in values],
+                      "extended form vanishes against all invariants"))
+    out.append(_every("tensors.route-agreement", [ve == vs for ve, vs in values],
+                      "combinatorial and supertrace routes agree"))
 
     par = adj.module.space.parities
 
@@ -411,17 +412,11 @@ def suite_tensors(
     out.append(check("tensors.extended-form-degree-mismatch", Fraction(0),
                      it.extended_form(adj, t1, 2, t2, 3 if max_degree >= 3 else 1)))
 
-    sym_ok = True
-    grams = {}
-    for N in degrees:
-        elems = spaces[N].elements
-        gram = it.modified_gram(adj, elems, elems)
-        grams[N] = gram
-        for i in range(len(elems)):
-            for j in range(len(elems)):
-                sym_ok = sym_ok and gram[i][j] == gram[j][i]
-    out.append(check_true("tensors.modified-form-symmetric", sym_ok,
-                          "Gram matrices symmetric at all degrees"))
+    grams = {N: it.modified_gram(adj, spaces[N].elements, spaces[N].elements) for N in degrees}
+    out.append(_every("tensors.modified-form-symmetric",
+                      [v == gram[j][i] for gram in grams.values() for i, row in enumerate(gram)
+                       for j, v in enumerate(row)],
+                      "Gram matrices symmetric at all degrees"))
     nonzero = any(v for gram in grams.values() for row in gram for v in row)
     out.append(check_true("tensors.modified-form-nonzero", nonzero,
                           f"degree-2 Gram {[[rat_str(v) for v in r] for r in grams.get(2, [])]}"))
@@ -444,7 +439,7 @@ def suite_tensors(
 
     # Presentation independence: re-present every reachable element through a
     # direct sum with a same-core partner, and compare any duplicate presentations.
-    indep_ok = True
+    same = []
     represented = {}
     for N in degrees:
         elems, firsts, seconds = spaces[N].elements, [], []
@@ -457,61 +452,58 @@ def suite_tensors(
         represented[N] = len(seconds)
         rows = it.modified_gram(adj, seconds, elems)
         cols = it.modified_gram(adj, elems, seconds)
-        indep_ok = indep_ok and all(
-            second.coords == elems[i].coords and rows[k] == grams[N][i]
-            and all(col[k] == row[i] for col, row in zip(cols, grams[N]))
-            for k, (i, second) in enumerate(zip(firsts, seconds))
-        )
+        same += [second.coords == elems[i].coords and rows[k] == grams[N][i]
+                 and all(col[k] == row[i] for col, row in zip(cols, grams[N]))
+                 for k, (i, second) in enumerate(zip(firsts, seconds))]
     dup_pairs = 0
     for N in degrees:
         pairs = [(prior, cand) for k, cand in enumerate(spaces[N].raw) if cand.coords
-                 for prior in spaces[N].raw[:k]
-                 if prior.coords == cand.coords and prior.f is not cand.f]
+                 for prior in spaces[N].raw[:k] if prior.coords == cand.coords]
         dup_pairs += len(pairs)
         involved = list({id(t): t for pair in pairs for t in pair}.values())
         rows = dict(zip(map(id, involved), it.modified_gram(adj, involved, spaces[N].elements)))
-        indep_ok = indep_ok and all(rows[id(a)] == rows[id(b)] for a, b in pairs)
-    out.append(check_true("tensors.presentation-independence", indep_ok,
-                          f"direct-sum re-presentations per degree {represented} "
-                          f"and {dup_pairs} duplicate pairs"))
+        same += [rows[id(a)] == rows[id(b)] for a, b in pairs]
+    out.append(_every("tensors.presentation-independence", same,
+                      f"direct-sum re-presentations per degree {represented} "
+                      f"and {dup_pairs} duplicate pairs"))
 
     # Vector-space and ideal closure, with the explicit constructions.
-    closure_ok = True
+    sums = []
     if len(spaces[2].raw) >= 2:
         x = spaces[2].elements[0]
         partner = next((u for u in spaces[2].raw if u.witness.V0 is x.witness.V0), None)
         if partner is not None:
             lam = Fraction(3, 2)
             expected = sl._summed(((k, lam * v) for k, v in partner.coords.items()), x.coords)
-            closure_ok = it.it_sum(adj, x, partner, lam).coords == expected
-    out.append(check_true("tensors.closure-sum", closure_ok,
-                          "direct-sum presentation matches coordinate addition"))
+            sums.append(it.it_sum(adj, x, partner, lam).coords == expected)
+    out.append(_every("tensors.closure-sum", sums,
+                      "direct-sum presentation matches coordinate addition"))
 
-    prod_ok = True
+    products = []
     if even_bases.get(2) and spaces[2].elements:
         tprime = even_bases[2][0]
         t1p = spaces[2].elements[0]
         product = it.it_product(adj, tprime, 2, t1p)
         expected = it.tensor_coords(tprime, t1p.coords, adj.gdim ** 2)
-        prod_ok = product.coords == expected and product.degree == 4
-        prod_ok = prod_ok and it.is_invariant(adj, 4, product.coords)
-    out.append(check_true("tensors.closure-product", prod_ok,
-                          "invariant (x) reachable lands invariantly in degree 4"))
+        products.append(product.coords == expected and product.degree == 4
+                        and it.is_invariant(adj, 4, product.coords))
+    out.append(_every("tensors.closure-product", products,
+                      "invariant (x) reachable lands invariantly in degree 4"))
 
     # Orthogonality of the symmetric group actions, Gram before vs after.
-    perm_ok = True
+    kept = []
     for N in (2, 3):
         if N > max_degree or not spaces[N].elements:
             continue
         elems = spaces[N].elements
         for perm in permutations(range(N)):
             moved = [it.sn_action(adj, N, perm, t) for t in elems]
-            perm_ok = perm_ok and it.modified_gram(adj, moved, moved) == grams[N]
-    out.append(check_true("tensors.permutation-orthogonality", perm_ok,
-                          "S2 and S3 preserve the modified Gram matrices"))
+            kept.append(it.modified_gram(adj, moved, moved) == grams[N])
+    out.append(_every("tensors.permutation-orthogonality", kept,
+                      "S2 and S3 preserve the modified Gram matrices"))
 
     # Functorial adjoints: permutations and a contraction-insertion operator.
-    adj_ok = True
+    adjoints = []
     for N in (2, 3):
         if N > max_degree or len(spaces[N].elements) < 1:
             continue
@@ -522,7 +514,7 @@ def suite_tensors(
             moved = [it.sn_action(adj, N, perm, x) for x in elems]
             pulled = [it.PresentedTensor(N, pstar.apply(y.coords), y.witness, partial(matmul, pstar, y.f))
                       for y in elems]
-            adj_ok = adj_ok and it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled)
+            adjoints.append(it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled))
     if max_degree >= 2 and spaces[2].elements:
         G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
         Gstar = it.form_adjoint(adj, G, 2, 2)
@@ -531,9 +523,9 @@ def suite_tensors(
                  for x in elems]
         pulled = [it.PresentedTensor(2, Gstar.apply(y.coords), y.witness, partial(matmul, Gstar, y.f))
                   for y in elems]
-        adj_ok = adj_ok and it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled)
-    out.append(check_true("tensors.functorial-adjoint", adj_ok,
-                          "(G t1, t2)' = (t1, G* t2)' for permutations and contraction-insertion"))
+        adjoints.append(it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled))
+    out.append(_every("tensors.functorial-adjoint", adjoints,
+                      "(G t1, t2)' = (t1, G* t2)' for permutations and contraction-insertion"))
     return out
 
 

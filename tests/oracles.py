@@ -33,6 +33,9 @@ vector on its own, where the library reads them all off the reduced rows, and
 where the library assembles one only when it is read.  ``sn_action_map``
 composes the adjacent super swaps that bubble-sort a permutation, where the
 library puts each factor straight into its slot with a closed-form sign.
+``sl_roots_by_hand`` and ``osp2_roots_by_hand`` write each positive root's
+simple-root coordinates and parity, and the Cartan matrix, by hand, where the
+library derives them from epsilon-delta vectors.
 ``pairing_with_rho_shift_by_form``, ``atypicality_factors_by_form`` and
 ``mod_sdim_by_form`` evaluate <rho, alpha> through the form on every call,
 where ``RootSystem`` reads it kept per positive root (``rho_pairings``).
@@ -287,6 +290,48 @@ def invert_diag(m):
             raise ValueError("not a diagonal map")
         ent[(i, j)] = 1 / Fraction(v)
     return sl.SuperMap(m.codomain, m.domain, m.parity, ent)
+
+
+def sl_roots_by_hand(m, n):
+    """sl(m|n)'s positive roots alpha_i + ... + alpha_j as (coeffs, parity), in the library's
+    order, odd when they span s = m - 1, with the distinguished Cartan matrix: 2 on the diagonal
+    but 0 at s, -1 beside it but +1 at (s, s + 1)."""
+    r, s = m + n - 1, m - 1
+    roots = [(tuple(1 if i <= k <= j else 0 for k in range(r)), int(i <= s <= j))
+             for i in range(r) for j in range(i, r)]
+    cartan = tuple(tuple((0 if i == s else 2) if i == j else (1 if (i, j) == (s, s + 1) else -1)
+                         if abs(i - j) == 1 else 0 for j in range(r)) for i in range(r))
+    return roots, cartan
+
+
+def osp2_roots_by_hand(n):
+    """osp(2|2n)'s positive roots as (coeffs, parity), in the library's order: for each i the
+    even delta_i -+ delta_j (j > i) and 2 delta_i, then the odd eps -+ delta_i; with the Cartan
+    matrix of eps - delta_1, delta_k - delta_{k+1}, 2 delta_n."""
+    r = n + 1
+
+    def two_delta(i):  # 2 delta_i (1-based i) in simple-root coordinates
+        return [2 if i <= k < n else 0 for k in range(n)] + [1]
+
+    def delta_diff(i, j):
+        return [1 if i <= k < j else 0 for k in range(r)]
+
+    roots = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            roots.append((tuple(delta_diff(i, j)), 0))
+            roots.append((tuple(x + y for x, y in zip(delta_diff(i, j), two_delta(j))), 0))
+        roots.append((tuple(two_delta(i)), 0))
+    for i in range(1, n + 1):
+        minus = [1] + delta_diff(1, i)[1:]
+        roots += [(tuple(minus), 1), (tuple(x + y for x, y in zip(minus, two_delta(i))), 1)]
+    cartan = [[0] * r for _ in range(r)]
+    cartan[0][1] = 1
+    for i in range(1, r):
+        cartan[i][i], cartan[i][i - 1] = 2, -1
+        if i + 1 < r:
+            cartan[i][i + 1] = -2 if i + 1 == n else -1
+    return roots, tuple(map(tuple, cartan))
 
 
 def pairing_with_rho_shift_by_form(rs, w, root):

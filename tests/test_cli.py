@@ -348,6 +348,19 @@ class TestVerifyFailures:
         assert checks["roster.raised"]["actual"] == "WitnessNotFoundError: no splitting"
         assert all(name.startswith("superlin.") for name in checks if name != "roster.raised")
 
+    def test_checks_that_compare_nothing_fail(self, monkeypatch):
+        from supertrace import invtensor as it
+
+        monkeypatch.setattr(it, "it_space", lambda adj, N, probes: it.ITSubspace(N, (), ()))
+        code, text = run_cli("verify", "--suite", "tensors", "--max-degree", "3", "--format", "json")
+        assert code == 1
+        checks = self.checks_of(text)
+        for name in ("kernel-property", "route-agreement", "modified-form-symmetric",
+                     "presentation-independence", "closure-sum", "closure-product",
+                     "permutation-orthogonality", "functorial-adjoint"):
+            assert not checks[f"tensors.{name}"]["pass"]
+            assert checks[f"tensors.{name}"]["actual"] == "nothing was compared"
+
     def test_form_axioms_are_computed(self, monkeypatch):
         import dataclasses
 

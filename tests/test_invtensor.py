@@ -19,7 +19,7 @@ from supertrace.rootdata import weight
 
 @pytest.fixture(scope="module")
 def basis_pos(adj):
-    dim = adj.rs.m + adj.rs.n
+    dim = adj.module.rs.m + adj.module.rs.n
     pos = {}
     k = 0
     for p in range(dim):
@@ -56,17 +56,32 @@ def random_even_tensor(adj, N, rng, terms=5):
 
 class TestForm:
     def test_samples(self, adj, basis_pos):
-        h1 = adj.gdim - adj.rs.rank
-        assert adj.gram[h1][h1] == 2
-        assert adj.gram[basis_pos[(0, 1)]][basis_pos[(1, 0)]] == 1
-        assert adj.gram[basis_pos[(0, 1)]][basis_pos[(0, 1)]] == 0
+        h1 = adj.gdim - adj.module.rs.rank
+        assert adj.b.entry(h1, h1) == 2
+        assert adj.b.entry(basis_pos[(1, 0)], basis_pos[(0, 1)]) == 1
+        assert adj.b.entry(basis_pos[(0, 1)], basis_pos[(0, 1)]) == 0
 
     def test_even(self, adj):
         par = adj.module.space.parities
         for a in range(adj.gdim):
             for b in range(adj.gdim):
                 if par[a] != par[b]:
-                    assert adj.gram[a][b] == 0
+                    assert adj.b.entry(b, a) == 0
+
+    def test_the_form_has_no_defect(self, adj):
+        assert it.form_defect(adj.module, adj.b) is None
+
+    def test_an_entry_between_an_even_and_an_odd_vector_is_not_even(self, adj):
+        space = adj.module.space
+        i, j = space.parities.index(0), space.parities.index(1)
+        b = sl.SuperMap(space, sl.dual_space(space), 1, {(i, j): 1})
+        assert it.form_defect(adj.module, b) == "form is not even"
+
+    def test_an_unmatched_entry_is_not_supersymmetric(self, adj):
+        space = adj.module.space
+        i, j = [k for k, p in enumerate(space.parities) if p == 0][:2]
+        b = sl.SuperMap(space, sl.dual_space(space), 0, {(i, j): 1})
+        assert it.form_defect(adj.module, b) == "form is not supersymmetric"
 
     def test_b_inverse(self, adj):
         assert adj.b_inv @ adj.b == sl.identity(adj.module.space)
@@ -98,7 +113,7 @@ def _extended_form_oracle(adj, t1, n1, t2, n2):
             prod = c1 * c2
             exponent = 0
             for i in range(n1):
-                prod *= adj.gram[d1[i]][d2[i]]
+                prod *= adj.b.entry(d2[i], d1[i])
                 exponent += sum(par[d] for d in d1[i + 1:]) * par[d2[i]]
             total += -prod if exponent % 2 else prod
     return total
@@ -110,7 +125,7 @@ class TestExtendedForm:
     def test_matches_all_pairs_oracle(self, adj, N, rnd):
         # t2 mostly holds factorwise partners of t1's terms, so values are nonzero.
         rng = random.Random(rnd.randint(0, 10**6))
-        partners = [[c for c, v in enumerate(row) if v] for row in adj.gram]
+        partners = [[c for c in range(adj.gdim) if adj.b.entry(c, a)] for a in range(adj.gdim)]
 
         def flat_of(digits):
             flat = 0

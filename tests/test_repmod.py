@@ -271,6 +271,15 @@ class TestSerialization:
             assert a == b
         assert loaded.highest_weight == K11.highest_weight
 
+    def test_a_failed_write_leaves_no_temporary_file(self, K01, tmp_path, monkeypatch):
+        def refused(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refused)
+        with pytest.raises(OSError, match="disk full"):
+            rm.save_gmodule(K01, str(tmp_path / "cache" / "k01.jsonl"))
+        assert list((tmp_path / "cache").iterdir()) == []
+
     def test_corruption_detected(self, rs21, K01, tmp_path):
         path = tmp_path / "k01.jsonl"
         rm.save_gmodule(K01, str(path))

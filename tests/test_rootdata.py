@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from supertrace import rootdata
 from supertrace.exactnum import HSeries, q_bracket
 from supertrace.rootdata import (
     AtypicalWeightError,
@@ -69,6 +70,41 @@ class TestBuild:
         assert len(rs.pos_even) == 9  # n^2
         assert len(rs.pos_odd) == 6  # 2n
         assert rs.s == 0
+
+
+class TestEpsilonDelta:
+    """Roots listed as epsilon-delta vectors: ``_assemble`` against the hand enumeration."""
+
+    ALGEBRAS = ([("sl", m, n) for m in range(1, 6) for n in range(1, 6) if m != n]
+                + [("osp2", n) for n in range(1, 7)])
+
+    @pytest.mark.parametrize("args", ALGEBRAS, ids=lambda a: "".join(map(str, a)))
+    def test_roots_and_cartan_match_the_hand_enumeration(self, args):
+        rs = build_root_system(*args)
+        by_hand = oracles.sl_roots_by_hand if args[0] == "sl" else oracles.osp2_roots_by_hand
+        roots, cartan = by_hand(*args[1:])
+        assert [(r.coeffs, r.parity) for r in rs.pos_even] == [x for x in roots if x[1] == 0]
+        assert [(r.coeffs, r.parity) for r in rs.pos_odd] == [x for x in roots if x[1] == 1]
+        assert rs.cartan.a == cartan
+
+    def test_peel_refuses_a_remainder_and_a_leftover(self):
+        osp22 = [(1, -1), (0, 2)]  # eps - delta_1, 2 delta_1
+        assert rootdata._peel(osp22, (1, 1)) == (1, 1)
+        with pytest.raises(RootDataError, match="not an integral combination"):
+            rootdata._peel(osp22, (0, 1))  # delta_1: a remainder on the pivot of 2 delta_1
+        sl21 = [(1, -1, 0), (0, 1, -1)]
+        with pytest.raises(RootDataError, match="not an integral combination"):
+            rootdata._peel(sl21, (1, 0, 0))  # eps_1: a leftover on delta_1
+
+    def test_assemble_refuses_a_non_integral_cartan_entry(self):
+        simple = [(1, -1, 0), (0, 1, -1)]
+        with pytest.raises(RootDataError, match="non-integral"):
+            rootdata._assemble("sl", 2, 1, [1, 1, -1], [2, -1], simple, simple)
+
+    def test_osp2_refuses_a_second_dimension(self):
+        assert build_root_system("osp2", 2).n == 4
+        with pytest.raises(RootDataError, match="one dimension"):
+            build_root_system("osp2", 2, 4)
 
 
 class TestForm:

@@ -74,6 +74,25 @@ def test_bench_record_notes_whether_runs_write_bytecode(monkeypatch, value):
                             "PYTHONDONTWRITEBYTECODE": value}
 
 
+def test_bench_summary_lines_flag_a_median_outside_the_parent_quartiles():
+    script = runpy.run_path(str(SCRIPTS / "bench_record.py"))
+    five = [1, 2, 3, 4, 5]
+    values = {"parent": dict.fromkeys(script["METRICS"], five),
+              "change": {"setup_s": [10, 11, 12, 13, 14], "run_ref": [0.5, 1.5, 2.5, 3.5, 4.5],
+                         "peak_rss_mb": five}}
+    runs = {side: [{**{m: values[side][m][k] for m in script["METRICS"]},
+                    "failed": int(side == "change" and k == 2)} for k in range(5)] for side in values}
+    record = {"workloads": {"w": {"summary": script["summarize"](runs), "runs": runs}},
+              "src_lines": {"parent": 100, "change": 90}}
+    assert script["summary_lines"](record) == [
+        "w setup_s: parent 3 (q1-q3 2-4), change 12, better in 0/5 pairs, outside the parent's quartiles",
+        "w run_ref: parent 3 (q1-q3 2-4), change 2.5, better in 5/5 pairs",
+        "w peak_rss_mb: parent 3 (q1-q3 2-4), change 3, better in 0/5 pairs",
+        "w failed ops: parent 0, change 1",
+        "src lines: parent 100, change 90",
+    ]
+
+
 def test_readme_library_example_gives_the_values_in_its_comments():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
