@@ -13,9 +13,11 @@ come from Frobenius reciprocity through the adjunction
 Hom(V (x) V*, g^(x)N) = Hom(V, g^(x)N (x) V); both forms, form adjoints and
 the symmetric group action work on coordinates, through the extended form
 b~_N = iota . b^(x)N and its inverse that ``AdjointData`` keeps per degree as
-columns; the pairings read a presenting map's kept rows.  The g^(x)N-sized
-map-composition route (dualizing_map, pairing_as_composite), composed once per
-degree, is kept as an independent oracle.
+columns; the pairings read a presenting map's kept rows.  The extension is
+inductive, b~_N = iota_{N-1,1} . (b~_{N-1} (x) b), so every kept degree-N table
+is one step on the kept table of degree N - 1.  The g^(x)N-sized
+map-composition route (dualizing_map, pairing_as_composite), composed by the
+same induction through superlin's Koszul signs, is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 from . import superlin as sl
 from .exactnum import exact
@@ -58,48 +60,79 @@ class AdjointData:
     basis_matrices realize the chosen homogeneous basis inside the defining
     representation; b is the form, stored once as the induced isomorphism
     g -> g*: column i holds the form against basis vector i, so (x_i, x_j) is
-    ``b.entry(j, i)``.  The root system is ``module.rs``.  Per-degree tables are kept in
-    one dict, ``_kept``, read through ``_keep(key, build)``: ("power", N), ("space", N),
-    ("form", N, inverse) for ``form_columns``, ("composite", N) for ``dualizing_map``
-    and ("moved", N, perm) for ``_permuter``.  ``_kept`` is not an init field, so
-    ``dataclasses.replace`` starts a copy empty.
+    ``b.entry(j, i)``; ``b_inv`` is derived from b.  The root system is ``module.rs``.
+    Per-degree tables are kept in one dict, ``_kept``, read through ``_keep(key, build)``:
+    ("power", N), ("space", N), ("form", N, inverse) for ``form_columns``,
+    ("composite", N) for ``dualizing_map`` and ("moved", N, perm) for ``_permuter``.
+    Each degree-N table but the moves is one step on the kept table of degree N - 1.
+    ``_kept`` is not an init field, so ``dataclasses.replace`` starts a copy empty.
     """
 
     module: GModule
     basis_matrices: tuple[dict, ...]
     b: SuperMap
-    b_inv: SuperMap
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def gdim(self) -> int:
         return self.module.dim
 
+    @cached_property
+    def b_inv(self) -> SuperMap:
+        """The inverse map g* -> g: row k expresses the k-th unit vector over the rows of b
+        (``unit_coords``); FormConstructionError when b is degenerate."""
+        reducer = RowReducer()
+        for i in range(self.gdim):
+            reducer.add(dict(self.b.rows.get(i, ())))
+        if len(reducer) < self.gdim:
+            raise FormConstructionError("form is degenerate")
+        return SuperMap(self.b.codomain, self.b.domain, 0,
+                        {(k, i): c for (i, k), c in reducer.unit_coords().items()})
+
     def _keep(self, key: tuple, build):
-        """The table kept under ``key``: ``build()`` on the key's first read."""
+        """The table kept under ``key`` = (name, N, ...): ``build()`` on the key's first read;
+        ValueError when the degree N is below 1."""
+        if key[1] < 1:
+            raise ValueError("tensor degree must be at least 1")
         if key not in self._kept:
             self._kept[key] = build()
         return self._kept[key]
 
-    def _fold(self, key: str, op, N: int, factor):
-        """op folded over N copies of factor (N >= 1, else ValueError), kept under (key, N)."""
-        if N < 1:
-            raise ValueError("tensor degree must be at least 1")
-        return self._keep((key, N), lambda: reduce(op, [factor] * N))
-
     def power(self, N: int) -> GModule:
-        """The N-th tensor power of the adjoint module (kept)."""
-        return self._fold("power", tensor_module, N, self.module)
+        """The N-th tensor power of the adjoint module (kept): power(N - 1) (x) g."""
+        return self._keep(("power", N), lambda: self.module if N == 1
+                          else tensor_module(self.power(N - 1), self.module))
 
     def power_space(self, N: int) -> SuperSpace:
         """The super-space of the N-th tensor power (kept), without its module."""
-        return self._fold("space", sl.tensor_space, N, self.module.space)
+        g = self.module.space
+        return self._keep(("space", N), lambda: g if N == 1 else sl.tensor_space(self.power_space(N - 1), g))
 
     def form_columns(self, N: int, inverse: bool = False) -> list[list]:
         """Column t of b~_N, or of b~_N^-1 = b_inv^(x)N . iota^-1 (iota is its own inverse), as
-        [(r, value)]: the walk of b's or b_inv's partners on every basis tensor, once per degree."""
-        form = self.b_inv if inverse else self.b
-        return self._keep(("form", N, inverse), lambda: _partner_walk(self, N, _partners(self, form)))
+        [(r, value)], kept; one partner step on the columns of degree N - 1 (the unit's at N = 1).
+
+        Column d gdim^(N-1) + t puts the partners of d (column d of b or b_inv) in front of
+        column t.  The form is even, so E_pq meets only E_qp and a Cartan factor only Cartan
+        elements; iota's Koszul sign is (-1)^{k(k-1)/2}, k the number of odd factors, so the
+        value is negated when d and the basis tensor t are both odd.
+        """
+        def step() -> list[list]:
+            last, odd = (([[(0, 1)]], (0,)) if N == 1 else
+                         (self.form_columns(N - 1, inverse), self.power_space(N - 1).parities))
+            partners = sl.mat_columns((self.b_inv if inverse else self.b).entries)
+            par, place, cols = self.module.space.parities, len(last), []
+            for d in range(self.gdim):
+                for t, column in enumerate(last):
+                    flip, col = par[d] and odd[t], []
+                    for r, p in column:
+                        for e, v in partners.get(d, ()):  # distinct partner tuples: no key repeats, no zero
+                            x = -p * v if flip else p * v
+                            col.append((r + e * place, x.numerator if x.denominator == 1 else x))
+                    cols.append(col)
+            return cols
+
+        return self._keep(("form", N, inverse), step)
 
 
 def build_adjoint(rs: RootSystem) -> AdjointData:
@@ -152,16 +185,9 @@ def build_adjoint(rs: RootSystem) -> AdjointData:
     defect = form_defect(module, b)
     if defect:
         raise FormConstructionError(defect)
-
-    # Row k of b^-1 expresses the k-th unit vector over the rows of b (``unit_coords``).
-    reducer = RowReducer()
-    for i in range(gdim):
-        reducer.add(dict(b.rows.get(i, ())))
-    if len(reducer) < gdim:
-        raise FormConstructionError("form is degenerate")
-    b_inv = SuperMap(sl.dual_space(space), space, 0,
-                     {(k, i): c for (i, k), c in reducer.unit_coords().items()})
-    return AdjointData(module, tuple(basis), b, b_inv)
+    adj = AdjointData(module, tuple(basis), b)
+    adj.b_inv  # solved here, so a degenerate form fails at build
+    return adj
 
 
 def form_defect(module: GModule, b: SuperMap) -> str | None:
@@ -219,39 +245,6 @@ def dual_coords(adj: AdjointData, N: int, coords: dict) -> dict:
     """
     cols = adj.form_columns(N)
     return sl._summed((r, v * c) for t, c in coords.items() for r, v in cols[t])
-
-
-def _partners(adj: AdjointData, form: SuperMap) -> list[list]:
-    """Column d of the even form map (b or b_inv) as [(c, value)]."""
-    partners: list[list] = [[] for _ in range(adj.gdim)]
-    for (c, d), v in form.entries.items():
-        partners[d].append((c, v))
-    return partners
-
-
-def _partner_walk(adj: AdjointData, N: int, partners: list[list]) -> list[list]:
-    """b~_N (or b_inv's walk) on every basis tensor t of g^(x)N, from precomputed partners.
-
-    Column t as [(r, value)], degree by degree: column d gdim^j + t of degree j + 1 puts
-    the Gram partners of d in front of column t of degree j (b is even, so E_pq meets only
-    E_qp and a Cartan factor only Cartan elements).  The iota chain's Koszul sign
-    (-1)^{sum_{i<k} p_i p_k} is (-1)^{k(k-1)/2}, k the number of odd factors, so an odd d
-    adds the factor (-1)^{k_t}.
-    """
-    gdim, par = adj.gdim, adj.module.space.parities
-    cols, odds = [[(0, 1)]], [0]
-    for _ in range(N):
-        place, last, cols = len(cols), cols, []
-        for d in range(gdim):
-            for t in range(place):
-                col, flip = [], par[d] and odds[t] % 2
-                for r, p in last[t]:
-                    for e, v in partners[d]:  # distinct partner tuples: no key repeats, no zero
-                        x = -p * v if flip else p * v
-                        col.append((r + e * place, x.numerator if x.denominator == 1 else x))
-                cols.append(col)
-        odds = [odds[t] + par[d] for d in range(gdim) for t in range(place)]
-    return cols
 
 
 def extended_form(
@@ -326,7 +319,7 @@ class ITSubspace:
     raw: tuple[PresentedTensor, ...]       # everything produced, with duplicates
 
 
-def presented_tensor(adj: AdjointData, N: int, w: IdealWitness, f: SuperMap) -> PresentedTensor:
+def presented_tensor(N: int, w: IdealWitness, f: SuperMap) -> PresentedTensor:
     """f(coev_V(1)): the sum of f's columns i d + i, the multiples of d + 1."""
     step = w.V.dim + 1
     coords = sl._summed((r, v) for (r, c), v in f.entries.items() if c % step == 0)
@@ -405,7 +398,7 @@ def it_sum(
         ent[(row, (d1 + i) * d + (d1 + j))] = lam * v
     vv = sl.tensor_space(w.V.space, sl.dual_space(w.V.space))
     f = SuperMap(vv, t1.f.codomain, 0, ent)
-    return presented_tensor(adj, t1.degree, w, f)
+    return presented_tensor(t1.degree, w, f)
 
 
 def it_product(
@@ -414,28 +407,18 @@ def it_product(
     """Present t_inv (x) t1 (t_inv any invariant tensor) through t1's module."""
     # k (x) D and D share one basis, so the tensor product maps t1.f's domain.
     f = sl.tensor_map(sl.column_map(adj.power_space(m_deg), t_inv), t1.f)
-    return presented_tensor(adj, m_deg + t1.degree, t1.witness, f)
+    return presented_tensor(m_deg + t1.degree, t1.witness, f)
 
 
 # -- the modified bilinear form --------------------------------------------------
 
 
-def _iota_chain(adj: AdjointData, N: int) -> SuperMap:
-    """(g*)^(x)N -> (g^(x)N)* via iterated two-factor dual isomorphisms."""
-    g = adj.module.space
-    out = sl.identity(sl.dual_space(g))
-    left = g
-    for _ in range(N - 1):
-        step = sl.dual_tensor_iso(left, g)
-        out = step @ sl.tensor_map(out, sl.identity(sl.dual_space(g)))
-        left = sl.tensor_space(left, g)
-    return out
-
-
 def dualizing_map(adj: AdjointData, N: int) -> SuperMap:
-    """b~ = iota . b^(x)N: g^(x)N -> (g^(x)N)*, the form as an isomorphism; composed once per N."""
-    return adj._keep(("composite", N),
-                     lambda: _iota_chain(adj, N) @ reduce(sl.tensor_map, [adj.b] * N))
+    """b~_N = iota . b^(x)N: g^(x)N -> (g^(x)N)*, the form as an isomorphism (kept): b at N = 1,
+    else iota_{N-1,1} . (b~_{N-1} (x) b), composed through superlin's Koszul signs."""
+    return adj._keep(("composite", N), lambda: adj.b if N == 1 else (
+        sl.dual_tensor_iso(adj.power_space(N - 1), adj.module.space)
+        @ sl.tensor_map(dualizing_map(adj, N - 1), adj.b)))
 
 
 def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:

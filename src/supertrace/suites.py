@@ -307,12 +307,10 @@ def suite_trace(roster: Roster, seed: int = 2024) -> list[CheckResult]:
                           "sign (-1)^{p(Psi)p(f)} exercised with odd Psi and odd f"))
 
     # The genuine supertrace vanishes on morphisms of witnessed modules.
-    vanish = True
-    for V, w in ((A, wA), (B, wB), (C, wC)):
-        for fmap in rm.hom_space(V, V, None):
-            vanish = vanish and mt.classical_str_is_zero(w, fmap)
-    out.append(check_true("trace.supertrace-vanishes", vanish,
-                          "str = 0 on End bases of witnessed modules"))
+    out.append(_every("trace.supertrace-vanishes",
+                      [mt.classical_str_is_zero(w, fmap) for V, w in ((A, wA), (B, wB), (C, wC))
+                       for fmap in rm.hom_space(V, V, None)],
+                      "str = 0 on End bases of witnessed modules"))
     # Control: the projection onto the (even) highest weight vector is not
     # g-linear and has supertrace 1.
     control = sl.SuperMap(A.space, A.space, 0, {(0, 0): 1})
@@ -431,8 +429,8 @@ def suite_tensors(
             for x in spaces[N].elements for y in spaces[N].elements]
         for N in degrees
     }
-    out.append(check_true(
-        "tensors.classical-gram-recorded", not any(v for g in classical.values() for v in g),
+    out.append(_every(
+        "tensors.classical-gram-recorded", [v == 0 for g in classical.values() for v in g],
         "extended-form Gram on reachable invariants is zero, entries per degree "
         + str({N: len(g) for N, g in classical.items()}),
     ))

@@ -17,7 +17,12 @@ where the library writes alpha entry by entry, solves on the factors
 (V0, W), replays one beta and checks only the e_i and f_i;
 ``ideal_witness_by_modules`` is the only module-built witness search left.
 ``dual_coords_by_walk`` pairs each tensor factor by factor with b's
-partners, where the library sums the kept columns of b~_N.
+partners, where the library sums the kept columns of b~_N.  ``partner_walk``
+walks the columns of b~_N or b~_N^-1 up from degree 0 with a count of odd
+factors, ``iota_chain`` composes the whole chain of two-factor dual
+isomorphisms and ``dualizing_map_by_chain`` composes iota . b^(x)N for each N,
+where the library makes each degree-N table one step on the kept table of
+degree N - 1.
 ``kac_generators_by_chains`` commutes each generator through the wedge
 factors of K(lam) chain by chain, where the library writes the generators
 straight from the PBW basis.  ``g_linear_two_sided`` acts on m's rows and on a
@@ -246,7 +251,7 @@ def it_space_generic(adj, N, probes):
     for w in probes:
         vv = rm.tensor_module(w.V, rm.dual_module(w.V))
         for f in hom_by_equations(vv, power, 0):
-            raw.append(it.presented_tensor(adj, N, w, f))
+            raw.append(it.presented_tensor(N, w, f))
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
     return it.ITSubspace(N, tuple(independent), tuple(raw))
@@ -404,13 +409,62 @@ def dual_coords_by_walk(adj, N, coords):
     return {k: v for k, v in out.items() if v}
 
 
+def partner_walk(adj, N, form):
+    """The columns of b~_N (form b) or b~_N^-1 (form b_inv) as [(r, value)], walked up from
+    degree 0 on every call with a count of odd factors per basis tensor.
+
+    Column d gdim^j + t of degree j + 1 puts the partners of d in front of column t of
+    degree j; an odd d adds the factor (-1)^{k_t}, k_t the odd factors of t.
+    """
+    gdim, par = adj.gdim, adj.module.space.parities
+    partners = [[] for _ in range(gdim)]
+    for (c, d), v in form.entries.items():
+        partners[d].append((c, v))
+    cols, odds = [[(0, 1)]], [0]
+    for _ in range(N):
+        place, last, cols = len(cols), cols, []
+        for d in range(gdim):
+            for t in range(place):
+                col, flip = [], par[d] and odds[t] % 2
+                for r, p in last[t]:
+                    for e, v in partners[d]:
+                        x = -p * v if flip else p * v
+                        col.append((r + e * place, x.numerator if x.denominator == 1 else x))
+                cols.append(col)
+        odds = [odds[t] + par[d] for d in range(gdim) for t in range(place)]
+    return cols
+
+
+def iota_chain(adj, N):
+    """(g*)^(x)N -> (g^(x)N)* via iterated two-factor dual isomorphisms, composed from degree 1."""
+    g = adj.module.space
+    out = sl.identity(sl.dual_space(g))
+    left = g
+    for _ in range(N - 1):
+        step = sl.dual_tensor_iso(left, g)
+        out = step @ sl.tensor_map(out, sl.identity(sl.dual_space(g)))
+        left = sl.tensor_space(left, g)
+    return out
+
+
+def power_of(f, N):
+    """f^(x)N, tensored on the right N - 1 times."""
+    out = f
+    for _ in range(N - 1):
+        out = sl.tensor_map(out, f)
+    return out
+
+
+def dualizing_map_by_chain(adj, N):
+    """b~_N = iota . b^(x)N, with the whole iota chain and b^(x)N composed for this N."""
+    return iota_chain(adj, N) @ power_of(adj.b, N)
+
+
 def adjoint_via_form(adj, G, m_deg, n_deg):
     """G* = (b^(x)M)^-1 . iota_M^-1 . G^T . b~_N as a composite of g^(x)N-sized maps."""
-    binv_pow = adj.b_inv
-    for _ in range(m_deg - 1):
-        binv_pow = sl.tensor_map(binv_pow, adj.b_inv)
-    iota_m_inv = invert_diag(it._iota_chain(adj, m_deg))
-    return binv_pow @ iota_m_inv @ sl.super_transpose(G) @ it.dualizing_map(adj, n_deg)
+    iota_m_inv = invert_diag(iota_chain(adj, m_deg))
+    return (power_of(adj.b_inv, m_deg) @ iota_m_inv @ sl.super_transpose(G)
+            @ dualizing_map_by_chain(adj, n_deg))
 
 
 def power_action_apply(adj, N, gen, coords):

@@ -357,22 +357,27 @@ class TestVerifyFailures:
         checks = self.checks_of(text)
         for name in ("kernel-property", "route-agreement", "modified-form-symmetric",
                      "presentation-independence", "closure-sum", "closure-product",
-                     "permutation-orthogonality", "functorial-adjoint"):
+                     "permutation-orthogonality", "functorial-adjoint", "classical-gram-recorded"):
             assert not checks[f"tensors.{name}"]["pass"]
             assert checks[f"tensors.{name}"]["actual"] == "nothing was compared"
 
-    def test_form_axioms_are_computed(self, monkeypatch):
-        import dataclasses
+    def test_a_supertrace_over_no_endomorphism_fails(self, monkeypatch):
+        from supertrace import repmod as rm
 
+        hom = rm.hom_space
+        monkeypatch.setattr(rm, "hom_space", lambda U, V, parity: [] if parity is None else hom(U, V, parity))
+        code, text = run_cli("verify", "--suite", "trace", "--format", "json")
+        assert code == 1
+        checks = self.checks_of(text)
+        assert not checks["trace.supertrace-vanishes"]["pass"]
+        assert checks["trace.supertrace-vanishes"]["actual"] == "nothing was compared"
+        assert [name for name, c in checks.items() if not c["pass"]] == ["trace.supertrace-vanishes"]
+
+    def test_form_axioms_are_computed(self, monkeypatch):
         from supertrace import invtensor as it
 
-        build = it.build_adjoint
-
-        def bad_inverse(rs):
-            adj = build(rs)
-            return dataclasses.replace(adj, b_inv=2 * adj.b_inv)
-
-        monkeypatch.setattr(it, "build_adjoint", bad_inverse)
+        inverse = it.AdjointData.b_inv.func
+        monkeypatch.setattr(it.AdjointData, "b_inv", property(lambda adj: 2 * inverse(adj)))
         code, text = run_cli("verify", "--suite", "tensors", "--max-degree", "2", "--format", "json")
         assert code == 1
         checks = self.checks_of(text)

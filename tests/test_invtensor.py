@@ -14,7 +14,7 @@ from supertrace import invtensor as it
 from supertrace import repmod as rm
 from supertrace import superlin as sl
 from supertrace.linalg import RowReducer
-from supertrace.rootdata import weight
+from supertrace.rootdata import build_root_system, weight
 
 
 @pytest.fixture(scope="module")
@@ -493,7 +493,7 @@ class TestFunctorialAdjoint:
         for x in elems:
             moved = it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
             for y in elems:
-                pulled = it.presented_tensor(adj, 2, y.witness, Gstar @ y.f)
+                pulled = it.presented_tensor(2, y.witness, Gstar @ y.f)
                 assert it.modified_form(adj, moved, y) == it.modified_form(adj, x, pulled)
 
 
@@ -719,7 +719,7 @@ class TestDeferredPresentations:
         i = data.draw(st.integers(0, len(eager) - 1))
         t, want = space.raw[i], eager[i]
         # The coordinates are the column sum of the map, read before the map exists.
-        assert t.coords == it.presented_tensor(adj_, key[2], w, want).coords
+        assert t.coords == it.presented_tensor(key[2], w, want).coords
         assert t.source == want and list(t.source.entries.items()) == list(want.entries.items())
         assert t.f is t.source
         # C is read off the rows of the word search; the oracle solves for each unit vector.
@@ -771,7 +771,7 @@ class TestDeferredPresentations:
         orbit = [it.sn_action(adj, 3, perm, raw) for perm in permutations(range(3))]
         assert all(moved.f.entries for moved in orbit) and len(calls) == 1
         assert all(moved.source is raw.source for moved in orbit)
-        eager = it.presented_tensor(adj, 3, raw.witness, raw.f)
+        eager = it.presented_tensor(3, raw.witness, raw.f)
         for t in (raw, orbit[1], eager):
             builds = []
             counted = dataclasses.replace(t, build=lambda build=t.build: builds.append(1) or build())
@@ -916,11 +916,11 @@ class TestFormAdjoint:
         assert Gstar == oracles.adjoint_via_form(adj, G, 1, 3)
 
     def test_adjoint_of_a_permutation_is_not_built_from_the_inverse(self, adj):
-        # The adjoint is read off the form: with b scaled, G* moves by the scale ratio.
-        import dataclasses
-
+        # The adjoint is read off the kept tables of b~ and b~^-1, not from G^-1: with b scaled
+        # by 2 and the cached b_inv preset to the unscaled inverse, G* moves by the ratio 4.
         G = it.permutation_map(adj, 2, (1, 0))
         scaled = dataclasses.replace(adj, b=2 * adj.b)
+        vars(scaled)["b_inv"] = adj.b_inv
         assert it.form_adjoint(scaled, G, 2, 2) == 4 * it.form_adjoint(adj, G, 2, 2)
 
     @pytest.mark.parametrize("parity", [0, 1])
@@ -954,6 +954,14 @@ class TestFormAdjoint:
         assert it.form_adjoint(adj, G, M, N) == want
 
 
+def _counted_builds(monkeypatch) -> list:
+    """Patch ``AdjointData._keep`` to list each key whose table is built, as its build returns."""
+    keep, built = it.AdjointData._keep, []
+    monkeypatch.setattr(it.AdjointData, "_keep", lambda self, key, build: keep(
+        self, key, lambda: [build(), built.append(key)][0]))
+    return built
+
+
 class TestKeptForm:
     """b~_N kept per degree on AdjointData: the per-tensor walk, the counts, the copies."""
 
@@ -972,66 +980,80 @@ class TestKeptForm:
         assert it.dual_coords(a, N, t) == want  # memos kept from earlier examples
 
     def test_composite_is_composed_once_per_degree(self, adj, monkeypatch):
-        fresh, chain, calls = dataclasses.replace(adj), it._iota_chain, []
-        monkeypatch.setattr(it, "_iota_chain", lambda a, N: calls.append(N) or chain(a, N))
+        fresh, built = dataclasses.replace(adj), _counted_builds(monkeypatch)
+        iso, isos = sl.dual_tensor_iso, []
+        monkeypatch.setattr(sl, "dual_tensor_iso", lambda U, V: isos.append(U.dim) or iso(U, V))
         rng = random.Random(5)
-        for N in (2, 3, 2, 3, 2):
+        for N in (3, 2, 3):
             t1, t2 = random_even_tensor(adj, N, rng), random_even_tensor(adj, N, rng)
             assert it.pairing_as_composite(fresh, t1, t2, N) == it.extended_form(adj, t1, N, t2, N)
-        assert calls == [2, 3]
+        assert [key for key in built if key[0] == "composite"] == [("composite", N) for N in (1, 2, 3)]
+        assert sorted(isos) == [adj.gdim, adj.gdim ** 2]  # one iota_{N-1,1} per step, none at degree 1
+        assert fresh._kept["composite", 1] is fresh.b
 
-    def test_identity_walk_runs_once_per_degree(self, adj, monkeypatch):
-        fresh, walk, walks = dataclasses.replace(adj), it._partner_walk, []
-        b_partners = it._partners(adj, adj.b)
-        assert b_partners != it._partners(adj, adj.b_inv)
-
-        def counted(a, N, partners):
-            walks.append((N, partners == b_partners))
-            return walk(a, N, partners)
-
-        monkeypatch.setattr(it, "_partner_walk", counted)
+    def test_form_columns_are_built_once_per_degree(self, adj, monkeypatch):
+        fresh, built = dataclasses.replace(adj), _counted_builds(monkeypatch)
+        group, grouped = sl.mat_columns, []
+        monkeypatch.setattr(sl, "mat_columns", lambda e, **k: grouped.append(e) or group(e, **k))
         rng = random.Random(6)
-        G = it.permutation_map(adj, 2, (1, 0))
-        for N in (2, 3, 2, 3):
+        for N in (3, 2, 3):
             it.dual_coords(fresh, N, random_even_tensor(adj, N, rng))
-            it.form_adjoint(fresh, G, 2, 2)
-        assert [N for N, of_b in walks if of_b] == [2, 3]
-        assert [N for N, of_b in walks if not of_b] == [2]  # b~_2^-1 is walked once, then kept
+            it.form_adjoint(fresh, it.permutation_map(adj, N, (1, 0) + tuple(range(2, N))), N, N)
+        for inverse, form in ((False, fresh.b), (True, fresh.b_inv)):
+            assert [key for key in built if key[0] == "form" and key[2] == inverse] == [
+                ("form", N, inverse) for N in (1, 2, 3)]
+            assert sum(e is form.entries for e in grouped) == 3  # b's or b_inv's partners, once a step
 
     def test_every_table_is_built_once_per_key(self, adj, monkeypatch):
-        fresh, built = dataclasses.replace(adj), []
-        for name in ("_partner_walk", "_iota_chain"):
-            monkeypatch.setattr(it, name, lambda *a, body=getattr(it, name), name=name:
-                                built.append(name) or body(*a))
-        reads = {("power", 2): lambda: fresh.power(2), ("space", 3): lambda: fresh.power_space(3),
-                 ("form", 2, False): lambda: fresh.form_columns(2),
-                 ("form", 2, True): lambda: fresh.form_columns(2, inverse=True),
-                 ("composite", 2): lambda: it.dualizing_map(fresh, 2)}
-        for key, read in reads.items():
-            first = read()
-            assert read() is first and fresh._kept[key] is first
-        assert sorted(built) == ["_iota_chain", "_partner_walk", "_partner_walk"]
+        fresh, built = dataclasses.replace(adj), _counted_builds(monkeypatch)
+        reads = {"power": fresh.power, "space": fresh.power_space, "form": fresh.form_columns,
+                 "inverse": partial(fresh.form_columns, inverse=True),
+                 "composite": partial(it.dualizing_map, fresh)}
+        for read in reads.values():
+            first = read(3)
+            read(2)
+            assert read(3) is first
+        kinds = [key[0] if key[0] != "form" else ("inverse" if key[2] else "form") for key in built]
+        assert len(set(built)) == len(built)  # no table is built twice
+        assert {kind: kinds.count(kind) for kind in reads} == dict.fromkeys(reads, 3)
+        assert set(fresh._kept) == set(built)
         index = it._permuter(fresh, 2, (1, 0))(5)
         assert it._permuter(fresh, 2, (1, 0))(5) == index
-        assert fresh._kept.pop(("moved", 2, (1, 0))) == {5: index} and set(fresh._kept) == set(reads)
+        assert fresh._kept.pop(("moved", 2, (1, 0))) == {5: index} and set(fresh._kept) == set(built[:-1])
         assert dataclasses.replace(fresh)._kept == {}
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_every_table_refuses_a_degree_below_one(self, adj, N):
+        for read in (adj.power, adj.power_space, adj.form_columns, partial(it.dualizing_map, adj)):
+            with pytest.raises(ValueError, match="at least 1"):
+                read(N)
+
     def test_replace_starts_with_empty_memos(self, adj):
-        # Filled memos at N = 2 must not reach a copy with b scaled by 2.
-        t = random_even_tensor(adj, 2, random.Random(7))
-        phi, composite = it.dual_coords(adj, 2, t), it.dualizing_map(adj, 2)
+        # Filled memos at N = 2 and 3 must not reach a copy with b scaled by 2.
+        rng = random.Random(7)
+        kept = {N: (t, it.dual_coords(adj, N, t), it.dualizing_map(adj, N))
+                for N in (2, 3) for t in (random_even_tensor(adj, N, rng),)}
         scaled = dataclasses.replace(adj, b=2 * adj.b)
-        assert it.dual_coords(scaled, 2, t) == {r: 4 * v for r, v in phi.items()}
-        assert it.dualizing_map(scaled, 2) == 4 * composite
+        for N, (t, phi, composite) in kept.items():
+            assert it.dual_coords(scaled, N, t) == {r: 2 ** N * v for r, v in phi.items()}
+            assert it.dualizing_map(scaled, N) == 2 ** N * composite
 
     def test_replace_starts_without_the_kept_inverse(self, adj):
-        # b~_2^-1 kept on adj must not reach a copy whose b_inv is scaled by 1/2.
+        # b~_2^-1 kept on adj must not reach a copy whose b is scaled by 2: its b_inv follows b.
         G = it.permutation_map(adj, 2, (1, 0))
         Gstar, inverse = it.form_adjoint(adj, G, 2, 2), adj.form_columns(2, inverse=True)
-        scaled = dataclasses.replace(adj, b=2 * adj.b, b_inv=F(1, 2) * adj.b_inv)
-        assert scaled._kept == {}
+        scaled = dataclasses.replace(adj, b=2 * adj.b)
+        assert scaled._kept == {} and "b_inv" not in vars(scaled)
+        assert scaled.b_inv == F(1, 2) * adj.b_inv
         assert scaled.form_columns(2, inverse=True) == [[(r, v / 4) for r, v in col] for col in inverse]
         assert it.form_adjoint(scaled, G, 2, 2) == Gstar  # the scales cancel: 4 * 1/4
+
+    def test_b_inv_is_solved_at_build_and_refuses_a_degenerate_form(self, adj, roster):
+        assert "b_inv" in vars(it.build_adjoint(roster.rs))
+        space = adj.module.space
+        singular = dataclasses.replace(adj, b=sl.SuperMap(space, sl.dual_space(space), 0, {}))
+        with pytest.raises(it.FormConstructionError, match="form is degenerate"):
+            singular.b_inv
 
     def test_second_composite_pairing_does_not_regroup(self, adj, monkeypatch):
         fresh, group, grouped = dataclasses.replace(adj), sl.mat_columns, []
@@ -1054,6 +1076,24 @@ class TestKeptForm:
         monkeypatch.setattr(sl, "mat_columns", lambda e, **k: grouped.append(e) or group(e, **k))
         assert it.modified_gram(adj, orbit, orbit) == want
         assert sum(e is t.source.entries for e in grouped) == 1
+
+
+@pytest.fixture(scope="module")
+def adj12():
+    return it.build_adjoint(build_root_system("sl", 1, 2))
+
+
+class TestInductiveTables:
+    """Each kept degree-N table is one step on degree N - 1; the oracles walk the columns up
+    from degree 0 and compose the whole iota chain with b^(x)N for each N."""
+
+    @pytest.mark.parametrize("algebra, top", [("sl21", 4), ("sl31", 3), ("sl12", 3)])
+    def test_tables_match_the_routes_from_degree_one(self, adj, adj31, adj12, algebra, top):
+        a = dataclasses.replace({"sl21": adj, "sl31": adj31, "sl12": adj12}[algebra])  # nothing kept
+        for N in range(1, top + 1):
+            for inverse, form in ((False, a.b), (True, a.b_inv)):
+                assert a.form_columns(N, inverse) == oracles.partner_walk(a, N, form)  # order included
+            assert it.dualizing_map(a, N) == oracles.dualizing_map_by_chain(a, N)
 
 
 class TestGramsDualizeOncePerColumn:

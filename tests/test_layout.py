@@ -22,6 +22,11 @@ A witness keeps W as the tuple of its factor modules: inside ``repmod``,
 ``tensor_module`` is named only by its own definition, by ``witness_tensor``
 (for V (x) U) and by ``witness_dsum`` (a direct sum of two Ws needs each as one
 module), so no other witness path builds W or V0 (x) W as a product module.
+
+A tensor power is grown one degree at a time: no ``reduce`` call folds a list
+or tuple multiplied by a count (``reduce(op, [x] * N)`` or
+``reduce(op, (x,) * N)``), which rebuilds a degree-N table from degree 1
+where ``AdjointData`` takes one step on the kept table of degree N - 1.
 """
 
 import ast
@@ -301,3 +306,26 @@ def test_a_dataclass_keeps_at_most_one_uninitialized_field():
               for name, n in _uninitialized_fields(tree).items()}
     assert counts["invtensor.AdjointData"] == 1 and counts["repmod.GModule"] == 0
     assert {name: n for name, n in counts.items() if n > 1} == {}
+
+
+def _repeated_folds(tree: ast.AST, prefix: str) -> list[str]:
+    """The qualified names of the functions (or the module) calling ``reduce`` on a list or tuple
+    multiplied by a count."""
+    def repeated(node: ast.AST) -> bool:
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+            isinstance(side, (ast.List, ast.Tuple)) for side in (node.left, node.right))
+
+    return _sites(tree, prefix, lambda node: isinstance(node, ast.Call) and _is_name(node.func, "reduce")
+                  and any(repeated(arg) for arg in node.args))
+
+
+def test_repeated_fold_finder_sees_lists_and_tuples():
+    code = ("def f(x, N):\n    return reduce(op, [x] * N)\n"
+            "def g(x, N):\n    return functools.reduce(op, N * (x,), unit)\n"
+            "def h(xs):\n    return reduce(op, (x for x in xs))\n"
+            "def k(x, N):\n    return other(op, [x] * N)\n")
+    assert _repeated_folds(ast.parse(code), "m") == ["m.f", "m.g"]
+
+
+def test_no_fold_rebuilds_a_power_from_degree_one():
+    assert [site for stem, tree in _sources() for site in _repeated_folds(tree, stem)] == []
