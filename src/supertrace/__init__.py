@@ -77,10 +77,10 @@ from .mtrace import (
 from .invtensor import (
     AdjointData,
     PresentedTensor,
+    adjoint_coords,
     build_adjoint,
     classical_form_vanishes,
     extended_form,
-    form_adjoint,
     invariant_tensors,
     it_space,
     modified_form,

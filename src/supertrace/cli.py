@@ -22,6 +22,7 @@ CACHE_ENV = "SUPERTRACE_CACHE_DIR"
 # Degree 5 is refused before any work starts: its reachable space (it_space) alone
 # takes about 6 minutes and 1.2 GB, and the degree-5 forms are not measured yet.
 MAX_DEGREE = 4
+MAX_SCAN_POINTS = 100_000  # refused before the first row: about 12 s at 0.12 ms a point, all rows kept
 
 
 class UsageError(ValueError):
@@ -141,6 +142,8 @@ def cmd_scan_typical(args, rs: RootSystem, out) -> int:
     lo, hi, inc = (_parse_rational(x) for x in (args.start, args.stop, args.step))
     if inc <= 0 or hi < lo:
         raise UsageError("need step > 0 and stop >= start")
+    if (points := (hi - lo) // inc + 1) > MAX_SCAN_POINTS:  # a_s = lo, lo + inc, ... <= hi
+        raise UsageError(f"the grid has {points} points, more than {MAX_SCAN_POINTS}")
     rows = []
     atypical = []
     a_s = lo

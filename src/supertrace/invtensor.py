@@ -13,7 +13,8 @@ come from Frobenius reciprocity through the adjunction
 Hom(V (x) V*, g^(x)N) = Hom(V, g^(x)N (x) V); both forms, form adjoints and
 the symmetric group action work on coordinates, through the extended form
 b~_N = iota . b^(x)N and its inverse that ``AdjointData`` keeps per degree as
-columns; the pairings read a presenting map's kept rows.  The extension is
+columns; the pairings read a presenting map's kept rows, and ``adjoint_coords``
+maps one tensor t to G* t, with no adjoint map built.  The extension is
 inductive, b~_N = iota_{N-1,1} . (b~_{N-1} (x) b), so every kept degree-N table
 is one step on the kept table of degree N - 1.  The g^(x)N-sized
 map-composition route (dualizing_map, pairing_as_composite), composed by the
@@ -26,9 +27,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from math import lcm
 
 from . import superlin as sl
-from .exactnum import exact
+from .exactnum import exact, ratio
 from .linalg import RowReducer
 from .mtrace import modified_trace
 from .repmod import (  # hom_space stays bound here: perfbench's tracer test reads invtensor.hom_space
@@ -336,7 +338,7 @@ def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace
     g come from Frobenius reciprocity on the factorwise action of
     g^(x)N (x) V; neither side is built as a module.  The coordinates
     t[x] = sum_i (-1)^{p_i} g[x d + i, i], the diagonal that ``presented_tensor``
-    sums, are read off the replay images and word coordinates C of g = images . C
+    sums, are one int sum over the replay images and word coordinates C of g = images . C
     (``repmod._replay``, the words kept on V); f is assembled only when something reads it.
     """
     codomain = adj.power_space(N)
@@ -347,22 +349,26 @@ def it_space(adj: AdjointData, N: int, probes: list[IdealWitness]) -> ITSubspace
         if V.kac_vector is None:
             raise ValueError(f"probe {V.name} is not a certified Kac module")
         replays, coeffs = _replay(V, FactorwiseAction((adj.module,) * N + (V,)), 0)
+        C, c_den = coeffs
         for images in replays:
-            pairs = []
-            for k, image in enumerate(images):
-                for row, u in image.items():
+            top, pairs = lcm(*(d for _, d in images)), []
+            for k, (ints, d) in enumerate(images):
+                scale = top // d
+                for row, u in ints.items():
                     x, i = divmod(row, dim)
-                    c = coeffs.get((k, i))
+                    c = C.get((k, i))
                     if c:
-                        pairs.append((x, -u * c if par[i] else u * c))
-            raw.append(PresentedTensor(N, sl._summed(pairs), w,
+                        pairs.append((x, (-u if par[i] else u) * c * scale))
+            den = top * c_den
+            raw.append(PresentedTensor(N, {x: ratio(v, den) for x, v in sl._summed(pairs).items()}, w,
                                        partial(_replayed_source, V, images, coeffs, codomain)))
     reducer = RowReducer()
     independent = [t for t in raw if t.coords and reducer.add(t.coords)]
     return ITSubspace(N, tuple(independent), tuple(raw))
 
 
-def _replayed_source(V: GModule, images: list[dict], coeffs: dict, codomain: SuperSpace) -> SuperMap:
+def _replayed_source(V: GModule, images: list[tuple[dict, int]], coeffs: tuple[dict, int],
+                     codomain: SuperSpace) -> SuperMap:
     """The presenting map f[x, j d + k] = (-1)^{p_k} g[x d + k, j] of g = images . C (``_assembled``),
     validated by ``SuperMap(...)``."""
     dim, par = V.dim, V.space.parities
@@ -607,22 +613,20 @@ def sn_action(
     return PresentedTensor(N, coords, t.witness, partial(getattr, t, "source"), composed, adj)
 
 
-def form_adjoint(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int) -> SuperMap:
-    """The adjoint G* = b~_M^-1 . G^T . b~_N of G: g^(x)M -> g^(x)N for the extended form.
+def adjoint_coords(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int, t: dict) -> dict:
+    """G* t for the adjoint G* = b~_M^-1 . G^T . b~_N of G: g^(x)M -> g^(x)N under the extended form.
 
-    Two sparse products on the columns ``AdjointData.form_columns`` keeps, all
-    columns at once: the covectors b~_N(e_c) pulled back through the super
-    transpose of G, then sent through the kept columns of b~_M^-1.  No call
-    walks a form.
+    Three sparse sums on t's support, no map built: phi = b~_N t (``dual_coords``), G^T phi read
+    off G's kept rows at phi's support with the super-transpose sign (-1)^{p(G) p(r)}, and the
+    kept columns of b~_M^-1 (``AdjointData.form_columns``) at that covector's support.
     """
     if (G.domain.dim, G.codomain.dim) != (adj.gdim ** m_deg, adj.gdim ** n_deg):
         raise ValueError(f"map is not g^(x){m_deg} -> g^(x){n_deg}")
-    transposed = sl.mat_columns(sl.super_transpose(G).entries)
-    pulled = sl._summed(((j, c), u * v) for c, col in enumerate(adj.form_columns(n_deg))
-                        for r, v in col for j, u in transposed.get(r, ()))
+    par, rows = G.codomain.parities, G.rows
+    psi = sl._summed((j, -u * v if G.parity and par[r] else u * v)
+                     for r, u in dual_coords(adj, n_deg, t).items() for j, v in rows.get(r, ()))
     inverse = adj.form_columns(m_deg, inverse=True)
-    ent = sl._summed(((a, c), w * v) for (j, c), v in pulled.items() for a, w in inverse[j])
-    return SuperMap._of(G.codomain, G.domain, G.parity, ent)
+    return sl._summed((a, w * v) for j, v in psi.items() for a, w in inverse[j])
 
 
 def pairing_map(adj: AdjointData) -> SuperMap:

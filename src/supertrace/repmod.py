@@ -687,33 +687,37 @@ def _singular(K: GModule, target: FactorwiseAction, parity: int) -> list[dict]:
 
 
 def _replay(K: GModule, target: FactorwiseAction, parity: int, singular=None):
-    """Each singular vector's images of the f-words, and the word coordinates C.
+    """Each singular vector's images of the f-words, and the word coordinates C, in ints.
 
     A g-linear map F: K -> target out of the certified Kac module K is fixed
     by v = F(d), one of ``singular`` (default: all of ``_singular``), and
     F(x . w) = (-1)^{p(F) p(x)} x . F(w) replays in the target the f-words
-    that span K from d (``GModule.kac_words``): image k is F(word k), so
-    F = images . C (``_assembled``).  The target is any factorwise action, so
-    a tensor product is never built as a module.
+    that span K from d (``GModule.kac_words``): image k is F(word k) as (ints, den), on
+    ``FactorwiseAction._scaled``, and C comes cleared, so F = images . C (``_assembled``).
+    The target is any factorwise action, so a tensor product is never built as a module.
     """
     singular = _singular(K, target, parity) if singular is None else singular
     if not singular:
-        return [], {}
+        return [], ({}, 1)
     words, coords = K.kac_words
     signs = [-1 if parity and x.parity else 1 for x in K.e]
     replays = []
     for v in singular:
-        images = [v]
+        images = [cleared(v)]
         for k, g in words:
-            image = target.apply("f", g, images[k])
-            images.append(image if signs[g] == 1 else {i: -c for i, c in image.items()})
+            ints, den = images[k]
+            out, L = target._scaled("f", g, ints, mult=signs[g])
+            images.append(({i: c for i, c in out.items() if c}, den * L))
         replays.append(images)
-    return replays, coords
+    return replays, cleared(coords)
 
 
-def _assembled(images: list[dict], coords: dict) -> dict:
-    """The map F = images . C of a ``_replay``, as {(row, col): value}."""
-    return sl.mat_mul({(i, k): x for k, image in enumerate(images) for i, x in image.items()}, coords)
+def _assembled(images: list[tuple[dict, int]], coords: tuple[dict, int]) -> dict:
+    """The map F = images . C of a ``_replay``, as {(row, col): value}: one int product, the
+    images over their common denominator, divided once per entry."""
+    (C, den), top = coords, lcm(*(d for _, d in images))
+    rows = {(i, k): x * (top // d) for k, (ints, d) in enumerate(images) for i, x in ints.items()}
+    return {key: ratio(v, top * den) for key, v in sl.mat_mul(rows, C).items()}
 
 
 def _parities(parity) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import chain, permutations
 from operator import matmul
 
 from . import invtensor as it
@@ -500,31 +500,35 @@ def suite_tensors(
     out.append(_every("tensors.permutation-orthogonality", kept,
                       "S2 and S3 preserve the modified Gram matrices"))
 
-    # Functorial adjoints: permutations and a contraction-insertion operator.
+    # Functorial adjoints: permutations and a contraction-insertion operator.  G* comes from
+    # the form, not from the inverse permutation; the pulled tensors' maps are never read.
     adjoints = []
     for N in (2, 3):
         if N > max_degree or len(spaces[N].elements) < 1:
             continue
         elems = spaces[N].elements
-        for perm in permutations(range(N)):
-            # G* comes from the form, not from the inverse permutation.
-            pstar = it.form_adjoint(adj, it.permutation_map(adj, N, perm), N, N)
-            moved = [it.sn_action(adj, N, perm, x) for x in elems]
-            pulled = [it.PresentedTensor(N, pstar.apply(y.coords), y.witness, partial(matmul, pstar, y.f))
-                      for y in elems]
+        # One map at a time: a permutation map of degree 3 and its row index are gdim^3 entries each.
+        cases = ((it.permutation_map(adj, N, perm), [it.sn_action(adj, N, perm, x) for x in elems])
+                 for perm in permutations(range(N)))
+        if N == 2:
+            G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
+            cases = chain(cases, [(G, [it.PresentedTensor(2, G.apply(x.coords), x.witness,
+                                                          partial(matmul, G, x.f)) for x in elems])])
+        for G, moved in cases:
+            pulled = [it.PresentedTensor(N, it.adjoint_coords(adj, G, N, N, y.coords), y.witness,
+                                         partial(_adjoint_source, adj, G, N, y)) for y in elems]
             adjoints.append(it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled))
-    if max_degree >= 2 and spaces[2].elements:
-        G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
-        Gstar = it.form_adjoint(adj, G, 2, 2)
-        elems = spaces[2].elements
-        moved = [it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
-                 for x in elems]
-        pulled = [it.PresentedTensor(2, Gstar.apply(y.coords), y.witness, partial(matmul, Gstar, y.f))
-                  for y in elems]
-        adjoints.append(it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled))
     out.append(_every("tensors.functorial-adjoint", adjoints,
                       "(G t1, t2)' = (t1, G* t2)' for permutations and contraction-insertion"))
     return out
+
+
+def _adjoint_source(adj: it.AdjointData, G: sl.SuperMap, N: int, y: it.PresentedTensor) -> sl.SuperMap:
+    """G* . y.f for G: g^(x)N -> g^(x)N, one ``adjoint_coords`` call per column of y.f."""
+    f = y.f
+    ent = {(r, c): v for c, col in sl.mat_columns(f.entries).items()
+           for r, v in it.adjoint_coords(adj, G, N, N, dict(col)).items()}
+    return sl.SuperMap._of(f.domain, G.domain, (G.parity + f.parity) % 2, ent)
 
 
 # -- aggregation ---------------------------------------------------------------------

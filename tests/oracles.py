@@ -29,7 +29,11 @@ straight from the PBW basis.  ``g_linear_two_sided`` acts on m's rows and on a
 column-major copy and compares the re-keyed images, where the library adds both
 sides into one sum over one keying of m.  ``kac_words_unskipped`` tries every
 f_g on every new word, where ``GModule.kac_words`` skips words whose weight
-space is already spanned; ``replay_unskipped`` replays those words.
+space is already spanned; ``replay_unskipped`` replays those words in
+Fractions, where the library replays in ints over one denominator, and
+``assembled_in_fractions``, ``hom_by_fraction_replay``,
+``beta_by_fraction_replay`` and ``it_coords_by_fraction_replay`` build the
+maps, the witness beta and the reachable tensors' coordinates from it.
 ``SetDifferenceRowReducer`` refreshes the column index of each updated row
 from whole key-set differences, where the library looks only at the new pivot
 row's columns.  ``unit_coords_by_solves`` solves for each unit
@@ -41,6 +45,8 @@ library puts each factor straight into its slot with a closed-form sign.
 ``sl_roots_by_hand`` and ``osp2_roots_by_hand`` write each positive root's
 simple-root coordinates and parity, and the Cartan matrix, by hand, where the
 library derives them from epsilon-delta vectors.
+``adjoint_all_columns`` builds the whole form adjoint G* as a map, where
+the library's ``adjoint_coords`` maps only the tensors it is given.
 ``pairing_with_rho_shift_by_form``, ``atypicality_factors_by_form`` and
 ``mod_sdim_by_form`` evaluate <rho, alpha> through the form on every call,
 where ``RootSystem`` reads it kept per positive root (``rho_pairings``).
@@ -148,7 +154,8 @@ def kac_words_unskipped(K):
 
 
 def replay_unskipped(K, target, parity, singular=None):
-    """``repmod._replay`` over the words of ``kac_words_unskipped``."""
+    """``repmod._replay`` over the words of ``kac_words_unskipped``, in Fractions: each image
+    through ``FactorwiseAction.apply``, and C as the word search reads it."""
     singular = rm._singular(K, target, parity) if singular is None else singular
     if not singular:
         return [], {}
@@ -162,6 +169,45 @@ def replay_unskipped(K, target, parity, singular=None):
             images.append(image if signs[g] == 1 else {i: -c for i, c in image.items()})
         replays.append(images)
     return replays, coords
+
+
+def assembled_in_fractions(images, coords):
+    """F = images . C of a Fraction replay (``replay_unskipped``), as {(row, col): value}."""
+    return sl.mat_mul({(i, k): x for k, image in enumerate(images) for i, x in image.items()}, coords)
+
+
+def hom_by_fraction_replay(U, V, parity):
+    """``hom_space`` out of a certified U, replayed in Fractions over the unskipped words."""
+    replays, coords = replay_unskipped(U, rm.FactorwiseAction((V,)), parity)
+    return [sl.SuperMap(U.space, V.space, parity, assembled_in_fractions(images, coords))
+            for images in replays]
+
+
+def beta_by_fraction_replay(V, V0):
+    """``ideal_witness``'s beta: its singular vector (the first with ev(v)[d] != 0) replayed in
+    Fractions over the unskipped words."""
+    action = rm.FactorwiseAction((V0, rm.dual_module(V0), V))
+    ev = sl.tensor_map(sl.ev_right(V0.space), sl.identity(V.space))
+    v = next(v for v in rm._singular(V, action, 0) if ev.apply(v).get(V.kac_vector, 0))
+    (images,), coords = replay_unskipped(V, action, 0, [v])
+    return sl.SuperMap(V.space, ev.domain, 0, assembled_in_fractions(images, coords))
+
+
+def it_coords_by_fraction_replay(adj, N, w):
+    """The coordinates of ``it_space``'s tensors for one probe: each map g of the Fraction replay
+    assembled in full, then t[x] = sum_i (-1)^{p_i} g[x d + i, i]."""
+    V = w.V
+    dim, par = V.dim, V.space.parities
+    replays, coords = replay_unskipped(V, rm.FactorwiseAction((adj.module,) * N + (V,)), 0)
+    out = []
+    for images in replays:
+        diagonal = []
+        for (row, j), v in assembled_in_fractions(images, coords).items():
+            x, i = divmod(row, dim)
+            if i == j:
+                diagonal.append((x, -v if par[i] else v))
+        out.append(sl._summed(diagonal))
+    return out
 
 
 class SetDifferenceRowReducer(RowReducer):
@@ -465,6 +511,17 @@ def adjoint_via_form(adj, G, m_deg, n_deg):
     iota_m_inv = invert_diag(iota_chain(adj, m_deg))
     return (power_of(adj.b_inv, m_deg) @ iota_m_inv @ sl.super_transpose(G)
             @ dualizing_map_by_chain(adj, n_deg))
+
+
+def adjoint_all_columns(adj, G, m_deg, n_deg):
+    """G* = b~_M^-1 . G^T . b~_N as a map, every column at once: the covectors b~_N(e_c) pulled back
+    through the super transpose of G, then sent through the kept columns of b~_M^-1."""
+    transposed = sl.mat_columns(sl.super_transpose(G).entries)
+    pulled = sl._summed(((j, c), u * v) for c, col in enumerate(adj.form_columns(n_deg))
+                        for r, v in col for j, u in transposed.get(r, ()))
+    inverse = adj.form_columns(m_deg, inverse=True)
+    ent = sl._summed(((a, c), w * v) for (j, c), v in pulled.items() for a, w in inverse[j])
+    return sl.SuperMap._of(G.codomain, G.domain, G.parity, ent)
 
 
 def power_action_apply(adj, N, gen, coords):

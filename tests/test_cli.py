@@ -423,6 +423,25 @@ class TestBadInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --max-degree must be between 2 and 4")
 
+    @pytest.mark.parametrize("stop, step", [("100000", "1/100000"), ("1", "1/100000"), ("100000", "1/2")])
+    def test_scan_grid_above_the_cap_exits_before_any_row(self, stop, step, capsys):
+        code, text = run_cli("scan-typical", "sl", "2", "1", "--fixed", "0", "--start", "0",
+                             "--stop", stop, "--step", step)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: the grid has ")
+
+    def test_scan_grid_at_the_cap_runs(self, monkeypatch):
+        # 0, 1/2, ..., 3/2 is four points: refused above a cap of 3, scanned at a cap of 4.
+        from supertrace import cli
+
+        argv = ("scan-typical", "sl", "2", "1", "--fixed", "0", "--start", "0", "--stop", "3/2",
+                "--step", "1/2", "--format", "json")
+        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 3)
+        assert run_cli(*argv)[0] == 2
+        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 4)
+        code, text = run_cli(*argv)
+        assert code == 0 and len(text.splitlines()) == 5  # four rows and the summary
+
 
 ALGEBRAS = st.sampled_from([
     ["sl", "2", "1"], ["sl", "3", "1"], ["sl", "1", "2"], ["osp2", "1"], [], ["sl", "2", "2"],

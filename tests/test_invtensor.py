@@ -477,24 +477,28 @@ class TestFunctorialAdjoint:
     def test_adjoint_identity_for_extended_form(self, adj):
         rng = random.Random(23)
         G = it.permutation_map(adj, 3, (2, 0, 1))
-        Gstar = it.form_adjoint(adj, G, 3, 3)
         for _ in range(5):
             t1 = random_even_tensor(adj, 3, rng)
             t2 = random_even_tensor(adj, 3, rng)
             lhs = it.extended_form(adj, G.apply(t1), 3, t2, 3)
-            rhs = it.extended_form(adj, t1, 3, Gstar.apply(t2), 3)
+            rhs = it.extended_form(adj, t1, 3, it.adjoint_coords(adj, G, 3, 3, t2), 3)
             assert lhs == rhs
 
     def test_adjoint_identity_for_modified_form(self, adj, spaces):
+        from supertrace import suites
+
         G = sl.column_map(adj.power(2).space, it.casimir_coords(adj)) @ it.pairing_map(adj)
         G = sl.SuperMap(adj.power(2).space, adj.power(2).space, 0, dict(G.entries))
-        Gstar = it.form_adjoint(adj, G, 2, 2)
+        Gstar = oracles.adjoint_all_columns(adj, G, 2, 2)
         elems = spaces[2].elements
         for x in elems:
             moved = it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
             for y in elems:
                 pulled = it.presented_tensor(2, y.witness, Gstar @ y.f)
                 assert it.modified_form(adj, moved, y) == it.modified_form(adj, x, pulled)
+                # The suite's pulled tensor: its coordinates, and its map assembled column by column.
+                assert it.adjoint_coords(adj, G, 2, 2, y.coords) == pulled.coords
+                assert suites._adjoint_source(adj, G, 2, y) == Gstar @ y.f
 
 
 def test_classical_form_vanishes_wrapper(adj, spaces):
@@ -684,8 +688,9 @@ _REPLAYS = {}
 
 def _replay_case(key, adj_, w):
     """it_space's tensors for one probe, its maps assembled at once, and the replay's word
-    coordinates C with the reducer of the word search they were read from: the search runs
-    on a copy of the probe, whose ``kac_words`` are not kept yet."""
+    coordinates C (the replay's cleared C, divided out) with the reducer of the word search
+    they were read from: the search runs on a copy of the probe, whose ``kac_words`` are not
+    kept yet."""
     if key not in _REPLAYS:
         N, V = key[2], w.V
         reducers = []
@@ -698,9 +703,9 @@ def _replay_case(key, adj_, w):
         target = rm.FactorwiseAction((adj_.module,) * N + (V,))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rm, "RowReducer", Recording)
-            replays, coeffs = rm._replay(dataclasses.replace(V), target, 0)
+            replays, (ints, den) = rm._replay(dataclasses.replace(V), target, 0)
         _REPLAYS[key] = (it.it_space(adj_, N, [w]), oracles.presenting_maps_at_once(adj_, N, w),
-                         coeffs, reducers, len(replays))
+                         {k: F(c, den) for k, c in ints.items()}, reducers, len(replays))
     return _REPLAYS[key]
 
 
@@ -727,6 +732,13 @@ class TestDeferredPresentations:
         assert len(reducer) == w.V.dim
         assert list(coeffs.items()) == list(
             oracles.unit_coords_by_solves(reducer, range(w.V.dim)).items())
+
+    def test_coordinates_equal_the_fraction_replay(self, replay_cases):
+        # Summed in ints over one denominator, the coordinates are the diagonal sums of the maps
+        # of the Fraction replay, assembled in full.
+        for key, (adj_, w) in sorted(replay_cases.items()):
+            space = _replay_case(key, adj_, w)[0]
+            assert [t.coords for t in space.raw] == oracles.it_coords_by_fraction_replay(adj_, key[2], w)
 
     def test_replay_cases_are_not_empty(self, replay_cases):
         counts = {key: _replay_case(key, *case)[4] for key, case in replay_cases.items()}
@@ -798,6 +810,22 @@ class TestDeferredPresentations:
         # The 3 elements, one duplicate pair's second map and one it_sum partner at lam = 3/2.
         assert sum(len(space.raw) for space in spaces) == 33
         assert len(calls) == 5
+
+    def test_a_tensors_run_reads_no_pulled_source(self, monkeypatch):
+        # The functorial-adjoint check reads the pulled tensors G* y off adjoint_coords, one call
+        # per tensor, and never assembles G* . y.f.
+        from supertrace import suites
+
+        adjoint, calls, span, spaces, sources = it.adjoint_coords, [], it.it_space, [], []
+        monkeypatch.setattr(it, "adjoint_coords", lambda *a: calls.append(a[4]) or adjoint(*a))
+        monkeypatch.setattr(it, "it_space", lambda *a: spaces.append(span(*a)) or spaces[-1])
+        monkeypatch.setattr(suites, "_adjoint_source", lambda *a: sources.append(a))
+        report = suites.run_verification(["tensors"], max_degree=3)
+        assert report["pass"] and report["failed"] == 0 and not sources
+        degree2, degree3 = (len(space.elements) for space in spaces[1:])
+        assert degree2 and degree3  # S2 and the contraction-insertion at degree 2, S3 at degree 3
+        assert [space.degree for space in spaces] == [1, 2, 3]
+        assert len(calls) == 3 * degree2 + 6 * degree3
 
 
 _SL31_KAC = {}
@@ -895,7 +923,25 @@ class TestClosedFormSigns:
             assert {(move(c)[0], c): move(c)[1] for c in range(fresh.gdim ** N)} == want
 
 
+def _adjoint_by_columns(adj, G, m_deg, n_deg):
+    """G*: g^(x)N -> g^(x)M assembled from ``adjoint_coords`` on every basis tensor of g^(x)N."""
+    ent = {(r, c): v for c in range(adj.gdim ** n_deg)
+           for r, v in it.adjoint_coords(adj, G, m_deg, n_deg, {c: 1}).items()}
+    return sl.SuperMap._of(G.codomain, G.domain, G.parity, ent)
+
+
+def _random_sparse_map(adj, data, M, N, parity):
+    """A sparse homogeneous G: g^(x)M -> g^(x)N of the given parity, entries drawn by hypothesis."""
+    src, dst = adj.power_space(M).parities, adj.power_space(N).parities
+    keys = data.draw(st.lists(st.tuples(st.integers(0, len(dst) - 1), st.integers(0, len(src) - 1))
+                              .filter(lambda k: dst[k[0]] == src[k[1]] ^ parity), max_size=12))
+    ent = {k: data.draw(st.fractions(-5, 5, max_denominator=4)) for k in keys}
+    return sl.SuperMap(adj.power_space(M), adj.power_space(N), parity, ent)
+
+
 class TestFormAdjoint:
+    """adjoint_coords maps one tensor; the oracles build the whole adjoint G* as a map."""
+
     @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_permutations_match_the_map_route(self, adj, data):
@@ -903,17 +949,19 @@ class TestFormAdjoint:
         perm = tuple(data.draw(st.permutations(range(N))))
         G = it.permutation_map(adj, N, perm)
         assert G == oracles.sn_action_map(adj, N, perm)
-        assert it.form_adjoint(adj, G, N, N) == oracles.adjoint_via_form(adj, G, N, N)
+        want = oracles.adjoint_via_form(adj, G, N, N)
+        assert _adjoint_by_columns(adj, G, N, N) == want == oracles.adjoint_all_columns(adj, G, N, N)
 
     def test_contraction_insertion_matches_the_map_route(self, adj):
         G = _contraction_insertion(adj)
-        assert it.form_adjoint(adj, G, 2, 2) == oracles.adjoint_via_form(adj, G, 2, 2)
+        want = oracles.adjoint_via_form(adj, G, 2, 2)
+        assert _adjoint_by_columns(adj, G, 2, 2) == want == oracles.adjoint_all_columns(adj, G, 2, 2)
 
     def test_degree_changing_map_matches_the_map_route(self, adj):
         G = _casimir_insertion(adj)
-        Gstar = it.form_adjoint(adj, G, 1, 3)
+        Gstar = _adjoint_by_columns(adj, G, 1, 3)
         assert Gstar.domain == adj.power_space(3) and Gstar.codomain == adj.module.space
-        assert Gstar == oracles.adjoint_via_form(adj, G, 1, 3)
+        assert Gstar == oracles.adjoint_via_form(adj, G, 1, 3) == oracles.adjoint_all_columns(adj, G, 1, 3)
 
     def test_adjoint_of_a_permutation_is_not_built_from_the_inverse(self, adj):
         # The adjoint is read off the kept tables of b~ and b~^-1, not from G^-1: with b scaled
@@ -921,7 +969,7 @@ class TestFormAdjoint:
         G = it.permutation_map(adj, 2, (1, 0))
         scaled = dataclasses.replace(adj, b=2 * adj.b)
         vars(scaled)["b_inv"] = adj.b_inv
-        assert it.form_adjoint(scaled, G, 2, 2) == 4 * it.form_adjoint(adj, G, 2, 2)
+        assert _adjoint_by_columns(scaled, G, 2, 2) == 4 * _adjoint_by_columns(adj, G, 2, 2)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_a_sparse_degree_four_map_matches_the_map_route(self, adj, parity):
@@ -932,11 +980,11 @@ class TestFormAdjoint:
             if par[r] == par[c] ^ parity:
                 ent[(r, c)] = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
         G = sl.SuperMap(adj.power_space(4), adj.power_space(4), parity, ent)
-        assert it.form_adjoint(adj, G, 4, 4) == oracles.adjoint_via_form(adj, G, 4, 4)
+        assert _adjoint_by_columns(adj, G, 4, 4) == oracles.adjoint_via_form(adj, G, 4, 4)
 
     def test_shape_mismatch_raises(self, adj):
         with pytest.raises(ValueError):
-            it.form_adjoint(adj, _contraction_insertion(adj), 1, 2)
+            it.adjoint_coords(adj, _contraction_insertion(adj), 1, 2, {})
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), degrees=st.tuples(st.integers(1, 3), st.integers(1, 3)),
@@ -944,14 +992,34 @@ class TestFormAdjoint:
     def test_random_maps_match_the_map_route(self, adj, data, degrees, parity):
         # Sparse homogeneous G: g^(x)M -> g^(x)N, on a copy with empty memos and on adj's kept ones.
         M, N = degrees
-        src, dst = adj.power_space(M).parities, adj.power_space(N).parities
-        keys = data.draw(st.lists(st.tuples(st.integers(0, len(dst) - 1), st.integers(0, len(src) - 1))
-                                  .filter(lambda k: dst[k[0]] == src[k[1]] ^ parity), max_size=12))
-        ent = {k: data.draw(st.fractions(-5, 5, max_denominator=4)) for k in keys}
-        G = sl.SuperMap(adj.power_space(M), adj.power_space(N), parity, ent)
+        G = _random_sparse_map(adj, data, M, N, parity)
         want = oracles.adjoint_via_form(adj, G, M, N)
-        assert it.form_adjoint(dataclasses.replace(adj), G, M, N) == want
-        assert it.form_adjoint(adj, G, M, N) == want
+        assert _adjoint_by_columns(dataclasses.replace(adj), G, M, N) == want
+        assert _adjoint_by_columns(adj, G, M, N) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_adjoint_coords_is_the_oracle_on_a_tensor(self, adj, data):
+        # G* t by adjoint_coords equals both oracle maps applied to t, and
+        # (G t1, t2) = (t1, G* t2) for the extended form on even tensors.
+        kind = data.draw(st.sampled_from(["permutation", "contraction", "sparse"]))
+        if kind == "permutation":
+            M = N = data.draw(st.integers(1, 3))
+            G = it.permutation_map(adj, N, tuple(data.draw(st.permutations(range(N)))))
+        elif kind == "contraction":
+            M = N = 2
+            G = _contraction_insertion(adj)
+        else:
+            M, N = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+            G = _random_sparse_map(adj, data, M, N, 0)
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        t = {rng.randrange(adj.gdim ** N): F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)}
+        got = it.adjoint_coords(adj, G, M, N, t)
+        assert got == oracles.adjoint_all_columns(adj, G, M, N).apply(t)
+        assert got == oracles.adjoint_via_form(adj, G, M, N).apply(t)
+        t1, t2 = random_even_tensor(adj, M, rng), random_even_tensor(adj, N, rng)
+        assert it.extended_form(adj, G.apply(t1), N, t2, N) == it.extended_form(
+            adj, t1, M, it.adjoint_coords(adj, G, M, N, t2), M)
 
 
 def _counted_builds(monkeypatch) -> list:
@@ -998,7 +1066,8 @@ class TestKeptForm:
         rng = random.Random(6)
         for N in (3, 2, 3):
             it.dual_coords(fresh, N, random_even_tensor(adj, N, rng))
-            it.form_adjoint(fresh, it.permutation_map(adj, N, (1, 0) + tuple(range(2, N))), N, N)
+            G = it.permutation_map(adj, N, (1, 0) + tuple(range(2, N)))
+            it.adjoint_coords(fresh, G, N, N, random_even_tensor(adj, N, rng))
         for inverse, form in ((False, fresh.b), (True, fresh.b_inv)):
             assert [key for key in built if key[0] == "form" and key[2] == inverse] == [
                 ("form", N, inverse) for N in (1, 2, 3)]
@@ -1041,12 +1110,12 @@ class TestKeptForm:
     def test_replace_starts_without_the_kept_inverse(self, adj):
         # b~_2^-1 kept on adj must not reach a copy whose b is scaled by 2: its b_inv follows b.
         G = it.permutation_map(adj, 2, (1, 0))
-        Gstar, inverse = it.form_adjoint(adj, G, 2, 2), adj.form_columns(2, inverse=True)
+        Gstar, inverse = _adjoint_by_columns(adj, G, 2, 2), adj.form_columns(2, inverse=True)
         scaled = dataclasses.replace(adj, b=2 * adj.b)
         assert scaled._kept == {} and "b_inv" not in vars(scaled)
         assert scaled.b_inv == F(1, 2) * adj.b_inv
         assert scaled.form_columns(2, inverse=True) == [[(r, v / 4) for r, v in col] for col in inverse]
-        assert it.form_adjoint(scaled, G, 2, 2) == Gstar  # the scales cancel: 4 * 1/4
+        assert _adjoint_by_columns(scaled, G, 2, 2) == Gstar  # the scales cancel: 4 * 1/4
 
     def test_b_inv_is_solved_at_build_and_refuses_a_degenerate_form(self, adj, roster):
         assert "b_inv" in vars(it.build_adjoint(roster.rs))

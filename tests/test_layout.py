@@ -23,6 +23,11 @@ A witness keeps W as the tuple of its factor modules: inside ``repmod``,
 (for V (x) U) and by ``witness_dsum`` (a direct sum of two Ws needs each as one
 module), so no other witness path builds W or V0 (x) W as a product module.
 
+The inverse form b~_N^-1 is read in one place: in ``src/`` only
+``invtensor.adjoint_coords`` calls ``form_columns`` with ``inverse`` set, besides
+the table's own step from degree N - 1, which passes its flag on; the all-columns
+adjoint map lives in ``tests/oracles.py``.
+
 A tensor power is grown one degree at a time: no ``reduce`` call folds a list
 or tuple multiplied by a count (``reduce(op, [x] * N)`` or
 ``reduce(op, (x,) * N)``), which rebuilds a degree-N table from degree 1
@@ -329,3 +334,29 @@ def test_repeated_fold_finder_sees_lists_and_tuples():
 
 def test_no_fold_rebuilds_a_power_from_degree_one():
     assert [site for stem, tree in _sources() for site in _repeated_folds(tree, stem)] == []
+
+
+def _inverse_form_readers(tree: ast.AST, prefix: str) -> list[str]:
+    """The qualified names of the functions (or the module) calling ``form_columns`` with
+    ``inverse`` given, positionally or by keyword, as anything but the constant False."""
+    def reads_inverse(node: ast.AST) -> bool:
+        if not (isinstance(node, ast.Call) and _is_name(node.func, "form_columns")):
+            return False
+        flags = node.args[1:2] + [k.value for k in node.keywords if k.arg == "inverse"]
+        return any(not (isinstance(f, ast.Constant) and f.value is False) for f in flags)
+
+    return _sites(tree, prefix, reads_inverse)
+
+
+def test_inverse_form_finder_sees_keywords_and_positions():
+    code = ("def f(adj, N):\n    return adj.form_columns(N, inverse=True)\n"
+            "def g(adj, N):\n    return adj.form_columns(N, True)\n"
+            "def h(adj, N, flag):\n    return form_columns(N, inverse=flag)\n"
+            "def k(adj, N):\n    return adj.form_columns(N), adj.form_columns(N, False)\n"
+            "def m(adj, N):\n    return adj.form_columns(N, inverse=False)\n")
+    assert _inverse_form_readers(ast.parse(code), "m") == ["m.f", "m.g", "m.h"]
+
+
+def test_only_adjoint_coords_reads_the_inverse_form():
+    sites = [site for stem, tree in _sources() for site in _inverse_form_readers(tree, stem)]
+    assert sorted(sites) == ["invtensor.AdjointData.form_columns.step", "invtensor.adjoint_coords"]

@@ -740,9 +740,26 @@ class TestReciprocityRoute:
         for target, parity, singular in ((rm.FactorwiseAction((K,)), 0, [{d: 1}]),
                                          (rm.FactorwiseAction((K, std, rm.dual_module(std))), 0, None),
                                          (rm.FactorwiseAction((rm.parity_shift_module(K),)), 1, None)):
-            got = rm._replay(K, target, parity, singular)
-            assert got[0] and got == oracles.replay_unskipped(K, target, parity, singular)
-            assert all(len(images) == K.dim for images in got[0])
+            (replays, (C, den)), want = (rm._replay(K, target, parity, singular),
+                                         oracles.replay_unskipped(K, target, parity, singular))
+            # Each image is (ints, den) and C comes cleared; divided out, both are the Fraction replay.
+            assert replays and [[{i: F(x, d) for i, x in ints.items()} for ints, d in images]
+                                for images in replays] == want[0]
+            assert {key: F(c, den) for key, c in C.items()} == want[1]
+            assert all(len(images) == K.dim for images in replays)
+
+    @pytest.mark.parametrize("m, n, coords", [(2, 1, (1, F(1, 2))), (2, 1, (0, 1)),
+                                              (3, 1, (1, 0, F(1, 2))), (3, 2, (0, 0, F(1, 3), 1))])
+    def test_maps_equal_the_fraction_replay(self, m, n, coords):
+        # The int replay over one denominator gives the maps of the Fraction replay, entry for entry:
+        # End(K), the odd sigma into op K and the coevaluation into K (x) std (x) std*.
+        K = _kac(m, n, coords)
+        std = rm.standard_module(K.rs)
+        for V, parity in ((K, 0), (rm.parity_shift_module(K), 1),
+                          (rm.tensor_module(rm.tensor_module(K, std), rm.dual_module(std)), 0)):
+            got, want = rm.hom_space(K, V, parity), oracles.hom_by_fraction_replay(K, V, parity)
+            assert got and got == want
+            assert [list(f.entries.items()) for f in got] == [list(f.entries.items()) for f in want]
 
     def test_the_word_search_skips_spanned_weight_spaces(self, monkeypatch):
         K = dataclasses.replace(_kac(3, 1, (1, 0, F(-2, 3))))  # no words kept yet
@@ -1098,6 +1115,8 @@ class TestWitnessOracle:
         alpha, beta = oracles.ideal_witness_by_modules(V, V0)
         assert w.alpha == alpha and w.beta == beta
         assert w.alpha.entries == alpha.entries and w.beta.entries == beta.entries
+        want = oracles.beta_by_fraction_replay(V, V0)
+        assert w.beta == want and list(w.beta.entries.items()) == list(want.entries.items())
 
     @pytest.mark.parametrize("which", ["std", "trivial"])
     def test_unwitnessed_modules_raise_on_both_routes(self, rs21, which):
