@@ -85,7 +85,6 @@ from .invtensor import (
     it_space,
     modified_form,
     modified_gram,
-    permutation_map,
     sn_action,
 )
 

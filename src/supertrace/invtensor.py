@@ -13,8 +13,9 @@ come from Frobenius reciprocity through the adjunction
 Hom(V (x) V*, g^(x)N) = Hom(V, g^(x)N (x) V); both forms, form adjoints and
 the symmetric group action work on coordinates, through the extended form
 b~_N = iota . b^(x)N and its inverse that ``AdjointData`` keeps per degree as
-columns; the pairings read a presenting map's kept rows, and ``adjoint_coords``
-maps one tensor t to G* t, with no adjoint map built.  The extension is
+columns.  A covector phi pulls back through a map G as G^T phi, off G's kept rows
+(``_pulled``), and through a signed permutation P, built as no map, as P^-1 phi
+(``_unpermuted``); ``adjoint_coords`` maps one tensor t to G* t.  The extension is
 inductive, b~_N = iota_{N-1,1} . (b~_{N-1} (x) b), so every kept degree-N table
 is one step on the kept table of degree N - 1.  The g^(x)N-sized
 map-composition route (dualizing_map, pairing_as_composite), composed by the
@@ -249,6 +250,14 @@ def dual_coords(adj: AdjointData, N: int, coords: dict) -> dict:
     return sl._summed((r, v * c) for t, c in coords.items() for r, v in cols[t])
 
 
+def _check_coords(adj: AdjointData, N: int, coords: dict) -> None:
+    """ValueError for a key of coords off g^(x)N, TypeError for a float value (``exact``)."""
+    for k, v in coords.items():
+        exact(v)
+        if k not in range(adj.gdim ** N):
+            raise ValueError(f"coordinate {k} is outside g^(x){N}")
+
+
 def extended_form(
     adj: AdjointData, t1: dict, n1: int, t2: dict, n2: int
 ) -> Fraction:
@@ -259,10 +268,7 @@ def extended_form(
     the covector b~(t1) evaluated on t2.  A key off g^(x)n raises ValueError, a float TypeError.
     """
     for t, n in ((t1, n1), (t2, n2)):
-        for k, v in t.items():
-            exact(v)
-            if k not in range(adj.gdim ** n):
-                raise ValueError(f"coordinate {k} is outside g^(x){n}")
+        _check_coords(adj, n, t)
     if n1 != n2:
         return 0
     phi = dual_coords(adj, n1, t1)
@@ -427,14 +433,29 @@ def dualizing_map(adj: AdjointData, N: int) -> SuperMap:
         @ sl.tensor_map(dualizing_map(adj, N - 1), adj.b)))
 
 
+def _pulled(G: SuperMap, phi: dict) -> dict:
+    """G^T phi with the super-transpose sign (-1)^{p(G) p(r)}: G's kept rows (``SuperMap.rows``)
+    read at phi's support r, and nowhere else."""
+    rows = G.rows
+    if not G.parity:  # no sign, so the inner loop tests no parity
+        return sl._summed((c, u * v) for r, u in phi.items() for c, v in rows.get(r, ()))
+    par = G.codomain.parities
+    return sl._summed((c, -u * v if par[r] else u * v) for r, u in phi.items() for c, v in rows.get(r, ()))
+
+
+def _unpermuted(adj: AdjointData, N: int, perm: tuple[int, ...], phi: dict) -> dict:
+    """P^T phi for the signed permutation P of perm on g^(x)N: P^T = P^-1 (P is even, entries +-1), the
+    move of the inverse permutation (``_permuter``); ValueError unless perm permutes range(N)."""
+    slots = {s: i for i, s in enumerate(perm)}  # a slot perm misses reads -1, which _permuter refuses
+    return _permuted(_permuter(adj, N, tuple(slots.get(s, -1) for s in range(len(perm)))), phi.items())
+
+
 def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:
-    """The endomorphism of t1's module classifying the pairing against b~^-1(phi); psi = f1^T phi reads
-    the source's kept rows (``SuperMap.rows``) in phi, so a moved tensor's S_N orbit shares one index."""
-    if t1.perm is not None:  # f1 = P . source, so f1^T phi = source^T (P^-1 phi): f1 is not built
-        inverse = tuple(sorted(range(t1.degree), key=t1.perm.__getitem__))
-        phi = _permuted(_permuter(t1.adj, t1.degree, inverse), phi.items())
-    rows = t1.source.rows  # f1 is even: psi = f1^T phi has no signs
-    psi = sl._summed((c, u * v) for r, u in phi.items() for c, v in rows.get(r, ()))
+    """The endomorphism of t1's module classifying the pairing against b~^-1(phi); psi = f1^T phi is
+    ``_pulled`` off the source's kept rows, so a moved tensor's S_N orbit shares one index."""
+    if t1.perm is not None:  # f1 = P . source, so f1^T phi = source^T (P^T phi): f1 is not built
+        phi = _unpermuted(t1.adj, t1.degree, t1.perm, phi)
+    psi = _pulled(t1.source, phi)  # f1 is even: no signs
     vspace = t1.module.space
     par = vspace.parities
     ent = {}
@@ -445,12 +466,20 @@ def _endo_of_covector(t1: PresentedTensor, phi: dict) -> SuperMap:
     return SuperMap._of(vspace, vspace, 0, ent)
 
 
-def _check_even_tensor(adj: AdjointData, N: int, coords: dict) -> None:
-    """ValueError unless every nonzero coordinate is on an even basis tensor of g^(x)N; a float TypeError."""
+def _column_covectors(adj: AdjointData, rows: list[PresentedTensor], cols: list[dict]) -> list[dict]:
+    """b~_N(t) once for each t in cols, N the one degree of rows ([] for no rows); ValueError for rows of
+    different degree or unless t is on the even basis tensors of g^(x)N, a float TypeError."""
+    if len({x.degree for x in rows}) > 1:
+        raise ValueError("rows of different degree")
+    if not rows:
+        return []
+    N = rows[0].degree
     par = adj.power_space(N).parities
-    for k, v in coords.items():
-        if exact(v) and (k not in range(len(par)) or par[k]):
-            raise ValueError(f"coordinate {k} is not on an even basis tensor of g^(x){N}")
+    for t in cols:
+        for k, v in t.items():
+            if exact(v) and (k not in range(len(par)) or par[k]):
+                raise ValueError(f"coordinate {k} is not on an even basis tensor of g^(x){N}")
+    return [dual_coords(adj, N, t) for t in cols]
 
 
 def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> SuperMap:
@@ -463,31 +492,21 @@ def presented_endo(adj: AdjointData, t1: PresentedTensor, t2_coords: dict) -> Su
     through t1's permutation if it has one, then endo[j, a] = +-psi[a d + j]
     with the diagonal signs of unpack, c^-1 and ev_right.
     """
-    _check_even_tensor(adj, t1.degree, t2_coords)
-    return _endo_of_covector(t1, dual_coords(adj, t1.degree, t2_coords))
+    return _endo_of_covector(t1, _column_covectors(adj, [t1], [t2_coords])[0])
 
 
-def modified_gram(
-    adj: AdjointData, rows: list[PresentedTensor], cols: list[PresentedTensor]
-) -> list[list[Fraction]]:
-    """The modified form on every pair (x, y), x in rows and y in cols.
-
-    Each column tensor is dualized once, not once per pair; pairs of
-    different degree pair to 0.
-    """
-    phis = []
-    for y in cols:
-        _check_even_tensor(adj, y.degree, y.coords)
-        phis.append(dual_coords(adj, y.degree, y.coords))
-    return [[modified_trace(_endo_of_covector(x, phi), x.witness) if x.degree == y.degree
-             else 0 for y, phi in zip(cols, phis)] for x in rows]
+def modified_gram(adj: AdjointData, rows: list[PresentedTensor], cols: list[dict]) -> list[list[Fraction]]:
+    """The modified form of each x in rows against each tensor of cols, given by its coordinates;
+    all share one degree, and each column is dualized once, not once per pair."""
+    phis = _column_covectors(adj, rows, cols)
+    return [[modified_trace(_endo_of_covector(x, phi), x.witness) for phi in phis] for x in rows]
 
 
 def modified_form(
     adj: AdjointData, t1: PresentedTensor, t2: PresentedTensor
 ) -> Fraction:
-    """The modified bilinear form on presented invariant tensors."""
-    return modified_gram(adj, [t1], [t2])[0][0]
+    """The modified bilinear form on presented invariant tensors (0 across degrees)."""
+    return modified_gram(adj, [t1], [t2.coords])[0][0] if t1.degree == t2.degree else 0
 
 
 def classical_gram(
@@ -499,20 +518,11 @@ def classical_gram(
     endomorphism); the two agree, and both vanish when t2 is invariant.  All
     tensors share one degree, and each is dualized once.
     """
-    if len({x.degree for x in rows}) > 1:
-        raise ValueError("rows of different degree")
-    if not rows:
-        return []
-    N = rows[0].degree
-    row_phis = [dual_coords(adj, N, x.coords) for x in rows]
-    col_phis = []
-    for t2 in cols:
-        _check_even_tensor(adj, N, t2)
-        col_phis.append(dual_coords(adj, N, t2))
+    col_phis = _column_covectors(adj, rows, cols)
     return [[(sum(phi[r] * c for r, c in t2.items() if r in phi),
               sl.supertrace(_endo_of_covector(x, col_phi)))
              for t2, col_phi in zip(cols, col_phis)]
-            for x, phi in zip(rows, row_phis)]
+            for x in rows for phi in (dual_coords(adj, x.degree, x.coords),)]
 
 
 def classical_form_vanishes(
@@ -535,12 +545,11 @@ def pairing_as_composite(
     adj: AdjointData, t1_coords: dict, t2_coords: dict, N: int
 ) -> Fraction:
     """<t1* . b~ . t2> by composition with ``dualizing_map`` (for cross-checks), not ``form_columns``;
-    t1* . b~ reads only t1's rows of b~, through the composite's kept row index (t1 is even)."""
+    t1* . b~ is b~^T t1 (b~ is even), ``_pulled`` off the composite's kept rows at t1's support."""
     space = adj.power_space(N)
     t1, t2 = (sl.column_map(space, t) for t in (t1_coords, t2_coords))
-    rows = dualizing_map(adj, N).rows
-    t1_b = sl._summed(((0, c), u * v) for (r, _), u in t1.entries.items() for c, v in rows.get(r, ()))
-    return sl.scalar_of(SuperMap._of(space, sl.UNIT, 0, t1_b) @ t2)
+    t1_b = _pulled(dualizing_map(adj, N), {r: u for (r, _), u in t1.entries.items()})
+    return sl.scalar_of(SuperMap._of(space, sl.UNIT, 0, {(0, c): v for c, v in t1_b.items()}) @ t2)
 
 
 # -- symmetric group action and functorial adjoints ------------------------------
@@ -585,23 +594,12 @@ def _permuted(move, pairs) -> dict:
     return {new: sign * v for flat, v in pairs for new, sign in (move(flat),)}
 
 
-def permutation_map(adj: AdjointData, N: int, perm: tuple[int, ...]) -> SuperMap:
-    """The signed action of a permutation on the degree-N power, as a map."""
-    move = _permuter(adj, N, perm)
-    space = adj.power_space(N)
-    ent = {}
-    for c in range(space.dim):
-        new, sign = move(c)
-        ent[(new, c)] = sign
-    return SuperMap._of(space, space, 0, ent)
-
-
 def sn_action(
     adj: AdjointData, N: int, perm: tuple[int, ...], t: PresentedTensor
 ) -> PresentedTensor:
     """Apply a permutation to a presented tensor, keeping a valid presentation.
 
-    Only the coordinates take the signed index permutation of ``permutation_map``;
+    Only the coordinates take the signed index permutation of ``_permuter``;
     perm is composed onto t's own (composed[i] = perm[t.perm[i]]), and the moved
     tensor reads t's source map, the same object, on its own first read of ``source``.
     """
@@ -613,18 +611,20 @@ def sn_action(
     return PresentedTensor(N, coords, t.witness, partial(getattr, t, "source"), composed, adj)
 
 
-def adjoint_coords(adj: AdjointData, G: SuperMap, m_deg: int, n_deg: int, t: dict) -> dict:
+def adjoint_coords(adj: AdjointData, G, m_deg: int, n_deg: int, t: dict) -> dict:
     """G* t for the adjoint G* = b~_M^-1 . G^T . b~_N of G: g^(x)M -> g^(x)N under the extended form.
 
-    Three sparse sums on t's support, no map built: phi = b~_N t (``dual_coords``), G^T phi read
-    off G's kept rows at phi's support with the super-transpose sign (-1)^{p(G) p(r)}, and the
-    kept columns of b~_M^-1 (``AdjointData.form_columns``) at that covector's support.
+    G is a SuperMap, or a permutation tuple for its signed action on g^(x)N (M = N).  Three sparse
+    sums on t's support, no map built: phi = b~_N t (``dual_coords``), G^T phi (``_pulled``, or
+    ``_unpermuted`` for a permutation), and the kept columns of b~_M^-1 (``form_columns``) at its
+    support, so G* comes from the form, not G^-1.  A key of t off g^(x)N raises ValueError, a float TypeError.
     """
-    if (G.domain.dim, G.codomain.dim) != (adj.gdim ** m_deg, adj.gdim ** n_deg):
+    perm = isinstance(G, tuple)
+    if (m_deg != n_deg) if perm else (G.domain.dim, G.codomain.dim) != (adj.gdim ** m_deg, adj.gdim ** n_deg):
         raise ValueError(f"map is not g^(x){m_deg} -> g^(x){n_deg}")
-    par, rows = G.codomain.parities, G.rows
-    psi = sl._summed((j, -u * v if G.parity and par[r] else u * v)
-                     for r, u in dual_coords(adj, n_deg, t).items() for j, v in rows.get(r, ()))
+    _check_coords(adj, n_deg, t)
+    phi = dual_coords(adj, n_deg, t)
+    psi = _unpermuted(adj, n_deg, G, phi) if perm else _pulled(G, phi)
     inverse = adj.form_columns(m_deg, inverse=True)
     return sl._summed((a, w * v) for j, v in psi.items() for a, w in inverse[j])
 

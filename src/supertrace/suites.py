@@ -17,7 +17,7 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, permutations
+from itertools import permutations
 from operator import matmul
 
 from . import invtensor as it
@@ -410,7 +410,8 @@ def suite_tensors(
     out.append(check("tensors.extended-form-degree-mismatch", Fraction(0),
                      it.extended_form(adj, t1, 2, t2, 3 if max_degree >= 3 else 1)))
 
-    grams = {N: it.modified_gram(adj, spaces[N].elements, spaces[N].elements) for N in degrees}
+    coords = {N: [t.coords for t in spaces[N].elements] for N in degrees}
+    grams = {N: it.modified_gram(adj, spaces[N].elements, coords[N]) for N in degrees}
     out.append(_every("tensors.modified-form-symmetric",
                       [v == gram[j][i] for gram in grams.values() for i, row in enumerate(gram)
                        for j, v in enumerate(row)],
@@ -448,8 +449,8 @@ def suite_tensors(
                 firsts.append(i)
                 seconds.append(it.it_sum(adj, t, partner, 0))
         represented[N] = len(seconds)
-        rows = it.modified_gram(adj, seconds, elems)
-        cols = it.modified_gram(adj, elems, seconds)
+        rows = it.modified_gram(adj, seconds, coords[N])
+        cols = it.modified_gram(adj, elems, [t.coords for t in seconds])
         same += [second.coords == elems[i].coords and rows[k] == grams[N][i]
                  and all(col[k] == row[i] for col, row in zip(cols, grams[N]))
                  for k, (i, second) in enumerate(zip(firsts, seconds))]
@@ -459,7 +460,7 @@ def suite_tensors(
                  for prior in spaces[N].raw[:k] if prior.coords == cand.coords]
         dup_pairs += len(pairs)
         involved = list({id(t): t for pair in pairs for t in pair}.values())
-        rows = dict(zip(map(id, involved), it.modified_gram(adj, involved, spaces[N].elements)))
+        rows = dict(zip(map(id, involved), it.modified_gram(adj, involved, coords[N])))
         same += [rows[id(a)] == rows[id(b)] for a, b in pairs]
     out.append(_every("tensors.presentation-independence", same,
                       f"direct-sum re-presentations per degree {represented} "
@@ -496,39 +497,28 @@ def suite_tensors(
         elems = spaces[N].elements
         for perm in permutations(range(N)):
             moved = [it.sn_action(adj, N, perm, t) for t in elems]
-            kept.append(it.modified_gram(adj, moved, moved) == grams[N])
+            kept.append(it.modified_gram(adj, moved, [t.coords for t in moved]) == grams[N])
     out.append(_every("tensors.permutation-orthogonality", kept,
                       "S2 and S3 preserve the modified Gram matrices"))
 
     # Functorial adjoints: permutations and a contraction-insertion operator.  G* comes from
-    # the form, not from the inverse permutation; the pulled tensors' maps are never read.
+    # the form, not from the inverse permutation; each permutation reaches adjoint_coords as a tuple.
     adjoints = []
     for N in (2, 3):
         if N > max_degree or len(spaces[N].elements) < 1:
             continue
         elems = spaces[N].elements
-        # One map at a time: a permutation map of degree 3 and its row index are gdim^3 entries each.
-        cases = ((it.permutation_map(adj, N, perm), [it.sn_action(adj, N, perm, x) for x in elems])
-                 for perm in permutations(range(N)))
+        cases = [(perm, [it.sn_action(adj, N, perm, x) for x in elems]) for perm in permutations(range(N))]
         if N == 2:
             G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
-            cases = chain(cases, [(G, [it.PresentedTensor(2, G.apply(x.coords), x.witness,
-                                                          partial(matmul, G, x.f)) for x in elems])])
+            cases.append((G, [it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
+                              for x in elems]))
         for G, moved in cases:
-            pulled = [it.PresentedTensor(N, it.adjoint_coords(adj, G, N, N, y.coords), y.witness,
-                                         partial(_adjoint_source, adj, G, N, y)) for y in elems]
-            adjoints.append(it.modified_gram(adj, moved, elems) == it.modified_gram(adj, elems, pulled))
+            pulled = [it.adjoint_coords(adj, G, N, N, y.coords) for y in elems]
+            adjoints.append(it.modified_gram(adj, moved, coords[N]) == it.modified_gram(adj, elems, pulled))
     out.append(_every("tensors.functorial-adjoint", adjoints,
                       "(G t1, t2)' = (t1, G* t2)' for permutations and contraction-insertion"))
     return out
-
-
-def _adjoint_source(adj: it.AdjointData, G: sl.SuperMap, N: int, y: it.PresentedTensor) -> sl.SuperMap:
-    """G* . y.f for G: g^(x)N -> g^(x)N, one ``adjoint_coords`` call per column of y.f."""
-    f = y.f
-    ent = {(r, c): v for c, col in sl.mat_columns(f.entries).items()
-           for r, v in it.adjoint_coords(adj, G, N, N, dict(col)).items()}
-    return sl.SuperMap._of(f.domain, G.domain, (G.parity + f.parity) % 2, ent)
 
 
 # -- aggregation ---------------------------------------------------------------------

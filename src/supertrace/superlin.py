@@ -17,7 +17,7 @@ and the unit object is literal (no coherence plumbing needed).
 The sparse matrix kernels live here: ``mat_mul`` and ``mat_scomm`` work on
 {(row, col): value} dicts, and ``mat_columns`` groups such a dict by column.
 A map keeps its entries grouped by row (``SuperMap.rows``) once it is first read;
-only ``invtensor.pairing_as_composite`` and ``invtensor._endo_of_covector`` read it.
+only ``invtensor._pulled`` (each pull-back G^T phi) and ``invtensor.AdjointData.b_inv`` read it.
 Every sum of products in the library goes through one accumulate,
 ``_summed``: it adds (key, value) pairs by key and passes the result once
 through ``_nonzero``, which drops the cancelled entries and leaves every value

@@ -41,7 +41,9 @@ vector on its own, where the library reads them all off the reduced rows, and
 ``presenting_maps_at_once`` assembles every presenting map of ``it_space``,
 where the library assembles one only when it is read.  ``sn_action_map``
 composes the adjacent super swaps that bubble-sort a permutation, where the
-library puts each factor straight into its slot with a closed-form sign.
+library puts each factor straight into its slot with a closed-form sign, and
+``permutation_map`` writes that closed-form move out as a whole map, where the
+library pulls a covector back through the inverse move and builds no map.
 ``sl_roots_by_hand`` and ``osp2_roots_by_hand`` write each positive root's
 simple-root coordinates and parity, and the Cartan matrix, by hand, where the
 library derives them from epsilon-delta vectors.
@@ -431,6 +433,16 @@ def sn_action_map(adj, N, perm):
                       (sl.identity(left), sl.super_permutation(g, g), sl.identity(right)))
         out = swap @ out
     return out
+
+
+def permutation_map(adj, N, perm):
+    """The signed action of a permutation on g^(x)N as a map: every basis tensor moved by ``_permuter``."""
+    move, space = it._permuter(adj, N, perm), adj.power_space(N)
+    ent = {}
+    for c in range(space.dim):
+        new, sign = move(c)
+        ent[(new, c)] = sign
+    return sl.SuperMap._of(space, space, 0, ent)
 
 
 def dual_coords_by_walk(adj, N, coords):

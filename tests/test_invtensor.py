@@ -448,9 +448,9 @@ class TestCoordinateRoutes:
 
 class TestSymmetricGroup:
     def test_identity_and_transposition(self, adj, basis_pos):
-        ident = it.permutation_map(adj, 2, (0, 1))
+        ident = oracles.permutation_map(adj, 2, (0, 1))
         assert ident == sl.identity(adj.power(2).space)
-        swap = it.permutation_map(adj, 2, (1, 0))
+        swap = oracles.permutation_map(adj, 2, (1, 0))
         assert swap == sl.super_permutation(adj.module.space, adj.module.space)
         e1, f1 = basis_pos[(0, 1)], basis_pos[(1, 0)]
         image = swap.apply({e1 * adj.gdim + f1: F(1)})
@@ -468,7 +468,7 @@ class TestSymmetricGroup:
     def test_action_is_g_linear(self, adj):
         power = adj.power(3)
         for perm in ((1, 0, 2), (2, 0, 1)):
-            pmap = it.permutation_map(adj, 3, perm)
+            pmap = oracles.permutation_map(adj, 3, perm)
             assert pmap == oracles.sn_action_map(adj, 3, perm)
             assert rm._check_g_linear(pmap, power, power)
 
@@ -476,17 +476,16 @@ class TestSymmetricGroup:
 class TestFunctorialAdjoint:
     def test_adjoint_identity_for_extended_form(self, adj):
         rng = random.Random(23)
-        G = it.permutation_map(adj, 3, (2, 0, 1))
+        perm = (2, 0, 1)
+        G = oracles.permutation_map(adj, 3, perm)
         for _ in range(5):
             t1 = random_even_tensor(adj, 3, rng)
             t2 = random_even_tensor(adj, 3, rng)
             lhs = it.extended_form(adj, G.apply(t1), 3, t2, 3)
-            rhs = it.extended_form(adj, t1, 3, it.adjoint_coords(adj, G, 3, 3, t2), 3)
-            assert lhs == rhs
+            for H in (G, perm):  # the map, and the tuple the suite passes
+                assert lhs == it.extended_form(adj, t1, 3, it.adjoint_coords(adj, H, 3, 3, t2), 3)
 
     def test_adjoint_identity_for_modified_form(self, adj, spaces):
-        from supertrace import suites
-
         G = sl.column_map(adj.power(2).space, it.casimir_coords(adj)) @ it.pairing_map(adj)
         G = sl.SuperMap(adj.power(2).space, adj.power(2).space, 0, dict(G.entries))
         Gstar = oracles.adjoint_all_columns(adj, G, 2, 2)
@@ -496,9 +495,9 @@ class TestFunctorialAdjoint:
             for y in elems:
                 pulled = it.presented_tensor(2, y.witness, Gstar @ y.f)
                 assert it.modified_form(adj, moved, y) == it.modified_form(adj, x, pulled)
-                # The suite's pulled tensor: its coordinates, and its map assembled column by column.
+                # The suite pairs x with the pulled coordinates alone: no map of G* y is built.
                 assert it.adjoint_coords(adj, G, 2, 2, y.coords) == pulled.coords
-                assert suites._adjoint_source(adj, G, 2, y) == Gstar @ y.f
+                assert it.modified_gram(adj, [x], [pulled.coords]) == [[it.modified_form(adj, x, pulled)]]
 
 
 def test_classical_form_vanishes_wrapper(adj, spaces):
@@ -660,10 +659,11 @@ class TestAdjunctionRoute:
             for s, t in zip(a.raw, d.raw):
                 assert t.coords == {k: -v for k, v in s.coords.items()}
             assert _same_span([t.coords for t in d.elements], [t.coords for t in a.elements])
-            gram_a = it.modified_gram(adj, list(a.elements), list(a.elements))
+            a_coords, d_coords = ([t.coords for t in s.elements] for s in (a, d))
+            gram_a = it.modified_gram(adj, list(a.elements), a_coords)
             assert any(any(row) for row in gram_a)
-            assert it.modified_gram(adj, list(d.elements), list(d.elements)) == gram_a
-            assert it.modified_gram(adj, list(a.elements), list(d.elements)) == [
+            assert it.modified_gram(adj, list(d.elements), d_coords) == gram_a
+            assert it.modified_gram(adj, list(a.elements), d_coords) == [
                 [-x for x in row] for row in gram_a]
 
     def test_probe_that_is_not_a_kac_module_raises(self, roster, adj):
@@ -811,21 +811,26 @@ class TestDeferredPresentations:
         assert sum(len(space.raw) for space in spaces) == 33
         assert len(calls) == 5
 
-    def test_a_tensors_run_reads_no_pulled_source(self, monkeypatch):
+    def test_a_tensors_run_passes_each_permutation_as_a_tuple(self, adj, monkeypatch):
         # The functorial-adjoint check reads the pulled tensors G* y off adjoint_coords, one call
-        # per tensor, and never assembles G* . y.f.
+        # per tensor; a permutation reaches it as a tuple, and only the contraction-insertion as a map.
         from supertrace import suites
 
-        adjoint, calls, span, spaces, sources = it.adjoint_coords, [], it.it_space, [], []
-        monkeypatch.setattr(it, "adjoint_coords", lambda *a: calls.append(a[4]) or adjoint(*a))
+        adjoint, calls, span, spaces = it.adjoint_coords, [], it.it_space, []
+        monkeypatch.setattr(it, "adjoint_coords", lambda *a: calls.append(a[1:4]) or adjoint(*a))
         monkeypatch.setattr(it, "it_space", lambda *a: spaces.append(span(*a)) or spaces[-1])
-        monkeypatch.setattr(suites, "_adjoint_source", lambda *a: sources.append(a))
         report = suites.run_verification(["tensors"], max_degree=3)
-        assert report["pass"] and report["failed"] == 0 and not sources
+        assert report["pass"] and report["failed"] == 0
         degree2, degree3 = (len(space.elements) for space in spaces[1:])
         assert degree2 and degree3  # S2 and the contraction-insertion at degree 2, S3 at degree 3
         assert [space.degree for space in spaces] == [1, 2, 3]
         assert len(calls) == 3 * degree2 + 6 * degree3
+        tuples = [(G, N) for G, M, N in calls if isinstance(G, tuple) and M == N]
+        assert set(tuples) == {(perm, N) for N in (2, 3) for perm in permutations(range(N))}
+        assert len(tuples) == 2 * degree2 + 6 * degree3
+        maps = [G for G, _, _ in calls if not isinstance(G, tuple)]
+        assert len(maps) == degree2 and len({id(G) for G in maps}) == 1
+        assert maps[0] == _contraction_insertion(adj)
 
 
 _SL31_KAC = {}
@@ -924,10 +929,12 @@ class TestClosedFormSigns:
 
 
 def _adjoint_by_columns(adj, G, m_deg, n_deg):
-    """G*: g^(x)N -> g^(x)M assembled from ``adjoint_coords`` on every basis tensor of g^(x)N."""
+    """G*: g^(x)N -> g^(x)M assembled from ``adjoint_coords`` on every basis tensor of g^(x)N;
+    G a map or a permutation tuple."""
     ent = {(r, c): v for c in range(adj.gdim ** n_deg)
            for r, v in it.adjoint_coords(adj, G, m_deg, n_deg, {c: 1}).items()}
-    return sl.SuperMap._of(G.codomain, G.domain, G.parity, ent)
+    parity = 0 if isinstance(G, tuple) else G.parity
+    return sl.SuperMap._of(adj.power_space(n_deg), adj.power_space(m_deg), parity, ent)
 
 
 def _random_sparse_map(adj, data, M, N, parity):
@@ -947,10 +954,11 @@ class TestFormAdjoint:
     def test_permutations_match_the_map_route(self, adj, data):
         N = data.draw(st.sampled_from([1, 2, 3]))
         perm = tuple(data.draw(st.permutations(range(N))))
-        G = it.permutation_map(adj, N, perm)
+        G = oracles.permutation_map(adj, N, perm)
         assert G == oracles.sn_action_map(adj, N, perm)
         want = oracles.adjoint_via_form(adj, G, N, N)
         assert _adjoint_by_columns(adj, G, N, N) == want == oracles.adjoint_all_columns(adj, G, N, N)
+        assert _adjoint_by_columns(adj, perm, N, N) == want
 
     def test_contraction_insertion_matches_the_map_route(self, adj):
         G = _contraction_insertion(adj)
@@ -965,11 +973,12 @@ class TestFormAdjoint:
 
     def test_adjoint_of_a_permutation_is_not_built_from_the_inverse(self, adj):
         # The adjoint is read off the kept tables of b~ and b~^-1, not from G^-1: with b scaled
-        # by 2 and the cached b_inv preset to the unscaled inverse, G* moves by the ratio 4.
-        G = it.permutation_map(adj, 2, (1, 0))
+        # by 2 and the cached b_inv preset to the unscaled inverse, G* moves by the ratio 4, whether
+        # the permutation comes as a map or as the tuple the suite passes.
         scaled = dataclasses.replace(adj, b=2 * adj.b)
         vars(scaled)["b_inv"] = adj.b_inv
-        assert _adjoint_by_columns(scaled, G, 2, 2) == 4 * _adjoint_by_columns(adj, G, 2, 2)
+        for G in (oracles.permutation_map(adj, 2, (1, 0)), (1, 0)):
+            assert _adjoint_by_columns(scaled, G, 2, 2) == 4 * _adjoint_by_columns(adj, G, 2, 2)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_a_sparse_degree_four_map_matches_the_map_route(self, adj, parity):
@@ -1005,7 +1014,7 @@ class TestFormAdjoint:
         kind = data.draw(st.sampled_from(["permutation", "contraction", "sparse"]))
         if kind == "permutation":
             M = N = data.draw(st.integers(1, 3))
-            G = it.permutation_map(adj, N, tuple(data.draw(st.permutations(range(N)))))
+            G = oracles.permutation_map(adj, N, tuple(data.draw(st.permutations(range(N)))))
         elif kind == "contraction":
             M = N = 2
             G = _contraction_insertion(adj)
@@ -1020,6 +1029,61 @@ class TestFormAdjoint:
         t1, t2 = random_even_tensor(adj, M, rng), random_even_tensor(adj, N, rng)
         assert it.extended_form(adj, G.apply(t1), N, t2, N) == it.extended_form(
             adj, t1, M, it.adjoint_coords(adj, G, M, N, t2), M)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_permutation_tuple_gives_what_its_map_gives(self, adj, data):
+        # The tuple is pulled back through the inverse move, the map through its kept rows.
+        N = data.draw(st.integers(1, 3))
+        perm = tuple(data.draw(st.permutations(range(N))))
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        t = {rng.randrange(adj.gdim ** N): F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)}
+        want = it.adjoint_coords(adj, oracles.permutation_map(adj, N, perm), N, N, t)
+        assert it.adjoint_coords(dataclasses.replace(adj), perm, N, N, t) == want  # nothing kept
+        assert it.adjoint_coords(adj, perm, N, N, t) == want
+
+    @pytest.mark.parametrize("kind", ["map", "permutation"])
+    @pytest.mark.parametrize("bad", ["negative", "past the end", "float"])
+    def test_a_bad_tensor_raises_as_in_extended_form(self, adj, kind, bad):
+        # A key off g^(x)N is a ValueError, not another index's answer or an IndexError, and a
+        # float a TypeError, not an AttributeError: the one check extended_form makes.
+        G = _contraction_insertion(adj) if kind == "map" else (1, 0)
+        t = {"negative": {-1: 1}, "past the end": {adj.gdim ** 2: 1}, "float": {0: 0.5}}[bad]
+        error, match = ((TypeError, "not an exact rational") if bad == "float"
+                        else (ValueError, r"is outside g\^\(x\)2"))
+        for call in (partial(it.adjoint_coords, adj, G, 2, 2, t),
+                     partial(it.extended_form, adj, t, 2, {}, 2)):
+            with pytest.raises(error, match=match):
+                call()
+
+    def test_a_bad_permutation_tuple_raises(self, adj):
+        # Degrees that differ, a repeated slot, a permutation of other than N slots.
+        for perm, m_deg in (((1, 0), 3), ((0, 0), 2), ((0, 1, 2), 2), ((1,), 2), ((0, 2), 2)):
+            with pytest.raises(ValueError):
+                it.adjoint_coords(adj, perm, m_deg, 2, {})
+
+
+class TestPullBack:
+    """_pulled reads G^T phi off a map's kept rows; _unpermuted pulls phi back through a signed
+    permutation by the inverse move, with no map built."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_the_inverse_move_reads_the_rows_of_the_map(self, adj, N):
+        # P^T e_r is row r of P, for every permutation of N slots and every basis tensor r.
+        fresh = dataclasses.replace(adj)  # no kept moves
+        for perm in permutations(range(N)):
+            rows = oracles.permutation_map(adj, N, perm).rows
+            for r in range(adj.gdim ** N):
+                assert it._unpermuted(fresh, N, perm, {r: 1}) == dict(rows[r])
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), degrees=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           parity=st.sampled_from([0, 1]))
+    def test_pulled_is_the_super_transpose(self, adj, data, degrees, parity):
+        G = _random_sparse_map(adj, data, *degrees, parity)
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        phi = {rng.randrange(G.codomain.dim): F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)}
+        assert it._pulled(G, phi) == sl.super_transpose(G).apply(phi)
 
 
 def _counted_builds(monkeypatch) -> list:
@@ -1066,7 +1130,7 @@ class TestKeptForm:
         rng = random.Random(6)
         for N in (3, 2, 3):
             it.dual_coords(fresh, N, random_even_tensor(adj, N, rng))
-            G = it.permutation_map(adj, N, (1, 0) + tuple(range(2, N)))
+            G = oracles.permutation_map(adj, N, (1, 0) + tuple(range(2, N)))
             it.adjoint_coords(fresh, G, N, N, random_even_tensor(adj, N, rng))
         for inverse, form in ((False, fresh.b), (True, fresh.b_inv)):
             assert [key for key in built if key[0] == "form" and key[2] == inverse] == [
@@ -1109,7 +1173,7 @@ class TestKeptForm:
 
     def test_replace_starts_without_the_kept_inverse(self, adj):
         # b~_2^-1 kept on adj must not reach a copy whose b is scaled by 2: its b_inv follows b.
-        G = it.permutation_map(adj, 2, (1, 0))
+        G = oracles.permutation_map(adj, 2, (1, 0))
         Gstar, inverse = _adjoint_by_columns(adj, G, 2, 2), adj.form_columns(2, inverse=True)
         scaled = dataclasses.replace(adj, b=2 * adj.b)
         assert scaled._kept == {} and "b_inv" not in vars(scaled)
@@ -1143,7 +1207,7 @@ class TestKeptForm:
         orbit = [it.sn_action(adj, 3, perm, t) for perm in permutations(range(3))]
         group, grouped = sl.mat_columns, []
         monkeypatch.setattr(sl, "mat_columns", lambda e, **k: grouped.append(e) or group(e, **k))
-        assert it.modified_gram(adj, orbit, orbit) == want
+        assert it.modified_gram(adj, orbit, [x.coords for x in orbit]) == want
         assert sum(e is t.source.entries for e in grouped) == 1
 
 
@@ -1167,14 +1231,22 @@ class TestInductiveTables:
 
 class TestGramsDualizeOncePerColumn:
     def test_modified_gram_equals_pairwise_forms(self, adj, spaces, monkeypatch):
-        rows = list(spaces[2].raw[:4]) + list(spaces[3].elements)
-        cols = list(spaces[2].elements) + list(spaces[3].raw[:3])
-        pairwise = [[it.modified_form(adj, x, y) for y in cols] for x in rows]
-        calls = []
         walk = it.dual_coords
-        monkeypatch.setattr(it, "dual_coords", lambda *a, **k: calls.append(1) or walk(*a, **k))
-        assert it.modified_gram(adj, rows, cols) == pairwise
-        assert len(calls) == len(cols)
+        for N in (2, 3):
+            rows, cols = list(spaces[N].raw[:4]), list(spaces[N].elements) + list(spaces[N].raw[:3])
+            pairwise = [[it.modified_form(adj, x, y) for y in cols] for x in rows]
+            calls = []
+            monkeypatch.setattr(it, "dual_coords", lambda *a, **k: calls.append(1) or walk(*a, **k))
+            assert it.modified_gram(adj, rows, [y.coords for y in cols]) == pairwise
+            assert len(calls) == len(cols)
+
+    def test_modified_gram_takes_one_degree(self, adj, spaces):
+        # Rows of two degrees are refused, as by classical_gram; the form is 0 across degrees.
+        x, y = spaces[2].elements[0], spaces[3].elements[0]
+        with pytest.raises(ValueError, match="rows of different degree"):
+            it.modified_gram(adj, [x, y], [x.coords])
+        assert it.modified_gram(adj, [], [x.coords, y.coords]) == []
+        assert it.modified_form(adj, x, y) == it.modified_form(adj, y, x) == 0
 
     def test_classical_gram_equals_pairwise_routes(self, adj, spaces, monkeypatch):
         even, _ = it.invariant_tensors(adj, 3)
@@ -1196,7 +1268,7 @@ class TestGramsDualizeOncePerColumn:
         odd = next(a for a in range(adj.gdim) if adj.module.space.parities[a])
         coords = {odd * adj.gdim: F(1)} if bad == "odd" else {adj.gdim ** 2: F(1)}
         calls = (lambda: it.presented_endo(adj, t1, coords),
-                 lambda: it.modified_gram(adj, [t1], [dataclasses.replace(t1, coords=coords)]),
+                 lambda: it.modified_gram(adj, [t1], [coords]),
                  lambda: it.classical_gram(adj, [t1], [coords]))
         for call in calls:
             with pytest.raises(ValueError, match="not on an even basis tensor"):

@@ -28,6 +28,11 @@ The inverse form b~_N^-1 is read in one place: in ``src/`` only
 the table's own step from degree N - 1, which passes its flag on; the all-columns
 adjoint map lives in ``tests/oracles.py``.
 
+A covector is pulled back one way: in ``src/`` only ``invtensor._pulled`` reads a map's
+kept ``rows``, besides ``AdjointData.b_inv``, which solves against b's rows; and no
+name in ``src/`` is ``permutation_map``, since a signed permutation pulls back through
+the inverse move of ``_permuter`` and is built as a map only in ``tests/oracles.py``.
+
 A tensor power is grown one degree at a time: no ``reduce`` call folds a list
 or tuple multiplied by a count (``reduce(op, [x] * N)`` or
 ``reduce(op, (x,) * N)``), which rebuilds a degree-N table from degree 1
@@ -360,3 +365,47 @@ def test_inverse_form_finder_sees_keywords_and_positions():
 def test_only_adjoint_coords_reads_the_inverse_form():
     sites = [site for stem, tree in _sources() for site in _inverse_form_readers(tree, stem)]
     assert sorted(sites) == ["invtensor.AdjointData.form_columns.step", "invtensor.adjoint_coords"]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` binds, reads or imports: names, attributes, definitions, arguments and
+    import aliases."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (*SCOPES, ast.alias)):
+            found.add(node.name)
+            found.add(getattr(node, "asname", None))
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+    return found - {None}
+
+
+def test_name_finder_sees_definitions_imports_and_attributes():
+    code = ("from .m import permutation_map as pm\nimport a.b\n"
+            "def f(x, *, y):\n    return it.g(x) + z\nclass C:\n    w = 1\n")
+    assert _names(ast.parse(code)) == {"permutation_map", "pm", "a.b", "f", "x", "y", "it", "g", "z",
+                                       "C", "w"}
+
+
+def test_no_name_in_src_is_permutation_map():
+    assert [stem for stem, tree in _sources() if "permutation_map" in _names(tree)] == []
+
+
+def _row_readers(tree: ast.AST, prefix: str) -> list[str]:
+    """The qualified names of the functions (or the module) reading an attribute ``rows``."""
+    return _sites(tree, prefix, lambda node: isinstance(node, ast.Attribute) and node.attr == "rows")
+
+
+def test_row_reader_finder_sees_attributes_only():
+    code = ("def f(G):\n    return G.rows.get(0)\ndef g(rows):\n    return rows\n"
+            "class C:\n    def rows(self):\n        return 1\n    def h(self):\n        r = self.b.rows\n")
+    assert _row_readers(ast.parse(code), "m") == ["m.f", "m.C.h"]
+
+
+def test_only_pulled_and_b_inv_read_a_maps_rows():
+    sites = [site for stem, tree in _sources() for site in _row_readers(tree, stem)]
+    assert sorted(sites) == ["invtensor.AdjointData.b_inv", "invtensor._pulled"]
