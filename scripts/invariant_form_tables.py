@@ -19,10 +19,9 @@ import sys
 from fractions import Fraction
 
 from supertrace import invtensor as it
-from supertrace import repmod as rm
 from supertrace import superlin as sl
 from supertrace.exactnum import rat_str
-from supertrace.rootdata import build_root_system, weight
+from supertrace.suites import build_roster
 
 
 def fmt_gram(gram) -> str:
@@ -53,17 +52,13 @@ def raw_pairing_scalar(adj, t1, t2_coords):
 def main() -> int:
     max_degree = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     rng = random.Random(int(sys.argv[2]) if len(sys.argv) > 2 else 99)
-    rs = build_root_system("sl", 2, 1)
-    adj = it.build_adjoint(rs)
-    K01 = rm.kac_module(rs, weight(0, 1))
-    K11 = rm.kac_module(rs, weight(1, 1))
-    w01 = rm.trivial_witness(K01)
-    w11 = rm.ideal_witness(K11, K01)
+    roster = build_roster()
+    adj = it.build_adjoint(roster.rs)
 
     spaces = {}
     for N in range(1, max_degree + 1):
         even, odd = it.invariant_tensors(adj, N, cap=max_degree)
-        probes = [w01, w11] if N <= 2 else [w01]
+        probes = roster.probes(N)
         space = it.it_space(adj, N, probes)
         spaces[N] = space
         elems = space.elements

@@ -49,8 +49,8 @@ def cleared(entries: dict) -> tuple[dict, int]:
 
 
 def rat_str(x: Fraction) -> str:
-    """Render a rational as 'p' or 'p/q'."""
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    """Render a rational as 'p' or 'p/q'; a float raises TypeError (``exact``)."""
+    x = exact(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -208,8 +208,11 @@ def verify_relations(mod: GModule) -> None:
     checks pass.  [e_i, f_j] is checked in ints on the kept tables of ``GModule.cleared``,
     both products in one sum: [den_e e_i, den_f f_j] = delta_ij den_e den_f h_i.  No
     Serre-type relation is checked, not even [e_s, e_s] = 0 for the odd isotropic simple root.
+    First, e_i and f_i must be odd exactly at i = s: actions read the generator parities off a module.
     """
     rs, r = mod.rs, mod.rs.rank
+    if any(x.parity != (i == rs.s) for xs in (mod.e, mod.f) for i, x in enumerate(xs)):
+        raise ModuleRelationError(f"{mod.name}: e_i and f_i must be odd exactly at i = {rs.s}")
     # The weights in ints: coordinate i of every basis weight cleared over dens[i].
     scaled, dens = zip(*(cleared(dict(enumerate(w[i] for w in mod.basis_weights)))
                          for i in range(r)))

@@ -47,6 +47,10 @@ class Roster:
     wD: rm.IdealWitness
     cache: dict  # Kac module cache lookups: hits, misses, writes
 
+    def probes(self, N: int) -> list[rm.IdealWitness]:
+        """The probe witnesses of the degree-N reachable tensors: wA and wB_via_A up to degree 2, wA above."""
+        return [self.wA, self.wB_via_A] if N <= 2 else [self.wA]
+
 
 def build_roster(cache_dir: str | None = None) -> Roster:
     rs = build_root_system("sl", 2, 1)
@@ -360,14 +364,12 @@ def suite_tensors(
                           it.is_invariant(adj, 2, cas) and member.contains(cas),
                           "form-inverse tensor is invariant and lies in the degree-2 basis span"))
 
-    probes2 = [roster.wA, roster.wB_via_A]
     spaces = {}
     for N in degrees:
-        probes = probes2 if N <= 2 else [roster.wA]
-        spaces[N] = it.it_space(adj, N, probes)
+        spaces[N] = it.it_space(adj, N, roster.probes(N))
         out.append(info(f"tensors.reachable-dimension-degree-{N}",
                         f"dim {len(spaces[N].elements)} of invariant dim {len(even_bases[N])}",
-                        probes=",".join(w.V.name for w in probes)))
+                        probes=",".join(w.V.name for w in roster.probes(N))))
 
     values = [pair for N in degrees
               for row in it.classical_gram(adj, spaces[N].elements, even_bases[N]) for pair in row]
@@ -376,19 +378,9 @@ def suite_tensors(
     out.append(_every("tensors.route-agreement", [ve == vs for ve, vs in values],
                       "combinatorial and supertrace routes agree"))
 
-    par = adj.module.space.parities
-
     def random_even_tensor(N: int) -> dict:
-        coords = {}
-        for _ in range(5):
-            while True:
-                digs = [rng.randrange(adj.gdim) for _ in range(N)]
-                if sum(par[d] for d in digs) % 2 == 0:
-                    break
-            flat = 0
-            for d in digs:
-                flat = flat * adj.gdim + d
-            coords[flat] = _rand_frac(rng)
+        evens = [k for k, p in enumerate(adj.power_space(N).parities) if not p]
+        coords = {rng.choice(evens): _rand_frac(rng) for _ in range(5)}
         return {k: v for k, v in coords.items() if v}
 
     agree = all(
@@ -405,10 +397,10 @@ def suite_tensors(
     )
     out.append(check_true("tensors.extended-form-supersymmetric", supersym,
                           "symmetric on even tensors"))
-    t1 = random_even_tensor(2)
-    t2 = random_even_tensor(min(3, max_degree)) if max_degree >= 3 else random_even_tensor(1)
+    other = 3 if max_degree >= 3 else 1
+    t1, t2 = random_even_tensor(2), random_even_tensor(other)
     out.append(check("tensors.extended-form-degree-mismatch", Fraction(0),
-                     it.extended_form(adj, t1, 2, t2, 3 if max_degree >= 3 else 1)))
+                     it.extended_form(adj, t1, 2, t2, other)))
 
     coords = {N: [t.coords for t in spaces[N].elements] for N in degrees}
     grams = {N: it.modified_gram(adj, spaces[N].elements, coords[N]) for N in degrees}
@@ -425,19 +417,19 @@ def suite_tensors(
             rank.add({j: v for j, v in enumerate(row) if v})
         out.append(info(f"tensors.modified-gram-rank-degree-{N}",
                         f"rank {len(rank)} of {len(grams[N])}"))
-    classical = {
-        N: [it.extended_form(adj, x.coords, N, y.coords, N)
-            for x in spaces[N].elements for y in spaces[N].elements]
-        for N in degrees
-    }
+    classical = {}
+    for N in degrees:
+        phis = [it.dual_coords(adj, N, x) for x in coords[N]]  # each element dualized once
+        classical[N] = [sum(phi[r] * c for r, c in y.items() if r in phi) for phi in phis for y in coords[N]]
     out.append(_every(
         "tensors.classical-gram-recorded", [v == 0 for g in classical.values() for v in g],
         "extended-form Gram on reachable invariants is zero, entries per degree "
         + str({N: len(g) for N, g in classical.items()}),
     ))
 
-    # Presentation independence: re-present every reachable element through a
-    # direct sum with a same-core partner, and compare any duplicate presentations.
+    # Presentation independence: re-present every reachable element through a direct sum with a
+    # same-core partner, and compare any duplicate presentations.  A column enters the form only
+    # through its coordinates, so the rows of the re-presentations are the ones to pair.
     same = []
     represented = {}
     for N in degrees:
@@ -450,10 +442,8 @@ def suite_tensors(
                 seconds.append(it.it_sum(adj, t, partner, 0))
         represented[N] = len(seconds)
         rows = it.modified_gram(adj, seconds, coords[N])
-        cols = it.modified_gram(adj, elems, [t.coords for t in seconds])
-        same += [second.coords == elems[i].coords and rows[k] == grams[N][i]
-                 and all(col[k] == row[i] for col, row in zip(cols, grams[N]))
-                 for k, (i, second) in enumerate(zip(firsts, seconds))]
+        same += [second.coords == elems[i].coords and row == grams[N][i]
+                 for i, second, row in zip(firsts, seconds, rows)]
     dup_pairs = 0
     for N in degrees:
         pairs = [(prior, cand) for k, cand in enumerate(spaces[N].raw) if cand.coords
@@ -466,15 +456,13 @@ def suite_tensors(
                       f"direct-sum re-presentations per degree {represented} "
                       f"and {dup_pairs} duplicate pairs"))
 
-    # Vector-space and ideal closure, with the explicit constructions.
+    # Vector-space and ideal closure, with the explicit constructions.  The partner of x is the first
+    # same-core presentation with non-zero coordinates: x itself, the first non-zero one of its degree.
     sums = []
-    if len(spaces[2].raw) >= 2:
-        x = spaces[2].elements[0]
-        partner = next((u for u in spaces[2].raw if u.witness.V0 is x.witness.V0), None)
-        if partner is not None:
-            lam = Fraction(3, 2)
-            expected = sl._summed(((k, lam * v) for k, v in partner.coords.items()), x.coords)
-            sums.append(it.it_sum(adj, x, partner, lam).coords == expected)
+    if spaces[2].elements:
+        x, lam = spaces[2].elements[0], Fraction(3, 2)
+        expected = sl._summed(((k, lam * v) for k, v in x.coords.items()), x.coords)
+        sums.append(it.it_sum(adj, x, x, lam).coords == expected)
     out.append(_every("tensors.closure-sum", sums,
                       "direct-sum presentation matches coordinate addition"))
 
@@ -489,33 +477,24 @@ def suite_tensors(
     out.append(_every("tensors.closure-product", products,
                       "invariant (x) reachable lands invariantly in degree 4"))
 
-    # Orthogonality of the symmetric group actions, Gram before vs after.
-    kept = []
-    for N in (2, 3):
-        if N > max_degree or not spaces[N].elements:
-            continue
-        elems = spaces[N].elements
-        for perm in permutations(range(N)):
-            moved = [it.sn_action(adj, N, perm, t) for t in elems]
-            kept.append(it.modified_gram(adj, moved, [t.coords for t in moved]) == grams[N])
-    out.append(_every("tensors.permutation-orthogonality", kept,
+    # The S2 and S3 moves of the reachable elements, built once per permutation; both checks below read them.
+    moves = {(N, perm): [it.sn_action(adj, N, perm, t) for t in spaces[N].elements]
+             for N in (2, 3) if N <= max_degree and spaces[N].elements for perm in permutations(range(N))}
+    out.append(_every("tensors.permutation-orthogonality",
+                      [it.modified_gram(adj, moved, [t.coords for t in moved]) == grams[N]
+                       for (N, _), moved in moves.items()],
                       "S2 and S3 preserve the modified Gram matrices"))
 
     # Functorial adjoints: permutations and a contraction-insertion operator.  G* comes from
     # the form, not from the inverse permutation; each permutation reaches adjoint_coords as a tuple.
-    adjoints = []
-    for N in (2, 3):
-        if N > max_degree or len(spaces[N].elements) < 1:
-            continue
-        elems = spaces[N].elements
-        cases = [(perm, [it.sn_action(adj, N, perm, x) for x in elems]) for perm in permutations(range(N))]
-        if N == 2:
-            G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
-            cases.append((G, [it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
-                              for x in elems]))
-        for G, moved in cases:
-            pulled = [it.adjoint_coords(adj, G, N, N, y.coords) for y in elems]
-            adjoints.append(it.modified_gram(adj, moved, coords[N]) == it.modified_gram(adj, elems, pulled))
+    cases = list(moves.items())
+    if spaces[2].elements:
+        G = sl.column_map(adj.power_space(2), it.casimir_coords(adj)) @ it.pairing_map(adj)
+        cases.append(((2, G), [it.PresentedTensor(2, G.apply(x.coords), x.witness, partial(matmul, G, x.f))
+                               for x in spaces[2].elements]))
+    adjoints = [it.modified_gram(adj, moved, coords[N]) == it.modified_gram(
+                    adj, spaces[N].elements, [it.adjoint_coords(adj, G, N, N, y) for y in coords[N]])
+                for (N, G), moved in cases]
     out.append(_every("tensors.functorial-adjoint", adjoints,
                       "(G t1, t2)' = (t1, G* t2)' for permutations and contraction-insertion"))
     return out
@@ -554,9 +533,15 @@ def run_verification(
     the only ones that read it, is asked for), package and module construction
     versions, and the Kac module cache hits, misses and writes of the roster
     build (all 0 when no roster was needed, null when its build failed).
+    ``suites`` lists names of ``SUITES`` or "all"; ValueError for any other entry, a string or none.
     """
     from . import __version__
 
+    if isinstance(suites, str) or not suites:
+        raise ValueError(f"suites must be a non-empty list of names, got {suites!r}")
+    unknown = [s for s in suites if s not in (*SUITES, "all")]
+    if unknown:
+        raise ValueError(f"unknown suites {unknown}; choose from {(*SUITES, 'all')}")
     wanted = list(SUITES) if "all" in suites else [s for s in SUITES if s in suites]
     results: list[CheckResult] = []
     timings: dict[str, float] = {}

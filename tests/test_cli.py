@@ -396,6 +396,16 @@ class TestBadInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("selection, message", [
+        (["trcae"], r"unknown suites \['trcae'\]"), (["trace", "x", "all"], r"unknown suites \['x'\]"),
+        ([], r"non-empty list of names, got \[\]"), ("trace", "non-empty list of names, got 'trace'"),
+    ])
+    def test_run_verification_refuses_a_selection_it_does_not_know(self, selection, message):
+        from supertrace import suites
+
+        with pytest.raises(ValueError, match=message):
+            suites.run_verification(selection)
+
     @pytest.mark.parametrize("spec, message", [
         ("sl11", "sl(m|n) requires m != n"), ("sl10", "sl(m|n) requires m, n >= 1"),
         ("osp20", "osp(2|2n) requires n >= 1"),

@@ -35,6 +35,12 @@ class TestRationals:
     def test_rat_str(self):
         assert rat_str(F(-5, 48)) == "-5/48"
         assert rat_str(F(4, 2)) == "2"
+        assert rat_str(-3) == "-3"
+
+    @pytest.mark.parametrize("x", [0.1, 2.0, Decimal("0.5"), "1/2"])
+    def test_rat_str_refuses_an_inexact_value(self, x):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            rat_str(x)
 
     @given(rationals, rationals, rationals)
     def test_field_axioms(self, a, b, c):

@@ -799,7 +799,7 @@ class TestDeferredPresentations:
         assert "source" not in text and "build" not in text
         assert not calls and "source" not in vars(t)
 
-    def test_a_tensors_run_assembles_five_of_thirty_three(self, monkeypatch):
+    def test_a_tensors_run_assembles_four_of_thirty_three(self, monkeypatch):
         from supertrace import suites
 
         assemble, calls, span, spaces = it._assembled, [], it.it_space, []
@@ -807,9 +807,44 @@ class TestDeferredPresentations:
         monkeypatch.setattr(it, "it_space", lambda *a: spaces.append(span(*a)) or spaces[-1])
         report = suites.run_verification(["tensors"], max_degree=3)
         assert report["pass"] and report["failed"] == 0
-        # The 3 elements, one duplicate pair's second map and one it_sum partner at lam = 3/2.
+        # The 3 elements and one duplicate pair's second map; the it_sum partner at lam = 3/2 is
+        # the degree-2 element itself, whose map is already assembled.
         assert sum(len(space.raw) for space in spaces) == 33
-        assert len(calls) == 5
+        assert len(calls) == 4
+
+    def test_a_tensors_run_moves_each_element_once_and_pairs_no_reachable_tensor_classically(
+            self, monkeypatch):
+        from supertrace import suites
+
+        moved, paired, span, spaces = [], [], it.it_space, []
+        sn_action, extended_form = it.sn_action, it.extended_form
+        monkeypatch.setattr(it, "sn_action", lambda *a: moved.append((a[1], a[2], id(a[3]))) or sn_action(*a))
+        monkeypatch.setattr(it, "extended_form", lambda *a: paired.append(a) or extended_form(*a))
+        monkeypatch.setattr(it, "it_space", lambda *a: spaces.append(span(*a)) or spaces[-1])
+        report = suites.run_verification(["tensors"], max_degree=3)
+        assert report["pass"] and report["failed"] == 0
+        elements = {N: space.elements for N, space in enumerate(spaces, 1)}
+        assert elements[2] and elements[3]
+        assert sorted(moved) == sorted((N, perm, id(t)) for N in (2, 3)
+                                       for perm in permutations(range(N)) for t in elements[N])
+        # 3 composite and 6 supersymmetric pairs' values per degree, and the degree mismatch.
+        assert len(paired) == 3 * 3 + 6 * 3 + 1
+        reachable = {id(t.coords) for space in spaces for t in space.raw}
+        assert not reachable & {id(t) for t1, _, t2, _ in (a[1:] for a in paired) for t in (t1, t2)}
+
+    def test_roster_probes_both_witnesses_up_to_degree_two_and_wa_above(self, roster):
+        both, alone = [roster.wA, roster.wB_via_A], [roster.wA]
+        assert [roster.probes(N) for N in range(1, 5)] == [both, both, alone, alone]
+
+    def test_a_tensors_run_sums_a_partner_with_nonzero_coordinates(self, monkeypatch):
+        from supertrace import suites
+
+        summed, it_sum = [], it.it_sum
+        monkeypatch.setattr(it, "it_sum", lambda *a: summed.append(a[2:]) or it_sum(*a))
+        report = suites.run_verification(["tensors"], max_degree=3)
+        assert report["pass"] and report["failed"] == 0
+        partners = [t2 for t2, lam in summed if lam]
+        assert len(partners) == 1 and partners[0].coords and partners[0].degree == 2
 
     def test_a_tensors_run_passes_each_permutation_as_a_tuple(self, adj, monkeypatch):
         # The functorial-adjoint check reads the pulled tensors G* y off adjoint_coords, one call

@@ -345,6 +345,25 @@ class TestSerialization:
         with pytest.raises(rm.ModuleIntegrityError, match="stray or repeated record e_0"):
             rm.load_gmodule(rs21, str(path))
 
+    def test_swapped_generator_parities_are_refused(self, rs21, std, tmp_path):
+        # Zero maps satisfy every relation at either parity, but an action reads the generator
+        # parities off its first factor: with e_0 odd and e_1 even the trivial module loses
+        # the one invariant of C (x) std (x) std*.
+        trivial = rm.trivial_module(rs21)
+        swapped = dataclasses.replace(trivial, e=(trivial.e[1], trivial.e[0]))
+        assert len(rm.invariant_vectors((trivial, std, std.dual))) == 1
+        assert len(rm.invariant_vectors((swapped, std, std.dual))) == 0
+        path = tmp_path / "trivial.jsonl"
+        records = _saved_records(trivial, path)
+        e0, e1 = records[1:3]
+        assert (e0["series"], e0["index"], e1["series"], e1["index"]) == ("e", 0, "e", 1)
+        e0["parity"], e1["parity"] = e1["parity"], e0["parity"]
+        _write_records(path, records)
+        with pytest.raises(rm.ModuleIntegrityError, match="e_i and f_i must be odd exactly at i = 1"):
+            rm.load_gmodule(rs21, str(path))
+        with pytest.raises(rm.ModuleRelationError, match="odd exactly at i = 1"):
+            rm.verify_relations(swapped)
+
     def test_highest_weight_of_the_wrong_length_is_refused(self, rs21, K01, tmp_path):
         path = tmp_path / "k01.jsonl"
         header, *records = _saved_records(K01, path)

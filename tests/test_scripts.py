@@ -21,6 +21,15 @@ def test_invariant_form_tables_runs_at_degree_two(monkeypatch, capsys):
     assert "degree 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [["3"], ["2", "7"]])
+def test_invariant_form_tables_prints_the_recorded_tables(monkeypatch, capsys, args):
+    main = runpy.run_path(str(SCRIPTS / "invariant_form_tables.py"))["main"]
+    monkeypatch.setattr(sys, "argv", ["invariant_form_tables.py", *args])
+    assert main() == 0
+    recorded = ROOT / "tests" / "data" / f"invariant_form_tables_{'_'.join(args)}.txt"
+    assert capsys.readouterr().out == recorded.read_text()
+
+
 def _committed(repo: Path) -> None:
     """Make ``repo`` a git repository with everything in it committed."""
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
